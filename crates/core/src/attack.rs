@@ -15,7 +15,7 @@
 
 use crate::closure::DependencyIndex;
 use crate::universe::{ServerId, Universe};
-use crate::usable::Reachability;
+use crate::usable::{Frame, Reachability, Scratch};
 use perils_dns::name::DnsName;
 use std::collections::BTreeSet;
 
@@ -116,24 +116,32 @@ impl<'u> AttackSim<'u> {
         dosed: &BTreeSet<ServerId>,
         via_partial: bool,
     ) -> BTreeSet<ServerId> {
+        let universe = self.universe;
         let mut owned = initial.clone();
+        // The whole-universe frame does not depend on what is blocked:
+        // each round is one solve over it.
+        let frame = Frame::whole(universe);
+        let mut scratch = Scratch::default();
+        let mut blocked = frame.blocked_flags(initial.union(dosed));
         loop {
-            let blocked: BTreeSet<ServerId> = owned.union(dosed).copied().collect();
-            let reach = Reachability::compute(self.universe, &blocked);
+            frame.solve(&blocked, &mut scratch);
             let mut grew = false;
-            for sid in self.universe.server_ids() {
-                if owned.contains(&sid) || self.universe.server(sid).is_root {
+            for sid in universe.server_ids() {
+                if owned.contains(&sid) || universe.server(sid).is_root {
                     continue;
                 }
-                let server_name = self.universe.server(sid).name.clone();
                 let captured = if via_partial {
-                    let closure = self.index.closure_for(self.universe, &server_name);
+                    let closure = self.index.closure_for(universe, &universe.server(sid).name);
                     closure.servers.iter().any(|s| owned.contains(s))
                 } else {
-                    !reach.name_resolves(self.universe, &server_name)
+                    // The server's name resolves iff its home zone does.
+                    !universe
+                        .home_zone_of(sid)
+                        .is_some_and(|home| scratch.zone_reachable(home.index()))
                 };
                 if captured {
                     owned.insert(sid);
+                    blocked[sid.index()] = true;
                     grew = true;
                 }
             }
@@ -234,6 +242,30 @@ mod tests {
         // Complete-only escalation stays put: nothing is fully cut off.
         let strict = sim.escalate(&initial, &BTreeSet::new(), false);
         assert_eq!(strict, initial);
+    }
+
+    #[test]
+    fn strict_escalation_captures_cut_off_servers() {
+        let u = fbi_universe();
+        let index = DependencyIndex::build(&u);
+        let sim = AttackSim::new(&u, &index);
+        let sid = |n: &str| u.server_id(&name(n)).unwrap();
+        // With the other telemail.net box DoS'd, telemail.net has no clean
+        // server left, and sprintip.com's third server — its name lives in
+        // telemail.net — falls with it; so do both sprintip.com hosts.
+        let dosed: BTreeSet<ServerId> = [sid("reston-ns1.telemail.net")].into_iter().collect();
+        let owned = sim.escalate(&sim.all_scripted_vulnerable(), &dosed, false);
+        let expected: BTreeSet<ServerId> = [
+            "reston-ns1.telemail.net",
+            "reston-ns2.telemail.net",
+            "reston-ns3.telemail.net",
+            "dns.sprintip.com",
+            "dns2.sprintip.com",
+        ]
+        .into_iter()
+        .map(sid)
+        .collect();
+        assert_eq!(owned, expected);
     }
 
     #[test]

@@ -1389,6 +1389,11 @@ impl NameClosure {
     /// universe while being orders of magnitude smaller. Zones whose parent
     /// falls outside the closure are treated as delegated straight from the
     /// trusted hints, which matches their role in this name's resolution.
+    ///
+    /// This rebuilds the closure by name through the builder, so nothing on
+    /// a hot path calls it: the exact hijack search solves on
+    /// [`crate::usable::Frame::restricted`] instead, and this stays as the
+    /// independent oracle the property tests check that frame against.
     pub fn extract_universe(&self, universe: &Universe) -> Universe {
         let mut builder = Universe::builder();
         for &sid in &self.servers {

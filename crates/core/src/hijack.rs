@@ -12,16 +12,37 @@
 //!   lexicographically by (cut size, number of *safe* members) so the
 //!   most attacker-friendly minimum cut is reported;
 //! * [`min_hijack_exact`] — an exact branch-and-bound over the glue-aware
-//!   AND/OR resolution semantics ([`crate::usable::Reachability`]),
-//!   branching on resolution witnesses. The `ablation_mincut` bench
-//!   compares the two.
+//!   AND/OR resolution semantics ([`crate::usable`]), branching on
+//!   resolution witnesses. The `ablation_mincut` bench compares the two.
+//!
+//! # The exact search
+//!
+//! The search runs on the closure's restricted [`Frame`], built once per
+//! name; a node is a blocked set, held as one flag per frame server, and
+//! costs one allocation-free [`Frame::solve`]. If the target no longer
+//! resolves the node is a complete hijack. Otherwise the solve yields a
+//! witness `w_0..w_k` (ordered vulnerable first, then by id; root servers
+//! cannot be compromised and are left out), and the node branches
+//! **canonically**: branch `i` blocks `w_i` and forbids its whole subtree
+//! from ever blocking `w_0..w_{i-1}`.
+//!
+//! This loses no hijack. Let `H` be a complete hijack that contains the
+//! node's blocked set and none of its forbidden servers. The witness's
+//! survival alone keeps the name resolving, so `H` contains some `w_j`;
+//! take the least such `j`. Then `H` contains the blocked set of branch
+//! `j` and none of `w_0..w_{j-1}`, so it lies in that branch — and in no
+//! other: a branch before `j` blocks a server `H` lacks, a branch after
+//! `j` forbids `w_j`. By induction from the root (nothing blocked, only
+//! root servers forbidden) every hijack is reached exactly once, where
+//! branching on every member without the forbidden set would reach a
+//! hijack of `n` servers through up to `n!` orderings. Pruning nodes whose
+//! (size, safe) objective is no better than the best found keeps the
+//! minimum, since children only grow the objective.
 
 use crate::closure::{ClosureView, NameClosure};
 use crate::delegation::DelegationGraph;
 use crate::universe::{ServerId, Universe};
-use crate::usable::Reachability;
-use perils_dns::name::DnsName;
-use std::collections::BTreeSet;
+use crate::usable::{Frame, Scratch};
 
 /// Weight base for the lexicographic (size, safe-count) objective.
 const SIZE_WEIGHT: u64 = 1_000_000;
@@ -138,85 +159,121 @@ fn min_cut_of_graph(universe: &Universe, dg: DelegationGraph) -> Option<HijackSe
 /// Exact minimum complete-hijack set under the glue-aware resolution
 /// semantics, lexicographically minimizing (size, #safe members).
 ///
-/// Branch-and-bound: at each node, compute clean reachability under the
-/// current blocked set; if the target still resolves, extract a resolution
-/// witness and branch on blocking each member (every complete hijack must
-/// block some witness member). Runs on the closure's extracted
-/// sub-universe, so each fixed point is small.
+/// Branch-and-bound on the closure's restricted [`Frame`] (module docs):
+/// at each node, solve clean reachability under the current blocked set;
+/// if the target still resolves, extract a resolution witness and branch
+/// on blocking each member.
 pub fn min_hijack_exact(universe: &Universe, closure: &NameClosure) -> Option<HijackSet> {
-    let sub = closure.extract_universe(universe);
-    let target = closure.target.clone();
-    // The search works on sub-universe ids; translate back at the end.
-    let mut best: Option<(Vec<ServerId>, (usize, usize))> = None;
+    let mut search = ExactSearch::new(universe, closure);
+    search.visit(0);
+    let (mut servers, (_, safe_members)) = search.best?;
+    servers.sort_unstable();
+    Some(HijackSet {
+        servers: servers
+            .into_iter()
+            .map(|s| search.frame.server_id(s as usize))
+            .collect(),
+        safe_members,
+    })
+}
 
-    struct Ctx<'a> {
-        sub: &'a Universe,
-        target: &'a DnsName,
-    }
+/// The state of one exact search; servers are local ids of `frame`.
+struct ExactSearch {
+    frame: Frame,
+    /// The target's deepest zone in the frame (`None`: it has no zone, so
+    /// it never resolves and the empty set hijacks it).
+    target: Option<usize>,
+    vulnerable: Vec<bool>,
+    blocked: Vec<bool>,
+    /// Servers the current subtree may not block: root servers (out of the
+    /// threat model) throughout, and the earlier siblings of every branch
+    /// taken on the way down.
+    never_block: Vec<bool>,
+    /// The blocked servers, in the order they were blocked.
+    chosen: Vec<u32>,
+    /// The witnesses of the nodes on the current path, one after another.
+    members: Vec<u32>,
+    witness: Vec<u32>,
+    scratch: Scratch,
+    /// The best complete hijack so far and its (size, safe) objective.
+    best: Option<(Vec<u32>, (usize, usize))>,
+    #[cfg(test)]
+    nodes: usize,
+}
 
-    fn objective(sub: &Universe, blocked: &BTreeSet<ServerId>) -> (usize, usize) {
-        let safe = blocked
-            .iter()
-            .filter(|&&s| !sub.server(s).vulnerable)
-            .count();
-        (blocked.len(), safe)
-    }
-
-    fn search(
-        ctx: &Ctx<'_>,
-        blocked: &mut BTreeSet<ServerId>,
-        best: &mut Option<(Vec<ServerId>, (usize, usize))>,
-    ) {
-        let obj = objective(ctx.sub, blocked);
-        if let Some((_, best_obj)) = best {
-            // Children only grow the objective, so an already-not-better
-            // node cannot lead to an improvement.
-            if obj >= *best_obj {
-                return;
-            }
+impl ExactSearch {
+    fn new(universe: &Universe, closure: &NameClosure) -> ExactSearch {
+        let frame = Frame::restricted(
+            universe,
+            closure.zones.iter().copied(),
+            closure.servers.iter().copied(),
+        );
+        let entry = |s| universe.server(frame.server_id(s));
+        let servers = frame.server_count();
+        ExactSearch {
+            target: frame.enclosing_zone(universe, &closure.target),
+            vulnerable: (0..servers).map(|s| entry(s).vulnerable).collect(),
+            blocked: vec![false; servers],
+            never_block: (0..servers).map(|s| entry(s).is_root).collect(),
+            chosen: Vec::new(),
+            members: Vec::new(),
+            witness: Vec::new(),
+            scratch: Scratch::default(),
+            best: None,
+            #[cfg(test)]
+            nodes: 0,
+            frame,
         }
-        let r = Reachability::compute(ctx.sub, blocked);
-        let Some(witness) = r.witness(ctx.sub, ctx.target) else {
-            // Hijacked: record.
-            let record = (blocked.iter().copied().collect::<Vec<_>>(), obj);
-            match best {
-                Some((_, best_obj)) if *best_obj <= obj => {}
-                _ => *best = Some(record),
-            }
+    }
+
+    /// Searches below the node whose blocked set is `chosen`, `safe` of
+    /// them not vulnerable.
+    fn visit(&mut self, safe: usize) {
+        #[cfg(test)]
+        {
+            self.nodes += 1;
+        }
+        let obj = (self.chosen.len(), safe);
+        // Children only grow the objective, so an already-not-better node
+        // cannot lead to an improvement.
+        if matches!(&self.best, Some((_, best_obj)) if obj >= *best_obj) {
             return;
-        };
-        // Branch: some witness member must be blocked. Vulnerable members
-        // first — they are lexicographically cheaper.
-        let mut members = witness;
-        members.sort_by_key(|&s| (!ctx.sub.server(s).vulnerable, s));
-        for sid in members {
-            if ctx.sub.server(sid).is_root {
-                continue; // roots cannot be compromised in this model
-            }
-            blocked.insert(sid);
-            search(ctx, blocked, best);
-            blocked.remove(&sid);
         }
+        self.frame.solve(&self.blocked, &mut self.scratch);
+        let resolves = self.target.is_some_and(|zone| {
+            self.frame
+                .witness_into(&mut self.scratch, zone, &mut self.witness)
+        });
+        if !resolves {
+            // Hijacked, and better than the best so far.
+            self.best = Some((self.chosen.clone(), obj));
+            return;
+        }
+        // Some witness member must be blocked. Vulnerable members first —
+        // they are lexicographically cheaper. A witness with no member
+        // left to block is a dead end.
+        let start = self.members.len();
+        let never_block = &self.never_block;
+        self.members
+            .extend(self.witness.iter().filter(|&&s| !never_block[s as usize]));
+        let vulnerable = &self.vulnerable;
+        self.members[start..].sort_unstable_by_key(|&s| (!vulnerable[s as usize], s));
+        // Canonical branching: branch `i` blocks member `i` and may never
+        // block the members before it.
+        for at in start..self.members.len() {
+            let server = self.members[at] as usize;
+            self.blocked[server] = true;
+            self.chosen.push(server as u32);
+            self.visit(safe + usize::from(!self.vulnerable[server]));
+            self.chosen.pop();
+            self.blocked[server] = false;
+            self.never_block[server] = true;
+        }
+        for &server in &self.members[start..] {
+            self.never_block[server as usize] = false;
+        }
+        self.members.truncate(start);
     }
-
-    let ctx = Ctx {
-        sub: &sub,
-        target: &target,
-    };
-    let mut blocked = BTreeSet::new();
-    search(&ctx, &mut blocked, &mut best);
-
-    let (sub_servers, _) = best?;
-    // Translate sub-universe ids back to full-universe ids by name.
-    let servers: Vec<ServerId> = sub_servers
-        .iter()
-        .map(|&s| {
-            universe
-                .server_id(&sub.server(s).name)
-                .expect("sub-universe servers exist in the full universe")
-        })
-        .collect();
-    Some(HijackSet::of(universe, servers))
 }
 
 #[cfg(test)]
@@ -224,7 +281,9 @@ mod tests {
     use super::*;
     use crate::closure::DependencyIndex;
     use crate::universe::Universe;
+    use crate::usable::Reachability;
     use perils_dns::name::{name, DnsName};
+    use std::collections::BTreeSet;
 
     /// A universe where the exact minimum is obvious: the target zone has
     /// two servers, one of which shares a provider with the other.
@@ -395,6 +454,67 @@ mod tests {
         let closure = index.closure_for(&u, &name("x.arpa"));
         assert!(min_hijack_exact(&u, &closure).is_none());
         assert!(min_cut_flattened(&u, &index, &closure).is_none());
+    }
+
+    /// `com` and `example.com` each have four glued servers, so every
+    /// witness is `{next tld, next ns}` and the optimum takes four servers.
+    /// Canonical branching visits each blocked set `tld^i ns^j`, `i + j ≤
+    /// 4`, once; branching on both members everywhere would reach the same
+    /// sets along every interleaving, 31 nodes.
+    #[test]
+    fn canonical_branching_visits_each_blocked_set_once() {
+        let mut b = Universe::builder();
+        b.raw_server(&name("a.root-servers.net"), false, true);
+        b.add_zone(&DnsName::root(), &[name("a.root-servers.net")]);
+        let tld: Vec<DnsName> = (1..=4).map(|i| name(&format!("tld{i}.nst.com"))).collect();
+        b.add_zone(&name("com"), &tld);
+        b.add_zone(&name("nst.com"), &tld);
+        let ns: Vec<DnsName> = (1..=4)
+            .map(|i| name(&format!("ns{i}.example.com")))
+            .collect();
+        b.add_zone(&name("example.com"), &ns);
+        let u = b.finish();
+        let index = DependencyIndex::build(&u);
+        let closure = index.closure_for(&u, &name("www.example.com"));
+
+        let mut search = ExactSearch::new(&u, &closure);
+        search.visit(0);
+        let (_, objective) = search.best.clone().expect("hijackable");
+        assert_eq!(objective, (4, 4));
+        assert_eq!(search.nodes, 15);
+        let orderings: usize = (1..=4).map(|k| (1..=k).product::<usize>()).sum();
+        assert!(
+            search.nodes < orderings,
+            "{} vs Σ k! = {orderings}",
+            search.nodes
+        );
+        assert_eq!(
+            min_hijack_exact(&u, &closure).expect("hijackable").size(),
+            4
+        );
+    }
+
+    /// `victim.com` lists `x.z.net` (address via `z.net`) and `ns1.z.net`,
+    /// so the first witness is `{ns1, x}`. The branch that blocks `x` may
+    /// not block `ns1`, and there `ns1` alone is the witness: nothing is
+    /// left to block, and the node must not be taken for a hijack by `{x}`.
+    #[test]
+    fn witness_of_never_block_servers_is_a_dead_end() {
+        let mut b = Universe::builder();
+        b.raw_server(&name("a.root-servers.net"), false, true);
+        b.add_zone(&DnsName::root(), &[name("a.root-servers.net")]);
+        b.add_zone(&name("com"), &[name("a.root-servers.net")]);
+        b.add_zone(&name("net"), &[name("a.root-servers.net")]);
+        b.add_zone(&name("z.net"), &[name("ns1.z.net"), name("ns2.z.net")]);
+        b.add_zone(&name("victim.com"), &[name("x.z.net"), name("ns1.z.net")]);
+        let u = b.finish();
+        let index = DependencyIndex::build(&u);
+        let closure = index.closure_for(&u, &name("www.victim.com"));
+        let exact = min_hijack_exact(&u, &closure).expect("hijackable");
+        assert_eq!(exact.size(), 2, "{exact:?}");
+        assert!(exact
+            .servers
+            .contains(&u.server_id(&name("ns1.z.net")).unwrap()));
     }
 
     #[test]

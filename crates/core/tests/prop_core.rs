@@ -1,13 +1,14 @@
 //! Property-based tests of the transitive-trust analyses over random
 //! universes: closure monotonicity, hijack-set validity and minimality
-//! against brute force, and reachability monotonicity.
+//! against brute force, reachability monotonicity, and the restricted
+//! reachability frame against the closure's extracted sub-universe.
 
 use proptest::prelude::*;
 
 use perils_core::closure::DependencyIndex;
 use perils_core::hijack::{min_cut_flattened, min_hijack_exact};
 use perils_core::universe::{ServerId, Universe};
-use perils_core::usable::Reachability;
+use perils_core::usable::{Frame, Reachability, Scratch};
 use perils_dns::name::{name, DnsName};
 use std::collections::BTreeSet;
 
@@ -89,9 +90,9 @@ fn build(spec: &WorldSpec) -> (Universe, Vec<DnsName>) {
     (b.finish(), targets)
 }
 
-/// Brute force: the true minimum hijack size by subset enumeration over
-/// the closure's non-root servers.
-fn brute_min_hijack(universe: &Universe, target: &DnsName, cap: usize) -> Option<usize> {
+/// Brute force: the true lexicographic minimum of (hijack size, safe
+/// members) by subset enumeration over the closure's non-root servers.
+fn brute_min_hijack(universe: &Universe, target: &DnsName, cap: usize) -> Option<(usize, usize)> {
     let index = DependencyIndex::build(universe);
     let closure = index.closure_for(universe, target);
     let sub = closure.extract_universe(universe);
@@ -105,6 +106,7 @@ fn brute_min_hijack(universe: &Universe, target: &DnsName, cap: usize) -> Option
     for size in 0..=cap.min(candidates.len()) {
         // All subsets of `size` via bitmask enumeration.
         let masks = 1u32 << candidates.len();
+        let mut fewest_safe: Option<usize> = None;
         for mask in 0..masks {
             if (mask.count_ones() as usize) != size {
                 continue;
@@ -117,8 +119,15 @@ fn brute_min_hijack(universe: &Universe, target: &DnsName, cap: usize) -> Option
                 .collect();
             let reach = Reachability::compute(&sub, &blocked);
             if !reach.name_resolves(&sub, target) {
-                return Some(size);
+                let safe = blocked
+                    .iter()
+                    .filter(|&&s| !sub.server(s).vulnerable)
+                    .count();
+                fewest_safe = Some(fewest_safe.map_or(safe, |best| best.min(safe)));
             }
+        }
+        if let Some(safe) = fewest_safe {
+            return Some((size, safe));
         }
     }
     None
@@ -137,7 +146,12 @@ proptest! {
             let exact = min_hijack_exact(&universe, &closure);
             if let Some(brute) = brute_min_hijack(&universe, target, 5) {
                 let exact = exact.expect("brute force found a hijack, exact must too");
-                prop_assert_eq!(exact.size(), brute, "target {}", target);
+                prop_assert_eq!(
+                    (exact.size(), exact.safe_members),
+                    brute,
+                    "target {}",
+                    target
+                );
             }
         }
     }
@@ -202,6 +216,93 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The restricted frame of a closure — what the exact hijack search
+    /// solves on — agrees with the independent oracle: the closure pushed
+    /// back through `UniverseBuilder` by name and solved whole. Same
+    /// reachable zones, same verdict on the target, same witness, under
+    /// any blocked subset — also when about one zone in eight is struck
+    /// from the closure first, so that parents, home zones and the
+    /// target's zone must be found further up.
+    #[test]
+    fn restricted_frame_equals_extracted_universe(
+        spec in arb_world(),
+        mask in any::<u64>(),
+        strike in any::<u64>(),
+    ) {
+        let (universe, targets) = build(&spec);
+        let index = DependencyIndex::build(&universe);
+        let mut ws = index.workspace();
+        let mut scratch = Scratch::default();
+        let mut witness = Vec::new();
+        for target in &targets {
+            let mut closure = index.closure_for(&universe, target);
+            let mut rank = 0;
+            closure.zones.retain(|_| {
+                rank += 1;
+                (strike >> (3 * rank % 61)) & 7 != 7
+            });
+            let sub = closure.extract_universe(&universe);
+            // Zones from the owned closure, servers from the borrowed view:
+            // the frame takes either.
+            let view = index.closure_view(&universe, target, &mut ws);
+            let frame = Frame::restricted(&universe, closure.zones.iter().copied(), view.servers());
+            prop_assert_eq!(frame.zone_count(), closure.zones.len());
+            prop_assert_eq!(frame.server_count(), closure.servers.len());
+
+            let flags: Vec<bool> = (0..frame.server_count())
+                .map(|s| (mask >> (s % 64)) & 1 == 1)
+                .collect();
+            let in_sub = |s: usize| {
+                sub.server_id(&universe.server(frame.server_id(s)).name).expect("in sub")
+            };
+            let blocked: BTreeSet<ServerId> =
+                (0..flags.len()).filter(|&s| flags[s]).map(in_sub).collect();
+            let oracle = Reachability::compute(&sub, &blocked);
+            frame.solve(&flags, &mut scratch);
+
+            for &zid in &closure.zones {
+                let origin = &universe.zone(zid).origin;
+                let local = frame.local_zone(zid).expect("closure zone in frame");
+                prop_assert_eq!(
+                    scratch.zone_reachable(local),
+                    oracle.zone_reachable(sub.zone_id(origin).expect("in sub")),
+                    "zone {} of {} under {:#x}/{:#x}", origin, target, mask, strike
+                );
+            }
+            let zone = frame.enclosing_zone(&universe, target);
+            prop_assert_eq!(
+                zone.is_some_and(|z| scratch.zone_reachable(z)),
+                oracle.name_resolves(&sub, target),
+                "{} under {:#x}/{:#x}", target, mask, strike
+            );
+            let found = zone.is_some_and(|z| frame.witness_into(&mut scratch, z, &mut witness));
+            let ours = found.then(|| witness.iter().map(|&s| in_sub(s as usize)).collect::<Vec<_>>());
+            prop_assert_eq!(ours, oracle.witness(&sub, target), "witness of {}", target);
+        }
+    }
+
+    /// `Reachability` takes each zone's parent and each server's home zone
+    /// from the universe's precomputed links, and those are what label
+    /// walks over the registered origins find.
+    #[test]
+    fn reachability_links_are_the_universe_links(spec in arb_world()) {
+        let (universe, _) = build(&spec);
+        let reach = Reachability::compute(&universe, &BTreeSet::new());
+        for zid in universe.zone_ids() {
+            prop_assert_eq!(reach.parent_of(zid), universe.parent_zone_of(zid));
+            let walked = universe.zone(zid).origin.parent().and_then(|p| universe.zone_of(&p));
+            prop_assert_eq!(reach.parent_of(zid), walked, "{}", universe.zone(zid).origin);
+        }
+        for sid in universe.server_ids() {
+            prop_assert_eq!(reach.home_zone_of(sid), universe.home_zone_of(sid));
+            prop_assert_eq!(
+                reach.home_zone_of(sid),
+                universe.zone_of(&universe.server(sid).name),
+                "{}", universe.server(sid).name
+            );
         }
     }
 

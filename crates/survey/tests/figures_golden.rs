@@ -5,8 +5,11 @@
 //! pinned byte-for-byte against `tests/golden/<id>.{txt,csv}`; a second
 //! test pins the registry output against the legacy free-function
 //! renderers, and a third checks that figures whose metrics are absent
-//! are reported as skipped rather than panicking. Regenerate goldens
-//! with `GOLDEN_REGEN=1 cargo test -p perils-survey --test figures_golden`.
+//! are reported as skipped rather than panicking. The exact-hijack sample
+//! (`SurveyReport::exact_sample`) and the CLI's ablation line over it are
+//! pinned too, as recorded from the witness-permuting search of PR 11.
+//! Regenerate goldens with
+//! `GOLDEN_REGEN=1 cargo test -p perils-survey --test figures_golden`.
 
 use perils_core::universe::Universe;
 use perils_core::ZombieDelegationMetric;
@@ -149,6 +152,41 @@ fn zombie_figure_with_stale_knob_matches_golden() {
     );
     check_golden("zombie_stale.txt", figure.text());
     check_golden("zombie_stale.csv", &figure.csv());
+}
+
+/// The exact AND/OR sample is part of every `figures` run, yet no figure
+/// shows it: pin its `(name index, size, safe)` triples over the first 100
+/// names of three tiny worlds. Only the objective is pinned — which of
+/// several tied-optimal sets the search reports is not part of the report.
+#[test]
+fn exact_sample_matches_golden() {
+    let mut actual = String::new();
+    for seed in [11, 2004, SEED] {
+        let report = Engine::new().exact_hijack_sample(100).run(SyntheticSource {
+            params: TopologyParams::tiny(seed),
+        });
+        for &(i, size, safe) in &report.exact_sample {
+            actual.push_str(&format!("{seed} {i} {size} {safe}\n"));
+        }
+    }
+    check_golden("exact_sample.txt", &actual);
+}
+
+/// The `figures` CLI prints the sample only as its ablation line, after
+/// the last figure.
+#[test]
+fn figures_cli_ablation_line_matches_golden() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--scale", "tiny", "--seed", "20040722"])
+        .output()
+        .expect("run figures");
+    assert!(out.status.success(), "figures exited {:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("Ablation ("))
+        .expect("ablation line printed");
+    check_golden("ablation_line.txt", &format!("{line}\n"));
 }
 
 #[test]
