@@ -1304,6 +1304,12 @@ impl<'a> ClosureView<'a> {
         self.zones.iter().map(|&v| ZoneId(v))
     }
 
+    /// The ascending raw id lists behind [`ClosureView::servers`] and
+    /// [`ClosureView::zones`]; a rank in them is a closure-local id.
+    pub(crate) fn id_lists(&self) -> (&'a [u32], &'a [u32]) {
+        (self.servers, self.zones)
+    }
+
     /// Number of servers in the closure.
     pub fn server_count(&self) -> usize {
         self.servers.len()
@@ -1363,6 +1369,14 @@ pub struct NameClosure {
 }
 
 impl NameClosure {
+    /// [`ClosureView::id_lists`], collected.
+    pub(crate) fn id_lists(&self) -> (Vec<u32>, Vec<u32>) {
+        (
+            self.servers.iter().map(|s| s.0).collect(),
+            self.zones.iter().map(|z| z.0).collect(),
+        )
+    }
+
     /// The trusted computing base: closure servers minus root servers.
     pub fn tcb(&self, universe: &Universe) -> Vec<ServerId> {
         self.servers

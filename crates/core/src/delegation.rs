@@ -12,11 +12,137 @@
 //! A root→sink path therefore traverses one server per zone level of some
 //! chain, and a vertex cut must block *every* such path — the paper's
 //! "critical bottleneck nameservers".
+//!
+//! # One walk, each zone wired once
+//!
+//! `walk_layers` is the only place that relation is spelled out. It
+//! visits the target's chain, then the chain of every closure server in
+//! ascending id order, and hands a `LayerSink` one `wire` per closure
+//! zone and one `finish` per chain. The zones above a zone `z` on a chain
+//! are the registered ancestors of `z`'s origin whichever name the chain
+//! belongs to, so the layer that precedes `z`'s is a function of `z` alone
+//! and wiring it again could only repeat edges: the walk remembers, per
+//! closure zone, the layer a chain holds once it is past that zone, and
+//! every later visit is a lookup. [`DelegationGraph`] materialises the
+//! edges; the min-cut kernel in [`crate::hijack`] feeds them to a flow
+//! network without building a graph.
 
-use crate::closure::{ClosureView, NameClosure};
+use crate::closure::{ClosureView, DependencyIndex, NameClosure};
 use crate::universe::{ServerId, Universe, ZoneId};
 use perils_graph::digraph::{DiGraph, NodeId};
-use std::collections::HashMap;
+
+/// Where a chain ends.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Endpoint {
+    /// The target's own chain: the sink.
+    Target,
+    /// The chain of the closure server of this rank (position in the
+    /// closure's ascending server list).
+    Server(u32),
+}
+
+/// The consumer of [`walk_layers`]. `Layer` names a set of servers a chain
+/// has just passed: the source, or the NS set of a wired zone.
+pub(crate) trait LayerSink {
+    /// Handle of a wired layer.
+    type Layer: Copy;
+    /// The layer every chain starts from.
+    fn source(&self) -> Self::Layer;
+    /// Adds `prev × members` (no self-edges) and returns the handle of the
+    /// new layer. `members` are server ranks in NS-set order, never empty.
+    fn wire(&mut self, prev: Self::Layer, members: &[u32]) -> Self::Layer;
+    /// Adds `prev × {endpoint}` (no self-edge).
+    fn finish(&mut self, prev: Self::Layer, endpoint: Endpoint);
+}
+
+/// Buffers of [`walk_layers`], reusable across closures.
+#[derive(Debug)]
+pub(crate) struct WalkScratch<L> {
+    /// Per closure zone (by rank in the closure's ascending zone list):
+    /// the layer a chain holds after passing it, once known — the zone's
+    /// own layer, or its predecessor's when none of its NS is a closure
+    /// server.
+    after: Vec<Option<L>>,
+    members: Vec<u32>,
+}
+
+impl<L> Default for WalkScratch<L> {
+    fn default() -> Self {
+        WalkScratch {
+            after: Vec::new(),
+            members: Vec::new(),
+        }
+    }
+}
+
+/// Feeds `sink` the flattened delegation graph of one closure (module
+/// docs). `servers` and `zones` are the closure's ascending id lists;
+/// ranks in them are the local ids the sink sees, found by binary search
+/// so that nothing here is sized by the universe.
+pub(crate) fn walk_layers<S: LayerSink>(
+    universe: &Universe,
+    index: &DependencyIndex,
+    target_chain: &[ZoneId],
+    servers: &[u32],
+    zones: &[u32],
+    scratch: &mut WalkScratch<S::Layer>,
+    sink: &mut S,
+) {
+    scratch.after.clear();
+    scratch.after.resize(zones.len(), None);
+    let mut walk = Walk {
+        universe,
+        servers,
+        zones,
+        scratch,
+        sink,
+    };
+    walk.chain(target_chain.iter().copied(), Endpoint::Target);
+    for (rank, &sid) in servers.iter().enumerate() {
+        walk.chain(index.chain_of(ServerId(sid)), Endpoint::Server(rank as u32));
+    }
+}
+
+struct Walk<'a, S: LayerSink> {
+    universe: &'a Universe,
+    servers: &'a [u32],
+    zones: &'a [u32],
+    scratch: &'a mut WalkScratch<S::Layer>,
+    sink: &'a mut S,
+}
+
+impl<S: LayerSink> Walk<'_, S> {
+    fn chain(&mut self, chain: impl Iterator<Item = ZoneId>, endpoint: Endpoint) {
+        let mut prev = self.sink.source();
+        for zid in chain {
+            // A chain zone missing from `zones` (a hand-edited closure) is
+            // wired on every visit; the sinks tolerate repeated edges.
+            let slot = self.zones.binary_search(&zid.0).ok();
+            if let Some(known) = slot.and_then(|z| self.scratch.after[z]) {
+                prev = known;
+                continue;
+            }
+            let servers = self.servers;
+            let members = &mut self.scratch.members;
+            members.clear();
+            members.extend(
+                self.universe
+                    .zone(zid)
+                    .ns
+                    .iter()
+                    .filter_map(|ns| servers.binary_search(&ns.0).ok())
+                    .map(|rank| rank as u32),
+            );
+            if !members.is_empty() {
+                prev = self.sink.wire(prev, members);
+            }
+            if let Some(z) = slot {
+                self.scratch.after[z] = Some(prev);
+            }
+        }
+        self.sink.finish(prev, endpoint);
+    }
+}
 
 /// Node payload in the delegation graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +164,67 @@ pub struct DelegationGraph {
     pub source: NodeId,
     /// The sink (target) node.
     pub sink: NodeId,
-    node_of_server: HashMap<ServerId, NodeId>,
+    /// The closure's servers, ascending; the server of rank `r` is node
+    /// `server_node(r)`.
+    servers: Vec<u32>,
+}
+
+/// The node of the closure server of rank `rank`; the source and the sink
+/// come before.
+fn server_node(rank: u32) -> NodeId {
+    NodeId(2 + rank)
+}
+
+/// The [`LayerSink`] behind [`DelegationGraph`]: a layer is a range of
+/// `layers`, edges go through `add_edge_dedup` in the order the walk
+/// produces them, which fixes each node's adjacency order.
+struct GraphSink {
+    graph: DiGraph<DelegationNode>,
+    sink: NodeId,
+    /// Member nodes of every wired layer, back to back; the source's
+    /// one-node layer first.
+    layers: Vec<NodeId>,
+}
+
+impl GraphSink {
+    /// `prev × {to}`. Adjacency lists are per node, so every out-list
+    /// grows in NS-set order and every in-list in predecessor order
+    /// whichever of the two loops is the outer one.
+    fn fan_in(&mut self, prev: (u32, u32), to: NodeId) {
+        for at in prev.0..prev.1 {
+            let from = self.layers[at as usize];
+            if from != to {
+                self.graph.add_edge_dedup(from, to);
+            }
+        }
+    }
+}
+
+impl LayerSink for GraphSink {
+    type Layer = (u32, u32);
+
+    fn source(&self) -> (u32, u32) {
+        (0, 1)
+    }
+
+    fn wire(&mut self, prev: (u32, u32), members: &[u32]) -> (u32, u32) {
+        let start = self.layers.len() as u32;
+        self.layers
+            .extend(members.iter().map(|&rank| server_node(rank)));
+        let layer = (start, self.layers.len() as u32);
+        for at in layer.0..layer.1 {
+            self.fan_in(prev, self.layers[at as usize]);
+        }
+        layer
+    }
+
+    fn finish(&mut self, prev: (u32, u32), endpoint: Endpoint) {
+        let to = match endpoint {
+            Endpoint::Target => self.sink,
+            Endpoint::Server(rank) => server_node(rank),
+        };
+        self.fan_in(prev, to);
+    }
 }
 
 impl DelegationGraph {
@@ -46,95 +232,70 @@ impl DelegationGraph {
     /// [`crate::closure::DependencyIndex`] for server chains.
     pub fn build(
         universe: &Universe,
-        index: &crate::closure::DependencyIndex,
+        index: &DependencyIndex,
         closure: &NameClosure,
     ) -> DelegationGraph {
+        let (servers, zones) = closure.id_lists();
+        DelegationGraph::build_parts(universe, index, &closure.target_chain, servers, &zones)
+    }
+
+    /// [`DelegationGraph::build`] for a borrowed [`ClosureView`] — identical
+    /// graph, no owned closure.
+    pub fn build_view(
+        universe: &Universe,
+        index: &DependencyIndex,
+        view: &ClosureView<'_>,
+    ) -> DelegationGraph {
+        let (servers, zones) = view.id_lists();
         DelegationGraph::build_parts(
             universe,
             index,
-            &closure.target_chain,
-            closure.servers.iter().copied(),
+            view.target_chain(),
+            servers.to_vec(),
+            zones,
         )
     }
 
-    /// [`DelegationGraph::build`] for a borrowed [`ClosureView`] — the
-    /// survey engine's per-name path; identical graph, no owned closure.
-    pub fn build_view(
-        universe: &Universe,
-        index: &crate::closure::DependencyIndex,
-        view: &ClosureView<'_>,
-    ) -> DelegationGraph {
-        DelegationGraph::build_parts(universe, index, view.target_chain(), view.servers())
-    }
-
-    /// The shared construction core: `servers` must yield the closure's
-    /// servers in ascending id order (both entry points do).
+    /// The shared construction core over the closure's ascending id lists.
     fn build_parts(
         universe: &Universe,
-        index: &crate::closure::DependencyIndex,
+        index: &DependencyIndex,
         target_chain: &[ZoneId],
-        servers: impl Iterator<Item = ServerId> + Clone,
+        servers: Vec<u32>,
+        zones: &[u32],
     ) -> DelegationGraph {
         let mut graph: DiGraph<DelegationNode> = DiGraph::new();
         let source = graph.add_node(DelegationNode::Source);
         let sink = graph.add_node(DelegationNode::Target);
-        let mut node_of_server: HashMap<ServerId, NodeId> = HashMap::new();
-        for sid in servers.clone() {
-            node_of_server.insert(sid, graph.add_node(DelegationNode::Server(sid)));
+        for &sid in &servers {
+            graph.add_node(DelegationNode::Server(ServerId(sid)));
         }
-
-        // Takes the chain as a dyn iterator: `chain_of` streams zone ids
-        // out of a (possibly view-backed) index row, and a closure cannot
-        // be generic over the iterator type.
-        let add_chain = |graph: &mut DiGraph<DelegationNode>,
-                         chain: &mut dyn Iterator<Item = crate::universe::ZoneId>,
-                         endpoint: NodeId| {
-            let mut prev_layer: Vec<NodeId> = vec![source];
-            for zid in chain {
-                let layer: Vec<NodeId> = universe
-                    .zone(zid)
-                    .ns
-                    .iter()
-                    .filter_map(|ns| node_of_server.get(ns).copied())
-                    .collect();
-                if layer.is_empty() {
-                    continue;
-                }
-                for &u in &prev_layer {
-                    for &v in &layer {
-                        if u != v {
-                            graph.add_edge_dedup(u, v);
-                        }
-                    }
-                }
-                prev_layer = layer;
-            }
-            for &u in &prev_layer {
-                if u != endpoint {
-                    graph.add_edge_dedup(u, endpoint);
-                }
-            }
-        };
-
-        // The target's own chain terminates at the sink.
-        add_chain(&mut graph, &mut target_chain.iter().copied(), sink);
-        // Every nameserver name's chain terminates at that server's node.
-        for sid in servers {
-            let endpoint = node_of_server[&sid];
-            add_chain(&mut graph, &mut index.chain_of(sid), endpoint);
-        }
-
-        DelegationGraph {
+        let mut out = GraphSink {
             graph,
+            sink,
+            layers: vec![source],
+        };
+        walk_layers(
+            universe,
+            index,
+            target_chain,
+            &servers,
+            zones,
+            &mut WalkScratch::default(),
+            &mut out,
+        );
+        DelegationGraph {
+            graph: out.graph,
             source,
             sink,
-            node_of_server,
+            servers,
         }
     }
 
     /// The node for `server`, if it is in the graph.
     pub fn node_of(&self, server: ServerId) -> Option<NodeId> {
-        self.node_of_server.get(&server).copied()
+        let rank = self.servers.binary_search(&server.0).ok()?;
+        Some(server_node(rank as u32))
     }
 
     /// The server behind `node`, if it is a server node.
@@ -147,7 +308,7 @@ impl DelegationGraph {
 
     /// Number of server nodes.
     pub fn server_count(&self) -> usize {
-        self.node_of_server.len()
+        self.servers.len()
     }
 
     /// Renders the graph in Graphviz DOT format — a machine-readable
@@ -158,8 +319,9 @@ impl DelegationGraph {
         out.push_str(&format!("digraph \"{title}\" {{\n  rankdir=LR;\n"));
         out.push_str("  source [shape=box, label=\"root\"];\n");
         out.push_str(&format!("  target [shape=box, label=\"{title}\"];\n"));
-        for (&sid, &node) in &self.node_of_server {
-            let server = universe.server(sid);
+        for (rank, &sid) in self.servers.iter().enumerate() {
+            let node = server_node(rank as u32);
+            let server = universe.server(ServerId(sid));
             let color = if server.vulnerable {
                 ", color=red, fontcolor=red"
             } else {
@@ -249,6 +411,25 @@ mod tests {
         let nstld_node = dg.node_of(nstld_ns).unwrap();
         let com_node = dg.node_of(com_server).unwrap();
         assert!(dg.graph.out_neighbors(nstld_node).contains(&com_node));
+    }
+
+    /// `NameClosure`'s fields are public: a closure whose `zones` misses a
+    /// chain zone gives the walk nowhere to remember that zone, which is
+    /// then wired on every visit — same graph, same cut.
+    #[test]
+    fn chain_zone_missing_from_the_closure_is_rewired_per_visit() {
+        let u = chain_universe();
+        let index = DependencyIndex::build(&u);
+        let full = index.closure_for(&u, &name("www.example.com"));
+        let mut struck = full.clone();
+        assert!(struck.zones.remove(&u.zone_id(&name("com")).unwrap()));
+        let a = DelegationGraph::build(&u, &index, &full);
+        let b = DelegationGraph::build(&u, &index, &struck);
+        assert!(a.graph.edges().eq(b.graph.edges()));
+        assert_eq!(
+            crate::hijack::min_cut_flattened(&u, &index, &full),
+            crate::hijack::min_cut_flattened(&u, &index, &struck)
+        );
     }
 
     #[test]

@@ -15,6 +15,34 @@
 //!   AND/OR resolution semantics ([`crate::usable`]), branching on
 //!   resolution witnesses. The `ablation_mincut` bench compares the two.
 //!
+//! # The flattened cut
+//!
+//! The cut is that of [`perils_graph::flow::min_vertex_cut`] over the
+//! `DelegationGraph`, computed without the graph: the layer walk of
+//! [`crate::delegation`] fills a per-thread [`FlowNetwork`] in which every
+//! server is an in/out pair joined by an edge of its removal cost, and
+//! every `NS(parent) × NS(zone)` product is replaced by one *hub* per
+//! zone — each server of a layer drains into its zone's hub, and the hub
+//! feeds the servers of every layer below and the endpoint of every chain
+//! that ends there (`|parent| + |zone|` edges where the product has
+//! `|parent| · |zone|`).
+//!
+//! Why the reported set is the same. Hubs preserve the set of source→sink
+//! server paths — `u → hub → v` exists exactly where `u → v` did, save for
+//! `u → hub → u`, a cycle no simple path uses — and a hub has no finite
+//! edge, so it is never in a finite cut: both networks have the same
+//! finite cuts, sets of servers. The residual source side is the same for
+//! every maximum flow (the smallest source side of any minimum cut), so
+//! the servers whose split edge leaves it do not depend on edge order or
+//! augmentation order either.
+//!
+//! Why a hub edge may carry [`INF`] rather than "infinity". A root server
+//! costs `INF / 2`, so thirteen of them push more than `INF` into one hub
+//! and its edges saturate. A finite cut weighs less than `INF / 2`
+//! (closures hold far fewer than `INF / 2 / SIZE_WEIGHT` servers); below
+//! that flow no `INF` edge is full and the network is the uncapacitated
+//! one, at or above it the answer is `None` whatever the exact value.
+//!
 //! # The exact search
 //!
 //! The search runs on the closure's restricted [`Frame`], built once per
@@ -39,10 +67,12 @@
 //! (size, safe) objective is no better than the best found keeps the
 //! minimum, since children only grow the objective.
 
-use crate::closure::{ClosureView, NameClosure};
-use crate::delegation::DelegationGraph;
-use crate::universe::{ServerId, Universe};
+use crate::closure::{ClosureView, DependencyIndex, NameClosure};
+use crate::delegation::{walk_layers, Endpoint, LayerSink, WalkScratch};
+use crate::universe::{ServerId, Universe, ZoneId};
 use crate::usable::{Frame, Scratch};
+use perils_graph::flow::{FlowNetwork, INF};
+use std::cell::RefCell;
 
 /// Weight base for the lexicographic (size, safe-count) objective.
 const SIZE_WEIGHT: u64 = 1_000_000;
@@ -97,7 +127,7 @@ impl HijackAnalysis {
     /// Runs both analyses for `closure`.
     pub fn run(
         universe: &Universe,
-        index: &crate::closure::DependencyIndex,
+        index: &DependencyIndex,
         closure: &NameClosure,
     ) -> HijackAnalysis {
         let flattened = min_cut_flattened(universe, index, closure);
@@ -110,10 +140,11 @@ impl HijackAnalysis {
 /// graph, lexicographically minimizing (size, #safe members).
 pub fn min_cut_flattened(
     universe: &Universe,
-    index: &crate::closure::DependencyIndex,
+    index: &DependencyIndex,
     closure: &NameClosure,
 ) -> Option<HijackSet> {
-    min_cut_of_graph(universe, DelegationGraph::build(universe, index, closure))
+    let (servers, zones) = closure.id_lists();
+    flattened_cut(universe, index, &closure.target_chain, &servers, &zones)
 }
 
 /// [`min_cut_flattened`] for a borrowed [`ClosureView`] — same cut, no
@@ -122,38 +153,105 @@ pub fn min_cut_flattened(
 /// which is exactly what [`crate::MinCutMetric`] does.
 pub fn min_cut_flattened_view(
     universe: &Universe,
-    index: &crate::closure::DependencyIndex,
+    index: &DependencyIndex,
     view: &ClosureView<'_>,
 ) -> Option<HijackSet> {
-    min_cut_of_graph(universe, DelegationGraph::build_view(universe, index, view))
+    let (servers, zones) = view.id_lists();
+    flattened_cut(universe, index, view.target_chain(), servers, zones)
 }
 
-fn min_cut_of_graph(universe: &Universe, dg: DelegationGraph) -> Option<HijackSet> {
-    let cut = perils_graph::flow::min_vertex_cut(&dg.graph, dg.source, dg.sink, |node| {
-        match dg.server_of(node) {
-            Some(sid) => {
-                let server = universe.server(sid);
-                if server.is_root {
-                    // Root servers are out of the threat model.
-                    perils_graph::flow::INF / 2
-                } else if server.vulnerable {
-                    SIZE_WEIGHT
-                } else {
-                    SIZE_WEIGHT + 1
-                }
-            }
-            None => perils_graph::flow::INF / 2,
-        }
-    })?;
-    if cut.total_weight >= perils_graph::flow::INF / 2 {
-        return None; // only cuttable through out-of-model nodes
+/// Flow-network node ids of the flattened cut: the source, the sink, then
+/// an in/out pair per closure server by rank; hubs follow as they are
+/// wired.
+const SOURCE: usize = 0;
+const SINK: usize = 1;
+
+fn node_in(rank: usize) -> usize {
+    2 + 2 * rank
+}
+
+fn node_out(rank: usize) -> usize {
+    3 + 2 * rank
+}
+
+/// What one thread's cuts reuse: buffers only, overwritten by every call.
+/// No result is kept — ids mean something else once a daemon swaps worlds.
+#[derive(Default)]
+struct CutScratch {
+    net: FlowNetwork,
+    walk: WalkScratch<usize>,
+}
+
+thread_local! {
+    static CUT_SCRATCH: RefCell<CutScratch> = RefCell::default();
+}
+
+/// The cut kernel's side of the layer walk: a layer is the hub its
+/// servers drain into (module docs), the source is its own hub.
+impl LayerSink for FlowNetwork {
+    type Layer = usize;
+
+    fn source(&self) -> usize {
+        SOURCE
     }
-    let servers: Vec<ServerId> = cut
-        .cut
-        .iter()
-        .filter_map(|&node| dg.server_of(node))
-        .collect();
-    Some(HijackSet::of(universe, servers))
+
+    fn wire(&mut self, prev: usize, members: &[u32]) -> usize {
+        let hub = self.add_node();
+        for &rank in members {
+            self.add_edge(prev, node_in(rank as usize), INF);
+            self.add_edge(node_out(rank as usize), hub, INF);
+        }
+        hub
+    }
+
+    fn finish(&mut self, prev: usize, endpoint: Endpoint) {
+        let to = match endpoint {
+            Endpoint::Target => SINK,
+            Endpoint::Server(rank) => node_in(rank as usize),
+        };
+        self.add_edge(prev, to, INF);
+    }
+}
+
+/// The kernel behind both entry points, over the closure's ascending id
+/// lists (module docs, "The flattened cut").
+fn flattened_cut(
+    universe: &Universe,
+    index: &DependencyIndex,
+    target_chain: &[ZoneId],
+    servers: &[u32],
+    zones: &[u32],
+) -> Option<HijackSet> {
+    CUT_SCRATCH.with(|scratch| {
+        let CutScratch { net, walk } = &mut *scratch.borrow_mut();
+        net.clear();
+        net.add_nodes(2 + 2 * servers.len());
+        for (rank, &sid) in servers.iter().enumerate() {
+            let server = universe.server(ServerId(sid));
+            let cost = if server.is_root {
+                // Root servers are out of the threat model.
+                INF / 2
+            } else if server.vulnerable {
+                SIZE_WEIGHT
+            } else {
+                SIZE_WEIGHT + 1
+            };
+            net.add_edge(node_in(rank), node_out(rank), cost);
+        }
+        walk_layers(universe, index, target_chain, servers, zones, walk, net);
+        if net.max_flow(SOURCE, SINK) >= INF / 2 {
+            return None; // only cuttable through out-of-model nodes
+        }
+        // The split edge crosses the cut: in-node on the source side,
+        // out-node on the sink side.
+        let cut = servers
+            .iter()
+            .enumerate()
+            .filter(|&(rank, _)| net.source_side(node_in(rank)) && !net.source_side(node_out(rank)))
+            .map(|(_, &sid)| ServerId(sid))
+            .collect();
+        Some(HijackSet::of(universe, cut))
+    })
 }
 
 /// Exact minimum complete-hijack set under the glue-aware resolution
@@ -454,6 +552,36 @@ mod tests {
         let closure = index.closure_for(&u, &name("x.arpa"));
         assert!(min_hijack_exact(&u, &closure).is_none());
         assert!(min_cut_flattened(&u, &index, &closure).is_none());
+    }
+
+    /// A non-root zone on all thirteen root servers: `13 × INF / 2` meets
+    /// hub edges of capacity `INF`, which saturate (module docs, "The
+    /// flattened cut") — the verdict is `None` all the same, and a debug
+    /// build sees no overflow.
+    #[test]
+    fn zone_on_thirteen_root_servers_is_uncuttable() {
+        let roots: Vec<DnsName> = ('a'..='m')
+            .map(|letter| name(&format!("{letter}.root-servers.net")))
+            .collect();
+        let mut b = Universe::builder();
+        for root in &roots {
+            b.raw_server(root, false, true);
+        }
+        b.add_zone(&DnsName::root(), &roots);
+        b.add_zone(&name("arpa"), &roots);
+        b.add_zone(&name("in-addr.arpa"), &[name("ns.in-addr.arpa")]);
+        let u = b.finish();
+        let index = DependencyIndex::build(&u);
+        let closure = index.closure_for(&u, &name("x.arpa"));
+        assert_eq!(closure.servers.len(), 13);
+        assert!(min_cut_flattened(&u, &index, &closure).is_none());
+        // Below the root-served layer a finite cut exists again.
+        let closure = index.closure_for(&u, &name("1.in-addr.arpa"));
+        let cut = min_cut_flattened(&u, &index, &closure).expect("cuttable");
+        assert_eq!(
+            cut.servers,
+            [u.server_id(&name("ns.in-addr.arpa")).unwrap()]
+        );
     }
 
     /// `com` and `example.com` each have four glued servers, so every

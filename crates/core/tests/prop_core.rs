@@ -6,10 +6,12 @@
 use proptest::prelude::*;
 
 use perils_core::closure::DependencyIndex;
-use perils_core::hijack::{min_cut_flattened, min_hijack_exact};
+use perils_core::delegation::DelegationGraph;
+use perils_core::hijack::{min_cut_flattened, min_cut_flattened_view, min_hijack_exact, HijackSet};
 use perils_core::universe::{ServerId, Universe};
 use perils_core::usable::{Frame, Reachability, Scratch};
 use perils_dns::name::{name, DnsName};
+use perils_graph::flow::{min_vertex_cut, INF};
 use std::collections::BTreeSet;
 
 /// A random small universe: root + a few TLDs + `n_domains` zones whose
@@ -88,6 +90,103 @@ fn build(spec: &WorldSpec) -> (Universe, Vec<DnsName>) {
         targets.push(name(&format!("www.d{i}.com")));
     }
     (b.finish(), targets)
+}
+
+/// A world for the flattened cut, where which layer is cheapest to cut is
+/// open (in [`WorldSpec`]'s worlds one root server is all of `com` and
+/// `net`, so the cut is always the target zone's own NS set). `com` and
+/// `net` are on two cuttable registry servers each and share one; `org`
+/// and `arpa` are on the root server; domain `i` lives under TLD `i % 3`
+/// and lists one to three hosts `h{a}.d{j}.<tld of j>` of *any* domain.
+#[derive(Debug, Clone)]
+struct WebSpec {
+    /// Per domain: its NS hosts as (host, domain) picks.
+    ns: Vec<Vec<(usize, usize)>>,
+    /// One vulnerability bit per possible host.
+    vulnerable: u32,
+}
+
+fn arb_web() -> impl Strategy<Value = WebSpec> {
+    (2usize..8).prop_flat_map(|n_domains| {
+        (
+            proptest::collection::vec(
+                proptest::collection::vec((0usize..2, 0usize..8), 1..4),
+                n_domains,
+            ),
+            any::<u32>(),
+        )
+            .prop_map(|(ns, vulnerable)| WebSpec { ns, vulnerable })
+    })
+}
+
+/// Builds [`WebSpec`]'s world. What the picks produce: a server in
+/// several NS sets (the shared registry server, a host picked twice),
+/// in-bailiwick servers (`j == i`: a hub feeding its own members), hosts
+/// that serve other zones but not their home zone (reached through their
+/// own chain's endpoint edge only), mutual dependencies, and — added to
+/// every world — a root-served zone with no finite cut and a zone with an
+/// empty NS set on the chain of a target and of a nameserver.
+fn build_web(spec: &WebSpec) -> (Universe, Vec<DnsName>) {
+    let n = spec.ns.len();
+    let domain = |j: usize| format!("d{j}.{}", ["com", "net", "org"][j % 3]);
+    let mut b = Universe::builder();
+    b.raw_server(&name("a.root-servers.net"), false, true);
+    b.add_zone(&DnsName::root(), &[name("a.root-servers.net")]);
+    b.add_zone(&name("com"), &[name("a.nic.net"), name("b.nic.net")]);
+    b.add_zone(&name("net"), &[name("a.nic.net"), name("c.nic.net")]);
+    b.add_zone(&name("nic.net"), &[name("a.nic.net")]);
+    b.add_zone(&name("org"), &[name("a.root-servers.net")]);
+    b.add_zone(&name("arpa"), &[name("a.root-servers.net")]);
+    for j in 0..n {
+        for a in 0..2 {
+            let vulnerable = (spec.vulnerable >> (2 * j + a)) & 1 == 1;
+            b.raw_server(&name(&format!("h{a}.{}", domain(j))), vulnerable, false);
+        }
+    }
+    let mut targets = vec![name("x.arpa")];
+    for (i, picks) in spec.ns.iter().enumerate() {
+        let ns: Vec<DnsName> = picks
+            .iter()
+            .map(|&(a, j)| name(&format!("h{a}.{}", domain(j % n))))
+            .collect();
+        b.add_zone(&name(&domain(i)), &ns);
+        targets.push(name(&format!("www.{}", domain(i))));
+    }
+    let hollow = format!("hollow.{}", domain(0));
+    b.add_zone(&name(&hollow), &[]);
+    b.add_zone(
+        &name(&format!("deep.{hollow}")),
+        &[
+            name(&format!("ns.{hollow}")),
+            name(&format!("h0.{}", domain(1))),
+        ],
+    );
+    targets.push(name(&format!("www.{hollow}")));
+    targets.push(name(&format!("www.deep.{hollow}")));
+    (b.finish(), targets)
+}
+
+/// `min_vertex_cut` over the materialised [`DelegationGraph`], under the
+/// weights and the `INF / 2` test of `perils_core::hijack` (whose
+/// `SIZE_WEIGHT` is private): the definition the hub-network kernel
+/// behind `min_cut_flattened` must agree with, member for member.
+fn vertex_cut_of_delegation_graph(universe: &Universe, dg: &DelegationGraph) -> Option<HijackSet> {
+    let weight = |node| match dg.server_of(node).map(|sid| universe.server(sid)) {
+        Some(server) if !server.is_root => 1_000_000 + u64::from(!server.vulnerable),
+        _ => INF / 2,
+    };
+    let cut = min_vertex_cut(&dg.graph, dg.source, dg.sink, weight)?;
+    if cut.total_weight >= INF / 2 {
+        return None;
+    }
+    let servers: Vec<ServerId> = cut.cut.iter().filter_map(|&n| dg.server_of(n)).collect();
+    Some(HijackSet {
+        safe_members: servers
+            .iter()
+            .filter(|&&s| !universe.server(s).vulnerable)
+            .count(),
+        servers,
+    })
 }
 
 /// Brute force: the true lexicographic minimum of (hijack size, safe
@@ -195,6 +294,31 @@ proptest! {
                 prop_assert!(exact.size() <= flat.size(), "target {}", target);
             }
         }
+    }
+
+    /// The flattened cut is the vertex cut of the delegation graph: same
+    /// verdict, same servers, from the owned closure and from the view.
+    #[test]
+    fn flattened_cut_equals_vertex_cut_of_delegation_graph(spec in arb_web()) {
+        let (universe, targets) = build_web(&spec);
+        let index = DependencyIndex::build(&universe);
+        let mut ws = index.workspace();
+        for target in &targets {
+            let closure = index.closure_for(&universe, target);
+            let dg = DelegationGraph::build(&universe, &index, &closure);
+            let expected = vertex_cut_of_delegation_graph(&universe, &dg);
+            prop_assert_eq!(
+                &min_cut_flattened(&universe, &index, &closure), &expected,
+                "target {}", target
+            );
+            let view = index.closure_view(&universe, target, &mut ws);
+            prop_assert_eq!(
+                &min_cut_flattened_view(&universe, &index, &view), &expected,
+                "target {} (view)", target
+            );
+        }
+        let arpa = index.closure_for(&universe, &name("x.arpa"));
+        prop_assert_eq!(min_cut_flattened(&universe, &index, &arpa), None);
     }
 
     /// Closure monotonicity: blocking nothing reaches everything the

@@ -773,7 +773,10 @@ mod tests {
         assert_eq!(pool.stored_elements(), 0);
     }
 
+    /// The order check is a `debug_assert` (interning is a hot path), so
+    /// only debug builds have a panic to expect.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "sorted and unique")]
     fn interner_rejects_unsorted_ids() {
         BitSetInterner::new(10).intern(&[5, 3]);

@@ -8,49 +8,80 @@
 //! infinite-capacity arcs, and runs max-flow. The saturated split edges that
 //! separate source from sink are exactly the minimum vertex cut
 //! (Menger's theorem).
+//!
+//! [`FlowNetwork`] is flat — per-edge arrays threaded into per-node lists —
+//! and owns the scratch its max-flow needs, so one network serves many
+//! graphs through [`FlowNetwork::clear`] without allocating again.
+//! [`min_vertex_cut`] and the per-name hijack kernel in `perils_core` run
+//! the same [`FlowNetwork::max_flow`].
 
-use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};
-use std::collections::VecDeque;
 
 /// Effectively-infinite capacity (large enough to never saturate, small
 /// enough to never overflow when summed).
 pub const INF: u64 = u64::MAX / 4;
 
-#[derive(Debug, Clone)]
-struct Edge {
-    to: u32,
-    cap: u64,
-}
+/// End of a node's edge list; also the level of a node the last BFS did
+/// not reach.
+const NIL: u32 = u32::MAX;
 
 /// A flow network with Dinic max-flow.
 ///
 /// Edges are stored in pairs: edge `2k` is the forward edge, `2k+1` its
-/// residual reverse.
-#[derive(Debug, Clone)]
+/// residual reverse, so `cap[e] + cap[e ^ 1]` never changes and no
+/// capacity update can overflow. A node's edges form a list through
+/// `next`, newest first.
+#[derive(Debug, Clone, Default)]
 pub struct FlowNetwork {
-    adj: Vec<Vec<u32>>,
-    edges: Vec<Edge>,
+    /// Per node: its newest edge, or [`NIL`].
+    head: Vec<u32>,
+    /// Per edge: target node, residual capacity, next edge of the same
+    /// tail node.
+    to: Vec<u32>,
+    cap: Vec<u64>,
+    next: Vec<u32>,
+    /// Per node: BFS distance from the source in the residual graph of the
+    /// latest [`FlowNetwork::max_flow`] phase.
+    level: Vec<u32>,
+    /// Per node: the first edge the current phase has not exhausted.
+    cursor: Vec<u32>,
+    queue: Vec<u32>,
+    /// Edge ids of the partial augmenting path, source first.
+    path: Vec<u32>,
 }
 
 impl FlowNetwork {
     /// Creates a network with `n` nodes (ids `0..n`).
     pub fn new(n: usize) -> FlowNetwork {
-        FlowNetwork {
-            adj: vec![Vec::new(); n],
-            edges: Vec::new(),
-        }
+        let mut net = FlowNetwork::default();
+        net.add_nodes(n);
+        net
+    }
+
+    /// Removes every node and edge, keeping the allocations: the next
+    /// graph built here behaves exactly as on a fresh network.
+    pub fn clear(&mut self) {
+        self.head.clear();
+        self.to.clear();
+        self.cap.clear();
+        self.next.clear();
     }
 
     /// Adds a node, returning its id.
     pub fn add_node(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
+        self.add_nodes(1)
+    }
+
+    /// Adds `n` nodes with consecutive ids, returning the first.
+    pub fn add_nodes(&mut self, n: usize) -> usize {
+        let first = self.head.len();
+        self.head.resize(first + n, NIL);
+        first
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.head.len()
     }
 
     /// Adds a directed edge with capacity `cap`; returns its edge id.
@@ -60,140 +91,127 @@ impl FlowNetwork {
     /// Panics if either endpoint is out of range.
     pub fn add_edge(&mut self, from: usize, to: usize, cap: u64) -> usize {
         assert!(
-            from < self.adj.len() && to < self.adj.len(),
+            from < self.head.len() && to < self.head.len(),
             "endpoint out of range"
         );
-        let id = self.edges.len();
-        self.edges.push(Edge { to: to as u32, cap });
-        self.edges.push(Edge {
-            to: from as u32,
-            cap: 0,
-        });
-        self.adj[from].push(id as u32);
-        self.adj[to].push(id as u32 + 1);
+        let id = self.to.len();
+        for (tail, target, cap) in [(from, to, cap), (to, from, 0)] {
+            self.next.push(self.head[tail]);
+            self.head[tail] = self.to.len() as u32;
+            self.to.push(target as u32);
+            self.cap.push(cap);
+        }
         id
     }
 
     /// Flow currently pushed through forward edge `id` (its reverse
     /// residual capacity).
     pub fn edge_flow(&self, id: usize) -> u64 {
-        self.edges[id ^ 1].cap
+        self.cap[id ^ 1]
     }
 
     /// Runs Dinic from `source` to `sink`, returning the max-flow value.
-    /// May be called once per network (capacities are consumed).
+    /// May be called once per graph (capacities are consumed).
     pub fn max_flow(&mut self, source: usize, sink: usize) -> u64 {
         assert!(
-            source < self.adj.len() && sink < self.adj.len(),
+            source < self.head.len() && sink < self.head.len(),
             "endpoint out of range"
         );
-        if source == sink {
-            return 0;
-        }
-        let n = self.adj.len();
         let mut total = 0u64;
-        let mut level = vec![u32::MAX; n];
-        let mut it = vec![0usize; n];
         loop {
-            // BFS: build the level graph.
-            level.iter_mut().for_each(|l| *l = u32::MAX);
-            level[source] = 0;
-            let mut queue = VecDeque::new();
-            queue.push_back(source);
-            while let Some(v) = queue.pop_front() {
-                for &eid in &self.adj[v] {
-                    let e = &self.edges[eid as usize];
-                    if e.cap > 0 && level[e.to as usize] == u32::MAX {
-                        level[e.to as usize] = level[v] + 1;
-                        queue.push_back(e.to as usize);
-                    }
-                }
+            self.label_levels(source);
+            if source == sink || self.level[sink] == NIL {
+                return total;
             }
-            if level[sink] == u32::MAX {
-                break;
-            }
-            // Blocking flow with current-arc optimization, iteratively.
-            it.iter_mut().for_each(|i| *i = 0);
-            loop {
-                let pushed = self.dfs_push(source, sink, INF, &level, &mut it);
-                if pushed == 0 {
-                    break;
-                }
-                total = total.saturating_add(pushed);
-            }
+            self.cursor.clear();
+            self.cursor.extend_from_slice(&self.head);
+            total = total.saturating_add(self.blocking_flow(source, sink));
         }
-        total
     }
 
-    /// One augmenting path in the level graph (iterative DFS).
-    fn dfs_push(
-        &mut self,
-        source: usize,
-        sink: usize,
-        limit: u64,
-        level: &[u32],
-        it: &mut [usize],
-    ) -> u64 {
-        // Path of edge ids from source toward sink.
-        let mut path: Vec<u32> = Vec::new();
+    /// BFS over edges with residual capacity: the level graph of one
+    /// phase.
+    fn label_levels(&mut self, source: usize) {
+        self.level.clear();
+        self.level.resize(self.head.len(), NIL);
+        self.level[source] = 0;
+        self.queue.clear();
+        self.queue.push(source as u32);
+        let mut at = 0;
+        while let Some(&v) = self.queue.get(at) {
+            at += 1;
+            let mut e = self.head[v as usize];
+            while e != NIL {
+                let to = self.to[e as usize];
+                if self.cap[e as usize] > 0 && self.level[to as usize] == NIL {
+                    self.level[to as usize] = self.level[v as usize] + 1;
+                    self.queue.push(to);
+                }
+                e = self.next[e as usize];
+            }
+        }
+    }
+
+    /// Saturates the level graph: augmenting paths found by an iterative
+    /// DFS with current-arc cursors. After a push the search resumes at
+    /// the tail of the path's first saturated edge, not at the source.
+    fn blocking_flow(&mut self, source: usize, sink: usize) -> u64 {
+        let mut total = 0u64;
+        self.path.clear();
         let mut v = source;
         loop {
             if v == sink {
-                // Found an augmenting path: bottleneck and apply.
-                let mut bottleneck = limit;
-                for &eid in &path {
-                    bottleneck = bottleneck.min(self.edges[eid as usize].cap);
+                let bottleneck = self
+                    .path
+                    .iter()
+                    .map(|&e| self.cap[e as usize])
+                    .min()
+                    .expect("source != sink, so the path has an edge");
+                let mut saturated = self.path.len();
+                for (at, &e) in self.path.iter().enumerate().rev() {
+                    self.cap[e as usize] -= bottleneck;
+                    self.cap[e as usize ^ 1] += bottleneck;
+                    if self.cap[e as usize] == 0 {
+                        saturated = at;
+                    }
                 }
-                for &eid in &path {
-                    self.edges[eid as usize].cap -= bottleneck;
-                    self.edges[(eid as usize) ^ 1].cap += bottleneck;
-                }
-                return bottleneck;
-            }
-            // Advance the current arc at v.
-            let mut advanced = false;
-            while it[v] < self.adj[v].len() {
-                let eid = self.adj[v][it[v]];
-                let e = &self.edges[eid as usize];
-                let to = e.to as usize;
-                if e.cap > 0 && level[to] == level[v] + 1 {
-                    path.push(eid);
-                    v = to;
-                    advanced = true;
-                    break;
-                }
-                it[v] += 1;
-            }
-            if advanced {
+                total = total.saturating_add(bottleneck);
+                v = self.to[self.path[saturated] as usize ^ 1] as usize;
+                self.path.truncate(saturated);
                 continue;
             }
-            // Dead end: retreat.
-            if v == source {
-                return 0;
+            // Advance along the first admissible edge at or after the
+            // cursor.
+            let mut e = self.cursor[v];
+            while e != NIL
+                && !(self.cap[e as usize] > 0
+                    && self.level[self.to[e as usize] as usize] == self.level[v] + 1)
+            {
+                e = self.next[e as usize];
             }
-            let eid = path.pop().expect("non-source dead end has a parent edge");
-            // Exhaust this arc at the parent.
-            let parent = self.edges[(eid as usize) ^ 1].to as usize;
-            it[parent] += 1;
-            v = parent;
+            self.cursor[v] = e;
+            if e != NIL {
+                self.path.push(e);
+                v = self.to[e as usize] as usize;
+                continue;
+            }
+            // Dead end: retreat, and exhaust the edge that led here.
+            let Some(e) = self.path.pop() else {
+                return total;
+            };
+            v = self.to[e as usize ^ 1] as usize;
+            self.cursor[v] = self.next[e as usize];
         }
     }
 
-    /// After [`FlowNetwork::max_flow`], the set of nodes reachable from
-    /// `source` in the residual graph (the source side of a min cut).
-    pub fn residual_reachable(&self, source: usize) -> BitSet {
-        let mut seen = BitSet::new(self.adj.len());
-        seen.insert(source);
-        let mut stack = vec![source];
-        while let Some(v) = stack.pop() {
-            for &eid in &self.adj[v] {
-                let e = &self.edges[eid as usize];
-                if e.cap > 0 && seen.insert(e.to as usize) {
-                    stack.push(e.to as usize);
-                }
-            }
-        }
-        seen
+    /// After [`FlowNetwork::max_flow`], whether `node` is reachable from
+    /// the source in the residual graph — the source side of a min cut.
+    /// It is the *same* set for every maximum flow (the smallest source
+    /// side any min cut has), so it does not depend on the order edges
+    /// were added in or paths were augmented in. Read off the last phase's
+    /// BFS, which is the one that failed to reach the sink.
+    pub fn source_side(&self, node: usize) -> bool {
+        self.level[node] != NIL
     }
 }
 
@@ -247,7 +265,6 @@ pub fn min_vertex_cut<N>(
     if flow >= INF - 1 {
         return None;
     }
-    let reachable = net.residual_reachable(2 * source.index() + 1);
     let mut cut = Vec::new();
     for v in graph.nodes() {
         if v == source || v == sink {
@@ -255,7 +272,7 @@ pub fn min_vertex_cut<N>(
         }
         // The split edge crosses the cut: in-node on the source side,
         // out-node on the sink side.
-        if reachable.contains(2 * v.index()) && !reachable.contains(2 * v.index() + 1) {
+        if net.source_side(2 * v.index()) && !net.source_side(2 * v.index() + 1) {
             cut.push(v);
         }
     }
@@ -310,6 +327,59 @@ mod tests {
     fn disconnected_flow_is_zero() {
         let mut net = FlowNetwork::new(2);
         assert_eq!(net.max_flow(0, 1), 0);
+    }
+
+    /// Builds the rerouting example, or a bottleneck path, on `net`.
+    fn wire(net: &mut FlowNetwork, rerouting: bool) -> (usize, usize) {
+        let s = net.add_nodes(if rerouting { 4 } else { 3 });
+        if rerouting {
+            let (a, b, t) = (s + 1, s + 2, s + 3);
+            for (u, v) in [(s, a), (s, b), (a, b), (a, t), (b, t)] {
+                net.add_edge(u, v, 1);
+            }
+            (s, t)
+        } else {
+            net.add_edge(s, s + 1, 7);
+            net.add_edge(s + 1, s + 2, 3);
+            (s, s + 2)
+        }
+    }
+
+    /// One network reused through `clear()` answers as two fresh ones do:
+    /// no residual capacity, exhausted cursor or level of the first graph
+    /// reaches the second.
+    #[test]
+    fn cleared_network_behaves_as_fresh() {
+        let mut reused = FlowNetwork::new(0);
+        for rerouting in [true, false, true] {
+            reused.clear();
+            let (s, t) = wire(&mut reused, rerouting);
+            let mut fresh = FlowNetwork::new(0);
+            assert_eq!(wire(&mut fresh, rerouting), (s, t));
+            assert_eq!(reused.node_count(), fresh.node_count());
+            let flow = reused.max_flow(s, t);
+            assert_eq!(flow, fresh.max_flow(s, t));
+            assert_eq!(flow, if rerouting { 2 } else { 3 });
+            for v in 0..fresh.node_count() {
+                assert_eq!(reused.source_side(v), fresh.source_side(v), "node {v}");
+            }
+        }
+    }
+
+    /// Thirteen `INF / 2` feeders into one `INF` edge: the edge saturates
+    /// at `INF`, and nothing overflows on the way (debug builds panic on
+    /// overflow).
+    #[test]
+    fn near_infinite_capacities_saturate_without_overflow() {
+        let mut net = FlowNetwork::new(16);
+        let (s, hub, t) = (0, 14, 15);
+        for feeder in 1..=13 {
+            net.add_edge(s, feeder, INF);
+            net.add_edge(feeder, hub, INF / 2);
+        }
+        net.add_edge(hub, t, INF);
+        assert_eq!(net.max_flow(s, t), INF);
+        assert!(net.source_side(hub) && !net.source_side(t));
     }
 
     fn chain_graph() -> (DiGraph<()>, Vec<NodeId>) {
