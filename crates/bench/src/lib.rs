@@ -45,3 +45,18 @@ pub fn shared_report() -> &'static SurveyReport {
     static REPORT: OnceLock<SurveyReport> = OnceLock::new();
     REPORT.get_or_init(|| run_survey(&bench_config()))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The stretched recipes keep ~2.3 names a domain at every size, far
+    /// inside the sampler's ten host slots a domain.
+    #[test]
+    fn stretched_params_validate() {
+        for names in [1, 1_000, 10_000, 100_000, 593_160] {
+            scaled_params(2005, names).validate();
+        }
+        bench_config().params.validate();
+    }
+}

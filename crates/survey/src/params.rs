@@ -6,6 +6,8 @@
 //! that runs the full figure pipeline in seconds on a laptop;
 //! [`TopologyParams::tiny`] is for tests and doctests.
 
+use crate::topology::CRAWL_HOSTS;
+
 /// All generator knobs.
 #[derive(Debug, Clone)]
 pub struct TopologyParams {
@@ -131,13 +133,20 @@ impl TopologyParams {
     /// # Panics
     ///
     /// Panics on impossible combinations (probabilities exceeding 1,
-    /// zero-sized pools).
+    /// zero-sized pools, more names than the domains have host slots).
     pub fn validate(&self) {
         let p = self.p_self_hosted + self.p_provider_hosted + self.p_university_hosted;
         assert!(p <= 1.0 + 1e-9, "hosting probabilities sum to {p} > 1");
         assert!(
             self.names > 0 && self.domains > 0,
             "names and domains must be positive"
+        );
+        let slots = self.domains * CRAWL_HOSTS.len();
+        assert!(
+            self.names <= slots,
+            "{} names exceed the {slots} host slots of {} domains",
+            self.names,
+            self.domains
         );
         assert!(
             self.providers > 0 && self.universities > 0,
@@ -183,6 +192,14 @@ mod tests {
             paper.vulnerable_operator_fraction,
             scaled.vulnerable_operator_fraction
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 2200 host slots")]
+    fn over_asked_crawl_rejected() {
+        let mut p = TopologyParams::tiny(1);
+        p.names = p.domains * CRAWL_HOSTS.len() + 1;
+        p.validate();
     }
 
     #[test]

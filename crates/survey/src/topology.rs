@@ -46,6 +46,14 @@ const VULNERABLE_VERSIONS: [&str; 6] = ["8.2.4", "8.2.2-P5", "8.2.1", "8.3.1", "
 /// Clean-operator version choices.
 const CLEAN_VERSIONS: [&str; 6] = ["9.2.3", "9.2.2", "8.4.4", "8.3.7", "9.3.0", "4.9.11"];
 
+/// Host labels a directory crawl surfaces under one domain, in probe
+/// order. Pairwise distinct: the sampler identifies a crawled name by
+/// `(domain, slot)`, and [`TopologyParams::validate`] caps `names` at
+/// this many per domain.
+pub(crate) const CRAWL_HOSTS: [&str; 10] = [
+    "www", "web", "mail", "news", "shop", "ftp", "w3", "portal", "images", "search",
+];
+
 /// One surveyed (crawled) name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SurveyName {
@@ -71,7 +79,7 @@ struct ZonePlan {
 #[derive(Debug, Clone)]
 struct ServerPlan {
     name: DnsName,
-    version: String,
+    version: &'static str,
     region: u16,
     is_root: bool,
 }
@@ -139,7 +147,7 @@ impl WorldPlan {
             .into_iter()
             .map(|server| UniverseEvent::Server {
                 name: server.name,
-                banner: Some(server.version),
+                banner: Some(server.version.to_string()),
                 is_root: server.is_root,
             })
             .chain(zones.into_iter().map(|plan| UniverseEvent::Zone {
@@ -173,7 +181,7 @@ impl SyntheticWorld {
         for server in &plan.servers {
             builder.ensure_server(
                 &server.name,
-                Some(server.version.clone()),
+                Some(server.version.to_string()),
                 &db,
                 server.is_root,
             );
@@ -304,7 +312,7 @@ impl SyntheticWorld {
             .map(|server| ServerSpec {
                 host_name: server.name.clone(),
                 addr: addr_of[&server.name],
-                software: ServerSoftware::bind(&server.version),
+                software: ServerSoftware::bind(server.version),
                 zones: zones_of.remove(&server.name).unwrap_or_default(),
             })
             .collect();
@@ -337,6 +345,9 @@ struct Generator<'p> {
     /// community webs; hosts ccTLD and aero/int slaves).
     pool: Vec<usize>,
     cctld_order: Vec<String>,
+    /// Names `crawl_names` built, accepted or not.
+    #[cfg(test)]
+    names_built: usize,
 }
 
 impl<'p> Generator<'p> {
@@ -352,14 +363,16 @@ impl<'p> Generator<'p> {
             university_boxes: Vec::new(),
             pool: Vec::new(),
             cctld_order: Vec::new(),
+            #[cfg(test)]
+            names_built: 0,
         }
     }
 
-    fn add_server(&mut self, host: &DnsName, version: &str, region: u16, is_root: bool) {
+    fn add_server(&mut self, host: &DnsName, version: &'static str, region: u16, is_root: bool) {
         if self.server_names.insert(host.clone()) {
             self.servers.push(ServerPlan {
                 name: host.clone(),
-                version: version.to_string(),
+                version,
                 region,
                 is_root,
             });
@@ -497,10 +510,10 @@ impl<'p> Generator<'p> {
                         .chance(0.4 * self.params.vulnerable_operator_fraction),
                 )
             };
-            let version = self.pick_version(forced).to_string();
+            let version = self.pick_version(forced);
             for k in 1..=2 {
                 let host = name(&format!("ns{k}.nic.{code}"));
-                self.add_server(&host, &version, region, false);
+                self.add_server(&host, version, region, false);
                 ns.push(host);
             }
             self.add_zone(name(&format!("nic.{code}")), ns.clone(), ns.clone());
@@ -530,11 +543,11 @@ impl<'p> Generator<'p> {
                 10..=15 => Some(self.rng.chance(0.3)),
                 _ => None,
             };
-            let version = self.pick_version(forced).to_string();
+            let version = self.pick_version(forced);
             let mut ns = Vec::new();
             for k in 1..=boxes {
                 let host = domain.prepend(&format!("ns{k}")).expect("short label");
-                self.add_server(&host, &version, region, false);
+                self.add_server(&host, version, region, false);
                 ns.push(host);
             }
             self.add_zone(domain, ns.clone(), ns);
@@ -589,11 +602,11 @@ impl<'p> Generator<'p> {
                 0.02
             };
             let forced = Some(self.rng.chance(rate));
-            let version = self.pick_version(forced).to_string();
+            let version = self.pick_version(forced);
             let mut ns = Vec::new();
             for k in 1..=2 {
                 let host = domain.prepend(&format!("ns{k}")).expect("short label");
-                self.add_server(&host, &version, region, false);
+                self.add_server(&host, version, region, false);
                 ns.push(host);
             }
             self.university_boxes.push((ns, region));
@@ -828,7 +841,7 @@ impl<'p> Generator<'p> {
             match style {
                 0 => {
                     // Self-hosted, glued.
-                    let version = self.pick_version(None).to_string();
+                    let version = self.pick_version(None);
                     let count = if popular || self.rng.chance(0.5) {
                         3
                     } else {
@@ -836,7 +849,7 @@ impl<'p> Generator<'p> {
                     };
                     for k in 1..=count {
                         let host = origin.prepend(&format!("ns{k}")).expect("short label");
-                        self.add_server(&host, &version, 0, false);
+                        self.add_server(&host, version, 0, false);
                         ns.push(host.clone());
                         hosts.push(host);
                     }
@@ -849,9 +862,9 @@ impl<'p> Generator<'p> {
                     let take = boxes.len().min(if popular { 3 } else { 2 });
                     ns.extend(boxes.into_iter().take(take));
                     if self.rng.chance(0.15) {
-                        let version = self.pick_version(None).to_string();
+                        let version = self.pick_version(None);
                         let host = origin.prepend("ns1").expect("short label");
-                        self.add_server(&host, &version, 0, false);
+                        self.add_server(&host, version, 0, false);
                         ns.push(host.clone());
                         hosts.push(host);
                     }
@@ -859,9 +872,9 @@ impl<'p> Generator<'p> {
                 2 => {
                     // University/volunteer-hosted: one departmental box
                     // plus an ordinary (non-pool) university's servers.
-                    let version = self.pick_version(None).to_string();
+                    let version = self.pick_version(None);
                     let host = origin.prepend("ns1").expect("short label");
-                    self.add_server(&host, &version, 0, false);
+                    self.add_server(&host, version, 0, false);
                     ns.push(host.clone());
                     hosts.push(host);
                     let uni = self.nonpool_university();
@@ -872,10 +885,10 @@ impl<'p> Generator<'p> {
                     // usually an ordinary university (the
                     // cornell/rochester pattern), sometimes a shallow
                     // backbone volunteer.
-                    let version = self.pick_version(None).to_string();
+                    let version = self.pick_version(None);
                     for k in 1..=2 {
                         let host = origin.prepend(&format!("ns{k}")).expect("short label");
-                        self.add_server(&host, &version, 0, false);
+                        self.add_server(&host, version, 0, false);
                         ns.push(host.clone());
                         hosts.push(host);
                     }
@@ -907,11 +920,11 @@ impl<'p> Generator<'p> {
                             }
                         }
                     } else {
-                        let version = self.pick_version(None).to_string();
+                        let version = self.pick_version(None);
                         let host = origin
                             .prepend(&format!("ns{}", 4 + extra))
                             .expect("short label");
-                        self.add_server(&host, &version, 0, false);
+                        self.add_server(&host, version, 0, false);
                         if !ns.contains(&host) {
                             ns.push(host.clone());
                             hosts.push(host);
@@ -946,7 +959,8 @@ impl<'p> Generator<'p> {
             return;
         }
         let mut rng = Rng::new(self.params.seed).fork(0x7a6f_6d62); // "zomb"
-                                                                    // Domain zones are the last `domain_count` plans, in build order.
+
+        // Domain zones are the last `domain_count` plans, in build order.
         let base = self.zones.len() - domain_count;
         for j in 0..domain_count {
             if !rng.chance(fraction) {
@@ -969,7 +983,60 @@ impl<'p> Generator<'p> {
 
     /// Samples the crawled directory: Zipf-popular domains, one or more
     /// host names each, deduplicated.
+    ///
+    /// A crawled name is `CRAWL_HOSTS[slot] . domain_zones[rank]`; domain
+    /// origins are pairwise distinct and so are the host labels, so one
+    /// bit per `(rank, slot)` is the whole dedup set and only an accepted
+    /// name is ever built. Every attempt still draws its rank and start
+    /// slot, so the RNG stream does not depend on which slots are taken.
     fn crawl_names(
+        &mut self,
+        domain_zones: &[DnsName],
+        domain_tlds: &[DnsName],
+    ) -> Vec<SurveyName> {
+        let mut zipf = ZipfTable::new(domain_zones.len(), self.params.popularity_zipf);
+        let mut taken = vec![0u16; domain_zones.len()];
+        // With every slot taken no further attempt can add a name.
+        let slots = domain_zones.len() * CRAWL_HOSTS.len();
+        let target = self.params.names.min(slots);
+        let mut names: Vec<SurveyName> = Vec::with_capacity(target);
+        let mut attempts = 0usize;
+        while names.len() < target && attempts < self.params.names * 20 {
+            attempts += 1;
+            let rank = zipf.sample(&mut self.rng);
+            // Mostly www; a directory crawl also surfaces other hosts of
+            // popular domains.
+            let start = if names.len().is_multiple_of(4) {
+                self.rng.below_usize(CRAWL_HOSTS.len())
+            } else {
+                0
+            };
+            let slot = (0..CRAWL_HOSTS.len())
+                .map(|step| (start + step) % CRAWL_HOSTS.len())
+                .find(|slot| taken[rank] & (1 << slot) == 0);
+            if let Some(slot) = slot {
+                taken[rank] |= 1 << slot;
+                #[cfg(test)]
+                {
+                    self.names_built += 1;
+                }
+                names.push(SurveyName {
+                    name: domain_zones[rank]
+                        .prepend(CRAWL_HOSTS[slot])
+                        .expect("short label"),
+                    tld: domain_tlds[rank].clone(),
+                    popularity_rank: rank,
+                });
+            }
+        }
+        names
+    }
+
+    /// The sampler as it was before the slot masks, kept as the oracle of
+    /// the differential tests: it dedups on the names themselves, builds
+    /// one per probe, and never notices that every slot is taken.
+    #[cfg(test)]
+    fn crawl_names_by_name_set(
         &mut self,
         domain_zones: &[DnsName],
         domain_tlds: &[DnsName],
@@ -977,16 +1044,12 @@ impl<'p> Generator<'p> {
         let mut zipf = ZipfTable::new(domain_zones.len(), self.params.popularity_zipf);
         let mut seen: BTreeSet<DnsName> = BTreeSet::new();
         let mut names: Vec<SurveyName> = Vec::new();
-        let hosts = [
-            "www", "web", "mail", "news", "shop", "ftp", "w3", "portal", "images", "search",
-        ];
+        let hosts = CRAWL_HOSTS;
         let mut attempts = 0usize;
         while names.len() < self.params.names && attempts < self.params.names * 20 {
             attempts += 1;
             let rank = zipf.sample(&mut self.rng);
             let domain = &domain_zones[rank];
-            // Mostly www; a directory crawl also surfaces other hosts of
-            // popular domains.
             let start = if names.len().is_multiple_of(4) {
                 self.rng.below_usize(hosts.len())
             } else {
@@ -995,6 +1058,7 @@ impl<'p> Generator<'p> {
             for step in 0..hosts.len() {
                 let host_label = hosts[(start + step) % hosts.len()];
                 let full = domain.prepend(host_label).expect("short label");
+                self.names_built += 1;
                 if seen.insert(full.clone()) {
                     names.push(SurveyName {
                         name: full,
@@ -1013,6 +1077,91 @@ impl<'p> Generator<'p> {
 mod tests {
     use super::*;
     use crate::params::TopologyParams;
+    use proptest::prelude::*;
+
+    /// Both samplers over `domains` synthetic domain zones, each from a
+    /// fresh generator on the same seed (no `validate`, so over-asking
+    /// is reachable): `(slot-mask generator, its sample, name-set
+    /// generator, its sample)`.
+    fn crawl_both(
+        params: &TopologyParams,
+    ) -> (
+        Generator<'_>,
+        Vec<SurveyName>,
+        Generator<'_>,
+        Vec<SurveyName>,
+    ) {
+        let tlds = [name("com"), name("org"), name("ua")];
+        let domain_tlds: Vec<DnsName> = (0..params.domains).map(|j| tlds[j % 3].clone()).collect();
+        let domain_zones: Vec<DnsName> = domain_tlds
+            .iter()
+            .enumerate()
+            .map(|(j, tld)| tld.prepend(&format!("site{j}")).expect("short label"))
+            .collect();
+        let mut by_slot = Generator::new(params);
+        let mut by_name = Generator::new(params);
+        let sample = by_slot.crawl_names(&domain_zones, &domain_tlds);
+        let oracle = by_name.crawl_names_by_name_set(&domain_zones, &domain_tlds);
+        (by_slot, sample, by_name, oracle)
+    }
+
+    fn crawl_params(seed: u64, names: usize, domains: usize, zipf: f64) -> TopologyParams {
+        TopologyParams {
+            names,
+            domains,
+            popularity_zipf: zipf,
+            ..TopologyParams::tiny(seed)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(120))]
+
+        /// The slot-mask sampler returns the name-set sampler's sample and
+        /// leaves the RNG where it left it, from sparse crawls through
+        /// `names ≈ 10 × domains` to over-asking (`quarters` up to 12
+        /// names a domain), and builds no name it does not return.
+        #[test]
+        fn slot_mask_sampler_equals_name_set_sampler(
+            seed in any::<u64>(),
+            domains in 1usize..=40,
+            quarters in 1usize..=48,
+            zipf_centi in 40u32..=160,
+        ) {
+            let names = (domains * quarters).div_ceil(4);
+            let params = crawl_params(seed, names, domains, f64::from(zipf_centi) / 100.0);
+            let (mut by_slot, sample, mut by_name, oracle) = crawl_both(&params);
+            prop_assert_eq!(&sample, &oracle);
+            prop_assert_eq!(by_slot.names_built, sample.len());
+            prop_assert!(by_name.names_built >= oracle.len());
+            // Only a crawl that filled every slot while asked for more
+            // stops early; every other run makes the oracle's draws.
+            let slots = domains * CRAWL_HOSTS.len();
+            if names <= slots || sample.len() < slots {
+                prop_assert_eq!(by_slot.rng.next_u64(), by_name.rng.next_u64());
+            }
+        }
+    }
+
+    #[test]
+    fn over_asked_crawl_stops_once_every_slot_is_taken() {
+        let params = crawl_params(7, 1000, 3, 0.95);
+        let (mut by_slot, sample, mut by_name, oracle) = crawl_both(&params);
+        assert_eq!(sample.len(), 3 * CRAWL_HOSTS.len());
+        assert_eq!(sample, oracle);
+        assert_ne!(
+            by_slot.rng.next_u64(),
+            by_name.rng.next_u64(),
+            "the name-set sampler burns its remaining attempts"
+        );
+    }
+
+    #[test]
+    fn crawl_host_labels_are_pairwise_distinct() {
+        let distinct: BTreeSet<&str> = CRAWL_HOSTS.iter().copied().collect();
+        assert_eq!(distinct.len(), CRAWL_HOSTS.len());
+        assert!(CRAWL_HOSTS.len() <= u16::BITS as usize, "one mask bit each");
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -8,16 +8,19 @@
 //! are reported as skipped rather than panicking. The exact-hijack sample
 //! (`SurveyReport::exact_sample`) and the CLI's ablation line over it are
 //! pinned too, as recorded from the witness-permuting search of PR 11.
+//! `crawl_sample.txt` pins the crawled name sample itself, as recorded
+//! from the name-set sampler at a5cbf9c.
 //! Regenerate goldens with
 //! `GOLDEN_REGEN=1 cargo test -p perils-survey --test figures_golden`.
 
 use perils_core::universe::Universe;
 use perils_core::ZombieDelegationMetric;
 use perils_dns::name::{name, DnsName};
-use perils_survey::engine::{AnalysisWorld, Engine, SurveyReport, SyntheticSource};
+use perils_survey::engine::{AnalysisWorld, Engine, SurveyReport, SyntheticSource, WorldSource};
 use perils_survey::figures::{self, ZombieFigure};
 use perils_survey::params::TopologyParams;
 use perils_survey::render::{FigureOutcome, FigureRegistry};
+use perils_util::snapshot::ChecksumFold;
 use std::path::PathBuf;
 
 const SEED: u64 = 20040722;
@@ -170,6 +173,51 @@ fn exact_sample_matches_golden() {
         }
     }
     check_golden("exact_sample.txt", &actual);
+}
+
+/// The crawl sample decides every id and every figure byte downstream, so
+/// it is pinned on its own: each `(name, tld, popularity_rank)` and the
+/// top-500 indices of three tiny worlds in full, and two default-scale
+/// worlds (whose samplers run saturated: most probes land on domains with
+/// no free host slot) as a name count plus an FNV checksum of the same
+/// fields. Only the plan runs; no universe is built.
+#[test]
+fn crawl_sample_matches_golden() {
+    let sample = |params: TopologyParams| {
+        let mut stream = SyntheticSource { params }.stream();
+        let top500 = stream.top500().to_vec();
+        (stream.names().collect::<Vec<_>>(), top500)
+    };
+    let mut actual = String::new();
+    for seed in [11, 2004, SEED] {
+        let (names, top500) = sample(TopologyParams::tiny(seed));
+        actual.push_str(&format!("tiny {seed}: {} names\n", names.len()));
+        for n in &names {
+            actual.push_str(&format!("{} {} {}\n", n.name, n.tld, n.popularity_rank));
+        }
+        let top: Vec<String> = top500.iter().map(usize::to_string).collect();
+        actual.push_str(&format!("top500 {}\n", top.join(" ")));
+    }
+    for seed in [2005, SEED] {
+        let (names, top500) = sample(TopologyParams::default_scaled(seed));
+        let mut fold = ChecksumFold::new();
+        for n in &names {
+            fold.update(n.name.to_string().as_bytes());
+            fold.update(&[0]);
+            fold.update(n.tld.to_string().as_bytes());
+            fold.update(&[0]);
+            fold.update(&(n.popularity_rank as u64).to_le_bytes());
+        }
+        for &i in &top500 {
+            fold.update(&(i as u64).to_le_bytes());
+        }
+        actual.push_str(&format!(
+            "default {seed}: {} names, fnv {:016x}\n",
+            names.len(),
+            fold.finish()
+        ));
+    }
+    check_golden("crawl_sample.txt", &actual);
 }
 
 /// The `figures` CLI prints the sample only as its ablation line, after
