@@ -72,8 +72,8 @@ use std::collections::BTreeSet;
 /// runs over the implicit per-server graph without materializing a
 /// per-server edge copy.
 /// Every flat table is a [`U32Arr`]: the build path produces owned
-/// `Vec`s, while a snapshot load under [`perils_util::snapshot::DecodeMode::View`]
-/// keeps each table as a zero-copy view into the archive's byte store —
+/// `Vec`s, while a snapshot load keeps each table as a zero-copy view
+/// into the archive's byte store —
 /// same accessors, same equality, no materialization.
 #[derive(Debug, Clone)]
 pub struct DependencyIndex {
@@ -938,8 +938,8 @@ impl DependencyIndex {
     }
 
     /// [`DependencyIndex::build_with_threads`], also returning the wall
-    /// time each build stage took — the instrumentation behind
-    /// `bench_smoke`'s per-stage matrix.
+    /// time each build stage took — the instrumentation behind the
+    /// benchmark's `index.*_ms` rows.
     pub fn build_with_stats(
         universe: &Universe,
         threads: usize,

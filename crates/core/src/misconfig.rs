@@ -17,68 +17,9 @@
 
 use crate::metric::{columns, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState};
 use crate::universe::{ServerId, Universe, ZoneId};
-use crate::usable::Reachability;
 use perils_dns::name::DnsName;
 use std::any::Any;
 use std::collections::BTreeSet;
-
-/// One audit finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Finding {
-    /// The zone has a single nameserver.
-    SingleServer {
-        /// The zone.
-        zone: ZoneId,
-    },
-    /// All of the zone's nameservers share one operator domain (one
-    /// registered parent), so one administrative compromise takes all.
-    SingleOperator {
-        /// The zone.
-        zone: ZoneId,
-        /// The shared operator suffix.
-        operator: DnsName,
-    },
-    /// An NS host name has no address anywhere in the modeled universe.
-    UnresolvableNs {
-        /// The zone.
-        zone: ZoneId,
-        /// The dangling server.
-        server: ServerId,
-    },
-    /// The zone cannot be bootstrapped even with every server healthy —
-    /// a glueless dependency cycle or a missing chain.
-    Unbootstrappable {
-        /// The zone.
-        zone: ZoneId,
-    },
-    /// Resolving the name requires nested sub-resolutions deeper than the
-    /// threshold.
-    DeepDependency {
-        /// The audited name.
-        name: DnsName,
-        /// Nesting depth observed.
-        depth: usize,
-    },
-}
-
-/// The audit report.
-#[derive(Debug, Clone, Default)]
-pub struct AuditReport {
-    /// All findings, zone findings first.
-    pub findings: Vec<Finding>,
-}
-
-impl AuditReport {
-    /// Count of findings of a given kind (by discriminant name).
-    pub fn count_of(&self, predicate: impl Fn(&Finding) -> bool) -> usize {
-        self.findings.iter().filter(|f| predicate(f)).count()
-    }
-
-    /// True when nothing was flagged.
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
 
 /// The registered operator domain of a server name: its last two labels
 /// (`ns1.dns7.net` → `dns7.net`).
@@ -126,43 +67,12 @@ pub fn unresolvable_ns(universe: &Universe, zone: ZoneId) -> Vec<ServerId> {
         .collect()
 }
 
-/// Audits every zone in the universe (structure-level checks).
-pub fn audit_zones(universe: &Universe) -> AuditReport {
-    let mut report = AuditReport::default();
-    // Bootstrappability baseline: nothing blocked.
-    let reach = Reachability::compute(universe, &BTreeSet::new());
-    for zid in universe.zone_ids() {
-        let zone = universe.zone(zid);
-        if zone.origin.is_root() {
-            continue;
-        }
-        if zone.ns.len() == 1 {
-            report.findings.push(Finding::SingleServer { zone: zid });
-        }
-        if let Some(operator) = single_operator(universe, zid) {
-            report.findings.push(Finding::SingleOperator {
-                zone: zid,
-                operator,
-            });
-        }
-        for sid in unresolvable_ns(universe, zid) {
-            report.findings.push(Finding::UnresolvableNs {
-                zone: zid,
-                server: sid,
-            });
-        }
-        if !reach.zone_reachable(zid) {
-            report
-                .findings
-                .push(Finding::Unbootstrappable { zone: zid });
-        }
-    }
-    report
-}
-
-/// Audits one name for deep dependency nesting: how many levels of
-/// "resolve a server name to resolve a server name…" its chain can force.
-pub fn dependency_depth(universe: &Universe, name: &DnsName) -> usize {
+/// The exhaustive oracle [`DepthIndex`] is tested against: how many
+/// levels of "resolve a server name to resolve a server name…" a name's
+/// chain can force, by enumerating simple paths — exact, but exponential
+/// on dense mutual-secondary webs.
+#[cfg(test)]
+fn dependency_depth(universe: &Universe, name: &DnsName) -> usize {
     fn depth_of_server(
         universe: &Universe,
         server: ServerId,
@@ -211,30 +121,15 @@ pub fn dependency_depth(universe: &Universe, name: &DnsName) -> usize {
     worst
 }
 
-/// Audits a set of names for deep dependencies.
-pub fn audit_names(universe: &Universe, names: &[DnsName], depth_threshold: usize) -> AuditReport {
-    let mut report = AuditReport::default();
-    for name in names {
-        let depth = dependency_depth(universe, name);
-        if depth > depth_threshold {
-            report.findings.push(Finding::DeepDependency {
-                name: name.clone(),
-                depth,
-            });
-        }
-    }
-    report
-}
-
 /// Precomputed glueless-nesting depths for every server in a universe.
 ///
-/// [`dependency_depth`] enumerates simple paths, which is exact but
-/// explodes on the dense mutual-secondary webs real (and synthetic)
-/// topologies contain. This index computes the same quantity
-/// **cycle-collapsed** — longest path over the SCC condensation of the
-/// glueless-dependency graph, linear in servers + edges — which agrees
-/// with [`dependency_depth`] on acyclic webs and treats a mutual-secondary
-/// cycle as a single nesting level. The survey metric uses this.
+/// Enumerating simple paths is exact but explodes on the dense
+/// mutual-secondary webs real (and synthetic) topologies contain. This
+/// index computes the same quantity **cycle-collapsed** — longest path
+/// over the SCC condensation of the glueless-dependency graph, linear in
+/// servers + edges — which agrees with the exhaustive search on acyclic
+/// webs and treats a mutual-secondary cycle as a single nesting level.
+/// The survey metric uses this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepthIndex {
     depth: Vec<usize>,
@@ -595,82 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_single_server_zones() {
-        let mut b = base();
-        b.add_zone(&name("solo.com"), &[name("ns1.solo.com")]);
-        let u = b.finish();
-        let report = audit_zones(&u);
-        let solo = u.zone_id(&name("solo.com")).unwrap();
-        assert!(report
-            .findings
-            .contains(&Finding::SingleServer { zone: solo }));
-    }
-
-    #[test]
-    fn flags_single_operator_redundancy() {
-        let mut b = base();
-        b.add_zone(
-            &name("corr.com"),
-            &[name("ns1.prov.net"), name("ns2.prov.net")],
-        );
-        b.add_zone(&name("prov.net"), &[name("ns1.prov.net")]);
-        let u = b.finish();
-        let report = audit_zones(&u);
-        let corr = u.zone_id(&name("corr.com")).unwrap();
-        assert!(report.findings.iter().any(|f| matches!(
-            f,
-            Finding::SingleOperator { zone, operator } if *zone == corr && *operator == name("prov.net")
-        )));
-    }
-
-    #[test]
-    fn flags_unresolvable_ns() {
-        let mut b = base();
-        // Delegation to a host under an unmodeled TLD (no zone_of).
-        b.add_zone(
-            &name("dangling.com"),
-            &[name("ns.ghost.zz"), name("ns1.dangling.com")],
-        );
-        let u = b.finish();
-        let report = audit_zones(&u);
-        assert_eq!(
-            report.count_of(|f| matches!(f, Finding::UnresolvableNs { .. })),
-            1
-        );
-    }
-
-    #[test]
-    fn flags_glueless_cycles_as_unbootstrappable() {
-        let mut b = base();
-        b.add_zone(&name("x.com"), &[name("ns.y.com")]);
-        b.add_zone(&name("y.com"), &[name("ns.x.com")]);
-        let u = b.finish();
-        let report = audit_zones(&u);
-        assert_eq!(
-            report.count_of(|f| matches!(f, Finding::Unbootstrappable { .. })),
-            2,
-            "both halves of the cycle are dead: {report:?}"
-        );
-    }
-
-    #[test]
-    fn clean_zone_not_flagged() {
-        let mut b = base();
-        b.add_zone(
-            &name("ok.com"),
-            &[name("ns1.ok.com"), name("ns2.other.net")],
-        );
-        b.add_zone(&name("other.net"), &[name("ns1.other.net")]);
-        let u = b.finish();
-        let report = audit_zones(&u);
-        let ok = u.zone_id(&name("ok.com")).unwrap();
-        assert!(!report.findings.iter().any(|f| matches!(
-            f,
-            Finding::SingleServer { zone } | Finding::SingleOperator { zone, .. } if *zone == ok
-        )));
-    }
-
-    #[test]
     fn dependency_depth_counts_glueless_nesting() {
         let mut b = base();
         // victim.com → ns in a.net → a.net served from b.net → b.net glued.
@@ -686,18 +505,6 @@ mod tests {
         b.add_zone(&name("self.com"), &[name("ns1.self.com")]);
         let u = b.finish();
         assert_eq!(dependency_depth(&u, &name("www.self.com")), 0);
-    }
-
-    #[test]
-    fn audit_names_thresholds() {
-        let mut b = base();
-        b.add_zone(&name("victim.com"), &[name("ns.a.net")]);
-        b.add_zone(&name("a.net"), &[name("ns.b.net")]);
-        b.add_zone(&name("b.net"), &[name("ns.b.net")]);
-        let u = b.finish();
-        let names = vec![name("www.victim.com")];
-        assert_eq!(audit_names(&u, &names, 1).findings.len(), 1);
-        assert!(audit_names(&u, &names, 4).is_clean());
     }
 
     #[test]

@@ -209,12 +209,10 @@ pub fn encode_dep_index(index: &DependencyIndex) -> Vec<u8> {
 
 /// Decodes a `DEPINDEX` section, validating it against `universe`.
 ///
-/// This is the out-of-core path: under
-/// [`perils_util::snapshot::DecodeMode::View`] every flat table — CSR
-/// rows, SCC map, memo tables, both interner arenas — stays a typed view
-/// into the section's byte store, and validation streams the words
-/// without materializing them. Under `Copy` the arrays are owned `Vec`s
-/// (the classic decode) and the store can be dropped afterwards.
+/// This is the out-of-core path: every flat table — CSR rows, SCC map,
+/// memo tables, both interner arenas — stays a typed view into the
+/// section's byte store, and validation streams the words without
+/// materializing them.
 pub fn decode_dep_index(
     section: &Section,
     universe: &Universe,
@@ -344,12 +342,11 @@ fn take_usize_vec(dec: &mut Dec<'_>) -> Result<Vec<usize>, SnapshotError> {
 mod tests {
     use super::*;
     use perils_dns::name::name;
-    use perils_util::snapshot::DecodeMode;
     use perils_vulndb::VulnDb;
 
-    /// Wraps a loose payload as a standalone section in the given mode.
-    fn sec(bytes: &[u8], mode: DecodeMode) -> Section {
-        Section::from_vec(bytes.to_vec(), mode)
+    /// Wraps a loose payload as a standalone section.
+    fn sec(bytes: &[u8]) -> Section {
+        Section::from_vec(bytes.to_vec())
     }
 
     fn tiny_universe() -> Universe {
@@ -389,30 +386,20 @@ mod tests {
     fn universe_round_trips_byte_identically() {
         let universe = tiny_universe();
         let bytes = encode_universe(&universe);
-        let loaded = decode_universe(&sec(&bytes, DecodeMode::Copy)).expect("decodes");
+        let loaded = decode_universe(&sec(&bytes)).expect("decodes");
         assert_eq!(loaded, universe);
         assert_eq!(encode_universe(&loaded), bytes, "re-encode is byte-stable");
     }
 
     #[test]
-    fn dep_index_round_trips_and_compares_equal() {
-        let universe = tiny_universe();
-        let index = DependencyIndex::build(&universe);
-        let bytes = encode_dep_index(&index);
-        let loaded = decode_dep_index(&sec(&bytes, DecodeMode::Copy), &universe).expect("decodes");
-        assert_eq!(loaded, index);
-        assert_eq!(encode_dep_index(&loaded), bytes, "re-encode is byte-stable");
-    }
-
-    #[test]
-    fn dep_index_view_decode_matches_copy_and_is_byte_stable() {
-        // View mode keeps every flat table as a store view; the result
+    fn dep_index_round_trips_equal_and_byte_stable() {
+        // The decode keeps every flat table as a store view; the result
         // must still compare equal to the built index and re-encode to
         // the exact source bytes.
         let universe = tiny_universe();
         let index = DependencyIndex::build(&universe);
         let bytes = encode_dep_index(&index);
-        let viewed = decode_dep_index(&sec(&bytes, DecodeMode::View), &universe).expect("decodes");
+        let viewed = decode_dep_index(&sec(&bytes), &universe).expect("decodes");
         assert_eq!(viewed, index);
         assert_eq!(
             encode_dep_index(&viewed),
@@ -442,7 +429,7 @@ mod tests {
         let universe = tiny_universe();
         let lint = LintIndex::build(&universe);
         let bytes = encode_lint(&lint);
-        let loaded = decode_lint(&sec(&bytes, DecodeMode::Copy), &universe).expect("decodes");
+        let loaded = decode_lint(&sec(&bytes), &universe).expect("decodes");
         assert_eq!(loaded, lint);
         assert_eq!(encode_lint(&loaded), bytes, "re-encode is byte-stable");
     }
@@ -453,15 +440,13 @@ mod tests {
         let index = DependencyIndex::build(&universe);
         let bytes = encode_dep_index(&index);
         let other = Universe::builder().finish();
-        for mode in [DecodeMode::Copy, DecodeMode::View] {
-            assert!(matches!(
-                decode_dep_index(&sec(&bytes, mode), &other),
-                Err(SnapshotError::Malformed { .. })
-            ));
-        }
+        assert!(matches!(
+            decode_dep_index(&sec(&bytes), &other),
+            Err(SnapshotError::Malformed { .. })
+        ));
         let lint_bytes = encode_lint(&LintIndex::build(&universe));
         assert!(matches!(
-            decode_lint(&sec(&lint_bytes, DecodeMode::Copy), &other),
+            decode_lint(&sec(&lint_bytes), &other),
             Err(SnapshotError::Malformed { .. })
         ));
     }
@@ -476,26 +461,24 @@ mod tests {
             encode_dep_index(&index),
             encode_lint(&lint),
         ];
-        for mode in [DecodeMode::Copy, DecodeMode::View] {
-            for (which, bytes) in sections.iter().enumerate() {
-                for len in 0..bytes.len() {
-                    let truncated = sec(&bytes[..len], mode);
-                    let _ = match which {
-                        0 => decode_universe(&truncated).map(|_| ()),
-                        1 => decode_dep_index(&truncated, &universe).map(|_| ()),
-                        _ => decode_lint(&truncated, &universe).map(|_| ()),
-                    };
-                }
-                for byte in (0..bytes.len()).step_by(3) {
-                    let mut bad = bytes.clone();
-                    bad[byte] ^= 0x40;
-                    let bad = sec(&bad, mode);
-                    let _ = match which {
-                        0 => decode_universe(&bad).map(|_| ()),
-                        1 => decode_dep_index(&bad, &universe).map(|_| ()),
-                        _ => decode_lint(&bad, &universe).map(|_| ()),
-                    };
-                }
+        for (which, bytes) in sections.iter().enumerate() {
+            for len in 0..bytes.len() {
+                let truncated = sec(&bytes[..len]);
+                let _ = match which {
+                    0 => decode_universe(&truncated).map(|_| ()),
+                    1 => decode_dep_index(&truncated, &universe).map(|_| ()),
+                    _ => decode_lint(&truncated, &universe).map(|_| ()),
+                };
+            }
+            for byte in (0..bytes.len()).step_by(3) {
+                let mut bad = bytes.clone();
+                bad[byte] ^= 0x40;
+                let bad = sec(&bad);
+                let _ = match which {
+                    0 => decode_universe(&bad).map(|_| ()),
+                    1 => decode_dep_index(&bad, &universe).map(|_| ()),
+                    _ => decode_lint(&bad, &universe).map(|_| ()),
+                };
             }
         }
     }

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use perils_util::bytestore::{U32Arr, U64Arr};
-use perils_util::snapshot::{self, DecodeMode, SnapshotError, StoreDec};
+use perils_util::snapshot::{self, SnapshotError, StoreDec};
 
 /// A fixed-capacity set of `usize` values in `[0, capacity)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -445,16 +445,15 @@ impl BitSetInterner {
     }
 
     /// Reconstitutes an interner from [`BitSetInterner::encode_into`]
-    /// bytes. Under [`DecodeMode::Copy`] set storage is bulk-decoded and
-    /// the dedup lookup maps are re-derived eagerly, by hashing each set
-    /// in id order — the same first-wins order the original interning
-    /// used, so even `by_hash`/`overflow` come back identical and further
-    /// interning behaves exactly as it would on the original. Under
-    /// [`DecodeMode::View`] the sparse arena and every dense block run
-    /// stay as views into the archive's byte store, and the dedup maps
-    /// are deferred until the first intern (read paths never touch them).
+    /// bytes. The sparse arena and every dense block run stay as views
+    /// into the archive's byte store, and the dedup lookup maps are
+    /// deferred until the first intern (read paths never touch them),
+    /// which re-derives them by hashing each set in id order — the same
+    /// first-wins order the original interning used, so even
+    /// `by_hash`/`overflow` come back identical and further interning
+    /// behaves exactly as it would on the original.
     ///
-    /// Every structural claim is validated before use in either mode —
+    /// Every structural claim is validated before use —
     /// sparse ranges against the arena, element order/bounds against the
     /// capacity, dense block counts and popcounts, and the stored-element
     /// total — so a corrupt section yields a typed error, never a panic
@@ -481,9 +480,8 @@ impl BitSetInterner {
                             arena.len()
                         )));
                     }
-                    // One streamed pass: sorted-unique and bounds — the
-                    // same validation the copy decode performs, without
-                    // materializing the range.
+                    // One streamed pass: sorted-unique and bounds,
+                    // without materializing the range.
                     let mut prev: Option<u32> = None;
                     arena.try_for_each_in(offset as usize..end as usize, |v| {
                         if prev.is_some_and(|p| p >= v) {
@@ -549,7 +547,7 @@ impl BitSetInterner {
                 "stored_elements {stored_elements} disagrees with set contents {element_total}"
             )));
         }
-        let mut pool = BitSetInterner {
+        Ok(BitSetInterner {
             capacity,
             sets,
             arena,
@@ -557,12 +555,7 @@ impl BitSetInterner {
             overflow: Vec::new(),
             stored_elements,
             dedup_ready: false,
-        };
-        if dec.mode() == DecodeMode::Copy {
-            pool.rebuild_dedup_maps();
-            pool.dedup_ready = true;
-        }
-        Ok(pool)
+        })
     }
 
     /// Promotes a view-loaded interner to a mutable one: materializes the
@@ -797,8 +790,8 @@ mod tests {
         (pool, a, b, c, dense)
     }
 
-    fn decode(bytes: Vec<u8>, mode: DecodeMode) -> Result<BitSetInterner, SnapshotError> {
-        let section = perils_util::snapshot::Section::from_vec(bytes, mode);
+    fn decode(bytes: Vec<u8>) -> Result<BitSetInterner, SnapshotError> {
+        let section = perils_util::snapshot::Section::from_vec(bytes);
         let mut dec = StoreDec::new(&section, "POOL");
         let pool = BitSetInterner::decode_from(&mut dec)?;
         dec.finish()?;
@@ -806,32 +799,11 @@ mod tests {
     }
 
     #[test]
-    fn interner_codec_round_trips_exact_layout() {
+    fn interner_decode_round_trips_and_promotes_on_intern() {
         let (pool, a, b, c, dense) = sample_pool();
         let mut bytes = Vec::new();
         pool.encode_into(&mut bytes);
-        let loaded = decode(bytes, DecodeMode::Copy).expect("decodes");
-        assert_eq!(loaded, pool, "structural equality after round trip");
-        assert_eq!(loaded.set_len(a), 3);
-        assert_eq!(loaded.as_sorted_slice(a), Some(&[1u32, 5, 200][..]));
-        let mut got = Vec::new();
-        loaded.for_each(b, |v| got.push(v));
-        assert_eq!(got, dense);
-        // The rebuilt dedup maps keep interning consistent: re-interning
-        // an existing set returns its original id.
-        let mut loaded = loaded;
-        assert_eq!(loaded.intern(&[1, 5, 200]), a);
-        assert_eq!(loaded.intern(&dense), b);
-        assert_eq!(loaded.intern(&[]), c);
-        assert_eq!(loaded.len(), pool.len(), "no duplicates after reload");
-    }
-
-    #[test]
-    fn interner_view_decode_matches_copy_and_promotes_on_intern() {
-        let (pool, a, b, c, dense) = sample_pool();
-        let mut bytes = Vec::new();
-        pool.encode_into(&mut bytes);
-        let viewed = decode(bytes.clone(), DecodeMode::View).expect("view decodes");
+        let viewed = decode(bytes.clone()).expect("view decodes");
         assert_eq!(viewed, pool, "views compare element-wise equal");
         assert_eq!(
             viewed.as_sorted_slice(a),
@@ -858,6 +830,7 @@ mod tests {
         assert_eq!(viewed.intern(&[1, 5, 200]), a);
         assert_eq!(viewed.intern(&dense), b);
         assert_eq!(viewed.intern(&[]), c);
+        assert_eq!(viewed.len(), pool.len(), "no duplicates after reload");
         let d = viewed.intern(&[9, 17]);
         assert_eq!(viewed.len(), pool.len() + 1);
         assert_eq!(viewed.as_sorted_slice(d), Some(&[9u32, 17][..]));
@@ -877,16 +850,14 @@ mod tests {
         pool.encode_into(&mut bytes);
         for byte in 0..bytes.len() {
             for flip in [0x01u8, 0x80] {
-                for mode in [DecodeMode::Copy, DecodeMode::View] {
-                    let mut bad = bytes.clone();
-                    bad[byte] ^= flip;
-                    // Must never panic; errors or a structurally valid
-                    // (but different) interner are both acceptable — in
-                    // the full archive the section checksum rejects the
-                    // latter.
-                    if let Ok(pool2) = decode(bad, mode) {
-                        let _ = pool2.len();
-                    }
+                let mut bad = bytes.clone();
+                bad[byte] ^= flip;
+                // Must never panic; errors or a structurally valid
+                // (but different) interner are both acceptable — in
+                // the full archive the section checksum rejects the
+                // latter.
+                if let Ok(pool2) = decode(bad) {
+                    let _ = pool2.len();
                 }
             }
         }

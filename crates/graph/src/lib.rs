@@ -14,16 +14,13 @@
 //!   (delegation graphs contain cycles: zones serving each other);
 //! * [`flow`] — Dinic max-flow and **minimum s–t vertex cuts** via node
 //!   splitting, the primitive behind the paper's "bottleneck nameserver"
-//!   analysis (Figure 7);
-//! * [`dom`] — dominator computation, an alternative single-point-of-failure
-//!   analysis used by the ablation benches.
+//!   analysis (Figure 7).
 
 #![forbid(unsafe_code)]
 
 pub mod bitset;
 pub mod csr;
 pub mod digraph;
-pub mod dom;
 pub mod flow;
 pub mod scc;
 pub mod traversal;

@@ -4,7 +4,7 @@
 //! perilsd [--world tiny|default|paper|fbi|cornell|tripwire] [--seed N]
 //!         [--addr HOST:PORT] [--threads N] [--queue-cap N] [--no-figures]
 //!         [--snapshot PATH] [--save-snapshot PATH]
-//!         [--snapshot-backend heap|paged|copy] [--page-cache-mb N]
+//!         [--snapshot-backend heap|paged] [--page-cache-mb N]
 //! ```
 //!
 //! Builds the world once (or restores one from a `.psa` archive in
@@ -25,7 +25,7 @@ use std::net::TcpListener;
 const USAGE: &str = "usage: perilsd [--world tiny|default|paper|fbi|cornell|tripwire] [--seed N]
                [--addr HOST:PORT] [--threads N] [--queue-cap N] [--no-figures]
                [--snapshot PATH] [--save-snapshot PATH]
-               [--snapshot-backend heap|paged|copy] [--page-cache-mb N]
+               [--snapshot-backend heap|paged] [--page-cache-mb N]
 
   --world WORLD   universe to serve: a seeded synthetic survey at tiny
                   (default), default, or paper scale; or the fbi.gov,
@@ -45,8 +45,8 @@ const USAGE: &str = "usage: perilsd [--world tiny|default|paper|fbi|cornell|trip
                         keep serving
   --snapshot-backend B  byte store behind --snapshot boots and snapshot
                         reloads: heap (default; one resident buffer the
-                        index views into), paged (bounded page cache over
-                        the file), or copy (materialize everything)
+                        index views into) or paged (bounded page cache
+                        over the file)
   --page-cache-mb N     paged backend's cache budget in MiB (default 16;
                         only valid with --snapshot-backend paged)
 
@@ -137,16 +137,8 @@ fn parse_args() -> Args {
             }
             SnapshotBackend::Heap
         }
-        Some("copy") => {
-            if page_cache_mb.is_some() {
-                usage_error("--page-cache-mb is only valid with --snapshot-backend paged");
-            }
-            SnapshotBackend::Copy
-        }
         Some("paged") => SnapshotBackend::paged(page_cache_mb.unwrap_or(16) * 1024 * 1024),
-        Some(other) => usage_error(&format!(
-            "unknown snapshot backend {other:?} (heap|paged|copy)"
-        )),
+        Some(other) => usage_error(&format!("unknown snapshot backend {other:?} (heap|paged)")),
     };
     args
 }

@@ -61,7 +61,7 @@ pub struct ServiceConfig {
     /// Byte-store backend for `.psa` archive boots and snapshot-served
     /// reloads (`--snapshot-backend`): `Heap` keeps one resident buffer
     /// the flat sections view into, `Paged` bounds residency with a
-    /// page cache, `Copy` materializes everything like a built world.
+    /// page cache.
     pub backend: perils_survey::SnapshotBackend,
 }
 
@@ -460,9 +460,9 @@ impl Daemon {
                     return (Endpoint::Metrics, method_not_allowed("GET"), false);
                 }
                 let snap = self.store.current();
-                let (resident, cache) = match &snap.store {
-                    Some(store) => (store.resident_bytes(), store.cache_counters()),
-                    None => (0, perils_util::CacheCounters::default()),
+                let (backend, resident, cache) = match &snap.store {
+                    Some(store) => (store.kind(), store.resident_bytes(), store.cache_counters()),
+                    None => ("none", 0, perils_util::CacheCounters::default()),
                 };
                 let text = self.metrics.render(
                     snap.epoch,
@@ -471,7 +471,7 @@ impl Daemon {
                     self.config.threads,
                     snap.stats.source.kind(),
                     snap.stats.source.load_ms(),
-                    snap.backend,
+                    backend,
                     resident,
                     cache,
                 );

@@ -296,10 +296,10 @@ impl Metrics {
         ));
 
         out.push_str(
-            "# HELP perilsd_snapshot_backend Archive byte-store behind the serving world (1 on its kind; none = built or copy-free world).\n",
+            "# HELP perilsd_snapshot_backend Archive byte-store behind the serving world (1 on its kind; none = built world).\n",
         );
         out.push_str("# TYPE perilsd_snapshot_backend gauge\n");
-        for kind in ["none", "copy", "heap", "paged"] {
+        for kind in ["none", "heap", "paged"] {
             out.push_str(&format!(
                 "perilsd_snapshot_backend{{kind=\"{kind}\"}} {}\n",
                 u8::from(kind == backend_kind)

@@ -55,15 +55,17 @@ impl WorldSpec {
     /// scenario worlds ignore it.
     pub fn parse(world: &str, seed: u64) -> Result<WorldSpec, String> {
         match world {
-            "tiny" => Ok(WorldSpec::Synthetic(TopologyParams::tiny(seed))),
-            "default" => Ok(WorldSpec::Synthetic(TopologyParams::default_scaled(seed))),
-            "paper" => Ok(WorldSpec::Synthetic(TopologyParams::paper(seed))),
             "fbi" => Ok(WorldSpec::Fbi),
             "cornell" => Ok(WorldSpec::Cornell),
             "tripwire" => Ok(WorldSpec::Tripwire),
-            other => Err(format!(
-                "unknown world {other:?} (tiny|default|paper|fbi|cornell|tripwire)"
-            )),
+            scale => TopologyParams::preset(scale, seed)
+                .map(WorldSpec::Synthetic)
+                .ok_or_else(|| {
+                    format!(
+                        "unknown world {scale:?} ({}|fbi|cornell|tripwire)",
+                        TopologyParams::PRESETS
+                    )
+                }),
         }
     }
 
@@ -184,9 +186,9 @@ pub struct WorldSnapshot {
     pub index: DependencyIndex,
     /// Shared lint facts (depths, zombies, reachability).
     pub lint: LintIndex,
-    /// The surveyed names, in survey order. Owned for built worlds and
-    /// copy loads; a lazy view into the archive store for heap/paged
-    /// loads (so `/names` responses decode only what they return).
+    /// The surveyed names, in survey order. Owned for built worlds; a
+    /// lazy view into the archive store for loaded ones (so `/names`
+    /// responses decode only what they return).
     pub names: NameTable,
     /// Indices into `names` of the most popular subset (what the
     /// top-500 figures slice on; archived so a loaded world can re-run
@@ -197,14 +199,11 @@ pub struct WorldSnapshot {
     pub figures_json: Option<String>,
     /// Build cost and shape.
     pub stats: SnapshotStats,
-    /// The archive byte store a view-backed world still reads from
-    /// (`None` for built worlds and copy-decoded loads). `/metrics`
-    /// reads resident bytes and page-cache counters off it.
+    /// The archive byte store a loaded world still reads from (`None`
+    /// for built worlds). `/metrics` reads the backend kind (`"heap"` or
+    /// `"paged"`; `"none"` without a store), resident bytes and
+    /// page-cache counters off it.
     pub store: Option<Arc<ByteStore>>,
-    /// Archive byte-store backend behind this world: `"none"` for
-    /// built worlds, otherwise the `--snapshot-backend` kind
-    /// (`"copy"`, `"heap"` or `"paged"`).
-    pub backend: &'static str,
     /// When the build finished (drives `/metrics` snapshot age).
     pub built: Instant,
 }
@@ -257,7 +256,6 @@ impl WorldSnapshot {
             figures_json,
             stats,
             store: None,
-            backend: "none",
             built: Instant::now(),
         }
     }
@@ -289,9 +287,8 @@ impl WorldSnapshot {
     /// else is byte-identical to the snapshot that was saved.
     ///
     /// `backend` picks the byte-store behind the big flat sections:
-    /// `Copy` materializes everything (and drops the archive), `Heap`
-    /// keeps one resident buffer the arrays view into, `Paged` serves
-    /// them from a bounded page cache over the file.
+    /// `Heap` keeps one resident buffer the arrays view into, `Paged`
+    /// serves them from a bounded page cache over the file.
     pub fn load_archive(
         path: impl AsRef<Path>,
         epoch: u64,
@@ -300,7 +297,6 @@ impl WorldSnapshot {
         let start = Instant::now();
         let world = perils_survey::snapshot::load_world_with(path, backend)?;
         let load = start.elapsed();
-        let backend_kind = world.backend_kind();
         let figures_json = world
             .figures_json
             .map(|json| restamp_figures_epoch(&json, epoch));
@@ -325,8 +321,7 @@ impl WorldSnapshot {
             top500: world.top500,
             figures_json,
             stats,
-            store: world.store,
-            backend: backend_kind,
+            store: Some(world.store),
             built: Instant::now(),
         })
     }
@@ -529,9 +524,9 @@ mod tests {
         let paged =
             WorldSnapshot::load_archive(&path, 5, SnapshotBackend::paged(8192)).expect("loads");
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.backend, "heap");
-        assert!(loaded.store.is_some(), "heap worlds keep the byte store");
-        assert_eq!(paged.backend, "paged");
+        let kind = |snap: &WorldSnapshot| snap.store.as_ref().map(|s| s.kind());
+        assert_eq!(kind(&loaded), Some("heap"));
+        assert_eq!(kind(&paged), Some("paged"));
         assert_eq!(paged.universe, loaded.universe);
         assert_eq!(paged.index, loaded.index);
         assert_eq!(paged.figures_json, loaded.figures_json);

@@ -29,9 +29,9 @@
 //! `StreamingCsvSink`.
 
 use perils_core::ZombieDelegationMetric;
-use perils_survey::driver::SurveyConfig;
 use perils_survey::engine::{Engine, SurveyReport, SyntheticSource};
 use perils_survey::figures::ZombieFigure;
+use perils_survey::params::TopologyParams;
 use perils_survey::render::{
     DirectorySink, FigureOutcome, FigureRegistry, ReportSink, SinkFormat, StreamingCsvSink,
     WriterSink,
@@ -158,11 +158,12 @@ fn registry() -> FigureRegistry {
     FigureRegistry::extended().register(ZombieFigure)
 }
 
-fn engine(config: &SurveyConfig) -> Engine {
+/// `exact_hijack_sample`: how many leading names also get the exact
+/// AND/OR hijack search (the ablation line of the text stream).
+fn engine(exact_hijack_sample: usize) -> Engine {
     Engine::with_extended_metrics()
         .register(ZombieDelegationMetric)
-        .threads(config.threads)
-        .exact_hijack_sample(config.exact_hijack_sample)
+        .exact_hijack_sample(exact_hijack_sample)
 }
 
 fn print_figure_list(registry: &FigureRegistry) {
@@ -221,14 +222,18 @@ fn main() {
         }
     }
 
-    let config = match args.scale.as_str() {
-        "tiny" => SurveyConfig::tiny(args.seed),
-        "default" => SurveyConfig::default_scaled(args.seed),
-        "paper" => SurveyConfig::paper(args.seed),
-        other => usage_error(&format!("unknown scale {other:?} (tiny|default|paper)")),
-    };
+    let params = TopologyParams::preset(&args.scale, args.seed).unwrap_or_else(|| {
+        usage_error(&format!(
+            "unknown scale {:?} ({})",
+            args.scale,
+            TopologyParams::PRESETS
+        ))
+    });
 
-    let engine = engine(&config);
+    let engine = engine(match args.scale.as_str() {
+        "tiny" => 25,
+        _ => 500,
+    });
     let started = std::time::Instant::now();
     let report = match &args.load_snapshot {
         Some(path) => {
@@ -236,10 +241,11 @@ fn main() {
                 "running metrics {:?} over snapshot {path} ...",
                 engine.metric_ids()
             );
-            let loaded = perils_survey::load_world(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot load snapshot {path}: {e}");
-                std::process::exit(1);
-            });
+            let loaded = perils_survey::load_world_with(path, perils_survey::SnapshotBackend::Heap)
+                .unwrap_or_else(|e| {
+                    eprintln!("error: cannot load snapshot {path}: {e}");
+                    std::process::exit(1);
+                });
             let world = perils_survey::AnalysisWorld {
                 universe: loaded.universe,
                 names: loaded.names.into_vec(),
@@ -248,9 +254,7 @@ fn main() {
             engine.run_world_indexed(world, &loaded.index)
         }
         None => {
-            let source = SyntheticSource {
-                params: config.params.clone(),
-            };
+            let source = SyntheticSource { params };
             eprintln!(
                 "running metrics {:?} over {} (scale={})...",
                 engine.metric_ids(),

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p perils-survey --bin lint -- \
-//!     [--world fbi|cornell|tripwire|tiny] [--seed N] [--threads N]
+//!     [--world fbi|cornell|tripwire|tiny|default|paper] [--seed N] [--threads N]
 //!     [--list-rules] [--allow RULE] [--warn RULE] [--deny RULE]
 //!     [--format text|json|sarif] [--out FILE]
 //! ```
@@ -24,22 +24,24 @@ use perils_core::lint::{RuleRegistry, Severity, SeverityOverrides};
 use perils_core::universe::Universe;
 use perils_core::{DependencyIndex, LintIndex};
 use perils_dns::name::{name, DnsName};
-use perils_survey::driver::SurveyConfig;
 use perils_survey::engine::{SyntheticSource, WorldSource};
 use perils_survey::lint::{run_lint, run_lint_with, LintFormat};
+use perils_survey::params::TopologyParams;
 use perils_survey::scenario::universe_from_scenario;
 use perils_survey::topology::SurveyName;
 use std::num::NonZeroUsize;
 
-const USAGE: &str = "usage: lint [--world fbi|cornell|tripwire|tiny] [--seed N] [--threads N]
+const USAGE: &str = "usage: lint [--world fbi|cornell|tripwire|tiny|default|paper] [--seed N]
+            [--threads N]
             [--list-rules] [--allow RULE] [--warn RULE] [--deny RULE]
             [--format text|json|sarif] [--out FILE]
             [--load-snapshot PATH] [--save-snapshot PATH]
 
   --world WORLD   universe to lint: the fbi.gov case study (default), the
                   Figure 1 cornell web, the all-pathologies tripwire
-                  fixture, or a seeded tiny synthetic survey
-  --seed N        synthetic seed (tiny world only; default 20040722)
+                  fixture, or a seeded synthetic survey at tiny, default
+                  or paper scale
+  --seed N        synthetic seed (synthetic worlds only; default 20040722)
   --threads N     worker threads (default: available parallelism, max 16);
                   output is byte-identical for every choice
   --list-rules    print the rule registry (id, default severity,
@@ -200,17 +202,16 @@ fn load_world(world: &str, seed: u64) -> (Universe, Vec<SurveyName>, Vec<usize>)
             survey_names(lint_tripwire_targets()),
             Vec::new(),
         ),
-        "tiny" => {
-            let config = SurveyConfig::tiny(seed);
-            let world = SyntheticSource {
-                params: config.params,
-            }
-            .load();
+        scale => {
+            let params = TopologyParams::preset(scale, seed).unwrap_or_else(|| {
+                usage_error(&format!(
+                    "unknown world {scale:?} (fbi|cornell|tripwire|{})",
+                    TopologyParams::PRESETS
+                ))
+            });
+            let world = SyntheticSource { params }.load();
             (world.universe, world.names, world.top500)
         }
-        other => usage_error(&format!(
-            "unknown world {other:?} (fbi|cornell|tripwire|tiny)"
-        )),
     }
 }
 
@@ -246,10 +247,11 @@ fn main() {
 
     let (universe, names, top500, preloaded) = match &args.load_snapshot {
         Some(path) => {
-            let loaded = perils_survey::load_world(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot load snapshot {path}: {e}");
-                std::process::exit(1);
-            });
+            let loaded = perils_survey::load_world_with(path, perils_survey::SnapshotBackend::Heap)
+                .unwrap_or_else(|e| {
+                    eprintln!("error: cannot load snapshot {path}: {e}");
+                    std::process::exit(1);
+                });
             (
                 loaded.universe,
                 loaded.names.into_vec(),

@@ -947,6 +947,16 @@ mod tests {
         assert_eq!(report.floats(columns::SAFETY_PERCENT).len(), n);
         assert_eq!(report.floats(columns::DNSSEC_SIGNED_FRACTION).len(), n);
         assert_eq!(report.value().names_seen() as usize, n);
+        // Sanity: TCB members and cut members bound their subsets.
+        for i in 0..n {
+            assert!(report.vulnerable_in_tcb()[i] <= report.tcb_sizes()[i]);
+            assert!(report.nameowner()[i] <= report.tcb_sizes()[i]);
+            assert!(report.safe_in_cut()[i] <= report.cut_size()[i]);
+        }
+        assert_eq!(
+            report.top500_of(report.tcb_sizes()).len(),
+            report.top500().len()
+        );
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! through the registry. [`ZombieFigure`] is deliberately *not* part of
 //! `extended()`: it is the demonstration that a custom metric+figure pair
 //! registers through the public APIs alone (`.register(ZombieFigure)`, as
-//! the figures CLI does). The legacy free functions (`fig2`…`fig9`,
-//! [`headline`]) remain as thin panicking conveniences over the
-//! `from_report` constructors.
+//! the figures CLI does).
 
 use crate::engine::{ReportError, SurveyReport};
 use crate::render::{Figure, FigureError, FigureRegistry, RenderedFigure};
@@ -43,17 +41,6 @@ pub struct Fig2 {
     pub frac_gt_200: f64,
     /// Fraction of top-500 names with TCB > 200.
     pub top500_frac_gt_200: f64,
-}
-
-/// Computes Figure 2.
-///
-/// Thin convenience over [`Fig2::from_report`].
-///
-/// # Panics
-///
-/// Panics when the report lacks the TCB columns.
-pub fn fig2(report: &SurveyReport) -> Fig2 {
-    Fig2::from_report(report).unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Fig2 {
@@ -169,17 +156,6 @@ pub struct Fig3 {
     pub group_mean: f64,
 }
 
-/// Computes Figure 3.
-///
-/// Thin convenience over [`Fig3::from_report`].
-///
-/// # Panics
-///
-/// Panics when the report lacks the TCB columns.
-pub fn fig3(report: &SurveyReport) -> Fig3 {
-    Fig3::from_report(report).unwrap_or_else(|e| panic!("{e}"))
-}
-
 impl Fig3 {
     /// Computes Figure 3 from a report containing [`columns::TCB_SIZE`].
     pub fn from_report(report: &SurveyReport) -> Result<Fig3, ReportError> {
@@ -251,17 +227,6 @@ pub struct Fig4 {
     pub group_mean: f64,
 }
 
-/// Computes Figure 4.
-///
-/// Thin convenience over [`Fig4::from_report`].
-///
-/// # Panics
-///
-/// Panics when the report lacks the TCB columns.
-pub fn fig4(report: &SurveyReport) -> Fig4 {
-    Fig4::from_report(report).unwrap_or_else(|e| panic!("{e}"))
-}
-
 impl Fig4 {
     /// Computes Figure 4 from a report containing [`columns::TCB_SIZE`].
     pub fn from_report(report: &SurveyReport) -> Result<Fig4, ReportError> {
@@ -323,17 +288,6 @@ pub struct Fig5 {
     pub top500_mean_vulnerable: f64,
 }
 
-/// Computes Figure 5.
-///
-/// Thin convenience over [`Fig5::from_report`].
-///
-/// # Panics
-///
-/// Panics when the report lacks the TCB columns.
-pub fn fig5(report: &SurveyReport) -> Fig5 {
-    Fig5::from_report(report).unwrap_or_else(|e| panic!("{e}"))
-}
-
 impl Fig5 {
     /// Computes Figure 5 from a report containing
     /// [`columns::VULNERABLE_IN_TCB`].
@@ -392,17 +346,6 @@ pub struct Fig6 {
     pub points: Vec<(usize, f64)>,
     /// Number of names whose entire TCB is vulnerable (safety 0%).
     pub fully_vulnerable_names: usize,
-}
-
-/// Computes Figure 6.
-///
-/// Thin convenience over [`Fig6::from_report`].
-///
-/// # Panics
-///
-/// Panics when the report lacks the TCB columns.
-pub fn fig6(report: &SurveyReport) -> Fig6 {
-    Fig6::from_report(report).unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Fig6 {
@@ -467,17 +410,6 @@ pub struct Fig7 {
     pub frac_one_safe: f64,
     /// Mean min-cut size (the paper's 2.5).
     pub mean_cut_size: f64,
-}
-
-/// Computes Figure 7.
-///
-/// Thin convenience over [`Fig7::from_report`].
-///
-/// # Panics
-///
-/// Panics when the report lacks the min-cut columns.
-pub fn fig7(report: &SurveyReport) -> Fig7 {
-    Fig7::from_report(report).unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Fig7 {
@@ -557,28 +489,6 @@ pub struct RankFigure {
     pub mean: f64,
     /// Median names-controlled.
     pub median: f64,
-}
-
-/// Computes Figure 8 (all servers + vulnerable servers).
-///
-/// Thin convenience over [`RankFigure::fig8_from_report`].
-///
-/// # Panics
-///
-/// Panics when no value metric was registered.
-pub fn fig8(report: &SurveyReport) -> RankFigure {
-    RankFigure::fig8_from_report(report).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Computes Figure 9 (`.edu` and `.org` servers).
-///
-/// Thin convenience over [`RankFigure::fig9_from_report`].
-///
-/// # Panics
-///
-/// Panics when no value metric was registered.
-pub fn fig9(report: &SurveyReport) -> RankFigure {
-    RankFigure::fig9_from_report(report).unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl RankFigure {
@@ -707,17 +617,6 @@ pub struct Headline {
     pub critical_vulnerable: usize,
     /// How many critical servers live under .edu (paper: ~25).
     pub critical_edu: usize,
-}
-
-/// Computes the headline statistics.
-///
-/// Thin convenience over [`Headline::from_report`].
-///
-/// # Panics
-///
-/// Panics when the report lacks any of the six classic columns.
-pub fn headline(report: &SurveyReport) -> Headline {
-    Headline::from_report(report).unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl Headline {
@@ -1361,48 +1260,51 @@ impl FigureRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_survey, SurveyConfig};
+    use crate::engine::{Engine, SyntheticSource};
+    use crate::params::TopologyParams;
 
     fn tiny_report() -> SurveyReport {
-        run_survey(&SurveyConfig::tiny(29))
+        Engine::with_builtin_metrics().run(SyntheticSource {
+            params: TopologyParams::tiny(29),
+        })
     }
 
     #[test]
     fn all_figures_compute_and_render() {
         let report = tiny_report();
-        let f2 = fig2(&report);
+        let f2 = Fig2::from_report(&report).expect("figure 2");
         assert!(f2.all.mean > 0.0);
         assert!(f2.render().contains("Figure 2"));
         assert!(f2.to_csv().starts_with("series,"));
 
-        let f3 = fig3(&report);
+        let f3 = Fig3::from_report(&report).expect("figure 3");
         assert!(!f3.bars.is_empty());
         assert!(f3.render().contains("Figure 3"));
 
-        let f4 = fig4(&report);
+        let f4 = Fig4::from_report(&report).expect("figure 4");
         assert!(f4.bars.len() <= 15);
         assert!(f4.render().contains("Figure 4"));
 
-        let f5 = fig5(&report);
+        let f5 = Fig5::from_report(&report).expect("figure 5");
         assert!(f5.render().contains("Figure 5"));
         assert!((0.0..=1.0).contains(&f5.frac_with_vulnerable));
 
-        let f6 = fig6(&report);
+        let f6 = Fig6::from_report(&report).expect("figure 6");
         assert!(f6.render().contains("Figure 6"));
         assert!(!f6.points.is_empty());
 
-        let f7 = fig7(&report);
+        let f7 = Fig7::from_report(&report).expect("figure 7");
         assert!(f7.render().contains("Figure 7"));
         assert!((0.0..=1.0).contains(&f7.frac_fully_vulnerable_cut));
 
-        let f8 = fig8(&report);
+        let f8 = RankFigure::fig8_from_report(&report).expect("figure 8");
         assert_eq!(f8.series.len(), 2);
         assert!(f8.render("Figure 8").contains("series: all"));
 
-        let f9 = fig9(&report);
+        let f9 = RankFigure::fig9_from_report(&report).expect("figure 9");
         assert!(f9.render("Figure 9").contains("series: edu"));
 
-        let h = headline(&report);
+        let h = Headline::from_report(&report).expect("headline");
         assert!(h.render().contains("mean TCB"));
         assert_eq!(h.names, report.world.names.len());
     }
@@ -1410,7 +1312,7 @@ mod tests {
     #[test]
     fn fig3_order_matches_paper_axis() {
         let report = tiny_report();
-        let f3 = fig3(&report);
+        let f3 = Fig3::from_report(&report).expect("figure 3");
         let order: Vec<&str> = f3.bars.iter().map(|b| b.tld.as_str()).collect();
         // Bars must appear in the paper's x-axis order (subset thereof).
         let mut expected = GTLDS.iter();
@@ -1422,7 +1324,7 @@ mod tests {
     #[test]
     fn fig4_descending() {
         let report = tiny_report();
-        let f4 = fig4(&report);
+        let f4 = Fig4::from_report(&report).expect("figure 4");
         for w in f4.bars.windows(2) {
             assert!(w[0].mean_tcb >= w[1].mean_tcb);
         }
@@ -1431,7 +1333,7 @@ mod tests {
     #[test]
     fn fig7_fractions_consistent() {
         let report = tiny_report();
-        let f7 = fig7(&report);
+        let f7 = Fig7::from_report(&report).expect("figure 7");
         assert!(f7.frac_fully_vulnerable_cut + f7.frac_one_safe <= 1.0 + 1e-9);
         assert!(f7.mean_cut_size >= 1.0);
     }
@@ -1439,7 +1341,7 @@ mod tests {
     #[test]
     fn headline_consistency() {
         let report = tiny_report();
-        let h = headline(&report);
+        let h = Headline::from_report(&report).expect("headline");
         assert!(h.vulnerable_servers <= h.servers);
         assert!(h.critical_gtld <= h.critical_servers);
         assert!(h.critical_vulnerable <= h.critical_servers);

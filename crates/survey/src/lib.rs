@@ -1,5 +1,5 @@
 //! The survey harness: synthetic internet generation, the parallel survey
-//! driver, and per-figure analysis pipelines.
+//! engine, and per-figure analysis pipelines.
 //!
 //! The paper crawled Yahoo!/DMOZ for 593,160 web-server names, resolved
 //! them against the live July-2004 DNS, and analyzed the recorded
@@ -21,8 +21,7 @@
 //! Modules: [`params`] (presets), [`topology`] (the generator),
 //! [`engine`] (the pluggable analysis engine: [`engine::WorldSource`] +
 //! registered [`perils_core::NameMetric`]s → columnar
-//! [`engine::SurveyReport`]), [`driver`] (the legacy `run_survey` wrapper
-//! over the engine), [`render`] (the pluggable output pipeline:
+//! [`engine::SurveyReport`]), [`render`] (the pluggable output pipeline:
 //! [`render::Figure`] + [`render::FigureRegistry`] + [`render::ReportSink`]),
 //! [`figures`] (the paper's figure renderers, registered on that pipeline),
 //! [`scenario`] (bridging hand-built packet-level scenarios into analyses).
@@ -37,7 +36,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod driver;
 pub mod engine;
 pub mod figures;
 pub mod lint;
@@ -47,7 +45,6 @@ pub mod scenario;
 pub mod snapshot;
 pub mod topology;
 
-pub use driver::{run_survey, SurveyConfig};
 pub use engine::{
     AnalysisWorld, Engine, ProbedSource, ReportError, ScenarioSource, SurveyReport,
     SyntheticSource, WorldSource, WorldStream,
@@ -58,7 +55,5 @@ pub use render::{
     DirectorySink, Figure, FigureError, FigureOutcome, FigureRegistry, RenderedFigure, ReportSink,
     SinkFormat, StreamingCsvSink, WriterSink,
 };
-pub use snapshot::{
-    load_world, load_world_with, save_world, LoadedWorld, NameTable, SnapshotBackend,
-};
+pub use snapshot::{load_world_with, save_world, LoadedWorld, NameTable, SnapshotBackend};
 pub use topology::SyntheticWorld;

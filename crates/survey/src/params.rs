@@ -63,8 +63,24 @@ pub struct TopologyParams {
 }
 
 impl TopologyParams {
-    /// The paper's scale (593k names). Minutes of CPU and gigabytes of
-    /// memory; use [`TopologyParams::default_scaled`] for interactive work.
+    /// The scale names [`TopologyParams::preset`] accepts, as the CLIs'
+    /// usage errors spell them.
+    pub const PRESETS: &'static str = "tiny|default|paper";
+
+    /// The preset a CLI `--scale`/`--world` value names: `tiny`,
+    /// `default` ([`TopologyParams::default_scaled`]) or `paper`.
+    pub fn preset(scale: &str, seed: u64) -> Option<TopologyParams> {
+        match scale {
+            "tiny" => Some(TopologyParams::tiny(seed)),
+            "default" => Some(TopologyParams::default_scaled(seed)),
+            "paper" => Some(TopologyParams::paper(seed)),
+            _ => None,
+        }
+    }
+
+    /// The paper's scale (593k names): the full `figures` run takes
+    /// ≈10–13 s and ≈0.8 GiB (EXPERIMENTS.md), so use
+    /// [`TopologyParams::default_scaled`] for interactive work.
     pub fn paper(seed: u64) -> TopologyParams {
         TopologyParams {
             seed,
@@ -176,6 +192,25 @@ mod tests {
         TopologyParams::paper(1).validate();
         TopologyParams::default_scaled(1).validate();
         TopologyParams::tiny(1).validate();
+    }
+
+    #[test]
+    fn preset_names_exactly_the_three_scales() {
+        let same = |a: Option<TopologyParams>, b: TopologyParams| {
+            assert_eq!(format!("{a:?}"), format!("{:?}", Some(b)));
+        };
+        same(TopologyParams::preset("tiny", 7), TopologyParams::tiny(7));
+        same(
+            TopologyParams::preset("default", 7),
+            TopologyParams::default_scaled(7),
+        );
+        same(TopologyParams::preset("paper", 7), TopologyParams::paper(7));
+        for name in TopologyParams::PRESETS.split('|') {
+            assert!(TopologyParams::preset(name, 7).is_some(), "{name}");
+        }
+        for other in ["", "Tiny", "default_scaled", "fbi", "tiny "] {
+            assert!(TopologyParams::preset(other, 7).is_none(), "{other:?}");
+        }
     }
 
     #[test]

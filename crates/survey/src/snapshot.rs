@@ -27,9 +27,7 @@ use perils_core::snapshot::{
 use perils_core::universe::Universe;
 use perils_core::{DependencyIndex, LintIndex};
 use perils_util::bytestore::ByteStore;
-use perils_util::snapshot::{
-    self, Archive, ArchiveWriter, Dec, DecodeMode, Section, SnapshotError,
-};
+use perils_util::snapshot::{self, Archive, ArchiveWriter, Dec, Section, SnapshotError};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -45,12 +43,10 @@ pub const SECTION_FIGURES: [u8; 8] = *b"FIGURES\0";
 /// per cache slot.
 pub const DEFAULT_PAGE_BYTES: usize = 4096;
 
-/// How [`load_world_with`] materializes an archive.
+/// Where [`load_world_with`] keeps the archive bytes the loaded world's
+/// views read from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotBackend {
-    /// Parse every section into owned heap structures; the archive bytes
-    /// are dropped after the load (the classic decode).
-    Copy,
     /// Keep the whole archive resident once as `Arc<[u8]>`; the big flat
     /// tables become zero-copy views borrowing it.
     Heap,
@@ -74,11 +70,9 @@ impl SnapshotBackend {
         }
     }
 
-    /// Stable label for logs and metrics: `"copy"`, `"heap"` or
-    /// `"paged"`.
+    /// Stable label for logs and metrics: `"heap"` or `"paged"`.
     pub fn kind(&self) -> &'static str {
         match self {
-            SnapshotBackend::Copy => "copy",
             SnapshotBackend::Heap => "heap",
             SnapshotBackend::Paged { .. } => "paged",
         }
@@ -93,14 +87,14 @@ const MAX_NAME_RECORD_BYTES: usize = 2 * perils_dns::name::MAX_NAME_LEN + 4;
 
 /// The surveyed-name list of a loaded world.
 ///
-/// Copy decodes materialize every entry up front (`Owned`); view decodes
-/// keep the records in the archive's byte store and decode them on
-/// demand (`View`) — the dominant cost *and* resident footprint of the
+/// Built worlds hold every entry (`Owned`); archive loads keep the
+/// records in the archive's byte store and decode them on demand
+/// (`View`) — the dominant cost *and* resident footprint of the
 /// `SURVNAME` section disappears from the load, and a paged daemon
 /// serving `/names` touches only the pages the response needs.
 #[derive(Clone)]
 pub enum NameTable {
-    /// Every entry decoded eagerly (the classic decode).
+    /// Every entry materialized (built worlds; archives past 4 GiB).
     Owned(Vec<SurveyName>),
     /// Records validated at load, decoded per access from the store.
     View(NameTableView),
@@ -260,9 +254,9 @@ impl PartialEq<Vec<SurveyName>> for NameTable {
 }
 
 /// A world reconstituted from a `.psa` archive — ready to serve queries
-/// or run figure/lint passes without any rebuild. Depending on the
-/// [`SnapshotBackend`], the dependency index's flat tables and the name
-/// table are either owned (`Copy`) or views into [`LoadedWorld::store`].
+/// or run figure/lint passes without any rebuild. The dependency
+/// index's flat tables and the name table are views into
+/// [`LoadedWorld::store`].
 #[derive(Debug)]
 pub struct LoadedWorld {
     /// The canonical universe.
@@ -282,18 +276,10 @@ pub struct LoadedWorld {
     pub figures_rendered: usize,
     /// Total archive size in bytes.
     pub archive_bytes: u64,
-    /// The byte store view-backed structures borrow, `None` when the
-    /// load copied everything (the store was dropped). Exposes backend
-    /// kind, resident bytes and page-cache counters for metrics.
-    pub store: Option<Arc<ByteStore>>,
-}
-
-impl LoadedWorld {
-    /// Backend label: `"copy"` when no store is retained, otherwise the
-    /// store's kind (`"heap"`/`"paged"`).
-    pub fn backend_kind(&self) -> &'static str {
-        self.store.as_ref().map_or("copy", |s| s.kind())
-    }
+    /// The byte store the view-backed structures borrow. Exposes
+    /// backend kind (`"heap"`/`"paged"`), resident bytes and page-cache
+    /// counters for metrics.
+    pub store: Arc<ByteStore>,
 }
 
 /// Serializes a built world to `bytes` (see the module table for the
@@ -372,24 +358,10 @@ pub fn save_world(
     Ok(bytes.len() as u64)
 }
 
-/// Loads a world from in-memory archive bytes with the classic copy
-/// decode (everything owned, bytes dropped afterwards).
+/// Loads a world from in-memory archive bytes: they stay resident once
+/// and the big flat tables become views borrowing them.
 pub fn load_world_bytes(bytes: Vec<u8>) -> Result<LoadedWorld, SnapshotError> {
-    let archive = Archive::from_bytes_copy(bytes)?;
-    load_world_archive(&archive)
-}
-
-/// [`load_world_bytes`] with heap-view decoding: the bytes stay resident
-/// once and the big flat tables become views borrowing them.
-pub fn load_world_bytes_view(bytes: Vec<u8>) -> Result<LoadedWorld, SnapshotError> {
-    let archive = Archive::from_bytes(bytes)?;
-    load_world_archive(&archive)
-}
-
-/// Loads a world from a `.psa` file with the classic copy decode: one
-/// bulk read, then per-section chunk decoding.
-pub fn load_world(path: impl AsRef<Path>) -> Result<LoadedWorld, SnapshotError> {
-    load_world_with(path, SnapshotBackend::Copy)
+    load_world_archive(&Archive::from_bytes(bytes)?)
 }
 
 /// Loads a world from a `.psa` file through the chosen backend.
@@ -398,7 +370,6 @@ pub fn load_world_with(
     backend: SnapshotBackend,
 ) -> Result<LoadedWorld, SnapshotError> {
     let archive = match backend {
-        SnapshotBackend::Copy => Archive::read_from_path_copy(path)?,
         SnapshotBackend::Heap => Archive::read_from_path(path)?,
         SnapshotBackend::Paged {
             page_bytes,
@@ -457,24 +428,17 @@ fn load_world_archive(archive: &Archive) -> Result<LoadedWorld, SnapshotError> {
         figures_json,
         figures_rendered,
         archive_bytes: archive.len_bytes(),
-        // Copy decodes own everything, so the store (and with it a
-        // heap-resident archive) is dropped here — PR 9 behavior. View
-        // decodes keep it alive for the views.
-        store: match archive.mode() {
-            DecodeMode::Copy => None,
-            DecodeMode::View => Some(archive.store().clone()),
-        },
+        store: archive.store().clone(),
     })
 }
 
 /// Decodes the `SURVNAME` section: the name table plus top-500 indices.
 ///
-/// Copy mode materializes every record. View mode *validates* every
-/// record (same checks, same bytes consumed — see
-/// [`perils_core::snapshot::validate_name`]) and keeps only the record
-/// boundaries, so names decode lazily from the store. Boundaries are
-/// `u32`; a section past 4 GiB (no real archive is close) falls back to
-/// the eager decode rather than truncating offsets.
+/// Every record is *validated* (same checks, same bytes consumed as a
+/// decode — see [`perils_core::snapshot::validate_name`]) and only the
+/// record boundaries are kept, so names decode lazily from the store.
+/// Boundaries are `u32`; a section past 4 GiB (no real archive is close)
+/// falls back to the eager decode rather than truncating offsets.
 fn decode_names(
     section: &Section,
     name_count: usize,
@@ -488,7 +452,7 @@ fn decode_names(
             "header declares {name_count} names, section holds {count}"
         )));
     }
-    let names = if section.mode() == DecodeMode::View && payload.len() <= u32::MAX as usize {
+    let names = if payload.len() <= u32::MAX as usize {
         let mut bounds = Vec::with_capacity(count + 1);
         for _ in 0..count {
             bounds.push((payload.len() - dec.remaining()) as u32);

@@ -1,0 +1,122 @@
+//! The `figures` and `lint` binaries around a `.psa` archive: a world
+//! saved by one run and read back with `--load-snapshot` yields the same
+//! figure files and the same lint report as the run that built it, a
+//! damaged archive is a clean exit 1, and an unknown scale is a usage
+//! error naming the preset list.
+
+use perils_survey::params::TopologyParams;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const SEED: &str = "20040722";
+
+fn run(exe: &str, args: &[&str]) -> Output {
+    Command::new(exe)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("run {exe}: {e}"))
+}
+
+fn figures(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_figures"), args)
+}
+
+fn lint(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_lint"), args)
+}
+
+/// A fresh scratch directory under the target dir, one per test.
+fn scratch(test: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_snapshot-{test}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn path_str(path: &Path) -> &str {
+    path.to_str().expect("utf-8 path")
+}
+
+/// File name → contents of every file in `dir`, sorted by name.
+fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read output dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            (
+                entry.file_name().to_string_lossy().into_owned(),
+                std::fs::read(entry.path()).expect("read figure file"),
+            )
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn loaded_snapshot_reproduces_the_built_run() {
+    let dir = scratch("roundtrip");
+    let (built, loaded, psa) = (dir.join("built"), dir.join("loaded"), dir.join("w.psa"));
+
+    let out = figures(&[
+        "--scale",
+        "tiny",
+        "--seed",
+        SEED,
+        "--format",
+        "json",
+        "--out",
+        path_str(&built),
+        "--save-snapshot",
+        path_str(&psa),
+    ]);
+    assert!(out.status.success(), "figures build run: {out:?}");
+    let out = figures(&[
+        "--load-snapshot",
+        path_str(&psa),
+        "--format",
+        "json",
+        "--out",
+        path_str(&loaded),
+    ]);
+    assert!(out.status.success(), "figures load run: {out:?}");
+    // The `--out` files, not stdout: a loaded world has no scale, so the
+    // ablation line samples 500 names where tiny samples 25.
+    let built_files = dir_files(&built);
+    assert_eq!(built_files.len(), 12, "twelve registered figures");
+    assert_eq!(built_files, dir_files(&loaded));
+
+    let from_world = lint(&["--world", "tiny", "--seed", SEED, "--format", "json"]);
+    let from_archive = lint(&["--load-snapshot", path_str(&psa), "--format", "json"]);
+    assert_eq!(from_world.status.code(), from_archive.status.code());
+    assert!(!from_world.stdout.is_empty(), "lint printed a report");
+    assert_eq!(from_world.stdout, from_archive.stdout);
+
+    // A truncated archive is the typed error on stderr and exit 1 — not
+    // a panic (which would exit 101).
+    let bytes = std::fs::read(&psa).expect("read archive");
+    let cut = dir.join("cut.psa");
+    std::fs::write(&cut, &bytes[..bytes.len() / 2]).expect("write truncated archive");
+    for out in [
+        figures(&["--load-snapshot", path_str(&cut)]),
+        lint(&["--load-snapshot", path_str(&cut)]),
+    ] {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot load snapshot"), "{stderr}");
+        assert!(stderr.contains("truncated"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_scale_is_a_usage_error_naming_the_presets() {
+    for out in [figures(&["--scale", "huge"]), lint(&["--world", "huge"])] {
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let error = stderr.lines().next().expect("error line before the usage");
+        assert!(error.contains("\"huge\""), "{stderr}");
+        assert!(error.contains(TopologyParams::PRESETS), "{stderr}");
+    }
+}

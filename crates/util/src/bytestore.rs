@@ -13,8 +13,8 @@
 //!
 //! On top sit the typed views: [`U32View`]/[`U64View`] describe a
 //! length-`n` run of little-endian words at an absolute archive offset,
-//! and [`U32Arr`]/[`U64Arr`] unify "owned `Vec`" (the classic copy
-//! decode) with "view into a store" behind one API, so index structures
+//! and [`U32Arr`]/[`U64Arr`] unify "owned `Vec`" (what the build path
+//! produces) with "view into a store" behind one API, so index structures
 //! can hold either without generics. Words are decoded from bytes on the
 //! fly — no `mmap`, no transmute, no `unsafe` (the workspace forbids it).
 //!
@@ -495,9 +495,9 @@ word_view!(U64View, u64, 8u64);
 // Owned-or-view word arrays
 // ---------------------------------------------------------------------
 
-/// A flat array of `u32`s that is either an owned `Vec` (the classic
-/// copy decode, and everything the build path produces) or a zero-copy
-/// view into a [`ByteStore`]. Index structures hold this so one code
+/// A flat array of `u32`s that is either an owned `Vec` (everything the
+/// build path produces) or a zero-copy view into a [`ByteStore`] (what
+/// an archive decodes to). Index structures hold this so one code
 /// path serves both representations; equality and encoding are
 /// element-wise, so a view-backed array round-trips byte-identically
 /// with its owned twin.

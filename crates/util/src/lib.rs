@@ -36,14 +36,14 @@ pub use bytestore::{ByteStore, CacheCounters, U32Arr, U32View, U64Arr, U64View};
 pub use dist::{AliasTable, Exponential, LogNormal, Pareto, ZipfTable};
 pub use json::{push_json_string, validate as validate_json};
 pub use rng::Rng;
-pub use snapshot::{Archive, ArchiveWriter, Dec, DecodeMode, Section, SnapshotError, StoreDec};
+pub use snapshot::{Archive, ArchiveWriter, Dec, Section, SnapshotError, StoreDec};
 pub use stats::{Cdf, Histogram, RankCurve, Summary};
 pub use table::{Align, Table};
 
 /// The process's peak resident set (`VmHWM` from `/proc/self/status`),
 /// in MiB. `None` off Linux or when the field is unreadable. Used by the
-/// figures CLI and `bench_smoke` to report memory high-water marks next
-/// to wall-times.
+/// CLIs and the benchmark harness to report memory high-water marks
+/// next to wall-times.
 pub fn peak_rss_mb() -> Option<f64> {
     std::fs::read_to_string("/proc/self/status")
         .ok()?

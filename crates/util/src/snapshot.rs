@@ -10,14 +10,12 @@
 //! it): the chunk decoders below compile to memory-bandwidth copies
 //! without mmap or transmute.
 //!
-//! Archives are read through a [`crate::bytestore::ByteStore`], so the
-//! same validated TOC serves three decode strategies: **copy** (every
-//! array materialized into a `Vec`, the classic decode), **heap view**
-//! (the archive stays resident once as `Arc<[u8]>` and the big flat
-//! arrays become [`crate::bytestore::U32Arr`] views borrowing it), and
-//! **paged view** (the archive stays on disk behind a fixed-budget page
-//! cache; views fault bytes in on demand). [`DecodeMode`] picks between
-//! copy and view; the store backend picks between heap and paged.
+//! Archives are read through a [`crate::bytestore::ByteStore`], and the
+//! big flat arrays decode to [`crate::bytestore::U32Arr`] views into it,
+//! so the same validated TOC serves both store backends: **heap** (the
+//! archive stays resident once as `Arc<[u8]>` and the views borrow it)
+//! and **paged** (the archive stays on disk behind a fixed-budget page
+//! cache; views fault bytes in on demand).
 //!
 //! Every failure mode is a typed [`SnapshotError`] carrying the absolute
 //! byte offset where decoding stopped: wrong magic, an unsupported
@@ -319,18 +317,6 @@ impl ArchiveWriter {
     }
 }
 
-/// How section decoders materialize the big flat arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeMode {
-    /// Every array becomes an owned `Vec` — the classic decode; the
-    /// store can be dropped after loading.
-    Copy,
-    /// Large arrays become views into the store (zero-copy for heap
-    /// stores, demand-paged for paged stores); the store must outlive
-    /// the decoded structures.
-    View,
-}
-
 /// One section of a parsed archive: an absolute byte range of the
 /// store, already checksum-verified. Decoders either materialize it
 /// ([`Section::bytes`]) or walk it in place ([`StoreDec`]).
@@ -338,19 +324,17 @@ pub enum DecodeMode {
 pub struct Section {
     store: Arc<ByteStore>,
     range: Range<u64>,
-    mode: DecodeMode,
 }
 
 impl Section {
     /// Wraps loose bytes as a standalone heap-backed section starting at
     /// byte 0 — the compatibility path for encoders' unit tests and any
     /// caller decoding a payload outside an archive.
-    pub fn from_vec(bytes: Vec<u8>, mode: DecodeMode) -> Section {
+    pub fn from_vec(bytes: Vec<u8>) -> Section {
         let len = bytes.len() as u64;
         Section {
             store: Arc::new(ByteStore::heap(bytes)),
             range: 0..len,
-            mode,
         }
     }
 
@@ -389,11 +373,6 @@ impl Section {
         self.range.is_empty()
     }
 
-    /// How decoders should materialize arrays from this section.
-    pub fn mode(&self) -> DecodeMode {
-        self.mode
-    }
-
     /// The backing store.
     pub fn store(&self) -> &Arc<ByteStore> {
         &self.store
@@ -408,30 +387,18 @@ impl Section {
 pub struct Archive {
     store: Arc<ByteStore>,
     toc: Vec<([u8; 8], Range<u64>)>,
-    mode: DecodeMode,
 }
 
 impl Archive {
-    /// Parses an in-memory archive for view decoding: the bytes stay
-    /// resident once, decoded structures borrow them.
+    /// Parses an in-memory archive: the bytes stay resident once,
+    /// decoded structures borrow them.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Archive, SnapshotError> {
-        Archive::from_store(Arc::new(ByteStore::heap(bytes)), DecodeMode::View)
-    }
-
-    /// Parses an in-memory archive for copy decoding (every array
-    /// materialized; the PR 9 baseline behavior).
-    pub fn from_bytes_copy(bytes: Vec<u8>) -> Result<Archive, SnapshotError> {
-        Archive::from_store(Arc::new(ByteStore::heap(bytes)), DecodeMode::Copy)
+        Archive::from_store(Arc::new(ByteStore::heap(bytes)))
     }
 
     /// One bulk read of `path`, then [`Archive::from_bytes`].
     pub fn read_from_path(path: impl AsRef<Path>) -> Result<Archive, SnapshotError> {
         Archive::from_bytes(std::fs::read(path)?)
-    }
-
-    /// One bulk read of `path`, then [`Archive::from_bytes_copy`].
-    pub fn read_from_path_copy(path: impl AsRef<Path>) -> Result<Archive, SnapshotError> {
-        Archive::from_bytes_copy(std::fs::read(path)?)
     }
 
     /// Opens `path` behind a fixed-budget page cache: the archive stays
@@ -444,14 +411,15 @@ impl Archive {
         page_bytes: usize,
         budget_bytes: u64,
     ) -> Result<Archive, SnapshotError> {
-        Archive::from_store(
-            Arc::new(ByteStore::open_paged(path, page_bytes, budget_bytes)?),
-            DecodeMode::View,
-        )
+        Archive::from_store(Arc::new(ByteStore::open_paged(
+            path,
+            page_bytes,
+            budget_bytes,
+        )?))
     }
 
     /// Validates header, TOC and per-section checksums over any store.
-    pub fn from_store(store: Arc<ByteStore>, mode: DecodeMode) -> Result<Archive, SnapshotError> {
+    pub fn from_store(store: Arc<ByteStore>) -> Result<Archive, SnapshotError> {
         let total = store.len();
         let need = |want: u64, context: &str| {
             if total < want {
@@ -530,7 +498,7 @@ impl Archive {
                 });
             }
         }
-        Ok(Archive { store, toc, mode })
+        Ok(Archive { store, toc })
     }
 
     /// A required section.
@@ -549,7 +517,6 @@ impl Archive {
             .map(|(_, range)| Section {
                 store: self.store.clone(),
                 range: range.clone(),
-                mode: self.mode,
             })
     }
 
@@ -561,11 +528,6 @@ impl Archive {
     /// The section tags present, in TOC order.
     pub fn tags(&self) -> impl Iterator<Item = [u8; 8]> + '_ {
         self.toc.iter().map(|(t, _)| *t)
-    }
-
-    /// The decode mode sections inherit.
-    pub fn mode(&self) -> DecodeMode {
-        self.mode
     }
 
     /// The backing store (shared with every decoded view).
@@ -757,19 +719,18 @@ impl<'a> Dec<'a> {
 
 /// A bounds-checked little-endian cursor that walks a [`Section`] *in
 /// the store* — the decode path for sections whose big flat arrays stay
-/// as views ([`DecodeMode::View`]) or are materialized on demand
-/// ([`DecodeMode::Copy`]). Scalars are always read eagerly; the
-/// length-prefixed array readers hand back [`U32Arr`]/[`U64Arr`] whose
-/// representation follows the section's mode. Like [`Dec`], every
-/// promised length is verified against the remaining bytes **before**
-/// any allocation, and every error carries the absolute archive offset.
+/// as views. Scalars are always read eagerly; the length-prefixed array
+/// readers hand back [`U32Arr`]/[`U64Arr`] views that share the store
+/// (zero-copy for heap stores, demand-paged for paged stores). Like
+/// [`Dec`], every promised length is verified against the remaining
+/// bytes **before** any allocation, and every error carries the absolute
+/// archive offset.
 #[derive(Debug)]
 pub struct StoreDec {
     store: Arc<ByteStore>,
     section: &'static str,
     end: u64,
     pos: u64,
-    mode: DecodeMode,
 }
 
 impl StoreDec {
@@ -780,13 +741,7 @@ impl StoreDec {
             section: name,
             end: section.base() + section.len() as u64,
             pos: section.base(),
-            mode: section.mode(),
         }
-    }
-
-    /// The decode mode arrays are materialized under.
-    pub fn mode(&self) -> DecodeMode {
-        self.mode
     }
 
     /// Bytes not yet consumed.
@@ -838,28 +793,20 @@ impl StoreDec {
         Ok(u64::from_le_bytes(self.read_array::<8>("u64")?))
     }
 
-    /// Reads `u32 len` + `len` little-endian `u32`s as an owned-or-view
-    /// array per the section's [`DecodeMode`].
+    /// Reads `u32 len` + `len` little-endian `u32`s as a view into the
+    /// store.
     pub fn u32_arr(&mut self) -> Result<U32Arr, SnapshotError> {
         let len = self.u32()? as usize;
         let start = self.take(len as u64 * 4, "u32 array")?;
-        let view = U32View::new(self.store.clone(), start, len);
-        Ok(match self.mode {
-            DecodeMode::View => U32Arr::View(view),
-            DecodeMode::Copy => U32Arr::Owned(view.to_vec()),
-        })
+        Ok(U32Arr::View(U32View::new(self.store.clone(), start, len)))
     }
 
-    /// Reads `u32 len` + `len` little-endian `u64`s as an owned-or-view
-    /// array per the section's [`DecodeMode`].
+    /// Reads `u32 len` + `len` little-endian `u64`s as a view into the
+    /// store.
     pub fn u64_arr(&mut self) -> Result<U64Arr, SnapshotError> {
         let len = self.u32()? as usize;
         let start = self.take(len as u64 * 8, "u64 array")?;
-        let view = U64View::new(self.store.clone(), start, len);
-        Ok(match self.mode {
-            DecodeMode::View => U64Arr::View(view),
-            DecodeMode::Copy => U64Arr::Owned(view.to_vec()),
-        })
+        Ok(U64Arr::View(U64View::new(self.store.clone(), start, len)))
     }
 
     /// Reads `u32 len` + `len` little-endian `u32`s, always owned (for
@@ -954,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn store_dec_views_match_copy_decode() {
+    fn store_dec_views_match_the_encoded_values() {
         let mut payload = Vec::new();
         put_u64(&mut payload, 77);
         put_u32_slice(&mut payload, &[10, 20, 30, 40, 50]);
@@ -963,22 +910,15 @@ mod tests {
         w.add_section(*b"ARR\0\0\0\0\0", payload);
         let bytes = w.to_bytes();
 
-        let view_archive = Archive::from_bytes(bytes.clone()).expect("view parses");
-        let copy_archive = Archive::from_bytes_copy(bytes).expect("copy parses");
+        let view_archive = Archive::from_bytes(bytes).expect("view parses");
         let mut view_dec = StoreDec::new(&view_archive.section(*b"ARR\0\0\0\0\0").unwrap(), "ARR");
-        let mut copy_dec = StoreDec::new(&copy_archive.section(*b"ARR\0\0\0\0\0").unwrap(), "ARR");
         assert_eq!(view_dec.u64().expect("scalar"), 77);
-        assert_eq!(copy_dec.u64().expect("scalar"), 77);
         let v = view_dec.u32_arr().expect("view arr");
-        let c = copy_dec.u32_arr().expect("copy arr");
-        assert!(v.as_slice().is_none(), "view mode yields views");
-        assert_eq!(c.as_slice(), Some(&[10u32, 20, 30, 40, 50][..]));
-        assert_eq!(v, c, "element-wise equal across modes");
+        assert!(v.as_slice().is_none(), "decoded arrays are views");
+        assert_eq!(v, U32Arr::Owned(vec![10, 20, 30, 40, 50]));
         let v64 = view_dec.u64_arr().expect("view u64 arr");
-        let c64 = copy_dec.u64_arr().expect("copy u64 arr");
-        assert_eq!(v64, c64);
+        assert_eq!(v64, U64Arr::Owned(vec![1, u64::MAX]));
         view_dec.finish().expect("consumed");
-        copy_dec.finish().expect("consumed");
 
         // A view-backed array re-encodes to the exact source bytes.
         let mut re = Vec::new();

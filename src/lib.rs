@@ -41,13 +41,18 @@
 //! assert!(report.floats("dnssec_signed_fraction").iter().all(|f| (0.0..=1.0).contains(f)));
 //! ```
 //!
-//! The legacy entry point is a thin wrapper over the same engine:
+//! The paper's six measurements alone are `with_builtin_metrics`, and
+//! each figure is a fallible constructor over the report's columns:
 //!
 //! ```
-//! use perils::survey::{run_survey, SurveyConfig};
+//! use perils::survey::figures::Fig2;
+//! use perils::survey::{Engine, SyntheticSource, TopologyParams};
 //!
-//! let report = run_survey(&SurveyConfig::tiny(1));
+//! let report =
+//!     Engine::with_builtin_metrics().run(SyntheticSource { params: TopologyParams::tiny(1) });
 //! assert!(!report.tcb_sizes().is_empty());
+//! let fig2 = Fig2::from_report(&report).expect("TCB column present");
+//! assert!(fig2.render().contains("Figure 2"));
 //! ```
 //!
 //! ## Registering a custom metric *and its figure*

@@ -1,8 +1,8 @@
 //! Engine-API integration tests: thread-count invariance for every
 //! registered metric, structural-vs-wire-probed agreement through the same
-//! `WorldSource` path, byte-identity of the legacy `run_survey` wrapper
-//! with the hardwired per-name loop it replaced, and end-to-end custom
-//! metric registration.
+//! `WorldSource` path, byte-identity of the built-in engine pass with
+//! the hardwired per-name loop it replaced, and end-to-end custom metric
+//! registration.
 
 use perils::authserver::deploy::deploy;
 use perils::authserver::scenarios::fbi_case;
@@ -16,7 +16,6 @@ use perils::core::universe::Universe;
 use perils::dns::name::name;
 use perils::netsim::{FaultPlan, Region, SimNet};
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
-use perils::survey::driver::{run_survey, SurveyConfig};
 use perils::survey::engine::{Engine, ProbedSource, ScenarioSource, SyntheticSource};
 use perils::survey::params::TopologyParams;
 use perils::survey::topology::SyntheticWorld;
@@ -116,16 +115,19 @@ fn scenario_and_probed_fbi_worlds_agree_through_engine() {
     assert_eq!(structural.cut_size()[0], 2);
 }
 
-/// `run_survey` must produce byte-identical results to the sequential
-/// hardwired loop it replaced, for the acceptance seeds 11/13/17.
+/// The built-in engine pass must produce byte-identical results to the
+/// sequential hardwired loop it replaced, for the acceptance seeds
+/// 11/13/17.
 #[test]
-fn legacy_run_survey_is_byte_identical_to_sequential_reference() {
+fn builtin_engine_is_byte_identical_to_sequential_reference() {
     for seed in [11u64, 13, 17] {
-        let config = SurveyConfig::tiny(seed);
-        let report = run_survey(&config);
+        let params = TopologyParams::tiny(seed);
+        let report = Engine::with_builtin_metrics().run(SyntheticSource {
+            params: params.clone(),
+        });
 
         // The seed driver's semantics, re-derived sequentially.
-        let world = SyntheticWorld::generate(&config.params);
+        let world = SyntheticWorld::generate(&params);
         let index = DependencyIndex::build(&world.universe);
         let mut tcb_sizes = Vec::new();
         let mut cut_size = Vec::new();

@@ -8,12 +8,22 @@ use perils::core::closure::DependencyIndex;
 use perils::dns::name::DnsName;
 use perils::netsim::{FaultPlan, Region, SimNet};
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
-use perils::survey::driver::{run_survey, SurveyConfig};
-use perils::survey::figures;
+use perils::survey::engine::{Engine, SurveyReport, SyntheticSource};
+use perils::survey::figures::{Fig2, Headline};
 use perils::survey::params::TopologyParams;
 use perils::survey::topology::SyntheticWorld;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// The paper's six measurements over a tiny world, with the exact
+/// hijack search on the first 25 names.
+fn tiny_survey(seed: u64) -> SurveyReport {
+    Engine::with_builtin_metrics()
+        .exact_hijack_sample(25)
+        .run(SyntheticSource {
+            params: TopologyParams::tiny(seed),
+        })
+}
 
 #[test]
 fn structural_closure_matches_wire_probe_on_generated_world() {
@@ -65,8 +75,8 @@ fn structural_closure_matches_wire_probe_on_generated_world() {
 
 #[test]
 fn survey_summary_shapes_hold_at_tiny_scale() {
-    let report = run_survey(&SurveyConfig::tiny(77));
-    let headline = figures::headline(&report);
+    let report = tiny_survey(77);
+    let headline = Headline::from_report(&report).expect("headline");
     // Shape assertions (loose bands; the tiny world is noisy).
     assert!(
         headline.mean_tcb >= headline.median_tcb,
@@ -79,7 +89,7 @@ fn survey_summary_shapes_hold_at_tiny_scale() {
     );
     assert!(headline.frac_with_vulnerable_dep >= headline.frac_hijackable);
     // Figure 2: top-500 names have TCBs at least as large on average.
-    let f2 = figures::fig2(&report);
+    let f2 = Fig2::from_report(&report).expect("figure 2");
     assert!(
         f2.top500.mean + 1e-9 >= f2.all.mean * 0.8,
         "popular names are not smaller"
@@ -94,13 +104,13 @@ fn survey_summary_shapes_hold_at_tiny_scale() {
 
 #[test]
 fn survey_determinism_across_runs() {
-    let a = run_survey(&SurveyConfig::tiny(555));
-    let b = run_survey(&SurveyConfig::tiny(555));
+    let a = tiny_survey(555);
+    let b = tiny_survey(555);
     assert_eq!(a.tcb_sizes(), b.tcb_sizes());
     assert_eq!(a.vulnerable_in_tcb(), b.vulnerable_in_tcb());
     assert_eq!(a.cut_size(), b.cut_size());
-    let ha = figures::headline(&a);
-    let hb = figures::headline(&b);
+    let ha = Headline::from_report(&a).expect("headline");
+    let hb = Headline::from_report(&b).expect("headline");
     assert_eq!(ha.critical_servers, hb.critical_servers);
     assert!((ha.mean_tcb - hb.mean_tcb).abs() < 1e-12);
 }
@@ -109,7 +119,7 @@ fn survey_determinism_across_runs() {
 fn exact_hijack_validates_flattened_cut_direction() {
     // On every sampled name, the exact AND/OR minimum never exceeds the
     // flattened min-cut (the exact attacker is at least as strong).
-    let report = run_survey(&SurveyConfig::tiny(31));
+    let report = tiny_survey(31);
     assert!(!report.exact_sample.is_empty());
     for &(i, exact_size, _) in &report.exact_sample {
         if report.cut_size()[i] > 0 {
