@@ -33,6 +33,7 @@ use perils_util::json;
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
@@ -368,7 +369,23 @@ impl Daemon {
                 Err(RequestError::Io(e)) => return Err(e),
             };
             let started = Instant::now();
-            let (endpoint, response, shutdown_after) = self.route(&request, workspace, reload_tx);
+            // A panicking handler (e.g. a paged archive truncated under
+            // the daemon) fails its one request, not the worker: an
+            // unwound worker thread would leave the queue with nobody
+            // to serve it until shutdown rethrows the panic.
+            let routed = panic::catch_unwind(AssertUnwindSafe(|| {
+                self.route(&request, workspace, reload_tx)
+            }));
+            let (endpoint, response, shutdown_after) = routed.unwrap_or_else(|_| {
+                // The workspace may have been left mid-update.
+                *workspace = None;
+                self.metrics.worker_panicked();
+                (
+                    Endpoint::Other,
+                    Response::error(500, "internal error: the request handler panicked"),
+                    false,
+                )
+            });
             let keep_alive = request.keep_alive && !shutdown_after && !self.is_shutting_down();
             // HEAD answers carry the head (real Content-Length included)
             // but no body bytes.

@@ -110,6 +110,7 @@ pub struct Metrics {
     queue_rejected: AtomicU64,
     reloads: AtomicU64,
     reloads_failed: AtomicU64,
+    worker_panics: AtomicU64,
 }
 
 impl Metrics {
@@ -157,6 +158,12 @@ impl Metrics {
     /// old generation keeps serving.
     pub fn reload_failed(&self) {
         self.reloads_failed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a request whose handler panicked; it was answered `500`
+    /// and its worker kept serving.
+    pub fn worker_panicked(&self) {
+        self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Completed reloads so far.
@@ -375,6 +382,15 @@ impl Metrics {
             self.connections.load(Ordering::Relaxed)
         ));
 
+        out.push_str(
+            "# HELP perilsd_worker_panics_total Requests whose handler panicked (answered 500; the worker kept serving).\n",
+        );
+        out.push_str("# TYPE perilsd_worker_panics_total counter\n");
+        out.push_str(&format!(
+            "perilsd_worker_panics_total {}\n",
+            self.worker_panics.load(Ordering::Relaxed)
+        ));
+
         out.push_str("# HELP perilsd_workers Worker threads serving requests.\n");
         out.push_str("# TYPE perilsd_workers gauge\n");
         out.push_str(&format!("perilsd_workers {workers}\n"));
@@ -394,6 +410,7 @@ mod tests {
         m.record(Endpoint::Name, 404, Duration::from_micros(300_000));
         m.record(Endpoint::Reload, 202, Duration::from_micros(50));
         m.reload_failed();
+        m.worker_panicked();
         let text = m.render(
             3,
             Duration::from_secs(2),
@@ -421,6 +438,7 @@ mod tests {
         assert!(text.contains("perilsd_page_cache_misses_total 4"));
         assert!(text.contains("perilsd_page_cache_evictions_total 2"));
         assert!(text.contains("perilsd_reloads_failed_total 1"));
+        assert!(text.contains("perilsd_worker_panics_total 1"));
         assert!(text.contains("perilsd_requests_total{endpoint=\"reload\"} 1"));
         assert!(text.contains("perilsd_responses_total{class=\"2xx\"} 2"));
         assert!(text.contains("perilsd_responses_total{class=\"4xx\"} 1"));

@@ -451,3 +451,58 @@ fn snapshot_reload_and_cold_boot_serve_identical_answers() {
 
     std::fs::remove_file(&archive).ok();
 }
+
+/// A panicking handler fails its request, not its worker: with the
+/// archive truncated under a paged daemon, `/name` faults a page past
+/// the new end of file and answers `500`, and the daemon's only worker
+/// goes on answering `/healthz` and `/metrics`.
+#[test]
+fn truncated_paged_archive_fails_requests_not_the_worker() {
+    let archive = std::env::temp_dir().join(format!("perilsd_panic_{}.psa", std::process::id()));
+    tiny_daemon(1, false)
+        .store()
+        .current()
+        .save_archive(&archive)
+        .expect("save archive");
+    let paged = Daemon::boot_from_archive(
+        WorldSpec::parse("tiny", 20040722).expect("tiny parses"),
+        ServiceConfig {
+            threads: 1,
+            queue_cap: 64,
+            figures: false,
+            // Two 4 KiB pages: nearly every read faults from the file.
+            backend: perils_survey::SnapshotBackend::paged(8192),
+        },
+        archive.to_str().expect("utf8 path"),
+    )
+    .expect("paged boot from archive");
+    let name = paged.store().current().names.get(0).name.to_string();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&archive)
+        .expect("reopen archive")
+        .set_len(0)
+        .expect("truncate archive");
+
+    let ((), summary) = with_daemon(&paged, |addr| {
+        let mut client = Client::connect(addr);
+        for _ in 0..2 {
+            let (status, _, body) = client.request("GET", &format!("/name/{name}"), None);
+            assert_eq!(status, 500, "{body}");
+        }
+        let (status, health) = client.json("GET", "/healthz", None);
+        assert_eq!(status, 200);
+        assert_eq!(epoch_of(&health), 1);
+        let (status, _, metrics) = client.request("GET", "/metrics", None);
+        assert_eq!(status, 200);
+        let panics: u64 = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("perilsd_worker_panics_total "))
+            .expect("panic counter exported")
+            .parse()
+            .expect("numeric counter");
+        assert!(panics >= 1, "panics counted: {panics}");
+    });
+    assert!(summary.requests >= 4, "summary: {summary:?}");
+    std::fs::remove_file(&archive).ok();
+}

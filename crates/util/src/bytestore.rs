@@ -7,9 +7,10 @@
 //! * **Heap** — the whole archive in one `Arc<[u8]>`; views borrow it and
 //!   reads are plain subslices.
 //! * **Paged** — a `std::fs::File` behind a fixed-page LRU cache with a
-//!   configurable byte budget; reads assemble from cached pages, faulting
-//!   misses in with positioned reads. The resident set is the cache, not
-//!   the archive, so one box can hold worlds larger than RAM.
+//!   configurable byte budget, lock-striped by page number so concurrent
+//!   readers rarely share a lock; reads assemble from cached pages,
+//!   faulting misses in with positioned reads. The resident set is the
+//!   cache, not the archive, so one box can hold worlds larger than RAM.
 //!
 //! On top sit the typed views: [`U32View`]/[`U64View`] describe a
 //! length-`n` run of little-endian words at an absolute archive offset,
@@ -27,8 +28,7 @@
 use crate::snapshot::SnapshotError;
 use std::fs::File;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Smallest accepted page size for a paged store. Tiny pages are legal
 /// (tests run 512-byte pages) but sub-64 requests are clamped here so a
@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const MIN_PAGE_BYTES: usize = 64;
 
 /// Elements decoded per refill by the buffered view iterators: large
-/// enough to amortize the page-cache lock, small enough that cloning an
+/// enough to amortize the page-cache locks, small enough that cloning an
 /// in-flight iterator stays cheap.
 const ITER_CHUNK: usize = 256;
 
@@ -52,6 +52,13 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
+/// Lock stripes of a paged store's cache. Page `n` lives in shard
+/// `n % CACHE_SHARDS`, so concurrent readers only queue on each other
+/// when they touch pages of the same stripe. A power of two (as is the
+/// unstriped count, 1), so the stripe of a page is a mask.
+const CACHE_SHARDS: usize = 16;
+const _: () = assert!(CACHE_SHARDS.is_power_of_two());
+
 /// One cached page: its bytes plus the LRU tick of its last touch.
 #[derive(Debug)]
 struct Page {
@@ -59,41 +66,82 @@ struct Page {
     tick: u64,
 }
 
-/// The mutable half of a paged store: the file handle and the page map.
-/// File reads happen under this lock, which also serializes the one
-/// file descriptor — concurrent readers that hit the cache still copy
-/// out under the lock, but never do I/O there unless they missed.
-#[derive(Debug)]
-struct PageCacheState {
-    file: File,
+/// One lock stripe of the page cache: its pages, its own LRU clock and
+/// its own counters, all behind the shard's mutex. Eviction is per
+/// shard — the coldest page *of this shard* goes — which is what lets a
+/// reader touch one stripe without seeing the others.
+#[derive(Debug, Default)]
+struct CacheShard {
     pages: std::collections::HashMap<u64, Page>,
     tick: u64,
+    counters: CacheCounters,
 }
 
 #[derive(Debug)]
 struct PagedFile {
+    file: File,
+    /// Seek-then-read moves the file's one shared cursor, so off Unix a
+    /// page fault holds this for the length of its read.
+    #[cfg(not(unix))]
+    cursor: Mutex<()>,
     len: u64,
     page_bytes: usize,
-    max_pages: usize,
-    state: Mutex<PageCacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    /// Page cap of each shard: `⌊max pages / shards⌋`, so the whole
+    /// cache never holds more than the budget.
+    shard_pages: usize,
+    shards: Box<[Mutex<CacheShard>]>,
+}
+
+/// Locks one shard. A poisoned lock means another reader panicked
+/// mid-copy; the shard's map is never left half-written (inserts are the
+/// last step), so recovering the guard is safe.
+fn lock(shard: &Mutex<CacheShard>) -> MutexGuard<'_, CacheShard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl PagedFile {
-    fn lock(&self) -> MutexGuard<'_, PageCacheState> {
-        // A poisoned lock means another reader panicked mid-copy; the
-        // cache map itself is never left half-written (inserts are the
-        // last step), so recovering the guard is safe.
-        match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
+    fn new(file: File, len: u64, page_bytes: usize, max_pages: usize) -> PagedFile {
+        // Striping a tiny budget would leave each shard a page or two
+        // and turn LRU into near-random eviction; keep those whole.
+        let shards = if max_pages < 4 * CACHE_SHARDS {
+            1
+        } else {
+            CACHE_SHARDS
+        };
+        PagedFile {
+            file,
+            #[cfg(not(unix))]
+            cursor: Mutex::new(()),
+            len,
+            page_bytes,
+            shard_pages: max_pages / shards,
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// Positioned read without a shared cursor: `pread` on Unix,
+    /// seek-then-read under `cursor` elsewhere.
+    fn read_exact_at(&self, offset: u64, out: &mut [u8]) -> std::io::Result<()> {
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileExt;
+            self.file.read_exact_at(out, offset)
+        }
+        #[cfg(not(unix))]
+        {
+            use std::io::{Read, Seek, SeekFrom};
+            // Every read seeks first, so a cursor left anywhere by a
+            // panicked reader is harmless.
+            let _cursor = self.cursor.lock().unwrap_or_else(PoisonError::into_inner);
+            (&self.file).seek(SeekFrom::Start(offset))?;
+            (&self.file).read_exact(out)
         }
     }
 
     /// Copies `out.len()` bytes starting at absolute `offset`, faulting
     /// pages in as needed. Caller has already bounds-checked the range.
+    /// Each page is served under its own shard's lock, taken and dropped
+    /// per page.
     fn read_into(&self, offset: u64, out: &mut [u8]) -> std::io::Result<()> {
         if out.is_empty() {
             return Ok(());
@@ -101,41 +149,42 @@ impl PagedFile {
         let page_bytes = self.page_bytes as u64;
         let first = offset / page_bytes;
         let last = (offset + out.len() as u64 - 1) / page_bytes;
-        let mut state = self.lock();
         for page_no in first..=last {
             let page_start = page_no * page_bytes;
             let copy_from = offset.max(page_start);
             let copy_to = (offset + out.len() as u64).min(page_start + page_bytes);
             let in_page = (copy_from - page_start) as usize..(copy_to - page_start) as usize;
             let in_out = (copy_from - offset) as usize..(copy_to - offset) as usize;
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(page) = state.pages.get_mut(&page_no) {
+            let mut shard = lock(&self.shards[page_no as usize & (self.shards.len() - 1)]);
+            shard.tick += 1;
+            let tick = shard.tick;
+            if let Some(page) = shard.pages.get_mut(&page_no) {
                 page.tick = tick;
                 out[in_out].copy_from_slice(&page.data[in_page]);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                shard.counters.hits += 1;
                 continue;
             }
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            shard.counters.misses += 1;
             let want = (self.len - page_start).min(page_bytes) as usize;
             let mut data = vec![0u8; want];
-            read_at_exact(&mut state.file, page_start, &mut data)?;
+            self.read_exact_at(page_start, &mut data)?;
             out[in_out].copy_from_slice(&data[in_page]);
-            if state.pages.len() >= self.max_pages {
-                // O(pages) coldest-tick scan: budgets are small by design
-                // (that is the point of paging), so a linear sweep beats
-                // maintaining an intrusive list without `unsafe`.
-                if let Some(&coldest) = state
+            if shard.pages.len() >= self.shard_pages {
+                // O(shard pages) coldest-tick scan: a shard holds a
+                // sixteenth of a budget that is small by design (that is
+                // the point of paging), so a linear sweep beats an
+                // intrusive list without `unsafe`.
+                if let Some(&coldest) = shard
                     .pages
                     .iter()
                     .min_by_key(|(_, p)| p.tick)
                     .map(|(no, _)| no)
                 {
-                    state.pages.remove(&coldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    shard.pages.remove(&coldest);
+                    shard.counters.evictions += 1;
                 }
             }
-            state.pages.insert(
+            shard.pages.insert(
                 page_no,
                 Page {
                     data: data.into_boxed_slice(),
@@ -147,28 +196,27 @@ impl PagedFile {
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.lock()
-            .pages
-            .values()
-            .map(|p| p.data.len() as u64)
+        self.shards
+            .iter()
+            .map(|shard| {
+                lock(shard)
+                    .pages
+                    .values()
+                    .map(|p| p.data.len() as u64)
+                    .sum::<u64>()
+            })
             .sum()
     }
-}
 
-/// Positioned read without moving a shared cursor. On Unix this is
-/// `pread`; elsewhere it falls back to seek-then-read (safe here because
-/// the file handle is exclusive to the locked cache state).
-fn read_at_exact(file: &mut File, offset: u64, out: &mut [u8]) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::FileExt;
-        file.read_exact_at(out, offset)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Read, Seek, SeekFrom};
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(out)
+    fn cache_counters(&self) -> CacheCounters {
+        let mut sum = CacheCounters::default();
+        for shard in self.shards.iter() {
+            let c = lock(shard).counters;
+            sum.hits += c.hits;
+            sum.misses += c.misses;
+            sum.evictions += c.evictions;
+        }
+        sum
     }
 }
 
@@ -201,7 +249,9 @@ impl ByteStore {
     /// Opens `path` as a paged store: `page_bytes` per page (clamped to
     /// [`MIN_PAGE_BYTES`]), at most `budget_bytes` of cached pages
     /// (clamped to two pages, the minimum that lets a read straddle a
-    /// boundary without thrashing its own working set).
+    /// boundary without thrashing its own working set). Budgets of 64
+    /// pages and up are split over 16 lock stripes of `⌊pages / 16⌋`
+    /// pages each; smaller ones stay one LRU.
     pub fn open_paged(
         path: impl AsRef<std::path::Path>,
         page_bytes: usize,
@@ -214,19 +264,7 @@ impl ByteStore {
             .unwrap_or(usize::MAX)
             .max(2);
         Ok(ByteStore {
-            inner: StoreInner::Paged(PagedFile {
-                len,
-                page_bytes,
-                max_pages,
-                state: Mutex::new(PageCacheState {
-                    file,
-                    pages: std::collections::HashMap::new(),
-                    tick: 0,
-                }),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-            }),
+            inner: StoreInner::Paged(PagedFile::new(file, len, page_bytes, max_pages)),
         })
     }
 
@@ -272,11 +310,7 @@ impl ByteStore {
     pub fn cache_counters(&self) -> CacheCounters {
         match &self.inner {
             StoreInner::Heap(_) => CacheCounters::default(),
-            StoreInner::Paged(paged) => CacheCounters {
-                hits: paged.hits.load(Ordering::Relaxed),
-                misses: paged.misses.load(Ordering::Relaxed),
-                evictions: paged.evictions.load(Ordering::Relaxed),
-            },
+            StoreInner::Paged(paged) => paged.cache_counters(),
         }
     }
 
@@ -774,6 +808,69 @@ mod tests {
         let c = paged.cache_counters();
         assert!(c.evictions > 0, "evictions counted: {c:?}");
         assert!(c.misses >= 16, "every page missed at least once");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_paged_reads_match_heap_and_stay_in_budget() {
+        const THREADS: usize = 4;
+        const READS: usize = 2_000;
+        let page = 512usize;
+        // 257 pages with a ragged tail: larger than every budget below.
+        let bytes = pattern_bytes(256 * page + 100);
+        let path = temp_path("concurrent");
+        std::fs::write(&path, &bytes).expect("write temp");
+        let heap = ByteStore::heap(bytes);
+        // Both sides of the striping threshold (64 pages), each budget
+        // paired with the shard count it must get.
+        for (budget_pages, shards) in [(2, 1), (63, 1), (64, CACHE_SHARDS), (100, CACHE_SHARDS)] {
+            let budget = (budget_pages * page) as u64;
+            let paged = ByteStore::open_paged(&path, page, budget).expect("open");
+            let StoreInner::Paged(file) = &paged.inner else {
+                unreachable!("open_paged builds a paged store")
+            };
+            assert_eq!(file.shards.len(), shards, "budget {budget_pages} pages");
+            let start = std::sync::Barrier::new(THREADS);
+            let touches: u64 = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let (paged, heap, start) = (&paged, &heap, &start);
+                        scope.spawn(move || {
+                            let mut rng = crate::Rng::new(0x5EED + t as u64);
+                            let mut touched = 0u64;
+                            start.wait();
+                            for _ in 0..READS {
+                                let len = 1 + rng.below_usize(3 * page);
+                                let off = rng.below(heap.len() - len as u64 + 1);
+                                let mut want = vec![0u8; len];
+                                let mut got = vec![0u8; len];
+                                heap.try_read(off, &mut want, "t").expect("heap read");
+                                paged.try_read(off, &mut got, "t").expect("paged read");
+                                assert_eq!(want, got, "off={off} len={len}");
+                                touched +=
+                                    (off + len as u64 - 1) / page as u64 - off / page as u64 + 1;
+                            }
+                            touched
+                        })
+                    })
+                    .collect();
+                readers
+                    .into_iter()
+                    .map(|r| r.join().expect("reader thread"))
+                    .sum()
+            });
+            // The plateau is `shards × ⌊budget pages / shards⌋` pages.
+            let plateau = (shards * (budget_pages / shards) * page) as u64;
+            assert!(plateau <= budget);
+            assert!(
+                paged.resident_bytes() <= plateau,
+                "budget {budget_pages} pages: {} resident bytes",
+                paged.resident_bytes()
+            );
+            let c = paged.cache_counters();
+            assert_eq!(c.hits + c.misses, touches, "every page touch counted once");
+            assert!(c.evictions > 0, "the working set exceeds the budget");
+        }
         std::fs::remove_file(&path).ok();
     }
 
