@@ -56,7 +56,7 @@ pub use closure::{ClosureView, ClosureWorkspace, DependencyIndex, NameClosure};
 pub use dnssec::{DeploymentPolicy, DnssecCoverageMetric};
 pub use hijack::{HijackAnalysis, HijackSet};
 pub use lint::{
-    check_universe, Diagnostic, EvidenceStep, LintCtx, LintError, LintIndex, LintRule,
+    check_universe, At, Diagnostic, EvidenceStep, LintCtx, LintError, LintIndex, LintRule,
     RuleRegistry, Severity, SeverityOverrides, Subject,
 };
 pub use metric::{

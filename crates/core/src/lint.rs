@@ -50,6 +50,7 @@ use crate::universe::{ServerId, Universe, ZoneId};
 use crate::usable::Reachability;
 use crate::zombie::ZombieIndex;
 use perils_dns::name::DnsName;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -127,20 +128,42 @@ impl fmt::Display for Subject {
     }
 }
 
+/// What an evidence step points at: a server or a zone of the universe
+/// the diagnostic was computed over. Sinks resolve it with [`At::name`]
+/// when they write it, so a report holds ids, not copies of names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum At {
+    /// A nameserver, shown by host name.
+    Server(ServerId),
+    /// A zone, shown by origin.
+    Zone(ZoneId),
+}
+
+impl At {
+    /// The DNS name this step points at in `universe`.
+    pub fn name(self, universe: &Universe) -> &DnsName {
+        match self {
+            At::Server(sid) => &universe.server(sid).name,
+            At::Zone(zid) => &universe.zone(zid).origin,
+        }
+    }
+}
+
 /// One hop of an evidence chain: a concrete host or zone plus why it
 /// matters for the finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvidenceStep {
-    /// The DNS name this step points at.
-    pub at: DnsName,
-    /// Why this name proves (part of) the finding.
-    pub note: String,
+    /// The server or zone this step points at.
+    pub at: At,
+    /// Why it proves (part of) the finding. Fixed phrases are borrowed;
+    /// only notes that name something are allocated.
+    pub note: Cow<'static, str>,
 }
 
 impl EvidenceStep {
-    fn new(at: &DnsName, note: impl Into<String>) -> EvidenceStep {
+    fn server(sid: ServerId, note: impl Into<Cow<'static, str>>) -> EvidenceStep {
         EvidenceStep {
-            at: at.clone(),
+            at: At::Server(sid),
             note: note.into(),
         }
     }
@@ -512,14 +535,13 @@ impl LintRule for SingleServerRule {
             if zone.origin.is_root() || !SingleServerRule::applies(ctx.universe, zid) {
                 continue;
             }
-            let sole = ctx.universe.server(zone.ns[0]);
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
                 subject: Subject::Zone(zone.origin.clone()),
                 message: format!("zone {} is served by a single nameserver", zone.origin),
-                evidence: vec![EvidenceStep::new(
-                    &sole.name,
+                evidence: vec![EvidenceStep::server(
+                    zone.ns[0],
                     "the only NS of the delegation",
                 )],
             });
@@ -560,15 +582,11 @@ impl LintRule for SingleOperatorRule {
             let Some(operator) = SingleOperatorRule::shared_operator(ctx.universe, zid) else {
                 continue;
             };
+            let note = format!("operated under {operator}");
             let evidence = zone
                 .ns
                 .iter()
-                .map(|&sid| {
-                    EvidenceStep::new(
-                        &ctx.universe.server(sid).name,
-                        format!("operated under {operator}"),
-                    )
-                })
+                .map(|&sid| EvidenceStep::server(sid, note.clone()))
                 .collect();
             out.push(Diagnostic {
                 rule: self.id(),
@@ -623,8 +641,8 @@ impl LintRule for LameDelegationRule {
             let evidence = dangling
                 .iter()
                 .map(|&sid| {
-                    EvidenceStep::new(
-                        &ctx.universe.server(sid).name,
+                    EvidenceStep::server(
+                        sid,
                         "no modeled zone can produce an address for this host",
                     )
                 })
@@ -683,12 +701,7 @@ impl LintRule for GluelessCycleRule {
             };
             let evidence = cycle
                 .iter()
-                .map(|&sid| {
-                    EvidenceStep::new(
-                        &ctx.universe.server(sid).name,
-                        "member of the glueless dependency cycle",
-                    )
-                })
+                .map(|&sid| EvidenceStep::server(sid, "member of the glueless dependency cycle"))
                 .collect();
             out.push(Diagnostic {
                 rule: self.id(),
@@ -749,8 +762,8 @@ impl DeepChainRule {
                     continue;
                 }
                 if 1 + depths.depth_of_server(sid) == total {
-                    steps.push(EvidenceStep::new(
-                        &server.name,
+                    steps.push(EvidenceStep::server(
+                        sid,
                         format!("glueless NS of {} ({} levels below)", zone.origin, total),
                     ));
                     cursor = Some(sid);
@@ -768,8 +781,7 @@ impl DeepChainRule {
             // glueless SCC (cycles are one collapsed level).
             let members: &[ServerId] = depths.cycle_of(sid).unwrap_or(std::slice::from_ref(&sid));
             'next: for &member in members {
-                let member_name = universe.server(member).name.clone();
-                for &zid in &universe.chain_zones(&member_name) {
+                for &zid in &universe.chain_zones(&universe.server(member).name) {
                     let zone = universe.zone(zid);
                     for &dep in &zone.ns {
                         let dep_server = universe.server(dep);
@@ -777,8 +789,8 @@ impl DeepChainRule {
                             continue;
                         }
                         if 1 + depths.depth_of_server(dep) == want {
-                            steps.push(EvidenceStep::new(
-                                &dep_server.name,
+                            steps.push(EvidenceStep::server(
+                                dep,
                                 format!("glueless NS of {} ({} levels below)", zone.origin, want),
                             ));
                             cursor = Some(dep);
@@ -851,10 +863,7 @@ impl LintRule for ZombieNsRule {
                 .ns
                 .iter()
                 .map(|&sid| {
-                    EvidenceStep::new(
-                        &ctx.universe.server(sid).name,
-                        "dead: its namespace branch has no modeled home zone",
-                    )
+                    EvidenceStep::server(sid, "dead: its namespace branch has no modeled home zone")
                 })
                 .collect();
             out.push(Diagnostic {
@@ -897,10 +906,10 @@ impl LintRule for OrphanedGlueRule {
                 continue;
             }
             let evidence = match ctx.universe.home_zone_of(sid) {
-                Some(home) => vec![EvidenceStep::new(
-                    &ctx.universe.zone(home).origin,
-                    "deepest zone enclosing the orphan",
-                )],
+                Some(home) => vec![EvidenceStep {
+                    at: At::Zone(home),
+                    note: Cow::Borrowed("deepest zone enclosing the orphan"),
+                }],
                 None => Vec::new(),
             };
             out.push(Diagnostic {
@@ -945,9 +954,9 @@ impl LintRule for ChokePointRule {
             }
             let choke = cut.servers[0];
             let server = ctx.universe.server(choke);
-            let mut evidence = vec![EvidenceStep::new(
-                &server.name,
-                if ctx.universe.server(choke).vulnerable {
+            let mut evidence = vec![EvidenceStep::server(
+                choke,
+                if server.vulnerable {
                     "the minimum vertex cut, alone — and it is vulnerable"
                 } else {
                     "the minimum vertex cut, alone"
@@ -967,8 +976,8 @@ impl LintRule for ChokePointRule {
                         if sid == choke {
                             continue; // already the headline step
                         }
-                        evidence.push(EvidenceStep::new(
-                            &ctx.universe.server(sid).name,
+                        evidence.push(EvidenceStep::server(
+                            sid,
                             "on the witness resolution path through the choke point",
                         ));
                     }
@@ -1038,25 +1047,19 @@ impl LintRule for TcbInflationRule {
             if tcb < (self.factor * k).max(k + self.slack) {
                 return;
             }
+            let note = format!("delegated NS of {}", ctx.universe.zone(own_zone).origin);
             let mut evidence: Vec<EvidenceStep> = own_ns
                 .iter()
-                .map(|&sid| {
-                    EvidenceStep::new(
-                        &ctx.universe.server(sid).name,
-                        format!("delegated NS of {}", ctx.universe.zone(own_zone).origin),
-                    )
-                })
+                .map(|&sid| EvidenceStep::server(sid, note.clone()))
                 .collect();
-            let own: BTreeSet<ServerId> = own_ns.iter().copied().collect();
             let mut listed = 0usize;
             for sid in view.servers() {
-                let server = ctx.universe.server(sid);
-                if server.is_root || own.contains(&sid) {
+                if ctx.universe.server(sid).is_root || own_ns.contains(&sid) {
                     continue;
                 }
                 if listed < TCB_EVIDENCE_CAP {
-                    evidence.push(EvidenceStep::new(
-                        &server.name,
+                    evidence.push(EvidenceStep::server(
+                        sid,
                         "transitively trusted for some NS address",
                     ));
                 }
@@ -1156,7 +1159,8 @@ mod tests {
             .iter()
             .find(|d| d.rule == "glueless-cycle")
             .expect("cycle diagnostic");
-        let members: Vec<String> = cycle.evidence.iter().map(|e| e.at.to_string()).collect();
+        let at = |e: &EvidenceStep| e.at.name(&u).to_string();
+        let members: Vec<String> = cycle.evidence.iter().map(at).collect();
         // Ascending interning order: x.com's NS (ns.y.com) was seen first.
         assert_eq!(members, vec!["ns.y.com", "ns.x.com"]);
 
@@ -1165,7 +1169,7 @@ mod tests {
             .find(|d| d.rule == "lame-delegation" && d.subject.name() == &name("dangling.com"))
             .expect("lame diagnostic");
         assert_eq!(lame.evidence.len(), 1);
-        assert_eq!(lame.evidence[0].at, name("ns.ghost.zz"));
+        assert_eq!(lame.evidence[0].at.name(&u), &name("ns.ghost.zz"));
 
         let deep = diags
             .iter()
@@ -1173,7 +1177,7 @@ mod tests {
             .expect("deep diagnostic");
         assert_eq!(deep.subject, Subject::Name(name("www.victim.com")));
         // The worst path walks the actual nesting: a.net's NS then b.net's.
-        let hops: Vec<String> = deep.evidence.iter().map(|e| e.at.to_string()).collect();
+        let hops: Vec<String> = deep.evidence.iter().map(at).collect();
         assert_eq!(hops, vec!["ns.a.net", "ns.b.net", "ns.c.net"]);
 
         let orphan = diags
@@ -1181,6 +1185,17 @@ mod tests {
             .find(|d| d.rule == "orphaned-glue")
             .expect("orphan diagnostic");
         assert_eq!(orphan.subject, Subject::Server(name("ns.fedworld.zz")));
+        let home = u.home_zone_of(u.server_id(&name("ns.fedworld.zz")).unwrap());
+        let at: Vec<At> = orphan.evidence.iter().map(|e| e.at).collect();
+        assert_eq!(at, home.map(At::Zone).into_iter().collect::<Vec<_>>());
+    }
+
+    /// Evidence is the bulk of a world-scale report: a step stays an id
+    /// plus a note. (That fixed notes stay borrowed is pinned on the
+    /// tripwire world, which trips every rule, in `lint_golden.rs`.)
+    #[test]
+    fn evidence_steps_stay_small() {
+        assert!(std::mem::size_of::<EvidenceStep>() <= 32);
     }
 
     #[test]
@@ -1195,7 +1210,8 @@ mod tests {
         // singleton layer (or deeper); whichever the min-cut picks, the
         // evidence names a real server and a path.
         assert!(!choke.evidence.is_empty());
-        assert!(u.server_id(&choke.evidence[0].at).is_some());
+        assert!(matches!(choke.evidence[0].at, At::Server(_)));
+        assert!(u.server_id(choke.evidence[0].at.name(&u)).is_some());
     }
 
     #[test]
@@ -1219,7 +1235,10 @@ mod tests {
             .find(|d| d.rule == "tcb-inflation")
             .expect("inflation fires: tcb 5 vs 1 NS meets max(3*1, 1+4)");
         assert_eq!(inflation.subject, Subject::Name(name("www.fat.com")));
-        assert!(inflation.evidence.iter().any(|e| e.at == name("ns.b5.net")));
+        assert!(inflation
+            .evidence
+            .iter()
+            .any(|e| e.at.name(&u) == &name("ns.b5.net")));
     }
 
     #[test]

@@ -135,6 +135,12 @@ impl Label {
         }
     }
 
+    /// The label as text. Labels are validated printable ASCII
+    /// ([`Label::validate`]), so this never fails.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("labels are validated printable ASCII")
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.as_bytes().len()
@@ -196,8 +202,7 @@ impl Ord for Label {
 
 impl fmt::Display for Label {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Labels are validated printable ASCII, so lossless.
-        write!(f, "{}", String::from_utf8_lossy(self.as_bytes()))
+        f.write_str(self.as_str())
     }
 }
 

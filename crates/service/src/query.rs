@@ -18,8 +18,9 @@ use perils_core::closure::ClosureWorkspace;
 use perils_core::hijack::min_cut_flattened_view;
 use perils_core::lint::{Diagnostic, LintCtx, RuleRegistry};
 use perils_core::tcb::TcbTally;
-use perils_core::universe::{ServerId, ZoneId};
+use perils_core::universe::{ServerId, Universe, ZoneId};
 use perils_dns::name::DnsName;
+use perils_survey::lint::push_json_name;
 use perils_util::json::push_json_string;
 
 /// Cap on `GET /names?limit=`.
@@ -32,12 +33,13 @@ fn push_name_field(out: &mut String, key: &str, name: &DnsName) {
     out.push('"');
     out.push_str(key);
     out.push_str("\":");
-    push_json_string(out, &name.to_string());
+    push_json_name(out, name);
 }
 
 /// Serializes lint diagnostics (rule, severity, subject, message,
-/// evidence chain) as a JSON array.
-fn push_diagnostics(out: &mut String, diagnostics: &[Diagnostic]) {
+/// evidence chain) as a JSON array, resolving evidence through the
+/// `universe` they were computed over.
+fn push_diagnostics(out: &mut String, universe: &Universe, diagnostics: &[Diagnostic]) {
     out.push('[');
     for (i, d) in diagnostics.iter().enumerate() {
         if i > 0 {
@@ -59,7 +61,7 @@ fn push_diagnostics(out: &mut String, diagnostics: &[Diagnostic]) {
                 out.push(',');
             }
             out.push('{');
-            push_name_field(out, "at", &step.at);
+            push_name_field(out, "at", step.at.name(universe));
             out.push_str(",\"note\":");
             push_json_string(out, &step.note);
             out.push('}');
@@ -155,7 +157,7 @@ pub fn name_response(
                 if i > 0 {
                     body.push(',');
                 }
-                push_json_string(&mut body, &snap.universe.server(sid).name.to_string());
+                push_json_name(&mut body, &snap.universe.server(sid).name);
             }
             body.push_str("]}");
         }
@@ -166,7 +168,7 @@ pub fn name_response(
         .map(|set| set.size() > 0 && set.fully_vulnerable())
         .unwrap_or(false);
     body.push_str(&format!(",\"hijackable\":{hijackable},\"lint\":"));
-    push_diagnostics(&mut body, &diagnostics);
+    push_diagnostics(&mut body, &snap.universe, &diagnostics);
     body.push('}');
     Response::json(200, body)
 }
@@ -194,7 +196,7 @@ pub fn zone_response(snap: &WorldSnapshot, rules: &RuleRegistry, raw: &str) -> R
     push_name_field(&mut body, "zone", &entry.origin);
     body.push_str(",\"parent\":");
     match parent {
-        Some(p) => push_json_string(&mut body, &snap.universe.zone(p).origin.to_string()),
+        Some(p) => push_json_name(&mut body, &snap.universe.zone(p).origin),
         None => body.push_str("null"),
     }
     body.push_str(&format!(
@@ -214,7 +216,7 @@ pub fn zone_response(snap: &WorldSnapshot, rules: &RuleRegistry, raw: &str) -> R
         ));
     }
     body.push_str("],\"lint\":");
-    push_diagnostics(&mut body, &diagnostics);
+    push_diagnostics(&mut body, &snap.universe, &diagnostics);
     body.push('}');
     Response::json(200, body)
 }
@@ -245,7 +247,7 @@ pub fn names_response(snap: &WorldSnapshot, query: Option<&str>) -> Response {
         if i > 0 {
             body.push(',');
         }
-        push_json_string(&mut body, &surveyed.name.to_string());
+        push_json_name(&mut body, &surveyed.name);
     }
     body.push_str("]}");
     Response::json(200, body)
@@ -291,6 +293,45 @@ mod tests {
         assert!(tcb.get("size").and_then(|v| v.as_u64()).unwrap_or(0) > 0);
         assert!(value.get("hijackable").and_then(|v| v.as_bool()).is_some());
         assert!(value.get("lint").and_then(|v| v.as_array()).is_some());
+    }
+
+    /// Labels may hold `"` and `\`; names are written into the body
+    /// label by label, and must still read back as their `Display`.
+    #[test]
+    fn name_answer_escapes_quote_and_backslash_labels() {
+        use perils_core::{DependencyIndex, LintIndex};
+        use perils_dns::name::name;
+        let host = name("ns\"q\\x.quote.com");
+        let roots = [name("a.root-servers.net"), name("b.root-servers.net")];
+        let mut b = Universe::builder();
+        for root in &roots {
+            b.raw_server(root, false, true);
+        }
+        b.add_zone(&DnsName::root(), &roots);
+        b.add_zone(&name("com"), &roots);
+        b.add_zone(&name("quote.com"), std::slice::from_ref(&host));
+        let universe = b.finish();
+        let mut snap = fbi_snapshot();
+        snap.index = DependencyIndex::build(&universe);
+        snap.lint = LintIndex::build(&universe);
+        snap.universe = universe;
+
+        let rules = RuleRegistry::builtin();
+        let mut ws = snap.index.workspace();
+        let value = body_of(&name_response(&snap, &rules, &mut ws, "www.quote.com"));
+        let shown = Value::String(host.to_string());
+        let cut = value.get("min_cut").and_then(|c| c.get("servers"));
+        assert_eq!(
+            cut.and_then(Value::as_array),
+            Some(std::slice::from_ref(&shown))
+        );
+        let lint = value.get("lint").and_then(Value::as_array).expect("lint");
+        let single = lint
+            .iter()
+            .find(|d| d.get("rule").and_then(Value::as_str) == Some("single-server"))
+            .expect("single-server finding");
+        let evidence = single.get("evidence").and_then(Value::as_array).unwrap();
+        assert_eq!(evidence[0].get("at"), Some(&shown));
     }
 
     #[test]

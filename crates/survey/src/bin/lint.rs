@@ -25,10 +25,11 @@ use perils_core::universe::Universe;
 use perils_core::{DependencyIndex, LintIndex};
 use perils_dns::name::{name, DnsName};
 use perils_survey::engine::{SyntheticSource, WorldSource};
-use perils_survey::lint::{run_lint, run_lint_with, LintFormat};
+use perils_survey::lint::{run_lint, run_lint_with, LintFormat, LintReport};
 use perils_survey::params::TopologyParams;
 use perils_survey::scenario::universe_from_scenario;
 use perils_survey::topology::SurveyName;
+use std::io::{self, BufWriter, Write};
 use std::num::NonZeroUsize;
 
 const USAGE: &str = "usage: lint [--world fbi|cornell|tripwire|tiny|default|paper] [--seed N]
@@ -227,6 +228,13 @@ fn print_rule_list(registry: &RuleRegistry) {
     print!("{}", table.render());
 }
 
+/// Writes `report` in `format` through a buffer into `sink`.
+fn write_report(report: &LintReport<'_>, format: LintFormat, sink: impl Write) -> io::Result<()> {
+    let mut out = BufWriter::new(sink);
+    report.write(format, &mut out)?;
+    out.flush()
+}
+
 fn main() {
     let args = parse_args();
     let registry = RuleRegistry::builtin();
@@ -312,16 +320,18 @@ fn main() {
         }
     }
 
-    let rendered = report.emit(args.format);
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("error: writing {path:?} failed: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote report to {path}");
-        }
-        None => print!("{rendered}"),
+    // Stream the report: it is never rendered whole in memory.
+    let written = match &args.out {
+        Some(path) => std::fs::File::create(path)
+            .and_then(|file| write_report(&report, args.format, file))
+            .map(|()| eprintln!("wrote report to {path}"))
+            .map_err(|e| format!("writing {path:?} failed: {e}")),
+        None => write_report(&report, args.format, std::io::stdout().lock())
+            .map_err(|e| format!("writing stdout failed: {e}")),
+    };
+    if let Err(message) = written {
+        eprintln!("error: {message}");
+        std::process::exit(1);
     }
 
     if report.has_deny() {

@@ -11,7 +11,9 @@
 //!
 //! Three sinks serialize a [`LintReport`]: rustc-style text for humans,
 //! a findings/rules/summary JSON document, and SARIF 2.1.0 for code
-//! scanning UIs and CI annotation.
+//! scanning UIs and CI annotation. Each writes into any `io::Write`, one
+//! finding at a time, resolving evidence ids to names as it goes; the
+//! report itself holds ids, never copies of names.
 
 use perils_core::lint::{
     check_universe, Diagnostic, LintCtx, LintIndex, RuleRegistry, Severity, SeverityOverrides,
@@ -19,7 +21,8 @@ use perils_core::lint::{
 use perils_core::universe::{ServerId, Universe, ZoneId};
 use perils_core::DependencyIndex;
 use perils_dns::name::DnsName;
-use perils_util::json::push_json_string;
+use perils_util::json::{push_json_escaped, push_json_string};
+use std::io::{self, Write};
 use std::num::NonZeroUsize;
 
 /// A rule's listing entry: its id, *effective* severity (defaults plus
@@ -38,7 +41,10 @@ pub struct RuleMeta {
 /// re-stamped by overrides, `allow`-level findings dropped) plus the
 /// rule listing and subject counts the sinks summarize.
 #[derive(Debug, Clone)]
-pub struct LintReport {
+pub struct LintReport<'u> {
+    /// The linted universe: every evidence step's
+    /// [`At`](perils_core::lint::At) resolves through it.
+    pub universe: &'u Universe,
     /// Every reported diagnostic, in rule-major, subject-range order.
     pub diagnostics: Vec<Diagnostic>,
     /// Every registered rule with its effective severity.
@@ -51,7 +57,7 @@ pub struct LintReport {
     pub names: usize,
 }
 
-impl LintReport {
+impl LintReport<'_> {
     /// Whether any reported finding is deny-level (the CI/exit-1 gate).
     pub fn has_deny(&self) -> bool {
         self.diagnostics
@@ -67,13 +73,21 @@ impl LintReport {
             .count()
     }
 
-    /// Renders through the chosen sink.
-    pub fn emit(&self, format: LintFormat) -> String {
+    /// Streams the report through the chosen sink into `out`.
+    pub fn write(&self, format: LintFormat, out: &mut impl Write) -> io::Result<()> {
         match format {
-            LintFormat::Text => render_text(self),
-            LintFormat::Json => render_json(self),
-            LintFormat::Sarif => render_sarif(self),
+            LintFormat::Text => write_text(self, out),
+            LintFormat::Json => write_json(self, out),
+            LintFormat::Sarif => write_sarif(self, out),
         }
+    }
+
+    /// Renders through the chosen sink into one string.
+    pub fn emit(&self, format: LintFormat) -> String {
+        let mut out = Vec::new();
+        self.write(format, &mut out)
+            .expect("writing into memory cannot fail");
+        String::from_utf8(out).expect("every sink writes UTF-8")
     }
 }
 
@@ -85,13 +99,13 @@ impl LintReport {
 /// contiguous sub-ranges of each subject axis and their per-rule shards
 /// are concatenated in range order, exactly the metric engine's merge
 /// discipline.
-pub fn run_lint(
-    universe: &Universe,
+pub fn run_lint<'u>(
+    universe: &'u Universe,
     names: &[DnsName],
     registry: &RuleRegistry,
     overrides: &SeverityOverrides,
     threads: Option<NonZeroUsize>,
-) -> LintReport {
+) -> LintReport<'u> {
     let workers = thread_count(threads);
     let index = DependencyIndex::build_with_threads(universe, workers);
     let facts = LintIndex::build(universe);
@@ -105,15 +119,15 @@ pub fn run_lint(
 /// archive already carries both, so linting skips the two builds. The
 /// index and facts must belong to `universe` (the snapshot decoder
 /// validates this for loaded archives).
-pub fn run_lint_with(
-    universe: &Universe,
+pub fn run_lint_with<'u>(
+    universe: &'u Universe,
     names: &[DnsName],
     registry: &RuleRegistry,
     overrides: &SeverityOverrides,
     threads: Option<NonZeroUsize>,
     index: &DependencyIndex,
     facts: &LintIndex,
-) -> LintReport {
+) -> LintReport<'u> {
     let workers = thread_count(threads);
     let zones: Vec<ZoneId> = universe.zone_ids().collect();
     let servers: Vec<ServerId> = universe.server_ids().collect();
@@ -127,6 +141,7 @@ pub fn run_lint_with(
     };
 
     finish_report(
+        universe,
         diagnostics,
         registry,
         overrides,
@@ -136,14 +151,15 @@ pub fn run_lint_with(
     )
 }
 
-fn finish_report(
+fn finish_report<'u>(
+    universe: &'u Universe,
     diagnostics: Vec<Diagnostic>,
     registry: &RuleRegistry,
     overrides: &SeverityOverrides,
     zones: usize,
     servers: usize,
     names: usize,
-) -> LintReport {
+) -> LintReport<'u> {
     let rules: Vec<RuleMeta> = registry
         .iter()
         .map(|rule| RuleMeta {
@@ -171,6 +187,7 @@ fn finish_report(
         })
         .collect();
     LintReport {
+        universe,
         diagnostics,
         rules,
         zones,
@@ -287,76 +304,107 @@ fn sarif_level(severity: Severity) -> &'static str {
     }
 }
 
+/// Appends `name` in presentation form (the bytes of its `Display`),
+/// JSON-escaped label by label and without quotes.
+fn push_name_escaped(out: &mut String, name: &DnsName) {
+    if name.is_root() {
+        out.push('.');
+    }
+    for (i, label) in name.labels().iter().enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        push_json_escaped(out, label.as_str());
+    }
+}
+
+/// Appends `name` as a JSON string literal in presentation form, without
+/// first rendering it to a `String`.
+pub fn push_json_name(out: &mut String, name: &DnsName) {
+    out.push('"');
+    push_name_escaped(out, name);
+    out.push('"');
+}
+
 /// rustc-style text: one headline + subject arrow + evidence notes per
 /// finding, then a summary line.
-pub fn render_text(report: &LintReport) -> String {
-    let mut out = String::new();
+pub fn write_text(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<()> {
     for d in &report.diagnostics {
-        out.push_str(&format!(
-            "{}[{}]: {}\n  --> {}\n",
+        writeln!(
+            out,
+            "{}[{}]: {}\n  --> {}",
             text_label(d.severity),
             d.rule,
             d.message,
             d.subject
-        ));
+        )?;
         for step in &d.evidence {
-            out.push_str(&format!("  = note: {}: {}\n", step.at, step.note));
+            writeln!(
+                out,
+                "  = note: {}: {}",
+                step.at.name(report.universe),
+                step.note
+            )?;
         }
-        out.push('\n');
+        writeln!(out)?;
     }
-    out.push_str(&format!(
-        "lint: {} finding(s) ({} deny, {} warn) across {} zones, {} servers, {} names\n",
+    writeln!(
+        out,
+        "lint: {} finding(s) ({} deny, {} warn) across {} zones, {} servers, {} names",
         report.diagnostics.len(),
         report.count(Severity::Deny),
         report.count(Severity::Warn),
         report.zones,
         report.servers,
         report.names,
-    ));
-    out
+    )
 }
 
-/// The findings/rules/summary JSON document.
-pub fn render_json(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"findings\": [");
+/// The findings/rules/summary JSON document. Each finding is assembled
+/// in one reused buffer and written out whole.
+pub fn write_json(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<()> {
+    let mut buf = String::from("{\n  \"findings\": [");
     for (i, d) in report.diagnostics.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\"rule\": ");
-        push_json_string(&mut out, d.rule);
-        out.push_str(", \"severity\": ");
-        push_json_string(&mut out, d.severity.label());
-        out.push_str(", \"subject\": {\"kind\": ");
-        push_json_string(&mut out, d.subject.kind());
-        out.push_str(", \"name\": ");
-        push_json_string(&mut out, &d.subject.name().to_string());
-        out.push_str("}, \"message\": ");
-        push_json_string(&mut out, &d.message);
-        out.push_str(", \"evidence\": [");
+        buf.push_str(if i == 0 { "\n" } else { ",\n" });
+        buf.push_str("    {\"rule\": ");
+        push_json_string(&mut buf, d.rule);
+        buf.push_str(", \"severity\": ");
+        push_json_string(&mut buf, d.severity.label());
+        buf.push_str(", \"subject\": {\"kind\": ");
+        push_json_string(&mut buf, d.subject.kind());
+        buf.push_str(", \"name\": ");
+        push_json_name(&mut buf, d.subject.name());
+        buf.push_str("}, \"message\": ");
+        push_json_string(&mut buf, &d.message);
+        buf.push_str(", \"evidence\": [");
         for (j, step) in d.evidence.iter().enumerate() {
             if j > 0 {
-                out.push_str(", ");
+                buf.push_str(", ");
             }
-            out.push_str("{\"at\": ");
-            push_json_string(&mut out, &step.at.to_string());
-            out.push_str(", \"note\": ");
-            push_json_string(&mut out, &step.note);
-            out.push('}');
+            buf.push_str("{\"at\": ");
+            push_json_name(&mut buf, step.at.name(report.universe));
+            buf.push_str(", \"note\": ");
+            push_json_string(&mut buf, &step.note);
+            buf.push('}');
         }
-        out.push_str("]}");
+        buf.push_str("]}");
+        out.write_all(buf.as_bytes())?;
+        buf.clear();
     }
-    out.push_str("\n  ],\n  \"rules\": [");
+    buf.push_str("\n  ],\n  \"rules\": [");
     for (i, rule) in report.rules.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    {\"id\": ");
-        push_json_string(&mut out, rule.id);
-        out.push_str(", \"severity\": ");
-        push_json_string(&mut out, rule.severity.label());
-        out.push_str(", \"description\": ");
-        push_json_string(&mut out, rule.description);
-        out.push('}');
+        buf.push_str(if i == 0 { "\n" } else { ",\n" });
+        buf.push_str("    {\"id\": ");
+        push_json_string(&mut buf, rule.id);
+        buf.push_str(", \"severity\": ");
+        push_json_string(&mut buf, rule.severity.label());
+        buf.push_str(", \"description\": ");
+        push_json_string(&mut buf, rule.description);
+        buf.push('}');
     }
-    out.push_str(&format!(
+    out.write_all(buf.as_bytes())?;
+    write!(
+        out,
         "\n  ],\n  \"summary\": {{\"findings\": {}, \"deny\": {}, \"warn\": {}, \"zones\": {}, \"servers\": {}, \"names\": {}}}\n}}\n",
         report.diagnostics.len(),
         report.count(Severity::Deny),
@@ -364,64 +412,69 @@ pub fn render_json(report: &LintReport) -> String {
         report.zones,
         report.servers,
         report.names,
-    ));
-    out
+    )
 }
 
 /// SARIF 2.1.0: the registry as `tool.driver.rules` (every rule, in
 /// registry order, with its effective level) and each finding as a
 /// `result` whose subject is a logical location and whose evidence chain
-/// becomes `relatedLocations`.
-pub fn render_sarif(report: &LintReport) -> String {
-    let mut out = String::new();
-    out.push_str(
+/// becomes `relatedLocations`. Results are written one at a time, as in
+/// [`write_json`].
+pub fn write_sarif(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<()> {
+    let mut buf = String::from(
         "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n          \"name\": \"perils-lint\",\n          \"rules\": [",
     );
     for (i, rule) in report.rules.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("            {\"id\": ");
-        push_json_string(&mut out, rule.id);
-        out.push_str(", \"shortDescription\": {\"text\": ");
-        push_json_string(&mut out, rule.description);
-        out.push_str("}, \"defaultConfiguration\": {\"level\": ");
-        push_json_string(&mut out, sarif_level(rule.severity));
-        out.push_str("}}");
+        buf.push_str(if i == 0 { "\n" } else { ",\n" });
+        buf.push_str("            {\"id\": ");
+        push_json_string(&mut buf, rule.id);
+        buf.push_str(", \"shortDescription\": {\"text\": ");
+        push_json_string(&mut buf, rule.description);
+        buf.push_str("}, \"defaultConfiguration\": {\"level\": ");
+        push_json_string(&mut buf, sarif_level(rule.severity));
+        buf.push_str("}}");
     }
-    out.push_str("\n          ]\n        }\n      },\n      \"results\": [");
+    buf.push_str("\n          ]\n        }\n      },\n      \"results\": [");
     for (i, d) in report.diagnostics.iter().enumerate() {
         let rule_index = report
             .rules
             .iter()
             .position(|m| m.id == d.rule)
             .expect("diagnostic from an unregistered rule");
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("        {\"ruleId\": ");
-        push_json_string(&mut out, d.rule);
-        out.push_str(&format!(", \"ruleIndex\": {rule_index}, \"level\": "));
-        push_json_string(&mut out, sarif_level(d.severity));
-        out.push_str(", \"message\": {\"text\": ");
-        push_json_string(&mut out, &d.message);
-        out.push_str("}, \"locations\": [{\"logicalLocations\": [{\"fullyQualifiedName\": ");
-        push_json_string(&mut out, &d.subject.to_string());
-        out.push_str(", \"kind\": ");
-        push_json_string(&mut out, d.subject.kind());
-        out.push_str("}]}]");
+        buf.push_str(if i == 0 { "\n" } else { ",\n" });
+        buf.push_str("        {\"ruleId\": ");
+        push_json_string(&mut buf, d.rule);
+        buf.push_str(", \"ruleIndex\": ");
+        buf.push_str(&rule_index.to_string());
+        buf.push_str(", \"level\": ");
+        push_json_string(&mut buf, sarif_level(d.severity));
+        buf.push_str(", \"message\": {\"text\": ");
+        push_json_string(&mut buf, &d.message);
+        buf.push_str("}, \"locations\": [{\"logicalLocations\": [{\"fullyQualifiedName\": \"");
+        buf.push_str(d.subject.kind());
+        buf.push(' ');
+        push_name_escaped(&mut buf, d.subject.name());
+        buf.push_str("\", \"kind\": ");
+        push_json_string(&mut buf, d.subject.kind());
+        buf.push_str("}]}]");
         if !d.evidence.is_empty() {
-            out.push_str(", \"relatedLocations\": [");
+            buf.push_str(", \"relatedLocations\": [");
             for (j, step) in d.evidence.iter().enumerate() {
                 if j > 0 {
-                    out.push_str(", ");
+                    buf.push_str(", ");
                 }
-                out.push_str("{\"logicalLocations\": [{\"fullyQualifiedName\": ");
-                push_json_string(&mut out, &step.at.to_string());
-                out.push_str("}], \"message\": {\"text\": ");
-                push_json_string(&mut out, &step.note);
-                out.push_str("}}");
+                buf.push_str("{\"logicalLocations\": [{\"fullyQualifiedName\": ");
+                push_json_name(&mut buf, step.at.name(report.universe));
+                buf.push_str("}], \"message\": {\"text\": ");
+                push_json_string(&mut buf, &step.note);
+                buf.push_str("}}");
             }
-            out.push(']');
+            buf.push(']');
         }
-        out.push('}');
+        buf.push('}');
+        out.write_all(buf.as_bytes())?;
+        buf.clear();
     }
-    out.push_str("\n      ]\n    }\n  ]\n}\n");
-    out
+    buf.push_str("\n      ]\n    }\n  ]\n}\n");
+    out.write_all(buf.as_bytes())
 }

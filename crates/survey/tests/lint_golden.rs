@@ -10,14 +10,17 @@
 //! Regenerate goldens with
 //! `GOLDEN_REGEN=1 cargo test -p perils-survey --test lint_golden`.
 
-use perils_authserver::scenarios::{fbi_case, lint_tripwire, lint_tripwire_targets};
+use perils_authserver::scenarios::{fbi_case, lint_tripwire, lint_tripwire_targets, Scenario};
 use perils_core::lint::{RuleRegistry, Severity, SeverityOverrides};
-use perils_dns::name::name;
+use perils_core::universe::Universe;
+use perils_dns::name::{name, DnsName};
 use perils_survey::engine::SyntheticSource;
 use perils_survey::engine::WorldSource;
 use perils_survey::lint::{run_lint, LintFormat, LintReport};
 use perils_survey::params::TopologyParams;
 use perils_survey::scenario::universe_from_scenario;
+use perils_util::json::{parse, Value};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -46,38 +49,52 @@ fn check_golden(file: &str, actual: &str) {
     );
 }
 
-fn lint_scenario(
-    scenario: &perils_authserver::scenarios::Scenario,
-    targets: Vec<perils_dns::name::DnsName>,
-) -> LintReport {
-    let universe = universe_from_scenario(scenario);
-    run_lint(
-        &universe,
-        &targets,
-        &RuleRegistry::builtin(),
-        &SeverityOverrides::new(),
-        NonZeroUsize::new(1),
-    )
+/// A scenario world and its surveyed names. A report borrows the
+/// universe its evidence points into, so the fixture outlives it.
+struct Fixture {
+    universe: Universe,
+    targets: Vec<DnsName>,
 }
 
-fn tripwire_report() -> LintReport {
-    lint_scenario(&lint_tripwire(), lint_tripwire_targets())
-}
+impl Fixture {
+    fn new(scenario: &Scenario, targets: Vec<DnsName>) -> Fixture {
+        Fixture {
+            universe: universe_from_scenario(scenario),
+            targets,
+        }
+    }
 
-fn fbi_report() -> LintReport {
-    lint_scenario(
-        &fbi_case(),
-        vec![
-            name("www.fbi.gov"),
-            name("www.sprintip.com"),
-            name("www.telemail.net"),
-        ],
-    )
+    fn tripwire() -> Fixture {
+        Fixture::new(&lint_tripwire(), lint_tripwire_targets())
+    }
+
+    fn fbi() -> Fixture {
+        Fixture::new(
+            &fbi_case(),
+            vec![
+                name("www.fbi.gov"),
+                name("www.sprintip.com"),
+                name("www.telemail.net"),
+            ],
+        )
+    }
+
+    /// The serial run with default severities.
+    fn report(&self) -> LintReport<'_> {
+        run_lint(
+            &self.universe,
+            &self.targets,
+            &RuleRegistry::builtin(),
+            &SeverityOverrides::new(),
+            NonZeroUsize::new(1),
+        )
+    }
 }
 
 #[test]
 fn tripwire_output_matches_goldens_in_all_three_formats() {
-    let report = tripwire_report();
+    let fixture = Fixture::tripwire();
+    let report = fixture.report();
     check_golden("lint_tripwire.txt", &report.emit(LintFormat::Text));
     check_golden("lint_tripwire.json", &report.emit(LintFormat::Json));
     check_golden("lint_tripwire.sarif", &report.emit(LintFormat::Sarif));
@@ -85,7 +102,8 @@ fn tripwire_output_matches_goldens_in_all_three_formats() {
 
 #[test]
 fn fbi_output_matches_goldens() {
-    let report = fbi_report();
+    let fixture = Fixture::fbi();
+    let report = fixture.report();
     check_golden("lint_fbi.txt", &report.emit(LintFormat::Text));
     check_golden("lint_fbi.sarif", &report.emit(LintFormat::Sarif));
 }
@@ -109,7 +127,8 @@ fn tiny_synthetic_output_matches_golden() {
 
 #[test]
 fn every_builtin_rule_fires_on_the_tripwire() {
-    let report = tripwire_report();
+    let fixture = Fixture::tripwire();
+    let report = fixture.report();
     let fired: BTreeSet<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
     for id in RuleRegistry::builtin().ids() {
         assert!(fired.contains(id), "rule {id} never fired on the tripwire");
@@ -118,7 +137,9 @@ fn every_builtin_rule_fires_on_the_tripwire() {
 
 #[test]
 fn fbi_findings_name_the_actual_servers() {
-    let report = fbi_report();
+    let fixture = Fixture::fbi();
+    let report = fixture.report();
+    let at = |e: &perils_core::lint::EvidenceStep| e.at.name(&fixture.universe).clone();
     assert!(report.has_deny(), "the stale usdoj.gov NS is deny-level");
 
     let lame = report
@@ -130,7 +151,7 @@ fn fbi_findings_name_the_actual_servers() {
     assert!(
         lame.evidence
             .iter()
-            .any(|e| e.at == name("ns.usdoj-archive.zz")),
+            .any(|e| at(e) == name("ns.usdoj-archive.zz")),
         "evidence names the dangling host: {lame:?}"
     );
 
@@ -143,7 +164,7 @@ fn fbi_findings_name_the_actual_servers() {
         choke
             .evidence
             .iter()
-            .any(|e| e.at == name("a.gtld-servers.net")),
+            .any(|e| at(e) == name("a.gtld-servers.net")),
         "the registry singleton is the choke: {choke:?}"
     );
 
@@ -157,7 +178,8 @@ fn fbi_findings_name_the_actual_servers() {
 
 #[test]
 fn sarif_is_valid_json_and_lists_the_registry_rules() {
-    for report in [tripwire_report(), fbi_report()] {
+    for fixture in [Fixture::tripwire(), Fixture::fbi()] {
+        let report = fixture.report();
         let sarif = report.emit(LintFormat::Sarif);
         perils_util::json::validate(&sarif).expect("SARIF parses as JSON");
 
@@ -255,9 +277,10 @@ fn lint_rules_agree_with_misconfig_flags() {
         MisconfigIndex, FLAG_SINGLE_OPERATOR, FLAG_SINGLE_SERVER, FLAG_UNRESOLVABLE_NS,
     };
 
-    let universe = universe_from_scenario(&lint_tripwire());
-    let report = tripwire_report();
-    let index = MisconfigIndex::build(&universe);
+    let fixture = Fixture::tripwire();
+    let universe = &fixture.universe;
+    let report = fixture.report();
+    let index = MisconfigIndex::build(universe);
 
     for zid in universe.zone_ids() {
         let origin = &universe.zone(zid).origin;
@@ -284,4 +307,101 @@ fn lint_rules_agree_with_misconfig_flags() {
             "lame-delegation disagreement on {origin}"
         );
     }
+}
+
+/// The tripwire trips every rule, so it exercises every note: the three
+/// that name something are allocated, every fixed phrase is borrowed.
+#[test]
+fn tripwire_fixed_notes_are_borrowed() {
+    let fixture = Fixture::tripwire();
+    let report = fixture.report();
+    let parameterised = ["operated under ", "delegated NS of ", "glueless NS of "];
+    let notes: Vec<&Cow<'static, str>> = report
+        .diagnostics
+        .iter()
+        .flat_map(|d| d.evidence.iter().map(|e| &e.note))
+        .collect();
+    assert!(!notes.is_empty());
+    for note in notes {
+        let names_something = parameterised.iter().any(|p| note.starts_with(p));
+        assert_eq!(
+            matches!(note, Cow::Owned(_)),
+            names_something,
+            "note {note:?}"
+        );
+    }
+}
+
+/// Label bytes may be `"` or `\` (printable ASCII minus the dot), and
+/// the sinks write names label by label without rendering them first.
+/// Each sink must still show the name exactly as its `Display` does.
+#[test]
+fn names_with_quote_and_backslash_labels_survive_every_sink() {
+    let host = name("ns\"q\\x.quote.com");
+    // Two root servers, so the quote.com NS is the one single-server NS.
+    let roots = [name("a.root-servers.net"), name("b.root-servers.net")];
+    let mut b = Universe::builder();
+    for root in &roots {
+        b.raw_server(root, false, true);
+    }
+    b.add_zone(&DnsName::root(), &roots);
+    b.add_zone(&name("com"), &roots);
+    b.add_zone(&name("quote.com"), std::slice::from_ref(&host));
+    let universe = b.finish();
+    let report = run_lint(
+        &universe,
+        &[name("www.quote.com")],
+        &RuleRegistry::builtin(),
+        &SeverityOverrides::new(),
+        NonZeroUsize::new(1),
+    );
+    let shown = host.to_string();
+    assert_eq!(shown, "ns\"q\\x.quote.com");
+
+    let text = report.emit(LintFormat::Text);
+    assert!(
+        text.contains(&format!(
+            "  = note: {shown}: the only NS of the delegation\n"
+        )),
+        "{text}"
+    );
+
+    let single_server = |items: &Value, rule_key: &str| {
+        items
+            .as_array()
+            .expect("array")
+            .iter()
+            .find(|f| f.get(rule_key).and_then(Value::as_str) == Some("single-server"))
+            .cloned()
+            .expect("single-server finding")
+    };
+    let json = parse(&report.emit(LintFormat::Json)).expect("JSON sink parses");
+    let finding = single_server(walk(&json, &["findings"]), "rule");
+    assert_eq!(
+        walk(&finding, &["evidence", "0", "at"]).as_str(),
+        Some(shown.as_str())
+    );
+    let sarif = parse(&report.emit(LintFormat::Sarif)).expect("SARIF sink parses");
+    let result = single_server(walk(&sarif, &["runs", "0", "results"]), "ruleId");
+    let related = [
+        "relatedLocations",
+        "0",
+        "logicalLocations",
+        "0",
+        "fullyQualifiedName",
+    ];
+    assert_eq!(walk(&result, &related).as_str(), Some(shown.as_str()));
+}
+
+/// Follows object keys and array indices (`"0"`) into a parsed document.
+fn walk<'a>(mut value: &'a Value, path: &[&str]) -> &'a Value {
+    for step in path {
+        value = match step.parse::<usize>() {
+            Ok(i) => &value.as_array().expect("array")[i],
+            Err(_) => value
+                .get(step)
+                .unwrap_or_else(|| panic!("no member {step:?}")),
+        };
+    }
+    value
 }

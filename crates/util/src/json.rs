@@ -14,18 +14,39 @@
 /// `\u00XX` for the remaining C0 controls.
 pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_json_escaped(out, s);
     out.push('"');
+}
+
+/// Appends `s` escaped as the body of a JSON string literal, without the
+/// quotes — for callers that assemble one literal from several pieces.
+/// Runs that need no escaping are copied in one piece.
+pub fn push_json_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut start = 0;
+    // Every byte that needs escaping is ASCII, so each split lands on a
+    // char boundary; multibyte UTF-8 (all bytes >= 0x80) is copied as is.
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xF)]));
+        } else {
+            out.push_str(short);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
 }
 
 /// A parsed JSON document node.
@@ -463,6 +484,48 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-by-char escaper `push_json_string` used to be: the oracle
+    /// the run-copying escaper must match byte for byte.
+    fn push_json_string_oracle(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    proptest! {
+        #[test]
+        fn run_copying_escaper_matches_the_char_oracle(
+            chars in proptest::collection::vec(
+                proptest::sample::select(
+                    ['a', 'Z', '0', ' ', '.', '"', '\\', '/', '\n', '\r', '\t', '\0',
+                     '\u{1}', '\u{8}', '\u{c}', '\u{1b}', '\u{1f}', '\u{7f}', 'é', 'ζ',
+                     '→', '☃', '😀']
+                    .to_vec(),
+                ),
+                0..48,
+            )
+        ) {
+            let s: String = chars.into_iter().collect();
+            let mut fast = String::from("prefix");
+            push_json_string(&mut fast, &s);
+            let mut oracle = String::from("prefix");
+            push_json_string_oracle(&mut oracle, &s);
+            prop_assert_eq!(&fast, &oracle);
+            prop_assert_eq!(parse(&fast["prefix".len()..]), Ok(Value::String(s)));
+        }
+    }
 
     #[test]
     fn escapes_round_trip_through_the_validator() {

@@ -224,7 +224,7 @@
 //! ```
 //! use perils::authserver::scenarios::fbi_case;
 //! use perils::core::lint::{
-//!     Diagnostic, EvidenceStep, LintCtx, LintRule, RuleRegistry, Severity,
+//!     At, Diagnostic, EvidenceStep, LintCtx, LintRule, RuleRegistry, Severity,
 //!     SeverityOverrides, Subject,
 //! };
 //! use perils::dns::name::name;
@@ -256,8 +256,10 @@
 //!                     "zone {} is served by {} exploitable nameserver(s)",
 //!                     zone.origin, exploitable.len(),
 //!                 ),
+//!                 // Evidence points at servers by id; sinks resolve
+//!                 // the names when they write them.
 //!                 evidence: exploitable.iter().map(|&sid| EvidenceStep {
-//!                     at: ctx.universe.server(sid).name.clone(),
+//!                     at: At::Server(sid),
 //!                     note: "runs software with known exploits".into(),
 //!                 }).collect(),
 //!             });
@@ -279,7 +281,7 @@
 //! let finding = report.diagnostics.iter()
 //!     .find(|d| d.rule == "vulnerable-ns").unwrap();
 //! assert!(finding.evidence.iter()
-//!     .any(|e| e.at == name("reston-ns2.telemail.net")));
+//!     .any(|e| e.at.name(&universe) == &name("reston-ns2.telemail.net")));
 //! // ...and serializes through every sink like any built-in, including
 //! // the SARIF rule listing.
 //! assert!(report.emit(LintFormat::Sarif).contains("\"vulnerable-ns\""));
