@@ -9,11 +9,13 @@
 //! [`DependencyIndex`] precomputes that fixed point for the whole universe
 //! so the survey can process hundreds of thousands of names:
 //!
-//! * chain and dependency rows are stored once **per zone** (a server's
-//!   rows are its home zone's rows; sibling nameservers share) and built
-//!   by recurrence over the zone tree — each row is a memcpy of its
-//!   parent zone's row plus the zone's own NS set, with no name hashing
-//!   on the hot path (see `build_zone_rows`);
+//! * dependency rows are stored once **per zone** (a server's row is its
+//!   home zone's row; sibling nameservers share) and built by recurrence
+//!   over the zone tree — each row is a memcpy of its parent zone's row
+//!   plus the zone's own NS set, with no name hashing on the hot path
+//!   (see `build_zone_rows`). Chains are not stored at all: a server's
+//!   chain is read off the universe's parent links
+//!   ([`Universe::server_chain_up`]);
 //! * the implicit server→server dependency graph is condensed through
 //!   [`perils_graph::scc::tarjan_scc_with`] without materializing
 //!   per-server edges (delegation webs are cyclic — cornell ↔ rochester
@@ -65,10 +67,10 @@ use std::collections::BTreeSet;
 /// A server's delegation chain — and with it its dependency row — is a
 /// function of its **home zone** (the deepest zone enclosing its name):
 /// every ancestor zone of the server's name is an ancestor zone of that
-/// origin. The index therefore stores chain and dependency rows once per
-/// *zone* and maps each server to its home zone, instead of duplicating
-/// rows per server: sibling nameservers (`ns1`/`ns2`/`ns3` of one domain)
-/// share one row, the edge arrays shrink accordingly, and the SCC pass
+/// origin. The index therefore stores dependency rows once per *zone* and
+/// maps each server to its home zone, instead of duplicating rows per
+/// server: sibling nameservers (`ns1`/`ns2`/`ns3` of one domain)
+/// share one row, the edge array shrinks accordingly, and the SCC pass
 /// runs over the implicit per-server graph without materializing a
 /// per-server edge copy.
 /// Every flat table is a [`U32Arr`]: the build path produces owned
@@ -78,13 +80,11 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct DependencyIndex {
     /// Per server: index of its home zone, or `u32::MAX` when no zone
-    /// encloses the server's name (its rows are empty).
+    /// encloses the server's name (its row is empty). Chains are not
+    /// stored: a server's chain is its home zone and that zone's parent
+    /// links ([`Universe::server_chain_up`]), which the memoization and
+    /// the min-cut walk read off the universe.
     home_zone: U32Arr,
-    /// CSR rows per zone: the zones on the origin's chain (root excluded),
-    /// root-first, the zone itself included last. Targets are raw
-    /// [`ZoneId`] values; accessors re-type them.
-    zone_chain_offsets: U32Arr,
-    zone_chain_targets: U32Arr,
     /// CSR rows per zone: the servers an address resolution under this
     /// zone could involve — the NS sets of every chain zone, deduplicated
     /// in first-occurrence order. Targets are raw [`ServerId`] values.
@@ -112,8 +112,6 @@ pub struct DependencyIndex {
 impl PartialEq for DependencyIndex {
     fn eq(&self, other: &DependencyIndex) -> bool {
         self.home_zone == other.home_zone
-            && self.zone_chain_offsets == other.zone_chain_offsets
-            && self.zone_chain_targets == other.zone_chain_targets
             && self.zone_dep_offsets == other.zone_dep_offsets
             && self.zone_dep_targets == other.zone_dep_targets
             && self.component_of == other.component_of
@@ -129,8 +127,6 @@ impl PartialEq for DependencyIndex {
 /// interner arena, so encoding is a straight copy.
 pub(crate) struct DependencyIndexParts<'a> {
     pub home_zone: &'a U32Arr,
-    pub zone_chain_offsets: &'a U32Arr,
-    pub zone_chain_targets: &'a U32Arr,
     pub zone_dep_offsets: &'a U32Arr,
     pub zone_dep_targets: &'a U32Arr,
     pub component_of: &'a U32Arr,
@@ -168,7 +164,7 @@ impl From<CheckError> for String {
 /// pass, the condensation, and the per-component memoization.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexBuildStats {
-    /// Phase 1a: chain/dep rows by recurrence over the zone tree.
+    /// Phase 1a: dependency rows by recurrence over the zone tree.
     pub zone_rows: std::time::Duration,
     /// Phase 2: strongly connected components of the dependency graph.
     pub scc: std::time::Duration,
@@ -192,10 +188,8 @@ pub struct ClosureWorkspace {
     seed_components: Vec<u32>,
 }
 
-/// Phase-1 output: per-zone chain and dependency rows, in zone-id order.
+/// Phase-1 output: per-zone dependency rows (CSR), in zone-id order.
 struct ZoneRowTables {
-    chain_offsets: Vec<u32>,
-    chain_targets: Vec<ZoneId>,
     dep_offsets: Vec<u32>,
     dep_targets: Vec<ServerId>,
 }
@@ -205,23 +199,59 @@ struct ZoneRowTables {
 /// hundred `extend_from_slice` rows.
 const ZONE_LEVEL_PARALLEL_THRESHOLD: usize = 512;
 
-/// One worker's share of a depth level in the tree-parallel zone-row
-/// pass: private row buffers plus `(zone, chain off/len, dep off/len)`
-/// descriptors with chunk-local offsets, rebased at merge.
+/// The rows of a run of same-depth zones: one buffer plus
+/// `(zone, offset, len)` descriptors with run-local offsets, rebased at
+/// merge.
 #[derive(Default)]
 struct LevelChunk {
-    chain: Vec<ZoneId>,
     dep: Vec<ServerId>,
-    rows: Vec<(u32, u32, u32, u32, u32)>,
+    rows: Vec<(u32, u32, u32)>,
 }
 
-/// Computes every zone's chain and dependency rows **by recurrence over
-/// the zone tree**: `chain(z) = chain(parent(z)) + z` and `dep(z) =
-/// dep(parent(z)) ++ (NS(z) not already present)` — the parent zone
-/// ([`Universe::parent_zone_of`], precomputed at universe build) is the
-/// deepest zone strictly enclosing `z`'s origin, so its chain is exactly
-/// `z`'s proper enclosing zones. Processing zones shallowest-first makes
-/// each row one `extend_from_within` of its parent's row plus a
+/// Computes the rows of `zones` (all of one depth) from the merged rows
+/// of shallower zones in `dep`/`dep_pos`. `stamps[s] == z` ⇔ server `s`
+/// is already on zone `z`'s row (epoch-per-zone linear dedup).
+fn level_rows(
+    universe: &Universe,
+    zones: &[u32],
+    dep: &[ServerId],
+    dep_pos: &[(u32, u32)],
+    stamps: &mut [u32],
+) -> LevelChunk {
+    let mut chunk = LevelChunk::default();
+    for &z in zones {
+        let zone = universe.zone(ZoneId(z));
+        let start = chunk.dep.len();
+        if let Some(p) = universe.parent_zone_of(ZoneId(z)) {
+            let (o, l) = dep_pos[p.index()];
+            chunk
+                .dep
+                .extend_from_slice(&dep[o as usize..(o + l) as usize]);
+        }
+        if !zone.origin.is_root() {
+            for &sid in &chunk.dep[start..] {
+                stamps[sid.index()] = z;
+            }
+            for &ns in &zone.ns {
+                if stamps[ns.index()] != z {
+                    stamps[ns.index()] = z;
+                    chunk.dep.push(ns);
+                }
+            }
+        }
+        chunk
+            .rows
+            .push((z, start as u32, (chunk.dep.len() - start) as u32));
+    }
+    chunk
+}
+
+/// Computes every zone's dependency row **by recurrence over the zone
+/// tree**: `dep(z) = dep(parent(z)) ++ (NS(z) not already present)` — the
+/// parent zone ([`Universe::parent_zone_of`], precomputed at universe
+/// build) is the deepest zone strictly enclosing `z`'s origin, so its
+/// row covers exactly `z`'s proper enclosing zones. Processing zones
+/// shallowest-first makes each row one copy of its parent's row plus a
 /// stamp-deduplicated append of the zone's own NS set: no name hashing,
 /// no chain re-scans, and every probe O(1) — the whole pass is linear in
 /// the total row length.
@@ -229,9 +259,8 @@ struct LevelChunk {
 /// The recurrence is **tree-parallel**: every zone at depth `d` depends
 /// only on rows at depths `< d`, so each depth level fans out across
 /// workers once the level is wide enough ([`ZONE_LEVEL_PARALLEL_THRESHOLD`]).
-/// Worker chunks are merged back in bucket order, so the scratch layout —
-/// and with it every offset and the final tables — is byte-identical to
-/// the serial pass at any thread count.
+/// Rows are reassembled in zone-id order, so the tables are identical
+/// at any thread count.
 fn build_zone_rows(universe: &Universe, threads: usize) -> ZoneRowTables {
     let zn = universe.zone_count();
     // Counting sort by origin depth: parents precede children.
@@ -258,91 +287,32 @@ fn build_zone_rows(universe: &Universe, threads: usize) -> ZoneRowTables {
     }
 
     // Rows in processing order, then reassembled in id order below.
-    // `stamps[s] == z` ⇔ server `s` is already on zone `z`'s row
-    // (epoch-per-zone linear dedup, as the per-server pass used).
     let mut stamps = vec![u32::MAX; universe.server_count()];
-    let mut chain_tmp: Vec<ZoneId> = Vec::new();
     let mut dep_tmp: Vec<ServerId> = Vec::new();
-    let mut chain_pos: Vec<(u32, u32)> = vec![(0, 0); zn];
     let mut dep_pos: Vec<(u32, u32)> = vec![(0, 0); zn];
     for d in 0..depth_count.len() {
         let bucket = &order[starts[d] as usize..starts[d + 1] as usize];
-        if threads == 1 || bucket.len() < ZONE_LEVEL_PARALLEL_THRESHOLD {
-            for &z in bucket {
-                let zone = universe.zone(ZoneId(z));
-                let chain_start = chain_tmp.len();
-                let dep_start = dep_tmp.len();
-                if let Some(p) = universe.parent_zone_of(ZoneId(z)) {
-                    let (o, l) = chain_pos[p.index()];
-                    chain_tmp.extend_from_within(o as usize..(o + l) as usize);
-                    let (o, l) = dep_pos[p.index()];
-                    dep_tmp.extend_from_within(o as usize..(o + l) as usize);
-                }
-                if !zone.origin.is_root() {
-                    chain_tmp.push(ZoneId(z));
-                    for &sid in &dep_tmp[dep_start..] {
-                        stamps[sid.index()] = z;
-                    }
-                    for &ns in &zone.ns {
-                        if stamps[ns.index()] != z {
-                            stamps[ns.index()] = z;
-                            dep_tmp.push(ns);
-                        }
-                    }
-                }
-                chain_pos[z as usize] =
-                    (chain_start as u32, (chain_tmp.len() - chain_start) as u32);
-                dep_pos[z as usize] = (dep_start as u32, (dep_tmp.len() - dep_start) as u32);
-            }
+        let level_chunks = if threads == 1 || bucket.len() < ZONE_LEVEL_PARALLEL_THRESHOLD {
+            vec![level_rows(
+                universe,
+                bucket,
+                &dep_tmp,
+                &dep_pos,
+                &mut stamps,
+            )]
         } else {
             // Every row at this depth reads only rows from shallower
-            // depths — already merged into `chain_tmp`/`dep_tmp` — so the
-            // level fans out across workers with private output buffers.
+            // depths — already merged into `dep_tmp` — so the level fans
+            // out across workers with private output buffers.
             let chunk_len = bucket.len().div_ceil(threads).max(1);
-            let (chain_ref, dep_ref) = (&chain_tmp, &dep_tmp);
-            let (chain_pos_ref, dep_pos_ref) = (&chain_pos, &dep_pos);
+            let (dep_ref, dep_pos_ref) = (&dep_tmp, &dep_pos);
             let mut level_chunks: Vec<LevelChunk> = Vec::new();
             crossbeam::thread::scope(|scope| {
                 let mut handles = Vec::new();
                 for zones in bucket.chunks(chunk_len) {
                     handles.push(scope.spawn(move |_| {
-                        let mut chunk = LevelChunk::default();
                         let mut stamps = vec![u32::MAX; universe.server_count()];
-                        for &z in zones {
-                            let zone = universe.zone(ZoneId(z));
-                            let chain_start = chunk.chain.len();
-                            let dep_start = chunk.dep.len();
-                            if let Some(p) = universe.parent_zone_of(ZoneId(z)) {
-                                let (o, l) = chain_pos_ref[p.index()];
-                                chunk
-                                    .chain
-                                    .extend_from_slice(&chain_ref[o as usize..(o + l) as usize]);
-                                let (o, l) = dep_pos_ref[p.index()];
-                                chunk
-                                    .dep
-                                    .extend_from_slice(&dep_ref[o as usize..(o + l) as usize]);
-                            }
-                            if !zone.origin.is_root() {
-                                chunk.chain.push(ZoneId(z));
-                                for &sid in &chunk.dep[dep_start..] {
-                                    stamps[sid.index()] = z;
-                                }
-                                for &ns in &zone.ns {
-                                    if stamps[ns.index()] != z {
-                                        stamps[ns.index()] = z;
-                                        chunk.dep.push(ns);
-                                    }
-                                }
-                            }
-                            chunk.rows.push((
-                                z,
-                                chain_start as u32,
-                                (chunk.chain.len() - chain_start) as u32,
-                                dep_start as u32,
-                                (chunk.dep.len() - dep_start) as u32,
-                            ));
-                        }
-                        chunk
+                        level_rows(universe, zones, dep_ref, dep_pos_ref, &mut stamps)
                     }));
                 }
                 for handle in handles {
@@ -350,41 +320,27 @@ fn build_zone_rows(universe: &Universe, threads: usize) -> ZoneRowTables {
                 }
             })
             .expect("crossbeam scope");
-            // Merge in bucket order: the concatenation visits zones in
-            // exactly the serial processing order, so offsets match the
-            // serial layout byte for byte.
-            for chunk in level_chunks {
-                let chain_base = chain_tmp.len() as u32;
-                let dep_base = dep_tmp.len() as u32;
-                chain_tmp.extend_from_slice(&chunk.chain);
-                dep_tmp.extend_from_slice(&chunk.dep);
-                for (z, co, cl, dof, dl) in chunk.rows {
-                    chain_pos[z as usize] = (chain_base + co, cl);
-                    dep_pos[z as usize] = (dep_base + dof, dl);
-                }
+            level_chunks
+        };
+        for chunk in level_chunks {
+            let base = dep_tmp.len() as u32;
+            dep_tmp.extend_from_slice(&chunk.dep);
+            for (z, offset, len) in chunk.rows {
+                dep_pos[z as usize] = (base + offset, len);
             }
         }
         assert!(
-            u32::try_from(chain_tmp.len()).is_ok() && u32::try_from(dep_tmp.len()).is_ok(),
+            u32::try_from(dep_tmp.len()).is_ok(),
             "zone row tables fit u32"
         );
     }
 
     let mut tables = ZoneRowTables {
-        chain_offsets: Vec::with_capacity(zn + 1),
-        chain_targets: Vec::with_capacity(chain_tmp.len()),
         dep_offsets: Vec::with_capacity(zn + 1),
         dep_targets: Vec::with_capacity(dep_tmp.len()),
     };
-    tables.chain_offsets.push(0);
     tables.dep_offsets.push(0);
-    for z in 0..zn {
-        let (o, l) = chain_pos[z];
-        tables
-            .chain_targets
-            .extend_from_slice(&chain_tmp[o as usize..(o + l) as usize]);
-        tables.chain_offsets.push(tables.chain_targets.len() as u32);
-        let (o, l) = dep_pos[z];
+    for &(o, l) in &dep_pos {
         tables
             .dep_targets
             .extend_from_slice(&dep_tmp[o as usize..(o + l) as usize]);
@@ -454,27 +410,15 @@ fn union_merge(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 const MERGE_MAX_FANOUT: usize = 4;
 
 /// Everything the memoization phase reads, bundled so worker closures
-/// borrow one struct instead of seven slices.
+/// borrow one struct. A member's zones are its chain, read off the
+/// universe's parent links ([`Universe::server_chain_up`]).
 struct MemoInput<'a> {
     scc: &'a SccResult,
     dag: &'a Csr,
-    home_zone: &'a [u32],
-    zone_chain_offsets: &'a [u32],
-    zone_chain_targets: &'a [ZoneId],
+    universe: &'a Universe,
 }
 
 impl MemoInput<'_> {
-    /// The chain-zone row of server `s` (its home zone's chain).
-    fn chain_of_server(&self, s: usize) -> &[ZoneId] {
-        let z = self.home_zone[s];
-        if z == u32::MAX {
-            return &[];
-        }
-        let lo = self.zone_chain_offsets[z as usize] as usize;
-        let hi = self.zone_chain_offsets[z as usize + 1] as usize;
-        &self.zone_chain_targets[lo..hi]
-    }
-
     /// Computes component `c`'s reachable server/zone sets into `scratch`
     /// (sorted, deduplicated; scratch bitsets are left clean). Successor
     /// components must already be memoized in `servers`/`zones`.
@@ -509,9 +453,11 @@ impl MemoInput<'_> {
             scratch.out_servers.sort_unstable();
             scratch.out_zones.clear();
             for member in members {
-                scratch
-                    .out_zones
-                    .extend(self.chain_of_server(member.index()).iter().map(|zid| zid.0));
+                scratch.out_zones.extend(
+                    self.universe
+                        .server_chain_up(ServerId(member.index() as u32))
+                        .map(|zid| zid.0),
+                );
             }
             scratch.out_zones.sort_unstable();
             scratch.out_zones.dedup();
@@ -536,7 +482,7 @@ impl MemoInput<'_> {
             if scratch.seen_servers.insert(s) {
                 scratch.out_servers.push(s as u32);
             }
-            for zid in self.chain_of_server(s) {
+            for zid in self.universe.server_chain_up(ServerId(s as u32)) {
                 if scratch.seen_zones.insert(zid.index()) {
                     scratch.out_zones.push(zid.0);
                 }
@@ -751,8 +697,6 @@ impl DependencyIndex {
     pub(crate) fn snapshot_parts(&self) -> DependencyIndexParts<'_> {
         DependencyIndexParts {
             home_zone: &self.home_zone,
-            zone_chain_offsets: &self.zone_chain_offsets,
-            zone_chain_targets: &self.zone_chain_targets,
             zone_dep_offsets: &self.zone_dep_offsets,
             zone_dep_targets: &self.zone_dep_targets,
             component_of: &self.component_of,
@@ -778,8 +722,6 @@ impl DependencyIndex {
     pub(crate) fn from_snapshot_parts(
         universe: &Universe,
         home_zone: U32Arr,
-        zone_chain_offsets: U32Arr,
-        zone_chain_targets: U32Arr,
         zone_dep_offsets: U32Arr,
         zone_dep_targets: U32Arr,
         component_of: U32Arr,
@@ -848,11 +790,7 @@ impl DependencyIndex {
             }
             Ok(())
         };
-        check_csr(&zone_chain_offsets, zone_chain_targets.len(), "chain")?;
         check_csr(&zone_dep_offsets, zone_dep_targets.len(), "dep")?;
-        bounded(&zone_chain_targets, zn, &|bad| {
-            format!("chain row references zone {bad} of {zn}")
-        })?;
         bounded(&zone_dep_targets, n, &|bad| {
             format!("dep row references server {bad} of {n}")
         })?;
@@ -895,8 +833,6 @@ impl DependencyIndex {
         })?;
         Ok(DependencyIndex {
             home_zone,
-            zone_chain_offsets,
-            zone_chain_targets,
             zone_dep_offsets,
             zone_dep_targets,
             component_of,
@@ -923,7 +859,7 @@ impl DependencyIndex {
 
     /// Builds the index with an explicit worker-thread count.
     ///
-    /// Phase 1 derives per-**zone** chain and dependency rows by a
+    /// Phase 1 derives per-**zone** dependency rows by a
     /// recurrence over the zone tree (memcpy-bound, tree-parallel by
     /// depth level — see `build_zone_rows`) and maps every server to its
     /// home zone. Phase 2 condenses the implicit per-server dependency
@@ -953,8 +889,6 @@ impl DependencyIndex {
         // Phase 1a: per-zone CSR rows by recurrence over the zone tree
         // (memcpy-bound; see `build_zone_rows`).
         let ZoneRowTables {
-            chain_offsets: zone_chain_offsets,
-            chain_targets: zone_chain_targets,
             dep_offsets: zone_dep_offsets,
             dep_targets: zone_dep_targets,
         } = build_zone_rows(universe, threads);
@@ -1017,9 +951,7 @@ impl DependencyIndex {
         let input = MemoInput {
             scc: &scc,
             dag: &dag,
-            home_zone: &home_zone,
-            zone_chain_offsets: &zone_chain_offsets,
-            zone_chain_targets: &zone_chain_targets,
+            universe,
         };
         let t3 = std::time::Instant::now();
         let memo = if threads == 1 {
@@ -1034,12 +966,6 @@ impl DependencyIndex {
         // view-backed index only ever comes out of a snapshot load.
         let index = DependencyIndex {
             home_zone: home_zone.into(),
-            zone_chain_offsets: zone_chain_offsets.into(),
-            zone_chain_targets: zone_chain_targets
-                .into_iter()
-                .map(|z| z.0)
-                .collect::<Vec<u32>>()
-                .into(),
             zone_dep_offsets: zone_dep_offsets.into(),
             zone_dep_targets: zone_dep_targets
                 .into_iter()
@@ -1065,18 +991,6 @@ impl DependencyIndex {
         (index, stats)
     }
 
-    /// The CSR row of `server`'s home zone in `offsets`, as an element
-    /// range into the matching targets table.
-    fn home_row(&self, offsets: &U32Arr, server: ServerId) -> std::ops::Range<usize> {
-        let z = self.home_zone.get(server.index());
-        if z == u32::MAX {
-            return 0..0;
-        }
-        let lo = offsets.get(z as usize) as usize;
-        let hi = offsets.get(z as usize + 1) as usize;
-        lo..hi
-    }
-
     /// The servers that could be involved in resolving `server`'s address
     /// (its home zone's dependency row; sibling servers share one row).
     /// Yields ids in row order; on a view-backed index the words decode
@@ -1085,14 +999,14 @@ impl DependencyIndex {
         &self,
         server: ServerId,
     ) -> impl ExactSizeIterator<Item = ServerId> + Clone + '_ {
-        let row = self.home_row(&self.zone_dep_offsets, server);
+        let z = self.home_zone.get(server.index());
+        let row = if z == u32::MAX {
+            0..0
+        } else {
+            let offsets = &self.zone_dep_offsets;
+            offsets.get(z as usize) as usize..offsets.get(z as usize + 1) as usize
+        };
         self.zone_dep_targets.iter_range(row).map(ServerId)
-    }
-
-    /// The zones on `server`'s name's chain (root excluded), root-first.
-    pub fn chain_of(&self, server: ServerId) -> impl ExactSizeIterator<Item = ZoneId> + Clone + '_ {
-        let row = self.home_row(&self.zone_chain_offsets, server);
-        self.zone_chain_targets.iter_range(row).map(ZoneId)
     }
 
     /// Number of strongly connected components in the dependency graph.
@@ -1248,9 +1162,7 @@ impl DependencyIndex {
             }
         }
         while let Some(sid) = queue.pop() {
-            for zid in self.chain_of(sid) {
-                zones.insert(zid);
-            }
+            zones.extend(universe.chain_zones(&universe.server(sid).name));
             for dep in self.deps_of(sid) {
                 if servers.insert(dep) {
                     queue.push(dep);
@@ -1644,7 +1556,6 @@ mod tests {
         let parallel = DependencyIndex::build_with_threads(&u, 8);
         for sid in u.server_ids() {
             assert!(serial.deps_of(sid).eq(parallel.deps_of(sid)), "{sid:?}");
-            assert!(serial.chain_of(sid).eq(parallel.chain_of(sid)), "{sid:?}");
         }
         assert_eq!(serial.memo_stats(), parallel.memo_stats());
         let a = serial.closure_for(&u, &name("www.cs.cornell.edu"));

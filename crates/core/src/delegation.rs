@@ -23,9 +23,13 @@
 //! belongs to, so the layer that precedes `z`'s is a function of `z` alone
 //! and wiring it again could only repeat edges: the walk remembers, per
 //! closure zone, the layer a chain holds once it is past that zone, and
-//! every later visit is a lookup. [`DelegationGraph`] materialises the
-//! edges; the min-cut kernel in [`crate::hijack`] feeds them to a flow
-//! network without building a graph.
+//! every later visit is a lookup. A server's chain is read off the
+//! universe's parent links — its home zone, that zone's parent, and so on
+//! below the root ([`Universe::server_chain_into`]) — which are heap
+//! tables on every snapshot backend, so the walk reads nothing from the
+//! dependency index. [`DelegationGraph`] materialises the edges; the
+//! min-cut kernel in [`crate::hijack`] feeds them to a flow network
+//! without building a graph.
 
 use crate::closure::{ClosureView, DependencyIndex, NameClosure};
 use crate::universe::{ServerId, Universe, ZoneId};
@@ -64,6 +68,8 @@ pub(crate) struct WalkScratch<L> {
     /// server.
     after: Vec<Option<L>>,
     members: Vec<u32>,
+    /// The chain of the closure server being walked.
+    chain: Vec<ZoneId>,
 }
 
 impl<L> Default for WalkScratch<L> {
@@ -71,6 +77,7 @@ impl<L> Default for WalkScratch<L> {
         WalkScratch {
             after: Vec::new(),
             members: Vec::new(),
+            chain: Vec::new(),
         }
     }
 }
@@ -81,7 +88,6 @@ impl<L> Default for WalkScratch<L> {
 /// so that nothing here is sized by the universe.
 pub(crate) fn walk_layers<S: LayerSink>(
     universe: &Universe,
-    index: &DependencyIndex,
     target_chain: &[ZoneId],
     servers: &[u32],
     zones: &[u32],
@@ -90,6 +96,7 @@ pub(crate) fn walk_layers<S: LayerSink>(
 ) {
     scratch.after.clear();
     scratch.after.resize(zones.len(), None);
+    let mut chain = std::mem::take(&mut scratch.chain);
     let mut walk = Walk {
         universe,
         servers,
@@ -99,8 +106,10 @@ pub(crate) fn walk_layers<S: LayerSink>(
     };
     walk.chain(target_chain.iter().copied(), Endpoint::Target);
     for (rank, &sid) in servers.iter().enumerate() {
-        walk.chain(index.chain_of(ServerId(sid)), Endpoint::Server(rank as u32));
+        universe.server_chain_into(ServerId(sid), &mut chain);
+        walk.chain(chain.iter().copied(), Endpoint::Server(rank as u32));
     }
+    scratch.chain = chain;
 }
 
 struct Walk<'a, S: LayerSink> {
@@ -228,38 +237,31 @@ impl LayerSink for GraphSink {
 }
 
 impl DelegationGraph {
-    /// Builds the graph for `closure`, reusing the universe-wide
-    /// [`crate::closure::DependencyIndex`] for server chains.
+    /// Builds the graph for `closure`. `_index` is unused (server chains
+    /// come from the universe's parent links), kept until its callers drop it.
     pub fn build(
         universe: &Universe,
-        index: &DependencyIndex,
+        _index: &DependencyIndex,
         closure: &NameClosure,
     ) -> DelegationGraph {
         let (servers, zones) = closure.id_lists();
-        DelegationGraph::build_parts(universe, index, &closure.target_chain, servers, &zones)
+        DelegationGraph::build_parts(universe, &closure.target_chain, servers, &zones)
     }
 
     /// [`DelegationGraph::build`] for a borrowed [`ClosureView`] — identical
     /// graph, no owned closure.
     pub fn build_view(
         universe: &Universe,
-        index: &DependencyIndex,
+        _index: &DependencyIndex,
         view: &ClosureView<'_>,
     ) -> DelegationGraph {
         let (servers, zones) = view.id_lists();
-        DelegationGraph::build_parts(
-            universe,
-            index,
-            view.target_chain(),
-            servers.to_vec(),
-            zones,
-        )
+        DelegationGraph::build_parts(universe, view.target_chain(), servers.to_vec(), zones)
     }
 
     /// The shared construction core over the closure's ascending id lists.
     fn build_parts(
         universe: &Universe,
-        index: &DependencyIndex,
         target_chain: &[ZoneId],
         servers: Vec<u32>,
         zones: &[u32],
@@ -277,7 +279,6 @@ impl DelegationGraph {
         };
         walk_layers(
             universe,
-            index,
             target_chain,
             &servers,
             zones,
@@ -415,21 +416,31 @@ mod tests {
 
     /// `NameClosure`'s fields are public: a closure whose `zones` misses a
     /// chain zone gives the walk nowhere to remember that zone, which is
-    /// then wired on every visit — same graph, same cut.
+    /// then wired on every visit — same graph, same cut. Struck here: a
+    /// zone of the target's chain (`com`) and one only servers' chains
+    /// pass (`nstld.com`); the edge list and the cut are pinned.
     #[test]
     fn chain_zone_missing_from_the_closure_is_rewired_per_visit() {
         let u = chain_universe();
         let index = DependencyIndex::build(&u);
         let full = index.closure_for(&u, &name("www.example.com"));
         let mut struck = full.clone();
-        assert!(struck.zones.remove(&u.zone_id(&name("com")).unwrap()));
+        for origin in ["com", "nstld.com"] {
+            assert!(struck.zones.remove(&u.zone_id(&name(origin)).unwrap()));
+        }
         let a = DelegationGraph::build(&u, &index, &full);
         let b = DelegationGraph::build(&u, &index, &struck);
         assert!(a.graph.edges().eq(b.graph.edges()));
-        assert_eq!(
-            crate::hijack::min_cut_flattened(&u, &index, &full),
-            crate::hijack::min_cut_flattened(&u, &index, &struck)
-        );
+        let edges: Vec<String> = b
+            .graph
+            .edges()
+            .map(|(x, y)| format!("{}>{}", x.0, y.0))
+            .collect();
+        assert_eq!(edges.join(" "), "0>2 2>4 2>5 2>3 3>2 4>1 4>5 5>1 5>4");
+        let cut = crate::hijack::min_cut_flattened(&u, &index, &struck);
+        assert_eq!(cut, crate::hijack::min_cut_flattened(&u, &index, &full));
+        let com_ns = u.server_id(&name("a.gtld.nstld.com")).unwrap();
+        assert_eq!(cut.expect("cuttable").servers, [com_ns]);
     }
 
     #[test]

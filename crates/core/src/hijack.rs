@@ -137,14 +137,16 @@ impl HijackAnalysis {
 }
 
 /// The paper's method: minimum vertex cut of the flattened delegation
-/// graph, lexicographically minimizing (size, #safe members).
+/// graph, lexicographically minimizing (size, #safe members). `_index` is
+/// unused (server chains come from the universe's parent links); it stays
+/// until its callers, the benchmark's replay among them, drop it.
 pub fn min_cut_flattened(
     universe: &Universe,
-    index: &DependencyIndex,
+    _index: &DependencyIndex,
     closure: &NameClosure,
 ) -> Option<HijackSet> {
     let (servers, zones) = closure.id_lists();
-    flattened_cut(universe, index, &closure.target_chain, &servers, &zones)
+    flattened_cut(universe, &closure.target_chain, &servers, &zones)
 }
 
 /// [`min_cut_flattened`] for a borrowed [`ClosureView`] — same cut, no
@@ -153,11 +155,11 @@ pub fn min_cut_flattened(
 /// which is exactly what [`crate::MinCutMetric`] does.
 pub fn min_cut_flattened_view(
     universe: &Universe,
-    index: &DependencyIndex,
+    _index: &DependencyIndex,
     view: &ClosureView<'_>,
 ) -> Option<HijackSet> {
     let (servers, zones) = view.id_lists();
-    flattened_cut(universe, index, view.target_chain(), servers, zones)
+    flattened_cut(universe, view.target_chain(), servers, zones)
 }
 
 /// Flow-network node ids of the flattened cut: the source, the sink, then
@@ -217,7 +219,6 @@ impl LayerSink for FlowNetwork {
 /// lists (module docs, "The flattened cut").
 fn flattened_cut(
     universe: &Universe,
-    index: &DependencyIndex,
     target_chain: &[ZoneId],
     servers: &[u32],
     zones: &[u32],
@@ -238,7 +239,7 @@ fn flattened_cut(
             };
             net.add_edge(node_in(rank), node_out(rank), cost);
         }
-        walk_layers(universe, index, target_chain, servers, zones, walk, net);
+        walk_layers(universe, target_chain, servers, zones, walk, net);
         if net.max_flow(SOURCE, SINK) >= INF / 2 {
             return None; // only cuttable through out-of-model nodes
         }

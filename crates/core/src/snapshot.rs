@@ -195,8 +195,6 @@ pub fn encode_dep_index(index: &DependencyIndex) -> Vec<u8> {
     let parts = index.snapshot_parts();
     let mut out = Vec::new();
     parts.home_zone.encode_into(&mut out);
-    parts.zone_chain_offsets.encode_into(&mut out);
-    parts.zone_chain_targets.encode_into(&mut out);
     parts.zone_dep_offsets.encode_into(&mut out);
     parts.zone_dep_targets.encode_into(&mut out);
     parts.component_of.encode_into(&mut out);
@@ -219,8 +217,6 @@ pub fn decode_dep_index(
 ) -> Result<DependencyIndex, SnapshotError> {
     let mut dec = StoreDec::new(section, "DEPINDEX");
     let home_zone = dec.u32_arr()?;
-    let zone_chain_offsets = dec.u32_arr()?;
-    let zone_chain_targets = dec.u32_arr()?;
     let zone_dep_offsets = dec.u32_arr()?;
     let zone_dep_targets = dec.u32_arr()?;
     let component_of = dec.u32_arr()?;
@@ -232,8 +228,6 @@ pub fn decode_dep_index(
     DependencyIndex::from_snapshot_parts(
         universe,
         home_zone,
-        zone_chain_offsets,
-        zone_chain_targets,
         zone_dep_offsets,
         zone_dep_targets,
         component_of,
@@ -409,10 +403,6 @@ mod tests {
         // Accessors agree across representations.
         for sid in universe.server_ids() {
             assert!(viewed.deps_of(sid).eq(index.deps_of(sid)), "{sid:?} deps");
-            assert!(
-                viewed.chain_of(sid).eq(index.chain_of(sid)),
-                "{sid:?} chain"
-            );
         }
         let mut ws = viewed.workspace();
         for target in ["ns1.example.com", "www.example.com", "nowhere.test"] {

@@ -197,6 +197,17 @@ impl Universe {
         {
             return Err(format!("zone_parent references zone {bad} of {zone_count}"));
         }
+        // A parent strictly encloses its child, so it has fewer labels:
+        // parent walks (`Universe::server_chain_up`) always terminate.
+        for (z, &p) in zone_parent.iter().enumerate() {
+            if p != u32::MAX
+                && zones[p as usize].origin.label_count() >= zones[z].origin.label_count()
+            {
+                return Err(format!(
+                    "zone_parent of zone {z} is zone {p}, not an ancestor"
+                ));
+            }
+        }
         let mut zone_by_origin = NameIdMap::with_capacity(zones.len());
         for i in 0..zones.len() as u32 {
             if zone_by_origin
@@ -319,6 +330,32 @@ impl Universe {
             u32::MAX => None,
             z => Some(ZoneId(z)),
         }
+    }
+
+    /// The zones of [`Universe::chain_zones`] of `server`'s name,
+    /// **deepest first**, read off the precomputed home-zone and parent
+    /// links instead of probing the origin map per label: the home zone,
+    /// its parent, and so on up to (not including) the root.
+    pub fn server_chain_up(&self, server: ServerId) -> impl Iterator<Item = ZoneId> + '_ {
+        let mut at = self.home_zone_of(server);
+        std::iter::from_fn(move || {
+            let zid = at?;
+            at = self.parent_zone_of(zid);
+            // Only a parentless zone can be the root.
+            if at.is_none() && self.zone(zid).origin.is_root() {
+                return None;
+            }
+            Some(zid)
+        })
+    }
+
+    /// [`Universe::server_chain_up`] root-first — exactly
+    /// [`Universe::chain_zones`] of `server`'s name — into a caller-owned
+    /// buffer (cleared first).
+    pub fn server_chain_into(&self, server: ServerId, out: &mut Vec<ZoneId>) {
+        out.clear();
+        out.extend(self.server_chain_up(server));
+        out.reverse();
     }
 
     /// The deepest zone strictly enclosing `zone`'s origin, precomputed at
@@ -979,6 +1016,40 @@ mod tests {
             .map(|&z| u.zone(z).origin.to_string())
             .collect();
         assert_eq!(origins, vec!["com", "example.com"]);
+    }
+
+    /// The two empty chains: a root-homed server, and a server no zone
+    /// encloses (a universe without a root zone).
+    #[test]
+    fn server_chains_stop_below_the_root() {
+        let u = tiny_universe();
+        let root_ns = u.server_id(&name("a.root-servers.net")).unwrap();
+        assert_eq!(u.home_zone_of(root_ns), u.zone_id(&DnsName::root()));
+        assert_eq!(u.server_chain_up(root_ns).count(), 0);
+        let mut b = Universe::builder();
+        b.add_zone(&name("x.test"), &[name("ns.elsewhere.org")]);
+        let u = b.finish();
+        let sid = u.server_id(&name("ns.elsewhere.org")).unwrap();
+        assert_eq!(u.home_zone_of(sid), None);
+        assert_eq!(u.server_chain_up(sid).count(), 0);
+    }
+
+    #[test]
+    fn snapshot_parts_reject_a_parent_that_is_not_an_ancestor() {
+        let u = tiny_universe();
+        let (zones, servers, server_home, zone_parent) = u.snapshot_parts();
+        // com ↔ example.com: a parent cycle would never end a chain walk.
+        let mut cyclic = zone_parent.to_vec();
+        cyclic[u.zone_id(&name("com")).unwrap().index()] =
+            u.zone_id(&name("example.com")).unwrap().0;
+        let err = Universe::from_snapshot_parts(
+            zones.to_vec(),
+            servers.to_vec(),
+            server_home.to_vec(),
+            cyclic,
+        )
+        .expect_err("cycle rejected");
+        assert!(err.contains("not an ancestor"), "{err}");
     }
 
     #[test]

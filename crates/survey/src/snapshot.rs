@@ -10,7 +10,7 @@
 //! |------------|------------------------------------------------------|
 //! | `WORLDHDR` | dimensions + figure count, cross-checked on load     |
 //! | `UNIVERSE` | zones, servers, ancestor tables                      |
-//! | `DEPINDEX` | zone rows, SCC map, interner arenas                  |
+//! | `DEPINDEX` | home zones, dependency rows, SCC map, interner arenas|
 //! | `LINTIDX`  | depth/cycle index, liveness, reachability, referenced|
 //! | `SURVNAME` | surveyed names, ranks, top-500 indices               |
 //! | `FIGURES`  | rendered figure JSON (optional, stored verbatim)     |

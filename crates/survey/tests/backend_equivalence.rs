@@ -151,3 +151,76 @@ proptest! {
         }
     }
 }
+
+/// The flattened min-cut — the answer's and the `choke-point` rule's —
+/// and the delegation graph read nothing from the byte store: server
+/// chains come from the universe's parent links, which live on the heap
+/// on every backend. Closures are computed outside the measured window
+/// (they do read the index's paged tables), so any store read the cut
+/// kernel gains shows up as a moved page counter.
+#[test]
+fn the_min_cut_touches_no_page() {
+    use perils_core::delegation::DelegationGraph;
+    use perils_core::hijack::min_cut_flattened_view;
+
+    let bytes = archive_bytes(11);
+    let archive = TempArchive::new(&bytes, "cut_pages");
+    let page_bytes = 512;
+    let world = perils_survey::load_world_with(
+        &archive.0,
+        SnapshotBackend::Paged {
+            page_bytes,
+            budget_bytes: 4 * page_bytes as u64,
+        },
+    )
+    .expect("paged load");
+    let touches = || {
+        let c = world.store.cache_counters();
+        c.hits + c.misses
+    };
+    let (universe, index) = (&world.universe, &world.index);
+    let mut ws = index.workspace();
+    let (mut cuts, mut view_touches) = (0usize, 0u64);
+    for survey_name in world.names.iter() {
+        let before_view = touches();
+        let view = index.closure_view(universe, &survey_name.name, &mut ws);
+        let before = touches();
+        view_touches += before - before_view;
+        let cut = min_cut_flattened_view(universe, index, &view);
+        let graph = DelegationGraph::build_view(universe, index, &view);
+        assert_eq!(
+            touches(),
+            before,
+            "the cut of {} read the byte store",
+            survey_name.name
+        );
+        cuts += usize::from(cut.is_some());
+        assert!(graph.server_count() == view.server_count());
+    }
+    assert!(cuts > 0, "no name had a cut");
+    assert!(view_touches > 0, "the page counters never moved");
+}
+
+/// An archive written by the previous format (version 1, which still
+/// carried per-zone chain rows) opens to the typed version error on both
+/// backends — never a panic, never a world.
+#[test]
+fn version_1_archives_are_a_typed_error_on_both_backends() {
+    use perils_util::snapshot::SnapshotError;
+
+    let mut bytes = archive_bytes(11);
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let archive = TempArchive::new(&bytes, "version1");
+    for backend in [SnapshotBackend::Heap, SnapshotBackend::paged(64 * 1024)] {
+        let kind = backend.kind();
+        match perils_survey::load_world_with(&archive.0, backend) {
+            Err(err @ SnapshotError::UnsupportedVersion { found: 1 }) => assert!(
+                err.to_string()
+                    .contains("unsupported snapshot format version 1"),
+                "{kind}: {err}"
+            ),
+            Err(other) => panic!("{kind}: expected the version error, got {other}"),
+            Ok(_) => panic!("{kind}: a version-1 archive loaded"),
+        }
+    }
+}

@@ -12,7 +12,7 @@
 //!    arbitrarily, or re-dealt into any number of ingestion shards,
 //!    produces a byte-identical *canonical* universe
 //!    (`UniverseBuilder::finish_canonical`), with a byte-identical
-//!    `DependencyIndex` (observed through chains, dependencies and
+//!    `DependencyIndex` (observed through dependencies and
 //!    per-name closures) and a byte-identical full figure set.
 //! 3. **Engine equivalence**: `Engine::run_batched` (the streamed,
 //!    bounded-memory pass) equals `Engine::run` column for column (also
@@ -60,7 +60,7 @@ fn build(events: impl IntoIterator<Item = UniverseEvent>, canonical: bool) -> Un
 }
 
 /// Every observable of the dependency index, for byte-comparison: the
-/// per-server delegation chain and dependency rows, and the full closure
+/// per-server dependency rows, and the full closure
 /// (server and zone sets) of every surveyed name. `threads` selects the
 /// build path — serial Tarjan + serial recurrence at 1, parallel SCC +
 /// tree-parallel rows otherwise — so comparing across thread counts pins
@@ -69,7 +69,6 @@ fn index_observations(universe: &Universe, names: &[SurveyName], threads: usize)
     let index = DependencyIndex::build_with_threads(universe, threads);
     let mut out = Vec::new();
     for sid in universe.server_ids() {
-        out.push(index.chain_of(sid).map(|z| z.0).collect());
         out.push(index.deps_of(sid).map(|s| s.0).collect());
     }
     let mut ws = index.workspace();
@@ -120,6 +119,24 @@ fn lint_bytes(universe: &Universe, names: &[SurveyName], threads: usize) -> Vec<
         report.emit(LintFormat::Json),
         report.emit(LintFormat::Sarif),
     ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// On tiny synthetic worlds, every server's chain read off the
+    /// universe's parent links (what the min-cut walk uses) is the chain
+    /// a lookup of its name finds.
+    #[test]
+    fn server_chains_from_parent_links_equal_chain_lookups(seed in 0u64..10_000) {
+        let world = source(seed).load();
+        let universe = &world.universe;
+        let mut chain = Vec::new();
+        for sid in universe.server_ids() {
+            universe.server_chain_into(sid, &mut chain);
+            prop_assert_eq!(&chain, &universe.chain_zones(&universe.server(sid).name), "{:?}", sid);
+        }
+    }
 }
 
 #[test]

@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// Archive magic: identifies a `.psa` file regardless of version.
 pub const MAGIC: [u8; 8] = *b"PSNAPARC";
 /// Current format version. Readers reject anything else.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Endianness sentinel, written as a little-endian `u32`. A reader that
 /// finds these bytes reversed is looking at a big-endian writer's
 /// output (or garbage) and rejects it with a clear message.

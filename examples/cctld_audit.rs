@@ -72,9 +72,9 @@ fn main() {
             for dep in index.deps_of(sid) {
                 closure.servers.insert(dep);
             }
-            for z in index.chain_of(sid) {
-                closure.zones.insert(z);
-            }
+            closure
+                .zones
+                .extend(universe.chain_zones(&universe.server(sid).name));
         }
         let stats = TcbStats::compute(universe, &closure);
         // Availability: fraction of single-server outages the name
