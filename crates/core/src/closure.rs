@@ -26,15 +26,20 @@
 //!   the condensation (a level depends only on deeper levels), each
 //!   level's sets are computed across worker threads, and the merge
 //!   thread interns them in component order — deterministic and
-//!   thread-count invariant by construction.
+//!   thread-count invariant by construction;
+//! * the build finishes through the archive decoder: its tables are
+//!   written in the `DEPINDEX` layout into a heap byte store and decoded
+//!   back ([`crate::snapshot::decode_dep_index`]), so a built index and one
+//!   loaded from a `.psa` archive are the same thing — flat
+//!   [`U32View`]s and [`SetTable`]s over a store.
 //!
 //! # Reading closures: views, not sets
 //!
 //! The read side is [`DependencyIndex::closure_view`]: it returns a
-//! [`ClosureView`] — the closure as **borrowed sorted slices**, either
-//! straight out of the interner (a single-component closure *is* its
-//! component's memoized set — no copy at all) or assembled in the caller's
-//! reusable [`ClosureWorkspace`]. The engine's per-name hot loop therefore
+//! [`ClosureView`] — the closure as **borrowed sorted slices** assembled
+//! in the caller's reusable [`ClosureWorkspace`] (a single-component
+//! closure is its component's memoized set, streamed out of the store in
+//! order). The engine's per-name hot loop therefore
 //! allocates nothing per name: no `BTreeSet`s, no chain vector, no
 //! lowercased name. A view is `Copy`, cheap to pass to every registered
 //! metric, and answers membership queries by binary search.
@@ -53,13 +58,14 @@
 //! closures — the invariant per-chain metric caches (e.g. the min-cut
 //! metric's) rely on.
 
+use crate::snapshot::{decode_dep_index, put_ids};
 use crate::universe::{ServerId, Universe, ZoneId};
 use perils_dns::name::DnsName;
-use perils_graph::bitset::{BitSet, BitSetInterner, SetId};
+use perils_graph::bitset::{BitSet, BitSetInterner, SetId, SetTable};
 use perils_graph::csr::Csr;
 use perils_graph::scc::SccResult;
-use perils_util::snapshot::SnapshotError;
-use perils_util::U32Arr;
+use perils_util::snapshot::{self, Section, SnapshotError};
+use perils_util::U32View;
 use std::collections::BTreeSet;
 
 /// Precomputed dependency structure over a universe.
@@ -73,10 +79,8 @@ use std::collections::BTreeSet;
 /// share one row, the edge array shrinks accordingly, and the SCC pass
 /// runs over the implicit per-server graph without materializing a
 /// per-server edge copy.
-/// Every flat table is a [`U32Arr`]: the build path produces owned
-/// `Vec`s, while a snapshot load keeps each table as a zero-copy view
-/// into the archive's byte store —
-/// same accessors, same equality, no materialization.
+/// Every flat table is a [`U32View`] into the `DEPINDEX` section it was
+/// decoded from — a fresh build's heap store or a loaded archive's.
 #[derive(Debug, Clone)]
 pub struct DependencyIndex {
     /// Per server: index of its home zone, or `u32::MAX` when no zone
@@ -84,56 +88,37 @@ pub struct DependencyIndex {
     /// stored: a server's chain is its home zone and that zone's parent
     /// links ([`Universe::server_chain_up`]), which the memoization and
     /// the min-cut walk read off the universe.
-    home_zone: U32Arr,
+    home_zone: U32View,
     /// CSR rows per zone: the servers an address resolution under this
     /// zone could involve — the NS sets of every chain zone, deduplicated
     /// in first-occurrence order. Targets are raw [`ServerId`] values.
-    zone_dep_offsets: U32Arr,
-    zone_dep_targets: U32Arr,
+    zone_dep_offsets: U32View,
+    zone_dep_targets: U32View,
     /// Strongly connected component of each server in the dependency
     /// graph.
-    component_of: U32Arr,
+    component_of: U32View,
     /// Per-component memoized reachable servers (the component's members
     /// plus everything any member transitively depends on), as raw
     /// [`SetId`] values.
-    component_servers: U32Arr,
+    component_servers: U32View,
     /// Per-component memoized zones: the chains of every reachable server,
     /// as raw [`SetId`] values.
-    component_zones: U32Arr,
-    server_sets: BitSetInterner,
-    zone_sets: BitSetInterner,
+    component_zones: U32View,
+    server_sets: SetTable,
+    zone_sets: SetTable,
+    /// The `DEPINDEX` payload every table above is a view into.
+    section: Section,
 }
 
-/// Structural equality over every flat table and both interner arenas —
-/// the round-trip contract of the snapshot archive. Two indexes built
-/// from equal universes by the same algorithm compare equal regardless
-/// of thread count (the build is deterministic); an index reconstituted
-/// from an archive compares equal to the one that wrote it.
+/// Equality of the `DEPINDEX` payloads, which encode every flat table and
+/// both set tables field by field — the round-trip contract of the
+/// snapshot archive. Two indexes built from equal universes by the same
+/// algorithm compare equal (the build is deterministic); an index
+/// reconstituted from an archive compares equal to the one that wrote it.
 impl PartialEq for DependencyIndex {
     fn eq(&self, other: &DependencyIndex) -> bool {
-        self.home_zone == other.home_zone
-            && self.zone_dep_offsets == other.zone_dep_offsets
-            && self.zone_dep_targets == other.zone_dep_targets
-            && self.component_of == other.component_of
-            && self.component_servers == other.component_servers
-            && self.component_zones == other.component_zones
-            && self.server_sets == other.server_sets
-            && self.zone_sets == other.zone_sets
+        self.section_bytes() == other.section_bytes()
     }
-}
-
-/// The borrowed flat state a snapshot archive persists for a
-/// [`DependencyIndex`] — every field is already a flat array or an
-/// interner arena, so encoding is a straight copy.
-pub(crate) struct DependencyIndexParts<'a> {
-    pub home_zone: &'a U32Arr,
-    pub zone_dep_offsets: &'a U32Arr,
-    pub zone_dep_targets: &'a U32Arr,
-    pub component_of: &'a U32Arr,
-    pub component_servers: &'a U32Arr,
-    pub component_zones: &'a U32Arr,
-    pub server_sets: &'a BitSetInterner,
-    pub zone_sets: &'a BitSetInterner,
 }
 
 /// Error channel for the streaming snapshot validators: a structural
@@ -693,18 +678,12 @@ fn memoize_levels(
 }
 
 impl DependencyIndex {
-    /// Borrows the flat state a snapshot archive persists.
-    pub(crate) fn snapshot_parts(&self) -> DependencyIndexParts<'_> {
-        DependencyIndexParts {
-            home_zone: &self.home_zone,
-            zone_dep_offsets: &self.zone_dep_offsets,
-            zone_dep_targets: &self.zone_dep_targets,
-            component_of: &self.component_of,
-            component_servers: &self.component_servers,
-            component_zones: &self.component_zones,
-            server_sets: &self.server_sets,
-            zone_sets: &self.zone_sets,
-        }
+    /// The `DEPINDEX` payload this index reads from, copied out — what a
+    /// snapshot archive stores for it.
+    pub(crate) fn section_bytes(&self) -> Vec<u8> {
+        self.section
+            .to_vec()
+            .expect("DEPINDEX validated at decode no longer reads (file changed on disk?)")
     }
 
     /// Reassembles an index from archived flat state, validating every
@@ -715,27 +694,27 @@ impl DependencyIndex {
     /// has already checksum-verified the bytes and this validation makes
     /// even a forged section unable to cause panics downstream.
     /// Validation **streams** every table through
-    /// [`U32Arr::try_for_each`], so a view-backed load checks the same
-    /// invariants the eager decode always did without materializing a
-    /// single array.
+    /// [`U32View::try_for_each`], so it checks every invariant without
+    /// materializing a single array.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_snapshot_parts(
         universe: &Universe,
-        home_zone: U32Arr,
-        zone_dep_offsets: U32Arr,
-        zone_dep_targets: U32Arr,
-        component_of: U32Arr,
-        component_servers: U32Arr,
-        component_zones: U32Arr,
-        server_sets: BitSetInterner,
-        zone_sets: BitSetInterner,
+        section: Section,
+        home_zone: U32View,
+        zone_dep_offsets: U32View,
+        zone_dep_targets: U32View,
+        component_of: U32View,
+        component_servers: U32View,
+        component_zones: U32View,
+        server_sets: SetTable,
+        zone_sets: SetTable,
     ) -> Result<DependencyIndex, String> {
         let n = universe.server_count();
         let zn = universe.zone_count();
         // Streaming validators raise either a structural message or an
         // I/O-ish store error; both flatten to the String the snapshot
         // decoder wraps into its Malformed variant.
-        let bounded = |arr: &U32Arr, bound: usize, msg: &dyn Fn(u32) -> String| {
+        let bounded = |arr: &U32View, bound: usize, msg: &dyn Fn(u32) -> String| {
             arr.try_for_each(|v| {
                 if v as usize >= bound {
                     return Err(CheckError::Msg(msg(v)));
@@ -760,7 +739,7 @@ impl DependencyIndex {
                 Ok(())
             })
             .map_err(String::from)?;
-        let check_csr = |offsets: &U32Arr, targets: usize, what: &str| -> Result<(), String> {
+        let check_csr = |offsets: &U32View, targets: usize, what: &str| -> Result<(), String> {
             if offsets.len() != zn + 1 {
                 return Err(format!(
                     "{what} offsets have {} entries for {zn} zones",
@@ -840,6 +819,7 @@ impl DependencyIndex {
             component_zones,
             server_sets,
             zone_sets,
+            section,
         })
     }
 
@@ -960,41 +940,40 @@ impl DependencyIndex {
             memoize_levels(&input, n, zn, threads)
         };
         stats.memoize = t3.elapsed();
-        let component_of: Vec<u32> = scc.component_of.iter().map(|&c| c as u32).collect();
 
-        // The build always materializes: every table is owned. A
-        // view-backed index only ever comes out of a snapshot load.
-        let index = DependencyIndex {
-            home_zone: home_zone.into(),
-            zone_dep_offsets: zone_dep_offsets.into(),
-            zone_dep_targets: zone_dep_targets
-                .into_iter()
-                .map(|s| s.0)
-                .collect::<Vec<u32>>()
-                .into(),
-            component_of: component_of.into(),
-            component_servers: memo
-                .component_servers
-                .into_iter()
-                .map(SetId::raw)
-                .collect::<Vec<u32>>()
-                .into(),
-            component_zones: memo
-                .component_zones
-                .into_iter()
-                .map(SetId::raw)
-                .collect::<Vec<u32>>()
-                .into(),
-            server_sets: memo.server_sets,
-            zone_sets: memo.zone_sets,
-        };
+        // Finish through the archive decoder: write every table in the
+        // `DEPINDEX` layout into a heap store — each dropped once written,
+        // so no second full copy is alive — and read the store back.
+        let mut bytes = Vec::new();
+        snapshot::put_u32_slice(&mut bytes, &home_zone);
+        drop(home_zone);
+        snapshot::put_u32_slice(&mut bytes, &zone_dep_offsets);
+        drop(zone_dep_offsets);
+        put_ids(&mut bytes, zone_dep_targets.iter().map(|s| s.0));
+        drop(zone_dep_targets);
+        put_ids(&mut bytes, scc.component_of.iter().map(|&c| c as u32));
+        drop((scc, dag));
+        let MemoResult {
+            component_servers,
+            component_zones,
+            server_sets,
+            zone_sets,
+        } = memo;
+        put_ids(&mut bytes, component_servers.into_iter().map(SetId::raw));
+        put_ids(&mut bytes, component_zones.into_iter().map(SetId::raw));
+        server_sets.encode_into(&mut bytes);
+        drop(server_sets);
+        zone_sets.encode_into(&mut bytes);
+        drop(zone_sets);
+        let index = decode_dep_index(&Section::from_vec(bytes), universe)
+            .expect("a freshly built dependency index decodes");
         (index, stats)
     }
 
     /// The servers that could be involved in resolving `server`'s address
     /// (its home zone's dependency row; sibling servers share one row).
-    /// Yields ids in row order; on a view-backed index the words decode
-    /// straight out of the archive's byte store.
+    /// Yields ids in row order, decoded straight out of the index's byte
+    /// store.
     pub fn deps_of(
         &self,
         server: ServerId,
@@ -1039,9 +1018,8 @@ impl DependencyIndex {
     /// [`ClosureView`] — the allocation-free hot path the survey engine
     /// runs on.
     ///
-    /// The view borrows `ws` (and, on the single-component fast path, the
-    /// index's interned sets directly), so the workspace is busy until the
-    /// view is dropped; one workspace serves one name at a time.
+    /// The view borrows `ws`, so the workspace is busy until the view is
+    /// dropped; one workspace serves one name at a time.
     pub fn closure_view<'a>(
         &'a self,
         universe: &Universe,
@@ -1062,28 +1040,16 @@ impl DependencyIndex {
             }
         }
 
-        let servers: &[u32] = match ws.seed_components[..] {
-            [] => {
-                ws.servers.clear();
-                &ws.servers
-            }
+        ws.servers.clear();
+        match ws.seed_components[..] {
+            [] => {}
             [c] => {
-                // Single component: the closure *is* the memoized set.
-                // Sparse sets are borrowed straight out of the interner —
-                // no copy at all; dense sets stream into the workspace
-                // (already ascending, no sort needed).
+                // Single component: the closure *is* the memoized set,
+                // streamed into the workspace already ascending.
                 let set = SetId::from_raw(self.component_servers.get(c as usize));
-                match self.server_sets.as_sorted_slice(set) {
-                    Some(slice) => slice,
-                    None => {
-                        ws.servers.clear();
-                        self.server_sets.for_each(set, |v| ws.servers.push(v));
-                        &ws.servers
-                    }
-                }
+                self.server_sets.for_each(set, |v| ws.servers.push(v));
             }
             _ => {
-                ws.servers.clear();
                 for &c in &ws.seed_components {
                     self.server_sets.union_into(
                         SetId::from_raw(self.component_servers.get(c as usize)),
@@ -1095,9 +1061,8 @@ impl DependencyIndex {
                 for &v in &ws.servers {
                     ws.seen_servers.remove(v as usize);
                 }
-                &ws.servers
             }
-        };
+        }
 
         // Zones: the target's own chain plus every seed component's
         // memoized zone set (the chains of all reachable servers).
@@ -1122,7 +1087,7 @@ impl DependencyIndex {
         ClosureView {
             target,
             target_chain: &ws.chain,
-            servers,
+            servers: &ws.servers,
             zones: &ws.zones,
         }
     }
@@ -1182,8 +1147,7 @@ impl DependencyIndex {
 /// per-name allocation, `Copy`, cheap to hand to every registered metric.
 ///
 /// Produced by [`DependencyIndex::closure_view`]; borrows the caller's
-/// [`ClosureWorkspace`] (and, for single-component closures, the index's
-/// interned sets directly). Everything a view exposes is derived from the
+/// [`ClosureWorkspace`]. Everything a view exposes is derived from the
 /// target's delegation chain, so equal [`ClosureView::target_chain`]s mean
 /// identical closures.
 #[derive(Debug, Clone, Copy)]

@@ -21,7 +21,7 @@ use crate::misconfig::DepthIndex;
 use crate::universe::{ServerEntry, ServerId, Universe, ZoneEntry};
 use crate::zombie::ZombieIndex;
 use perils_dns::name::{DnsName, Label};
-use perils_graph::bitset::BitSetInterner;
+use perils_graph::bitset::SetTable;
 use perils_util::snapshot::{self, Dec, Section, SnapshotError, StoreDec};
 
 /// Section tag for the canonical universe tables.
@@ -65,7 +65,7 @@ pub fn decode_name(dec: &mut Dec<'_>) -> Result<DnsName, SnapshotError> {
 
 /// Checks one [`encode_name`] record without materializing the name:
 /// same validation, same bytes consumed, no allocation. This is what
-/// lets a view-backed name table validate its whole section up front and
+/// lets the name table validate its whole section up front and
 /// decode records lazily with `expect` thereafter — `validate_name`
 /// succeeding guarantees [`decode_name`] on the same bytes succeeds.
 pub fn validate_name(dec: &mut Dec<'_>) -> Result<(), SnapshotError> {
@@ -189,27 +189,19 @@ pub fn decode_universe(section: &Section) -> Result<Universe, SnapshotError> {
 
 /// Encodes the dependency index as the `DEPINDEX` section payload.
 ///
-/// [`perils_util::U32Arr::encode_into`] is element-wise, so a view-backed
-/// index re-encodes to exactly the bytes it was loaded from.
+/// Every index — built or loaded — was decoded from such a payload (a
+/// build writes its tables into a heap store and decodes them, see
+/// [`DependencyIndex::build_with_stats`]), so encoding copies those bytes
+/// out: byte-identical to what was validated.
 pub fn encode_dep_index(index: &DependencyIndex) -> Vec<u8> {
-    let parts = index.snapshot_parts();
-    let mut out = Vec::new();
-    parts.home_zone.encode_into(&mut out);
-    parts.zone_dep_offsets.encode_into(&mut out);
-    parts.zone_dep_targets.encode_into(&mut out);
-    parts.component_of.encode_into(&mut out);
-    parts.component_servers.encode_into(&mut out);
-    parts.component_zones.encode_into(&mut out);
-    parts.server_sets.encode_into(&mut out);
-    parts.zone_sets.encode_into(&mut out);
-    out
+    index.section_bytes()
 }
 
 /// Decodes a `DEPINDEX` section, validating it against `universe`.
 ///
-/// This is the out-of-core path: every flat table — CSR rows, SCC map,
-/// memo tables, both interner arenas — stays a typed view into the
-/// section's byte store, and validation streams the words without
+/// This is how every index comes into memory: each flat table — CSR
+/// rows, SCC map, memo tables, both set arenas — stays a typed view into
+/// the section's byte store, and validation streams the words without
 /// materializing them.
 pub fn decode_dep_index(
     section: &Section,
@@ -222,11 +214,12 @@ pub fn decode_dep_index(
     let component_of = dec.u32_arr()?;
     let component_servers = dec.u32_arr()?;
     let component_zones = dec.u32_arr()?;
-    let server_sets = BitSetInterner::decode_from(&mut dec)?;
-    let zone_sets = BitSetInterner::decode_from(&mut dec)?;
+    let server_sets = SetTable::decode_from(&mut dec)?;
+    let zone_sets = SetTable::decode_from(&mut dec)?;
     dec.finish()?;
     DependencyIndex::from_snapshot_parts(
         universe,
+        section.clone(),
         home_zone,
         zone_dep_offsets,
         zone_dep_targets,
@@ -251,11 +244,11 @@ pub fn encode_lint(lint: &LintIndex) -> Vec<u8> {
         u32::try_from(d.cycles.len()).expect("cycle count fits u32"),
     );
     for cycle in d.cycles {
-        put_id_slice(&mut out, cycle.iter().map(|s| s.0));
+        put_ids(&mut out, cycle.iter().map(|s| s.0));
     }
     // Option<u32> with u32::MAX as the None sentinel (cycle indexes are
     // bounded by the cycle count, far below MAX).
-    put_id_slice(
+    put_ids(
         &mut out,
         d.cycle_index.iter().map(|c| c.unwrap_or(u32::MAX)),
     );
@@ -306,8 +299,9 @@ pub fn decode_lint(section: &Section, universe: &Universe) -> Result<LintIndex, 
         .map_err(|e| Dec::new_at(payload, "LINTIDX", section.base()).malformed(e))
 }
 
-/// Writes an id iterator as a length-prefixed `u32` array.
-fn put_id_slice(out: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
+/// Writes an id iterator in the [`snapshot::put_u32_slice`] layout
+/// (length, then the words little-endian) without collecting it first.
+pub(crate) fn put_ids(out: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>) {
     snapshot::put_u32(out, u32::try_from(ids.len()).expect("id slice fits u32"));
     out.reserve(ids.len() * 4);
     for id in ids {
@@ -387,9 +381,8 @@ mod tests {
 
     #[test]
     fn dep_index_round_trips_equal_and_byte_stable() {
-        // The decode keeps every flat table as a store view; the result
-        // must still compare equal to the built index and re-encode to
-        // the exact source bytes.
+        // Decoding a saved payload again must compare equal to the built
+        // index and re-encode to the exact source bytes.
         let universe = tiny_universe();
         let index = DependencyIndex::build(&universe);
         let bytes = encode_dep_index(&index);

@@ -6,11 +6,13 @@
 //! [`BitSetInterner`] stores many related sets compactly — each distinct
 //! set once, sparse (sorted ids) when small and packed (bit blocks) when
 //! dense — which is what lets the dependency index memoize one reachable
-//! set per strongly connected component without quadratic memory.
+//! set per strongly connected component without quadratic memory. The
+//! interner only builds; what it built is read back as a [`SetTable`]
+//! over an archive's byte store.
 
 use std::collections::HashMap;
 
-use perils_util::bytestore::{U32Arr, U64Arr};
+use perils_util::bytestore::{U32View, U64View};
 use perils_util::snapshot::{self, SnapshotError, StoreDec};
 
 /// A fixed-capacity set of `usize` values in `[0, capacity)`.
@@ -173,32 +175,51 @@ impl SetId {
     }
 }
 
-/// One interned set: sparse sorted ids when small (a range of the shared
+/// One stored set: sparse sorted ids when small (a range of the shared
 /// element arena — one allocation for all sparse sets, not one per set),
 /// packed blocks when the set is dense enough that blocks are the smaller
-/// representation. Dense blocks are an owned-or-view [`U64Arr`], so a
-/// snapshot-loaded interner can leave them in the archive's byte store.
-#[derive(Debug, Clone, PartialEq)]
-enum CompactSet {
+/// representation. `Blocks` is a `Vec<u64>` while a [`BitSetInterner`]
+/// builds and a store view once a [`SetTable`] has decoded it.
+#[derive(Debug, Clone)]
+enum CompactSet<Blocks> {
     Sparse { offset: u32, len: u32 },
-    Dense { blocks: U64Arr, len: u32 },
+    Dense { blocks: Blocks, len: u32 },
 }
 
-/// A deduplicating arena of sets over `[0, capacity)`.
+impl<Blocks> CompactSet<Blocks> {
+    fn len(&self) -> usize {
+        match self {
+            CompactSet::Sparse { len, .. } | CompactSet::Dense { len, .. } => *len as usize,
+        }
+    }
+}
+
+/// Calls `f` for every set bit of dense block number `index`, ascending.
+fn for_each_bit(index: u32, block: u64, f: &mut impl FnMut(u32)) {
+    let mut bits = block;
+    while bits != 0 {
+        let tz = bits.trailing_zeros();
+        bits &= bits - 1;
+        f(index * 64 + tz);
+    }
+}
+
+/// A deduplicating arena of sets over `[0, capacity)` — the build side.
 ///
 /// `intern` stores each distinct set once and hands out a [`SetId`];
 /// identical sets (e.g. the zone closures of sibling registry servers)
 /// share storage. Sets are stored sparsely (4 bytes per element) below a
 /// density of 1/32 and as bit blocks above it, so both a survey-scale
 /// arena of ~46-element mean closures and the occasional hub component
-/// reaching thousands of servers stay memory-bounded.
-#[derive(Debug, Clone)]
+/// reaching thousands of servers stay memory-bounded. Once built, the
+/// arena is written out with [`BitSetInterner::encode_into`] and read back
+/// as a [`SetTable`].
+#[derive(Debug)]
 pub struct BitSetInterner {
     capacity: usize,
-    sets: Vec<CompactSet>,
-    /// Shared element storage of every sparse set: an owned `Vec` for
-    /// built interners, a zero-copy archive view for snapshot loads.
-    arena: U32Arr,
+    sets: Vec<CompactSet<Vec<u64>>>,
+    /// Shared element storage of every sparse set.
+    arena: Vec<u32>,
     /// FNV-1a hash of the sorted ids → first set with that hash (further
     /// same-hash sets go to `overflow`; collisions of *distinct* sets are
     /// vanishingly rare, so the common case costs one map probe and no
@@ -209,10 +230,6 @@ pub struct BitSetInterner {
     /// Total elements across interned sets, counting each set once
     /// (dedup-aware size accounting for diagnostics).
     stored_elements: usize,
-    /// Whether `by_hash`/`overflow` reflect set storage. View-mode
-    /// snapshot loads defer the rebuild (read paths never consult the
-    /// maps); the first intern promotes the arena and rebuilds them.
-    dedup_ready: bool,
 }
 
 impl BitSetInterner {
@@ -221,11 +238,10 @@ impl BitSetInterner {
         BitSetInterner {
             capacity,
             sets: Vec::new(),
-            arena: U32Arr::Owned(Vec::new()),
+            arena: Vec::new(),
             by_hash: HashMap::new(),
             overflow: Vec::new(),
             stored_elements: 0,
-            dedup_ready: true,
         }
     }
 
@@ -296,7 +312,6 @@ impl BitSetInterner {
             );
         }
         debug_assert_eq!(hash, fnv1a(ids), "precomputed hash mismatch");
-        self.ensure_dedup();
         match self.by_hash.entry(hash) {
             std::collections::hash_map::Entry::Occupied(first) => {
                 let first = *first.get();
@@ -329,47 +344,33 @@ impl BitSetInterner {
     }
 
     /// Borrows the sorted element slice of set `id` when it is stored
-    /// sparsely in an owned arena (`None` for block-packed dense sets
-    /// and for view-backed arenas, whose LE bytes cannot be reborrowed
-    /// as `u32`s without `unsafe`). The zero-copy fast path of closure
-    /// views: a single-component closure *is* its component's interned
-    /// set, so the view borrows this slice directly; view-backed callers
-    /// take the streaming fallback instead.
+    /// sparsely (`None` for block-packed dense sets) — the merge fast
+    /// path of the memoization pass.
     pub fn as_sorted_slice(&self, id: SetId) -> Option<&[u32]> {
         match self.sets[id.index()] {
-            CompactSet::Sparse { offset, len } => self
-                .arena
-                .as_slice()
-                .map(|arena| &arena[offset as usize..(offset + len) as usize]),
+            CompactSet::Sparse { offset, len } => {
+                Some(&self.arena[offset as usize..(offset + len) as usize])
+            }
             CompactSet::Dense { .. } => None,
         }
     }
 
     /// Number of elements in set `id`.
     pub fn set_len(&self, id: SetId) -> usize {
-        match &self.sets[id.index()] {
-            CompactSet::Sparse { len, .. } => *len as usize,
-            CompactSet::Dense { len, .. } => *len as usize,
-        }
+        self.sets[id.index()].len()
     }
 
     /// Calls `f` for every element of set `id`, ascending.
     pub fn for_each(&self, id: SetId, mut f: impl FnMut(u32)) {
         match &self.sets[id.index()] {
-            CompactSet::Sparse { offset, len } => self
-                .arena
-                .for_each_in(*offset as usize..(offset + len) as usize, f),
+            CompactSet::Sparse { offset, len } => self.arena
+                [*offset as usize..(offset + len) as usize]
+                .iter()
+                .for_each(|&v| f(v)),
             CompactSet::Dense { blocks, .. } => {
-                let mut i = 0u32;
-                blocks.for_each_in(0..blocks.len(), |block| {
-                    let mut bits = block;
-                    while bits != 0 {
-                        let tz = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        f(i * 64 + tz);
-                    }
-                    i += 1;
-                });
+                for (i, &block) in blocks.iter().enumerate() {
+                    for_each_bit(i as u32, block, &mut f);
+                }
             }
         }
     }
@@ -390,7 +391,7 @@ impl BitSetInterner {
         });
     }
 
-    fn pack(&mut self, ids: &[u32]) -> CompactSet {
+    fn pack(&mut self, ids: &[u32]) -> CompactSet<Vec<u64>> {
         // Dense wins once 4 bytes/element exceeds capacity/8 bytes of blocks.
         if ids.len() * 32 >= self.capacity && self.capacity >= 64 {
             let mut blocks = vec![0u64; self.capacity.div_ceil(64)];
@@ -398,16 +399,12 @@ impl BitSetInterner {
                 blocks[v as usize / 64] |= 1u64 << (v % 64);
             }
             CompactSet::Dense {
-                blocks: U64Arr::Owned(blocks),
+                blocks,
                 len: ids.len() as u32,
             }
         } else {
             let offset = u32::try_from(self.arena.len()).expect("interner arena fits u32");
-            match &mut self.arena {
-                U32Arr::Owned(arena) => arena.extend_from_slice(ids),
-                // ensure_dedup promoted the arena before any intern.
-                U32Arr::View(_) => unreachable!("pack on a view-backed arena"),
-            }
+            self.arena.extend_from_slice(ids);
             CompactSet::Sparse {
                 offset,
                 len: ids.len() as u32,
@@ -418,12 +415,12 @@ impl BitSetInterner {
     /// Appends this interner's exact internal layout — capacity, shared
     /// sparse arena, and every set's representation (sparse range or
     /// dense blocks) — as flat little-endian fields. Pair with
-    /// [`BitSetInterner::decode_from`]; the round trip is structurally
-    /// identical (same ids, same arena offsets, same packing choices).
+    /// [`SetTable::decode_from`]; the table answers every query with the
+    /// same ids, elements and packing choices as this interner.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         snapshot::put_u64(out, self.capacity as u64);
         snapshot::put_u64(out, self.stored_elements as u64);
-        self.arena.encode_into(out);
+        snapshot::put_u32_slice(out, &self.arena);
         snapshot::put_u32(
             out,
             u32::try_from(self.sets.len()).expect("interner set count fits u32"),
@@ -438,27 +435,47 @@ impl BitSetInterner {
                 CompactSet::Dense { blocks, len } => {
                     snapshot::put_u8(out, 1);
                     snapshot::put_u32(out, *len);
-                    blocks.encode_into(out);
+                    snapshot::put_u64_slice(out, blocks);
                 }
             }
         }
     }
 
-    /// Reconstitutes an interner from [`BitSetInterner::encode_into`]
-    /// bytes. The sparse arena and every dense block run stay as views
-    /// into the archive's byte store, and the dedup lookup maps are
-    /// deferred until the first intern (read paths never touch them),
-    /// which re-derives them by hashing each set in id order — the same
-    /// first-wins order the original interning used, so even
-    /// `by_hash`/`overflow` come back identical and further interning
-    /// behaves exactly as it would on the original.
+    fn eq_ids(&self, id: SetId, ids: &[u32]) -> bool {
+        match &self.sets[id.index()] {
+            CompactSet::Sparse { offset, len } => {
+                self.arena[*offset as usize..(offset + len) as usize] == *ids
+            }
+            CompactSet::Dense { blocks, len } => {
+                *len as usize == ids.len()
+                    && ids
+                        .iter()
+                        .all(|&v| blocks[v as usize / 64] & (1u64 << (v % 64)) != 0)
+            }
+        }
+    }
+}
+
+/// The read side of a [`BitSetInterner`]: the sets it built, decoded from
+/// its [`BitSetInterner::encode_into`] bytes. Read-only — the sparse arena
+/// and every dense block run stay views into the archive's byte store,
+/// and nothing can be interned into a table.
+#[derive(Debug, Clone)]
+pub struct SetTable {
+    capacity: usize,
+    sets: Vec<CompactSet<U64View>>,
+    arena: U32View,
+}
+
+impl SetTable {
+    /// Reads a table from [`BitSetInterner::encode_into`] bytes.
     ///
     /// Every structural claim is validated before use —
     /// sparse ranges against the arena, element order/bounds against the
     /// capacity, dense block counts and popcounts, and the stored-element
     /// total — so a corrupt section yields a typed error, never a panic
     /// or a silently wrong set.
-    pub fn decode_from(dec: &mut StoreDec) -> Result<BitSetInterner, SnapshotError> {
+    pub fn decode_from(dec: &mut StoreDec) -> Result<SetTable, SnapshotError> {
         let capacity = usize::try_from(dec.u64()?)
             .map_err(|_| dec.malformed("interner capacity exceeds usize"))?;
         let stored_elements = usize::try_from(dec.u64()?)
@@ -537,9 +554,7 @@ impl BitSetInterner {
                     );
                 }
             };
-            element_total += match &set {
-                CompactSet::Sparse { len, .. } | CompactSet::Dense { len, .. } => *len as usize,
-            };
+            element_total += set.len();
             sets.push(set);
         }
         if element_total != stored_elements {
@@ -547,86 +562,61 @@ impl BitSetInterner {
                 "stored_elements {stored_elements} disagrees with set contents {element_total}"
             )));
         }
-        Ok(BitSetInterner {
+        Ok(SetTable {
             capacity,
             sets,
             arena,
-            by_hash: HashMap::new(),
-            overflow: Vec::new(),
-            stored_elements,
-            dedup_ready: false,
         })
     }
 
-    /// Promotes a view-loaded interner to a mutable one: materializes the
-    /// arena and rebuilds the dedup maps. No-op once ready.
-    fn ensure_dedup(&mut self) {
-        if self.dedup_ready {
-            return;
-        }
-        self.arena.make_owned();
-        self.rebuild_dedup_maps();
-        self.dedup_ready = true;
+    /// The element capacity sets are bounded by.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
-    /// Re-derives `by_hash`/`overflow` from set storage, in id order —
-    /// matching the first-wins insertion order of the original build.
-    /// This is the only hashing a snapshot load performs: one FNV fold
-    /// per stored element, memory-bandwidth cheap.
-    fn rebuild_dedup_maps(&mut self) {
-        let mut scratch = Vec::new();
-        for index in 0..self.sets.len() {
-            let id = SetId(index as u32);
-            let hash = match (&self.sets[index], self.arena.as_slice()) {
-                (CompactSet::Sparse { offset, len }, Some(arena)) => {
-                    fnv1a(&arena[*offset as usize..(offset + len) as usize])
-                }
-                _ => {
-                    scratch.clear();
-                    self.for_each(id, |v| scratch.push(v));
-                    fnv1a(&scratch)
-                }
-            };
-            match self.by_hash.entry(hash) {
-                std::collections::hash_map::Entry::Occupied(_) => self.overflow.push((hash, id)),
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(id);
-                }
-            }
-        }
+    /// Number of distinct sets stored.
+    pub fn len(&self) -> usize {
+        self.sets.len()
     }
 
-    fn eq_ids(&self, id: SetId, ids: &[u32]) -> bool {
+    /// True when the table holds no set.
+    pub fn is_empty(&self) -> bool {
+        self.sets.is_empty()
+    }
+
+    /// Number of elements in set `id`.
+    pub fn set_len(&self, id: SetId) -> usize {
+        self.sets[id.index()].len()
+    }
+
+    /// Calls `f` for every element of set `id`, ascending.
+    pub fn for_each(&self, id: SetId, mut f: impl FnMut(u32)) {
         match &self.sets[id.index()] {
-            CompactSet::Sparse { offset, len } => {
-                *len as usize == ids.len()
-                    && self
-                        .arena
-                        .iter_range(*offset as usize..(offset + len) as usize)
-                        .eq(ids.iter().copied())
-            }
-            CompactSet::Dense { blocks, len } => {
-                *len as usize == ids.len()
-                    && ids
-                        .iter()
-                        .all(|&v| blocks.get(v as usize / 64) & (1u64 << (v % 64)) != 0)
+            CompactSet::Sparse { offset, len } => self
+                .arena
+                .for_each_in(*offset as usize..(offset + len) as usize, f),
+            CompactSet::Dense { blocks, .. } => {
+                let mut i = 0u32;
+                blocks.for_each_in(0..blocks.len(), |block| {
+                    for_each_bit(i, block, &mut f);
+                    i += 1;
+                });
             }
         }
     }
-}
 
-/// Structural equality: same capacity, same arena layout, same per-set
-/// representations. The dedup maps are derived state (reconstituted
-/// deterministically by [`BitSetInterner::decode_from`]) and are not
-/// compared. This is the serialization-fidelity contract — two interners
-/// built by different insertion orders may hold equal *sets* yet compare
-/// unequal here.
-impl PartialEq for BitSetInterner {
-    fn eq(&self, other: &BitSetInterner) -> bool {
-        self.capacity == other.capacity
-            && self.stored_elements == other.stored_elements
-            && self.arena == other.arena
-            && self.sets == other.sets
+    /// [`BitSetInterner::union_into`] over the table's sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `seen` was not sized to this table's capacity.
+    pub fn union_into(&self, id: SetId, seen: &mut BitSet, out: &mut Vec<u32>) {
+        assert_eq!(seen.capacity(), self.capacity, "scratch capacity mismatch");
+        self.for_each(id, |v| {
+            if seen.insert(v as usize) {
+                out.push(v);
+            }
+        });
     }
 }
 
@@ -781,64 +771,46 @@ mod tests {
         BitSetInterner::new(10).intern(&[10]);
     }
 
-    fn sample_pool() -> (BitSetInterner, SetId, SetId, SetId, Vec<u32>) {
-        let mut pool = BitSetInterner::new(256);
-        let a = pool.intern(&[1, 5, 200]);
-        let dense: Vec<u32> = (0..128).collect();
-        let b = pool.intern(&dense);
-        let c = pool.intern(&[]);
-        (pool, a, b, c, dense)
-    }
-
-    fn decode(bytes: Vec<u8>) -> Result<BitSetInterner, SnapshotError> {
+    fn decode(bytes: Vec<u8>) -> Result<SetTable, SnapshotError> {
         let section = perils_util::snapshot::Section::from_vec(bytes);
         let mut dec = StoreDec::new(&section, "POOL");
-        let pool = BitSetInterner::decode_from(&mut dec)?;
+        let table = SetTable::decode_from(&mut dec)?;
         dec.finish()?;
-        Ok(pool)
+        Ok(table)
     }
 
     #[test]
-    fn interner_decode_round_trips_and_promotes_on_intern() {
-        let (pool, a, b, c, dense) = sample_pool();
+    fn set_table_answers_like_the_interner_it_was_encoded_from() {
+        let mut pool = BitSetInterner::new(256);
+        let ids = [
+            pool.intern(&[1, 5, 200]),
+            pool.intern(&(0..128).collect::<Vec<u32>>()),
+            pool.intern(&[]),
+            pool.intern(&(64..200).step_by(2).collect::<Vec<u32>>()),
+            pool.intern(&[255]),
+        ];
         let mut bytes = Vec::new();
         pool.encode_into(&mut bytes);
-        let viewed = decode(bytes.clone()).expect("view decodes");
-        assert_eq!(viewed, pool, "views compare element-wise equal");
-        assert_eq!(
-            viewed.as_sorted_slice(a),
-            None,
-            "view arenas cannot lend slices"
+        let table = decode(bytes).expect("table decodes");
+        assert_eq!(table.capacity(), pool.capacity());
+        assert_eq!(table.len(), pool.len());
+        assert!(
+            pool.as_sorted_slice(ids[1]).is_none(),
+            "a dense set is covered"
         );
-        assert_eq!(viewed.set_len(a), 3);
-        let mut got = Vec::new();
-        viewed.for_each(a, |v| got.push(v));
-        assert_eq!(got, vec![1, 5, 200]);
-        got.clear();
-        viewed.for_each(b, |v| got.push(v));
-        assert_eq!(got, dense, "dense views stream identically");
-        let mut union = Vec::new();
-        let mut seen = BitSet::new(256);
-        viewed.union_into(a, &mut seen, &mut union);
-        assert_eq!(union, vec![1, 5, 200]);
-        // A view-backed interner re-encodes byte-identically.
-        let mut re = Vec::new();
-        viewed.encode_into(&mut re);
-        assert_eq!(re, bytes, "view encode is byte-stable");
-        // First intern promotes the arena and rebuilds dedup maps.
-        let mut viewed = viewed;
-        assert_eq!(viewed.intern(&[1, 5, 200]), a);
-        assert_eq!(viewed.intern(&dense), b);
-        assert_eq!(viewed.intern(&[]), c);
-        assert_eq!(viewed.len(), pool.len(), "no duplicates after reload");
-        let d = viewed.intern(&[9, 17]);
-        assert_eq!(viewed.len(), pool.len() + 1);
-        assert_eq!(viewed.as_sorted_slice(d), Some(&[9u32, 17][..]));
-        assert_eq!(
-            viewed.as_sorted_slice(a),
-            Some(&[1u32, 5, 200][..]),
-            "promotion materializes the arena for old sets too"
-        );
+        let mut seen_pool = BitSet::new(256);
+        let mut seen_table = BitSet::new(256);
+        let (mut union_pool, mut union_table) = (Vec::new(), Vec::new());
+        for id in ids {
+            assert_eq!(table.set_len(id), pool.set_len(id), "{id:?}");
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            pool.for_each(id, |v| want.push(v));
+            table.for_each(id, |v| got.push(v));
+            assert_eq!(got, want, "{id:?}");
+            pool.union_into(id, &mut seen_pool, &mut union_pool);
+            table.union_into(id, &mut seen_table, &mut union_table);
+            assert_eq!(union_table, union_pool, "union through {id:?}");
+        }
     }
 
     #[test]
@@ -853,11 +825,11 @@ mod tests {
                 let mut bad = bytes.clone();
                 bad[byte] ^= flip;
                 // Must never panic; errors or a structurally valid
-                // (but different) interner are both acceptable — in
+                // (but different) table are both acceptable — in
                 // the full archive the section checksum rejects the
                 // latter.
-                if let Ok(pool2) = decode(bad) {
-                    let _ = pool2.len();
+                if let Ok(table) = decode(bad) {
+                    let _ = table.len();
                 }
             }
         }

@@ -25,7 +25,7 @@ pub mod flow;
 pub mod scc;
 pub mod traversal;
 
-pub use bitset::{BitSet, BitSetInterner, SetId};
+pub use bitset::{BitSet, BitSetInterner, SetId, SetTable};
 pub use csr::{Csr, CsrBuilder};
 pub use digraph::{DiGraph, NodeId};
 pub use flow::{FlowNetwork, VertexCut};

@@ -477,10 +477,6 @@ impl Daemon {
                     return (Endpoint::Metrics, method_not_allowed("GET"), false);
                 }
                 let snap = self.store.current();
-                let (backend, resident, cache) = match &snap.store {
-                    Some(store) => (store.kind(), store.resident_bytes(), store.cache_counters()),
-                    None => ("none", 0, perils_util::CacheCounters::default()),
-                };
                 let text = self.metrics.render(
                     snap.epoch,
                     snap.age(),
@@ -488,9 +484,9 @@ impl Daemon {
                     self.config.threads,
                     snap.stats.source.kind(),
                     snap.stats.source.load_ms(),
-                    backend,
-                    resident,
-                    cache,
+                    snap.store.kind(),
+                    snap.store.resident_bytes(),
+                    snap.store.cache_counters(),
                 );
                 (Endpoint::Metrics, Response::text(200, text), false)
             }

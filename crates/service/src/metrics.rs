@@ -195,11 +195,12 @@ impl Metrics {
     /// `source_kind` is `"built"` or `"loaded"`; `archive_load_ms` is the
     /// `.psa` decode wall-clock when the snapshot was loaded from one
     /// (0 when built in-process). `backend_kind` is the archive
-    /// byte-store behind the serving world (`"none"` for built worlds);
+    /// byte-store behind the serving world (`"heap"` or `"paged"`; a
+    /// built world serves from its in-memory archive, a heap store);
     /// `resident_bytes` is how much of the archive is in memory right
-    /// now (the whole buffer for heap, cached pages for paged, 0
-    /// otherwise); `cache` carries the paged backend's hit/miss/eviction
-    /// totals (all zero for every other backend).
+    /// now (the whole buffer for heap, cached pages for paged); `cache`
+    /// carries the paged backend's hit/miss/eviction totals (all zero
+    /// for heap).
     #[allow(clippy::too_many_arguments)]
     pub fn render(
         &self,
@@ -303,10 +304,10 @@ impl Metrics {
         ));
 
         out.push_str(
-            "# HELP perilsd_snapshot_backend Archive byte-store behind the serving world (1 on its kind; none = built world).\n",
+            "# HELP perilsd_snapshot_backend Archive byte-store behind the serving world (1 on its kind).\n",
         );
         out.push_str("# TYPE perilsd_snapshot_backend gauge\n");
-        for kind in ["none", "heap", "paged"] {
+        for kind in ["heap", "paged"] {
             out.push_str(&format!(
                 "perilsd_snapshot_backend{{kind=\"{kind}\"}} {}\n",
                 u8::from(kind == backend_kind)
@@ -314,7 +315,7 @@ impl Metrics {
         }
 
         out.push_str(
-            "# HELP perilsd_snapshot_resident_bytes Archive bytes resident in memory (whole buffer for heap, cached pages for paged, 0 otherwise).\n",
+            "# HELP perilsd_snapshot_resident_bytes Archive bytes resident in memory (whole buffer for heap, cached pages for paged).\n",
         );
         out.push_str("# TYPE perilsd_snapshot_resident_bytes gauge\n");
         out.push_str(&format!(
@@ -432,7 +433,7 @@ mod tests {
         assert!(text.contains("perilsd_snapshot_archive_load_ms 41.5"));
         assert!(text.contains("perilsd_snapshot_backend{kind=\"paged\"} 1"));
         assert!(text.contains("perilsd_snapshot_backend{kind=\"heap\"} 0"));
-        assert!(text.contains("perilsd_snapshot_backend{kind=\"none\"} 0"));
+        assert!(!text.contains("kind=\"none\""));
         assert!(text.contains("perilsd_snapshot_resident_bytes 131072"));
         assert!(text.contains("perilsd_page_cache_hits_total 10"));
         assert!(text.contains("perilsd_page_cache_misses_total 4"));
@@ -461,8 +462,8 @@ mod tests {
             1,
             "built",
             0.0,
-            "none",
-            0,
+            "heap",
+            4096,
             perils_util::CacheCounters::default(),
         );
         assert!(text.contains("perilsd_request_duration_seconds_bucket{le=\"0.0001\"} 1"));
@@ -480,15 +481,15 @@ mod tests {
             1,
             "built",
             0.0,
-            "none",
-            0,
+            "heap",
+            4096,
             perils_util::CacheCounters::default(),
         );
         assert!(text.contains("perilsd_snapshot_source{kind=\"built\"} 1"));
         assert!(text.contains("perilsd_snapshot_source{kind=\"loaded\"} 0"));
         assert!(text.contains("perilsd_snapshot_archive_load_ms 0"));
-        assert!(text.contains("perilsd_snapshot_backend{kind=\"none\"} 1"));
-        assert!(text.contains("perilsd_snapshot_resident_bytes 0"));
+        assert!(text.contains("perilsd_snapshot_backend{kind=\"heap\"} 1"));
+        assert!(text.contains("perilsd_snapshot_resident_bytes 4096"));
         assert!(text.contains("perilsd_page_cache_hits_total 0"));
         for endpoint in ENDPOINTS {
             assert!(

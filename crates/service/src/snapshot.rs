@@ -17,10 +17,12 @@ use perils_core::closure::{DependencyIndex, IndexBuildStats};
 use perils_core::lint::LintIndex;
 use perils_core::universe::Universe;
 use perils_dns::name::name;
-use perils_survey::engine::{Engine, ScenarioSource, SyntheticSource, WorldSource, WorldStream};
+use perils_survey::engine::{
+    AnalysisWorld, Engine, ScenarioSource, SyntheticSource, WorldSource, WorldStream,
+};
 use perils_survey::params::TopologyParams;
 use perils_survey::render::{FigureOutcome, FigureRegistry};
-use perils_survey::topology::SurveyName;
+use perils_survey::snapshot::{load_world_bytes, world_archive_bytes, LoadedWorld};
 use perils_survey::{NameTable, SnapshotBackend};
 use perils_util::snapshot::SnapshotError;
 use perils_util::ByteStore;
@@ -30,10 +32,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-
-/// Names per batch when pulling the stream's name phase through the
-/// figure-sweep engine (matches the streaming CLI default).
-const NAME_BATCH: usize = 4096;
 
 /// Which world the daemon builds — kept by the daemon so `POST /reload`
 /// can rebuild the same spec (optionally reseeded) from scratch through
@@ -157,8 +155,8 @@ impl SnapshotSource {
 /// Build cost breakdown, surfaced by `/healthz` logging and `/metrics`.
 #[derive(Debug, Clone)]
 pub struct SnapshotStats {
-    /// Wall-clock of the whole build (stream + index + lint + figures),
-    /// or of the archive load for loaded snapshots.
+    /// Wall-clock of the whole build (stream + index + lint + figures +
+    /// archive round trip), or of the archive load for loaded snapshots.
     pub build: Duration,
     /// Dependency-index phase timings (zeroed for loaded snapshots — the
     /// index is read, not rebuilt).
@@ -186,9 +184,8 @@ pub struct WorldSnapshot {
     pub index: DependencyIndex,
     /// Shared lint facts (depths, zombies, reachability).
     pub lint: LintIndex,
-    /// The surveyed names, in survey order. Owned for built worlds; a
-    /// lazy view into the archive store for loaded ones (so `/names`
-    /// responses decode only what they return).
+    /// The surveyed names, in survey order: a lazy view into the archive
+    /// store (so `/names` responses decode only what they return).
     pub names: NameTable,
     /// Indices into `names` of the most popular subset (what the
     /// top-500 figures slice on; archived so a loaded world can re-run
@@ -199,63 +196,91 @@ pub struct WorldSnapshot {
     pub figures_json: Option<String>,
     /// Build cost and shape.
     pub stats: SnapshotStats,
-    /// The archive byte store a loaded world still reads from (`None`
-    /// for built worlds). `/metrics` reads the backend kind (`"heap"` or
-    /// `"paged"`; `"none"` without a store), resident bytes and
-    /// page-cache counters off it.
-    pub store: Option<Arc<ByteStore>>,
+    /// The archive byte store the world reads from — for a built world,
+    /// its in-memory archive. `/metrics` reads the backend kind (`"heap"`
+    /// or `"paged"`), resident bytes and page-cache counters off it.
+    pub store: Arc<ByteStore>,
     /// When the build finished (drives `/metrics` snapshot age).
     pub built: Instant,
 }
 
 impl WorldSnapshot {
     /// Builds generation `epoch` of `spec` from scratch through the
-    /// streamed ingestion path: universe (and, unless disabled, the
-    /// full figure sweep) first, then the dependency index and lint
-    /// facts the query plane reads.
+    /// streamed ingestion path — universe, dependency index, lint facts
+    /// and, unless disabled, the full figure sweep over that one index —
+    /// then serializes the world to an in-memory archive and loads it
+    /// back, so a built world serves from exactly what a `.psa` boot of
+    /// its own archive would.
     pub fn build(spec: &WorldSpec, epoch: u64, threads: usize, figures: bool) -> WorldSnapshot {
         let start = Instant::now();
-        let (universe, names, top500, figures_json, rendered) = if figures {
-            let engine = Engine::with_extended_metrics().threads(NonZeroUsize::new(threads));
-            let batch = NonZeroUsize::new(NAME_BATCH).expect("static nonzero");
-            let report = engine.run_stream(spec.stream(), batch);
-            let (json, rendered) = render_figures(&report, epoch);
-            let world = report.world;
-            (
-                world.universe,
-                world.names,
-                world.top500,
-                Some(json),
-                rendered,
-            )
-        } else {
+        let world = {
             let mut stream = spec.stream();
-            let universe = stream.build_universe();
-            let names: Vec<SurveyName> = stream.names().collect();
-            let top500 = stream.top500().to_vec();
-            (universe, names, top500, None, 0)
+            AnalysisWorld {
+                universe: stream.build_universe(),
+                names: stream.names().collect(),
+                top500: stream.top500().to_vec(),
+            }
         };
-        let (index, index_stats) = DependencyIndex::build_with_stats(&universe, threads);
-        let lint = LintIndex::build(&universe);
+        let (index, index_stats) = DependencyIndex::build_with_stats(&world.universe, threads);
+        let lint = LintIndex::build(&world.universe);
+        let (world, figures) = if figures {
+            let engine = Engine::with_extended_metrics().threads(NonZeroUsize::new(threads));
+            let report = engine.run_world_indexed(world, &index);
+            let figures = render_figures(&report, epoch);
+            (report.world, Some(figures))
+        } else {
+            (world, None)
+        };
+        let bytes = world_archive_bytes(
+            &world.universe,
+            &index,
+            &lint,
+            &world.names,
+            &world.top500,
+            figures.as_ref().map(|(json, n)| (json.as_str(), *n)),
+        );
+        drop((world, index, lint, figures));
+        let loaded = load_world_bytes(bytes).expect("a freshly built world archive loads");
+        WorldSnapshot::from_loaded(
+            loaded,
+            epoch,
+            start.elapsed(),
+            index_stats,
+            SnapshotSource::Built,
+        )
+    }
+
+    /// The tail every world shares once its archive bytes exist: the
+    /// figure JSON re-stamped with `epoch`, stats, and the store.
+    fn from_loaded(
+        world: LoadedWorld,
+        epoch: u64,
+        build: Duration,
+        index: IndexBuildStats,
+        source: SnapshotSource,
+    ) -> WorldSnapshot {
+        let figures_json = world
+            .figures_json
+            .map(|json| restamp_figures_epoch(&json, epoch));
         let stats = SnapshotStats {
-            build: start.elapsed(),
-            index: index_stats,
-            zones: universe.zone_count(),
-            servers: universe.server_count(),
-            names: names.len(),
-            figures: rendered,
-            source: SnapshotSource::Built,
+            build,
+            index,
+            zones: world.universe.zone_count(),
+            servers: world.universe.server_count(),
+            names: world.names.len(),
+            figures: world.figures_rendered,
+            source,
         };
         WorldSnapshot {
             epoch,
-            universe,
-            index,
-            lint,
-            names: NameTable::Owned(names),
-            top500,
+            universe: world.universe,
+            index: world.index,
+            lint: world.lint,
+            names: world.names,
+            top500: world.top500,
             figures_json,
             stats,
-            store: None,
+            store: world.store,
             built: Instant::now(),
         }
     }
@@ -271,8 +296,8 @@ impl WorldSnapshot {
             &self.universe,
             &self.index,
             &self.lint,
-            // Saving is rare (explicit --save-snapshot); materializing a
-            // view-backed table here is fine.
+            // Saving is rare (explicit --save-snapshot); materializing the
+            // name table here is fine.
             &self.names.to_vec(),
             &self.top500,
             self.figures_json
@@ -297,33 +322,17 @@ impl WorldSnapshot {
         let start = Instant::now();
         let world = perils_survey::snapshot::load_world_with(path, backend)?;
         let load = start.elapsed();
-        let figures_json = world
-            .figures_json
-            .map(|json| restamp_figures_epoch(&json, epoch));
-        let stats = SnapshotStats {
-            build: load,
-            index: IndexBuildStats::default(),
-            zones: world.universe.zone_count(),
-            servers: world.universe.server_count(),
-            names: world.names.len(),
-            figures: world.figures_rendered,
-            source: SnapshotSource::Loaded {
-                archive_bytes: world.archive_bytes,
-                load,
-            },
+        let source = SnapshotSource::Loaded {
+            archive_bytes: world.archive_bytes,
+            load,
         };
-        Ok(WorldSnapshot {
+        Ok(WorldSnapshot::from_loaded(
+            world,
             epoch,
-            universe: world.universe,
-            index: world.index,
-            lint: world.lint,
-            names: world.names,
-            top500: world.top500,
-            figures_json,
-            stats,
-            store: Some(world.store),
-            built: Instant::now(),
-        })
+            load,
+            IndexBuildStats::default(),
+            source,
+        ))
     }
 
     /// Time since this snapshot finished building.
@@ -524,9 +533,14 @@ mod tests {
         let paged =
             WorldSnapshot::load_archive(&path, 5, SnapshotBackend::paged(8192)).expect("loads");
         std::fs::remove_file(&path).ok();
-        let kind = |snap: &WorldSnapshot| snap.store.as_ref().map(|s| s.kind());
-        assert_eq!(kind(&loaded), Some("heap"));
-        assert_eq!(kind(&paged), Some("paged"));
+        assert_eq!(built.store.kind(), "heap");
+        assert_eq!(
+            built.store.resident_bytes(),
+            bytes,
+            "a built world is its archive"
+        );
+        assert_eq!(loaded.store.kind(), "heap");
+        assert_eq!(paged.store.kind(), "paged");
         assert_eq!(paged.universe, loaded.universe);
         assert_eq!(paged.index, loaded.index);
         assert_eq!(paged.figures_json, loaded.figures_json);

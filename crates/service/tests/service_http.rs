@@ -506,3 +506,36 @@ fn truncated_paged_archive_fails_requests_not_the_worker() {
     assert!(summary.requests >= 4, "summary: {summary:?}");
     std::fs::remove_file(&archive).ok();
 }
+
+/// A built world is a loaded one: a daemon that built its world (no
+/// `.psa` boot) serves from its in-memory archive — a heap store holding
+/// exactly the bytes its own `--save-snapshot` writes.
+#[test]
+fn built_daemon_serves_from_its_own_heap_archive() {
+    let archive = std::env::temp_dir().join(format!("perilsd_built_{}.psa", std::process::id()));
+    let daemon = tiny_daemon(1, true);
+    let saved = daemon
+        .store()
+        .current()
+        .save_archive(&archive)
+        .expect("save archive");
+    let on_disk = std::fs::metadata(&archive).expect("archive written").len();
+    std::fs::remove_file(&archive).ok();
+    assert_eq!(saved, on_disk);
+
+    let (metrics, _) = with_daemon(&daemon, |addr| {
+        let (status, _, metrics) = Client::connect(addr).request("GET", "/metrics", None);
+        assert_eq!(status, 200);
+        metrics
+    });
+    assert!(metrics.contains("perilsd_snapshot_source{kind=\"built\"} 1"));
+    assert!(metrics.contains("perilsd_snapshot_backend{kind=\"heap\"} 1"));
+    assert!(!metrics.contains("kind=\"none\""), "{metrics}");
+    let resident: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("perilsd_snapshot_resident_bytes "))
+        .expect("resident bytes exported")
+        .parse()
+        .expect("numeric gauge");
+    assert_eq!(resident, on_disk, "resident archive = saved archive");
+}

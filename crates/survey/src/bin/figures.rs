@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p perils-survey --bin figures -- \
 //!     [--scale tiny|default|paper] [--seed N] [--list] [--only ID[,ID...]]
-//!     [--format text|csv|json|gnuplot|vega] [--out DIR] [--csv DIR]
+//!     [--format text|csv|json|gnuplot|vega] [--out DIR]
 //! ```
 //!
 //! The CLI is registry-driven: it registers metrics on the engine and
@@ -14,22 +14,18 @@
 //! per-figure code here (the zombie-delegation workload below is exactly
 //! that). `--list` prints the registered figures with their required
 //! columns; `--only` selects a subset; `--format`/`--out` choose the
-//! serialization and destination (`--csv DIR` is the legacy flag for an
-//! additional CSV directory sink). Note for `--csv` users: files are now
-//! named by figure id (`fig2.csv`, `headline.csv`, …) instead of the old
-//! per-figure names (`fig2_tcb_cdf.csv`, …), since the registry owns the
-//! naming (also stated in `--help`, where it was never documented before).
-//! Without `--out`, figures stream to stdout; the aligned-text stream is
-//! the EXPERIMENTS.md data source.
+//! serialization and destination (files are named by figure id:
+//! `fig2.csv`, `headline.csv`, …). Without `--out`, figures stream to
+//! stdout; the aligned-text stream is the EXPERIMENTS.md data source.
 //!
 //! Ingestion is streaming end to end: the synthetic source plans the
 //! world and feeds it to the engine as incremental universe events (the
 //! default `WorldSource` path since the streaming-ingestion refactor),
-//! and CSV directory exports go through the row-at-a-time
-//! `StreamingCsvSink`.
+//! and CSV directory exports (`--out DIR --format csv`) go through the
+//! row-at-a-time `StreamingCsvSink`.
 
-use perils_core::ZombieDelegationMetric;
-use perils_survey::engine::{Engine, SurveyReport, SyntheticSource};
+use perils_core::{DependencyIndex, ZombieDelegationMetric};
+use perils_survey::engine::{Engine, SurveyReport, SyntheticSource, WorldSource};
 use perils_survey::figures::ZombieFigure;
 use perils_survey::params::TopologyParams;
 use perils_survey::render::{
@@ -38,13 +34,11 @@ use perils_survey::render::{
 };
 
 const USAGE: &str = "usage: figures [--scale tiny|default|paper] [--seed N] [--list]
-               [--only ID[,ID...]] [--format text|csv|json|gnuplot|vega] [--out DIR] [--csv DIR]
+               [--only ID[,ID...]] [--format text|csv|json|gnuplot|vega] [--out DIR]
                [--load-snapshot PATH] [--save-snapshot PATH]
 
-  --out DIR     one <figure-id>.<ext> file per figure (ext from --format)
-  --csv DIR     extra CSV sink (streaming, row-at-a-time); files are named
-                by figure id: fig2.csv, headline.csv, ... (since the
-                registry owns naming, NOT the legacy fig2_tcb_cdf.csv)
+  --out DIR     one <figure-id>.<ext> file per figure (ext from --format;
+                csv streams row-at-a-time)
   --load-snapshot PATH  analyze the world in a .psa archive instead of
                         generating one (conflicts with --scale/--seed:
                         giving both is a usage error, exit 2; figures are
@@ -67,7 +61,6 @@ struct Args {
     only: Option<Vec<String>>,
     format: SinkFormat,
     out_dir: Option<String>,
-    legacy_csv_dir: Option<String>,
     load_snapshot: Option<String>,
     save_snapshot: Option<String>,
     /// World-shaping flags the user spelled out (for `--load-snapshot`
@@ -83,7 +76,6 @@ fn parse_args() -> Args {
         only: None,
         format: SinkFormat::Text,
         out_dir: None,
-        legacy_csv_dir: None,
         load_snapshot: None,
         save_snapshot: None,
         world_flags_given: Vec::new(),
@@ -127,9 +119,6 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| usage_error(&format!("unknown format {raw:?}")));
             }
             "--out" => parsed.out_dir = args.next().or_else(|| usage_error("--out needs DIR")),
-            "--csv" => {
-                parsed.legacy_csv_dir = args.next().or_else(|| usage_error("--csv needs DIR"));
-            }
             "--load-snapshot" => {
                 parsed.load_snapshot = args
                     .next()
@@ -235,7 +224,7 @@ fn main() {
         _ => 500,
     });
     let started = std::time::Instant::now();
-    let report = match &args.load_snapshot {
+    let (report, index) = match &args.load_snapshot {
         Some(path) => {
             eprintln!(
                 "running metrics {:?} over snapshot {path} ...",
@@ -248,20 +237,24 @@ fn main() {
                 });
             let world = perils_survey::AnalysisWorld {
                 universe: loaded.universe,
-                names: loaded.names.into_vec(),
+                names: loaded.names.to_vec(),
                 top500: loaded.top500,
             };
-            engine.run_world_indexed(world, &loaded.index)
+            (engine.run_world_indexed(world, &loaded.index), loaded.index)
         }
         None => {
             let source = SyntheticSource { params };
             eprintln!(
                 "running metrics {:?} over {} (scale={})...",
                 engine.metric_ids(),
-                perils_survey::engine::WorldSource::describe(&source),
+                WorldSource::describe(&source),
                 args.scale,
             );
-            engine.run(source)
+            // One index serves the run and any saved archive; `build`
+            // keeps the archive's bytes independent of the engine's threads.
+            let world = source.load();
+            let index = DependencyIndex::build(&world.universe);
+            (engine.run_world_indexed(world, &index), index)
         }
     };
     eprintln!(
@@ -276,7 +269,6 @@ fn main() {
     );
 
     if let Some(path) = &args.save_snapshot {
-        let index = perils_core::DependencyIndex::build(&report.world.universe);
         let lint = perils_core::LintIndex::build(&report.world.universe);
         match perils_survey::save_world(
             path,
@@ -294,6 +286,9 @@ fn main() {
             }
         }
     }
+    // Figures read the report alone; release the index (and the archive
+    // a loaded one views) before rendering them.
+    drop(index);
 
     // Build every selected figure through the registry. Missing columns are
     // skips (reported on stderr), not panics.
@@ -367,17 +362,6 @@ fn main() {
                     print_extras(&report);
                 }
             }
-        }
-        if let Some(dir) = &args.legacy_csv_dir {
-            let mut sink = StreamingCsvSink::new(dir);
-            for figure in &rendered {
-                sink.emit(figure)?;
-            }
-            sink.finish()?;
-            eprintln!(
-                "wrote {} CSV files to {dir} (streaming)",
-                sink.written().len()
-            );
         }
         Ok(())
     })();

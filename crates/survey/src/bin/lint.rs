@@ -253,7 +253,7 @@ fn main() {
         }
     }
 
-    let (universe, names, top500, preloaded) = match &args.load_snapshot {
+    let (universe, names, top500, prebuilt) = match &args.load_snapshot {
         Some(path) => {
             let loaded = perils_survey::load_world_with(path, perils_survey::SnapshotBackend::Heap)
                 .unwrap_or_else(|e| {
@@ -262,14 +262,22 @@ fn main() {
                 });
             (
                 loaded.universe,
-                loaded.names.into_vec(),
+                loaded.names.to_vec(),
                 loaded.top500,
                 Some((loaded.index, loaded.lint)),
             )
         }
         None => {
             let (universe, names, top500) = load_world(&args.world, args.seed);
-            (universe, names, top500, None)
+            // A saved archive needs the index and facts: build them once
+            // (with `build`'s thread choice) and lint over them too.
+            let prebuilt = args.save_snapshot.is_some().then(|| {
+                (
+                    DependencyIndex::build(&universe),
+                    LintIndex::build(&universe),
+                )
+            });
+            (universe, names, top500, prebuilt)
         }
     };
     let targets: Vec<DnsName> = names.iter().map(|n| n.name.clone()).collect();
@@ -284,7 +292,7 @@ fn main() {
         universe.server_count(),
         targets.len(),
     );
-    let report = match &preloaded {
+    let report = match &prebuilt {
         Some((index, facts)) => run_lint_with(
             &universe,
             &targets,
@@ -303,15 +311,8 @@ fn main() {
         report.count(Severity::Warn),
     );
 
-    if let Some(path) = &args.save_snapshot {
-        let (index, facts) = match preloaded {
-            Some(pair) => pair,
-            None => (
-                DependencyIndex::build(&universe),
-                LintIndex::build(&universe),
-            ),
-        };
-        match perils_survey::save_world(path, &universe, &index, &facts, &names, &top500, None) {
+    if let Some((path, (index, facts))) = args.save_snapshot.as_ref().zip(prebuilt.as_ref()) {
+        match perils_survey::save_world(path, &universe, index, facts, &names, &top500, None) {
             Ok(bytes) => eprintln!("snapshot saved to {path} ({bytes} bytes)"),
             Err(e) => {
                 eprintln!("error: cannot save snapshot to {path}: {e}");

@@ -85,27 +85,15 @@ impl SnapshotBackend {
 /// [`perils_dns::name::MAX_NAME_LEN`]) plus the `u32` rank.
 const MAX_NAME_RECORD_BYTES: usize = 2 * perils_dns::name::MAX_NAME_LEN + 4;
 
-/// The surveyed-name list of a loaded world.
-///
-/// Built worlds hold every entry (`Owned`); archive loads keep the
-/// records in the archive's byte store and decode them on demand
-/// (`View`) — the dominant cost *and* resident footprint of the
-/// `SURVNAME` section disappears from the load, and a paged daemon
-/// serving `/names` touches only the pages the response needs.
+/// The surveyed-name list of a world: record boundaries into the
+/// `SURVNAME` section of its archive, established by a full validation
+/// walk at load time. Records decode on demand from the byte store — the
+/// dominant cost *and* resident footprint of the section disappears from
+/// the load, and a paged daemon serving `/names` touches only the pages
+/// the response needs. Per-access decodes cannot fail (enforced with the
+/// same changed-on-disk panic contract as [`ByteStore::read`]).
 #[derive(Clone)]
-pub enum NameTable {
-    /// Every entry materialized (built worlds; archives past 4 GiB).
-    Owned(Vec<SurveyName>),
-    /// Records validated at load, decoded per access from the store.
-    View(NameTableView),
-}
-
-/// The view half of [`NameTable`]: record boundaries into the `SURVNAME`
-/// section, established by a full validation walk at load time — so
-/// per-access decodes cannot fail (enforced with the same
-/// changed-on-disk panic contract as [`ByteStore::read`]).
-#[derive(Clone)]
-pub struct NameTableView {
+pub struct NameTable {
     store: Arc<ByteStore>,
     /// Absolute offset of the section payload in the store.
     base: u64,
@@ -114,12 +102,28 @@ pub struct NameTableView {
     bounds: Arc<Vec<u32>>,
 }
 
-impl NameTableView {
-    fn len(&self) -> usize {
+/// Decodes one name/tld/rank record (see [`world_archive_bytes`]).
+fn decode_record(dec: &mut Dec<'_>) -> Result<SurveyName, SnapshotError> {
+    Ok(SurveyName {
+        name: decode_name(dec)?,
+        tld: decode_name(dec)?,
+        popularity_rank: dec.u32()? as usize,
+    })
+}
+
+impl NameTable {
+    /// Number of surveyed names.
+    pub fn len(&self) -> usize {
         self.bounds.len().saturating_sub(1)
     }
 
-    fn record(&self, i: usize) -> SurveyName {
+    /// True when no names were surveyed.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th entry (panics out of bounds, like indexing).
+    pub fn get(&self, i: usize) -> SurveyName {
         let start = self.bounds[i] as usize;
         let len = self.bounds[i + 1] as usize - start;
         let mut buf = [0u8; MAX_NAME_RECORD_BYTES];
@@ -130,9 +134,19 @@ impl NameTableView {
             .expect("SURVNAME record validated at load no longer decodes (file changed on disk?)")
     }
 
-    /// Materializes every record with one bulk read instead of
-    /// per-record store round-trips.
-    fn to_vec(&self) -> Vec<SurveyName> {
+    /// The first entry, if any.
+    pub fn first(&self) -> Option<SurveyName> {
+        (!self.is_empty()).then(|| self.get(0))
+    }
+
+    /// Iterates entries in survey order.
+    pub fn iter(&self) -> impl Iterator<Item = SurveyName> + '_ {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// Every entry as an owned vec, decoded with one bulk read instead
+    /// of per-record store round-trips.
+    pub fn to_vec(&self) -> Vec<SurveyName> {
         let count = self.len();
         if count == 0 {
             return Vec::new();
@@ -154,82 +168,9 @@ impl NameTableView {
     }
 }
 
-/// Decodes one name/tld/rank record (see [`world_archive_bytes`]).
-fn decode_record(dec: &mut Dec<'_>) -> Result<SurveyName, SnapshotError> {
-    Ok(SurveyName {
-        name: decode_name(dec)?,
-        tld: decode_name(dec)?,
-        popularity_rank: dec.u32()? as usize,
-    })
-}
-
-impl NameTable {
-    /// Number of surveyed names.
-    pub fn len(&self) -> usize {
-        match self {
-            NameTable::Owned(names) => names.len(),
-            NameTable::View(view) => view.len(),
-        }
-    }
-
-    /// True when no names were surveyed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th entry (panics out of bounds, like indexing).
-    pub fn get(&self, i: usize) -> SurveyName {
-        match self {
-            NameTable::Owned(names) => names[i].clone(),
-            NameTable::View(view) => view.record(i),
-        }
-    }
-
-    /// The first entry, if any.
-    pub fn first(&self) -> Option<SurveyName> {
-        (!self.is_empty()).then(|| self.get(0))
-    }
-
-    /// Iterates entries in survey order.
-    pub fn iter(&self) -> impl Iterator<Item = SurveyName> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// Every entry as an owned vec (cloning/decoding as needed).
-    pub fn to_vec(&self) -> Vec<SurveyName> {
-        match self {
-            NameTable::Owned(names) => names.clone(),
-            NameTable::View(view) => view.to_vec(),
-        }
-    }
-
-    /// [`NameTable::to_vec`] without the clone for owned tables.
-    pub fn into_vec(self) -> Vec<SurveyName> {
-        match self {
-            NameTable::Owned(names) => names,
-            NameTable::View(ref view) => view.to_vec(),
-        }
-    }
-
-    /// Stable label for logs: `"owned"` or `"view"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            NameTable::Owned(_) => "owned",
-            NameTable::View(_) => "view",
-        }
-    }
-}
-
-impl From<Vec<SurveyName>> for NameTable {
-    fn from(names: Vec<SurveyName>) -> NameTable {
-        NameTable::Owned(names)
-    }
-}
-
 impl fmt::Debug for NameTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NameTable")
-            .field("kind", &self.kind())
             .field("len", &self.len())
             .finish()
     }
@@ -330,6 +271,10 @@ pub fn world_archive_bytes(
         .map(|&i| u32::try_from(i).expect("top500 index fits u32"))
         .collect();
     snapshot::put_u32_slice(&mut name_section, &top500_u32);
+    assert!(
+        u32::try_from(name_section.len()).is_ok(),
+        "SURVNAME section exceeds the 4 GiB record-offset range"
+    );
 
     let mut writer = ArchiveWriter::new();
     writer.add_section(SECTION_HEADER, header);
@@ -437,8 +382,8 @@ fn load_world_archive(archive: &Archive) -> Result<LoadedWorld, SnapshotError> {
 /// Every record is *validated* (same checks, same bytes consumed as a
 /// decode — see [`perils_core::snapshot::validate_name`]) and only the
 /// record boundaries are kept, so names decode lazily from the store.
-/// Boundaries are `u32`; a section past 4 GiB (no real archive is close)
-/// falls back to the eager decode rather than truncating offsets.
+/// Boundaries are `u32`, so a section past 4 GiB is rejected (no real
+/// archive is close; [`world_archive_bytes`] never writes one).
 fn decode_names(
     section: &Section,
     name_count: usize,
@@ -452,26 +397,24 @@ fn decode_names(
             "header declares {name_count} names, section holds {count}"
         )));
     }
-    let names = if payload.len() <= u32::MAX as usize {
-        let mut bounds = Vec::with_capacity(count + 1);
-        for _ in 0..count {
-            bounds.push((payload.len() - dec.remaining()) as u32);
-            validate_name(&mut dec)?;
-            validate_name(&mut dec)?;
-            dec.u32()?;
-        }
+    if payload.len() > u32::MAX as usize {
+        return Err(dec.malformed(format!(
+            "section of {} bytes exceeds the 4 GiB record-offset range",
+            payload.len()
+        )));
+    }
+    let mut bounds = Vec::with_capacity(count.min(dec.remaining()) + 1);
+    for _ in 0..count {
         bounds.push((payload.len() - dec.remaining()) as u32);
-        NameTable::View(NameTableView {
-            store: section.store().clone(),
-            base: section.base(),
-            bounds: Arc::new(bounds),
-        })
-    } else {
-        let mut names = Vec::with_capacity(count.min(dec.remaining()));
-        for _ in 0..count {
-            names.push(decode_record(&mut dec)?);
-        }
-        NameTable::Owned(names)
+        validate_name(&mut dec)?;
+        validate_name(&mut dec)?;
+        dec.u32()?;
+    }
+    bounds.push((payload.len() - dec.remaining()) as u32);
+    let names = NameTable {
+        store: section.store().clone(),
+        base: section.base(),
+        bounds: Arc::new(bounds),
     };
     let top500: Vec<usize> = dec.u32_vec()?.into_iter().map(|i| i as usize).collect();
     if let Some(&bad) = top500.iter().find(|&&i| i >= names.len()) {

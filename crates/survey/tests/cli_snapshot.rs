@@ -1,8 +1,8 @@
 //! The `figures` and `lint` binaries around a `.psa` archive: a world
 //! saved by one run and read back with `--load-snapshot` yields the same
 //! figure files and the same lint report as the run that built it, a
-//! damaged archive is a clean exit 1, and an unknown scale is a usage
-//! error naming the preset list.
+//! damaged archive is a clean exit 1, and an unknown scale or the
+//! retired `--csv` flag is a usage error.
 
 use perils_survey::params::TopologyParams;
 use std::path::{Path, PathBuf};
@@ -119,4 +119,21 @@ fn unknown_scale_is_a_usage_error_naming_the_presets() {
         assert!(error.contains("\"huge\""), "{stderr}");
         assert!(error.contains(TopologyParams::PRESETS), "{stderr}");
     }
+}
+
+/// `--csv DIR` is gone (`--out DIR --format csv` writes the same
+/// streaming CSV): it is an unknown argument, a usage error, and no
+/// directory is written.
+#[test]
+fn csv_flag_is_an_unknown_argument() {
+    let dir = scratch("csv-flag").join("csv");
+    let out = figures(&["--scale", "tiny", "--csv", path_str(&dir)]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown argument \"--csv\""), "{stderr}");
+    assert!(
+        !stderr.contains("--csv DIR"),
+        "usage no longer lists it: {stderr}"
+    );
+    assert!(!dir.exists(), "nothing written");
 }

@@ -13,11 +13,11 @@
 //!   cache, not the archive, so one box can hold worlds larger than RAM.
 //!
 //! On top sit the typed views: [`U32View`]/[`U64View`] describe a
-//! length-`n` run of little-endian words at an absolute archive offset,
-//! and [`U32Arr`]/[`U64Arr`] unify "owned `Vec`" (what the build path
-//! produces) with "view into a store" behind one API, so index structures
-//! can hold either without generics. Words are decoded from bytes on the
-//! fly — no `mmap`, no transmute, no `unsafe` (the workspace forbids it).
+//! length-`n` run of little-endian words at an absolute archive offset.
+//! They are the only in-memory form of an index's flat tables — a fresh
+//! build is encoded into a heap store and decoded like any archive.
+//! Words are decoded from bytes on the fly — no `mmap`, no transmute, no
+//! `unsafe` (the workspace forbids it).
 //!
 //! Construction-time bounds are validated by the snapshot decoders, so
 //! post-load view reads are logically infallible; an I/O failure after a
@@ -418,7 +418,7 @@ pub struct U64View {
 }
 
 macro_rules! word_view {
-    ($view:ident, $word:ty, $bytes:expr) => {
+    ($view:ident, $iter:ident, $word:ty, $bytes:expr) => {
         impl $view {
             /// A view over `len` words at absolute byte `start`. The byte
             /// range must already be validated against the store.
@@ -518,92 +518,6 @@ macro_rules! word_view {
                 self.read_range_into(0..self.len, &mut out);
                 out
             }
-        }
-    };
-}
-
-word_view!(U32View, u32, 4u64);
-word_view!(U64View, u64, 8u64);
-
-// ---------------------------------------------------------------------
-// Owned-or-view word arrays
-// ---------------------------------------------------------------------
-
-/// A flat array of `u32`s that is either an owned `Vec` (everything the
-/// build path produces) or a zero-copy view into a [`ByteStore`] (what
-/// an archive decodes to). Index structures hold this so one code
-/// path serves both representations; equality and encoding are
-/// element-wise, so a view-backed array round-trips byte-identically
-/// with its owned twin.
-#[derive(Debug, Clone)]
-pub enum U32Arr {
-    /// Materialized words.
-    Owned(Vec<u32>),
-    /// Words decoded on the fly from a store.
-    View(U32View),
-}
-
-/// [`U32Arr`] for `u64` words (dense bitset blocks).
-#[derive(Debug, Clone)]
-pub enum U64Arr {
-    /// Materialized words.
-    Owned(Vec<u64>),
-    /// Words decoded on the fly from a store.
-    View(U64View),
-}
-
-macro_rules! word_arr {
-    ($arr:ident, $view:ident, $iter:ident, $word:ty, $bytes:expr) => {
-        impl $arr {
-            /// Number of words.
-            pub fn len(&self) -> usize {
-                match self {
-                    $arr::Owned(v) => v.len(),
-                    $arr::View(v) => v.len(),
-                }
-            }
-
-            /// True when there are no words.
-            pub fn is_empty(&self) -> bool {
-                self.len() == 0
-            }
-
-            /// Word `i` (panics out of bounds, like slice indexing).
-            pub fn get(&self, i: usize) -> $word {
-                match self {
-                    $arr::Owned(v) => v[i],
-                    $arr::View(v) => v.get(i),
-                }
-            }
-
-            /// The words as a borrowed slice — owned arrays only. Views
-            /// return `None` (LE bytes cannot be reborrowed as words
-            /// without `unsafe`); callers fall back to the streaming or
-            /// copying APIs.
-            pub fn as_slice(&self) -> Option<&[$word]> {
-                match self {
-                    $arr::Owned(v) => Some(v),
-                    $arr::View(_) => None,
-                }
-            }
-
-            /// Streams words `range` through `f`, stopping at the first
-            /// error.
-            pub fn try_for_each_in<E: From<SnapshotError>>(
-                &self,
-                range: Range<usize>,
-                mut f: impl FnMut($word) -> Result<(), E>,
-            ) -> Result<(), E> {
-                match self {
-                    $arr::Owned(v) => {
-                        for &w in &v[range] {
-                            f(w)?;
-                        }
-                        Ok(())
-                    }
-                    $arr::View(v) => v.try_for_each_in(range, f),
-                }
-            }
 
             /// Streams every word through `f`, stopping at the first
             /// error.
@@ -611,50 +525,29 @@ macro_rules! word_arr {
                 &self,
                 f: impl FnMut($word) -> Result<(), E>,
             ) -> Result<(), E> {
-                self.try_for_each_in(0..self.len(), f)
+                self.try_for_each_in(0..self.len, f)
             }
 
-            /// Visits words `range` in order (infallible variant).
+            /// Visits words `range` in order (infallible variant: the
+            /// range was validated at decode time).
             pub fn for_each_in(&self, range: Range<usize>, mut f: impl FnMut($word)) {
                 self.try_for_each_in::<SnapshotError>(range, |w| {
                     f(w);
                     Ok(())
                 })
-                .expect("infallible word visit");
+                .expect("snapshot byte store read failed after validation (file changed on disk?)");
             }
 
-            /// Copies words `range` into `out` (cleared first).
-            pub fn read_range_into(&self, range: Range<usize>, out: &mut Vec<$word>) {
-                match self {
-                    $arr::Owned(v) => {
-                        out.clear();
-                        out.extend_from_slice(&v[range]);
-                    }
-                    $arr::View(v) => v.read_range_into(range, out),
-                }
-            }
-
-            /// Materializes the array as an owned `Vec`.
-            pub fn to_vec(&self) -> Vec<$word> {
-                match self {
-                    $arr::Owned(v) => v.clone(),
-                    $arr::View(v) => v.to_vec(),
-                }
-            }
-
-            /// Converts a view into its owned twin in place (no-op for
-            /// owned arrays). Used when a loaded structure must mutate.
-            pub fn make_owned(&mut self) {
-                if let $arr::View(v) = self {
-                    *self = $arr::Owned(v.to_vec());
-                }
-            }
-
-            /// A buffered iterator over words `range`.
-            pub fn iter_range(&self, range: Range<usize>) -> $iter<'_> {
-                assert!(range.start <= range.end && range.end <= self.len());
+            /// A buffered iterator over words `range`: it decodes
+            /// `ITER_CHUNK`-word runs at a time, so iteration costs one
+            /// bulk read per chunk, not one page lookup per word.
+            pub fn iter_range(
+                &self,
+                range: Range<usize>,
+            ) -> impl ExactSizeIterator<Item = $word> + Clone + '_ {
+                assert!(range.start <= range.end && range.end <= self.len);
                 $iter {
-                    arr: self,
+                    view: self,
                     pos: range.start,
                     end: range.end,
                     buf: Vec::new(),
@@ -663,69 +556,34 @@ macro_rules! word_arr {
             }
 
             /// A buffered iterator over every word.
-            pub fn iter(&self) -> $iter<'_> {
-                self.iter_range(0..self.len())
-            }
-
-            /// Appends `u32 len` + the words little-endian — the exact
-            /// bytes the matching `put_*_slice` writer emits, so encoding
-            /// a view reproduces its source bytes.
-            pub fn encode_into(&self, out: &mut Vec<u8>) {
-                crate::snapshot::put_u32(out, u32::try_from(self.len()).expect("slice fits u32"));
-                out.reserve(self.len() * ($bytes as usize));
-                self.for_each_in(0..self.len(), |w| out.extend_from_slice(&w.to_le_bytes()));
+            pub fn iter(&self) -> impl ExactSizeIterator<Item = $word> + Clone + '_ {
+                self.iter_range(0..self.len)
             }
         }
 
-        impl Default for $arr {
-            fn default() -> $arr {
-                $arr::Owned(Vec::new())
-            }
-        }
-
-        impl From<Vec<$word>> for $arr {
-            fn from(v: Vec<$word>) -> $arr {
-                $arr::Owned(v)
-            }
-        }
-
-        impl PartialEq for $arr {
-            fn eq(&self, other: &$arr) -> bool {
-                self.len() == other.len() && self.iter().eq(other.iter())
-            }
-        }
-
-        /// Buffered word iterator: owned arrays index directly; views
-        /// decode `ITER_CHUNK`-word (256-word) runs at a time so iteration costs
-        /// one bulk read per chunk, not one page lookup per word.
-        #[derive(Debug, Clone)]
-        pub struct $iter<'a> {
-            arr: &'a $arr,
+        #[derive(Clone)]
+        struct $iter<'a> {
+            view: &'a $view,
             pos: usize,
             end: usize,
             buf: Vec<$word>,
             buf_start: usize,
         }
 
-        impl<'a> Iterator for $iter<'a> {
+        impl Iterator for $iter<'_> {
             type Item = $word;
 
             fn next(&mut self) -> Option<$word> {
                 if self.pos >= self.end {
                     return None;
                 }
-                let word = match self.arr {
-                    $arr::Owned(v) => v[self.pos],
-                    $arr::View(view) => {
-                        if self.pos < self.buf_start || self.pos >= self.buf_start + self.buf.len()
-                        {
-                            let chunk_end = (self.pos + ITER_CHUNK).min(self.end);
-                            view.read_range_into(self.pos..chunk_end, &mut self.buf);
-                            self.buf_start = self.pos;
-                        }
-                        self.buf[self.pos - self.buf_start]
-                    }
-                };
+                if self.pos < self.buf_start || self.pos >= self.buf_start + self.buf.len() {
+                    let chunk_end = (self.pos + ITER_CHUNK).min(self.end);
+                    self.view
+                        .read_range_into(self.pos..chunk_end, &mut self.buf);
+                    self.buf_start = self.pos;
+                }
+                let word = self.buf[self.pos - self.buf_start];
                 self.pos += 1;
                 Some(word)
             }
@@ -736,12 +594,12 @@ macro_rules! word_arr {
             }
         }
 
-        impl<'a> ExactSizeIterator for $iter<'a> {}
+        impl ExactSizeIterator for $iter<'_> {}
     };
 }
 
-word_arr!(U32Arr, U32View, U32ArrIter, u32, 4u64);
-word_arr!(U64Arr, U64View, U64ArrIter, u64, 8u64);
+word_view!(U32View, U32Iter, u32, 4u64);
+word_view!(U64View, U64Iter, u64, 8u64);
 
 #[cfg(test)]
 mod tests {
@@ -902,17 +760,16 @@ mod tests {
         }
         let path = temp_path("u32view");
         std::fs::write(&path, &bytes).expect("write temp");
-        let owned = U32Arr::Owned(words.clone());
         for store in [
             Arc::new(ByteStore::heap(bytes.clone())),
             Arc::new(ByteStore::open_paged(&path, 512, 1024).expect("open")),
         ] {
-            let view = U32Arr::View(U32View::new(store, 13, words.len()));
-            assert_eq!(view.len(), owned.len());
-            assert_eq!(view, owned, "element-wise equality");
+            let view = U32View::new(store, 13, words.len());
+            assert_eq!(view.len(), words.len());
+            assert_eq!(view.to_vec(), words);
+            assert!(view.iter().eq(words.iter().copied()), "buffered iteration");
             assert_eq!(view.get(0), words[0]);
             assert_eq!(view.get(4_999), words[4_999]);
-            assert!(view.as_slice().is_none());
             assert_eq!(
                 view.iter_range(100..228).collect::<Vec<_>>(),
                 &words[100..228]
@@ -924,11 +781,9 @@ mod tests {
             })
             .expect("stream");
             assert_eq!(streamed, words);
-            let mut encoded = Vec::new();
-            view.encode_into(&mut encoded);
-            let mut expected = Vec::new();
-            crate::snapshot::put_u32_slice(&mut expected, &words);
-            assert_eq!(encoded, expected, "view encode is byte-stable");
+            let mut visited = Vec::new();
+            view.for_each_in(1_000..1_300, |w| visited.push(w));
+            assert_eq!(visited, &words[1_000..1_300]);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -945,8 +800,8 @@ mod tests {
         let path = temp_path("u64view");
         std::fs::write(&path, &bytes).expect("write temp");
         let store = Arc::new(ByteStore::open_paged(&path, MIN_PAGE_BYTES, 128).expect("open"));
-        let view = U64Arr::View(U64View::new(store, 3, words.len()));
-        assert_eq!(view, U64Arr::Owned(words.clone()));
+        let view = U64View::new(store, 3, words.len());
+        assert!(view.iter().eq(words.iter().copied()));
         let mut streamed = Vec::new();
         view.try_for_each::<SnapshotError>(|w| {
             streamed.push(w);
@@ -975,19 +830,5 @@ mod tests {
             }
             assert_eq!(fold.finish(), expect, "chunk size {chunk}");
         }
-    }
-
-    #[test]
-    fn make_owned_promotes_views() {
-        let words: Vec<u32> = (0..100).collect();
-        let mut bytes = Vec::new();
-        for w in &words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        let store = Arc::new(ByteStore::heap(bytes));
-        let mut arr = U32Arr::View(U32View::new(store, 0, words.len()));
-        assert!(arr.as_slice().is_none());
-        arr.make_owned();
-        assert_eq!(arr.as_slice(), Some(words.as_slice()));
     }
 }

@@ -6,8 +6,7 @@
 //! them. [`parse`] is the counterpart: a small recursive-descent parser
 //! producing a [`Value`] tree with typed [`JsonError`]s, used by the
 //! `perilsd` request/response plumbing and by test suites that assert
-//! emitted documents *structurally* instead of by substring. [`validate`]
-//! remains as the syntax-check facade over it.
+//! emitted documents *structurally* instead of by substring.
 
 /// Appends `s` to `out` as a JSON string literal (quotes included),
 /// escaping per RFC 8259: `"`/`\\`, the common control shorthands, and
@@ -222,14 +221,6 @@ pub fn parse(s: &str) -> Result<Value, JsonError> {
         return Err(JsonError::at(pos, JsonErrorKind::TrailingContent));
     }
     Ok(value)
-}
-
-/// Checks that `s` is one syntactically valid JSON document (with
-/// nothing but whitespace after it). Returns the first [`JsonError`]
-/// rendered as `"<what> at byte <offset>"`. Purely syntactic: no
-/// duplicate-key or number-range checks. Facade over [`parse`].
-pub fn validate(s: &str) -> Result<(), String> {
-    parse(s).map(|_| ()).map_err(|e| e.to_string())
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -536,7 +527,7 @@ mod tests {
         let mut out = String::new();
         push_json_string(&mut out, "a\"b\\c\nd\te\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
-        validate(&out).expect("escaped string is valid JSON");
+        parse(&out).expect("escaped string is valid JSON");
     }
 
     #[test]
@@ -565,7 +556,7 @@ mod tests {
             r#"{"a": {"b": [1, null, "cA"]}, "d": false}"#,
             "  {\n\"k\": 1\n}  ",
         ] {
-            validate(doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+            parse(doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
         }
     }
 
@@ -590,7 +581,7 @@ mod tests {
             "\"\\udc00 lone low\"",
             "\"\\uZZZZ\"",
         ] {
-            assert!(validate(doc).is_err(), "{doc:?} should fail");
+            assert!(parse(doc).is_err(), "{doc:?} should fail");
         }
     }
 

@@ -32,9 +32,9 @@ pub mod snapshot;
 pub mod stats;
 pub mod table;
 
-pub use bytestore::{ByteStore, CacheCounters, U32Arr, U32View, U64Arr, U64View};
+pub use bytestore::{ByteStore, CacheCounters, U32View, U64View};
 pub use dist::{AliasTable, Exponential, LogNormal, Pareto, ZipfTable};
-pub use json::{push_json_string, validate as validate_json};
+pub use json::push_json_string;
 pub use rng::Rng;
 pub use snapshot::{Archive, ArchiveWriter, Dec, Section, SnapshotError, StoreDec};
 pub use stats::{Cdf, Histogram, RankCurve, Summary};

@@ -11,7 +11,7 @@
 //! without mmap or transmute.
 //!
 //! Archives are read through a [`crate::bytestore::ByteStore`], and the
-//! big flat arrays decode to [`crate::bytestore::U32Arr`] views into it,
+//! big flat arrays decode to [`crate::bytestore::U32View`]s into it,
 //! so the same validated TOC serves both store backends: **heap** (the
 //! archive stays resident once as `Arc<[u8]>` and the views borrow it)
 //! and **paged** (the archive stays on disk behind a fixed-budget page
@@ -27,7 +27,7 @@
 //! format-hardening tests flip and truncate bytes at every offset and
 //! assert exactly that.
 
-use crate::bytestore::{ByteStore, U32Arr, U32View, U64Arr, U64View};
+use crate::bytestore::{ByteStore, U32View, U64View};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
@@ -720,7 +720,7 @@ impl<'a> Dec<'a> {
 /// A bounds-checked little-endian cursor that walks a [`Section`] *in
 /// the store* — the decode path for sections whose big flat arrays stay
 /// as views. Scalars are always read eagerly; the length-prefixed array
-/// readers hand back [`U32Arr`]/[`U64Arr`] views that share the store
+/// readers hand back [`U32View`]/[`U64View`]s that share the store
 /// (zero-copy for heap stores, demand-paged for paged stores). Like
 /// [`Dec`], every promised length is verified against the remaining
 /// bytes **before** any allocation, and every error carries the absolute
@@ -795,18 +795,18 @@ impl StoreDec {
 
     /// Reads `u32 len` + `len` little-endian `u32`s as a view into the
     /// store.
-    pub fn u32_arr(&mut self) -> Result<U32Arr, SnapshotError> {
+    pub fn u32_arr(&mut self) -> Result<U32View, SnapshotError> {
         let len = self.u32()? as usize;
         let start = self.take(len as u64 * 4, "u32 array")?;
-        Ok(U32Arr::View(U32View::new(self.store.clone(), start, len)))
+        Ok(U32View::new(self.store.clone(), start, len))
     }
 
     /// Reads `u32 len` + `len` little-endian `u64`s as a view into the
     /// store.
-    pub fn u64_arr(&mut self) -> Result<U64Arr, SnapshotError> {
+    pub fn u64_arr(&mut self) -> Result<U64View, SnapshotError> {
         let len = self.u32()? as usize;
         let start = self.take(len as u64 * 8, "u64 array")?;
-        Ok(U64Arr::View(U64View::new(self.store.clone(), start, len)))
+        Ok(U64View::new(self.store.clone(), start, len))
     }
 
     /// Reads `u32 len` + `len` little-endian `u32`s, always owned (for
@@ -914,19 +914,12 @@ mod tests {
         let mut view_dec = StoreDec::new(&view_archive.section(*b"ARR\0\0\0\0\0").unwrap(), "ARR");
         assert_eq!(view_dec.u64().expect("scalar"), 77);
         let v = view_dec.u32_arr().expect("view arr");
-        assert!(v.as_slice().is_none(), "decoded arrays are views");
-        assert_eq!(v, U32Arr::Owned(vec![10, 20, 30, 40, 50]));
+        assert_eq!(v.to_vec(), vec![10, 20, 30, 40, 50]);
         let v64 = view_dec.u64_arr().expect("view u64 arr");
-        assert_eq!(v64, U64Arr::Owned(vec![1, u64::MAX]));
+        assert_eq!(v64.to_vec(), vec![1, u64::MAX]);
         view_dec.finish().expect("consumed");
-
-        // A view-backed array re-encodes to the exact source bytes.
-        let mut re = Vec::new();
-        put_u64(&mut re, 77);
-        v.encode_into(&mut re);
-        v64.encode_into(&mut re);
-        let sec = view_archive.section(*b"ARR\0\0\0\0\0").unwrap();
-        assert_eq!(re.as_slice(), &*sec.bytes().expect("payload"));
+        // The views share the archive's store rather than copying it.
+        assert!(Arc::ptr_eq(v.store(), view_archive.store()));
     }
 
     #[test]
