@@ -20,6 +20,8 @@
 //! or transport failure; **2** — usage error.
 
 use perils_service::{Daemon, ServiceConfig, WorldSpec};
+use perils_survey::SnapshotBackend;
+use perils_util::cli::{usage_exit, Argv};
 use std::net::TcpListener;
 
 const USAGE: &str = "usage: perilsd [--world tiny|default|paper|fbi|cornell|tripwire] [--seed N]
@@ -55,13 +57,6 @@ endpoints: GET /name/<n> /zone/<z> /names /figures /healthz /metrics
 
 exit codes: 0 = clean drain; 1 = bind/transport failure; 2 = usage error";
 
-/// Prints a usage error and exits with status 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
 struct Args {
     world: String,
     seed: u64,
@@ -71,7 +66,8 @@ struct Args {
     save_snapshot: Option<String>,
 }
 
-fn parse_args() -> Args {
+/// Reads the command line; usage errors exit 2.
+fn read_args() -> Args {
     let mut args = Args {
         world: "tiny".to_string(),
         seed: 20040722,
@@ -82,73 +78,56 @@ fn parse_args() -> Args {
     };
     let mut backend: Option<String> = None;
     let mut page_cache_mb: Option<u64> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut value_of = |flag: &str| {
-            argv.next()
-                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--world" => args.world = value_of("--world"),
-            "--seed" => {
-                args.seed = value_of("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--seed needs an unsigned integer"))
-            }
-            "--addr" => args.addr = value_of("--addr"),
-            "--threads" => {
-                args.config.threads = value_of("--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--threads needs an unsigned integer"))
-            }
-            "--queue-cap" => {
-                args.config.queue_cap = value_of("--queue-cap")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--queue-cap needs an unsigned integer"))
-            }
+    let mut argv = Argv::from_env(USAGE);
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
+            "--world" => args.world = argv.value("--world"),
+            "--seed" => args.seed = argv.parse("--seed"),
+            "--addr" => args.addr = argv.value("--addr"),
+            "--threads" => args.config.threads = argv.parse("--threads"),
+            "--queue-cap" => args.config.queue_cap = argv.parse("--queue-cap"),
             "--no-figures" => args.config.figures = false,
-            "--snapshot" => args.snapshot = Some(value_of("--snapshot")),
-            "--save-snapshot" => args.save_snapshot = Some(value_of("--save-snapshot")),
-            "--snapshot-backend" => backend = Some(value_of("--snapshot-backend")),
+            "--snapshot" => args.snapshot = Some(argv.value("--snapshot")),
+            "--save-snapshot" => args.save_snapshot = Some(argv.value("--save-snapshot")),
+            "--snapshot-backend" => backend = Some(argv.value("--snapshot-backend")),
             "--page-cache-mb" => {
-                page_cache_mb = Some(
-                    value_of("--page-cache-mb")
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| usage_error("--page-cache-mb needs an integer >= 1")),
-                )
+                let mb: u64 = argv.parse("--page-cache-mb");
+                if mb == 0 {
+                    argv.fail("--page-cache-mb needs an integer >= 1");
+                }
+                page_cache_mb = Some(mb);
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown flag {other:?}")),
+            other => argv.unknown(other),
         }
     }
     if args.config.queue_cap == 0 {
-        usage_error("--queue-cap must be at least 1");
+        argv.fail("--queue-cap must be at least 1");
     }
-    use perils_survey::SnapshotBackend;
     args.config.backend = match backend.as_deref() {
         None | Some("heap") => {
             if page_cache_mb.is_some() {
-                usage_error("--page-cache-mb is only valid with --snapshot-backend paged");
+                argv.fail("--page-cache-mb is only valid with --snapshot-backend paged");
             }
             SnapshotBackend::Heap
         }
-        Some("paged") => SnapshotBackend::paged(page_cache_mb.unwrap_or(16) * 1024 * 1024),
-        Some(other) => usage_error(&format!("unknown snapshot backend {other:?} (heap|paged)")),
+        Some("paged") => {
+            let mb = page_cache_mb.unwrap_or(16);
+            let bytes = mb.checked_mul(1024 * 1024).unwrap_or_else(|| {
+                argv.fail(&format!(
+                    "--page-cache-mb {mb} overflows a 64-bit byte budget"
+                ))
+            });
+            SnapshotBackend::paged(bytes)
+        }
+        Some(other) => argv.fail(&format!("unknown snapshot backend {other:?} (heap|paged)")),
     };
     args
 }
 
 fn main() {
-    let args = parse_args();
-    let spec = match WorldSpec::parse(&args.world, args.seed) {
-        Ok(spec) => spec,
-        Err(message) => usage_error(&message),
-    };
+    let args = read_args();
+    let spec = WorldSpec::parse(&args.world, args.seed)
+        .unwrap_or_else(|message| usage_exit(USAGE, &message));
 
     let daemon = match &args.snapshot {
         Some(path) => {

@@ -26,9 +26,10 @@
 use crate::http::{read_request, Request, RequestError, Response};
 use crate::metrics::{Endpoint, Metrics};
 use crate::query;
-use crate::snapshot::{SnapshotStore, WorldSnapshot, WorldSpec};
+use crate::snapshot::{SnapshotStore, WorldSnapshot};
 use perils_core::closure::ClosureWorkspace;
 use perils_core::lint::RuleRegistry;
+use perils_survey::WorldSpec;
 use perils_util::json;
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
@@ -178,19 +179,9 @@ impl Daemon {
     /// Builds the boot snapshot (epoch 1) and wraps it in a daemon
     /// ready to `serve`.
     pub fn boot(spec: WorldSpec, config: ServiceConfig) -> Daemon {
-        let mut config = config;
-        config.threads = config.threads.clamp(1, 16);
-        let snapshot = WorldSnapshot::build(&spec, 1, config.threads, config.figures);
-        Daemon {
-            spec: SpecMutex::new(spec),
-            store: SnapshotStore::new(snapshot),
-            rules: RuleRegistry::builtin(),
-            metrics: Metrics::new(),
-            config,
-            shutdown: AtomicBool::new(false),
-            reloading: AtomicBool::new(false),
-            requests_served: AtomicU64::new(0),
-        }
+        Daemon::new(spec, config, |spec, config| {
+            WorldSnapshot::build(spec, 1, config.threads, config.figures)
+        })
     }
 
     /// Boots epoch 1 from a `.psa` snapshot archive instead of building
@@ -202,10 +193,20 @@ impl Daemon {
         config: ServiceConfig,
         path: &str,
     ) -> Result<Daemon, perils_util::snapshot::SnapshotError> {
-        let mut config = config;
-        config.threads = config.threads.clamp(1, 16);
         let snapshot = WorldSnapshot::load_archive(path, 1, config.backend)?;
-        Ok(Daemon {
+        Ok(Daemon::new(spec, config, |_, _| snapshot))
+    }
+
+    /// Clamps the worker count, then wraps the epoch-1 snapshot that
+    /// `first` makes under the clamped configuration.
+    fn new(
+        spec: WorldSpec,
+        mut config: ServiceConfig,
+        first: impl FnOnce(&WorldSpec, &ServiceConfig) -> WorldSnapshot,
+    ) -> Daemon {
+        config.threads = config.threads.clamp(1, 16);
+        let snapshot = first(&spec, &config);
+        Daemon {
             spec: SpecMutex::new(spec),
             store: SnapshotStore::new(snapshot),
             rules: RuleRegistry::builtin(),
@@ -214,7 +215,7 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
             reloading: AtomicBool::new(false),
             requests_served: AtomicU64::new(0),
-        })
+        }
     }
 
     /// The snapshot store (tests and the bench read epochs directly).

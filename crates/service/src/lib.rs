@@ -37,4 +37,5 @@ pub mod snapshot;
 
 pub use daemon::{Daemon, ServeSummary, ServiceConfig};
 pub use metrics::{Endpoint, Metrics};
-pub use snapshot::{SnapshotStats, SnapshotStore, WorldSnapshot, WorldSpec};
+pub use perils_survey::WorldSpec;
+pub use snapshot::{SnapshotStats, SnapshotStore, WorldSnapshot};

@@ -265,7 +265,7 @@ pub fn figures_response(snap: &WorldSnapshot) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::WorldSpec;
+    use perils_survey::WorldSpec;
     use perils_util::json::{parse, Value};
 
     fn fbi_snapshot() -> WorldSnapshot {

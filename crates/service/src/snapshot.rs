@@ -10,20 +10,13 @@
 //! swaps in the next one — queries never observe a torn snapshot, only
 //! epoch N or epoch N+1.
 
-use perils_authserver::scenarios::{
-    cornell_figure1, fbi_case, lint_tripwire, lint_tripwire_targets,
-};
 use perils_core::closure::{DependencyIndex, IndexBuildStats};
 use perils_core::lint::LintIndex;
 use perils_core::universe::Universe;
-use perils_dns::name::name;
-use perils_survey::engine::{
-    AnalysisWorld, Engine, ScenarioSource, SyntheticSource, WorldSource, WorldStream,
-};
-use perils_survey::params::TopologyParams;
+use perils_survey::engine::Engine;
 use perils_survey::render::{FigureOutcome, FigureRegistry};
 use perils_survey::snapshot::{load_world_bytes, world_archive_bytes, LoadedWorld};
-use perils_survey::{NameTable, SnapshotBackend};
+use perils_survey::{NameTable, SnapshotBackend, WorldSpec};
 use perils_util::snapshot::SnapshotError;
 use perils_util::ByteStore;
 use std::num::NonZeroUsize;
@@ -32,91 +25,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-
-/// Which world the daemon builds — kept by the daemon so `POST /reload`
-/// can rebuild the same spec (optionally reseeded) from scratch through
-/// the streamed ingestion path.
-#[derive(Debug, Clone)]
-pub enum WorldSpec {
-    /// A seeded synthetic survey world.
-    Synthetic(TopologyParams),
-    /// The fbi.gov case study (packet-level scenario).
-    Fbi,
-    /// The Figure 1 cornell.edu web.
-    Cornell,
-    /// The all-pathologies lint fixture.
-    Tripwire,
-}
-
-impl WorldSpec {
-    /// Parses a `--world` argument. Synthetic scales take the seed;
-    /// scenario worlds ignore it.
-    pub fn parse(world: &str, seed: u64) -> Result<WorldSpec, String> {
-        match world {
-            "fbi" => Ok(WorldSpec::Fbi),
-            "cornell" => Ok(WorldSpec::Cornell),
-            "tripwire" => Ok(WorldSpec::Tripwire),
-            scale => TopologyParams::preset(scale, seed)
-                .map(WorldSpec::Synthetic)
-                .ok_or_else(|| {
-                    format!(
-                        "unknown world {scale:?} ({}|fbi|cornell|tripwire)",
-                        TopologyParams::PRESETS
-                    )
-                }),
-        }
-    }
-
-    /// One-line description for boot/reload logging.
-    pub fn describe(&self) -> String {
-        match self {
-            WorldSpec::Synthetic(p) => {
-                format!("synthetic world (seed {}, {} names)", p.seed, p.names)
-            }
-            WorldSpec::Fbi => "fbi.gov case study".to_string(),
-            WorldSpec::Cornell => "cornell Figure 1 web".to_string(),
-            WorldSpec::Tripwire => "lint tripwire fixture".to_string(),
-        }
-    }
-
-    /// Reseeds a synthetic spec in place (`POST /reload` with a body);
-    /// scenario worlds have no seed and ignore it.
-    pub fn reseed(&mut self, seed: u64) {
-        if let WorldSpec::Synthetic(p) = self {
-            p.seed = seed;
-        }
-    }
-
-    /// The world as a stream — every build, boot or reload, goes through
-    /// the same bounded-memory ingestion path the batch CLIs use.
-    fn stream(&self) -> WorldStream {
-        match self {
-            WorldSpec::Synthetic(params) => SyntheticSource {
-                params: params.clone(),
-            }
-            .stream(),
-            WorldSpec::Fbi => ScenarioSource {
-                scenario: &fbi_case(),
-                targets: vec![
-                    name("www.fbi.gov"),
-                    name("www.sprintip.com"),
-                    name("www.telemail.net"),
-                ],
-            }
-            .stream(),
-            WorldSpec::Cornell => ScenarioSource {
-                scenario: &cornell_figure1(),
-                targets: vec![name("www.cs.cornell.edu"), name("www.cornell.edu")],
-            }
-            .stream(),
-            WorldSpec::Tripwire => ScenarioSource {
-                scenario: &lint_tripwire(),
-                targets: lint_tripwire_targets(),
-            }
-            .stream(),
-        }
-    }
-}
 
 /// Where the active snapshot came from — `/metrics` surfaces this as
 /// `perilsd_snapshot_source{kind="built|loaded"}` so operators can tell
@@ -213,14 +121,7 @@ impl WorldSnapshot {
     /// its own archive would.
     pub fn build(spec: &WorldSpec, epoch: u64, threads: usize, figures: bool) -> WorldSnapshot {
         let start = Instant::now();
-        let world = {
-            let mut stream = spec.stream();
-            AnalysisWorld {
-                universe: stream.build_universe(),
-                names: stream.names().collect(),
-                top500: stream.top500().to_vec(),
-            }
-        };
+        let world = spec.stream().collect();
         let (index, index_stats) = DependencyIndex::build_with_stats(&world.universe, threads);
         let lint = LintIndex::build(&world.universe);
         let (world, figures) = if figures {
@@ -286,24 +187,15 @@ impl WorldSnapshot {
     }
 
     /// Persists this snapshot as a `.psa` archive; returns the bytes
-    /// written. Everything a later [`WorldSnapshot::load_archive`] needs
-    /// is included — the cached figure sweep travels verbatim, so a
-    /// loaded daemon serves byte-identical `/figures` responses (modulo
-    /// the epoch stamp, which the loader rewrites to its own epoch).
+    /// written. Every world serves from an archive store, so this writes
+    /// the store's bytes as they are: a built world's are what
+    /// `save_world` would encode, and a loaded world's are the file it
+    /// was booted from — its cached figure sweep keeps the epoch stamp it
+    /// was saved with, which every loader rewrites to its own epoch.
     pub fn save_archive(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-        perils_survey::snapshot::save_world(
-            path,
-            &self.universe,
-            &self.index,
-            &self.lint,
-            // Saving is rare (explicit --save-snapshot); materializing the
-            // name table here is fine.
-            &self.names.to_vec(),
-            &self.top500,
-            self.figures_json
-                .as_deref()
-                .map(|json| (json, self.stats.figures)),
-        )
+        let bytes = self.store.read_range(0..self.store.len(), "archive")?;
+        std::fs::write(path, &bytes)?;
+        Ok(bytes.len() as u64)
     }
 
     /// Boots generation `epoch` from a `.psa` archive: one bulk read and
@@ -532,7 +424,13 @@ mod tests {
         // two-page cache budget.
         let paged =
             WorldSnapshot::load_archive(&path, 5, SnapshotBackend::paged(8192)).expect("loads");
+        // A loaded world saves the file it was booted from, verbatim.
+        let resaved = temp_psa("resaved");
+        assert_eq!(paged.save_archive(&resaved).expect("saves"), bytes);
+        let same = std::fs::read(&resaved).ok() == std::fs::read(&path).ok();
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&resaved).ok();
+        assert!(same, "a loaded world re-saves its archive byte for byte");
         assert_eq!(built.store.kind(), "heap");
         assert_eq!(
             built.store.resident_bytes(),

@@ -37,3 +37,36 @@ fn copy_is_not_a_snapshot_backend() {
         "{stderr}"
     );
 }
+
+/// The error line of a usage error, after checking the exit code.
+fn error_line(args: &[&str]) -> String {
+    let (code, stderr) = perilsd(args);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("usage: perilsd"), "{stderr}");
+    stderr.lines().next().unwrap_or_default().to_string()
+}
+
+#[test]
+fn missing_values_and_malformed_integers_are_usage_errors() {
+    for (args, error) in [
+        (&["--addr"][..], "error: --addr needs a value"),
+        (
+            &["--queue-cap", "-3"],
+            "error: malformed --queue-cap \"-3\"",
+        ),
+        (&["--bogus"], "error: unknown argument \"--bogus\""),
+    ] {
+        assert_eq!(error_line(args), error);
+    }
+}
+
+/// A page-cache budget whose byte count does not fit in 64 bits is a
+/// usage error, not an overflow.
+#[test]
+fn page_cache_budget_overflow_is_a_usage_error() {
+    let mb = u64::MAX.to_string();
+    assert_eq!(
+        error_line(&["--snapshot-backend", "paged", "--page-cache-mb", &mb]),
+        format!("error: --page-cache-mb {mb} overflows a 64-bit byte budget")
+    );
+}

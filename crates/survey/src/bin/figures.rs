@@ -32,6 +32,7 @@ use perils_survey::render::{
     DirectorySink, FigureOutcome, FigureRegistry, ReportSink, SinkFormat, StreamingCsvSink,
     WriterSink,
 };
+use perils_util::cli::{usage_exit, Argv};
 
 const USAGE: &str = "usage: figures [--scale tiny|default|paper] [--seed N] [--list]
                [--only ID[,ID...]] [--format text|csv|json|gnuplot|vega] [--out DIR]
@@ -46,14 +47,6 @@ const USAGE: &str = "usage: figures [--scale tiny|default|paper] [--seed N] [--l
   --save-snapshot PATH  after the run, write the world to a .psa archive
                         for later --load-snapshot / perilsd --snapshot";
 
-/// Prints a usage error and exits with status 2 (never panics on bad
-/// arguments).
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
 struct Args {
     scale: String,
     seed: u64,
@@ -63,12 +56,10 @@ struct Args {
     out_dir: Option<String>,
     load_snapshot: Option<String>,
     save_snapshot: Option<String>,
-    /// World-shaping flags the user spelled out (for `--load-snapshot`
-    /// conflict detection — a stored world has no scale or seed to shape).
-    world_flags_given: Vec<&'static str>,
 }
 
-fn parse_args() -> Args {
+/// Reads the command line; usage errors exit 2.
+fn read_args() -> Args {
     let mut parsed = Args {
         scale: "default".to_string(),
         seed: 20040722, // 2004-07-22, the paper's crawl date
@@ -78,33 +69,26 @@ fn parse_args() -> Args {
         out_dir: None,
         load_snapshot: None,
         save_snapshot: None,
-        world_flags_given: Vec::new(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    // World-shaping flags the user spelled out (for `--load-snapshot`
+    // conflict detection — a stored world has no scale or seed to shape).
+    let mut world_flags_given: Vec<&'static str> = Vec::new();
+    let mut argv = Argv::from_env(USAGE);
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
             "--scale" => {
-                parsed.scale = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--scale needs a value"));
-                parsed.world_flags_given.push("--scale");
+                parsed.scale = argv.value("--scale");
+                world_flags_given.push("--scale");
             }
             "--seed" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--seed needs an integer"));
-                parsed.seed = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("malformed --seed {raw:?}")));
-                parsed.world_flags_given.push("--seed");
+                parsed.seed = argv.parse("--seed");
+                world_flags_given.push("--seed");
             }
             "--list" => parsed.list = true,
             "--only" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--only needs a comma-separated id list"));
                 parsed.only = Some(
-                    raw.split(',')
+                    argv.value("--only")
+                        .split(',')
                         .map(str::trim)
                         .filter(|s| !s.is_empty())
                         .map(str::to_string)
@@ -112,30 +96,20 @@ fn parse_args() -> Args {
                 );
             }
             "--format" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--format needs text|csv|json|gnuplot|vega"));
+                let raw = argv.value("--format");
                 parsed.format = SinkFormat::parse(&raw)
-                    .unwrap_or_else(|| usage_error(&format!("unknown format {raw:?}")));
+                    .unwrap_or_else(|| argv.fail(&format!("unknown format {raw:?}")));
             }
-            "--out" => parsed.out_dir = args.next().or_else(|| usage_error("--out needs DIR")),
-            "--load-snapshot" => {
-                parsed.load_snapshot = args
-                    .next()
-                    .or_else(|| usage_error("--load-snapshot needs PATH"));
-            }
-            "--save-snapshot" => {
-                parsed.save_snapshot = args
-                    .next()
-                    .or_else(|| usage_error("--save-snapshot needs PATH"));
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
+            "--out" => parsed.out_dir = Some(argv.value("--out")),
+            "--load-snapshot" => parsed.load_snapshot = Some(argv.value("--load-snapshot")),
+            "--save-snapshot" => parsed.save_snapshot = Some(argv.value("--save-snapshot")),
+            other => argv.unknown(other),
         }
     }
-    if parsed.load_snapshot.is_some() && !parsed.world_flags_given.is_empty() {
-        usage_error(&format!(
+    if parsed.load_snapshot.is_some() && !world_flags_given.is_empty() {
+        argv.fail(&format!(
             "--load-snapshot conflicts with {}: a stored world has no scale or seed to shape",
-            parsed.world_flags_given.join("/")
+            world_flags_given.join("/")
         ));
     }
     parsed
@@ -194,7 +168,7 @@ fn print_extras(report: &SurveyReport) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = read_args();
     let registry = registry();
 
     if args.list {
@@ -206,17 +180,23 @@ fn main() {
         let known = registry.ids();
         for id in only {
             if !known.contains(&id.as_str()) {
-                usage_error(&format!("unknown figure {id:?}; registered: {known:?}"));
+                usage_exit(
+                    USAGE,
+                    &format!("unknown figure {id:?}; registered: {known:?}"),
+                );
             }
         }
     }
 
     let params = TopologyParams::preset(&args.scale, args.seed).unwrap_or_else(|| {
-        usage_error(&format!(
-            "unknown scale {:?} ({})",
-            args.scale,
-            TopologyParams::PRESETS
-        ))
+        usage_exit(
+            USAGE,
+            &format!(
+                "unknown scale {:?} ({})",
+                args.scale,
+                TopologyParams::PRESETS
+            ),
+        )
     });
 
     let engine = engine(match args.scale.as_str() {

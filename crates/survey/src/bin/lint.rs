@@ -8,6 +8,9 @@
 //!     [--format text|json|sarif] [--out FILE]
 //! ```
 //!
+//! `--world` names resolve through [`perils_survey::WorldSpec`], the same
+//! names `perilsd --world` serves.
+//!
 //! Severity overrides are repeatable and validated against the registry:
 //! `--allow RULE` suppresses a rule's findings, `--warn`/`--deny` re-level
 //! them (deny-level findings gate the exit code). Unknown rule ids are
@@ -17,18 +20,12 @@
 //! deny-level finding (the CI gate); **2** — usage error (unknown flag,
 //! malformed value, unknown rule id).
 
-use perils_authserver::scenarios::{
-    cornell_figure1, fbi_case, lint_tripwire, lint_tripwire_targets,
-};
 use perils_core::lint::{RuleRegistry, Severity, SeverityOverrides};
-use perils_core::universe::Universe;
 use perils_core::{DependencyIndex, LintIndex};
-use perils_dns::name::{name, DnsName};
-use perils_survey::engine::{SyntheticSource, WorldSource};
+use perils_dns::name::DnsName;
 use perils_survey::lint::{run_lint, run_lint_with, LintFormat, LintReport};
-use perils_survey::params::TopologyParams;
-use perils_survey::scenario::universe_from_scenario;
-use perils_survey::topology::SurveyName;
+use perils_survey::WorldSpec;
+use perils_util::cli::{usage_exit, Argv};
 use std::io::{self, BufWriter, Write};
 use std::num::NonZeroUsize;
 
@@ -61,14 +58,6 @@ const USAGE: &str = "usage: lint [--world fbi|cornell|tripwire|tiny|default|pape
 exit codes: 0 = clean or warnings only; 1 = deny-level findings present;
             2 = usage error (unknown flag, value, or rule id)";
 
-/// Prints a usage error and exits with status 2 (never panics on bad
-/// arguments).
-fn usage_error(message: &str) -> ! {
-    eprintln!("error: {message}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
-}
-
 struct Args {
     world: String,
     seed: u64,
@@ -79,12 +68,10 @@ struct Args {
     out: Option<String>,
     load_snapshot: Option<String>,
     save_snapshot: Option<String>,
-    /// World-shaping flags the user spelled out (for `--load-snapshot`
-    /// conflict detection — a stored world cannot be reshaped).
-    world_flags_given: Vec<&'static str>,
 }
 
-fn parse_args() -> Args {
+/// Reads the command line; usage errors exit 2.
+fn read_args() -> Args {
     let mut parsed = Args {
         world: "fbi".to_string(),
         seed: 20040722, // 2004-07-22, the paper's crawl date
@@ -95,125 +82,45 @@ fn parse_args() -> Args {
         out: None,
         load_snapshot: None,
         save_snapshot: None,
-        world_flags_given: Vec::new(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    // World-shaping flags the user spelled out (for `--load-snapshot`
+    // conflict detection — a stored world cannot be reshaped).
+    let mut world_flags_given: Vec<&'static str> = Vec::new();
+    let mut argv = Argv::from_env(USAGE);
+    while let Some(flag) = argv.next_flag() {
+        match flag.as_str() {
             "--world" => {
-                parsed.world = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--world needs a value"));
-                parsed.world_flags_given.push("--world");
+                parsed.world = argv.value("--world");
+                world_flags_given.push("--world");
             }
             "--seed" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--seed needs an integer"));
-                parsed.seed = raw
-                    .parse()
-                    .unwrap_or_else(|_| usage_error(&format!("malformed --seed {raw:?}")));
-                parsed.world_flags_given.push("--seed");
+                parsed.seed = argv.parse("--seed");
+                world_flags_given.push("--seed");
             }
-            "--threads" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--threads needs an integer"));
-                parsed.threads = Some(
-                    raw.parse()
-                        .unwrap_or_else(|_| usage_error(&format!("malformed --threads {raw:?}"))),
-                );
-            }
+            "--threads" => parsed.threads = Some(argv.parse("--threads")),
             "--list-rules" => parsed.list_rules = true,
             "--allow" | "--warn" | "--deny" => {
-                let severity = Severity::parse(&arg[2..]).expect("flag names are labels");
-                let rule = args
-                    .next()
-                    .unwrap_or_else(|| usage_error(&format!("{arg} needs a rule id")));
-                parsed.overrides.push((rule, severity));
+                let severity = Severity::parse(&flag[2..]).expect("flag names are labels");
+                parsed.overrides.push((argv.value(&flag), severity));
             }
             "--format" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| usage_error("--format needs text|json|sarif"));
+                let raw = argv.value("--format");
                 parsed.format = LintFormat::parse(&raw)
-                    .unwrap_or_else(|| usage_error(&format!("unknown format {raw:?}")));
+                    .unwrap_or_else(|| argv.fail(&format!("unknown format {raw:?}")));
             }
-            "--out" => parsed.out = args.next().or_else(|| usage_error("--out needs FILE")),
-            "--load-snapshot" => {
-                parsed.load_snapshot = args
-                    .next()
-                    .or_else(|| usage_error("--load-snapshot needs PATH"));
-            }
-            "--save-snapshot" => {
-                parsed.save_snapshot = args
-                    .next()
-                    .or_else(|| usage_error("--save-snapshot needs PATH"));
-            }
-            other => usage_error(&format!("unknown argument {other:?}")),
+            "--out" => parsed.out = Some(argv.value("--out")),
+            "--load-snapshot" => parsed.load_snapshot = Some(argv.value("--load-snapshot")),
+            "--save-snapshot" => parsed.save_snapshot = Some(argv.value("--save-snapshot")),
+            other => argv.unknown(other),
         }
     }
-    if parsed.load_snapshot.is_some() && !parsed.world_flags_given.is_empty() {
-        usage_error(&format!(
+    if parsed.load_snapshot.is_some() && !world_flags_given.is_empty() {
+        argv.fail(&format!(
             "--load-snapshot conflicts with {}: a stored world cannot be reshaped",
-            parsed.world_flags_given.join("/")
+            world_flags_given.join("/")
         ));
     }
     parsed
-}
-
-/// Wraps bare scenario targets as [`SurveyName`]s (tld = last label,
-/// rank = position) so any world can be written to a `.psa` archive.
-fn survey_names(targets: Vec<DnsName>) -> Vec<SurveyName> {
-    targets
-        .into_iter()
-        .enumerate()
-        .map(|(i, target)| {
-            let tld = DnsName::from_labels(target.labels().last().cloned().into_iter().collect())
-                .expect("a single label always fits");
-            SurveyName {
-                name: target,
-                tld,
-                popularity_rank: i,
-            }
-        })
-        .collect()
-}
-
-/// Resolves `--world` into a universe, its survey targets, and the
-/// popular-subset indices (empty for scenario worlds).
-fn load_world(world: &str, seed: u64) -> (Universe, Vec<SurveyName>, Vec<usize>) {
-    match world {
-        "fbi" => (
-            universe_from_scenario(&fbi_case()),
-            survey_names(vec![
-                name("www.fbi.gov"),
-                name("www.sprintip.com"),
-                name("www.telemail.net"),
-            ]),
-            Vec::new(),
-        ),
-        "cornell" => (
-            universe_from_scenario(&cornell_figure1()),
-            survey_names(vec![name("www.cs.cornell.edu"), name("www.cornell.edu")]),
-            Vec::new(),
-        ),
-        "tripwire" => (
-            universe_from_scenario(&lint_tripwire()),
-            survey_names(lint_tripwire_targets()),
-            Vec::new(),
-        ),
-        scale => {
-            let params = TopologyParams::preset(scale, seed).unwrap_or_else(|| {
-                usage_error(&format!(
-                    "unknown world {scale:?} (fbi|cornell|tripwire|{})",
-                    TopologyParams::PRESETS
-                ))
-            });
-            let world = SyntheticSource { params }.load();
-            (world.universe, world.names, world.top500)
-        }
-    }
 }
 
 fn print_rule_list(registry: &RuleRegistry) {
@@ -236,7 +143,7 @@ fn write_report(report: &LintReport<'_>, format: LintFormat, sink: impl Write) -
 }
 
 fn main() {
-    let args = parse_args();
+    let args = read_args();
     let registry = RuleRegistry::builtin();
 
     if args.list_rules {
@@ -249,7 +156,7 @@ fn main() {
     let mut overrides = SeverityOverrides::new();
     for (rule, severity) in &args.overrides {
         if let Err(error) = overrides.set(&registry, rule, *severity) {
-            usage_error(&error.to_string());
+            usage_exit(USAGE, &error.to_string());
         }
     }
 
@@ -268,16 +175,19 @@ fn main() {
             )
         }
         None => {
-            let (universe, names, top500) = load_world(&args.world, args.seed);
+            let world = WorldSpec::parse(&args.world, args.seed)
+                .unwrap_or_else(|message| usage_exit(USAGE, &message))
+                .stream()
+                .collect();
             // A saved archive needs the index and facts: build them once
             // (with `build`'s thread choice) and lint over them too.
             let prebuilt = args.save_snapshot.is_some().then(|| {
                 (
-                    DependencyIndex::build(&universe),
-                    LintIndex::build(&universe),
+                    DependencyIndex::build(&world.universe),
+                    LintIndex::build(&world.universe),
                 )
             });
-            (universe, names, top500, prebuilt)
+            (world.universe, world.names, world.top500, prebuilt)
         }
     };
     let targets: Vec<DnsName> = names.iter().map(|n| n.name.clone()).collect();

@@ -26,7 +26,7 @@
 
 use crate::params::TopologyParams;
 use crate::scenario::{report_events, scenario_events};
-use crate::topology::{plan_world, SurveyName, SyntheticWorld};
+use crate::topology::{plan_world, SurveyName};
 use perils_authserver::scenarios::Scenario;
 use perils_core::closure::DependencyIndex;
 use perils_core::hijack::min_hijack_exact;
@@ -254,6 +254,19 @@ impl WorldStream {
     }
 }
 
+/// Worker threads for a pass: `threads` if given, else the available
+/// parallelism (4 when unknown), clamped to `1..=16`.
+pub(crate) fn thread_count(threads: Option<NonZeroUsize>) -> usize {
+    threads
+        .map(NonZeroUsize::get)
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(4)
+        })
+        .clamp(1, 16)
+}
+
 /// Supplies a world to the engine. Implemented by the synthetic
 /// generator, hand-built packet scenarios and wire-probed dependency
 /// reports, so every world kind runs through the same engine.
@@ -303,6 +316,15 @@ pub struct SyntheticSource {
     pub params: TopologyParams,
 }
 
+impl SyntheticSource {
+    /// The same plan as a packet-level scenario: full zones with glue,
+    /// server specs and root hints (what the wire cross-check deploys).
+    /// Intended for small worlds; memory grows linearly with zones.
+    pub fn scenario(&self) -> Scenario {
+        plan_world(&self.params).build_scenario()
+    }
+}
+
 impl WorldSource for SyntheticSource {
     fn describe(&self) -> String {
         format!(
@@ -312,30 +334,10 @@ impl WorldSource for SyntheticSource {
     }
 
     /// Plans the world, then hands the plan over as a lazy event stream:
-    /// the generator never materializes a [`Universe`] of its own, and
-    /// the event order matches the classic materialized build, so ids —
-    /// and therefore every figure — are bit-identical.
+    /// the generator never materializes a [`Universe`] of its own.
     fn stream(self) -> WorldStream {
         let (events, names, top500) = plan_world(&self.params).into_stream_parts();
         WorldStream::new(events, names.into_iter(), top500)
-    }
-}
-
-impl WorldSource for SyntheticWorld {
-    fn describe(&self) -> String {
-        format!("generated world ({} names)", self.names.len())
-    }
-
-    fn stream(self) -> WorldStream {
-        WorldStream::of_world(self.load())
-    }
-
-    fn load(self) -> AnalysisWorld {
-        AnalysisWorld {
-            universe: self.universe,
-            names: self.names,
-            top500: self.top500,
-        }
     }
 }
 
@@ -689,7 +691,7 @@ impl Engine {
 
     /// Runs every registered metric over an already-built world.
     pub fn run_world(&self, world: AnalysisWorld) -> SurveyReport {
-        let threads = self.thread_count();
+        let threads = thread_count(self.threads);
         let index = DependencyIndex::build_with_threads(&world.universe, threads);
         self.run_world_indexed(world, &index)
     }
@@ -701,7 +703,7 @@ impl Engine {
     /// `world.universe`; the snapshot decoder guarantees this for loaded
     /// archives.
     pub fn run_world_indexed(&self, world: AnalysisWorld, index: &DependencyIndex) -> SurveyReport {
-        let threads = self.thread_count();
+        let threads = thread_count(self.threads);
         let prepared: Vec<PreparedState> = self
             .metrics
             .iter()
@@ -735,7 +737,7 @@ impl Engine {
     /// [`WorldSource::stream`]): build the universe from the event
     /// phase, then pull names in `batch_size`-bounded batches.
     pub fn run_stream(&self, mut stream: WorldStream, batch_size: NonZeroUsize) -> SurveyReport {
-        let threads = self.thread_count();
+        let threads = thread_count(self.threads);
         let universe = stream.build_universe();
         let index = DependencyIndex::build_with_threads(&universe, threads);
         let prepared: Vec<PreparedState> =
@@ -770,17 +772,6 @@ impl Engine {
             top500: stream.top500,
         };
         self.finish_report(world, &index, merged)
-    }
-
-    fn thread_count(&self) -> usize {
-        self.threads
-            .map(NonZeroUsize::get)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(4)
-            })
-            .clamp(1, 16)
     }
 
     /// One sharded pass over a contiguous batch of names
@@ -961,7 +952,10 @@ mod tests {
 
     #[test]
     fn engine_accepts_prebuilt_and_generated_worlds() {
-        let world = SyntheticWorld::generate(&TopologyParams::tiny(43));
+        let world = SyntheticSource {
+            params: TopologyParams::tiny(43),
+        }
+        .load();
         let names = world.names.len();
         let report = Engine::with_builtin_metrics().run(world);
         assert_eq!(report.tcb_sizes().len(), names);

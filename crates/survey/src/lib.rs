@@ -24,7 +24,8 @@
 //! [`engine::SurveyReport`]), [`render`] (the pluggable output pipeline:
 //! [`render::Figure`] + [`render::FigureRegistry`] + [`render::ReportSink`]),
 //! [`figures`] (the paper's figure renderers, registered on that pipeline),
-//! [`scenario`] (bridging hand-built packet-level scenarios into analyses).
+//! [`scenario`] (bridging hand-built packet-level scenarios into analyses),
+//! [`world`] (the named worlds `--world` resolves to).
 //!
 //! Ingestion is **streaming**: every [`engine::WorldSource`] emits an
 //! [`engine::WorldStream`] — incremental [`perils_core::UniverseEvent`]s
@@ -32,7 +33,10 @@
 //! `perils_core`'s incremental universe builder and, via
 //! [`engine::Engine::run_batched`], through bounded name batches, so no
 //! stage ever needs the whole feed in memory. Materialized loading
-//! ([`engine::WorldSource::load`]) is a thin collector over the stream.
+//! ([`engine::WorldSource::load`]) is a thin collector over the stream,
+//! and a synthetic world exists only as a plan until it is streamed (or,
+//! for the wire cross-check, built as packets by
+//! [`engine::SyntheticSource::scenario`]).
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +48,7 @@ pub mod render;
 pub mod scenario;
 pub mod snapshot;
 pub mod topology;
+pub mod world;
 
 pub use engine::{
     AnalysisWorld, Engine, ProbedSource, ReportError, ScenarioSource, SurveyReport,
@@ -56,4 +61,4 @@ pub use render::{
     SinkFormat, StreamingCsvSink, WriterSink,
 };
 pub use snapshot::{load_world_with, save_world, LoadedWorld, NameTable, SnapshotBackend};
-pub use topology::SyntheticWorld;
+pub use world::WorldSpec;

@@ -15,6 +15,7 @@
 //! finding at a time, resolving evidence ids to names as it goes; the
 //! report itself holds ids, never copies of names.
 
+use crate::engine::thread_count;
 use perils_core::lint::{
     check_universe, Diagnostic, LintCtx, LintIndex, RuleRegistry, Severity, SeverityOverrides,
 };
@@ -251,17 +252,6 @@ fn sharded_check(
         }
     }
     out
-}
-
-fn thread_count(threads: Option<NonZeroUsize>) -> usize {
-    threads
-        .map(NonZeroUsize::get)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(4)
-        })
-        .clamp(1, 16)
 }
 
 /// The serialization a lint sink writes.

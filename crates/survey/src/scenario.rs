@@ -116,6 +116,23 @@ mod tests {
         assert!(u.server(root).is_root);
     }
 
+    /// The collector and the engine's scenario stream build one universe,
+    /// so a scenario world resolves identically through either.
+    #[test]
+    fn collector_equals_the_scenario_source_stream() {
+        use crate::engine::{ScenarioSource, WorldSource};
+        use perils_authserver::scenarios::{cornell_figure1, lint_tripwire};
+        for scenario in [fbi_case(), cornell_figure1(), lint_tripwire()] {
+            let streamed = ScenarioSource {
+                scenario: &scenario,
+                targets: Vec::new(),
+            }
+            .stream()
+            .build_universe();
+            assert_eq!(universe_from_scenario(&scenario), streamed);
+        }
+    }
+
     #[test]
     fn fbi_zone_structure_present() {
         let u = universe_from_scenario(&fbi_case());

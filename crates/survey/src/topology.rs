@@ -1,29 +1,29 @@
 //! The synthetic internet generator.
 //!
-//! Produces a [`SyntheticWorld`]: a full universe of zones, nameservers,
-//! operators and surveyed names whose *generative mechanisms* mirror the
-//! ones the paper identifies (see the crate docs). Everything is
-//! deterministic in the seed.
+//! Plans a world: zones, nameservers, operators and surveyed names whose
+//! *generative mechanisms* mirror the ones the paper identifies (see the
+//! crate docs). Everything is deterministic in the seed.
 //!
-//! The same world plan can be materialized two ways:
-//! * [`SyntheticWorld::universe`] — the analysis model (any scale);
-//! * [`SyntheticWorld::build_scenario`] — a packet-level
-//!   [`perils_authserver::Scenario`] with real zones, glue and server
-//!   specs (small scales; used to cross-validate the structural analysis
-//!   against wire-probed discovery).
+//! The same world plan can be materialized two ways, both through
+//! [`crate::engine::SyntheticSource`]:
+//! * [`WorldSource::stream`](crate::engine::WorldSource::stream) — the
+//!   analysis model as an event stream (any scale);
+//! * [`SyntheticSource::scenario`](crate::engine::SyntheticSource::scenario)
+//!   — a packet-level [`perils_authserver::Scenario`] with real zones,
+//!   glue and server specs (small scales; used to cross-validate the
+//!   structural analysis against wire-probed discovery).
 
 use crate::params::TopologyParams;
 use perils_authserver::deploy::ServerSpec;
 use perils_authserver::scenarios::Scenario;
 use perils_authserver::software::ServerSoftware;
-use perils_core::universe::{Universe, UniverseEvent};
+use perils_core::universe::UniverseEvent;
 use perils_dns::name::{name, DnsName};
 use perils_dns::rr::RData;
 use perils_dns::zone::{Zone, ZoneRegistry};
 use perils_netsim::{IpAllocator, Region};
 use perils_util::dist::{AliasTable, ZipfTable};
 use perils_util::Rng;
-use perils_vulndb::VulnDb;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The twelve gTLDs of Figure 3, in the paper's plotted order.
@@ -84,49 +84,34 @@ struct ServerPlan {
     is_root: bool,
 }
 
-/// The generated world.
-#[derive(Debug)]
-pub struct SyntheticWorld {
-    /// The analysis universe.
-    pub universe: Universe,
-    /// The surveyed names (deduplicated), in crawl order.
-    pub names: Vec<SurveyName>,
-    /// Indices into `names` of the 500 most popular (the alexa-style set).
-    pub top500: Vec<usize>,
-    /// ccTLD labels in "messiness" order, worst first (Figure 4's x-axis
-    /// comes from the head of this list).
-    pub cctld_order: Vec<String>,
-    /// Region of each server, aligned with universe server ids.
-    pub server_regions: Vec<Region>,
-    zones: Vec<ZonePlan>,
-    servers: Vec<ServerPlan>,
-    roots: Vec<(DnsName, String)>,
+/// Plans a synthetic world without materializing it (deterministic in
+/// `params.seed`).
+pub(crate) fn plan_world(params: &TopologyParams) -> WorldPlan {
+    params.validate();
+    Generator::new(params).plan()
 }
 
 /// The fully planned world before any materialization: compact zone and
 /// server plans, the crawled name sample, and the popularity subset.
 ///
-/// A plan is the streaming pipeline's source of truth for synthetic
-/// worlds: [`SyntheticWorld::generate`] materializes it into an analysis
-/// [`Universe`] all at once (the classic path), while
+/// A plan is the only source of truth for synthetic worlds:
 /// [`WorldPlan::into_stream_parts`] drains it as an incremental
-/// [`UniverseEvent`] feed so the engine's universe builder — not the
-/// generator — owns the only full-world allocation.
+/// [`UniverseEvent`] feed, so the engine's universe builder — not the
+/// generator — owns the only full-world allocation, and
+/// [`WorldPlan::build_scenario`] materializes it as packets.
 #[derive(Debug)]
 pub(crate) struct WorldPlan {
     zones: Vec<ZonePlan>,
     servers: Vec<ServerPlan>,
-    roots: Vec<(DnsName, String)>,
+    roots: Vec<DnsName>,
     names: Vec<SurveyName>,
     top500: Vec<usize>,
-    cctld_order: Vec<String>,
 }
 
 impl WorldPlan {
     /// Decomposes the plan into the streaming parts: a lazy
     /// [`UniverseEvent`] iterator (every server with its version banner
-    /// in plan order, then every zone with its NS set — the exact
-    /// interning order of the materialized path, so ids are identical),
+    /// in plan order, then every zone with its NS set),
     /// the surveyed names, and the top-500 index subset. Each plan entry
     /// is dropped as its event is consumed.
     pub(crate) fn into_stream_parts(
@@ -156,81 +141,17 @@ impl WorldPlan {
             }));
         (events, names, top500)
     }
-}
-
-/// Plans a synthetic world without materializing its universe
-/// (deterministic in `params.seed`; same plan as
-/// [`SyntheticWorld::generate`], which is this plus materialization).
-pub(crate) fn plan_world(params: &TopologyParams) -> WorldPlan {
-    params.validate();
-    Generator::new(params).plan()
-}
-
-impl SyntheticWorld {
-    /// Generates a world from `params` (deterministic in `params.seed`).
-    pub fn generate(params: &TopologyParams) -> SyntheticWorld {
-        SyntheticWorld::from_plan(plan_world(params))
-    }
-
-    /// Materializes a plan into the analysis universe (the interning
-    /// order — servers with banners first, then zones — is the contract
-    /// the streamed path reproduces event for event).
-    fn from_plan(plan: WorldPlan) -> SyntheticWorld {
-        let db = VulnDb::isc_feb_2004();
-        let mut builder = Universe::builder();
-        for server in &plan.servers {
-            builder.ensure_server(
-                &server.name,
-                Some(server.version.to_string()),
-                &db,
-                server.is_root,
-            );
-        }
-        for zone in &plan.zones {
-            builder.add_zone(&zone.origin, &zone.ns);
-        }
-        let universe = builder.finish();
-        let server_regions: Vec<Region> = {
-            // Align regions with universe ids via name lookup.
-            let mut by_name: BTreeMap<DnsName, u16> = BTreeMap::new();
-            for s in &plan.servers {
-                by_name.insert(s.name.to_lowercase(), s.region);
-            }
-            universe
-                .server_ids()
-                .map(|sid| {
-                    Region(
-                        by_name
-                            .get(&universe.server(sid).name)
-                            .copied()
-                            .unwrap_or(0),
-                    )
-                })
-                .collect()
-        };
-        SyntheticWorld {
-            universe,
-            names: plan.names,
-            top500: plan.top500,
-            cctld_order: plan.cctld_order,
-            server_regions,
-            zones: plan.zones,
-            servers: plan.servers,
-            roots: plan.roots,
-        }
-    }
 
     /// Materializes a packet-level scenario: full zones with glue, server
     /// specs, root hints. Intended for small worlds (tests, examples);
     /// memory grows linearly with zones.
-    pub fn build_scenario(&self) -> Scenario {
+    pub(crate) fn build_scenario(&self) -> Scenario {
         let mut registry = ZoneRegistry::new();
         let mut alloc = IpAllocator::new();
         // Allocate addresses deterministically in server order.
         let mut addr_of: BTreeMap<DnsName, std::net::Ipv4Addr> = BTreeMap::new();
-        for (i, server) in self.servers.iter().enumerate() {
-            let region = Region(self.server_regions.get(i).map(|r| r.0).unwrap_or(0));
-            addr_of.insert(server.name.clone(), alloc.alloc(region));
+        for server in &self.servers {
+            addr_of.insert(server.name.clone(), alloc.alloc(Region(server.region)));
         }
         // Which zone is each host's home (deepest origin containing it)?
         let origins: BTreeSet<DnsName> = self.zones.iter().map(|z| z.origin.clone()).collect();
@@ -316,11 +237,8 @@ impl SyntheticWorld {
                 zones: zones_of.remove(&server.name).unwrap_or_default(),
             })
             .collect();
-        let roots: Vec<(DnsName, std::net::Ipv4Addr)> = self
-            .roots
-            .iter()
-            .map(|(n, _)| (n.clone(), addr_of[n]))
-            .collect();
+        let roots: Vec<(DnsName, std::net::Ipv4Addr)> =
+            self.roots.iter().map(|n| (n.clone(), addr_of[n])).collect();
         Scenario {
             registry,
             specs,
@@ -336,7 +254,7 @@ struct Generator<'p> {
     zones: Vec<ZonePlan>,
     servers: Vec<ServerPlan>,
     server_names: BTreeSet<DnsName>,
-    roots: Vec<(DnsName, String)>,
+    roots: Vec<DnsName>,
     /// (server names, region) per provider.
     provider_boxes: Vec<(Vec<DnsName>, u16)>,
     /// (server names, region) per university operator.
@@ -344,7 +262,6 @@ struct Generator<'p> {
     /// Indices into `university_boxes` of the volunteer pool (dense
     /// community webs; hosts ccTLD and aero/int slaves).
     pool: Vec<usize>,
-    cctld_order: Vec<String>,
     /// Names `crawl_names` built, accepted or not.
     #[cfg(test)]
     names_built: usize,
@@ -362,7 +279,6 @@ impl<'p> Generator<'p> {
             provider_boxes: Vec::new(),
             university_boxes: Vec::new(),
             pool: Vec::new(),
-            cctld_order: Vec::new(),
             #[cfg(test)]
             names_built: 0,
         }
@@ -416,7 +332,6 @@ impl<'p> Generator<'p> {
             roots: self.roots,
             names,
             top500,
-            cctld_order: self.cctld_order,
         }
     }
 
@@ -428,7 +343,7 @@ impl<'p> Generator<'p> {
             let host = name(&format!("{}.root-servers.net", letter as char));
             self.add_server(&host, "9.2.3", 0, true);
             root_ns.push(host.clone());
-            self.roots.push((host, "9.2.3".to_string()));
+            self.roots.push(host);
         }
         self.add_zone(DnsName::root(), root_ns.clone(), vec![]);
         self.add_zone(name("root-servers.net"), root_ns.clone(), root_ns.clone());
@@ -494,7 +409,6 @@ impl<'p> Generator<'p> {
             }
             n += 1;
         }
-        self.cctld_order = labels.clone();
         for (i, code) in labels.iter().enumerate() {
             let region = (i % 200 + 10) as u16;
             // One or two in-country registry boxes under nic.<cc>.
@@ -1076,8 +990,16 @@ impl<'p> Generator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{AnalysisWorld, SyntheticSource, WorldSource};
     use crate::params::TopologyParams;
     use proptest::prelude::*;
+
+    fn generate(params: &TopologyParams) -> AnalysisWorld {
+        SyntheticSource {
+            params: params.clone(),
+        }
+        .load()
+    }
 
     /// Both samplers over `domains` synthetic domain zones, each from a
     /// fresh generator on the same seed (no `validate`, so over-asking
@@ -1165,8 +1087,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = SyntheticWorld::generate(&TopologyParams::tiny(7));
-        let b = SyntheticWorld::generate(&TopologyParams::tiny(7));
+        let a = generate(&TopologyParams::tiny(7));
+        let b = generate(&TopologyParams::tiny(7));
         assert_eq!(a.universe.server_count(), b.universe.server_count());
         assert_eq!(a.universe.zone_count(), b.universe.zone_count());
         assert_eq!(a.names.len(), b.names.len());
@@ -1177,8 +1099,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = SyntheticWorld::generate(&TopologyParams::tiny(1));
-        let b = SyntheticWorld::generate(&TopologyParams::tiny(2));
+        let a = generate(&TopologyParams::tiny(1));
+        let b = generate(&TopologyParams::tiny(2));
         let same = a
             .names
             .iter()
@@ -1190,7 +1112,7 @@ mod tests {
 
     #[test]
     fn structure_is_complete() {
-        let world = SyntheticWorld::generate(&TopologyParams::tiny(3));
+        let world = generate(&TopologyParams::tiny(3));
         assert!(world.universe.zone_count() > 200);
         assert!(world.universe.server_count() > 100);
         assert!(!world.names.is_empty());
@@ -1208,13 +1130,11 @@ mod tests {
             .server_id(&name("a.root-servers.net"))
             .unwrap();
         assert!(world.universe.server(root).is_root);
-        // Regions aligned with servers.
-        assert_eq!(world.server_regions.len(), world.universe.server_count());
     }
 
     #[test]
     fn vulnerable_fraction_in_band() {
-        let world = SyntheticWorld::generate(&TopologyParams::tiny(5));
+        let world = generate(&TopologyParams::tiny(5));
         let f = world.universe.vulnerable_fraction();
         assert!((0.05..0.45).contains(&f), "vulnerable fraction {f}");
     }
@@ -1223,7 +1143,7 @@ mod tests {
     fn ws_cctld_is_all_vulnerable() {
         let mut params = TopologyParams::tiny(1);
         params.cctlds = 16; // include "ws" (index 15 of the seed list)
-        let world = SyntheticWorld::generate(&params);
+        let world = generate(&params);
         let ws = world.universe.zone_id(&name("ws")).expect("ws exists");
         let zone = world.universe.zone(ws);
         let nic_servers: Vec<_> = zone
@@ -1249,10 +1169,10 @@ mod tests {
     #[test]
     fn stale_delegation_knob_decays_domains() {
         use perils_core::ZombieIndex;
-        let clean = SyntheticWorld::generate(&TopologyParams::tiny(9));
+        let clean = generate(&TopologyParams::tiny(9));
         let mut params = TopologyParams::tiny(9);
         params.stale_delegation_fraction = 0.3;
-        let decayed = SyntheticWorld::generate(&params);
+        let decayed = generate(&params);
         let clean_index = ZombieIndex::build(&clean.universe);
         let decayed_index = ZombieIndex::build(&decayed.universe);
         assert_eq!(
@@ -1277,7 +1197,7 @@ mod tests {
 
     #[test]
     fn top500_is_popularity_ordered() {
-        let world = SyntheticWorld::generate(&TopologyParams::tiny(4));
+        let world = generate(&TopologyParams::tiny(4));
         let ranks: Vec<usize> = world
             .top500
             .iter()
@@ -1290,8 +1210,10 @@ mod tests {
 
     #[test]
     fn tiny_world_builds_packet_scenario() {
-        let world = SyntheticWorld::generate(&TopologyParams::tiny(6));
-        let scenario = world.build_scenario();
+        let scenario = SyntheticSource {
+            params: TopologyParams::tiny(6),
+        }
+        .scenario();
         assert!(!scenario.roots.is_empty());
         assert!(scenario.specs.len() > 50);
         // Every root hint has an address and a spec.

@@ -1,8 +1,8 @@
 //! The `figures` and `lint` binaries around a `.psa` archive: a world
 //! saved by one run and read back with `--load-snapshot` yields the same
 //! figure files and the same lint report as the run that built it, a
-//! damaged archive is a clean exit 1, and an unknown scale or the
-//! retired `--csv` flag is a usage error.
+//! damaged archive is a clean exit 1, and an unknown scale, the retired
+//! `--csv` flag, a missing value or a malformed integer is a usage error.
 
 use perils_survey::params::TopologyParams;
 use std::path::{Path, PathBuf};
@@ -136,4 +136,27 @@ fn csv_flag_is_an_unknown_argument() {
         "usage no longer lists it: {stderr}"
     );
     assert!(!dir.exists(), "nothing written");
+}
+
+/// Both binaries word argument errors alike: a flag at the end of the
+/// line needs a value, and an integer that does not parse is malformed.
+#[test]
+fn missing_values_and_malformed_integers_are_usage_errors() {
+    for (out, error) in [
+        (figures(&["--scale"]), "error: --scale needs a value"),
+        (
+            figures(&["--seed", "12x"]),
+            "error: malformed --seed \"12x\"",
+        ),
+        (lint(&["--format"]), "error: --format needs a value"),
+        (
+            lint(&["--threads", "0"]),
+            "error: malformed --threads \"0\"",
+        ),
+    ] {
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().next(), Some(error), "{stderr}");
+        assert!(stderr.contains("usage: "), "{stderr}");
+    }
 }

@@ -8,7 +8,9 @@
 //! (`SurveyReport::exact_sample`) and the CLI's ablation line over it are
 //! pinned too, as recorded from the witness-permuting search of PR 11.
 //! `crawl_sample.txt` pins the crawled name sample itself, as recorded
-//! from the name-set sampler at a5cbf9c.
+//! from the name-set sampler at a5cbf9c; `synthetic_scenario.txt` pins
+//! the packet-level scenario of two tiny worlds, as recorded from the
+//! materialized generate path at ab8fd51.
 //! Regenerate goldens with
 //! `GOLDEN_REGEN=1 cargo test -p perils-survey --test figures_golden`.
 
@@ -158,6 +160,56 @@ fn crawl_sample_matches_golden() {
         ));
     }
     check_golden("crawl_sample.txt", &actual);
+}
+
+/// The packet-level scenario of a synthetic world is what the wire
+/// cross-check probes, so it is pinned as a fingerprint: per tiny seed,
+/// the zone, record, spec and root counts, the root hints in full, and an
+/// FNV checksum over every registry record in zone order, every spec's
+/// host, address, software and zones, and the roots.
+#[test]
+fn synthetic_scenario_matches_golden() {
+    let mut actual = String::new();
+    for seed in [1234, SEED] {
+        let scenario = SyntheticSource {
+            params: TopologyParams::tiny(seed),
+        }
+        .scenario();
+        let mut fold = ChecksumFold::new();
+        let mut line = |text: String| {
+            fold.update(text.as_bytes());
+            fold.update(&[0]);
+        };
+        let mut records = 0usize;
+        for zone in scenario.registry.iter() {
+            line(format!("zone {}", zone.origin()));
+            for record in zone.iter() {
+                line(record.to_string());
+                records += 1;
+            }
+        }
+        for spec in &scenario.specs {
+            let zones: Vec<String> = spec.zones.iter().map(DnsName::to_string).collect();
+            let (host, addr, software) = (&spec.host_name, spec.addr, &spec.software);
+            line(format!(
+                "spec {host} {addr} {software:?} {}",
+                zones.join(",")
+            ));
+        }
+        let mut roots = String::new();
+        for (host, addr) in &scenario.roots {
+            line(format!("root {host} {addr}"));
+            roots.push_str(&format!("root {host} {addr}\n"));
+        }
+        actual.push_str(&format!(
+            "tiny {seed}: {} zones, {records} records, {} specs, {} roots, fnv {:016x}\n{roots}",
+            scenario.registry.len(),
+            scenario.specs.len(),
+            scenario.roots.len(),
+            fold.finish()
+        ));
+    }
+    check_golden("synthetic_scenario.txt", &actual);
 }
 
 /// The `figures` CLI prints the sample only as its ablation line, after

@@ -10,15 +10,13 @@
 //! Regenerate goldens with
 //! `GOLDEN_REGEN=1 cargo test -p perils-survey --test lint_golden`.
 
-use perils_authserver::scenarios::{fbi_case, lint_tripwire, lint_tripwire_targets, Scenario};
+use perils_authserver::scenarios::fbi_case;
 use perils_core::lint::{RuleRegistry, Severity, SeverityOverrides};
 use perils_core::universe::Universe;
 use perils_dns::name::{name, DnsName};
-use perils_survey::engine::SyntheticSource;
-use perils_survey::engine::WorldSource;
 use perils_survey::lint::{run_lint, LintFormat, LintReport};
-use perils_survey::params::TopologyParams;
 use perils_survey::scenario::universe_from_scenario;
+use perils_survey::WorldSpec;
 use perils_util::json::{parse, Value};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -49,34 +47,32 @@ fn check_golden(file: &str, actual: &str) {
     );
 }
 
-/// A scenario world and its surveyed names. A report borrows the
-/// universe its evidence points into, so the fixture outlives it.
+/// A named world and its surveyed names. A report borrows the universe
+/// its evidence points into, so the fixture outlives it.
 struct Fixture {
     universe: Universe,
     targets: Vec<DnsName>,
 }
 
 impl Fixture {
-    fn new(scenario: &Scenario, targets: Vec<DnsName>) -> Fixture {
+    /// The world `lint --world NAME` lints.
+    fn new(world: &str) -> Fixture {
+        let world = WorldSpec::parse(world, SEED)
+            .expect("a named world")
+            .stream()
+            .collect();
         Fixture {
-            universe: universe_from_scenario(scenario),
-            targets,
+            universe: world.universe,
+            targets: world.names.into_iter().map(|n| n.name).collect(),
         }
     }
 
     fn tripwire() -> Fixture {
-        Fixture::new(&lint_tripwire(), lint_tripwire_targets())
+        Fixture::new("tripwire")
     }
 
     fn fbi() -> Fixture {
-        Fixture::new(
-            &fbi_case(),
-            vec![
-                name("www.fbi.gov"),
-                name("www.sprintip.com"),
-                name("www.telemail.net"),
-            ],
-        )
+        Fixture::new("fbi")
     }
 
     /// The serial run with default severities.
@@ -110,18 +106,8 @@ fn fbi_output_matches_goldens() {
 
 #[test]
 fn tiny_synthetic_output_matches_golden() {
-    let world = SyntheticSource {
-        params: TopologyParams::tiny(SEED),
-    }
-    .load();
-    let names: Vec<_> = world.names.iter().map(|n| n.name.clone()).collect();
-    let report = run_lint(
-        &world.universe,
-        &names,
-        &RuleRegistry::builtin(),
-        &SeverityOverrides::new(),
-        NonZeroUsize::new(1),
-    );
+    let fixture = Fixture::new("tiny");
+    let report = fixture.report();
     check_golden("lint_tiny.txt", &report.emit(LintFormat::Text));
 }
 

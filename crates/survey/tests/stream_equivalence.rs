@@ -1,20 +1,15 @@
 //! Streamed-vs-materialized equivalence: the streaming ingestion path
 //! must be provably equal to the monolithic build.
 //!
-//! Three layers of pinning:
+//! Two layers of pinning:
 //!
-//! 1. **Bit-identity of the default path**: `SyntheticSource::stream()`
-//!    collected through the incremental builder produces *exactly* the
-//!    universe `SyntheticWorld::generate` materializes — same ids, same
-//!    entries, same links — so every golden figure is untouched by the
-//!    refactor.
-//! 2. **Order independence** (property): the same event feed permuted
+//! 1. **Order independence** (property): the same event feed permuted
 //!    arbitrarily, or re-dealt into any number of ingestion shards,
 //!    produces a byte-identical *canonical* universe
 //!    (`UniverseBuilder::finish_canonical`), with a byte-identical
 //!    `DependencyIndex` (observed through dependencies and
 //!    per-name closures) and a byte-identical full figure set.
-//! 3. **Engine equivalence**: `Engine::run_batched` (the streamed,
+//! 2. **Engine equivalence**: `Engine::run_batched` (the streamed,
 //!    bounded-memory pass) equals `Engine::run` column for column (also
 //!    covered per batch size in `prop_engine.rs`).
 
@@ -27,7 +22,7 @@ use perils_survey::engine::{AnalysisWorld, Engine, SurveyReport, SyntheticSource
 use perils_survey::figures::ZombieFigure;
 use perils_survey::params::TopologyParams;
 use perils_survey::render::FigureRegistry;
-use perils_survey::topology::{SurveyName, SyntheticWorld};
+use perils_survey::topology::SurveyName;
 use perils_util::Rng;
 use perils_vulndb::VulnDb;
 
@@ -153,31 +148,13 @@ fn lint_output_is_thread_count_invariant() {
 }
 
 #[test]
-fn streamed_default_load_is_bit_identical_to_materialized_generate() {
-    for seed in [7, 20040722] {
-        let materialized = SyntheticWorld::generate(&TopologyParams::tiny(seed));
-        let streamed = source(seed).load();
-        assert_eq!(
-            streamed.universe, materialized.universe,
-            "streamed default path must reproduce the materialized universe verbatim (seed {seed})"
-        );
-        assert_eq!(streamed.names.len(), materialized.names.len());
-        for (a, b) in streamed.names.iter().zip(&materialized.names) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.popularity_rank, b.popularity_rank);
-        }
-        assert_eq!(streamed.top500, materialized.top500);
-    }
-}
-
-#[test]
 fn decomposed_world_round_trips_through_the_stream() {
     // An explicit decomposition (`Universe::into_events`) fed back
     // through a WorldStream rebuilds the universe verbatim. (Prebuilt
     // worlds wrapped via `stream()` skip decomposition entirely — the
     // universe is carried whole — so this exercises the event path on
     // purpose.)
-    let world = SyntheticWorld::generate(&TopologyParams::tiny(11)).load();
+    let world = source(11).load();
     let reference = world.universe.clone();
     let rebuilt = perils_survey::WorldStream::new(
         world.universe.into_events(),
@@ -189,7 +166,7 @@ fn decomposed_world_round_trips_through_the_stream() {
 
     // And the prebuilt fast path returns the same universe without a
     // rebuild.
-    let world2 = SyntheticWorld::generate(&TopologyParams::tiny(11)).load();
+    let world2 = source(11).load();
     assert_eq!(world2.stream().collect().universe, reference);
 }
 

@@ -19,12 +19,14 @@
 //!   validator (the workspace serializes JSON without serde).
 //! * [`snapshot`] — the `.psa` flat snapshot archive container: versioned,
 //!   checksummed little-endian sections with typed corruption errors.
-//! * [`bytestore`] — heap and demand-paged byte backends plus the
-//!   owned-or-view word arrays snapshot decoders serve archives through.
+//! * [`bytestore`] — heap and demand-paged byte backends plus the word
+//!   views snapshot decoders serve archives through.
+//! * [`cli`] — the argv reader and exit-2 usage errors of the binaries.
 
 #![forbid(unsafe_code)]
 
 pub mod bytestore;
+pub mod cli;
 pub mod dist;
 pub mod json;
 pub mod rng;

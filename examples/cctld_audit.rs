@@ -13,15 +13,16 @@ use perils::core::closure::DependencyIndex;
 use perils::core::tcb::TcbStats;
 use perils::core::usable::Reachability;
 use perils::dns::name::name;
+use perils::survey::engine::{SyntheticSource, WorldSource};
 use perils::survey::params::TopologyParams;
-use perils::survey::topology::SyntheticWorld;
+use perils::survey::topology::CCTLD_SEED;
 use perils::util::table::{Align, Table};
 use std::collections::BTreeSet;
 
 fn main() {
     let mut params = TopologyParams::default_scaled(20040722);
     params.names = 8_000; // audit needs the infrastructure, not the crawl
-    let world = SyntheticWorld::generate(&params);
+    let world = SyntheticSource { params }.load();
     let universe = &world.universe;
     let index = DependencyIndex::build(universe);
 
@@ -34,12 +35,12 @@ fn main() {
         Align::Right,
         Align::Right,
     ]);
-    for code in world.cctld_order.iter().take(15) {
+    for code in CCTLD_SEED.iter().take(15) {
         let probe = name(&format!("www.gov.{code}"));
         let closure = index.closure_for(universe, &probe);
         let stats = TcbStats::compute(universe, &closure);
         table.row(vec![
-            code.clone(),
+            code.to_string(),
             stats.tcb_size.to_string(),
             stats.vulnerable.to_string(),
             format!("{:.0}%", stats.safety_percent()),

@@ -15,9 +15,9 @@ use perils::core::closure::DependencyIndex;
 use perils::core::delegation::{DelegationGraph, DelegationNode};
 use perils::core::universe::Universe;
 use perils::dns::name::{name, DnsName};
+use perils::survey::engine::{SyntheticSource, WorldSource};
 use perils::survey::params::TopologyParams;
 use perils::survey::scenario::universe_from_scenario;
-use perils::survey::topology::SyntheticWorld;
 use perils::util::snapshot::checksum;
 
 /// `(nodes, edges, checksum of the edge list in adjacency order)` summed
@@ -84,7 +84,10 @@ fn tripwire_adjacency_order_is_pinned() {
 
 #[test]
 fn tiny_world_adjacency_order_is_pinned() {
-    let world = SyntheticWorld::generate(&TopologyParams::tiny(20040722));
+    let world = SyntheticSource {
+        params: TopologyParams::tiny(20040722),
+    }
+    .load();
     let targets: Vec<DnsName> = world
         .names
         .iter()

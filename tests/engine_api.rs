@@ -16,9 +16,8 @@ use perils::core::universe::Universe;
 use perils::dns::name::name;
 use perils::netsim::{FaultPlan, Region, SimNet};
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
-use perils::survey::engine::{Engine, ProbedSource, ScenarioSource, SyntheticSource};
+use perils::survey::engine::{Engine, ProbedSource, ScenarioSource, SyntheticSource, WorldSource};
 use perils::survey::params::TopologyParams;
-use perils::survey::topology::SyntheticWorld;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 
@@ -127,7 +126,7 @@ fn builtin_engine_is_byte_identical_to_sequential_reference() {
         });
 
         // The seed driver's semantics, re-derived sequentially.
-        let world = SyntheticWorld::generate(&params);
+        let world = SyntheticSource { params }.load();
         let index = DependencyIndex::build(&world.universe);
         let mut tcb_sizes = Vec::new();
         let mut cut_size = Vec::new();

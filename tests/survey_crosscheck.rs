@@ -8,10 +8,9 @@ use perils::core::closure::DependencyIndex;
 use perils::dns::name::DnsName;
 use perils::netsim::{FaultPlan, Region, SimNet};
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
-use perils::survey::engine::{Engine, SurveyReport, SyntheticSource};
+use perils::survey::engine::{Engine, SurveyReport, SyntheticSource, WorldSource};
 use perils::survey::figures::{Fig2, Headline};
 use perils::survey::params::TopologyParams;
-use perils::survey::topology::SyntheticWorld;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -27,8 +26,11 @@ fn tiny_survey(seed: u64) -> SurveyReport {
 
 #[test]
 fn structural_closure_matches_wire_probe_on_generated_world() {
-    let world = SyntheticWorld::generate(&TopologyParams::tiny(1234));
-    let scenario = world.build_scenario();
+    let source = SyntheticSource {
+        params: TopologyParams::tiny(1234),
+    };
+    let scenario = source.scenario();
+    let world = source.load();
     let net = Arc::new(SimNet::new(99, FaultPlan::none(), Region(0)));
     perils::authserver::deploy::deploy(&net, &scenario.registry, &scenario.specs)
         .expect("generated world deploys");
