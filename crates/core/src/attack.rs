@@ -60,8 +60,9 @@ impl<'u> AttackSim<'u> {
         owned: &BTreeSet<ServerId>,
         dosed: &BTreeSet<ServerId>,
     ) -> NameOutcome {
-        let closure = self.index.closure_for(self.universe, target);
-        let partial = closure.servers.iter().any(|s| owned.contains(s));
+        let mut ws = self.index.workspace();
+        let closure = self.index.closure_view(self.universe, target, &mut ws);
+        let partial = closure.servers().any(|s| owned.contains(&s));
         let blocked: BTreeSet<ServerId> = owned.union(dosed).copied().collect();
         let reach = Reachability::compute(self.universe, &blocked);
         let complete = partial && !reach.name_resolves(self.universe, target);
@@ -78,10 +79,11 @@ impl<'u> AttackSim<'u> {
         let blocked: BTreeSet<ServerId> = owned.union(dosed).copied().collect();
         let reach = Reachability::compute(self.universe, &blocked);
         let mut summary = ImpactSummary::default();
+        let mut ws = self.index.workspace();
         for target in targets {
             summary.names += 1;
-            let closure = self.index.closure_for(self.universe, target);
-            let partial = closure.servers.iter().any(|s| owned.contains(s));
+            let closure = self.index.closure_view(self.universe, target, &mut ws);
+            let partial = closure.servers().any(|s| owned.contains(&s));
             if partial {
                 summary.partial += 1;
                 if !reach.name_resolves(self.universe, target) {
@@ -122,6 +124,7 @@ impl<'u> AttackSim<'u> {
         // each round is one solve over it.
         let frame = Frame::whole(universe);
         let mut scratch = Scratch::default();
+        let mut ws = self.index.workspace();
         let mut blocked = frame.blocked_flags(initial.union(dosed));
         loop {
             frame.solve(&blocked, &mut scratch);
@@ -131,8 +134,9 @@ impl<'u> AttackSim<'u> {
                     continue;
                 }
                 let captured = if via_partial {
-                    let closure = self.index.closure_for(universe, &universe.server(sid).name);
-                    closure.servers.iter().any(|s| owned.contains(s))
+                    let target = &universe.server(sid).name;
+                    let closure = self.index.closure_view(universe, target, &mut ws);
+                    closure.servers().any(|s| owned.contains(&s))
                 } else {
                     // The server's name resolves iff its home zone does.
                     !universe

@@ -44,13 +44,13 @@
 //! lowercased name. A view is `Copy`, cheap to pass to every registered
 //! metric, and answers membership queries by binary search.
 //!
-//! The owned [`NameClosure`] remains the public facade for callers that
-//! want to hold a closure beyond the workspace's next use —
-//! [`ClosureView::to_owned`] materializes one, and
-//! [`DependencyIndex::closure_for`] is the convenience that does both
-//! steps. The legacy per-name BFS survives as
-//! [`DependencyIndex::closure_for_bfs`], the reference implementation the
-//! property tests and benches compare against.
+//! The view is the only closure type: every consumer — the survey's
+//! metrics, lint, the attack and DNSSEC simulations, the hijack searches
+//! — reads one, and a caller that needs the closure past the workspace's
+//! next use collects the iterators it needs. Two independent oracles stay
+//! for the property tests: [`DependencyIndex::closure_for_bfs`], the
+//! legacy per-name BFS, and [`extract_universe`], which pushes a closure
+//! back through the universe builder by name.
 //!
 //! A closure is a pure function of the target's delegation chain: the view
 //! derives everything from [`ClosureView::target_chain`], so two names with
@@ -1092,29 +1092,14 @@ impl DependencyIndex {
         }
     }
 
-    /// Computes the dependency closure for `target` as an owned
-    /// [`NameClosure`] (a fresh workspace per call; use
-    /// [`DependencyIndex::closure_view`] with a reused workspace on hot
-    /// paths).
-    pub fn closure_for(&self, universe: &Universe, target: &DnsName) -> NameClosure {
-        self.closure_for_with(universe, target, &mut self.workspace())
-    }
-
-    /// [`DependencyIndex::closure_for`] with caller-owned scratch:
-    /// [`DependencyIndex::closure_view`] plus [`ClosureView::to_owned`].
-    pub fn closure_for_with(
+    /// The legacy per-name BFS over the dependency adjacency — the
+    /// reference implementation [`DependencyIndex::closure_view`] is tested
+    /// against. Returns the closure's servers and zones, ascending.
+    pub fn closure_for_bfs(
         &self,
         universe: &Universe,
         target: &DnsName,
-        ws: &mut ClosureWorkspace,
-    ) -> NameClosure {
-        self.closure_view(universe, target, ws).to_owned()
-    }
-
-    /// The legacy per-name BFS over the dependency adjacency — the
-    /// reference implementation [`DependencyIndex::closure_view`] is tested
-    /// against, and the baseline the closure bench measures speedups over.
-    pub fn closure_for_bfs(&self, universe: &Universe, target: &DnsName) -> NameClosure {
+    ) -> (Vec<ServerId>, Vec<ZoneId>) {
         let target_chain = universe.chain_zones(target);
         let mut servers: BTreeSet<ServerId> = BTreeSet::new();
         let mut zones: BTreeSet<ZoneId> = target_chain.iter().copied().collect();
@@ -1134,12 +1119,7 @@ impl DependencyIndex {
                 }
             }
         }
-        NameClosure {
-            target: target.to_lowercase(),
-            target_chain,
-            zones,
-            servers,
-        }
+        (servers.into_iter().collect(), zones.into_iter().collect())
     }
 }
 
@@ -1212,97 +1192,42 @@ impl<'a> ClosureView<'a> {
             .filter(|&s| !universe.server(s).is_root)
             .count()
     }
-
-    /// Materializes an owned [`NameClosure`] (the public facade type) from
-    /// this view.
-    pub fn to_owned(&self) -> NameClosure {
-        NameClosure {
-            target: self.target.to_lowercase(),
-            target_chain: self.target_chain.to_vec(),
-            zones: self.zones().collect(),
-            servers: self.servers().collect(),
-        }
-    }
 }
 
-/// The dependency closure of one name, owned.
+/// Extracts a self-contained sub-universe holding exactly `zones` and
+/// `servers` (a closure's, as [`crate::usable::Frame::restricted`] takes
+/// them), rebuilt by name through the universe builder.
 ///
-/// The survey's hot path works on [`ClosureView`]s; this is the facade
-/// type for callers that keep a closure around — attack simulations,
-/// examples, tests — materialized via [`ClosureView::to_owned`].
-#[derive(Debug, Clone)]
-pub struct NameClosure {
-    /// The name this closure belongs to (lowercased).
-    pub target: DnsName,
-    /// Zones on the target's own chain (root excluded), root-first.
-    pub target_chain: Vec<ZoneId>,
-    /// Every zone on any chain in the closure.
-    pub zones: BTreeSet<ZoneId>,
-    /// Every nameserver in the closure (root servers excluded only insofar
-    /// as they never appear in non-root NS sets; use [`NameClosure::tcb`]
-    /// for the paper's TCB).
-    pub servers: BTreeSet<ServerId>,
-}
-
-impl NameClosure {
-    /// [`ClosureView::id_lists`], collected.
-    pub(crate) fn id_lists(&self) -> (Vec<u32>, Vec<u32>) {
-        (
-            self.servers.iter().map(|s| s.0).collect(),
-            self.zones.iter().map(|z| z.0).collect(),
-        )
+/// A closure is NS-complete (every NS of every closure zone is a closure
+/// server), so analyses over the sub-universe — reachability fixed points,
+/// hijack searches — agree with the full universe while being orders of
+/// magnitude smaller. Zones whose parent falls outside `zones` are treated
+/// as delegated straight from the trusted hints, which matches their role
+/// in the name's resolution.
+///
+/// Nothing on a hot path calls this: the exact hijack search solves on
+/// [`crate::usable::Frame::restricted`] instead, and this stays as the
+/// independent oracle the property tests check that frame against.
+pub fn extract_universe(
+    universe: &Universe,
+    zones: impl IntoIterator<Item = ZoneId>,
+    servers: impl IntoIterator<Item = ServerId>,
+) -> Universe {
+    let mut builder = Universe::builder();
+    for sid in servers {
+        let s = universe.server(sid);
+        builder.raw_server(&s.name, s.vulnerable, s.is_root);
     }
-
-    /// The trusted computing base: closure servers minus root servers.
-    pub fn tcb(&self, universe: &Universe) -> Vec<ServerId> {
-        self.servers
+    for zid in zones {
+        let zone = universe.zone(zid);
+        let ns_names: Vec<DnsName> = zone
+            .ns
             .iter()
-            .copied()
-            .filter(|&s| !universe.server(s).is_root)
-            .collect()
+            .map(|&s| universe.server(s).name.clone())
+            .collect();
+        builder.add_zone(&zone.origin, &ns_names);
     }
-
-    /// TCB size (paper convention: root servers excluded).
-    pub fn tcb_size(&self, universe: &Universe) -> usize {
-        self.servers
-            .iter()
-            .filter(|&&s| !universe.server(s).is_root)
-            .count()
-    }
-
-    /// Extracts a self-contained sub-universe containing exactly this
-    /// closure's zones and servers.
-    ///
-    /// By construction the closure is NS-complete (every NS of every
-    /// closure zone is a closure server), so analyses over the sub-universe
-    /// — reachability fixed points, hijack searches — agree with the full
-    /// universe while being orders of magnitude smaller. Zones whose parent
-    /// falls outside the closure are treated as delegated straight from the
-    /// trusted hints, which matches their role in this name's resolution.
-    ///
-    /// This rebuilds the closure by name through the builder, so nothing on
-    /// a hot path calls it: the exact hijack search solves on
-    /// [`crate::usable::Frame::restricted`] instead, and this stays as the
-    /// independent oracle the property tests check that frame against.
-    pub fn extract_universe(&self, universe: &Universe) -> Universe {
-        let mut builder = Universe::builder();
-        for &sid in &self.servers {
-            let s = universe.server(sid);
-            let id = builder.raw_server(&s.name, s.vulnerable, s.is_root);
-            // raw_server sets scripted = vulnerable; keep in sync below.
-            let _ = id;
-        }
-        for &zid in &self.zones {
-            let zone = universe.zone(zid);
-            let ns_names: Vec<perils_dns::name::DnsName> = zone
-                .ns
-                .iter()
-                .map(|&s| universe.server(s).name.clone())
-                .collect();
-            builder.add_zone(&zone.origin, &ns_names);
-        }
-        builder.finish()
-    }
+    builder.finish()
 }
 
 #[cfg(test)]
@@ -1347,16 +1272,22 @@ mod tests {
         b.finish()
     }
 
+    /// The host names of the servers in `target`'s closure, ascending by id.
+    fn server_names(u: &Universe, index: &DependencyIndex, target: &str) -> Vec<String> {
+        let target = name(target);
+        let mut ws = index.workspace();
+        index
+            .closure_view(u, &target, &mut ws)
+            .servers()
+            .map(|s| u.server(s).name.to_string())
+            .collect()
+    }
+
     #[test]
     fn closure_reaches_transitively() {
         let u = figure1_universe();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.cs.cornell.edu"));
-        let names: Vec<String> = closure
-            .servers
-            .iter()
-            .map(|&s| u.server(s).name.to_string())
-            .collect();
+        let names = server_names(&u, &index, "www.cs.cornell.edu");
         // Direct: cs.cornell.edu and its chain.
         assert!(names.contains(&"simon.cs.cornell.edu".to_string()));
         assert!(names.contains(&"cayuga.cs.rochester.edu".to_string()));
@@ -1374,22 +1305,15 @@ mod tests {
     fn tcb_excludes_root_servers() {
         let u = figure1_universe();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.cs.cornell.edu"));
-        assert!(
-            !closure
-                .tcb(&u)
-                .iter()
-                .any(|&s| u.server(s).name == name("a.root-servers.net")),
-            "root servers are not counted"
-        );
+        let target = name("www.cs.cornell.edu");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
+        let root = u.server_id(&name("a.root-servers.net")).unwrap();
+        assert!(u.server(root).is_root);
         assert_eq!(
             closure.tcb_size(&u),
-            closure.servers.len()
-                - if closure.servers.iter().any(|&s| u.server(s).is_root) {
-                    1
-                } else {
-                    0
-                }
+            closure.server_count() - usize::from(closure.contains_server(root)),
+            "root servers are not counted"
         );
     }
 
@@ -1397,12 +1321,7 @@ mod tests {
     fn unrelated_name_has_small_closure() {
         let u = figure1_universe();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.umich.edu"));
-        let names: Vec<String> = closure
-            .servers
-            .iter()
-            .map(|&s| u.server(s).name.to_string())
-            .collect();
+        let names = server_names(&u, &index, "www.umich.edu");
         assert!(names.contains(&"dns.itd.umich.edu".to_string()));
         assert!(names.contains(&"a.edu-servers.net".to_string()));
         assert!(
@@ -1416,16 +1335,9 @@ mod tests {
         // cornell ↔ rochester mutual dependency must terminate.
         let u = figure1_universe();
         let index = DependencyIndex::build(&u);
-        let a = index.closure_for(&u, &name("www.cs.cornell.edu"));
-        let b = index.closure_for(&u, &name("www.cs.rochester.edu"));
-        assert!(!a.servers.is_empty() && !b.servers.is_empty());
-        // Both closures contain the mutual pair.
-        for closure in [&a, &b] {
-            let names: Vec<String> = closure
-                .servers
-                .iter()
-                .map(|&s| u.server(s).name.to_string())
-                .collect();
+        // Both closures are finite and contain the mutual pair.
+        for target in ["www.cs.cornell.edu", "www.cs.rochester.edu"] {
+            let names = server_names(&u, &index, target);
             assert!(names.contains(&"simon.cs.cornell.edu".to_string()));
             assert!(names.contains(&"cayuga.cs.rochester.edu".to_string()));
         }
@@ -1448,50 +1360,44 @@ mod tests {
             "host.edu-servers.net",
             "nowhere.test",
         ] {
-            let memo = index.closure_for_with(&u, &name(target), &mut ws);
-            let bfs = index.closure_for_bfs(&u, &name(target));
-            assert_eq!(memo.servers, bfs.servers, "{target} servers");
-            assert_eq!(memo.zones, bfs.zones, "{target} zones");
-            assert_eq!(memo.target_chain, bfs.target_chain, "{target} chain");
-            assert_eq!(memo.target, bfs.target);
+            let target = name(target);
+            let (servers, zones) = index.closure_for_bfs(&u, &target);
+            let memo = index.closure_view(&u, &target, &mut ws);
+            assert!(memo.servers().eq(servers), "{target} servers");
+            assert!(memo.zones().eq(zones), "{target} zones");
+            assert_eq!(
+                memo.target_chain(),
+                u.chain_zones(&target),
+                "{target} chain"
+            );
         }
     }
 
     #[test]
-    fn view_matches_owned_closure_and_answers_membership() {
+    fn view_matches_bfs_and_answers_membership() {
         let u = figure1_universe();
         let index = DependencyIndex::build(&u);
         let mut ws = index.workspace();
         for target in ["www.cs.cornell.edu", "www.umich.edu", "nowhere.test"] {
             let target = name(target);
-            let owned = index.closure_for(&u, &target);
+            let (servers, zones) = index.closure_for_bfs(&u, &target);
             let view = index.closure_view(&u, &target, &mut ws);
-            assert_eq!(view.server_count(), owned.servers.len(), "{target}");
-            assert_eq!(view.zone_count(), owned.zones.len(), "{target}");
-            assert!(view
-                .servers()
-                .zip(owned.servers.iter().copied())
-                .all(|(a, b)| a == b));
-            assert!(view
-                .zones()
-                .zip(owned.zones.iter().copied())
-                .all(|(a, b)| a == b));
-            assert_eq!(view.target_chain(), &owned.target_chain[..]);
-            assert_eq!(view.tcb_size(&u), owned.tcb_size(&u));
+            assert_eq!(view.server_count(), servers.len(), "{target}");
+            assert_eq!(view.zone_count(), zones.len(), "{target}");
+            assert_eq!(
+                view.tcb_size(&u),
+                servers.iter().filter(|&&s| !u.server(s).is_root).count()
+            );
             for sid in u.server_ids() {
                 assert_eq!(
                     view.contains_server(sid),
-                    owned.servers.contains(&sid),
+                    servers.contains(&sid),
                     "{target} {sid:?}"
                 );
             }
             for zid in u.zone_ids() {
-                assert_eq!(view.contains_zone(zid), owned.zones.contains(&zid));
+                assert_eq!(view.contains_zone(zid), zones.contains(&zid));
             }
-            let roundtrip = view.to_owned();
-            assert_eq!(roundtrip.servers, owned.servers);
-            assert_eq!(roundtrip.zones, owned.zones);
-            assert_eq!(roundtrip.target, owned.target);
         }
     }
 
@@ -1522,10 +1428,12 @@ mod tests {
             assert!(serial.deps_of(sid).eq(parallel.deps_of(sid)), "{sid:?}");
         }
         assert_eq!(serial.memo_stats(), parallel.memo_stats());
-        let a = serial.closure_for(&u, &name("www.cs.cornell.edu"));
-        let b = parallel.closure_for(&u, &name("www.cs.cornell.edu"));
-        assert_eq!(a.servers, b.servers);
-        assert_eq!(a.zones, b.zones);
+        let target = name("www.cs.cornell.edu");
+        let (mut ws_a, mut ws_b) = (serial.workspace(), parallel.workspace());
+        let a = serial.closure_view(&u, &target, &mut ws_a);
+        let b = parallel.closure_view(&u, &target, &mut ws_b);
+        assert!(a.servers().eq(b.servers()));
+        assert!(a.zones().eq(b.zones()));
     }
 
     #[test]
@@ -1546,11 +1454,12 @@ mod tests {
     fn zones_collected_along_chains() {
         let u = figure1_universe();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.cs.cornell.edu"));
-        let zone_names: Vec<String> = closure
-            .zones
-            .iter()
-            .map(|&z| u.zone(z).origin.to_string())
+        let target = name("www.cs.cornell.edu");
+        let mut ws = index.workspace();
+        let zone_names: Vec<String> = index
+            .closure_view(&u, &target, &mut ws)
+            .zones()
+            .map(|z| u.zone(z).origin.to_string())
             .collect();
         for expected in [
             "edu",
@@ -1572,9 +1481,11 @@ mod tests {
     fn target_chain_root_first() {
         let u = figure1_universe();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.cs.cornell.edu"));
-        let chain: Vec<String> = closure
-            .target_chain
+        let target = name("www.cs.cornell.edu");
+        let mut ws = index.workspace();
+        let chain: Vec<String> = index
+            .closure_view(&u, &target, &mut ws)
+            .target_chain()
             .iter()
             .map(|&z| u.zone(z).origin.to_string())
             .collect();

@@ -31,7 +31,7 @@
 //! min-cut kernel in [`crate::hijack`] feeds them to a flow network
 //! without building a graph.
 
-use crate::closure::{ClosureView, DependencyIndex, NameClosure};
+use crate::closure::ClosureView;
 use crate::universe::{ServerId, Universe, ZoneId};
 use perils_graph::digraph::{DiGraph, NodeId};
 
@@ -124,8 +124,11 @@ impl<S: LayerSink> Walk<'_, S> {
     fn chain(&mut self, chain: impl Iterator<Item = ZoneId>, endpoint: Endpoint) {
         let mut prev = self.sink.source();
         for zid in chain {
-            // A chain zone missing from `zones` (a hand-edited closure) is
-            // wired on every visit; the sinks tolerate repeated edges.
+            // A built index puts every chain zone in the closure's
+            // `zones`, but a loaded archive's zone sets are checked for
+            // bounds, not content: a forged one can leave a chain zone
+            // out. Such a zone is wired on every visit — the sinks
+            // tolerate repeated edges — rather than panic.
             let slot = self.zones.binary_search(&zid.0).ok();
             if let Some(known) = slot.and_then(|z| self.scratch.after[z]) {
                 prev = known;
@@ -237,39 +240,13 @@ impl LayerSink for GraphSink {
 }
 
 impl DelegationGraph {
-    /// Builds the graph for `closure`. `_index` is unused (server chains
-    /// come from the universe's parent links), kept until its callers drop it.
-    pub fn build(
-        universe: &Universe,
-        _index: &DependencyIndex,
-        closure: &NameClosure,
-    ) -> DelegationGraph {
+    /// Builds the graph for `closure`.
+    pub fn build(universe: &Universe, closure: &ClosureView<'_>) -> DelegationGraph {
         let (servers, zones) = closure.id_lists();
-        DelegationGraph::build_parts(universe, &closure.target_chain, servers, &zones)
-    }
-
-    /// [`DelegationGraph::build`] for a borrowed [`ClosureView`] — identical
-    /// graph, no owned closure.
-    pub fn build_view(
-        universe: &Universe,
-        _index: &DependencyIndex,
-        view: &ClosureView<'_>,
-    ) -> DelegationGraph {
-        let (servers, zones) = view.id_lists();
-        DelegationGraph::build_parts(universe, view.target_chain(), servers.to_vec(), zones)
-    }
-
-    /// The shared construction core over the closure's ascending id lists.
-    fn build_parts(
-        universe: &Universe,
-        target_chain: &[ZoneId],
-        servers: Vec<u32>,
-        zones: &[u32],
-    ) -> DelegationGraph {
         let mut graph: DiGraph<DelegationNode> = DiGraph::new();
         let source = graph.add_node(DelegationNode::Source);
         let sink = graph.add_node(DelegationNode::Target);
-        for &sid in &servers {
+        for &sid in servers {
             graph.add_node(DelegationNode::Server(ServerId(sid)));
         }
         let mut out = GraphSink {
@@ -279,8 +256,8 @@ impl DelegationGraph {
         };
         walk_layers(
             universe,
-            target_chain,
-            &servers,
+            closure.target_chain(),
+            servers,
             zones,
             &mut WalkScratch::default(),
             &mut out,
@@ -289,7 +266,7 @@ impl DelegationGraph {
             graph: out.graph,
             source,
             sink,
-            servers,
+            servers: servers.to_vec(),
         }
     }
 
@@ -380,8 +357,10 @@ mod tests {
     fn layered_structure() {
         let u = chain_universe();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.example.com"));
-        let dg = DelegationGraph::build(&u, &index, &closure);
+        let target = name("www.example.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
+        let dg = DelegationGraph::build(&u, &closure);
 
         // Source reaches the sink.
         let reach = reachable_from(&dg.graph, dg.source);
@@ -403,8 +382,10 @@ mod tests {
     fn server_chains_terminate_at_server_nodes() {
         let u = chain_universe();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.example.com"));
-        let dg = DelegationGraph::build(&u, &index, &closure);
+        let target = name("www.example.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
+        let dg = DelegationGraph::build(&u, &closure);
         // ns.nstld.com controls the address of a.gtld.nstld.com: the com
         // server's node must be fed by the nstld.com layer.
         let nstld_ns = u.server_id(&name("ns.nstld.com")).unwrap();
@@ -414,47 +395,20 @@ mod tests {
         assert!(dg.graph.out_neighbors(nstld_node).contains(&com_node));
     }
 
-    /// `NameClosure`'s fields are public: a closure whose `zones` misses a
-    /// chain zone gives the walk nowhere to remember that zone, which is
-    /// then wired on every visit — same graph, same cut. Struck here: a
-    /// zone of the target's chain (`com`) and one only servers' chains
-    /// pass (`nstld.com`); the edge list and the cut are pinned.
-    #[test]
-    fn chain_zone_missing_from_the_closure_is_rewired_per_visit() {
-        let u = chain_universe();
-        let index = DependencyIndex::build(&u);
-        let full = index.closure_for(&u, &name("www.example.com"));
-        let mut struck = full.clone();
-        for origin in ["com", "nstld.com"] {
-            assert!(struck.zones.remove(&u.zone_id(&name(origin)).unwrap()));
-        }
-        let a = DelegationGraph::build(&u, &index, &full);
-        let b = DelegationGraph::build(&u, &index, &struck);
-        assert!(a.graph.edges().eq(b.graph.edges()));
-        let edges: Vec<String> = b
-            .graph
-            .edges()
-            .map(|(x, y)| format!("{}>{}", x.0, y.0))
-            .collect();
-        assert_eq!(edges.join(" "), "0>2 2>4 2>5 2>3 3>2 4>1 4>5 5>1 5>4");
-        let cut = crate::hijack::min_cut_flattened(&u, &index, &struck);
-        assert_eq!(cut, crate::hijack::min_cut_flattened(&u, &index, &full));
-        let com_ns = u.server_id(&name("a.gtld.nstld.com")).unwrap();
-        assert_eq!(cut.expect("cuttable").servers, [com_ns]);
-    }
-
     #[test]
     fn node_server_round_trip() {
         let u = chain_universe();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.example.com"));
-        let dg = DelegationGraph::build(&u, &index, &closure);
-        for &sid in &closure.servers {
+        let target = name("www.example.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
+        let dg = DelegationGraph::build(&u, &closure);
+        for sid in closure.servers() {
             let node = dg.node_of(sid).unwrap();
             assert_eq!(dg.server_of(node), Some(sid));
         }
         assert_eq!(dg.server_of(dg.source), None);
         assert_eq!(dg.server_of(dg.sink), None);
-        assert_eq!(dg.server_count(), closure.servers.len());
+        assert_eq!(dg.server_count(), closure.server_count());
     }
 }

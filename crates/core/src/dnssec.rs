@@ -104,9 +104,10 @@ pub fn assess_with_dnssec(
     target: &DnsName,
     owned: &BTreeSet<ServerId>,
 ) -> DnssecOutcome {
-    let closure = index.closure_for(universe, target);
-    let reaches = closure.servers.iter().any(|s| owned.contains(s));
-    let protected = deployment.chain_protected(universe, target);
+    let mut ws = index.workspace();
+    let closure = index.closure_view(universe, target, &mut ws);
+    let reaches = closure.servers().any(|s| owned.contains(&s));
+    let protected = deployment.chain_protected_for(closure.target_chain());
     let reach_clean = Reachability::compute(universe, owned);
     let no_clean_path = !reach_clean.name_resolves(universe, target);
     DnssecOutcome {
@@ -138,14 +139,15 @@ pub fn dnssec_impact(
 ) -> DnssecImpact {
     let reach_clean = Reachability::compute(universe, owned);
     let mut impact = DnssecImpact::default();
+    let mut ws = index.workspace();
     for target in targets {
         impact.names += 1;
-        let closure = index.closure_for(universe, target);
-        let reaches = closure.servers.iter().any(|s| owned.contains(s));
+        let closure = index.closure_view(universe, target, &mut ws);
+        let reaches = closure.servers().any(|s| owned.contains(&s));
         if !reaches {
             continue;
         }
-        if !deployment.chain_protected(universe, target) {
+        if !deployment.chain_protected_for(closure.target_chain()) {
             impact.forgeable += 1;
         }
         if !reach_clean.name_resolves(universe, target) {

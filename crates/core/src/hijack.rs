@@ -7,7 +7,7 @@
 //!
 //! Two computations are provided:
 //!
-//! * [`min_cut_flattened`] — the paper's method: a minimum vertex cut of
+//! * [`min_cut_flattened_view`] — the paper's method: a minimum vertex cut of
 //!   the flattened [`crate::delegation::DelegationGraph`], weighted
 //!   lexicographically by (cut size, number of *safe* members) so the
 //!   most attacker-friendly minimum cut is reported;
@@ -67,9 +67,9 @@
 //! (size, safe) objective is no better than the best found keeps the
 //! minimum, since children only grow the objective.
 
-use crate::closure::{ClosureView, DependencyIndex, NameClosure};
+use crate::closure::{ClosureView, DependencyIndex};
 use crate::delegation::{walk_layers, Endpoint, LayerSink, WalkScratch};
-use crate::universe::{ServerId, Universe, ZoneId};
+use crate::universe::{ServerId, Universe};
 use crate::usable::{Frame, Scratch};
 use perils_graph::flow::{FlowNetwork, INF};
 use std::cell::RefCell;
@@ -112,54 +112,50 @@ impl HijackSet {
     }
 }
 
-/// Combined per-name hijack analysis.
-#[derive(Debug, Clone)]
-pub struct HijackAnalysis {
-    /// The paper's flattened-graph min-cut (None: the name cannot be
-    /// disconnected, e.g. it sits in a hint-delegated zone with root
-    /// servers on its NS set).
-    pub flattened: Option<HijackSet>,
-    /// The exact AND/OR minimum (None: no finite hijack exists).
-    pub exact: Option<HijackSet>,
-}
-
-impl HijackAnalysis {
-    /// Runs both analyses for `closure`.
-    pub fn run(
-        universe: &Universe,
-        index: &DependencyIndex,
-        closure: &NameClosure,
-    ) -> HijackAnalysis {
-        let flattened = min_cut_flattened(universe, index, closure);
-        let exact = min_hijack_exact(universe, closure);
-        HijackAnalysis { flattened, exact }
-    }
-}
-
 /// The paper's method: minimum vertex cut of the flattened delegation
-/// graph, lexicographically minimizing (size, #safe members). `_index` is
-/// unused (server chains come from the universe's parent links); it stays
-/// until its callers, the benchmark's replay among them, drop it.
-pub fn min_cut_flattened(
-    universe: &Universe,
-    _index: &DependencyIndex,
-    closure: &NameClosure,
-) -> Option<HijackSet> {
-    let (servers, zones) = closure.id_lists();
-    flattened_cut(universe, &closure.target_chain, &servers, &zones)
-}
-
-/// [`min_cut_flattened`] for a borrowed [`ClosureView`] — same cut, no
-/// owned closure. Since the view (and with it the delegation graph) is a
-/// pure function of the target's chain, results may be cached per chain,
-/// which is exactly what [`crate::MinCutMetric`] does.
+/// graph, lexicographically minimizing (size, #safe members), computed as
+/// the module docs' "The flattened cut" describes. Since the view (and with
+/// it the delegation graph) is a pure function of the target's chain,
+/// results may be cached per chain, which is exactly what
+/// [`crate::MinCutMetric`] does. `_index` is unused (server chains come
+/// from the universe's parent links); it stays until its callers, the
+/// benchmark's replay among them, drop it.
 pub fn min_cut_flattened_view(
     universe: &Universe,
     _index: &DependencyIndex,
     view: &ClosureView<'_>,
 ) -> Option<HijackSet> {
     let (servers, zones) = view.id_lists();
-    flattened_cut(universe, view.target_chain(), servers, zones)
+    CUT_SCRATCH.with(|scratch| {
+        let CutScratch { net, walk } = &mut *scratch.borrow_mut();
+        net.clear();
+        net.add_nodes(2 + 2 * servers.len());
+        for (rank, &sid) in servers.iter().enumerate() {
+            let server = universe.server(ServerId(sid));
+            let cost = if server.is_root {
+                // Root servers are out of the threat model.
+                INF / 2
+            } else if server.vulnerable {
+                SIZE_WEIGHT
+            } else {
+                SIZE_WEIGHT + 1
+            };
+            net.add_edge(node_in(rank), node_out(rank), cost);
+        }
+        walk_layers(universe, view.target_chain(), servers, zones, walk, net);
+        if net.max_flow(SOURCE, SINK) >= INF / 2 {
+            return None; // only cuttable through out-of-model nodes
+        }
+        // The split edge crosses the cut: in-node on the source side,
+        // out-node on the sink side.
+        let cut = servers
+            .iter()
+            .enumerate()
+            .filter(|&(rank, _)| net.source_side(node_in(rank)) && !net.source_side(node_out(rank)))
+            .map(|(_, &sid)| ServerId(sid))
+            .collect();
+        Some(HijackSet::of(universe, cut))
+    })
 }
 
 /// Flow-network node ids of the flattened cut: the source, the sink, then
@@ -215,46 +211,6 @@ impl LayerSink for FlowNetwork {
     }
 }
 
-/// The kernel behind both entry points, over the closure's ascending id
-/// lists (module docs, "The flattened cut").
-fn flattened_cut(
-    universe: &Universe,
-    target_chain: &[ZoneId],
-    servers: &[u32],
-    zones: &[u32],
-) -> Option<HijackSet> {
-    CUT_SCRATCH.with(|scratch| {
-        let CutScratch { net, walk } = &mut *scratch.borrow_mut();
-        net.clear();
-        net.add_nodes(2 + 2 * servers.len());
-        for (rank, &sid) in servers.iter().enumerate() {
-            let server = universe.server(ServerId(sid));
-            let cost = if server.is_root {
-                // Root servers are out of the threat model.
-                INF / 2
-            } else if server.vulnerable {
-                SIZE_WEIGHT
-            } else {
-                SIZE_WEIGHT + 1
-            };
-            net.add_edge(node_in(rank), node_out(rank), cost);
-        }
-        walk_layers(universe, target_chain, servers, zones, walk, net);
-        if net.max_flow(SOURCE, SINK) >= INF / 2 {
-            return None; // only cuttable through out-of-model nodes
-        }
-        // The split edge crosses the cut: in-node on the source side,
-        // out-node on the sink side.
-        let cut = servers
-            .iter()
-            .enumerate()
-            .filter(|&(rank, _)| net.source_side(node_in(rank)) && !net.source_side(node_out(rank)))
-            .map(|(_, &sid)| ServerId(sid))
-            .collect();
-        Some(HijackSet::of(universe, cut))
-    })
-}
-
 /// Exact minimum complete-hijack set under the glue-aware resolution
 /// semantics, lexicographically minimizing (size, #safe members).
 ///
@@ -262,7 +218,7 @@ fn flattened_cut(
 /// at each node, solve clean reachability under the current blocked set;
 /// if the target still resolves, extract a resolution witness and branch
 /// on blocking each member.
-pub fn min_hijack_exact(universe: &Universe, closure: &NameClosure) -> Option<HijackSet> {
+pub fn min_hijack_exact(universe: &Universe, closure: &ClosureView<'_>) -> Option<HijackSet> {
     let mut search = ExactSearch::new(universe, closure);
     search.visit(0);
     let (mut servers, (_, safe_members)) = search.best?;
@@ -301,16 +257,12 @@ struct ExactSearch {
 }
 
 impl ExactSearch {
-    fn new(universe: &Universe, closure: &NameClosure) -> ExactSearch {
-        let frame = Frame::restricted(
-            universe,
-            closure.zones.iter().copied(),
-            closure.servers.iter().copied(),
-        );
+    fn new(universe: &Universe, closure: &ClosureView<'_>) -> ExactSearch {
+        let frame = Frame::restricted(universe, closure.zones(), closure.servers());
         let entry = |s| universe.server(frame.server_id(s));
         let servers = frame.server_count();
         ExactSearch {
-            target: frame.enclosing_zone(universe, &closure.target),
+            target: frame.enclosing_zone(universe, closure.target()),
             vulnerable: (0..servers).map(|s| entry(s).vulnerable).collect(),
             blocked: vec![false; servers],
             never_block: (0..servers).map(|s| entry(s).is_root).collect(),
@@ -378,7 +330,7 @@ impl ExactSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::DependencyIndex;
+    use crate::closure::{extract_universe, DependencyIndex};
     use crate::universe::Universe;
     use crate::usable::Reachability;
     use perils_dns::name::{name, DnsName};
@@ -406,10 +358,11 @@ mod tests {
     fn own_ns_pair_is_the_min_cut() {
         let u = simple();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.example.com"));
-        let analysis = HijackAnalysis::run(&u, &index, &closure);
-        let exact = analysis.exact.expect("hijackable");
-        let flat = analysis.flattened.expect("cuttable");
+        let target = name("www.example.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
+        let exact = min_hijack_exact(&u, &closure).expect("hijackable");
+        let flat = min_cut_flattened_view(&u, &index, &closure).expect("cuttable");
         assert_eq!(exact.size(), 2, "exact: {:?}", exact);
         assert_eq!(flat.size(), 2, "flattened: {:?}", flat);
         // Two minimum cuts exist ({ns1,ns2} and {tld1,tld2}); whichever is
@@ -445,7 +398,9 @@ mod tests {
         b.add_zone(&name("provider.net"), &[name("ns.provider.net")]);
         let u = b.finish();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.victim.com"));
+        let target = name("www.victim.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
         let exact = min_hijack_exact(&u, &closure).expect("hijackable");
         assert_eq!(exact.size(), 1, "{exact:?}");
         assert_eq!(u.server(exact.servers[0]).name, name("ns.provider.net"));
@@ -453,7 +408,7 @@ mod tests {
         // collapse: it reports the name's own NS pair (size 2). This is
         // exactly the approximation gap the `ablation_mincut` bench
         // quantifies — the exact AND/OR minimum is never larger.
-        let flat = min_cut_flattened(&u, &index, &closure).expect("cuttable");
+        let flat = min_cut_flattened_view(&u, &index, &closure).expect("cuttable");
         assert_eq!(flat.size(), 2);
         assert!(exact.size() <= flat.size());
     }
@@ -473,7 +428,9 @@ mod tests {
         );
         let u = b.finish();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.selfhosted.com"));
+        let target = name("www.selfhosted.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
         let exact = min_hijack_exact(&u, &closure).expect("hijackable");
         assert_eq!(exact.size(), 2, "must compromise both glued servers");
     }
@@ -493,12 +450,14 @@ mod tests {
         );
         let u = b.finish();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.example.com"));
+        let target = name("www.example.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
         let exact = min_hijack_exact(&u, &closure).unwrap();
         assert_eq!(exact.size(), 2);
         assert_eq!(exact.safe_members, 1, "one member is safe");
         assert!(!exact.fully_vulnerable());
-        let flat = min_cut_flattened(&u, &index, &closure).unwrap();
+        let flat = min_cut_flattened_view(&u, &index, &closure).unwrap();
         assert_eq!(flat.safe_members, 1);
     }
 
@@ -527,7 +486,9 @@ mod tests {
         b.add_zone(&name("vulnprovider.net"), &[name("ns.vulnprovider.net")]);
         let u = b.finish();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.victim.com"));
+        let target = name("www.victim.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
         let exact = min_hijack_exact(&u, &closure).unwrap();
         assert_eq!(exact.size(), 1);
         assert_eq!(
@@ -537,7 +498,7 @@ mod tests {
         // The flattened graph only sees the referral path through the
         // (safe) NS host itself, so its cut is the safe box: one more case
         // where the exact semantics find a strictly better attack.
-        let flat = min_cut_flattened(&u, &index, &closure).unwrap();
+        let flat = min_cut_flattened_view(&u, &index, &closure).unwrap();
         assert_eq!(flat.size(), 1);
         assert_eq!(flat.safe_members, 1);
     }
@@ -550,9 +511,11 @@ mod tests {
         b.add_zone(&name("arpa"), &[name("a.root-servers.net")]);
         let u = b.finish();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("x.arpa"));
+        let target = name("x.arpa");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
         assert!(min_hijack_exact(&u, &closure).is_none());
-        assert!(min_cut_flattened(&u, &index, &closure).is_none());
+        assert!(min_cut_flattened_view(&u, &index, &closure).is_none());
     }
 
     /// A non-root zone on all thirteen root servers: `13 × INF / 2` meets
@@ -573,12 +536,15 @@ mod tests {
         b.add_zone(&name("in-addr.arpa"), &[name("ns.in-addr.arpa")]);
         let u = b.finish();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("x.arpa"));
-        assert_eq!(closure.servers.len(), 13);
-        assert!(min_cut_flattened(&u, &index, &closure).is_none());
+        let target = name("x.arpa");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
+        assert_eq!(closure.server_count(), 13);
+        assert!(min_cut_flattened_view(&u, &index, &closure).is_none());
         // Below the root-served layer a finite cut exists again.
-        let closure = index.closure_for(&u, &name("1.in-addr.arpa"));
-        let cut = min_cut_flattened(&u, &index, &closure).expect("cuttable");
+        let target = name("1.in-addr.arpa");
+        let closure = index.closure_view(&u, &target, &mut ws);
+        let cut = min_cut_flattened_view(&u, &index, &closure).expect("cuttable");
         assert_eq!(
             cut.servers,
             [u.server_id(&name("ns.in-addr.arpa")).unwrap()]
@@ -604,7 +570,9 @@ mod tests {
         b.add_zone(&name("example.com"), &ns);
         let u = b.finish();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.example.com"));
+        let target = name("www.example.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
 
         let mut search = ExactSearch::new(&u, &closure);
         search.visit(0);
@@ -638,7 +606,9 @@ mod tests {
         b.add_zone(&name("victim.com"), &[name("x.z.net"), name("ns1.z.net")]);
         let u = b.finish();
         let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.victim.com"));
+        let target = name("www.victim.com");
+        let mut ws = index.workspace();
+        let closure = index.closure_view(&u, &target, &mut ws);
         let exact = min_hijack_exact(&u, &closure).expect("hijackable");
         assert_eq!(exact.size(), 2, "{exact:?}");
         assert!(exact
@@ -656,15 +626,17 @@ mod tests {
         // under the exact semantics.
         for u in [simple()] {
             let index = DependencyIndex::build(&u);
-            let closure = index.closure_for(&u, &name("www.example.com"));
+            let target = name("www.example.com");
+            let mut ws = index.workspace();
+            let closure = index.closure_view(&u, &target, &mut ws);
             for set in [
                 min_hijack_exact(&u, &closure),
-                min_cut_flattened(&u, &index, &closure),
+                min_cut_flattened_view(&u, &index, &closure),
             ]
             .into_iter()
             .flatten()
             {
-                let sub = closure.extract_universe(&u);
+                let sub = extract_universe(&u, closure.zones(), closure.servers());
                 let blocked: BTreeSet<ServerId> = set
                     .servers
                     .iter()

@@ -52,9 +52,9 @@ pub mod usable;
 pub mod value;
 pub mod zombie;
 
-pub use closure::{ClosureView, ClosureWorkspace, DependencyIndex, NameClosure};
+pub use closure::{ClosureView, ClosureWorkspace, DependencyIndex};
 pub use dnssec::{DeploymentPolicy, DnssecCoverageMetric};
-pub use hijack::{HijackAnalysis, HijackSet};
+pub use hijack::HijackSet;
 pub use lint::{
     check_universe, At, Diagnostic, EvidenceStep, LintCtx, LintError, LintIndex, LintRule,
     RuleRegistry, Severity, SeverityOverrides, Subject,
@@ -64,7 +64,7 @@ pub use metric::{
     TcbMetric, ValueMetric,
 };
 pub use misconfig::{DepthIndex, MisconfigIndex, MisconfigMetric};
-pub use tcb::{TcbStats, TcbTally};
+pub use tcb::TcbTally;
 pub use universe::{
     registry_events, ServerEntry, ServerId, Universe, UniverseBuilder, UniverseEvent, ZoneEntry,
     ZoneId,

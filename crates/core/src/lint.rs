@@ -964,7 +964,7 @@ impl LintRule for ChokePointRule {
             )];
             // Witness: one concrete root→target path through the cut,
             // spliced from shortest paths into and out of the choke node.
-            let dg = DelegationGraph::build_view(ctx.universe, ctx.index, view);
+            let dg = DelegationGraph::build(ctx.universe, view);
             if let Some(node) = dg.node_of(choke) {
                 let head = perils_graph::traversal::shortest_path(&dg.graph, dg.source, node);
                 let tail = perils_graph::traversal::shortest_path(&dg.graph, node, dg.sink);

@@ -80,8 +80,8 @@ pub struct MeasureCtx<'a> {
     pub name: &'a DnsName,
     /// Index of the name in the survey's global name order.
     pub name_index: usize,
-    /// The name's dependency closure (borrowed sorted slices; call
-    /// [`ClosureView::to_owned`] only if the measurement must retain it).
+    /// The name's dependency closure (borrowed sorted slices; collect
+    /// what the measurement must retain past this call).
     pub closure: ClosureView<'a>,
 }
 
@@ -448,7 +448,7 @@ struct ValueShard(ValueIndex);
 
 impl MetricShard for ValueShard {
     fn measure(&mut self, ctx: &MeasureCtx<'_>, _slot: usize) {
-        self.0.record_view(ctx.universe, &ctx.closure);
+        self.0.record(ctx.universe, &ctx.closure);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -536,15 +536,15 @@ mod tests {
 
     #[test]
     fn tcb_metric_matches_direct_stats() {
-        use crate::tcb::TcbStats;
         let targets = vec![name("www.site.com"), name("www.provider.net")];
         let cols = run_metric(&TcbMetric, &targets);
         assert_eq!(cols.len(), 4);
         let sizes = cols[0].1.as_counts().expect("counts");
         let u = universe();
         let index = DependencyIndex::build(&u);
+        let mut ws = index.workspace();
         for (i, t) in targets.iter().enumerate() {
-            let stats = TcbStats::compute(&u, &index.closure_for(&u, t));
+            let stats = TcbTally::compute(&u, &index.closure_view(&u, t, &mut ws));
             assert_eq!(sizes[i], stats.tcb_size, "{t}");
         }
     }

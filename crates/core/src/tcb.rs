@@ -1,59 +1,47 @@
 //! Per-name TCB statistics (§3.1, §3.2; Figures 2–6).
 
-use crate::closure::{ClosureView, NameClosure};
-use crate::universe::{ServerId, Universe};
-use perils_dns::name::DnsName;
+use crate::closure::ClosureView;
+use crate::universe::Universe;
 
-/// The per-closure tallies behind [`TcbStats`], computed without cloning
-/// the surveyed name — the allocation-free form the survey engine's
+/// The per-name numbers every figure consumes, tallied straight off a
+/// borrowed closure view — the form the survey engine's
 /// [`crate::TcbMetric`] records per name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcbTally {
     /// TCB size (root servers excluded).
     pub tcb_size: usize,
-    /// Servers administered by the nameowner.
+    /// Servers administered by the nameowner: TCB members whose host name
+    /// lies inside the name's own zone (the paper reports 2.2 on average).
     pub nameowner_administered: usize,
-    /// TCB members with known vulnerabilities.
+    /// TCB members with known vulnerabilities (Figure 5).
     pub vulnerable: usize,
     /// TCB members with scripted full-compromise exploits.
     pub scripted_vulnerable: usize,
 }
 
 impl TcbTally {
-    /// Tallies a borrowed closure view. The nameowner's zone is the
-    /// deepest zone on the target's own chain — exactly what
-    /// [`Universe::zone_of`] resolves for the owned-closure path.
+    /// Tallies a closure. The nameowner's zone is the deepest zone on the
+    /// target's own chain; a name with no chain has no nameowner-run
+    /// server.
     pub fn compute(universe: &Universe, view: &ClosureView<'_>) -> TcbTally {
         let own_zone = view
             .target_chain()
             .last()
             .map(|&z| &universe.zone(z).origin);
-        TcbTally::tally(universe, own_zone, view.servers())
-    }
-
-    /// Shared tallying core: `own_zone` of `None` (or the root, which the
-    /// callers never pass) means no server counts as nameowner-run.
-    fn tally(
-        universe: &Universe,
-        own_zone: Option<&DnsName>,
-        servers: impl Iterator<Item = ServerId>,
-    ) -> TcbTally {
         let mut tally = TcbTally {
             tcb_size: 0,
             nameowner_administered: 0,
             vulnerable: 0,
             scripted_vulnerable: 0,
         };
-        for sid in servers {
+        for sid in view.servers() {
             let server = universe.server(sid);
             if server.is_root {
                 continue;
             }
             tally.tcb_size += 1;
-            if let Some(own) = own_zone {
-                if server.name.is_subdomain_of(own) {
-                    tally.nameowner_administered += 1;
-                }
+            if own_zone.is_some_and(|own| server.name.is_subdomain_of(own)) {
+                tally.nameowner_administered += 1;
             }
             if server.vulnerable {
                 tally.vulnerable += 1;
@@ -74,67 +62,6 @@ impl TcbTally {
             100.0 * (self.tcb_size - self.vulnerable) as f64 / self.tcb_size as f64
         }
     }
-}
-
-/// The per-name numbers every figure consumes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcbStats {
-    /// The surveyed name.
-    pub name: DnsName,
-    /// TCB size (root servers excluded).
-    pub tcb_size: usize,
-    /// Servers administered by the nameowner: TCB members whose host name
-    /// lies inside the name's own zone (the paper reports 2.2 on average).
-    pub nameowner_administered: usize,
-    /// TCB members with known vulnerabilities (Figure 5).
-    pub vulnerable: usize,
-    /// TCB members with scripted full-compromise exploits.
-    pub scripted_vulnerable: usize,
-}
-
-impl TcbStats {
-    /// Computes the stats for `closure`.
-    pub fn compute(universe: &Universe, closure: &NameClosure) -> TcbStats {
-        let own_zone_origin = universe
-            .zone_of(&closure.target)
-            .map(|z| universe.zone(z).origin.clone())
-            .unwrap_or_else(DnsName::root);
-        let own_zone = (!own_zone_origin.is_root()).then_some(&own_zone_origin);
-        let tally = TcbTally::tally(universe, own_zone, closure.servers.iter().copied());
-        TcbStats {
-            name: closure.target.clone(),
-            tcb_size: tally.tcb_size,
-            nameowner_administered: tally.nameowner_administered,
-            vulnerable: tally.vulnerable,
-            scripted_vulnerable: tally.scripted_vulnerable,
-        }
-    }
-
-    /// Fraction of the TCB with no known vulnerability, in percent
-    /// (Figure 6's "safety of TCB"). 100% for an empty TCB.
-    pub fn safety_percent(&self) -> f64 {
-        if self.tcb_size == 0 {
-            100.0
-        } else {
-            100.0 * (self.tcb_size - self.vulnerable) as f64 / self.tcb_size as f64
-        }
-    }
-
-    /// Whether at least one TCB member is vulnerable (the names counted in
-    /// the paper's 45%).
-    pub fn has_vulnerable_dependency(&self) -> bool {
-        self.vulnerable > 0
-    }
-
-    /// Servers administered outside the nameowner's control.
-    pub fn external_servers(&self) -> usize {
-        self.tcb_size - self.nameowner_administered
-    }
-}
-
-/// Convenience: the TCB member ids of a closure (root servers excluded).
-pub fn tcb_members(universe: &Universe, closure: &NameClosure) -> Vec<ServerId> {
-    closure.tcb(universe)
 }
 
 #[cfg(test)]
@@ -163,41 +90,22 @@ mod tests {
         b.finish()
     }
 
-    #[test]
-    fn stats_fields() {
-        let u = universe();
-        let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.example.com"));
-        let stats = TcbStats::compute(&u, &closure);
-        assert_eq!(stats.tcb_size, 3, "root excluded; ns1, ns2, offsite");
-        assert_eq!(stats.nameowner_administered, 2, "ns1 and ns2 are in-domain");
-        assert_eq!(stats.external_servers(), 1);
-        assert_eq!(stats.vulnerable, 1);
-        assert!(stats.has_vulnerable_dependency());
-        let expected = 100.0 * 2.0 / 3.0;
-        assert!((stats.safety_percent() - expected).abs() < 1e-9);
+    /// The tally of `target`'s closure.
+    fn tally(u: &Universe, target: &str) -> TcbTally {
+        let index = DependencyIndex::build(u);
+        let target = name(target);
+        TcbTally::compute(u, &index.closure_view(u, &target, &mut index.workspace()))
     }
 
     #[test]
-    fn tally_agrees_with_owned_stats() {
-        let u = universe();
-        let index = DependencyIndex::build(&u);
-        let mut ws = index.workspace();
-        for target in ["www.example.com", "www.provider.net", "nowhere.test"] {
-            let stats = TcbStats::compute(&u, &index.closure_for(&u, &name(target)));
-            let tally = TcbTally::compute(&u, &index.closure_view(&u, &name(target), &mut ws));
-            assert_eq!(tally.tcb_size, stats.tcb_size, "{target}");
-            assert_eq!(
-                tally.nameowner_administered, stats.nameowner_administered,
-                "{target}"
-            );
-            assert_eq!(tally.vulnerable, stats.vulnerable, "{target}");
-            assert_eq!(
-                tally.scripted_vulnerable, stats.scripted_vulnerable,
-                "{target}"
-            );
-            assert_eq!(tally.safety_percent(), stats.safety_percent());
-        }
+    fn stats_fields() {
+        let stats = tally(&universe(), "www.example.com");
+        assert_eq!(stats.tcb_size, 3, "root excluded; ns1, ns2, offsite");
+        assert_eq!(stats.nameowner_administered, 2, "ns1 and ns2 are in-domain");
+        assert_eq!(stats.tcb_size - stats.nameowner_administered, 1, "offsite");
+        assert_eq!(stats.vulnerable, 1);
+        let expected = 100.0 * 2.0 / 3.0;
+        assert!((stats.safety_percent() - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -205,21 +113,14 @@ mod tests {
         let mut b = Universe::builder();
         b.add_zone(&name("com"), &[name("tld.nic.com")]);
         b.add_zone(&name("clean.com"), &[name("ns.clean.com")]);
-        let u = b.finish();
-        let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("www.clean.com"));
-        let stats = TcbStats::compute(&u, &closure);
+        let stats = tally(&b.finish(), "www.clean.com");
         assert_eq!(stats.vulnerable, 0);
         assert_eq!(stats.safety_percent(), 100.0);
-        assert!(!stats.has_vulnerable_dependency());
     }
 
     #[test]
     fn empty_tcb_is_fully_safe() {
-        let u = Universe::builder().finish();
-        let index = DependencyIndex::build(&u);
-        let closure = index.closure_for(&u, &name("nowhere.test"));
-        let stats = TcbStats::compute(&u, &closure);
+        let stats = tally(&Universe::builder().finish(), "nowhere.test");
         assert_eq!(stats.tcb_size, 0);
         assert_eq!(stats.safety_percent(), 100.0);
     }

@@ -49,7 +49,7 @@
 //! NS-complete by construction. Because local ids ascend with universe ids
 //! and NS order is kept, a restricted frame sweeps zones and prefers
 //! certificates in the order the closure's extracted sub-universe
-//! ([`crate::closure::NameClosure::extract_universe`]) would, so both yield
+//! ([`crate::closure::extract_universe`]) would, so both yield
 //! the same reachable set and the same witnesses.
 //! [`Reachability::compute`] is a whole-universe frame plus one solve:
 //! there is one fixed-point implementation.
@@ -175,8 +175,8 @@ impl Frame {
     }
 
     /// The frame restricted to one closure's `zones` and `servers`, each
-    /// ascending by id (what [`crate::closure::NameClosure`]'s sets and
-    /// [`crate::closure::ClosureView`]'s iterators yield).
+    /// ascending by id (what [`crate::closure::ClosureView`]'s iterators
+    /// yield).
     ///
     /// # Panics
     ///

@@ -7,7 +7,7 @@
 //! servers controlling more than a given share of the namespace, and the
 //! `.edu`/`.org`/vulnerable sub-rankings.
 
-use crate::closure::{ClosureView, NameClosure};
+use crate::closure::ClosureView;
 use crate::universe::{ServerId, Universe};
 use perils_dns::name::DnsName;
 
@@ -29,19 +29,9 @@ impl ValueIndex {
 
     /// Accounts one surveyed name's closure (each TCB member controls the
     /// name).
-    pub fn record(&mut self, universe: &Universe, closure: &NameClosure) {
-        self.record_servers(universe, closure.servers.iter().copied());
-    }
-
-    /// [`ValueIndex::record`] for a borrowed closure view (the engine's
-    /// allocation-free path).
-    pub fn record_view(&mut self, universe: &Universe, view: &ClosureView<'_>) {
-        self.record_servers(universe, view.servers());
-    }
-
-    fn record_servers(&mut self, universe: &Universe, servers: impl Iterator<Item = ServerId>) {
+    pub fn record(&mut self, universe: &Universe, closure: &ClosureView<'_>) {
         self.names_seen += 1;
-        for sid in servers {
+        for sid in closure.servers() {
             if !universe.server(sid).is_root {
                 self.controlled[sid.index()] += 1;
             }
@@ -164,6 +154,18 @@ mod tests {
     use crate::universe::Universe;
     use perils_dns::name::{name, DnsName};
 
+    /// A fresh index with the closure of each of `targets` recorded.
+    fn recorded(u: &Universe, targets: &[&str]) -> ValueIndex {
+        let index = DependencyIndex::build(u);
+        let mut ws = index.workspace();
+        let mut value = ValueIndex::new(u);
+        for target in targets {
+            let target = name(target);
+            value.record(u, &index.closure_view(u, &target, &mut ws));
+        }
+        value
+    }
+
     fn universe() -> Universe {
         let mut b = Universe::builder();
         b.raw_server(&name("a.root-servers.net"), false, true);
@@ -181,11 +183,7 @@ mod tests {
     #[test]
     fn counts_and_ranking() {
         let u = universe();
-        let index = DependencyIndex::build(&u);
-        let mut value = ValueIndex::new(&u);
-        for target in ["www.a.com", "www.b.com", "www.c.com"] {
-            value.record(&u, &index.closure_for(&u, &name(target)));
-        }
+        let value = recorded(&u, &["www.a.com", "www.b.com", "www.c.com"]);
         assert_eq!(value.names_seen(), 3);
         let tld = u.server_id(&name("tld.nic.com")).unwrap();
         let evil = u.server_id(&name("ns.evil.edu")).unwrap();
@@ -215,11 +213,7 @@ mod tests {
     #[test]
     fn share_thresholds() {
         let u = universe();
-        let index = DependencyIndex::build(&u);
-        let mut value = ValueIndex::new(&u);
-        for target in ["www.a.com", "www.b.com", "www.c.com"] {
-            value.record(&u, &index.closure_for(&u, &name(target)));
-        }
+        let value = recorded(&u, &["www.a.com", "www.b.com", "www.c.com"]);
         // Controlling > 50% of 3 names means > 1.5 → ≥ 2 names.
         assert_eq!(value.servers_controlling_more_than(0.5), 2, "tld + evil");
         assert_eq!(value.servers_controlling_more_than(0.9), 1, "tld only");
@@ -231,11 +225,7 @@ mod tests {
     #[test]
     fn gini_concentration() {
         let u = universe();
-        let index = DependencyIndex::build(&u);
-        let mut value = ValueIndex::new(&u);
-        for target in ["www.a.com", "www.b.com", "www.c.com"] {
-            value.record(&u, &index.closure_for(&u, &name(target)));
-        }
+        let value = recorded(&u, &["www.a.com", "www.b.com", "www.c.com"]);
         let g = value.gini();
         // Counts are {3, 2, 1}: moderate concentration.
         assert!((0.0..1.0).contains(&g), "gini {g}");
@@ -247,11 +237,8 @@ mod tests {
     #[test]
     fn merge_combines_shards() {
         let u = universe();
-        let index = DependencyIndex::build(&u);
-        let mut a = ValueIndex::new(&u);
-        let mut b = ValueIndex::new(&u);
-        a.record(&u, &index.closure_for(&u, &name("www.a.com")));
-        b.record(&u, &index.closure_for(&u, &name("www.b.com")));
+        let mut a = recorded(&u, &["www.a.com"]);
+        let b = recorded(&u, &["www.b.com"]);
         a.merge(&b);
         assert_eq!(a.names_seen(), 2);
         let evil = u.server_id(&name("ns.evil.edu")).unwrap();
@@ -261,9 +248,7 @@ mod tests {
     #[test]
     fn root_servers_not_counted() {
         let u = universe();
-        let index = DependencyIndex::build(&u);
-        let mut value = ValueIndex::new(&u);
-        value.record(&u, &index.closure_for(&u, &name("www.a.com")));
+        let value = recorded(&u, &["www.a.com"]);
         let root = u.server_id(&name("a.root-servers.net")).unwrap();
         assert_eq!(value.controlled_by(root), 0);
     }

@@ -5,10 +5,10 @@
 
 use proptest::prelude::*;
 
-use perils_core::closure::DependencyIndex;
+use perils_core::closure::{extract_universe, DependencyIndex};
 use perils_core::delegation::DelegationGraph;
-use perils_core::hijack::{min_cut_flattened, min_cut_flattened_view, min_hijack_exact, HijackSet};
-use perils_core::universe::{ServerId, Universe};
+use perils_core::hijack::{min_cut_flattened_view, min_hijack_exact, HijackSet};
+use perils_core::universe::{ServerId, Universe, ZoneId};
 use perils_core::usable::{Frame, Reachability, Scratch};
 use perils_dns::name::{name, DnsName};
 use perils_graph::flow::{min_vertex_cut, INF};
@@ -169,7 +169,7 @@ fn build_web(spec: &WebSpec) -> (Universe, Vec<DnsName>) {
 /// `min_vertex_cut` over the materialised [`DelegationGraph`], under the
 /// weights and the `INF / 2` test of `perils_core::hijack` (whose
 /// `SIZE_WEIGHT` is private): the definition the hub-network kernel
-/// behind `min_cut_flattened` must agree with, member for member.
+/// behind `min_cut_flattened_view` must agree with, member for member.
 fn vertex_cut_of_delegation_graph(universe: &Universe, dg: &DelegationGraph) -> Option<HijackSet> {
     let weight = |node| match dg.server_of(node).map(|sid| universe.server(sid)) {
         Some(server) if !server.is_root => 1_000_000 + u64::from(!server.vulnerable),
@@ -193,8 +193,9 @@ fn vertex_cut_of_delegation_graph(universe: &Universe, dg: &DelegationGraph) -> 
 /// members) by subset enumeration over the closure's non-root servers.
 fn brute_min_hijack(universe: &Universe, target: &DnsName, cap: usize) -> Option<(usize, usize)> {
     let index = DependencyIndex::build(universe);
-    let closure = index.closure_for(universe, target);
-    let sub = closure.extract_universe(universe);
+    let mut ws = index.workspace();
+    let closure = index.closure_view(universe, target, &mut ws);
+    let sub = extract_universe(universe, closure.zones(), closure.servers());
     let candidates: Vec<ServerId> = sub
         .server_ids()
         .filter(|&s| !sub.server(s).is_root)
@@ -240,8 +241,9 @@ proptest! {
     fn exact_hijack_matches_brute_force(spec in arb_world()) {
         let (universe, targets) = build(&spec);
         let index = DependencyIndex::build(&universe);
+        let mut ws = index.workspace();
         for target in targets.iter().take(3) {
-            let closure = index.closure_for(&universe, target);
+            let closure = index.closure_view(&universe, target, &mut ws);
             let exact = min_hijack_exact(&universe, &closure);
             if let Some(brute) = brute_min_hijack(&universe, target, 5) {
                 let exact = exact.expect("brute force found a hijack, exact must too");
@@ -262,10 +264,11 @@ proptest! {
     fn exact_hijack_sets_are_valid(spec in arb_world()) {
         let (universe, targets) = build(&spec);
         let index = DependencyIndex::build(&universe);
+        let mut ws = index.workspace();
         for target in &targets {
-            let closure = index.closure_for(&universe, target);
+            let closure = index.closure_view(&universe, target, &mut ws);
             if let Some(set) = min_hijack_exact(&universe, &closure) {
-                let sub = closure.extract_universe(&universe);
+                let sub = extract_universe(&universe, closure.zones(), closure.servers());
                 let blocked: BTreeSet<ServerId> = set
                     .servers
                     .iter()
@@ -285,11 +288,12 @@ proptest! {
     fn exact_at_most_flattened(spec in arb_world()) {
         let (universe, targets) = build(&spec);
         let index = DependencyIndex::build(&universe);
+        let mut ws = index.workspace();
         for target in &targets {
-            let closure = index.closure_for(&universe, target);
+            let closure = index.closure_view(&universe, target, &mut ws);
             if let (Some(exact), Some(flat)) = (
                 min_hijack_exact(&universe, &closure),
-                min_cut_flattened(&universe, &index, &closure),
+                min_cut_flattened_view(&universe, &index, &closure),
             ) {
                 prop_assert!(exact.size() <= flat.size(), "target {}", target);
             }
@@ -297,28 +301,24 @@ proptest! {
     }
 
     /// The flattened cut is the vertex cut of the delegation graph: same
-    /// verdict, same servers, from the owned closure and from the view.
+    /// verdict, same servers.
     #[test]
     fn flattened_cut_equals_vertex_cut_of_delegation_graph(spec in arb_web()) {
         let (universe, targets) = build_web(&spec);
         let index = DependencyIndex::build(&universe);
         let mut ws = index.workspace();
         for target in &targets {
-            let closure = index.closure_for(&universe, target);
-            let dg = DelegationGraph::build(&universe, &index, &closure);
+            let view = index.closure_view(&universe, target, &mut ws);
+            let dg = DelegationGraph::build(&universe, &view);
             let expected = vertex_cut_of_delegation_graph(&universe, &dg);
             prop_assert_eq!(
-                &min_cut_flattened(&universe, &index, &closure), &expected,
+                &min_cut_flattened_view(&universe, &index, &view), &expected,
                 "target {}", target
             );
-            let view = index.closure_view(&universe, target, &mut ws);
-            prop_assert_eq!(
-                &min_cut_flattened_view(&universe, &index, &view), &expected,
-                "target {} (view)", target
-            );
         }
-        let arpa = index.closure_for(&universe, &name("x.arpa"));
-        prop_assert_eq!(min_cut_flattened(&universe, &index, &arpa), None);
+        let arpa = name("x.arpa");
+        let arpa = index.closure_view(&universe, &arpa, &mut ws);
+        prop_assert_eq!(min_cut_flattened_view(&universe, &index, &arpa), None);
     }
 
     /// The chain the cut walks for each server — its home zone's parent
@@ -341,12 +341,13 @@ proptest! {
     fn closures_are_ns_complete(spec in arb_world()) {
         let (universe, targets) = build(&spec);
         let index = DependencyIndex::build(&universe);
+        let mut ws = index.workspace();
         for target in &targets {
-            let closure = index.closure_for(&universe, target);
-            for &zid in &closure.zones {
-                for ns in &universe.zone(zid).ns {
+            let closure = index.closure_view(&universe, target, &mut ws);
+            for zid in closure.zones() {
+                for &ns in &universe.zone(zid).ns {
                     prop_assert!(
-                        closure.servers.contains(ns),
+                        closure.contains_server(ns),
                         "zone {} NS outside closure of {}",
                         universe.zone(zid).origin,
                         target
@@ -375,19 +376,19 @@ proptest! {
         let mut scratch = Scratch::default();
         let mut witness = Vec::new();
         for target in &targets {
-            let mut closure = index.closure_for(&universe, target);
-            let mut rank = 0;
-            closure.zones.retain(|_| {
-                rank += 1;
-                (strike >> (3 * rank % 61)) & 7 != 7
-            });
-            let sub = closure.extract_universe(&universe);
-            // Zones from the owned closure, servers from the borrowed view:
-            // the frame takes either.
             let view = index.closure_view(&universe, target, &mut ws);
-            let frame = Frame::restricted(&universe, closure.zones.iter().copied(), view.servers());
-            prop_assert_eq!(frame.zone_count(), closure.zones.len());
-            prop_assert_eq!(frame.server_count(), closure.servers.len());
+            let mut rank = 0;
+            let zones: Vec<ZoneId> = view
+                .zones()
+                .filter(|_| {
+                    rank += 1;
+                    (strike >> (3 * rank % 61)) & 7 != 7
+                })
+                .collect();
+            let sub = extract_universe(&universe, zones.iter().copied(), view.servers());
+            let frame = Frame::restricted(&universe, zones.iter().copied(), view.servers());
+            prop_assert_eq!(frame.zone_count(), zones.len());
+            prop_assert_eq!(frame.server_count(), view.server_count());
 
             let flags: Vec<bool> = (0..frame.server_count())
                 .map(|s| (mask >> (s % 64)) & 1 == 1)
@@ -400,7 +401,7 @@ proptest! {
             let oracle = Reachability::compute(&sub, &blocked);
             frame.solve(&flags, &mut scratch);
 
-            for &zid in &closure.zones {
+            for &zid in &zones {
                 let origin = &universe.zone(zid).origin;
                 let local = frame.local_zone(zid).expect("closure zone in frame");
                 prop_assert_eq!(
@@ -485,11 +486,14 @@ proptest! {
         let index = DependencyIndex::build(&universe);
         let mut ws = index.workspace();
         for target in &targets {
-            let memo = index.closure_for_with(&universe, target, &mut ws);
-            let bfs = index.closure_for_bfs(&universe, target);
-            prop_assert_eq!(&memo.servers, &bfs.servers, "servers of {}", target);
-            prop_assert_eq!(&memo.zones, &bfs.zones, "zones of {}", target);
-            prop_assert_eq!(&memo.target_chain, &bfs.target_chain, "chain of {}", target);
+            let (servers, zones) = index.closure_for_bfs(&universe, target);
+            let memo = index.closure_view(&universe, target, &mut ws);
+            prop_assert_eq!(memo.servers().collect::<Vec<_>>(), servers, "servers of {}", target);
+            prop_assert_eq!(memo.zones().collect::<Vec<_>>(), zones, "zones of {}", target);
+            prop_assert_eq!(
+                memo.target_chain(), &universe.chain_zones(target)[..],
+                "chain of {}", target
+            );
         }
     }
 
@@ -503,20 +507,18 @@ proptest! {
             let index = DependencyIndex::build_with_threads(&universe, threads);
             let mut ws = index.workspace();
             for target in &targets {
-                let bfs = index.closure_for_bfs(&universe, target);
+                let (servers, zones) = index.closure_for_bfs(&universe, target);
                 let view = index.closure_view(&universe, target, &mut ws);
                 prop_assert_eq!(
-                    view.servers().collect::<Vec<_>>(),
-                    bfs.servers.iter().copied().collect::<Vec<_>>(),
+                    view.servers().collect::<Vec<_>>(), servers,
                     "servers of {} at {} threads", target, threads
                 );
                 prop_assert_eq!(
-                    view.zones().collect::<Vec<_>>(),
-                    bfs.zones.iter().copied().collect::<Vec<_>>(),
+                    view.zones().collect::<Vec<_>>(), zones,
                     "zones of {} at {} threads", target, threads
                 );
                 prop_assert_eq!(
-                    view.target_chain(), &bfs.target_chain[..],
+                    view.target_chain(), &universe.chain_zones(target)[..],
                     "chain of {} at {} threads", target, threads
                 );
             }
@@ -537,11 +539,12 @@ proptest! {
         }
         prop_assert_eq!(serial.component_count(), parallel.component_count());
         prop_assert_eq!(serial.memo_stats(), parallel.memo_stats());
+        let (mut ws_a, mut ws_b) = (serial.workspace(), parallel.workspace());
         for target in targets.iter().take(3) {
-            let a = serial.closure_for(&universe, target);
-            let b = parallel.closure_for(&universe, target);
-            prop_assert_eq!(&a.servers, &b.servers, "servers of {}", target);
-            prop_assert_eq!(&a.zones, &b.zones, "zones of {}", target);
+            let a = serial.closure_view(&universe, target, &mut ws_a);
+            let b = parallel.closure_view(&universe, target, &mut ws_b);
+            prop_assert!(a.servers().eq(b.servers()), "servers of {}", target);
+            prop_assert!(a.zones().eq(b.zones()), "zones of {}", target);
         }
     }
 }

@@ -893,7 +893,7 @@ impl Engine {
         let mut exact_sample = Vec::new();
         let mut ws = index.workspace();
         for i in 0..self.exact_hijack_sample.min(n) {
-            let closure = index.closure_for_with(&world.universe, &world.names[i].name, &mut ws);
+            let closure = index.closure_view(&world.universe, &world.names[i].name, &mut ws);
             if let Some(exact) = min_hijack_exact(&world.universe, &closure) {
                 exact_sample.push((i, exact.size(), exact.safe_members));
             }

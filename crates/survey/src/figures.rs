@@ -2,9 +2,10 @@
 //!
 //! One plain-data struct per paper artifact (Figures 2–9 plus the headline
 //! inline statistics), each with a fallible `from_report` constructor, a
-//! `render()` method producing the aligned-text table, and a `to_csv()`
-//! for external plotting. EXPERIMENTS.md records paper-vs-measured for
-//! each of these.
+//! `render()` method producing the aligned-text table, and a
+//! `data_table()` whose `render_csv()` — what [`RenderedFigure::csv`]
+//! returns — feeds external plotting. EXPERIMENTS.md records
+//! paper-vs-measured for each of these.
 //!
 //! Every artifact is also exposed as a registered [`Figure`]
 //! ([`FigureRegistry::classic`] holds the paper's nine;
@@ -104,11 +105,6 @@ impl Fig2 {
         }
         t
     }
-
-    /// CSV with `series,x,y` rows.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
-    }
 }
 
 /// A per-TLD mean TCB bar (Figures 3 and 4).
@@ -199,11 +195,6 @@ impl Fig3 {
     pub fn data_table(&self) -> Table {
         tld_bar_table(&self.bars)
     }
-
-    /// CSV rows `tld,names,mean_tcb`.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
-    }
 }
 
 fn tld_bar_table(bars: &[TldBar]) -> Table {
@@ -266,11 +257,6 @@ impl Fig4 {
     pub fn data_table(&self) -> Table {
         tld_bar_table(&self.bars)
     }
-
-    /// CSV rows `tld,names,mean_tcb`.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
-    }
 }
 
 /// Figure 5: CDF of the number of vulnerable TCB members.
@@ -331,11 +317,6 @@ impl Fig5 {
         }
         t
     }
-
-    /// CSV with `series,x,y` rows.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
-    }
 }
 
 /// Figure 6: names ranked by TCB safety (ascending), log-rank curve.
@@ -388,11 +369,6 @@ impl Fig6 {
             t.row(vec![rank.to_string(), format!("{safety}")]);
         }
         t
-    }
-
-    /// CSV rows `rank,safety_percent`.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
     }
 }
 
@@ -470,11 +446,6 @@ impl Fig7 {
             t.row(vec!["top500".to_string(), format!("{x}"), format!("{y}")]);
         }
         t
-    }
-
-    /// CSV with `series,x,y` rows.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
     }
 }
 
@@ -576,11 +547,6 @@ impl RankFigure {
             }
         }
         t
-    }
-
-    /// CSV with `series,rank,names_controlled` rows.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
     }
 }
 
@@ -802,11 +768,6 @@ impl Headline {
         }
         t
     }
-
-    /// CSV rows `statistic,measured,paper`.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
-    }
 }
 
 /// Summary of the misconfiguration-audit columns (Pappas et al. checks).
@@ -886,11 +847,6 @@ impl MisconfigSummary {
         }
         t
     }
-
-    /// CSV rows `finding,names`.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
-    }
 }
 
 /// Summary of the DNSSEC-coverage columns (the §5 argument quantified).
@@ -953,11 +909,6 @@ impl DnssecSummary {
             t.row(row.to_vec());
         }
         t
-    }
-
-    /// CSV rows `statistic,value`.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
     }
 }
 
@@ -1040,11 +991,6 @@ impl ZombieSummary {
             t.row(row.to_vec());
         }
         t
-    }
-
-    /// CSV rows `statistic,value`.
-    pub fn to_csv(&self) -> String {
-        self.data_table().render_csv()
     }
 }
 
@@ -1275,7 +1221,7 @@ mod tests {
         let f2 = Fig2::from_report(&report).expect("figure 2");
         assert!(f2.all.mean > 0.0);
         assert!(f2.render().contains("Figure 2"));
-        assert!(f2.to_csv().starts_with("series,"));
+        assert!(f2.data_table().render_csv().starts_with("series,"));
 
         let f3 = Fig3::from_report(&report).expect("figure 3");
         assert!(!f3.bars.is_empty());

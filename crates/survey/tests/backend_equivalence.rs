@@ -187,7 +187,7 @@ fn the_min_cut_touches_no_page() {
         let before = touches();
         view_touches += before - before_view;
         let cut = min_cut_flattened_view(universe, index, &view);
-        let graph = DelegationGraph::build_view(universe, index, &view);
+        let graph = DelegationGraph::build(universe, &view);
         assert_eq!(
             touches(),
             before,

@@ -68,9 +68,9 @@ fn index_observations(universe: &Universe, names: &[SurveyName], threads: usize)
     }
     let mut ws = index.workspace();
     for name in names {
-        let closure = index.closure_for_with(universe, &name.name, &mut ws);
-        out.push(closure.servers.iter().map(|s| s.0).collect());
-        out.push(closure.zones.iter().map(|z| z.0).collect());
+        let closure = index.closure_view(universe, &name.name, &mut ws);
+        out.push(closure.servers().map(|s| s.0).collect());
+        out.push(closure.zones().map(|z| z.0).collect());
     }
     out
 }

@@ -10,14 +10,15 @@
 //! ```
 
 use perils::core::closure::DependencyIndex;
-use perils::core::tcb::TcbStats;
-use perils::core::usable::Reachability;
-use perils::dns::name::name;
+use perils::core::tcb::TcbTally;
+use perils::core::universe::{ServerId, Universe};
+use perils::core::usable::{Frame, Scratch};
+use perils::dns::name::{name, DnsName};
 use perils::survey::engine::{SyntheticSource, WorldSource};
 use perils::survey::params::TopologyParams;
 use perils::survey::topology::CCTLD_SEED;
 use perils::util::table::{Align, Table};
-use std::collections::BTreeSet;
+use perils::vulndb::VulnDb;
 
 fn main() {
     let mut params = TopologyParams::default_scaled(20040722);
@@ -25,6 +26,7 @@ fn main() {
     let world = SyntheticSource { params }.load();
     let universe = &world.universe;
     let index = DependencyIndex::build(universe);
+    let mut ws = index.workspace();
 
     // Audit the fifteen messiest ccTLDs: TCB of a hypothetical name
     // www.gov.<cc>, vulnerable dependencies, countries-of-dependence.
@@ -37,8 +39,7 @@ fn main() {
     ]);
     for code in CCTLD_SEED.iter().take(15) {
         let probe = name(&format!("www.gov.{code}"));
-        let closure = index.closure_for(universe, &probe);
-        let stats = TcbStats::compute(universe, &closure);
+        let stats = TcbTally::compute(universe, &index.closure_view(universe, &probe, &mut ws));
         table.row(vec![
             code.to_string(),
             stats.tcb_size.to_string(),
@@ -48,12 +49,27 @@ fn main() {
     }
     println!("{}", table.render());
 
-    // The dilemma: take one self-hosted domain and progressively add
-    // off-site volunteer secondaries. Availability against random outages
-    // rises — and so does the TCB.
+    // The dilemma: a self-hosted domain under .ua progressively adds
+    // volunteer secondaries abroad — one per other ccTLD, each outside
+    // .ua's own closure. Availability against single-server outages
+    // rises, and so does the TCB.
     println!("Availability vs security for a .ua name (adding volunteer secondaries):\n");
-    let ua_zone = universe.zone_id(&name("ua")).expect("ua exists");
-    let ua_ns = universe.zone(ua_zone).ns.clone();
+    let probe = name("www.dilemma.ua");
+    let ua_closure = index.closure_view(universe, &probe, &mut ws);
+    let secondaries: Vec<DnsName> = CCTLD_SEED[1..]
+        .iter()
+        .filter_map(|code| {
+            let cc = name(code);
+            universe.server_ids().find(|&s| {
+                let server = universe.server(s);
+                !server.is_root
+                    && server.name.is_subdomain_of(&cc)
+                    && !ua_closure.contains_server(s)
+            })
+        })
+        .take(4)
+        .map(|s| universe.server(s).name.clone())
+        .collect();
     let mut dilemma = Table::new(vec![
         "off-site secondaries",
         "TCB size",
@@ -61,45 +77,56 @@ fn main() {
         "vulnerable deps",
     ])
     .align(vec![Align::Right, Align::Right, Align::Right, Align::Right]);
-    // Use the real ua TLD's NS set as the pool of candidate secondaries.
-    for extra in 0..=4.min(ua_ns.len()) {
-        // A synthetic domain under .ua with `extra` of the TLD's
-        // volunteer servers as secondaries: approximate its closure by
-        // the union of its own chain and the chosen servers' closures.
-        let probe = name("www.dilemma.ua");
-        let mut closure = index.closure_for(universe, &probe);
-        for &sid in ua_ns.iter().take(extra) {
-            closure.servers.insert(sid);
-            for dep in index.deps_of(sid) {
-                closure.servers.insert(dep);
-            }
-            closure
-                .zones
-                .extend(universe.chain_zones(&universe.server(sid).name));
+    let no_advisories = VulnDb::from_advisories(Vec::new());
+    let mut tcb_sizes = Vec::new();
+    for extra in 0..=secondaries.len() {
+        // The world plus a real dilemma.ua zone: its own server and the
+        // first `extra` secondaries.
+        let mut builder = Universe::builder();
+        for event in universe.clone().into_events() {
+            builder.apply(event, &no_advisories);
         }
-        let stats = TcbStats::compute(universe, &closure);
-        // Availability: fraction of single-server outages the name
-        // survives (its own zone keeps ≥1 usable server).
-        let survives = {
-            let total = closure.servers.len().max(1);
-            let mut ok = 0usize;
-            for &sid in closure.servers.iter().take(64) {
-                let blocked: BTreeSet<_> = [sid].into_iter().collect();
-                let reach = Reachability::compute(universe, &blocked);
-                if reach.name_resolves(universe, &name("www.rkc.lviv.ua")) {
-                    ok += 1;
-                }
-            }
-            format!("{:.0}%", 100.0 * ok as f64 / total.min(64) as f64)
-        };
+        let mut ns = vec![name("ns1.dilemma.ua")];
+        ns.extend_from_slice(&secondaries[..extra]);
+        builder.add_zone(&name("dilemma.ua"), &ns);
+        let grown = builder.finish();
+        let grown_index = DependencyIndex::build(&grown);
+        let mut grown_ws = grown_index.workspace();
+        let closure = grown_index.closure_view(&grown, &probe, &mut grown_ws);
+        let stats = TcbTally::compute(&grown, &closure);
+        // Availability: the share of single TCB-member outages the name
+        // survives, each solved on the closure's own frame.
+        let frame = Frame::restricted(&grown, closure.zones(), closure.servers());
+        let zone = frame.enclosing_zone(&grown, &probe);
+        let mut scratch = Scratch::default();
+        let tcb: Vec<ServerId> = closure
+            .servers()
+            .filter(|&s| !grown.server(s).is_root)
+            .collect();
+        let survived = tcb
+            .iter()
+            .filter(|&sid| {
+                frame.solve(&frame.blocked_flags([sid]), &mut scratch);
+                zone.is_some_and(|z| scratch.zone_reachable(z))
+            })
+            .count();
         dilemma.row(vec![
             extra.to_string(),
             stats.tcb_size.to_string(),
-            survives,
+            format!("{:.0}%", 100.0 * survived as f64 / tcb.len().max(1) as f64),
             stats.vulnerable.to_string(),
         ]);
+        tcb_sizes.push(stats.tcb_size);
     }
     println!("{}", dilemma.render());
+    assert!(
+        tcb_sizes.windows(2).all(|w| w[0] <= w[1]),
+        "a secondary never shrinks the TCB: {tcb_sizes:?}"
+    );
+    assert!(
+        tcb_sizes.windows(2).any(|w| w[0] < w[1]),
+        "off-site secondaries grow the TCB: {tcb_sizes:?}"
+    );
     println!(
         "\"Extending trust to a small number of nameservers that are geographically\n\
          distributed may provide high resilience against failures. However, DNS forces\n\

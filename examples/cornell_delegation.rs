@@ -58,7 +58,8 @@ fn main() {
     // depends on wisc.edu, which in turn depends on umich.edu".
     let universe = universe_from_scenario(&scenario);
     let index = DependencyIndex::build(&universe);
-    let closure = index.closure_for(&universe, &target);
+    let mut ws = index.workspace();
+    let closure = index.closure_view(&universe, &target, &mut ws);
     println!("\nTransitive chain check:");
     for host in [
         "cayuga.cs.rochester.edu",
@@ -66,9 +67,8 @@ fn main() {
         "dns2.itd.umich.edu",
     ] {
         let inside = closure
-            .servers
-            .iter()
-            .any(|&s| universe.server(s).name == name(host));
+            .servers()
+            .any(|s| universe.server(s).name == name(host));
         println!(
             "    {host}: {}",
             if inside { "IN the TCB" } else { "not in TCB" }
@@ -76,7 +76,7 @@ fn main() {
     }
 
     // Machine-readable Figure 1: Graphviz DOT on stdout-adjacent file.
-    let dg = DelegationGraph::build(&universe, &index, &closure);
+    let dg = DelegationGraph::build(&universe, &closure);
     let dot = dg.to_dot(&universe, "www.cs.cornell.edu");
     std::fs::write("figure1.dot", &dot).ok();
     println!(

@@ -8,8 +8,8 @@
 use perils::authserver::deploy::deploy;
 use perils::authserver::scenarios::cornell_figure1;
 use perils::core::closure::DependencyIndex;
-use perils::core::hijack::HijackAnalysis;
-use perils::core::tcb::TcbStats;
+use perils::core::hijack::{min_cut_flattened_view, min_hijack_exact};
+use perils::core::tcb::TcbTally;
 use perils::dns::name::name;
 use perils::dns::rr::RrType;
 use perils::netsim::{FaultPlan, Region, SimNet};
@@ -44,8 +44,9 @@ fn main() {
     // 3. The paper's analyses, straight from the zone data.
     let universe = universe_from_scenario(&scenario);
     let index = DependencyIndex::build(&universe);
-    let closure = index.closure_for(&universe, &target);
-    let stats = TcbStats::compute(&universe, &closure);
+    let mut ws = index.workspace();
+    let closure = index.closure_view(&universe, &target, &mut ws);
+    let stats = TcbTally::compute(&universe, &closure);
     println!(
         "TCB of {target}: {} servers (excluding roots)",
         stats.tcb_size
@@ -56,8 +57,10 @@ fn main() {
     );
     println!("  with known vulnerabilities    : {}", stats.vulnerable);
     println!("  TCB members:");
-    for sid in closure.tcb(&universe) {
-        let server = universe.server(sid);
+    for server in closure.servers().map(|s| universe.server(s)) {
+        if server.is_root {
+            continue;
+        }
         let mark = if server.vulnerable {
             " (VULNERABLE)"
         } else {
@@ -66,8 +69,7 @@ fn main() {
         println!("    {}{mark}", server.name);
     }
 
-    let hijack = HijackAnalysis::run(&universe, &index, &closure);
-    if let Some(cut) = &hijack.flattened {
+    if let Some(cut) = min_cut_flattened_view(&universe, &index, &closure) {
         println!(
             "\nmin-cut (paper's method): {} servers, {} safe",
             cut.size(),
@@ -77,7 +79,7 @@ fn main() {
             println!("    {}", universe.server(sid).name);
         }
     }
-    if let Some(exact) = &hijack.exact {
+    if let Some(exact) = min_hijack_exact(&universe, &closure) {
         println!(
             "exact AND/OR hijack minimum: {} servers ({})",
             exact.size(),

@@ -59,7 +59,8 @@
 //!
 //! Any per-name measurement plugs into the same sharded pass — the
 //! dependency closure is computed once per name and shared with every
-//! registered metric. A measurement's *renderer* plugs in the same way:
+//! registered metric as a borrowed [`core::ClosureView`], the one closure
+//! type. A measurement's *renderer* plugs in the same way:
 //! a [`survey::Figure`] declares the column ids it needs (the
 //! column-schema contract on [`core::MetricColumn`]: every id a metric
 //! declares maps to exactly one column of a stable

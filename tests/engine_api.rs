@@ -7,11 +7,11 @@
 use perils::authserver::deploy::deploy;
 use perils::authserver::scenarios::fbi_case;
 use perils::core::closure::DependencyIndex;
-use perils::core::hijack::min_cut_flattened;
+use perils::core::hijack::min_cut_flattened_view;
 use perils::core::metric::{
     columns, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState,
 };
-use perils::core::tcb::TcbStats;
+use perils::core::tcb::TcbTally;
 use perils::core::universe::Universe;
 use perils::dns::name::name;
 use perils::netsim::{FaultPlan, Region, SimNet};
@@ -131,11 +131,12 @@ fn builtin_engine_is_byte_identical_to_sequential_reference() {
         let mut tcb_sizes = Vec::new();
         let mut cut_size = Vec::new();
         let mut safe_in_cut = Vec::new();
+        let mut ws = index.workspace();
         for survey_name in &world.names {
-            let closure = index.closure_for(&world.universe, &survey_name.name);
-            let stats = TcbStats::compute(&world.universe, &closure);
+            let closure = index.closure_view(&world.universe, &survey_name.name, &mut ws);
+            let stats = TcbTally::compute(&world.universe, &closure);
             tcb_sizes.push(stats.tcb_size);
-            match min_cut_flattened(&world.universe, &index, &closure) {
+            match min_cut_flattened_view(&world.universe, &index, &closure) {
                 Some(cut) => {
                     cut_size.push(cut.size());
                     safe_in_cut.push(cut.safe_members);

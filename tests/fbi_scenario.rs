@@ -6,7 +6,7 @@ use perils::authserver::deploy::deploy;
 use perils::authserver::scenarios::fbi_case;
 use perils::core::attack::AttackSim;
 use perils::core::closure::DependencyIndex;
-use perils::core::hijack::min_cut_flattened;
+use perils::core::hijack::min_cut_flattened_view;
 use perils::dns::name::name;
 use perils::dns::rr::RrType;
 use perils::netsim::{FaultPlan, Region, SimNet};
@@ -74,8 +74,10 @@ fn min_cut_reflects_bottleneck_structure() {
     let scenario = fbi_case();
     let universe = universe_from_scenario(&scenario);
     let index = DependencyIndex::build(&universe);
-    let closure = index.closure_for(&universe, &name("www.fbi.gov"));
-    let cut = min_cut_flattened(&universe, &index, &closure).expect("cuttable");
+    let target = name("www.fbi.gov");
+    let mut ws = index.workspace();
+    let closure = index.closure_view(&universe, &target, &mut ws);
+    let cut = min_cut_flattened_view(&universe, &index, &closure).expect("cuttable");
     // Two machines suffice to take fbi.gov offline; two distinct minimum
     // cuts exist (the sprintip pair, or the gov+gtld registry pair) and
     // either is a valid bottleneck reading.

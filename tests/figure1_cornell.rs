@@ -4,14 +4,25 @@
 
 use perils::authserver::deploy::deploy;
 use perils::authserver::scenarios::cornell_figure1;
-use perils::core::closure::DependencyIndex;
-use perils::core::tcb::TcbStats;
+use perils::core::closure::{ClosureView, DependencyIndex};
+use perils::core::tcb::TcbTally;
+use perils::core::universe::Universe;
 use perils::dns::name::name;
 use perils::netsim::{FaultPlan, Region, SimNet};
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
 use perils::survey::scenario::{universe_from_reports, universe_from_scenario};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// The host names of a closure's TCB members (root servers excluded).
+fn tcb_names(universe: &Universe, closure: &ClosureView<'_>) -> BTreeSet<String> {
+    closure
+        .servers()
+        .map(|s| universe.server(s))
+        .filter(|s| !s.is_root)
+        .map(|s| s.name.to_string())
+        .collect()
+}
 
 #[test]
 fn structural_and_wire_probed_views_agree() {
@@ -21,12 +32,9 @@ fn structural_and_wire_probed_views_agree() {
     // Structural view.
     let structural = universe_from_scenario(&scenario);
     let index = DependencyIndex::build(&structural);
-    let closure = index.closure_for(&structural, &target);
-    let structural_tcb: BTreeSet<String> = closure
-        .tcb(&structural)
-        .iter()
-        .map(|&s| structural.server(s).name.to_string())
-        .collect();
+    let mut ws = index.workspace();
+    let closure = index.closure_view(&structural, &target, &mut ws);
+    let structural_tcb = tcb_names(&structural, &closure);
 
     // Wire-probed view.
     let net = Arc::new(SimNet::new(3, FaultPlan::none(), Region(0)));
@@ -54,9 +62,10 @@ fn structural_and_wire_probed_views_agree() {
             .collect::<Vec<_>>(),
     );
     let probed_index = DependencyIndex::build(&probed_universe);
-    let probed_closure = probed_index.closure_for(&probed_universe, &target);
-    let a = TcbStats::compute(&structural, &closure);
-    let b = TcbStats::compute(&probed_universe, &probed_closure);
+    let mut probed_ws = probed_index.workspace();
+    let probed_closure = probed_index.closure_view(&probed_universe, &target, &mut probed_ws);
+    let a = TcbTally::compute(&structural, &closure);
+    let b = TcbTally::compute(&probed_universe, &probed_closure);
     assert_eq!(a.tcb_size, b.tcb_size);
     assert_eq!(a.vulnerable, b.vulnerable);
     assert_eq!(a.nameowner_administered, b.nameowner_administered);
@@ -71,12 +80,10 @@ fn figure1_tcb_contents() {
     let scenario = cornell_figure1();
     let universe = universe_from_scenario(&scenario);
     let index = DependencyIndex::build(&universe);
-    let closure = index.closure_for(&universe, &name("www.cs.cornell.edu"));
-    let members: BTreeSet<String> = closure
-        .tcb(&universe)
-        .iter()
-        .map(|&s| universe.server(s).name.to_string())
-        .collect();
+    let target = name("www.cs.cornell.edu");
+    let mut ws = index.workspace();
+    let closure = index.closure_view(&universe, &target, &mut ws);
+    let members = tcb_names(&universe, &closure);
     for expected in [
         "a.edu-servers.net",
         "a.gtld-servers.net",
@@ -96,7 +103,7 @@ fn figure1_tcb_contents() {
         );
     }
     // Only Cornell-operated servers count as nameowner-administered.
-    let stats = TcbStats::compute(&universe, &closure);
+    let stats = TcbTally::compute(&universe, &closure);
     assert_eq!(
         stats.nameowner_administered, 1,
         "simon is the only in-zone server"
@@ -111,14 +118,14 @@ fn dependency_cycle_cornell_rochester_terminates() {
     let index = DependencyIndex::build(&universe);
     // Mutual dependency cornell ↔ rochester: both closures finite, both
     // contain the pair.
-    let a = index.closure_for(&universe, &name("www.cs.cornell.edu"));
-    let b = index.closure_for(&universe, &name("www.cs.rochester.edu"));
-    assert!(a.servers.len() < universe.server_count() + 1);
-    for closure in [&a, &b] {
+    let mut ws = index.workspace();
+    for target in ["www.cs.cornell.edu", "www.cs.rochester.edu"] {
+        let target = name(target);
+        let closure = index.closure_view(&universe, &target, &mut ws);
+        assert!(closure.server_count() < universe.server_count() + 1);
         let names: BTreeSet<String> = closure
-            .servers
-            .iter()
-            .map(|&s| universe.server(s).name.to_string())
+            .servers()
+            .map(|s| universe.server(s).name.to_string())
             .collect();
         assert!(names.contains("simon.cs.cornell.edu"));
         assert!(names.contains("cayuga.cs.rochester.edu"));

@@ -49,12 +49,14 @@ fn structural_closure_matches_wire_probe_on_generated_world() {
     // Sample a spread of names (popular and unpopular).
     let step = (world.names.len() / 12).max(1);
     let mut checked = 0usize;
+    let mut ws = index.workspace();
     for survey_name in world.names.iter().step_by(step) {
         let structural: BTreeSet<String> = index
-            .closure_for(&world.universe, &survey_name.name)
-            .tcb(&world.universe)
-            .iter()
-            .map(|&s| world.universe.server(s).name.to_string())
+            .closure_view(&world.universe, &survey_name.name, &mut ws)
+            .servers()
+            .map(|s| world.universe.server(s))
+            .filter(|s| !s.is_root)
+            .map(|s| s.name.to_string())
             .collect();
         let report = prober.discover(&survey_name.name);
         let probed: BTreeSet<String> = report
