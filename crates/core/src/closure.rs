@@ -1026,7 +1026,25 @@ impl DependencyIndex {
         target: &'a DnsName,
         ws: &'a mut ClosureWorkspace,
     ) -> ClosureView<'a> {
-        universe.chain_zones_into(target, &mut ws.chain);
+        self.closure_view_in(universe, target, universe.zone_of(target), ws)
+    }
+
+    /// [`DependencyIndex::closure_view`] for a target whose deepest zone
+    /// the caller already holds (`zone == universe.zone_of(target)`): the
+    /// chain is read off the universe's parent links, so the view costs
+    /// no origin lookups. The survey engine keys every name by that zone
+    /// and opens one view per distinct key.
+    pub fn closure_view_in<'a>(
+        &'a self,
+        universe: &Universe,
+        target: &'a DnsName,
+        zone: Option<ZoneId>,
+        ws: &'a mut ClosureWorkspace,
+    ) -> ClosureView<'a> {
+        debug_assert_eq!(zone, universe.zone_of(target), "{target}");
+        ws.chain.clear();
+        ws.chain.extend(universe.chain_up(zone));
+        ws.chain.reverse();
         // Seed components: the NS sets of the target's own chain. The
         // closure of each seed server is exactly its component's memoized
         // set, so the per-name work is a small union, not a traversal.

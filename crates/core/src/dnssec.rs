@@ -455,8 +455,7 @@ mod tests {
             let ctx = MeasureCtx {
                 universe: &u,
                 index: &index,
-                name: &target,
-                name_index: 0,
+                names: 1,
                 closure: index.closure_view(&u, &target, &mut ws),
             };
             shard.measure(&ctx, 0);

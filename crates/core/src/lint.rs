@@ -815,12 +815,14 @@ impl LintRule for DeepChainRule {
         "resolving the name forces deeply nested glueless sub-resolutions"
     }
     fn check(&self, ctx: &LintCtx<'_>) -> Vec<Diagnostic> {
+        // Only the name's own chain matters here, not its closure.
         let mut out = Vec::new();
-        ctx.for_each_closure(|name, view| {
-            let chain = view.target_chain();
-            let depth = ctx.facts.depths().depth_of_chain(ctx.universe, chain);
+        let mut chain = Vec::new();
+        for name in ctx.names {
+            ctx.universe.chain_zones_into(name, &mut chain);
+            let depth = ctx.facts.depths().depth_of_chain(ctx.universe, &chain);
             if !self.exceeds(depth) {
-                return;
+                continue;
             }
             out.push(Diagnostic {
                 rule: self.id(),
@@ -830,9 +832,9 @@ impl LintRule for DeepChainRule {
                     "resolving {name} can force {depth} nested glueless sub-resolutions (threshold {})",
                     self.threshold
                 ),
-                evidence: DeepChainRule::worst_path(ctx.universe, ctx.facts.depths(), chain, depth),
+                evidence: DeepChainRule::worst_path(ctx.universe, ctx.facts.depths(), &chain, depth),
             });
-        });
+        }
         out
     }
 }

@@ -11,28 +11,30 @@
 //! * [`NameMetric`] — a measurement family: declares its output columns,
 //!   creates shard-local accumulators, and deterministically merges them;
 //! * [`MetricShard`] — the accumulator one worker thread owns; `measure` is
-//!   called once per name with the precomputed [`MeasureCtx`] (the closure
-//!   is computed **once** per name and shared by every registered metric);
+//!   called once per *deepest zone* with the precomputed [`MeasureCtx`]:
+//!   every name under one zone has the same chain and therefore the same
+//!   closure, so the engine computes that closure **once** per zone,
+//!   shares it with every registered metric, and gathers the zone's row
+//!   back to each of its names;
 //! * [`MetricColumn`] — the merged, columnar output: per-name counts or
 //!   floats, or a universe-wide aggregate like [`ValueIndex`];
 //! * built-ins [`TcbMetric`], [`MinCutMetric`] and [`ValueMetric`] re-derive
 //!   the six seed measurements; [`crate::misconfig::MisconfigMetric`] and
 //!   [`crate::dnssec::DnssecCoverageMetric`] extend the family.
 //!
-//! Determinism contract: shards receive contiguous name ranges in order and
-//! `merge` sees them in that same order, so per-name columns concatenate to
-//! exactly the sequential result regardless of thread count. Aggregate
-//! metrics must make their own merge order-insensitive (as `ValueIndex`'s
-//! commutative sum is).
+//! Determinism contract: shards receive contiguous ranges of the batch's
+//! zone groups (in first-occurrence survey order) and `merge` sees them in
+//! that same order, so per-group columns concatenate to exactly the
+//! sequential result regardless of thread count. Aggregate metrics must
+//! make their own merge order-insensitive (as `ValueIndex`'s commutative
+//! sum is) and weigh each measurement by [`MeasureCtx::names`].
 
 use crate::closure::{ClosureView, DependencyIndex};
 use crate::hijack::min_cut_flattened_view;
 use crate::tcb::TcbTally;
-use crate::universe::{Universe, ZoneId};
+use crate::universe::Universe;
 use crate::value::ValueIndex;
-use perils_dns::name::DnsName;
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Canonical column ids of the built-in metrics.
 pub mod columns {
@@ -68,19 +70,20 @@ pub mod columns {
     pub const ZOMBIE_ORPHANED: &str = "zombie_orphaned";
 }
 
-/// Everything a metric may consult for one surveyed name. The engine
-/// computes the dependency closure once — as a borrowed, allocation-free
-/// [`ClosureView`] — and shares it across all metrics.
+/// Everything a metric may consult for one group of surveyed names that
+/// share a deepest zone. The engine computes the group's dependency
+/// closure once — as a borrowed, allocation-free [`ClosureView`] — and
+/// shares it across all metrics.
 pub struct MeasureCtx<'a> {
     /// The analysis universe.
     pub universe: &'a Universe,
     /// The precomputed dependency index.
     pub index: &'a DependencyIndex,
-    /// The surveyed name.
-    pub name: &'a DnsName,
-    /// Index of the name in the survey's global name order.
-    pub name_index: usize,
-    /// The name's dependency closure (borrowed sorted slices; collect
+    /// How many surveyed names of the batch the group holds (≥ 1):
+    /// aggregate metrics weigh the measurement by it, per-name columns
+    /// are gathered back to every one of them.
+    pub names: u64,
+    /// The group's dependency closure (borrowed sorted slices; collect
     /// what the measurement must retain past this call).
     pub closure: ClosureView<'a>,
 }
@@ -208,7 +211,7 @@ impl MetricColumn {
 
 /// The shard-local accumulator of one metric on one worker thread.
 pub trait MetricShard: Send {
-    /// Records the measurement for `ctx.name_index` into local `slot`
+    /// Records the measurement of one zone group into local `slot`
     /// (`0..shard_len`, increasing, each exactly once).
     fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize);
 
@@ -237,7 +240,7 @@ pub trait NameMetric: Send + Sync {
     }
 
     /// Creates a shard accumulator for a contiguous range of `shard_len`
-    /// names. `prepared` is this run's [`NameMetric::prepare`] result.
+    /// zone groups. `prepared` is this run's [`NameMetric::prepare`] result.
     fn shard(
         &self,
         universe: &Universe,
@@ -245,8 +248,9 @@ pub trait NameMetric: Send + Sync {
         prepared: &PreparedState,
     ) -> Box<dyn MetricShard>;
 
-    /// Merges shard accumulators — given in ascending name-range order —
-    /// into the final columns. Must be deterministic in that order.
+    /// Merges shard accumulators — given in ascending group-range order —
+    /// into the final columns, per-name columns one entry per group. Must
+    /// be deterministic in that order.
     fn merge(
         &self,
         universe: &Universe,
@@ -269,7 +273,7 @@ fn downcast_shards<T: 'static>(shards: Vec<Box<dyn MetricShard>>, metric: &str) 
 // Built-in: TCB statistics (Figures 2–6).
 
 /// TCB size, nameowner-administered, vulnerable members and safety percent —
-/// four columns from one [`crate::tcb::TcbTally`] per name.
+/// four columns from one [`crate::tcb::TcbTally`] per zone group.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcbMetric;
 
@@ -360,30 +364,15 @@ pub struct MinCutMetric;
 struct MinCutShard {
     cut_size: Vec<usize>,
     safe_in_cut: Vec<usize>,
-    /// Per-chain memo: a name's closure — and therefore its flattened
-    /// delegation graph and min-cut — is a pure function of its delegation
-    /// chain (see [`ClosureView`]), and a crawl surveys many host names
-    /// per domain, so equal chains recur constantly. The cache trades a
-    /// small per-shard map (one entry per *distinct chain*, not per name)
-    /// for skipping the dominant per-name cost of the survey pass; results
-    /// are byte-identical by construction.
-    by_chain: HashMap<Box<[ZoneId]>, (usize, usize)>,
 }
 
 impl MetricShard for MinCutShard {
     fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-        let chain = ctx.closure.target_chain();
-        let (cut_size, safe_in_cut) = match self.by_chain.get(chain) {
-            Some(&cached) => cached,
-            None => {
-                let computed = match min_cut_flattened_view(ctx.universe, ctx.index, &ctx.closure) {
-                    Some(cut) => (cut.size(), cut.safe_members),
-                    None => (0, 0),
-                };
-                self.by_chain.insert(chain.into(), computed);
-                computed
-            }
-        };
+        let (cut_size, safe_in_cut) =
+            match min_cut_flattened_view(ctx.universe, ctx.index, &ctx.closure) {
+                Some(cut) => (cut.size(), cut.safe_members),
+                None => (0, 0),
+            };
         self.cut_size[slot] = cut_size;
         self.safe_in_cut[slot] = safe_in_cut;
     }
@@ -411,7 +400,6 @@ impl NameMetric for MinCutMetric {
         Box::new(MinCutShard {
             cut_size: vec![0; shard_len],
             safe_in_cut: vec![0; shard_len],
-            by_chain: HashMap::new(),
         })
     }
 
@@ -448,7 +436,7 @@ struct ValueShard(ValueIndex);
 
 impl MetricShard for ValueShard {
     fn measure(&mut self, ctx: &MeasureCtx<'_>, _slot: usize) {
-        self.0.record(ctx.universe, &ctx.closure);
+        self.0.record(ctx.universe, &ctx.closure, ctx.names);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -523,8 +511,7 @@ mod tests {
                 let ctx = MeasureCtx {
                     universe: &u,
                     index: &index,
-                    name: target,
-                    name_index: start + slot,
+                    names: 1,
                     closure: index.closure_view(&u, target, &mut ws),
                 };
                 shard.measure(&ctx, slot);

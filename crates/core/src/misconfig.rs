@@ -562,8 +562,7 @@ mod tests {
             let ctx = MeasureCtx {
                 universe: &u,
                 index: &index,
-                name: target,
-                name_index: slot,
+                names: 1,
                 closure: index.closure_view(&u, target, &mut ws),
             };
             shard.measure(&ctx, slot);

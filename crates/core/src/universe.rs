@@ -337,7 +337,15 @@ impl Universe {
     /// links instead of probing the origin map per label: the home zone,
     /// its parent, and so on up to (not including) the root.
     pub fn server_chain_up(&self, server: ServerId) -> impl Iterator<Item = ZoneId> + '_ {
-        let mut at = self.home_zone_of(server);
+        self.chain_up(self.home_zone_of(server))
+    }
+
+    /// `zone`, its parent, and so on up to (not including) the root, read
+    /// off the precomputed parent links: for `zone ==
+    /// self.zone_of(name)`, exactly [`Universe::chain_zones`] of `name`,
+    /// **deepest first**. Empty for `None` and for the root zone.
+    pub fn chain_up(&self, zone: Option<ZoneId>) -> impl Iterator<Item = ZoneId> + '_ {
+        let mut at = zone;
         std::iter::from_fn(move || {
             let zid = at?;
             at = self.parent_zone_of(zid);

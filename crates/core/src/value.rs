@@ -27,13 +27,13 @@ impl ValueIndex {
         }
     }
 
-    /// Accounts one surveyed name's closure (each TCB member controls the
-    /// name).
-    pub fn record(&mut self, universe: &Universe, closure: &ClosureView<'_>) {
-        self.names_seen += 1;
+    /// Accounts `names` surveyed names that share one closure (each TCB
+    /// member controls every one of them).
+    pub fn record(&mut self, universe: &Universe, closure: &ClosureView<'_>, names: u64) {
+        self.names_seen += names;
         for sid in closure.servers() {
             if !universe.server(sid).is_root {
-                self.controlled[sid.index()] += 1;
+                self.controlled[sid.index()] += names;
             }
         }
     }
@@ -161,7 +161,7 @@ mod tests {
         let mut value = ValueIndex::new(u);
         for target in targets {
             let target = name(target);
-            value.record(u, &index.closure_view(u, &target, &mut ws));
+            value.record(u, &index.closure_view(u, &target, &mut ws), 1);
         }
         value
     }
@@ -243,6 +243,19 @@ mod tests {
         assert_eq!(a.names_seen(), 2);
         let evil = u.server_id(&name("ns.evil.edu")).unwrap();
         assert_eq!(a.controlled_by(evil), 2);
+    }
+
+    #[test]
+    fn weighted_record_equals_repeated_records() {
+        let u = universe();
+        let index = DependencyIndex::build(&u);
+        let mut ws = index.workspace();
+        let target = name("www.a.com");
+        let mut weighted = ValueIndex::new(&u);
+        weighted.record(&u, &index.closure_view(&u, &target, &mut ws), 3);
+        let repeated = recorded(&u, &["www.a.com", "mail.a.com", "www.a.com"]);
+        assert_eq!(weighted.names_seen(), 3);
+        assert_eq!(weighted.ranking(), repeated.ranking());
     }
 
     #[test]

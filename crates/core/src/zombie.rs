@@ -296,8 +296,7 @@ mod tests {
             let ctx = MeasureCtx {
                 universe: &u,
                 index: &dep,
-                name: target,
-                name_index: slot,
+                names: 1,
                 closure: dep.closure_view(&u, target, &mut ws),
             };
             shard.measure(&ctx, slot);

@@ -6,14 +6,17 @@
 //! metrics, a [`WorldSource`] supplies the delegation universe plus the
 //! surveyed names — synthetic topologies, hand-built packet scenarios
 //! (fbi.gov, Figure 1) and wire-probed worlds all load through the same
-//! trait — and [`Engine::run`] shards the name loop across threads exactly
-//! as the seed driver did: each worker owns a contiguous name range,
-//! computes every name's dependency closure **once** — as a borrowed
-//! [`perils_core::ClosureView`] over the memoized sub-closure index, with
-//! per-worker scratch, so the pass allocates no per-name closure sets —
-//! feeds it to every metric's shard accumulator, and the merge
-//! concatenates shards in range order, so results are deterministic and
-//! invariant in the thread count.
+//! trait — and [`Engine::run`] measures each *deepest zone* once: a name's
+//! closure is a function of its delegation chain, and every name under
+//! one zone shares that chain, so the engine groups the names by
+//! [`Universe::zone_of`], shards the distinct zones across threads, and
+//! each worker computes every zone's dependency closure **once** — as a
+//! borrowed [`perils_core::ClosureView`] over the memoized sub-closure
+//! index, with per-worker scratch, so the pass allocates no closure
+//! sets — and feeds it to every metric's shard accumulator. The merge
+//! concatenates shards in range order and gathers each zone's row back to
+//! its names, so results are per name, deterministic and invariant in
+//! the thread count.
 //!
 //! [`Engine::run_batched`] is the same pass streamed in bounded batches:
 //! shards live only for one batch, each batch merges immediately, and the
@@ -33,14 +36,15 @@ use perils_core::hijack::min_hijack_exact;
 use perils_core::metric::{
     columns, ColumnKind, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState,
 };
-use perils_core::universe::{Universe, UniverseEvent};
+use perils_core::universe::{Universe, UniverseEvent, ZoneId};
 use perils_core::value::ValueIndex;
 use perils_core::{DnssecCoverageMetric, MinCutMetric, MisconfigMetric, TcbMetric, ValueMetric};
 use perils_dns::name::DnsName;
 use perils_resolver::DependencyReport;
 use perils_vulndb::VulnDb;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// A delegation universe plus the names surveyed over it — the common
 /// denominator every [`WorldSource`] produces and the engine consumes.
@@ -775,11 +779,17 @@ impl Engine {
     }
 
     /// One sharded pass over a contiguous batch of names
-    /// (`batch_start..batch_start + batch.len()` in survey order): each
-    /// worker owns one contiguous sub-range and its own accumulators,
-    /// the closure is computed once per name as a borrowed view and
-    /// shared by every metric, and the batch's merged columns land in
-    /// `merged` (inserted on the first batch, appended afterwards).
+    /// (`batch_start..batch_start + batch.len()` in survey order).
+    ///
+    /// Every name under one deepest zone ([`Universe::zone_of`]) has the
+    /// same delegation chain and therefore the same closure, so the batch
+    /// is grouped by that zone first — keys computed on the workers, a
+    /// name with no enclosing zone in a group of its own — and the
+    /// distinct zones, in first-occurrence order, are what the workers
+    /// shard: each opens one closure view per zone and hands it to every
+    /// metric once. The merged per-group columns are gathered back per
+    /// name and land in `merged` (inserted on the first batch, appended
+    /// afterwards).
     #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
@@ -791,49 +801,54 @@ impl Engine {
         threads: usize,
         merged: &mut BTreeMap<String, MetricColumn>,
     ) {
-        let batch_len = batch.len();
         let metrics = &self.metrics;
 
-        // Shard the batch's name range.
-        let chunk = batch_len.div_ceil(threads).max(1);
-        let mut worker_shards: Vec<Vec<Box<dyn MetricShard>>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut start = 0usize;
-            while start < batch_len {
-                let len = chunk.min(batch_len - start);
-                let range = start..start + len;
-                handles.push(scope.spawn(move |_| {
-                    let mut shards: Vec<Box<dyn MetricShard>> = metrics
-                        .iter()
-                        .zip(prepared)
-                        .map(|(m, p)| m.shard(universe, len, p))
-                        .collect();
-                    let mut ws = index.workspace();
-                    for (slot, i) in range.enumerate() {
-                        // The closure is computed once per name as a
-                        // borrowed view — no per-name set allocation —
-                        // and shared by every registered metric.
-                        let ctx = MeasureCtx {
-                            universe,
-                            index,
-                            name: &batch[i].name,
-                            name_index: batch_start + i,
-                            closure: index.closure_view(universe, &batch[i].name, &mut ws),
-                        };
-                        for shard in &mut shards {
-                            shard.measure(&ctx, slot);
-                        }
-                    }
-                    shards
-                }));
-                start += len;
+        let keys = map_ranges(batch.len(), threads, |range| {
+            batch[range]
+                .iter()
+                .map(|entry| universe.zone_of(&entry.name))
+                .collect::<Vec<_>>()
+        });
+        // Per group: its zone, the first name in it and how many names
+        // it holds.
+        let mut groups: Vec<(Option<ZoneId>, usize, u64)> = Vec::new();
+        let mut group_of: HashMap<Option<ZoneId>, u32> = HashMap::new();
+        let name_group: Vec<u32> = keys
+            .into_iter()
+            .flatten()
+            .enumerate()
+            .map(|(i, key)| {
+                let g = *group_of.entry(key).or_insert_with(|| {
+                    groups.push((key, i, 0));
+                    u32::try_from(groups.len() - 1).expect("fewer than 2^32 zone groups")
+                });
+                groups[g as usize].2 += 1;
+                g
+            })
+            .collect();
+        drop(group_of);
+
+        let groups = &groups;
+        let worker_shards = map_ranges(groups.len(), threads, |range| {
+            let mut shards: Vec<Box<dyn MetricShard>> = metrics
+                .iter()
+                .zip(prepared)
+                .map(|(m, p)| m.shard(universe, range.len(), p))
+                .collect();
+            let mut ws = index.workspace();
+            for (slot, &(zone, first, names)) in groups[range].iter().enumerate() {
+                let ctx = MeasureCtx {
+                    universe,
+                    index,
+                    names,
+                    closure: index.closure_view_in(universe, &batch[first].name, zone, &mut ws),
+                };
+                for shard in &mut shards {
+                    shard.measure(&ctx, slot);
+                }
             }
-            for handle in handles {
-                worker_shards.push(handle.join().expect("survey shard panicked"));
-            }
-        })
-        .expect("crossbeam scope");
+            shards
+        });
 
         // Transpose worker-major into metric-major, preserving range
         // order, and merge this batch.
@@ -849,11 +864,12 @@ impl Engine {
                 if let Some(len) = column.len() {
                     assert_eq!(
                         len,
-                        batch_len,
-                        "metric {:?} column {id:?} has wrong batch length",
+                        groups.len(),
+                        "metric {:?} column {id:?} has wrong zone-group count",
                         metric.id()
                     );
                 }
+                let column = gather(column, &name_group);
                 match merged.entry(id) {
                     std::collections::btree_map::Entry::Vacant(slot) => {
                         if batch_start > 0 {
@@ -904,6 +920,43 @@ impl Engine {
             columns: merged,
             exact_sample,
         }
+    }
+}
+
+/// Splits `0..len` into at most `threads` contiguous ranges, runs `work`
+/// on each in its own scoped worker, and returns the results in range
+/// order.
+fn map_ranges<T: Send>(
+    len: usize,
+    threads: usize,
+    work: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    let chunk = len.div_ceil(threads).max(1);
+    let work = &work;
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|start| scope.spawn(move |_| work(start..len.min(start + chunk))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("survey worker panicked"))
+            .collect()
+    })
+    .expect("crossbeam scope")
+}
+
+/// Expands a per-group column to one entry per name (`name_group[i]` is
+/// name `i`'s group); aggregates pass through.
+fn gather(column: MetricColumn, name_group: &[u32]) -> MetricColumn {
+    match column {
+        MetricColumn::Counts(rows) => {
+            MetricColumn::Counts(name_group.iter().map(|&g| rows[g as usize]).collect())
+        }
+        MetricColumn::Floats(rows) => {
+            MetricColumn::Floats(name_group.iter().map(|&g| rows[g as usize]).collect())
+        }
+        value @ MetricColumn::Value(_) => value,
     }
 }
 

@@ -1,8 +1,8 @@
 //! Engine-API integration tests: thread-count invariance for every
 //! registered metric, structural-vs-wire-probed agreement through the same
-//! `WorldSource` path, byte-identity of the built-in engine pass with
-//! the hardwired per-name loop it replaced, and end-to-end custom metric
-//! registration.
+//! `WorldSource` path, byte-identity of the built-in engine pass — one
+//! closure per deepest zone, gathered per name — with a sequential
+//! per-name loop, and end-to-end custom metric registration.
 
 use perils::authserver::deploy::deploy;
 use perils::authserver::scenarios::fbi_case;
@@ -114,8 +114,8 @@ fn scenario_and_probed_fbi_worlds_agree_through_engine() {
     assert_eq!(structural.cut_size()[0], 2);
 }
 
-/// The built-in engine pass must produce byte-identical results to the
-/// sequential hardwired loop it replaced, for the acceptance seeds
+/// The built-in engine pass must produce byte-identical results to a
+/// sequential loop that measures every name alone, for the acceptance seeds
 /// 11/13/17.
 #[test]
 fn builtin_engine_is_byte_identical_to_sequential_reference() {
