@@ -64,6 +64,7 @@ use perils_dns::name::DnsName;
 use perils_graph::bitset::{BitSet, BitSetInterner, SetId, SetTable};
 use perils_graph::csr::Csr;
 use perils_graph::scc::SccResult;
+use perils_util::par;
 use perils_util::snapshot::{self, Section, SnapshotError};
 use perils_util::U32View;
 use std::collections::BTreeSet;
@@ -272,41 +273,22 @@ fn build_zone_rows(universe: &Universe, threads: usize) -> ZoneRowTables {
     }
 
     // Rows in processing order, then reassembled in id order below.
-    let mut stamps = vec![u32::MAX; universe.server_count()];
     let mut dep_tmp: Vec<ServerId> = Vec::new();
     let mut dep_pos: Vec<(u32, u32)> = vec![(0, 0); zn];
     for d in 0..depth_count.len() {
         let bucket = &order[starts[d] as usize..starts[d + 1] as usize];
-        let level_chunks = if threads == 1 || bucket.len() < ZONE_LEVEL_PARALLEL_THRESHOLD {
-            vec![level_rows(
-                universe,
-                bucket,
-                &dep_tmp,
-                &dep_pos,
-                &mut stamps,
-            )]
+        // Every row at this depth reads only rows from shallower depths —
+        // already merged into `dep_tmp` — so a wide level fans out across
+        // workers with private output buffers.
+        let workers = if bucket.len() < ZONE_LEVEL_PARALLEL_THRESHOLD {
+            1
         } else {
-            // Every row at this depth reads only rows from shallower
-            // depths — already merged into `dep_tmp` — so the level fans
-            // out across workers with private output buffers.
-            let chunk_len = bucket.len().div_ceil(threads).max(1);
-            let (dep_ref, dep_pos_ref) = (&dep_tmp, &dep_pos);
-            let mut level_chunks: Vec<LevelChunk> = Vec::new();
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for zones in bucket.chunks(chunk_len) {
-                    handles.push(scope.spawn(move |_| {
-                        let mut stamps = vec![u32::MAX; universe.server_count()];
-                        level_rows(universe, zones, dep_ref, dep_pos_ref, &mut stamps)
-                    }));
-                }
-                for handle in handles {
-                    level_chunks.push(handle.join().expect("zone row shard panicked"));
-                }
-            })
-            .expect("crossbeam scope");
-            level_chunks
+            threads
         };
+        let level_chunks = par::map_ranges(bucket.len(), workers, |range| {
+            let mut stamps = vec![u32::MAX; universe.server_count()];
+            level_rows(universe, &bucket[range], &dep_tmp, &dep_pos, &mut stamps)
+        });
         for chunk in level_chunks {
             let base = dep_tmp.len() as u32;
             dep_tmp.extend_from_slice(&chunk.dep);
@@ -607,49 +589,24 @@ fn memoize_levels(
     let mut zone_sets = BitSetInterner::new(zone_capacity);
     let mut component_servers: Vec<Option<SetId>> = vec![None; count];
     let mut component_zones: Vec<Option<SetId>> = vec![None; count];
-    let mut scratch = MemoScratch::new(server_capacity, zone_capacity);
 
     for bucket in &buckets {
-        let chunks: Vec<MemoChunk> = if bucket.len() < LEVEL_PARALLEL_THRESHOLD || threads == 1 {
-            vec![memoize_chunk(
+        let workers = if bucket.len() < LEVEL_PARALLEL_THRESHOLD {
+            1
+        } else {
+            threads
+        };
+        let chunks = par::map_ranges(bucket.len(), workers, |range| {
+            memoize_chunk(
                 input,
-                bucket,
+                &bucket[range],
                 &server_sets,
                 &zone_sets,
                 &component_servers,
                 &component_zones,
-                &mut scratch,
-            )]
-        } else {
-            let chunk_len = bucket.len().div_ceil(threads).max(1);
-            let server_sets = &server_sets;
-            let zone_sets = &zone_sets;
-            let component_servers = &component_servers;
-            let component_zones = &component_zones;
-            let mut chunks = Vec::new();
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for comps in bucket.chunks(chunk_len) {
-                    handles.push(scope.spawn(move |_| {
-                        let mut scratch = MemoScratch::new(server_capacity, zone_capacity);
-                        memoize_chunk(
-                            input,
-                            comps,
-                            server_sets,
-                            zone_sets,
-                            component_servers,
-                            component_zones,
-                            &mut scratch,
-                        )
-                    }));
-                }
-                for handle in handles {
-                    chunks.push(handle.join().expect("memoize shard panicked"));
-                }
-            })
-            .expect("crossbeam scope");
-            chunks
-        };
+                &mut MemoScratch::new(server_capacity, zone_capacity),
+            )
+        });
 
         // Intern this level's sets in component order: the chunks cover the
         // bucket contiguously, so the interning order — and with it every
@@ -830,14 +787,13 @@ impl DependencyIndex {
         let threads = if universe.server_count() < 4096 {
             1
         } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
+            par::threads(None)
         };
         DependencyIndex::build_with_threads(universe, threads)
     }
 
-    /// Builds the index with an explicit worker-thread count.
+    /// Builds the index with an explicit worker-thread count, clamped
+    /// to `1..=16`; `0` takes the default count ([`par::threads`]).
     ///
     /// Phase 1 derives per-**zone** dependency rows by a
     /// recurrence over the zone tree (memcpy-bound, tree-parallel by
@@ -862,7 +818,7 @@ impl DependencyIndex {
     ) -> (DependencyIndex, IndexBuildStats) {
         let n = universe.server_count();
         let zn = universe.zone_count();
-        let threads = threads.clamp(1, 16);
+        let threads = par::threads(std::num::NonZeroUsize::new(threads));
         let mut stats = IndexBuildStats::default();
         let t0 = std::time::Instant::now();
 

@@ -6,6 +6,7 @@
 //! condensation turns the graph into a DAG for closure computations.
 
 use crate::digraph::{DiGraph, NodeId};
+use perils_util::par;
 
 /// The SCC decomposition of a graph.
 #[derive(Debug, Clone)]
@@ -295,25 +296,17 @@ where
     // disable trimming for the entire graph.
     let in_count: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let out_rem: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let chunk = n.div_ceil(threads).max(1);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let (in_count, out_rem) = (&in_count, &out_rem);
-            s.spawn(move || {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                for (u, rem) in out_rem.iter().enumerate().take(hi).skip(lo) {
-                    let mut nonself = 0u32;
-                    for k in 0..degree(u) {
-                        let w = neighbor(u, k);
-                        if w != u {
-                            nonself += 1;
-                            in_count[w].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    rem.store(nonself, Ordering::Relaxed);
+    par::map_ranges(n, threads, |range| {
+        for u in range {
+            let mut nonself = 0u32;
+            for k in 0..degree(u) {
+                let w = neighbor(u, k);
+                if w != u {
+                    nonself += 1;
+                    in_count[w].fetch_add(1, Ordering::Relaxed);
                 }
-            });
+            }
+            out_rem[u].store(nonself, Ordering::Relaxed);
         }
     });
     let mut roff = vec![0u32; n + 1];
@@ -386,33 +379,17 @@ where
         })
         .collect();
     while !frontier.is_empty() {
-        let mut next = Vec::new();
-        if frontier.len() < TRIM_PARALLEL_THRESHOLD {
-            trim_round(&frontier, &mut next);
+        let workers = if frontier.len() < TRIM_PARALLEL_THRESHOLD {
+            1
         } else {
-            let part = frontier.len().div_ceil(threads).max(1);
-            let locals = std::thread::scope(|s| {
-                let handles: Vec<_> = frontier
-                    .chunks(part)
-                    .map(|slice| {
-                        let trim_round = &trim_round;
-                        s.spawn(move || {
-                            let mut local = Vec::new();
-                            trim_round(slice, &mut local);
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("trim worker"))
-                    .collect::<Vec<_>>()
-            });
-            for local in locals {
-                next.extend(local);
-            }
-        }
-        frontier = next;
+            threads
+        };
+        frontier = par::map_ranges(frontier.len(), workers, |range| {
+            let mut next = Vec::new();
+            trim_round(&frontier[range], &mut next);
+            next
+        })
+        .concat();
     }
 
     // --- FW-BW over the cyclic residue: a shared worklist of regions;

@@ -14,7 +14,7 @@
 //!                                                  next snapshot, swap
 //! ```
 //!
-//! Everything runs inside one `crossbeam::thread::scope`, so threads
+//! Everything runs inside one `std::thread::scope`, so threads
 //! borrow the daemon directly — no `'static` gymnastics, no leaked
 //! handles. Shutdown is cooperative: `POST /shutdown` (or
 //! [`Daemon::trigger_shutdown`]) flips a flag; the acceptor stops
@@ -70,10 +70,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 16),
+            threads: perils_util::par::threads(None),
             queue_cap: 1024,
             figures: true,
             backend: perils_survey::SnapshotBackend::Heap,
@@ -252,12 +249,12 @@ impl Daemon {
         let queue = ConnQueue::new(self.config.queue_cap);
         let (reload_tx, reload_rx) = mpsc::channel::<ReloadRequest>();
 
-        crossbeam::thread::scope(|scope| {
-            scope.spawn(|_| self.reload_loop(reload_rx));
+        std::thread::scope(|scope| {
+            scope.spawn(|| self.reload_loop(reload_rx));
             for _ in 0..self.config.threads {
                 let worker_tx = reload_tx.clone();
                 let queue = &queue;
-                scope.spawn(move |_| self.worker_loop(queue, worker_tx));
+                scope.spawn(move || self.worker_loop(queue, worker_tx));
             }
             // Workers hold the only senders now: when the last worker
             // exits, the reloader's `recv` fails and it exits too.
@@ -286,8 +283,7 @@ impl Daemon {
             }
             queue.close();
             Ok(())
-        })
-        .expect("service thread panicked")?;
+        })?;
 
         Ok(ServeSummary {
             connections: self.metrics.connections(),

@@ -41,10 +41,10 @@ use perils_core::value::ValueIndex;
 use perils_core::{DnssecCoverageMetric, MinCutMetric, MisconfigMetric, TcbMetric, ValueMetric};
 use perils_dns::name::DnsName;
 use perils_resolver::DependencyReport;
+use perils_util::par;
 use perils_vulndb::VulnDb;
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
-use std::ops::Range;
 
 /// A delegation universe plus the names surveyed over it — the common
 /// denominator every [`WorldSource`] produces and the engine consumes.
@@ -79,11 +79,6 @@ fn survey_names_of(targets: Vec<DnsName>) -> impl Iterator<Item = SurveyName> + 
     })
 }
 
-/// Events per channel batch in the sharded ingestion front-end: large
-/// enough to amortize the channel hand-off, small enough that bounded
-/// buffering stays bounded-memory.
-const INGEST_BATCH: usize = 512;
-
 /// A world as a stream: incremental [`UniverseEvent`]s first, surveyed
 /// names second. This is what every [`WorldSource`] produces and what
 /// the engine ingests — the universe is built event by event through
@@ -99,21 +94,14 @@ pub struct WorldStream {
     events: Box<dyn Iterator<Item = UniverseEvent> + Send>,
     names: Box<dyn Iterator<Item = SurveyName> + Send>,
     top500: Vec<usize>,
-    db: VulnDb,
     /// An already-built universe ([`WorldStream::of_world`]): the event
     /// phase is skipped instead of decomposing and re-interning a
     /// structure that already exists.
     prebuilt: Option<Universe>,
-    /// Additional event shards ([`WorldStream::with_shard`]) ingested
-    /// concurrently with the main event stream by
-    /// [`WorldStream::build_universe`].
-    shards: Vec<Box<dyn Iterator<Item = UniverseEvent> + Send>>,
 }
 
 impl WorldStream {
     /// Wraps the two phases of a stream plus the popularity subset.
-    /// Banner assessment defaults to the paper's ISC Feb-2004 matrix
-    /// ([`WorldStream::with_db`] overrides).
     pub fn new(
         events: impl Iterator<Item = UniverseEvent> + Send + 'static,
         names: impl Iterator<Item = SurveyName> + Send + 'static,
@@ -123,32 +111,8 @@ impl WorldStream {
             events: Box::new(events),
             names: Box::new(names),
             top500,
-            db: VulnDb::isc_feb_2004(),
             prebuilt: None,
-            shards: Vec::new(),
         }
-    }
-
-    /// Adds a parallel ingestion shard: an independent event stream (a
-    /// second crawl file, another zone transfer, one deal of a split
-    /// feed) drained **concurrently** with the main event stream when
-    /// [`WorldStream::build_universe`] runs. Sharded builds finish with
-    /// [`perils_core::UniverseBuilder::finish_canonical`], so the
-    /// universe — and everything downstream — is byte-identical
-    /// for every shard count and interleaving (the order-independence
-    /// `stream_equivalence.rs` pins).
-    pub fn with_shard(
-        mut self,
-        events: impl Iterator<Item = UniverseEvent> + Send + 'static,
-    ) -> WorldStream {
-        self.shards.push(Box::new(events));
-        self
-    }
-
-    /// Replaces the vulnerability database banners are assessed against.
-    pub fn with_db(mut self, db: VulnDb) -> WorldStream {
-        self.db = db;
-        self
     }
 
     /// The remaining universe events (phase one).
@@ -168,66 +132,21 @@ impl WorldStream {
         &self.top500
     }
 
-    /// Drains the event phase into an incremental builder and returns
-    /// the finished universe. Peak memory is the universe itself plus
-    /// the builder's indexes — independent of feed length and order.
+    /// Drains the event phase into an incremental builder, assessing
+    /// banners against the paper's ISC Feb-2004 matrix, and returns the
+    /// finished universe. Peak memory is the universe itself plus the
+    /// builder's indexes — independent of feed length and order.
     /// Streams wrapped around a prebuilt world return it directly.
-    ///
-    /// With ingestion shards ([`WorldStream::with_shard`]), every shard
-    /// and the main event stream are drained on producer threads feeding
-    /// one builder through a bounded channel — event production
-    /// (parsing, generation, decompression) overlaps the builder's
-    /// interning — and the build finishes canonically, making the result
-    /// independent of shard count and arrival order.
     pub fn build_universe(&mut self) -> Universe {
         if let Some(universe) = self.prebuilt.take() {
             return universe;
         }
-        if self.shards.is_empty() {
-            let mut builder = Universe::builder();
-            for event in self.events.by_ref() {
-                builder.apply(event, &self.db);
-            }
-            return builder.finish();
+        let db = VulnDb::isc_feb_2004();
+        let mut builder = Universe::builder();
+        for event in self.events.by_ref() {
+            builder.apply(event, &db);
         }
-        let mut producers = std::mem::take(&mut self.shards);
-        producers.insert(
-            0,
-            std::mem::replace(&mut self.events, Box::new(std::iter::empty())),
-        );
-        let db = &self.db;
-        crossbeam::thread::scope(|scope| {
-            // Bounded batches keep peak memory independent of feed
-            // length: producers block once the applier falls behind.
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<UniverseEvent>>(producers.len() * 2);
-            for mut shard in producers.drain(..) {
-                let tx = tx.clone();
-                scope.spawn(move |_| {
-                    let mut batch = Vec::with_capacity(INGEST_BATCH);
-                    for event in shard.by_ref() {
-                        batch.push(event);
-                        if batch.len() == INGEST_BATCH {
-                            if tx.send(std::mem::take(&mut batch)).is_err() {
-                                return;
-                            }
-                            batch.reserve(INGEST_BATCH);
-                        }
-                    }
-                    if !batch.is_empty() {
-                        let _ = tx.send(batch);
-                    }
-                });
-            }
-            drop(tx);
-            let mut builder = Universe::builder();
-            for batch in rx {
-                for event in batch {
-                    builder.apply(event, db);
-                }
-            }
-            builder.finish_canonical()
-        })
-        .expect("crossbeam scope")
+        builder.finish()
     }
 
     /// Materializes the whole stream into an [`AnalysisWorld`] (the
@@ -256,19 +175,6 @@ impl WorldStream {
         stream.prebuilt = Some(universe);
         stream
     }
-}
-
-/// Worker threads for a pass: `threads` if given, else the available
-/// parallelism (4 when unknown), clamped to `1..=16`.
-pub(crate) fn thread_count(threads: Option<NonZeroUsize>) -> usize {
-    threads
-        .map(NonZeroUsize::get)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(4)
-        })
-        .clamp(1, 16)
 }
 
 /// Supplies a world to the engine. Implemented by the synthetic
@@ -690,58 +596,8 @@ impl Engine {
     /// per-name columns concatenate in survey order and aggregate columns
     /// merge commutatively ([`MetricColumn::append`]).
     pub fn run_batched(&self, source: impl WorldSource, batch_size: NonZeroUsize) -> SurveyReport {
-        self.run_stream(source.stream(), batch_size)
-    }
-
-    /// Runs every registered metric over an already-built world.
-    pub fn run_world(&self, world: AnalysisWorld) -> SurveyReport {
-        let threads = thread_count(self.threads);
-        let index = DependencyIndex::build_with_threads(&world.universe, threads);
-        self.run_world_indexed(world, &index)
-    }
-
-    /// [`Engine::run_world`] over a **prebuilt** dependency index — the
-    /// snapshot-loading path: a world reconstituted from a `.psa` archive
-    /// already carries its index, so the survey can skip the index build
-    /// entirely. `index` must have been built from (or validated against)
-    /// `world.universe`; the snapshot decoder guarantees this for loaded
-    /// archives.
-    pub fn run_world_indexed(&self, world: AnalysisWorld, index: &DependencyIndex) -> SurveyReport {
-        let threads = thread_count(self.threads);
-        let prepared: Vec<PreparedState> = self
-            .metrics
-            .iter()
-            .map(|m| m.prepare(&world.universe))
-            .collect();
-        let n = world.names.len();
-        let batch = n.max(1);
-        let mut merged: BTreeMap<String, MetricColumn> = BTreeMap::new();
-        let mut start = 0usize;
-        loop {
-            let len = batch.min(n - start);
-            self.run_batch(
-                &world.universe,
-                index,
-                &prepared,
-                &world.names[start..start + len],
-                start,
-                threads,
-                &mut merged,
-            );
-            start += len;
-            if start >= n {
-                break;
-            }
-        }
-        self.finish_report(world, index, merged)
-    }
-
-    /// Runs the survey over an already-started [`WorldStream`] (what
-    /// [`Engine::run_batched`] does after calling
-    /// [`WorldSource::stream`]): build the universe from the event
-    /// phase, then pull names in `batch_size`-bounded batches.
-    pub fn run_stream(&self, mut stream: WorldStream, batch_size: NonZeroUsize) -> SurveyReport {
-        let threads = thread_count(self.threads);
+        let mut stream = source.stream();
+        let threads = par::threads(self.threads);
         let universe = stream.build_universe();
         let index = DependencyIndex::build_with_threads(&universe, threads);
         let prepared: Vec<PreparedState> =
@@ -778,6 +634,49 @@ impl Engine {
         self.finish_report(world, &index, merged)
     }
 
+    /// Runs every registered metric over an already-built world.
+    pub fn run_world(&self, world: AnalysisWorld) -> SurveyReport {
+        let threads = par::threads(self.threads);
+        let index = DependencyIndex::build_with_threads(&world.universe, threads);
+        self.run_world_indexed(world, &index)
+    }
+
+    /// [`Engine::run_world`] over a **prebuilt** dependency index — the
+    /// snapshot-loading path: a world reconstituted from a `.psa` archive
+    /// already carries its index, so the survey can skip the index build
+    /// entirely. `index` must have been built from (or validated against)
+    /// `world.universe`; the snapshot decoder guarantees this for loaded
+    /// archives.
+    pub fn run_world_indexed(&self, world: AnalysisWorld, index: &DependencyIndex) -> SurveyReport {
+        let threads = par::threads(self.threads);
+        let prepared: Vec<PreparedState> = self
+            .metrics
+            .iter()
+            .map(|m| m.prepare(&world.universe))
+            .collect();
+        let n = world.names.len();
+        let batch = n.max(1);
+        let mut merged: BTreeMap<String, MetricColumn> = BTreeMap::new();
+        let mut start = 0usize;
+        loop {
+            let len = batch.min(n - start);
+            self.run_batch(
+                &world.universe,
+                index,
+                &prepared,
+                &world.names[start..start + len],
+                start,
+                threads,
+                &mut merged,
+            );
+            start += len;
+            if start >= n {
+                break;
+            }
+        }
+        self.finish_report(world, index, merged)
+    }
+
     /// One sharded pass over a contiguous batch of names
     /// (`batch_start..batch_start + batch.len()` in survey order).
     ///
@@ -803,7 +702,7 @@ impl Engine {
     ) {
         let metrics = &self.metrics;
 
-        let keys = map_ranges(batch.len(), threads, |range| {
+        let keys = par::map_ranges(batch.len(), threads, |range| {
             batch[range]
                 .iter()
                 .map(|entry| universe.zone_of(&entry.name))
@@ -829,7 +728,7 @@ impl Engine {
         drop(group_of);
 
         let groups = &groups;
-        let worker_shards = map_ranges(groups.len(), threads, |range| {
+        let worker_shards = par::map_ranges(groups.len(), threads, |range| {
             let mut shards: Vec<Box<dyn MetricShard>> = metrics
                 .iter()
                 .zip(prepared)
@@ -921,29 +820,6 @@ impl Engine {
             exact_sample,
         }
     }
-}
-
-/// Splits `0..len` into at most `threads` contiguous ranges, runs `work`
-/// on each in its own scoped worker, and returns the results in range
-/// order.
-fn map_ranges<T: Send>(
-    len: usize,
-    threads: usize,
-    work: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    let chunk = len.div_ceil(threads).max(1);
-    let work = &work;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk)
-            .map(|start| scope.spawn(move |_| work(start..len.min(start + chunk))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("survey worker panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope")
 }
 
 /// Expands a per-group column to one entry per name (`name_group[i]` is

@@ -3,11 +3,12 @@
 //! [`run_lint`] is the survey-side driver for [`perils_core::lint`]: it
 //! builds the dependency index and shared [`LintIndex`] facts once, then
 //! shards the three subject axes (zones, servers, surveyed names) over
-//! the same crossbeam worker pool the metric engine uses. Each worker
-//! runs every registered rule over its contiguous sub-ranges; shards are
-//! merged rule-major in range order, so the diagnostic stream — and
-//! every rendered byte — is invariant under thread count (the
-//! `stream_equivalence` suite pins this).
+//! workers through [`perils_util::par`], as the metric engine does. Each
+//! worker runs every registered rule over its contiguous sub-ranges;
+//! shards are merged rule-major in range order, so the diagnostic
+//! stream — and every rendered byte — equals the serial
+//! [`perils_core::lint::check_universe`] at every thread count (the `stream_equivalence`
+//! suite pins this).
 //!
 //! Three sinks serialize a [`LintReport`]: rustc-style text for humans,
 //! a findings/rules/summary JSON document, and SARIF 2.1.0 for code
@@ -15,14 +16,14 @@
 //! finding at a time, resolving evidence ids to names as it goes; the
 //! report itself holds ids, never copies of names.
 
-use crate::engine::thread_count;
 use perils_core::lint::{
-    check_universe, Diagnostic, LintCtx, LintIndex, RuleRegistry, Severity, SeverityOverrides,
+    Diagnostic, LintCtx, LintIndex, RuleRegistry, Severity, SeverityOverrides,
 };
 use perils_core::universe::{ServerId, Universe, ZoneId};
 use perils_core::DependencyIndex;
 use perils_dns::name::DnsName;
 use perils_util::json::{push_json_escaped, push_json_string};
+use perils_util::par;
 use std::io::{self, Write};
 use std::num::NonZeroUsize;
 
@@ -107,8 +108,7 @@ pub fn run_lint<'u>(
     overrides: &SeverityOverrides,
     threads: Option<NonZeroUsize>,
 ) -> LintReport<'u> {
-    let workers = thread_count(threads);
-    let index = DependencyIndex::build_with_threads(universe, workers);
+    let index = DependencyIndex::build_with_threads(universe, par::threads(threads));
     let facts = LintIndex::build(universe);
     run_lint_with(
         universe, names, registry, overrides, threads, &index, &facts,
@@ -129,17 +129,41 @@ pub fn run_lint_with<'u>(
     index: &DependencyIndex,
     facts: &LintIndex,
 ) -> LintReport<'u> {
-    let workers = thread_count(threads);
+    let workers = par::threads(threads);
     let zones: Vec<ZoneId> = universe.zone_ids().collect();
     let servers: Vec<ServerId> = universe.server_ids().collect();
 
-    let diagnostics = if workers <= 1 {
-        check_universe(universe, index, facts, registry, names)
-    } else {
-        sharded_check(
-            universe, index, facts, registry, names, &zones, &servers, workers,
-        )
+    // Contiguous per-axis sub-ranges; a worker may own an empty slice of
+    // one axis and a populated slice of another.
+    let slice_of = |len: usize, w: usize| {
+        let chunk = len.div_ceil(workers).max(1);
+        let start = (w * chunk).min(len);
+        start..(start + chunk).min(len)
     };
+    // One single-index range per worker; worker-major results:
+    // worker → rule → diagnostics.
+    let mut worker_shards = par::map_ranges(workers, workers, |w| {
+        let w = w.start;
+        let ctx = LintCtx {
+            universe,
+            index,
+            facts,
+            zones: &zones[slice_of(zones.len(), w)],
+            servers: &servers[slice_of(servers.len(), w)],
+            names: &names[slice_of(names.len(), w)],
+        };
+        registry
+            .iter()
+            .map(|rule| rule.check(&ctx))
+            .collect::<Vec<_>>()
+    });
+    // Merge rule-major, workers in range order — the serial order.
+    let mut diagnostics = Vec::new();
+    for rule_idx in 0..registry.len() {
+        for worker in &mut worker_shards {
+            diagnostics.append(&mut worker[rule_idx]);
+        }
+    }
 
     finish_report(
         universe,
@@ -195,63 +219,6 @@ fn finish_report<'u>(
         servers,
         names,
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sharded_check(
-    universe: &Universe,
-    index: &DependencyIndex,
-    facts: &LintIndex,
-    registry: &RuleRegistry,
-    names: &[DnsName],
-    zones: &[ZoneId],
-    servers: &[ServerId],
-    workers: usize,
-) -> Vec<Diagnostic> {
-    // Contiguous per-axis sub-ranges; a worker may own an empty slice of
-    // one axis and a populated slice of another.
-    let slice_of = |len: usize, w: usize| {
-        let chunk = len.div_ceil(workers).max(1);
-        let start = (w * chunk).min(len);
-        start..(start + chunk).min(len)
-    };
-    // worker-major: worker → rule → diagnostics.
-    let mut worker_shards: Vec<Vec<Vec<Diagnostic>>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let zone_range = slice_of(zones.len(), w);
-            let server_range = slice_of(servers.len(), w);
-            let name_range = slice_of(names.len(), w);
-            handles.push(scope.spawn(move |_| {
-                let ctx = LintCtx {
-                    universe,
-                    index,
-                    facts,
-                    zones: &zones[zone_range],
-                    servers: &servers[server_range],
-                    names: &names[name_range],
-                };
-                registry
-                    .iter()
-                    .map(|rule| rule.check(&ctx))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        for handle in handles {
-            worker_shards.push(handle.join().expect("lint shard panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-
-    // Merge rule-major, workers in range order — the serial order.
-    let mut out = Vec::new();
-    for rule_idx in 0..registry.len() {
-        for worker in &mut worker_shards {
-            out.append(&mut worker[rule_idx]);
-        }
-    }
-    out
 }
 
 /// The serialization a lint sink writes.

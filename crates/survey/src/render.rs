@@ -15,6 +15,7 @@
 //! [`NameMetric`]: perils_core::NameMetric
 
 use crate::engine::{ReportError, SurveyReport};
+use perils_util::par;
 use perils_util::table::Table;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -653,50 +654,21 @@ impl FigureRegistry {
     /// [`FigureOutcome::Failed`]. Never panics on schema mismatches.
     ///
     /// Figures are independent of each other (each reads only the shared
-    /// report), so they build **in parallel** across available cores —
-    /// heavyweight figures like the paper-scale CDFs no longer serialize
-    /// behind each other. Work-stealing assigns figures to workers, but
-    /// every outcome lands in its registration-order slot, so the result
-    /// (and any sink fed from it) is identical to a sequential pass.
+    /// report), so they build **in parallel**: each worker takes a
+    /// contiguous run of figures in registration order, and the runs are
+    /// joined in order, so the result (and any sink fed from it) is
+    /// identical to a sequential pass.
     pub fn build_all(&self, report: &SurveyReport) -> Vec<FigureOutcome> {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(self.figures.len())
-            .min(8);
-        if threads <= 1 {
-            return self
-                .figures
+        let figures = &self.figures;
+        par::map_ranges(figures.len(), par::threads(None).min(8), |run| {
+            figures[run]
                 .iter()
                 .map(|figure| FigureRegistry::outcome_of(figure.as_ref(), report))
-                .collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut indexed: Vec<(usize, FigureOutcome)> = Vec::with_capacity(self.figures.len());
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                let figures = &self.figures;
-                handles.push(scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= figures.len() {
-                            break;
-                        }
-                        local.push((i, FigureRegistry::outcome_of(figures[i].as_ref(), report)));
-                    }
-                    local
-                }));
-            }
-            for handle in handles {
-                indexed.extend(handle.join().expect("figure build worker panicked"));
-            }
+                .collect::<Vec<_>>()
         })
-        .expect("crossbeam scope");
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, outcome)| outcome).collect()
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 

@@ -4,14 +4,18 @@
 //! Two layers of pinning:
 //!
 //! 1. **Order independence** (property): the same event feed permuted
-//!    arbitrarily, or re-dealt into any number of ingestion shards,
+//!    arbitrarily, or re-dealt round-robin and ingested deal by deal,
 //!    produces a byte-identical *canonical* universe
 //!    (`UniverseBuilder::finish_canonical`), with a byte-identical
 //!    `DependencyIndex` (observed through dependencies and
 //!    per-name closures) and a byte-identical full figure set.
-//! 2. **Engine equivalence**: `Engine::run_batched` (the streamed,
-//!    bounded-memory pass) equals `Engine::run` column for column (also
-//!    covered per batch size in `prop_engine.rs`).
+//! 2. **Thread-count invariance of lint**: sharded lint at any worker
+//!    count returns exactly the serial reference `check_universe`'s
+//!    diagnostics and renders the same bytes.
+//!
+//! `Engine::run_batched` (the streamed, bounded-memory pass) equals
+//! `Engine::run` column for column at every batch size; `prop_engine.rs`
+//! pins that.
 
 use proptest::prelude::*;
 
@@ -147,6 +151,47 @@ fn lint_output_is_thread_count_invariant() {
     }
 }
 
+/// With default severities and no overrides, `run_lint_with` returns
+/// exactly the serial reference's diagnostics at every worker count.
+#[test]
+fn sharded_lint_equals_the_serial_reference() {
+    use perils_core::lint::{check_universe, LintIndex, RuleRegistry, SeverityOverrides};
+    use perils_survey::lint::run_lint_with;
+    use perils_survey::WorldSpec;
+
+    let worlds = [2005u64, 20040722]
+        .map(|seed| source(seed).load())
+        .into_iter()
+        .chain([WorldSpec::Tripwire.stream().collect()]);
+    for world in worlds {
+        let universe = &world.universe;
+        let names: Vec<_> = world.names.iter().map(|n| n.name.clone()).collect();
+        let index = DependencyIndex::build(universe);
+        let facts = LintIndex::build(universe);
+        let registry = RuleRegistry::builtin();
+        let serial = check_universe(universe, &index, &facts, &registry, &names);
+        assert!(
+            !serial.is_empty(),
+            "the reference finds something to compare"
+        );
+        for workers in [1, 3, 8] {
+            let report = run_lint_with(
+                universe,
+                &names,
+                &registry,
+                &SeverityOverrides::new(),
+                std::num::NonZeroUsize::new(workers),
+                &index,
+                &facts,
+            );
+            assert_eq!(
+                report.diagnostics, serial,
+                "sharded lint diverged from check_universe at {workers} workers"
+            );
+        }
+    }
+}
+
 #[test]
 fn decomposed_world_round_trips_through_the_stream() {
     // An explicit decomposition (`Universe::into_events`) fed back
@@ -170,78 +215,10 @@ fn decomposed_world_round_trips_through_the_stream() {
     assert_eq!(world2.stream().collect().universe, reference);
 }
 
-/// Column-for-column report equality (the value aggregate compared by
-/// ranking, as in `prop_engine.rs`, but assert-based for plain tests).
-fn assert_reports_equal(a: &SurveyReport, b: &SurveyReport, what: &str) {
-    use perils_core::metric::MetricColumn;
-    let ids_a: Vec<&str> = a.column_ids().collect();
-    let ids_b: Vec<&str> = b.column_ids().collect();
-    assert_eq!(ids_a, ids_b, "column sets differ ({what})");
-    for id in ids_a {
-        match (a.column(id).unwrap(), b.column(id).unwrap()) {
-            (MetricColumn::Counts(x), MetricColumn::Counts(y)) => {
-                assert_eq!(x, y, "{id} differs ({what})")
-            }
-            (MetricColumn::Floats(x), MetricColumn::Floats(y)) => {
-                assert_eq!(x, y, "{id} differs ({what})")
-            }
-            (MetricColumn::Value(x), MetricColumn::Value(y)) => {
-                assert_eq!(x.names_seen(), y.names_seen(), "{id} ({what})");
-                assert_eq!(x.ranking(), y.ranking(), "{id} ranking ({what})");
-            }
-            _ => panic!("{id} changed column kind ({what})"),
-        }
-    }
-}
-
-/// The parallel ingestion front-end: the same feed dealt round-robin
-/// into N shards drained concurrently into one builder produces the
-/// canonical universe for every shard count — and `Engine::run_batched`
-/// over a sharded stream produces the same report as the monolithic
-/// world.
-#[test]
-fn sharded_ingestion_front_end_is_shard_count_invariant() {
-    let (events, names, top500) = feed(20040722);
-    let reference = build(events.clone(), true);
-
-    let deal = |shards: usize| -> perils_survey::WorldStream {
-        let mut dealt: Vec<Vec<UniverseEvent>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, event) in events.iter().cloned().enumerate() {
-            dealt[i % shards].push(event);
-        }
-        let mut stream = perils_survey::WorldStream::new(
-            std::iter::empty(),
-            names.clone().into_iter(),
-            top500.clone(),
-        );
-        for shard in dealt {
-            stream = stream.with_shard(shard.into_iter());
-        }
-        stream
-    };
-
-    for shards in [1usize, 2, 8] {
-        assert_eq!(
-            deal(shards).build_universe(),
-            reference,
-            "sharded ingestion diverged at {shards} shards"
-        );
-    }
-
-    let engine = Engine::with_extended_metrics().register(ZombieDelegationMetric);
-    let expected = engine.run_world(AnalysisWorld {
-        universe: reference,
-        names: names.clone(),
-        top500: top500.clone(),
-    });
-    let got = engine.run_stream(deal(3), std::num::NonZeroUsize::new(64).unwrap());
-    assert_reports_equal(&got, &expected, "sharded run_batched vs monolithic run");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Any event-order permutation, and any ingestion shard count,
+    /// Any event-order permutation, and any round-robin re-deal of it,
     /// produces a canonical universe — and therefore a dependency index
     /// and a full figure set — byte-identical to the monolithic build.
     #[test]

@@ -22,6 +22,8 @@
 //! * [`bytestore`] — heap and demand-paged byte backends plus the word
 //!   views snapshot decoders serve archives through.
 //! * [`cli`] — the argv reader and exit-2 usage errors of the binaries.
+//! * [`par`] — the one data-parallel primitive: contiguous ranges on
+//!   scoped workers, joined in range order, and the default thread count.
 
 #![forbid(unsafe_code)]
 
@@ -29,6 +31,7 @@ pub mod bytestore;
 pub mod cli;
 pub mod dist;
 pub mod json;
+pub mod par;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;
