@@ -238,6 +238,10 @@ impl LintIndex {
     /// Builds every shared fact: the cycle-collapsed glueless depth
     /// index, the liveness classification, the no-faults reachability
     /// baseline, and which servers any delegation references at all.
+    ///
+    /// Each fact is one pass over the universe. The depth index, built
+    /// from one glueless edge list per home zone with no server graph
+    /// ([`DepthIndex::build`]), is the largest of them.
     pub fn build(universe: &Universe) -> LintIndex {
         let reach = Reachability::compute(universe, &BTreeSet::new());
         let zone_reachable = universe
@@ -745,12 +749,14 @@ impl DeepChainRule {
     /// Reconstructs one worst-case nesting path: a chain of glueless NS
     /// hops, each strictly decreasing the remaining depth. The successor
     /// always exists because the component depths were computed as
-    /// `1 + max(successor depth)` over exactly these edges.
+    /// `1 + max(successor depth)` over exactly these edges. `hop_chain`
+    /// is scratch space for each hop's delegation chain.
     fn worst_path(
         universe: &Universe,
         depths: &DepthIndex,
         chain: &[ZoneId],
         total: usize,
+        hop_chain: &mut Vec<ZoneId>,
     ) -> Vec<EvidenceStep> {
         let mut steps = Vec::new();
         let mut cursor: Option<ServerId> = None;
@@ -781,7 +787,8 @@ impl DeepChainRule {
             // glueless SCC (cycles are one collapsed level).
             let members: &[ServerId] = depths.cycle_of(sid).unwrap_or(std::slice::from_ref(&sid));
             'next: for &member in members {
-                for &zid in &universe.chain_zones(&universe.server(member).name) {
+                universe.server_chain_into(member, hop_chain);
+                for &zid in hop_chain.iter() {
                     let zone = universe.zone(zid);
                     for &dep in &zone.ns {
                         let dep_server = universe.server(dep);
@@ -818,6 +825,7 @@ impl LintRule for DeepChainRule {
         // Only the name's own chain matters here, not its closure.
         let mut out = Vec::new();
         let mut chain = Vec::new();
+        let mut hop_chain = Vec::new();
         for name in ctx.names {
             ctx.universe.chain_zones_into(name, &mut chain);
             let depth = ctx.facts.depths().depth_of_chain(ctx.universe, &chain);
@@ -832,7 +840,13 @@ impl LintRule for DeepChainRule {
                     "resolving {name} can force {depth} nested glueless sub-resolutions (threshold {})",
                     self.threshold
                 ),
-                evidence: DeepChainRule::worst_path(ctx.universe, ctx.facts.depths(), &chain, depth),
+                evidence: DeepChainRule::worst_path(
+                    ctx.universe,
+                    ctx.facts.depths(),
+                    &chain,
+                    depth,
+                    &mut hop_chain,
+                ),
             });
         }
         out

@@ -17,33 +17,33 @@
 
 use crate::metric::{columns, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState};
 use crate::universe::{ServerId, Universe, ZoneId};
-use perils_dns::name::DnsName;
+use perils_dns::name::{DnsName, Label};
 use std::any::Any;
-use std::collections::BTreeSet;
 
 /// The registered operator domain of a server name: its last two labels
-/// (`ns1.dns7.net` → `dns7.net`).
-fn operator_of(name: &DnsName) -> DnsName {
-    name.suffix(2)
+/// (`ns1.dns7.net` → `dns7.net`), borrowed.
+fn operator_labels(name: &DnsName) -> &[Label] {
+    let labels = name.labels();
+    &labels[labels.len().saturating_sub(2)..]
 }
 
 /// The shared operator domain when all of the zone's (two or more)
 /// nameservers sit under one registered parent.
+///
+/// The operators are compared in place (labels compare
+/// case-insensitively); only the returned domain is allocated, spelled as
+/// the first NS spells it.
 pub fn single_operator(universe: &Universe, zone: ZoneId) -> Option<DnsName> {
     let zone = universe.zone(zone);
-    if zone.ns.len() < 2 {
+    let (&first, rest) = zone.ns.split_first()?;
+    if rest.is_empty() {
         return None;
     }
-    let operators: BTreeSet<DnsName> = zone
-        .ns
-        .iter()
-        .map(|&s| operator_of(&universe.server(s).name))
-        .collect();
-    if operators.len() == 1 {
-        operators.into_iter().next()
-    } else {
-        None
-    }
+    let first = &universe.server(first).name;
+    let operator = operator_labels(first);
+    rest.iter()
+        .all(|&s| operator_labels(&universe.server(s).name) == operator)
+        .then(|| first.suffix(2))
 }
 
 /// The zone's NS hosts with no address anywhere in the modeled universe
@@ -73,6 +73,8 @@ pub fn unresolvable_ns(universe: &Universe, zone: ZoneId) -> Vec<ServerId> {
 /// on dense mutual-secondary webs.
 #[cfg(test)]
 fn dependency_depth(universe: &Universe, name: &DnsName) -> usize {
+    use std::collections::BTreeSet;
+
     fn depth_of_server(
         universe: &Universe,
         server: ServerId,
@@ -121,14 +123,100 @@ fn dependency_depth(universe: &Universe, name: &DnsName) -> usize {
     worst
 }
 
+/// The glueless-dependency adjacency behind [`DepthIndex`], stored per
+/// home zone: server `s` has an edge to `g` when resolving `s`'s address
+/// can force a glueless sub-resolution of `g` (`g` serves a zone on `s`'s
+/// chain out of bailiwick). That set depends only on `s`'s home zone, so
+/// every server homed in one zone shares one list, in chain order
+/// (root-first, then each zone's NS order, first occurrence kept).
+struct GluelessEdges {
+    /// Per server: its list's index (list 0 is empty: root servers and
+    /// servers whose chain is empty).
+    list_of: Vec<u32>,
+    /// List `l` is `targets[offsets[l]..offsets[l + 1]]`.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl GluelessEdges {
+    /// Builds the lists by recurrence over the zone tree:
+    /// `E(z) = E(parent) ++ (G(z) \ E(parent))`, where `G(z)` is `z`'s own
+    /// glueless NS. That is the root-first chain walk, first occurrence
+    /// kept, with each zone's NS set filtered once rather than once per
+    /// zone below it. Ancestors that home no server get a list too.
+    fn build(universe: &Universe) -> GluelessEdges {
+        let mut list_of = vec![0u32; universe.server_count()];
+        let mut list_of_zone = vec![u32::MAX; universe.zone_count()];
+        let mut offsets = vec![0u32, 0];
+        let mut targets: Vec<u32> = Vec::new();
+        // Per server: the last list that took it, so each list dedups in
+        // O(1) per candidate.
+        let mut taken_by = vec![u32::MAX; universe.server_count()];
+        let mut pending = Vec::new();
+        for sid in universe.server_ids() {
+            if universe.server(sid).is_root {
+                continue;
+            }
+            // Climb to the deepest ancestor that has a list, then build
+            // the missing lists top-down.
+            pending.clear();
+            let mut base = 0u32;
+            for zid in universe.server_chain_up(sid) {
+                match list_of_zone[zid.index()] {
+                    u32::MAX => pending.push(zid),
+                    list => {
+                        base = list;
+                        break;
+                    }
+                }
+            }
+            for &zid in pending.iter().rev() {
+                let list = (offsets.len() - 1) as u32;
+                for k in offsets[base as usize]..offsets[base as usize + 1] {
+                    let target = targets[k as usize];
+                    taken_by[target as usize] = list;
+                    targets.push(target);
+                }
+                let zone = universe.zone(zid);
+                for &dep in &zone.ns {
+                    let dep_server = universe.server(dep);
+                    if taken_by[dep.index()] != list
+                        && !dep_server.is_root
+                        && !dep_server.name.is_subdomain_of(&zone.origin)
+                    {
+                        taken_by[dep.index()] = list;
+                        targets.push(dep.0);
+                    }
+                }
+                offsets.push(targets.len() as u32);
+                list_of_zone[zid.index()] = list;
+                base = list;
+            }
+            list_of[sid.index()] = base;
+        }
+        GluelessEdges {
+            list_of,
+            offsets,
+            targets,
+        }
+    }
+
+    /// The glueless targets of server `u`, in insertion order.
+    fn of(&self, u: usize) -> &[u32] {
+        let l = self.list_of[u] as usize;
+        &self.targets[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+    }
+}
+
 /// Precomputed glueless-nesting depths for every server in a universe.
 ///
 /// Enumerating simple paths is exact but explodes on the dense
 /// mutual-secondary webs real (and synthetic) topologies contain. This
 /// index computes the same quantity **cycle-collapsed** — longest path
-/// over the SCC condensation of the glueless-dependency graph, linear in
-/// servers + edges — which agrees with the exhaustive search on acyclic
-/// webs and treats a mutual-secondary cycle as a single nesting level.
+/// over the strongly connected components of the glueless-dependency
+/// graph, linear in servers + edges — which agrees with the exhaustive
+/// search on acyclic webs and treats a mutual-secondary cycle as a single
+/// nesting level.
 /// The survey metric uses this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepthIndex {
@@ -213,62 +301,56 @@ impl DepthIndex {
         })
     }
 
-    /// Builds the index (O(servers × chain length + edges)).
+    /// Builds the index without materializing a server graph, in time
+    /// linear in the zones' NS sets, the per-zone edge lists and the
+    /// edges Tarjan walks.
+    ///
+    /// A server's glueless edges depend only on its home zone, so the
+    /// build computes one deduplicated target list per home zone and runs
+    /// Tarjan over that implicit adjacency.
+    /// Tarjan emits components in reverse topological order, so the
+    /// longest paths take one pass over the components in emission order,
+    /// reading each member's list: every out-of-component target already
+    /// has its final depth. No graph, condensation DAG or edge set is
+    /// allocated; the peak is the Tarjan state plus the lists.
     pub fn build(universe: &Universe) -> DepthIndex {
-        use perils_graph::digraph::{DiGraph, NodeId};
-        use perils_graph::scc::condensation;
         let n = universe.server_count();
-        let mut graph: DiGraph<()> = DiGraph::new();
-        for _ in 0..n {
-            graph.add_node(());
-        }
-        // Edge s → g when resolving s's address can force a glueless
-        // sub-resolution of g (g serves a chain zone of s out of bailiwick).
-        for sid in universe.server_ids() {
-            let entry = universe.server(sid);
-            if entry.is_root {
-                continue;
-            }
-            for &zid in &universe.chain_zones(&entry.name) {
-                let zone = universe.zone(zid);
-                for &dep in &zone.ns {
-                    let dep_server = universe.server(dep);
-                    if !dep_server.is_root && !dep_server.name.is_subdomain_of(&zone.origin) {
-                        graph
-                            .add_edge_dedup(NodeId(sid.index() as u32), NodeId(dep.index() as u32));
+        let edges = GluelessEdges::build(universe);
+        let scc = perils_graph::scc::tarjan_scc_with(
+            n,
+            |u| edges.of(u).len(),
+            |u, k| edges.of(u)[k] as usize,
+        );
+        let mut component_depth = vec![0usize; scc.count()];
+        for (c, members) in scc.components.iter().enumerate() {
+            let mut best = 0usize;
+            for member in members {
+                for &target in edges.of(member.index()) {
+                    let d = scc.component_of[target as usize];
+                    if d != c {
+                        best = best.max(1 + component_depth[d]);
                     }
                 }
-            }
-        }
-        // Longest path over the condensation DAG. Tarjan emits components
-        // in reverse topological order, so every out-neighbor of component
-        // `c` has a smaller id and is already final.
-        let (dag, scc) = condensation(&graph);
-        let mut component_depth = vec![0usize; scc.count()];
-        for c in 0..scc.count() {
-            let mut best = 0usize;
-            for &d in dag.out_neighbors(NodeId(c as u32)) {
-                best = best.max(1 + component_depth[d.index()]);
             }
             component_depth[c] = best;
         }
         // Record the multi-member components: those are the glueless
         // dependency cycles the lint engine reports as evidence.
-        let mut members: Vec<Vec<ServerId>> = vec![Vec::new(); scc.count()];
-        for i in 0..n {
-            members[scc.component_of[i]].push(ServerId(i as u32));
-        }
         let mut cycles = Vec::new();
         let mut cycle_index = vec![None; scc.count()];
-        for (c, m) in members.into_iter().enumerate() {
-            if m.len() >= 2 {
+        for (c, members) in scc.components.iter().enumerate() {
+            if members.len() >= 2 {
+                let mut cycle: Vec<ServerId> = members.iter().map(|m| ServerId(m.0)).collect();
+                cycle.sort_unstable();
                 cycle_index[c] = Some(cycles.len() as u32);
-                cycles.push(m);
+                cycles.push(cycle);
             }
         }
         DepthIndex {
-            depth: (0..n)
-                .map(|i| component_depth[scc.component_of[i]])
+            depth: scc
+                .component_of
+                .iter()
+                .map(|&c| component_depth[c])
                 .collect(),
             component_of: scc.component_of,
             cycles,
@@ -507,14 +589,37 @@ mod tests {
         assert_eq!(dependency_depth(&u, &name("www.self.com")), 0);
     }
 
-    #[test]
-    fn depth_index_agrees_with_exhaustive_on_acyclic_webs() {
+    /// victim.com nests two glueless levels; self.com hosts itself.
+    fn acyclic_web() -> Universe {
         let mut b = base();
         b.add_zone(&name("victim.com"), &[name("ns.a.net")]);
         b.add_zone(&name("a.net"), &[name("ns.b.net")]);
         b.add_zone(&name("b.net"), &[name("ns.b.net")]);
         b.add_zone(&name("self.com"), &[name("ns1.self.com")]);
-        let u = b.finish();
+        b.finish()
+    }
+
+    /// Mutual glueless secondaries: x.com ↔ y.com.
+    fn mutual_pair() -> Universe {
+        let mut b = base();
+        b.add_zone(&name("x.com"), &[name("ns.y.com")]);
+        b.add_zone(&name("y.com"), &[name("ns.x.com")]);
+        b.finish()
+    }
+
+    /// A single-server zone beside a two-level glueless chain.
+    fn metric_world() -> Universe {
+        let mut b = base();
+        b.add_zone(&name("solo.com"), &[name("ns1.solo.com")]);
+        b.add_zone(&name("victim.com"), &[name("ns.a.net")]);
+        b.add_zone(&name("a.net"), &[name("ns.b.net")]);
+        b.add_zone(&name("b.net"), &[name("ns.b.net")]);
+        b.finish()
+    }
+
+    #[test]
+    fn depth_index_agrees_with_exhaustive_on_acyclic_webs() {
+        let u = acyclic_web();
         let index = DepthIndex::build(&u);
         for target in [
             name("www.victim.com"),
@@ -534,10 +639,7 @@ mod tests {
         // Mutual glueless secondaries: x.com ↔ y.com. The exhaustive
         // search walks into the cycle and once around it; the index
         // collapses the cycle to a single level. Both terminate.
-        let mut b = base();
-        b.add_zone(&name("x.com"), &[name("ns.y.com")]);
-        b.add_zone(&name("y.com"), &[name("ns.x.com")]);
-        let u = b.finish();
+        let u = mutual_pair();
         let index = DepthIndex::build(&u);
         assert_eq!(index.depth_of_name(&u, &name("www.x.com")), 1);
         assert_eq!(dependency_depth(&u, &name("www.x.com")), 3);
@@ -546,12 +648,7 @@ mod tests {
     #[test]
     fn misconfig_metric_flags_and_depth() {
         use crate::closure::DependencyIndex;
-        let mut b = base();
-        b.add_zone(&name("solo.com"), &[name("ns1.solo.com")]);
-        b.add_zone(&name("victim.com"), &[name("ns.a.net")]);
-        b.add_zone(&name("a.net"), &[name("ns.b.net")]);
-        b.add_zone(&name("b.net"), &[name("ns.b.net")]);
-        let u = b.finish();
+        let u = metric_world();
         let index = DependencyIndex::build(&u);
         let metric = MisconfigMetric { depth_threshold: 1 };
         let targets = [name("www.solo.com"), name("www.victim.com")];
@@ -574,5 +671,151 @@ mod tests {
         assert_eq!(depth[0], 0, "glued self-hosting nests nothing");
         assert_ne!(flags[1] & FLAG_DEEP_DEPENDENCY, 0, "victim nests past 1");
         assert_eq!(depth[1], 2);
+    }
+
+    /// The server-graph form of [`DepthIndex::build`], the reference the
+    /// edge-list build must equal field for field: every server's chain
+    /// looked up by name, each glueless edge inserted into a `DiGraph`
+    /// with dedup, Tarjan over that graph, and longest paths over its
+    /// condensation DAG.
+    fn reference_build(universe: &Universe) -> DepthIndex {
+        use perils_graph::digraph::{DiGraph, NodeId};
+        use perils_graph::scc::tarjan_scc;
+        let n = universe.server_count();
+        let mut graph: DiGraph<()> = DiGraph::new();
+        for _ in 0..n {
+            graph.add_node(());
+        }
+        for sid in universe.server_ids() {
+            let entry = universe.server(sid);
+            if entry.is_root {
+                continue;
+            }
+            for &zid in &universe.chain_zones(&entry.name) {
+                let zone = universe.zone(zid);
+                for &dep in &zone.ns {
+                    let dep_server = universe.server(dep);
+                    if !dep_server.is_root && !dep_server.name.is_subdomain_of(&zone.origin) {
+                        graph
+                            .add_edge_dedup(NodeId(sid.index() as u32), NodeId(dep.index() as u32));
+                    }
+                }
+            }
+        }
+        let scc = tarjan_scc(&graph);
+        let mut dag: DiGraph<()> = DiGraph::new();
+        for _ in 0..scc.count() {
+            dag.add_node(());
+        }
+        let mut seen = std::collections::HashSet::new();
+        for (from, to) in graph.edges() {
+            let (cf, ct) = (scc.component_of[from.index()], scc.component_of[to.index()]);
+            if cf != ct && seen.insert((cf, ct)) {
+                dag.add_edge(NodeId(cf as u32), NodeId(ct as u32));
+            }
+        }
+        let mut component_depth = vec![0usize; scc.count()];
+        for c in 0..scc.count() {
+            let mut best = 0usize;
+            for &d in dag.out_neighbors(NodeId(c as u32)) {
+                best = best.max(1 + component_depth[d.index()]);
+            }
+            component_depth[c] = best;
+        }
+        let mut members: Vec<Vec<ServerId>> = vec![Vec::new(); scc.count()];
+        for i in 0..n {
+            members[scc.component_of[i]].push(ServerId(i as u32));
+        }
+        let mut cycles = Vec::new();
+        let mut cycle_index = vec![None; scc.count()];
+        for (c, m) in members.into_iter().enumerate() {
+            if m.len() >= 2 {
+                cycle_index[c] = Some(cycles.len() as u32);
+                cycles.push(m);
+            }
+        }
+        DepthIndex {
+            depth: (0..n)
+                .map(|i| component_depth[scc.component_of[i]])
+                .collect(),
+            component_of: scc.component_of,
+            cycles,
+            cycle_index,
+        }
+    }
+
+    /// A seeded random universe of 20–60 zones besides the root: nested
+    /// zones under three TLDs, NS hosts in and out of bailiwick, mutual
+    /// glueless secondaries, hosts under an undelegated TLD (no home zone
+    /// at all when the root zone is left out), and root servers serving
+    /// zones.
+    fn random_universe(seed: u64) -> Universe {
+        use perils_util::Rng;
+        let mut rng = Rng::new(seed);
+        let mut b = Universe::builder();
+        let roots = [name("a.root-servers.net"), name("b.root-servers.net")];
+        for root in &roots {
+            b.raw_server(root, false, true);
+        }
+        if rng.chance(0.8) {
+            b.add_zone(&DnsName::root(), &roots);
+        }
+        let tlds = ["com", "net", "org"];
+        for tld in tlds {
+            b.add_zone(&name(tld), &[roots[0].clone(), name("a.gtld.net")]);
+        }
+        let zones = 20 + rng.below_usize(41) - tlds.len();
+        let mut origins: Vec<String> = Vec::new();
+        for i in 0..zones {
+            let origin = if !origins.is_empty() && rng.chance(0.35) {
+                format!("s{i}.{}", origins[rng.below_usize(origins.len())])
+            } else {
+                format!("d{i}.{}", tlds[rng.below_usize(tlds.len())])
+            };
+            origins.push(origin);
+        }
+        let mut ns: Vec<Vec<DnsName>> = vec![Vec::new(); zones];
+        for (i, list) in ns.iter_mut().enumerate() {
+            for _ in 0..1 + rng.below_usize(4) {
+                let host = match rng.below_usize(10) {
+                    0..=2 => format!("ns{}.{}", rng.below_usize(3), origins[i]),
+                    3..=7 => format!(
+                        "ns{}.{}",
+                        rng.below_usize(3),
+                        origins[rng.below_usize(zones)]
+                    ),
+                    8 => format!("ns{}.nowhere.test", rng.below_usize(3)),
+                    _ => roots[rng.below_usize(2)].to_string(),
+                };
+                list.push(name(&host));
+            }
+        }
+        for _ in 0..rng.below_usize(4) {
+            let (i, j) = (rng.below_usize(zones), rng.below_usize(zones));
+            ns[i].push(name(&format!("ns9.{}", origins[j])));
+            ns[j].push(name(&format!("ns9.{}", origins[i])));
+        }
+        // Zones arrive in a shuffled order, so ids do not follow the tree.
+        let mut order: Vec<usize> = (0..zones).collect();
+        rng.shuffle(&mut order);
+        for i in order {
+            b.add_zone(&name(&origins[i]), &ns[i]);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn build_equals_the_server_graph_reference() {
+        for u in [acyclic_web(), mutual_pair(), metric_world()] {
+            assert_eq!(DepthIndex::build(&u), reference_build(&u));
+        }
+        let mut cyclic = 0;
+        for seed in 0..300 {
+            let u = random_universe(seed);
+            let index = DepthIndex::build(&u);
+            cyclic += usize::from(!index.cycles().is_empty());
+            assert_eq!(index, reference_build(&u), "seed {seed}");
+        }
+        assert!(cyclic > 30, "only {cyclic} random universes had a cycle");
     }
 }

@@ -1,9 +1,10 @@
-//! Strongly connected components (iterative Tarjan) and condensation.
+//! Strongly connected components (iterative Tarjan, parallel FW-BW).
 //!
 //! Delegation graphs are cyclic in practice — zones serve each other's
 //! nameservers (the paper's Figure 1 shows cornell ↔ rochester ↔ wisc
-//! interdependencies). SCCs identify such mutual-trust clusters, and the
-//! condensation turns the graph into a DAG for closure computations.
+//! interdependencies). SCCs identify such mutual-trust clusters, and
+//! their reverse-topological numbering lets closure and depth passes
+//! walk the condensation in id order without building it.
 
 use crate::digraph::{DiGraph, NodeId};
 use perils_util::par;
@@ -12,8 +13,9 @@ use perils_util::par;
 #[derive(Debug, Clone)]
 pub struct SccResult {
     /// For each node, the id of its component (0-based, reverse
-    /// topological: an edge in the condensation goes from a higher SCC id
-    /// to a lower one... see [`condensation`] which re-checks this).
+    /// topological: every edge `a → b` has `component_of[a] >=
+    /// component_of[b]`, so a pass in ascending id order sees every
+    /// out-of-component successor finished first).
     pub component_of: Vec<usize>,
     /// Members of each component.
     pub components: Vec<Vec<NodeId>>,
@@ -639,29 +641,9 @@ where
     }
 }
 
-/// Builds the condensation DAG: one node per SCC (weighted by member count),
-/// with deduplicated edges between distinct components.
-pub fn condensation<N>(graph: &DiGraph<N>) -> (DiGraph<usize>, SccResult) {
-    let scc = tarjan_scc(graph);
-    let mut dag: DiGraph<usize> = DiGraph::new();
-    for members in &scc.components {
-        dag.add_node(members.len());
-    }
-    let mut seen = std::collections::HashSet::new();
-    for (from, to) in graph.edges() {
-        let cf = scc.component_of[from.index()];
-        let ct = scc.component_of[to.index()];
-        if cf != ct && seen.insert((cf, ct)) {
-            dag.add_edge(NodeId(cf as u32), NodeId(ct as u32));
-        }
-    }
-    (dag, scc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::topo_sort;
 
     #[test]
     fn single_cycle_is_one_component() {
@@ -701,7 +683,7 @@ mod tests {
         g.add_edge(rochester, cornell);
         g.add_edge(rochester, wisc);
         g.add_edge(wisc, umich);
-        let (dag, scc) = condensation(&g);
+        let scc = tarjan_scc(&g);
         assert_eq!(scc.count(), 3);
         assert_eq!(
             scc.component_of[cornell.index()],
@@ -711,25 +693,13 @@ mod tests {
             scc.component_of[wisc.index()],
             scc.component_of[umich.index()]
         );
-        // Condensation is a DAG.
-        assert!(topo_sort(&dag).is_some());
-        assert_eq!(dag.node_count(), 3);
-        assert_eq!(dag.edge_count(), 2);
-        // The pair component has weight 2.
-        let pair = NodeId(scc.component_of[cornell.index()] as u32);
-        assert_eq!(*dag.weight(pair), 2);
-    }
-
-    #[test]
-    fn condensation_deduplicates_edges() {
-        let mut g = DiGraph::<()>::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        g.add_edge(a, b);
-        g.add_edge(a, b);
-        g.add_edge(a, b);
-        let (dag, _) = condensation(&g);
-        assert_eq!(dag.edge_count(), 1);
+        // Ids are reverse topological: umich, then wisc, then the pair.
+        assert_eq!(scc.component_of[umich.index()], 0);
+        assert_eq!(scc.component_of[wisc.index()], 1);
+        assert_eq!(scc.components[2].len(), 2);
+        for (from, to) in g.edges() {
+            assert!(scc.component_of[from.index()] >= scc.component_of[to.index()]);
+        }
     }
 
     #[test]
@@ -739,8 +709,7 @@ mod tests {
         g.add_edge(a, a);
         let scc = tarjan_scc(&g);
         assert_eq!(scc.count(), 1);
-        let (dag, _) = condensation(&g);
-        assert_eq!(dag.edge_count(), 0, "self-loop collapses away");
+        assert_eq!(scc.components[0], vec![a]);
     }
 
     #[test]

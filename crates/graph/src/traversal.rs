@@ -136,7 +136,8 @@ pub fn shortest_path<N>(graph: &DiGraph<N>, from: NodeId, to: NodeId) -> Option<
 ///
 /// Implemented with one BFS per node over bitsets; suitable for the
 /// per-name delegation graphs (tens to hundreds of nodes). For whole-survey
-/// closures use [`crate::scc::condensation`] first.
+/// closures collapse cycles with [`crate::scc`] first (as
+/// [`crate::csr::Csr`] does).
 pub fn transitive_closure<N>(graph: &DiGraph<N>) -> Vec<BitSet> {
     graph.nodes().map(|v| reachable_from(graph, v)).collect()
 }

@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use perils_graph::digraph::{DiGraph, NodeId};
 use perils_graph::flow::min_vertex_cut;
 use perils_graph::scc::{
-    canonical_scc, condensation, fwbw_scc_with, parallel_scc_with, tarjan_scc, tarjan_scc_with,
+    canonical_scc, fwbw_scc_with, parallel_scc_with, tarjan_scc, tarjan_scc_with,
 };
-use perils_graph::traversal::{reachable_from, topo_sort, transitive_closure};
+use perils_graph::traversal::{reachable_from, transitive_closure};
 
 /// A random directed graph on `n` nodes given an edge bitmap.
 fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> DiGraph<()> {
@@ -129,7 +129,9 @@ proptest! {
     }
 
     /// SCC invariants: components partition the nodes; two nodes share a
-    /// component iff they reach each other; the condensation is acyclic.
+    /// component iff they reach each other; every edge a→b has
+    /// `component_of[a] >= component_of[b]` (Tarjan emits components in
+    /// reverse topological order).
     #[test]
     fn scc_invariants((n, edges) in arb_graph(8, 24)) {
         let g = graph_from_edges(n, &edges);
@@ -145,8 +147,12 @@ proptest! {
                 prop_assert_eq!(same, mutual, "SCC vs mutual reachability for {:?},{:?}", a, b);
             }
         }
-        let (dag, _) = condensation(&g);
-        prop_assert!(topo_sort(&dag).is_some(), "condensation must be a DAG");
+        for (a, b) in g.edges() {
+            prop_assert!(
+                scc.component_of[a.index()] >= scc.component_of[b.index()],
+                "Tarjan ids must be reverse topological on {:?}->{:?}", a, b
+            );
+        }
     }
 
     /// The parallel SCC (trim + FW-BW) agrees with canonicalized Tarjan on
