@@ -25,8 +25,10 @@
 //!   **level-parallel**: components are grouped by topological level over
 //!   the condensation (a level depends only on deeper levels), each
 //!   level's sets are computed across worker threads, and the merge
-//!   thread interns them in component order — deterministic and
-//!   thread-count invariant by construction;
+//!   thread interns them level by level in component order. Tarjan's
+//!   numbering and that interning order are the only ones the build
+//!   has, at every thread count, so the index bytes are a pure function
+//!   of the universe;
 //! * the build finishes through the archive decoder: its tables are
 //!   written in the `DEPINDEX` layout into a heap byte store and decoded
 //!   back ([`crate::snapshot::decode_dep_index`]), so a built index and one
@@ -113,9 +115,10 @@ pub struct DependencyIndex {
 
 /// Equality of the `DEPINDEX` payloads, which encode every flat table and
 /// both set tables field by field — the round-trip contract of the
-/// snapshot archive. Two indexes built from equal universes by the same
-/// algorithm compare equal (the build is deterministic); an index
-/// reconstituted from an archive compares equal to the one that wrote it.
+/// snapshot archive. Two indexes built from equal universes compare equal
+/// at any thread count (the build has one path and is deterministic); an
+/// index reconstituted from an archive compares equal to the one that
+/// wrote it.
 impl PartialEq for DependencyIndex {
     fn eq(&self, other: &DependencyIndex) -> bool {
         self.section_bytes() == other.section_bytes()
@@ -521,47 +524,12 @@ fn memoize_chunk(
 /// workers costs more than the unions do.
 const LEVEL_PARALLEL_THRESHOLD: usize = 1024;
 
-/// Serial memoization: one bottom-up pass in ascending component id order
-/// (component ids are reverse topological, so every successor is final
-/// before its dependents are visited).
-fn memoize_serial(
-    input: &MemoInput<'_>,
-    server_capacity: usize,
-    zone_capacity: usize,
-) -> MemoResult {
-    let count = input.scc.count();
-    let mut server_sets = BitSetInterner::new(server_capacity);
-    let mut zone_sets = BitSetInterner::new(zone_capacity);
-    let mut component_servers: Vec<Option<SetId>> = vec![None; count];
-    let mut component_zones: Vec<Option<SetId>> = vec![None; count];
-    let mut scratch = MemoScratch::new(server_capacity, zone_capacity);
-    for c in 0..count {
-        input.component_sets(
-            c,
-            &server_sets,
-            &zone_sets,
-            &component_servers,
-            &component_zones,
-            &mut scratch,
-        );
-        component_servers[c] = Some(server_sets.intern(&scratch.out_servers));
-        component_zones[c] = Some(zone_sets.intern(&scratch.out_zones));
-    }
-    MemoResult {
-        component_servers: component_servers.into_iter().map(Option::unwrap).collect(),
-        component_zones: component_zones.into_iter().map(Option::unwrap).collect(),
-        server_sets,
-        zone_sets,
-    }
-}
-
 /// Level-parallel memoization: components grouped by topological level
 /// over the condensation (level 0 depends on nothing; a component's level
 /// is one past its deepest successor), each level's sets computed across
 /// `threads` workers, interned on the merge thread in component order.
-/// Closure contents are identical to [`memoize_serial`] for every
-/// component and invariant in the thread count — only the interner's
-/// internal id assignment order differs, which nothing observes.
+/// The interning order — level by level, component order within a level —
+/// does not depend on `threads`, so neither do the set ids.
 fn memoize_levels(
     input: &MemoInput<'_>,
     server_capacity: usize,
@@ -799,12 +767,11 @@ impl DependencyIndex {
     /// recurrence over the zone tree (memcpy-bound, tree-parallel by
     /// depth level — see `build_zone_rows`) and maps every server to its
     /// home zone. Phase 2 condenses the implicit per-server dependency
-    /// graph into strongly connected components — serial Tarjan at one
-    /// thread, adaptive trim + FW-BW otherwise
-    /// ([`perils_graph::scc::parallel_scc_with`]) — and memoizes each
-    /// component's reachable server/zone sets, serially bottom-up at one
-    /// thread and level-parallel otherwise. Every observable (rows,
-    /// closures, interning statistics) is thread-count invariant.
+    /// graph into strongly connected components with a serial Tarjan
+    /// ([`perils_graph::scc::tarjan_scc_with`]) and memoizes each
+    /// component's reachable server/zone sets level-parallel. The
+    /// `DEPINDEX` bytes — and with them every observable — are identical
+    /// at every thread count and on every machine.
     pub fn build_with_threads(universe: &Universe, threads: usize) -> DependencyIndex {
         DependencyIndex::build_with_stats(universe, threads).0
     }
@@ -855,26 +822,16 @@ impl DependencyIndex {
             let hi = zone_dep_offsets[z as usize + 1] as usize;
             &zone_dep_targets[lo..hi]
         };
-        // Component numbering differs between the strategies (raw Tarjan
-        // vs canonical FW-BW), but every downstream observable — closure
-        // contents, interning statistics, survey output — is invariant
-        // under SCC renumbering; both numberings are reverse topological,
-        // which is all condensation and memoization require.
+        // One path at every thread count: serial Tarjan numbers the
+        // components, level-parallel memoization interns the sets, and
+        // neither depends on `threads` — the `DEPINDEX` bytes are a pure
+        // function of the universe.
         let t1 = std::time::Instant::now();
-        let scc = if threads == 1 {
-            perils_graph::scc::tarjan_scc_with(
-                n,
-                |u| dep_row(u).len(),
-                |u, k| dep_row(u)[k].index(),
-            )
-        } else {
-            perils_graph::scc::parallel_scc_with(
-                n,
-                |u| dep_row(u).len(),
-                |u, k| dep_row(u)[k].index(),
-                threads,
-            )
-        };
+        let scc = perils_graph::scc::tarjan_scc_with(
+            n,
+            |u| dep_row(u).len(),
+            |u, k| dep_row(u)[k].index(),
+        );
         stats.scc = t1.elapsed();
         let t2 = std::time::Instant::now();
         let dag = perils_graph::csr::condense_with(
@@ -890,11 +847,7 @@ impl DependencyIndex {
             universe,
         };
         let t3 = std::time::Instant::now();
-        let memo = if threads == 1 {
-            memoize_serial(&input, n, zn)
-        } else {
-            memoize_levels(&input, n, zn, threads)
-        };
+        let memo = memoize_levels(&input, n, zn, threads);
         stats.memoize = t3.elapsed();
 
         // Finish through the archive decoder: write every table in the
@@ -1398,6 +1351,9 @@ mod tests {
         let u = figure1_universe();
         let serial = DependencyIndex::build_with_threads(&u, 1);
         let parallel = DependencyIndex::build_with_threads(&u, 8);
+        // One build path: the `DEPINDEX` bytes match at every thread count.
+        assert_eq!(serial, parallel);
+        assert_eq!(serial, DependencyIndex::build_with_threads(&u, 2));
         for sid in u.server_ids() {
             assert!(serial.deps_of(sid).eq(parallel.deps_of(sid)), "{sid:?}");
         }

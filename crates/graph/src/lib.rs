@@ -10,9 +10,9 @@
 //!   a deduplicating set interner for memoized sub-closures;
 //! * [`traversal`] — BFS/DFS, topological sort, reachability and transitive
 //!   closure;
-//! * [`scc`] — Tarjan and parallel strongly-connected components, numbered
-//!   reverse topologically (delegation graphs contain cycles: zones
-//!   serving each other);
+//! * [`scc`] — Tarjan strongly-connected components, numbered reverse
+//!   topologically (delegation graphs contain cycles: zones serving each
+//!   other);
 //! * [`flow`] — Dinic max-flow and **minimum s–t vertex cuts** via node
 //!   splitting, the primitive behind the paper's "bottleneck nameserver"
 //!   analysis (Figure 7).

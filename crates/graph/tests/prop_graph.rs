@@ -6,9 +6,7 @@ use proptest::prelude::*;
 
 use perils_graph::digraph::{DiGraph, NodeId};
 use perils_graph::flow::min_vertex_cut;
-use perils_graph::scc::{
-    canonical_scc, fwbw_scc_with, parallel_scc_with, tarjan_scc, tarjan_scc_with,
-};
+use perils_graph::scc::tarjan_scc;
 use perils_graph::traversal::{reachable_from, transitive_closure};
 
 /// A random directed graph on `n` nodes given an edge bitmap.
@@ -152,46 +150,6 @@ proptest! {
                 scc.component_of[a.index()] >= scc.component_of[b.index()],
                 "Tarjan ids must be reverse topological on {:?}->{:?}", a, b
             );
-        }
-    }
-
-    /// The parallel SCC (trim + FW-BW) agrees with canonicalized Tarjan on
-    /// random graphs at every thread count: same partition, same canonical
-    /// numbering, and the canonical ids stay reverse topological.
-    #[test]
-    fn parallel_scc_equals_canonical_tarjan((n, edges) in arb_graph(10, 32)) {
-        let g = graph_from_edges(n, &edges);
-        let degree = |u: usize| g.out_degree(NodeId(u as u32));
-        let neighbor = |u: usize, k: usize| g.out_neighbors(NodeId(u as u32))[k].index();
-        let reference = canonical_scc(
-            &tarjan_scc_with(g.node_count(), degree, neighbor),
-            degree,
-            neighbor,
-        );
-        // fwbw_scc_with pins the trim+FW-BW strategy regardless of the
-        // machine's core count; parallel_scc_with (adaptive dispatch) may
-        // keep raw Tarjan numbering on small machines, so its partition is
-        // normalized through canonical_scc before comparing.
-        for threads in [1usize, 2, 8] {
-            let parallel = fwbw_scc_with(g.node_count(), degree, neighbor, threads);
-            prop_assert_eq!(&parallel.component_of, &reference.component_of,
-                "partition/numbering diverged at {} threads", threads);
-            prop_assert_eq!(&parallel.components, &reference.components,
-                "member lists diverged at {} threads", threads);
-            let adaptive = parallel_scc_with(g.node_count(), degree, neighbor, threads);
-            let normalized = canonical_scc(&adaptive, degree, neighbor);
-            prop_assert_eq!(&normalized.component_of, &reference.component_of,
-                "adaptive dispatch partition diverged at {} threads", threads);
-            for (from, to) in g.edges() {
-                let (cf, ct) = (adaptive.component_of[from.index()], adaptive.component_of[to.index()]);
-                prop_assert!(ct <= cf, "adaptive ids must be reverse topological");
-            }
-        }
-        for (from, to) in g.edges() {
-            let (cf, ct) = (reference.component_of[from.index()], reference.component_of[to.index()]);
-            if cf != ct {
-                prop_assert!(ct < cf, "canonical ids must be reverse topological");
-            }
         }
     }
 

@@ -654,26 +654,16 @@ impl Engine {
             .iter()
             .map(|m| m.prepare(&world.universe))
             .collect();
-        let n = world.names.len();
-        let batch = n.max(1);
         let mut merged: BTreeMap<String, MetricColumn> = BTreeMap::new();
-        let mut start = 0usize;
-        loop {
-            let len = batch.min(n - start);
-            self.run_batch(
-                &world.universe,
-                index,
-                &prepared,
-                &world.names[start..start + len],
-                start,
-                threads,
-                &mut merged,
-            );
-            start += len;
-            if start >= n {
-                break;
-            }
-        }
+        self.run_batch(
+            &world.universe,
+            index,
+            &prepared,
+            &world.names,
+            0,
+            threads,
+            &mut merged,
+        );
         self.finish_report(world, index, merged)
     }
 

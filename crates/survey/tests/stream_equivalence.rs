@@ -60,12 +60,12 @@ fn build(events: impl IntoIterator<Item = UniverseEvent>, canonical: bool) -> Un
 
 /// Every observable of the dependency index, for byte-comparison: the
 /// per-server dependency rows, and the full closure
-/// (server and zone sets) of every surveyed name. `threads` selects the
-/// build path — serial Tarjan + serial recurrence at 1, parallel SCC +
-/// tree-parallel rows otherwise — so comparing across thread counts pins
-/// the parallel pipeline against the serial one.
-fn index_observations(universe: &Universe, names: &[SurveyName], threads: usize) -> Vec<Vec<u32>> {
-    let index = DependencyIndex::build_with_threads(universe, threads);
+/// (server and zone sets) of every surveyed name.
+fn index_observations(
+    index: &DependencyIndex,
+    universe: &Universe,
+    names: &[SurveyName],
+) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
     for sid in universe.server_ids() {
         out.push(index.deps_of(sid).map(|s| s.0).collect());
@@ -245,15 +245,18 @@ proptest! {
         let from_shards = build(dealt.into_iter().flatten(), true);
         prop_assert_eq!(&from_shards, &baseline, "sharded feed diverged");
 
-        // Equal universes ⇒ equal dependency indexes, observed through
-        // chains, dependency rows and every surveyed name's closure —
-        // across the serial (1 thread) and parallel (2, 8 threads) build
-        // pipelines at the same time: parallel SCC ≡ Tarjan and
-        // tree-parallel zone rows ≡ the serial recurrence.
-        let serial_obs = index_observations(&baseline, &names, 1);
+        // Equal universes ⇒ equal dependency indexes at every thread
+        // count: the `DEPINDEX` bytes match the one-thread build's, and so
+        // do the dependency rows and every surveyed name's closure
+        // (tree-parallel zone rows ≡ the serial recurrence, level-parallel
+        // memoization ≡ one worker).
+        let serial = DependencyIndex::build_with_threads(&baseline, 1);
+        let serial_obs = index_observations(&serial, &baseline, &names);
         for threads in [1usize, 2, 8] {
+            let index = DependencyIndex::build_with_threads(&from_permuted, threads);
+            prop_assert!(index == serial, "DEPINDEX bytes diverged at {} threads", threads);
             prop_assert_eq!(
-                &index_observations(&from_permuted, &names, threads),
+                &index_observations(&index, &from_permuted, &names),
                 &serial_obs,
                 "index diverged at {} threads", threads
             );

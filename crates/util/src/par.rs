@@ -2,12 +2,12 @@
 //! contiguous ranges, run each on a scoped worker, and join the results
 //! in range order.
 //!
-//! Every range-sharded pass — the index build's level fan-outs, the SCC
-//! trim, the survey engine, lint and the figure sweep — goes through
+//! Every range-sharded pass — the index build's level fan-outs, the
+//! survey engine, lint and the figure sweep — goes through
 //! [`map_ranges`], and every default worker count comes from
-//! [`threads`]. Because the ranges are contiguous and joined in order,
-//! a caller that concatenates the results sees the serial order at every
-//! thread count.
+//! [`threads`], the only place the machine's core count is read. Because
+//! the ranges are contiguous and joined in order, a caller that
+//! concatenates the results sees the serial order at every thread count.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
