@@ -13,22 +13,20 @@
 //!   home zone's row; sibling nameservers share) and built by recurrence
 //!   over the zone tree — each row is a memcpy of its parent zone's row
 //!   plus the zone's own NS set, with no name hashing on the hot path
-//!   (see `build_zone_rows`). Chains are not stored at all: a server's
+//!   (see `ZoneRows::build`). Chains are not stored at all: a server's
 //!   chain is read off the universe's parent links
 //!   ([`Universe::server_chain_up`]);
-//! * the implicit server→server dependency graph is condensed through
-//!   [`perils_graph::scc::tarjan_scc_with`] without materializing
-//!   per-server edges (delegation webs are cyclic — cornell ↔ rochester
-//!   in Figure 1), and every component's reachable server/zone set is
-//!   memoized once as an interned set
-//!   ([`perils_graph::bitset::BitSetInterner`]). Memoization runs
-//!   **level-parallel**: components are grouped by topological level over
-//!   the condensation (a level depends only on deeper levels), each
-//!   level's sets are computed across worker threads, and the merge
-//!   thread interns them level by level in component order. Tarjan's
-//!   numbering and that interning order are the only ones the build
-//!   has, at every thread count, so the index bytes are a pure function
-//!   of the universe;
+//! * the implicit server→server dependency graph is split into strongly
+//!   connected components by [`perils_graph::scc::tarjan_scc_with`]
+//!   without materializing per-server edges (delegation webs are cyclic —
+//!   cornell ↔ rochester in Figure 1), and every component's reachable
+//!   server/zone set is memoized once as an interned set
+//!   ([`perils_graph::bitset::BitSetInterner`]). Each component's
+//!   successors are read straight off its members' rows, and memoization
+//!   is one pass in Tarjan's component order: the numbering is reverse
+//!   topological, so every successor is interned before the component
+//!   that needs it. The build is serial and takes no thread count, so
+//!   the index bytes are a pure function of the universe;
 //! * the build finishes through the archive decoder: its tables are
 //!   written in the `DEPINDEX` layout into a heap byte store and decoded
 //!   back ([`crate::snapshot::decode_dep_index`]), so a built index and one
@@ -64,9 +62,7 @@ use crate::snapshot::{decode_dep_index, put_ids};
 use crate::universe::{ServerId, Universe, ZoneId};
 use perils_dns::name::DnsName;
 use perils_graph::bitset::{BitSet, BitSetInterner, SetId, SetTable};
-use perils_graph::csr::Csr;
 use perils_graph::scc::SccResult;
-use perils_util::par;
 use perils_util::snapshot::{self, Section, SnapshotError};
 use perils_util::U32View;
 use std::collections::BTreeSet;
@@ -116,7 +112,7 @@ pub struct DependencyIndex {
 /// Equality of the `DEPINDEX` payloads, which encode every flat table and
 /// both set tables field by field — the round-trip contract of the
 /// snapshot archive. Two indexes built from equal universes compare equal
-/// at any thread count (the build has one path and is deterministic); an
+/// (the build is serial and deterministic); an
 /// index reconstituted from an archive compares equal to the one that
 /// wrote it.
 impl PartialEq for DependencyIndex {
@@ -150,14 +146,15 @@ impl From<CheckError> for String {
 
 /// Wall time of each stage of a [`DependencyIndex`] build, as measured by
 /// [`DependencyIndex::build_with_stats`]: the zone-row recurrence, the SCC
-/// pass, the condensation, and the per-component memoization.
+/// pass, the condensation and the per-component memoization.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexBuildStats {
     /// Phase 1a: dependency rows by recurrence over the zone tree.
     pub zone_rows: std::time::Duration,
     /// Phase 2: strongly connected components of the dependency graph.
     pub scc: std::time::Duration,
-    /// Phase 2: condensation of the SCC partition into a DAG.
+    /// Phase 2: each component's successor components, read off its
+    /// members' rows.
     pub condense: std::time::Duration,
     /// Phase 2: per-component closure memoization and interning.
     pub memoize: std::time::Duration,
@@ -177,146 +174,93 @@ pub struct ClosureWorkspace {
     seed_components: Vec<u32>,
 }
 
-/// Phase-1 output: per-zone dependency rows (CSR), in zone-id order.
-struct ZoneRowTables {
-    dep_offsets: Vec<u32>,
-    dep_targets: Vec<ServerId>,
+/// Phase-1 output: every zone's dependency row, as a CSR in zone-id order.
+struct ZoneRows {
+    offsets: Vec<u32>,
+    targets: Vec<ServerId>,
 }
 
-/// Below this many zones in a depth level, the tree-parallel zone-row
-/// pass processes the level inline: a scope spawn costs more than a few
-/// hundred `extend_from_slice` rows.
-const ZONE_LEVEL_PARALLEL_THRESHOLD: usize = 512;
-
-/// The rows of a run of same-depth zones: one buffer plus
-/// `(zone, offset, len)` descriptors with run-local offsets, rebased at
-/// merge.
-#[derive(Default)]
-struct LevelChunk {
-    dep: Vec<ServerId>,
-    rows: Vec<(u32, u32, u32)>,
-}
-
-/// Computes the rows of `zones` (all of one depth) from the merged rows
-/// of shallower zones in `dep`/`dep_pos`. `stamps[s] == z` ⇔ server `s`
-/// is already on zone `z`'s row (epoch-per-zone linear dedup).
-fn level_rows(
-    universe: &Universe,
-    zones: &[u32],
-    dep: &[ServerId],
-    dep_pos: &[(u32, u32)],
-    stamps: &mut [u32],
-) -> LevelChunk {
-    let mut chunk = LevelChunk::default();
-    for &z in zones {
-        let zone = universe.zone(ZoneId(z));
-        let start = chunk.dep.len();
-        if let Some(p) = universe.parent_zone_of(ZoneId(z)) {
-            let (o, l) = dep_pos[p.index()];
-            chunk
-                .dep
-                .extend_from_slice(&dep[o as usize..(o + l) as usize]);
+impl ZoneRows {
+    /// Computes every zone's dependency row **by recurrence over the zone
+    /// tree**: `dep(z) = dep(parent(z)) ++ (NS(z) not already present)` —
+    /// the parent zone ([`Universe::parent_zone_of`], precomputed at
+    /// universe build) is the deepest zone strictly enclosing `z`'s
+    /// origin, so its row covers exactly `z`'s proper enclosing zones.
+    /// Processing zones shallowest-first makes each row one copy of its
+    /// parent's row plus a stamp-deduplicated append of the zone's own NS
+    /// set: no name hashing, no chain re-scans, and every probe O(1) — the
+    /// whole pass is linear in the total row length. The rows are then
+    /// laid out in zone-id order, the order the SCC pass and the archive
+    /// read them in.
+    fn build(universe: &Universe) -> ZoneRows {
+        let zn = universe.zone_count();
+        // Counting sort by origin depth: parents precede children.
+        let mut depth_count: Vec<u32> = Vec::new();
+        let depths: Vec<u32> = (0..zn)
+            .map(|z| {
+                let d = universe.zone(ZoneId(z as u32)).origin.label_count() as u32;
+                if depth_count.len() <= d as usize {
+                    depth_count.resize(d as usize + 1, 0);
+                }
+                depth_count[d as usize] += 1;
+                d
+            })
+            .collect();
+        let mut cursor = vec![0u32; depth_count.len()];
+        for d in 1..depth_count.len() {
+            cursor[d] = cursor[d - 1] + depth_count[d - 1];
         }
-        if !zone.origin.is_root() {
-            for &sid in &chunk.dep[start..] {
-                stamps[sid.index()] = z;
+        let mut order = vec![0u32; zn];
+        for (z, &d) in depths.iter().enumerate() {
+            order[cursor[d as usize] as usize] = z as u32;
+            cursor[d as usize] += 1;
+        }
+
+        // Rows in processing order, as `(offset, len)` per zone id.
+        // `stamps[s] == z` ⇔ server `s` is already on zone `z`'s row
+        // (epoch-per-zone linear dedup).
+        let mut stamps = vec![u32::MAX; universe.server_count()];
+        let mut dep: Vec<ServerId> = Vec::new();
+        let mut pos: Vec<(u32, u32)> = vec![(0, 0); zn];
+        for &z in &order {
+            let start = dep.len();
+            if let Some(p) = universe.parent_zone_of(ZoneId(z)) {
+                let (o, l) = pos[p.index()];
+                dep.extend_from_within(o as usize..(o + l) as usize);
             }
-            for &ns in &zone.ns {
-                if stamps[ns.index()] != z {
-                    stamps[ns.index()] = z;
-                    chunk.dep.push(ns);
+            let zone = universe.zone(ZoneId(z));
+            if !zone.origin.is_root() {
+                for &sid in &dep[start..] {
+                    stamps[sid.index()] = z;
+                }
+                for &ns in &zone.ns {
+                    if stamps[ns.index()] != z {
+                        stamps[ns.index()] = z;
+                        dep.push(ns);
+                    }
                 }
             }
+            let end = u32::try_from(dep.len()).expect("zone row tables fit u32");
+            pos[z as usize] = (start as u32, end - start as u32);
         }
-        chunk
-            .rows
-            .push((z, start as u32, (chunk.dep.len() - start) as u32));
-    }
-    chunk
-}
 
-/// Computes every zone's dependency row **by recurrence over the zone
-/// tree**: `dep(z) = dep(parent(z)) ++ (NS(z) not already present)` — the
-/// parent zone ([`Universe::parent_zone_of`], precomputed at universe
-/// build) is the deepest zone strictly enclosing `z`'s origin, so its
-/// row covers exactly `z`'s proper enclosing zones. Processing zones
-/// shallowest-first makes each row one copy of its parent's row plus a
-/// stamp-deduplicated append of the zone's own NS set: no name hashing,
-/// no chain re-scans, and every probe O(1) — the whole pass is linear in
-/// the total row length.
-///
-/// The recurrence is **tree-parallel**: every zone at depth `d` depends
-/// only on rows at depths `< d`, so each depth level fans out across
-/// workers once the level is wide enough ([`ZONE_LEVEL_PARALLEL_THRESHOLD`]).
-/// Rows are reassembled in zone-id order, so the tables are identical
-/// at any thread count.
-fn build_zone_rows(universe: &Universe, threads: usize) -> ZoneRowTables {
-    let zn = universe.zone_count();
-    // Counting sort by origin depth: parents precede children.
-    let mut depth_count: Vec<u32> = Vec::new();
-    let depths: Vec<u32> = (0..zn)
-        .map(|z| {
-            let d = universe.zone(ZoneId(z as u32)).origin.label_count() as u32;
-            if depth_count.len() <= d as usize {
-                depth_count.resize(d as usize + 1, 0);
-            }
-            depth_count[d as usize] += 1;
-            d
-        })
-        .collect();
-    let mut starts = vec![0u32; depth_count.len() + 1];
-    for (d, &count) in depth_count.iter().enumerate() {
-        starts[d + 1] = starts[d] + count;
-    }
-    let mut order = vec![0u32; zn];
-    let mut cursor = starts.clone();
-    for (z, &d) in depths.iter().enumerate() {
-        order[cursor[d as usize] as usize] = z as u32;
-        cursor[d as usize] += 1;
-    }
-
-    // Rows in processing order, then reassembled in id order below.
-    let mut dep_tmp: Vec<ServerId> = Vec::new();
-    let mut dep_pos: Vec<(u32, u32)> = vec![(0, 0); zn];
-    for d in 0..depth_count.len() {
-        let bucket = &order[starts[d] as usize..starts[d + 1] as usize];
-        // Every row at this depth reads only rows from shallower depths —
-        // already merged into `dep_tmp` — so a wide level fans out across
-        // workers with private output buffers.
-        let workers = if bucket.len() < ZONE_LEVEL_PARALLEL_THRESHOLD {
-            1
-        } else {
-            threads
+        let mut rows = ZoneRows {
+            offsets: Vec::with_capacity(zn + 1),
+            targets: Vec::with_capacity(dep.len()),
         };
-        let level_chunks = par::map_ranges(bucket.len(), workers, |range| {
-            let mut stamps = vec![u32::MAX; universe.server_count()];
-            level_rows(universe, &bucket[range], &dep_tmp, &dep_pos, &mut stamps)
-        });
-        for chunk in level_chunks {
-            let base = dep_tmp.len() as u32;
-            dep_tmp.extend_from_slice(&chunk.dep);
-            for (z, offset, len) in chunk.rows {
-                dep_pos[z as usize] = (base + offset, len);
-            }
+        rows.offsets.push(0);
+        for &(o, l) in &pos {
+            rows.targets
+                .extend_from_slice(&dep[o as usize..(o + l) as usize]);
+            rows.offsets.push(rows.targets.len() as u32);
         }
-        assert!(
-            u32::try_from(dep_tmp.len()).is_ok(),
-            "zone row tables fit u32"
-        );
+        rows
     }
 
-    let mut tables = ZoneRowTables {
-        dep_offsets: Vec::with_capacity(zn + 1),
-        dep_targets: Vec::with_capacity(dep_tmp.len()),
-    };
-    tables.dep_offsets.push(0);
-    for &(o, l) in &dep_pos {
-        tables
-            .dep_targets
-            .extend_from_slice(&dep_tmp[o as usize..(o + l) as usize]);
-        tables.dep_offsets.push(tables.dep_targets.len() as u32);
+    /// Zone `z`'s dependency row.
+    fn row(&self, z: usize) -> &[ServerId] {
+        &self.targets[self.offsets[z] as usize..self.offsets[z + 1] as usize]
     }
-    tables
 }
 
 /// The memoization phase's output: one interned server set and one
@@ -328,25 +272,13 @@ struct MemoResult {
     zone_sets: BitSetInterner,
 }
 
-/// Per-worker scratch of the memoization phase.
+/// Scratch of the memoization phase.
 struct MemoScratch {
     seen_servers: BitSet,
     seen_zones: BitSet,
     out_servers: Vec<u32>,
     out_zones: Vec<u32>,
     tmp: Vec<u32>,
-}
-
-impl MemoScratch {
-    fn new(server_capacity: usize, zone_capacity: usize) -> MemoScratch {
-        MemoScratch {
-            seen_servers: BitSet::new(server_capacity),
-            seen_zones: BitSet::new(zone_capacity),
-            out_servers: Vec::new(),
-            out_zones: Vec::new(),
-            tmp: Vec::new(),
-        }
-    }
 }
 
 /// Sorted-merge union of two sorted, duplicate-free slices into `out`.
@@ -375,45 +307,38 @@ fn union_merge(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Above this condensation fan-out the bitset union path wins over
+/// Above this successor fan-out the bitset union path wins over
 /// repeated sorted merges (each merge re-traverses the accumulated set).
 const MERGE_MAX_FANOUT: usize = 4;
 
-/// Everything the memoization phase reads, bundled so worker closures
-/// borrow one struct. A member's zones are its chain, read off the
-/// universe's parent links ([`Universe::server_chain_up`]).
-struct MemoInput<'a> {
-    scc: &'a SccResult,
-    dag: &'a Csr,
-    universe: &'a Universe,
-}
-
-impl MemoInput<'_> {
-    /// Computes component `c`'s reachable server/zone sets into `scratch`
-    /// (sorted, deduplicated; scratch bitsets are left clean). Successor
-    /// components must already be memoized in `servers`/`zones`.
+impl MemoResult {
+    /// Computes the reachable server/zone sets of the component made of
+    /// `members` into `scratch` (sorted, deduplicated; scratch bitsets are
+    /// left clean). Every component in `successors` is already memoized.
+    /// A member's zones are its chain, read off the universe's parent
+    /// links ([`Universe::server_chain_up`]).
     fn component_sets(
         &self,
-        c: usize,
-        server_sets: &BitSetInterner,
-        zone_sets: &BitSetInterner,
-        component_servers: &[Option<SetId>],
-        component_zones: &[Option<SetId>],
+        universe: &Universe,
+        members: &[perils_graph::NodeId],
+        successors: &[u32],
         scratch: &mut MemoScratch,
     ) {
-        let members = &self.scc.components[c];
-        let neighbors = self.dag.neighbors(c);
+        let sets = |d: u32| {
+            let d = d as usize;
+            (self.component_servers[d], self.component_zones[d])
+        };
 
         // Merge fast path: the typical component has one or two sparse
         // successor sets, so a fold of sorted merges beats the bitset
         // bookkeeping plus a full sort. (Components partition the server
         // set, so members are disjoint from every successor's servers;
         // successors may still overlap each other, which merge dedups.)
-        let mergeable = neighbors.len() <= MERGE_MAX_FANOUT
-            && neighbors.iter().all(|&d| {
-                let sv = component_servers[d as usize].expect("successor memoized first");
-                let zv = component_zones[d as usize].expect("successor memoized first");
-                server_sets.as_sorted_slice(sv).is_some() && zone_sets.as_sorted_slice(zv).is_some()
+        let mergeable = successors.len() <= MERGE_MAX_FANOUT
+            && successors.iter().all(|&d| {
+                let (sv, zv) = sets(d);
+                self.server_sets.as_sorted_slice(sv).is_some()
+                    && self.zone_sets.as_sorted_slice(zv).is_some()
             });
         if mergeable {
             scratch.out_servers.clear();
@@ -424,20 +349,22 @@ impl MemoInput<'_> {
             scratch.out_zones.clear();
             for member in members {
                 scratch.out_zones.extend(
-                    self.universe
+                    universe
                         .server_chain_up(ServerId(member.index() as u32))
                         .map(|zid| zid.0),
                 );
             }
             scratch.out_zones.sort_unstable();
             scratch.out_zones.dedup();
-            for &d in neighbors {
-                let sv = component_servers[d as usize].expect("successor memoized first");
-                let zv = component_zones[d as usize].expect("successor memoized first");
-                let set = server_sets.as_sorted_slice(sv).expect("checked sparse");
+            for &d in successors {
+                let (sv, zv) = sets(d);
+                let set = self
+                    .server_sets
+                    .as_sorted_slice(sv)
+                    .expect("checked sparse");
                 union_merge(&scratch.out_servers, set, &mut scratch.tmp);
                 std::mem::swap(&mut scratch.out_servers, &mut scratch.tmp);
-                let set = zone_sets.as_sorted_slice(zv).expect("checked sparse");
+                let set = self.zone_sets.as_sorted_slice(zv).expect("checked sparse");
                 union_merge(&scratch.out_zones, set, &mut scratch.tmp);
                 std::mem::swap(&mut scratch.out_zones, &mut scratch.tmp);
             }
@@ -452,17 +379,18 @@ impl MemoInput<'_> {
             if scratch.seen_servers.insert(s) {
                 scratch.out_servers.push(s as u32);
             }
-            for zid in self.universe.server_chain_up(ServerId(s as u32)) {
+            for zid in universe.server_chain_up(ServerId(s as u32)) {
                 if scratch.seen_zones.insert(zid.index()) {
                     scratch.out_zones.push(zid.0);
                 }
             }
         }
-        for &d in neighbors {
-            let sv = component_servers[d as usize].expect("successor memoized first");
-            let zv = component_zones[d as usize].expect("successor memoized first");
-            server_sets.union_into(sv, &mut scratch.seen_servers, &mut scratch.out_servers);
-            zone_sets.union_into(zv, &mut scratch.seen_zones, &mut scratch.out_zones);
+        for &d in successors {
+            let (sv, zv) = sets(d);
+            self.server_sets
+                .union_into(sv, &mut scratch.seen_servers, &mut scratch.out_servers);
+            self.zone_sets
+                .union_into(zv, &mut scratch.seen_zones, &mut scratch.out_zones);
         }
         scratch.out_servers.sort_unstable();
         scratch.out_zones.sort_unstable();
@@ -476,130 +404,71 @@ impl MemoInput<'_> {
     }
 }
 
-/// One worker's memoized sets for a contiguous chunk of a level: server
-/// then zone elements per component, concatenated, with per-component
-/// lengths and precomputed content hashes so the merge thread interns
-/// without re-hashing.
-struct MemoChunk {
-    data: Vec<u32>,
-    /// `(server_len, zone_len, server_hash, zone_hash)` per component.
-    meta: Vec<(u32, u32, u64, u64)>,
+/// The condensation's edges, in CSR form: component `c`'s successor
+/// components are `targets[offsets[c]..offsets[c + 1]]`.
+struct Condensed {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
 }
 
-fn memoize_chunk(
-    input: &MemoInput<'_>,
-    comps: &[u32],
-    server_sets: &BitSetInterner,
-    zone_sets: &BitSetInterner,
-    component_servers: &[Option<SetId>],
-    component_zones: &[Option<SetId>],
-    scratch: &mut MemoScratch,
-) -> MemoChunk {
-    let mut chunk = MemoChunk {
-        data: Vec::new(),
-        meta: Vec::with_capacity(comps.len()),
+/// Condenses the implicit per-server graph: each component's successors
+/// are read straight off its members' dependency rows (`dep_row`) and
+/// deduplicated with a stamp array, self-edges dropped.
+fn condense<'r>(scc: &SccResult, dep_row: impl Fn(usize) -> &'r [ServerId]) -> Condensed {
+    let mut out = Condensed {
+        offsets: Vec::with_capacity(scc.count() + 1),
+        targets: Vec::new(),
     };
-    for &c in comps {
-        input.component_sets(
-            c as usize,
-            server_sets,
-            zone_sets,
-            component_servers,
-            component_zones,
-            scratch,
-        );
-        chunk.meta.push((
-            scratch.out_servers.len() as u32,
-            scratch.out_zones.len() as u32,
-            BitSetInterner::hash_ids(&scratch.out_servers),
-            BitSetInterner::hash_ids(&scratch.out_zones),
-        ));
-        chunk.data.extend_from_slice(&scratch.out_servers);
-        chunk.data.extend_from_slice(&scratch.out_zones);
-    }
-    chunk
-}
-
-/// Below this many components a level is memoized inline — spawning
-/// workers costs more than the unions do.
-const LEVEL_PARALLEL_THRESHOLD: usize = 1024;
-
-/// Level-parallel memoization: components grouped by topological level
-/// over the condensation (level 0 depends on nothing; a component's level
-/// is one past its deepest successor), each level's sets computed across
-/// `threads` workers, interned on the merge thread in component order.
-/// The interning order — level by level, component order within a level —
-/// does not depend on `threads`, so neither do the set ids.
-fn memoize_levels(
-    input: &MemoInput<'_>,
-    server_capacity: usize,
-    zone_capacity: usize,
-    threads: usize,
-) -> MemoResult {
-    let count = input.scc.count();
-    let mut level = vec![0u32; count];
-    let mut max_level = 0u32;
-    for c in 0..count {
-        let mut l = 0u32;
-        for &d in input.dag.neighbors(c) {
-            debug_assert!((d as usize) < c, "condensation is reverse topological");
-            l = l.max(level[d as usize] + 1);
-        }
-        level[c] = l;
-        max_level = max_level.max(l);
-    }
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_level as usize + 1];
-    for c in 0..count {
-        buckets[level[c] as usize].push(c as u32);
-    }
-
-    let mut server_sets = BitSetInterner::new(server_capacity);
-    let mut zone_sets = BitSetInterner::new(zone_capacity);
-    let mut component_servers: Vec<Option<SetId>> = vec![None; count];
-    let mut component_zones: Vec<Option<SetId>> = vec![None; count];
-
-    for bucket in &buckets {
-        let workers = if bucket.len() < LEVEL_PARALLEL_THRESHOLD {
-            1
-        } else {
-            threads
-        };
-        let chunks = par::map_ranges(bucket.len(), workers, |range| {
-            memoize_chunk(
-                input,
-                &bucket[range],
-                &server_sets,
-                &zone_sets,
-                &component_servers,
-                &component_zones,
-                &mut MemoScratch::new(server_capacity, zone_capacity),
-            )
-        });
-
-        // Intern this level's sets in component order: the chunks cover the
-        // bucket contiguously, so the interning order — and with it every
-        // id and dedup decision — does not depend on the chunk boundaries.
-        let mut comps = bucket.iter();
-        for chunk in chunks {
-            let mut cursor = 0usize;
-            for &(slen, zlen, shash, zhash) in &chunk.meta {
-                let c = *comps.next().expect("one meta entry per component") as usize;
-                let servers = &chunk.data[cursor..cursor + slen as usize];
-                cursor += slen as usize;
-                let zones = &chunk.data[cursor..cursor + zlen as usize];
-                cursor += zlen as usize;
-                component_servers[c] = Some(server_sets.intern_hashed(servers, shash));
-                component_zones[c] = Some(zone_sets.intern_hashed(zones, zhash));
+    out.offsets.push(0);
+    // `stamps[d] == c` ⇔ component `d` is already among `c`'s successors.
+    let mut stamps = vec![u32::MAX; scc.count()];
+    for (c, members) in (0u32..).zip(&scc.components) {
+        for member in members {
+            for s in dep_row(member.index()) {
+                let d = scc.component_of[s.index()] as u32;
+                if d != c && stamps[d as usize] != c {
+                    debug_assert!(d < c, "Tarjan numbers components reverse topologically");
+                    stamps[d as usize] = c;
+                    out.targets.push(d);
+                }
             }
         }
+        let end = u32::try_from(out.targets.len()).expect("condensed edges fit u32");
+        out.offsets.push(end);
     }
+    out
+}
 
-    MemoResult {
-        component_servers: component_servers.into_iter().map(Option::unwrap).collect(),
-        component_zones: component_zones.into_iter().map(Option::unwrap).collect(),
-        server_sets,
-        zone_sets,
+/// Memoizes every component's reachable server/zone sets in one pass over
+/// the components in Tarjan order. Tarjan numbers components reverse
+/// topologically, so each of component `c`'s successors is already
+/// interned when `c` is reached. Sets are interned in component order,
+/// which fixes every set id.
+fn memoize(universe: &Universe, scc: &SccResult, condensed: &Condensed) -> MemoResult {
+    let (n, zn) = (universe.server_count(), universe.zone_count());
+    let mut memo = MemoResult {
+        component_servers: Vec::with_capacity(scc.count()),
+        component_zones: Vec::with_capacity(scc.count()),
+        server_sets: BitSetInterner::new(n),
+        zone_sets: BitSetInterner::new(zn),
+    };
+    let mut scratch = MemoScratch {
+        seen_servers: BitSet::new(n),
+        seen_zones: BitSet::new(zn),
+        out_servers: Vec::new(),
+        out_zones: Vec::new(),
+        tmp: Vec::new(),
+    };
+    for (c, members) in scc.components.iter().enumerate() {
+        let successors =
+            &condensed.targets[condensed.offsets[c] as usize..condensed.offsets[c + 1] as usize];
+        memo.component_sets(universe, members, successors, &mut scratch);
+        let servers = memo.server_sets.intern(&scratch.out_servers);
+        let zones = memo.zone_sets.intern(&scratch.out_zones);
+        memo.component_servers.push(servers);
+        memo.component_zones.push(zones);
     }
+    memo
 }
 
 impl DependencyIndex {
@@ -748,54 +617,37 @@ impl DependencyIndex {
         })
     }
 
-    /// Builds the index. Small universes build inline; larger ones
-    /// parallelize across available cores (the result is identical either
-    /// way).
-    pub fn build(universe: &Universe) -> DependencyIndex {
-        let threads = if universe.server_count() < 4096 {
-            1
-        } else {
-            par::threads(None)
-        };
-        DependencyIndex::build_with_threads(universe, threads)
-    }
-
-    /// Builds the index with an explicit worker-thread count, clamped
-    /// to `1..=16`; `0` takes the default count ([`par::threads`]).
+    /// Builds the index in one serial pass.
     ///
-    /// Phase 1 derives per-**zone** dependency rows by a
-    /// recurrence over the zone tree (memcpy-bound, tree-parallel by
-    /// depth level — see `build_zone_rows`) and maps every server to its
-    /// home zone. Phase 2 condenses the implicit per-server dependency
-    /// graph into strongly connected components with a serial Tarjan
-    /// ([`perils_graph::scc::tarjan_scc_with`]) and memoizes each
-    /// component's reachable server/zone sets level-parallel. The
-    /// `DEPINDEX` bytes — and with them every observable — are identical
-    /// at every thread count and on every machine.
-    pub fn build_with_threads(universe: &Universe, threads: usize) -> DependencyIndex {
-        DependencyIndex::build_with_stats(universe, threads).0
+    /// Phase 1 derives per-**zone** dependency rows by a recurrence over
+    /// the zone tree (see `ZoneRows::build`) and maps every server to its
+    /// home zone. Phase 2 splits the implicit per-server dependency graph
+    /// into strongly connected components with Tarjan
+    /// ([`perils_graph::scc::tarjan_scc_with`]), lists each component's
+    /// successor components, and memoizes each component's reachable
+    /// server/zone sets in Tarjan order. No thread count or machine
+    /// property reaches the build: the `DEPINDEX` bytes — and with them
+    /// every observable — are a pure function of the universe.
+    pub fn build(universe: &Universe) -> DependencyIndex {
+        DependencyIndex::build_with_stats(universe, 1).0
     }
 
-    /// [`DependencyIndex::build_with_threads`], also returning the wall
-    /// time each build stage took — the instrumentation behind the
-    /// benchmark's `index.*_ms` rows.
+    /// [`DependencyIndex::build`], also returning the wall time each build
+    /// stage took — the instrumentation behind the benchmark's
+    /// `index.*_ms` rows. `_threads` is ignored: the build is serial, and
+    /// the parameter stays only for the benchmark harness, which passes
+    /// its worker count.
     pub fn build_with_stats(
         universe: &Universe,
-        threads: usize,
+        _threads: usize,
     ) -> (DependencyIndex, IndexBuildStats) {
         let n = universe.server_count();
-        let zn = universe.zone_count();
-        let threads = par::threads(std::num::NonZeroUsize::new(threads));
         let mut stats = IndexBuildStats::default();
         let t0 = std::time::Instant::now();
 
-        // Phase 1a: per-zone CSR rows by recurrence over the zone tree
-        // (memcpy-bound; see `build_zone_rows`).
-        let ZoneRowTables {
-            dep_offsets: zone_dep_offsets,
-            dep_targets: zone_dep_targets,
-        } = build_zone_rows(universe, threads);
-        debug_assert_eq!(zone_dep_offsets.len(), zn + 1);
+        // Phase 1a: per-zone rows by recurrence over the zone tree
+        // (memcpy-bound; see `ZoneRows::build`).
+        let zone_rows = ZoneRows::build(universe);
         stats.zone_rows = t0.elapsed();
 
         // Phase 1b: home zone per server (precomputed by the universe
@@ -809,23 +661,14 @@ impl DependencyIndex {
             })
             .collect();
 
-        // Phase 2: SCC + condensation over the implicit per-server graph
-        // (a server's dependency row is its home zone's row — no
-        // per-server edge copy is ever materialized) and per-component
-        // memoization.
-        let dep_row = |s: usize| -> &[ServerId] {
-            let z = home_zone[s];
-            if z == u32::MAX {
-                return &[];
-            }
-            let lo = zone_dep_offsets[z as usize] as usize;
-            let hi = zone_dep_offsets[z as usize + 1] as usize;
-            &zone_dep_targets[lo..hi]
+        // Phase 2: SCC over the implicit per-server graph (a server's
+        // dependency row is its home zone's row — no per-server edge copy
+        // is ever materialized), the condensation's edges, then
+        // per-component memoization.
+        let dep_row = |s: usize| match home_zone[s] {
+            u32::MAX => &[],
+            z => zone_rows.row(z as usize),
         };
-        // One path at every thread count: serial Tarjan numbers the
-        // components, level-parallel memoization interns the sets, and
-        // neither depends on `threads` — the `DEPINDEX` bytes are a pure
-        // function of the universe.
         let t1 = std::time::Instant::now();
         let scc = perils_graph::scc::tarjan_scc_with(
             n,
@@ -834,21 +677,12 @@ impl DependencyIndex {
         );
         stats.scc = t1.elapsed();
         let t2 = std::time::Instant::now();
-        let dag = perils_graph::csr::condense_with(
-            &scc,
-            |u| dep_row(u).len(),
-            |u, k| dep_row(u)[k].index(),
-        );
+        let condensed = condense(&scc, dep_row);
         stats.condense = t2.elapsed();
-
-        let input = MemoInput {
-            scc: &scc,
-            dag: &dag,
-            universe,
-        };
         let t3 = std::time::Instant::now();
-        let memo = memoize_levels(&input, n, zn, threads);
+        let memo = memoize(universe, &scc, &condensed);
         stats.memoize = t3.elapsed();
+        drop(condensed);
 
         // Finish through the archive decoder: write every table in the
         // `DEPINDEX` layout into a heap store — each dropped once written,
@@ -856,12 +690,11 @@ impl DependencyIndex {
         let mut bytes = Vec::new();
         snapshot::put_u32_slice(&mut bytes, &home_zone);
         drop(home_zone);
-        snapshot::put_u32_slice(&mut bytes, &zone_dep_offsets);
-        drop(zone_dep_offsets);
-        put_ids(&mut bytes, zone_dep_targets.iter().map(|s| s.0));
-        drop(zone_dep_targets);
+        snapshot::put_u32_slice(&mut bytes, &zone_rows.offsets);
+        put_ids(&mut bytes, zone_rows.targets.iter().map(|s| s.0));
+        drop(zone_rows);
         put_ids(&mut bytes, scc.component_of.iter().map(|&c| c as u32));
-        drop((scc, dag));
+        drop(scc);
         let MemoResult {
             component_servers,
             component_zones,
@@ -1347,23 +1180,124 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial() {
+    fn rebuild_is_byte_identical() {
         let u = figure1_universe();
-        let serial = DependencyIndex::build_with_threads(&u, 1);
-        let parallel = DependencyIndex::build_with_threads(&u, 8);
-        // One build path: the `DEPINDEX` bytes match at every thread count.
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, DependencyIndex::build_with_threads(&u, 2));
+        let first = DependencyIndex::build(&u);
+        let second = DependencyIndex::build(&u);
+        // The build has no thread, machine or hash-order input: the
+        // `DEPINDEX` bytes match, and so does everything read off them.
+        assert_eq!(first, second);
         for sid in u.server_ids() {
-            assert!(serial.deps_of(sid).eq(parallel.deps_of(sid)), "{sid:?}");
+            assert!(first.deps_of(sid).eq(second.deps_of(sid)), "{sid:?}");
         }
-        assert_eq!(serial.memo_stats(), parallel.memo_stats());
+        assert_eq!(first.memo_stats(), second.memo_stats());
         let target = name("www.cs.cornell.edu");
-        let (mut ws_a, mut ws_b) = (serial.workspace(), parallel.workspace());
-        let a = serial.closure_view(&u, &target, &mut ws_a);
-        let b = parallel.closure_view(&u, &target, &mut ws_b);
+        let (mut ws_a, mut ws_b) = (first.workspace(), second.workspace());
+        let a = first.closure_view(&u, &target, &mut ws_a);
+        let b = second.closure_view(&u, &target, &mut ws_b);
         assert!(a.servers().eq(b.servers()));
         assert!(a.zones().eq(b.zones()));
+    }
+
+    /// A seeded delegation web: second-level zones under a few TLDs, each
+    /// served by one to three hosts named inside random other zones, so
+    /// cross-zone cycles and multi-level dependency chains both occur.
+    fn seeded_universe(seed: u64) -> Universe {
+        let mut rng = perils_util::rng::Rng::new(seed);
+        let mut b = Universe::builder();
+        b.raw_server(&name("a.root-servers.net"), false, true);
+        b.add_zone(&DnsName::root(), &[name("a.root-servers.net")]);
+        let tlds = ["com", "net", "org", "edu"];
+        for tld in tlds {
+            b.add_zone(&name(tld), &[name(&format!("{tld}.gtld-servers.net"))]);
+        }
+        let domains: Vec<String> = (0..60)
+            .map(|i| format!("d{i}.{}", tlds[rng.below_usize(tlds.len())]))
+            .collect();
+        for domain in &domains {
+            let ns: Vec<DnsName> = (0..1 + rng.below_usize(3))
+                .map(|k| {
+                    let host = &domains[rng.below_usize(domains.len())];
+                    name(&format!("ns{k}.{host}"))
+                })
+                .collect();
+            b.add_zone(&name(domain), &ns);
+        }
+        b.finish()
+    }
+
+    /// Asserts that reading `ids` in order introduces each value in
+    /// increasing order: the first occurrence of id `k` comes after the
+    /// first occurrences of ids `0..k`, and all `distinct` ids occur.
+    fn assert_first_occurrence_order(ids: &U32View, distinct: usize, what: &str) {
+        let mut next = 0u32;
+        for (c, id) in ids.iter().enumerate() {
+            assert!(
+                id <= next,
+                "{what}: component {c} introduces set {id} before set {next}"
+            );
+            if id == next {
+                next += 1;
+            }
+        }
+        assert_eq!(
+            next as usize, distinct,
+            "{what}: every interned set is used"
+        );
+    }
+
+    #[test]
+    fn sets_are_interned_in_tarjan_component_order() {
+        let worlds = [
+            ("figure 1", figure1_universe()),
+            ("seed 11", seeded_universe(11)),
+            ("seed 29", seeded_universe(29)),
+            ("seed 20040722", seeded_universe(20040722)),
+        ];
+        for (what, u) in &worlds {
+            let index = DependencyIndex::build(u);
+            let (server_sets, zone_sets) = index.memo_stats();
+            assert_first_occurrence_order(&index.component_servers, server_sets, what);
+            assert_first_occurrence_order(&index.component_zones, zone_sets, what);
+        }
+    }
+
+    #[test]
+    fn condensation_lists_each_successor_once_and_drops_self_edges() {
+        for u in [figure1_universe(), seeded_universe(29)] {
+            let rows = ZoneRows::build(&u);
+            let dep_row = |s: usize| match u.home_zone_of(ServerId(s as u32)) {
+                Some(z) => rows.row(z.index()),
+                None => &[],
+            };
+            let scc = perils_graph::scc::tarjan_scc_with(
+                u.server_count(),
+                |s| dep_row(s).len(),
+                |s, k| dep_row(s)[k].index(),
+            );
+            let condensed = condense(&scc, dep_row);
+            assert_eq!(condensed.offsets.len(), scc.count() + 1);
+            for (c, members) in scc.components.iter().enumerate() {
+                let listed = &condensed.targets
+                    [condensed.offsets[c] as usize..condensed.offsets[c + 1] as usize];
+                let unique: BTreeSet<u32> = listed.iter().copied().collect();
+                assert_eq!(
+                    unique.len(),
+                    listed.len(),
+                    "component {c} lists a duplicate"
+                );
+                // Exactly the other components its members' rows reach,
+                // every one numbered lower (Tarjan is reverse topological).
+                let expected: BTreeSet<u32> = members
+                    .iter()
+                    .flat_map(|m| dep_row(m.index()))
+                    .map(|s| scc.component_of[s.index()] as u32)
+                    .filter(|&d| d as usize != c)
+                    .collect();
+                assert_eq!(unique, expected, "component {c}");
+                assert!(listed.iter().all(|&d| (d as usize) < c));
+            }
+        }
     }
 
     #[test]

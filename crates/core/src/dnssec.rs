@@ -258,14 +258,14 @@ impl NameMetric for DnssecCoverageMetric {
 
     fn shard(
         &self,
-        universe: &Universe,
+        _universe: &Universe,
         shard_len: usize,
         prepared: &PreparedState,
     ) -> Box<dyn MetricShard> {
         let deployment = prepared
             .as_ref()
             .and_then(|p| std::sync::Arc::clone(p).downcast::<DnssecDeployment>().ok())
-            .unwrap_or_else(|| std::sync::Arc::new(self.policy.build(universe)));
+            .expect("dnssec_coverage shard needs this run's `prepare` output");
         Box::new(DnssecShard {
             deployment,
             fraction: vec![0.0; shard_len],

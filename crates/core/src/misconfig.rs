@@ -515,14 +515,14 @@ impl NameMetric for MisconfigMetric {
 
     fn shard(
         &self,
-        universe: &Universe,
+        _universe: &Universe,
         shard_len: usize,
         prepared: &PreparedState,
     ) -> Box<dyn MetricShard> {
         let index = prepared
             .as_ref()
             .and_then(|p| std::sync::Arc::clone(p).downcast::<MisconfigIndex>().ok())
-            .unwrap_or_else(|| std::sync::Arc::new(MisconfigIndex::build(universe)));
+            .expect("misconfig shard needs this run's `prepare` output");
         Box::new(MisconfigShard {
             threshold: self.depth_threshold,
             index,

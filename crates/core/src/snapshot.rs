@@ -189,10 +189,11 @@ pub fn decode_universe(section: &Section) -> Result<Universe, SnapshotError> {
 
 /// Encodes the dependency index as the `DEPINDEX` section payload.
 ///
-/// Every index — built or loaded — was decoded from such a payload (a
-/// build writes its tables into a heap store and decodes them, see
-/// [`DependencyIndex::build_with_stats`]), so encoding copies those bytes
-/// out: byte-identical to what was validated.
+/// Every index — built or loaded — was decoded from such a payload (the
+/// serial build writes its tables into a heap store and decodes them, see
+/// [`DependencyIndex::build`]), so encoding copies those bytes out:
+/// byte-identical to what was validated, and a pure function of the
+/// universe.
 pub fn encode_dep_index(index: &DependencyIndex) -> Vec<u8> {
     index.section_bytes()
 }

@@ -176,14 +176,14 @@ impl NameMetric for ZombieDelegationMetric {
 
     fn shard(
         &self,
-        universe: &Universe,
+        _universe: &Universe,
         shard_len: usize,
         prepared: &PreparedState,
     ) -> Box<dyn MetricShard> {
         let index = prepared
             .as_ref()
             .and_then(|p| std::sync::Arc::clone(p).downcast::<ZombieIndex>().ok())
-            .unwrap_or_else(|| std::sync::Arc::new(ZombieIndex::build(universe)));
+            .expect("zombie shard needs this run's `prepare` output");
         Box::new(ZombieShard {
             index,
             dead_in_tcb: vec![0; shard_len],

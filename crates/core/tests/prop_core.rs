@@ -498,42 +498,38 @@ proptest! {
     }
 
     /// The borrowed [`perils_core::ClosureView`] enumerates exactly the
-    /// BFS reference's sets — sorted slices for BTreeSets — under both the
-    /// serial and the level-parallel memoization (thread counts 1 and 8).
+    /// BFS reference's sets — sorted slices for BTreeSets.
     #[test]
     fn closure_view_equals_bfs(spec in arb_world()) {
         let (universe, targets) = build(&spec);
-        for threads in [1usize, 8] {
-            let index = DependencyIndex::build_with_threads(&universe, threads);
-            let mut ws = index.workspace();
-            for target in &targets {
-                let (servers, zones) = index.closure_for_bfs(&universe, target);
-                let view = index.closure_view(&universe, target, &mut ws);
-                prop_assert_eq!(
-                    view.servers().collect::<Vec<_>>(), servers,
-                    "servers of {} at {} threads", target, threads
-                );
-                prop_assert_eq!(
-                    view.zones().collect::<Vec<_>>(), zones,
-                    "zones of {} at {} threads", target, threads
-                );
-                prop_assert_eq!(
-                    view.target_chain(), &universe.chain_zones(target)[..],
-                    "chain of {} at {} threads", target, threads
-                );
-            }
+        let index = DependencyIndex::build(&universe);
+        let mut ws = index.workspace();
+        for target in &targets {
+            let (servers, zones) = index.closure_for_bfs(&universe, target);
+            let view = index.closure_view(&universe, target, &mut ws);
+            prop_assert_eq!(view.servers().collect::<Vec<_>>(), servers, "servers of {}", target);
+            prop_assert_eq!(view.zones().collect::<Vec<_>>(), zones, "zones of {}", target);
+            prop_assert_eq!(
+                view.target_chain(), &universe.chain_zones(target)[..],
+                "chain of {}", target
+            );
         }
     }
 
-    /// The parallel index build is invariant in the thread count: the
-    /// dependency rows, the interner statistics and every closure match
-    /// the single-threaded build exactly (level-parallel memoization ≡
-    /// serial memoization).
+    /// The index does not depend on the thread that builds it: an index
+    /// built on a worker thread while another builds concurrently has the
+    /// caller's `DEPINDEX` bytes, dependency rows, interner statistics and
+    /// closures (the build is serial and shares no state between calls).
     #[test]
     fn index_build_thread_invariant(spec in arb_world()) {
         let (universe, targets) = build(&spec);
-        let serial = DependencyIndex::build_with_threads(&universe, 1);
-        let parallel = DependencyIndex::build_with_threads(&universe, 8);
+        let serial = DependencyIndex::build(&universe);
+        let (parallel, other) = std::thread::scope(|s| {
+            let a = s.spawn(|| DependencyIndex::build(&universe));
+            let b = s.spawn(|| DependencyIndex::build(&universe));
+            (a.join().expect("build thread"), b.join().expect("build thread"))
+        });
+        prop_assert!(parallel == serial && other == serial, "DEPINDEX bytes diverged");
         for sid in universe.server_ids() {
             prop_assert!(serial.deps_of(sid).eq(parallel.deps_of(sid)), "deps of {:?}", sid);
         }

@@ -89,34 +89,6 @@ impl BitSet {
         self.blocks.iter_mut().for_each(|b| *b = 0);
     }
 
-    /// In-place union; returns true if `self` changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        let mut changed = false;
-        for (a, &b) in self.blocks.iter_mut().zip(&other.blocks) {
-            let before = *a;
-            *a |= b;
-            changed |= *a != before;
-        }
-        changed
-    }
-
-    /// In-place intersection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacities differ.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, &b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
-    }
-
     /// Iterates elements in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks.iter().enumerate().flat_map(|(i, &block)| {
@@ -277,29 +249,6 @@ impl BitSetInterner {
     /// Panics when the last id exceeds the capacity (and, in debug builds,
     /// when `ids` is unsorted or has duplicates).
     pub fn intern(&mut self, ids: &[u32]) -> SetId {
-        self.intern_hashed(ids, fnv1a(ids))
-    }
-
-    /// The content hash [`BitSetInterner::intern`] computes internally.
-    /// Worker threads of a parallel memoization pass hash their sets with
-    /// this and hand the results to [`BitSetInterner::intern_hashed`], so
-    /// the serial interning step on the merge thread does no re-hashing.
-    pub fn hash_ids(ids: &[u32]) -> u64 {
-        fnv1a(ids)
-    }
-
-    /// [`BitSetInterner::intern`] with a caller-precomputed content hash
-    /// (`hash` must equal [`BitSetInterner::hash_ids`] of `ids`).
-    ///
-    /// `ids` must be sorted ascending and duplicate-free — debug builds
-    /// verify this; release builds trust the caller (this sits on the
-    /// index build's hot path).
-    ///
-    /// # Panics
-    ///
-    /// Panics when an id exceeds the capacity (and, in debug builds, when
-    /// `ids` is unsorted or has duplicates).
-    pub fn intern_hashed(&mut self, ids: &[u32], hash: u64) -> SetId {
         debug_assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "interned ids must be sorted and unique"
@@ -311,7 +260,7 @@ impl BitSetInterner {
                 self.capacity
             );
         }
-        debug_assert_eq!(hash, fnv1a(ids), "precomputed hash mismatch");
+        let hash = fnv1a(ids);
         match self.by_hash.entry(hash) {
             std::collections::hash_map::Entry::Occupied(first) => {
                 let first = *first.get();
@@ -658,21 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
-        let mut a = BitSet::new(100);
-        let mut b = BitSet::new(100);
-        a.insert(1);
-        a.insert(50);
-        b.insert(50);
-        b.insert(99);
-        assert!(a.union_with(&b));
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 50, 99]);
-        assert!(!a.union_with(&b), "second union is a no-op");
-        a.intersect_with(&b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![50, 99]);
-    }
-
-    #[test]
     fn iteration_order_and_clear() {
         let mut s = BitSet::new(200);
         for v in [199, 3, 77, 64, 63] {
@@ -735,15 +669,6 @@ mod tests {
         let big: Vec<u32> = (0..128).collect();
         let dense = pool.intern(&big);
         assert_eq!(pool.as_sorted_slice(dense), None, "dense sets are blocks");
-    }
-
-    #[test]
-    fn intern_hashed_dedupes_against_intern() {
-        let mut pool = BitSetInterner::new(100);
-        let a = pool.intern(&[1, 2, 50]);
-        let hash = BitSetInterner::hash_ids(&[1, 2, 50]);
-        assert_eq!(pool.intern_hashed(&[1, 2, 50], hash), a);
-        assert_eq!(pool.len(), 1);
     }
 
     #[test]

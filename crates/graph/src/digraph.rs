@@ -1,10 +1,9 @@
 //! An arena-based directed graph with dense node ids.
 //!
 //! Nodes carry a weight `N` (the analysis stores nameserver metadata there);
-//! edges are unweighted ordered pairs. Both out- and in-adjacency are
-//! maintained because the trust analyses traverse in both directions
-//! ("which servers does this name depend on" vs. "which names does this
-//! server control").
+//! edges are unweighted ordered pairs. Only out-adjacency is stored: every
+//! analysis walks dependency edges forward ("which servers does this name
+//! depend on").
 
 /// A dense node identifier, valid for the graph that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,7 +22,6 @@ impl NodeId {
 pub struct DiGraph<N> {
     weights: Vec<N>,
     out_edges: Vec<Vec<NodeId>>,
-    in_edges: Vec<Vec<NodeId>>,
     edge_count: usize,
 }
 
@@ -32,7 +30,6 @@ impl<N> Default for DiGraph<N> {
         DiGraph {
             weights: Vec::new(),
             out_edges: Vec::new(),
-            in_edges: Vec::new(),
             edge_count: 0,
         }
     }
@@ -49,7 +46,6 @@ impl<N> DiGraph<N> {
         let id = NodeId(self.weights.len() as u32);
         self.weights.push(weight);
         self.out_edges.push(Vec::new());
-        self.in_edges.push(Vec::new());
         id
     }
 
@@ -64,7 +60,6 @@ impl<N> DiGraph<N> {
         assert!(from.index() < self.weights.len(), "from node out of range");
         assert!(to.index() < self.weights.len(), "to node out of range");
         self.out_edges[from.index()].push(to);
-        self.in_edges[to.index()].push(from);
         self.edge_count += 1;
     }
 
@@ -94,29 +89,14 @@ impl<N> DiGraph<N> {
         &self.weights[node.index()]
     }
 
-    /// Mutable weight access.
-    pub fn weight_mut(&mut self, node: NodeId) -> &mut N {
-        &mut self.weights[node.index()]
-    }
-
     /// Successors of `node`.
     pub fn out_neighbors(&self, node: NodeId) -> &[NodeId] {
         &self.out_edges[node.index()]
     }
 
-    /// Predecessors of `node`.
-    pub fn in_neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.in_edges[node.index()]
-    }
-
     /// Out-degree of `node`.
     pub fn out_degree(&self, node: NodeId) -> usize {
         self.out_edges[node.index()].len()
-    }
-
-    /// In-degree of `node`.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_edges[node.index()].len()
     }
 
     /// Iterates node ids in creation order.
@@ -130,21 +110,6 @@ impl<N> DiGraph<N> {
             .iter()
             .enumerate()
             .flat_map(|(from, outs)| outs.iter().map(move |&to| (NodeId(from as u32), to)))
-    }
-
-    /// Builds the graph with edge directions reversed (weights cloned).
-    pub fn reversed(&self) -> DiGraph<N>
-    where
-        N: Clone,
-    {
-        let mut g = DiGraph::new();
-        for w in &self.weights {
-            g.add_node(w.clone());
-        }
-        for (from, to) in self.edges() {
-            g.add_edge(to, from);
-        }
-        g
     }
 }
 
@@ -164,9 +129,8 @@ mod tests {
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
         assert_eq!(g.out_neighbors(a), &[b, c]);
-        assert_eq!(g.in_neighbors(c), &[a, b]);
         assert_eq!(g.out_degree(a), 2);
-        assert_eq!(g.in_degree(a), 0);
+        assert_eq!(g.out_degree(c), 0);
         assert_eq!(*g.weight(b), "b");
     }
 
@@ -187,19 +151,7 @@ mod tests {
         let a = g.add_node(());
         g.add_edge(a, a);
         assert_eq!(g.out_neighbors(a), &[a]);
-        assert_eq!(g.in_neighbors(a), &[a]);
-    }
-
-    #[test]
-    fn reversed_swaps_directions() {
-        let mut g: DiGraph<u8> = DiGraph::new();
-        let a = g.add_node(1);
-        let b = g.add_node(2);
-        g.add_edge(a, b);
-        let r = g.reversed();
-        assert_eq!(r.out_neighbors(b), &[a]);
-        assert_eq!(r.in_neighbors(a), &[b]);
-        assert_eq!(*r.weight(a), 1);
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(a, a)]);
     }
 
     #[test]
@@ -219,13 +171,5 @@ mod tests {
         let mut g: DiGraph<()> = DiGraph::new();
         let a = g.add_node(());
         g.add_edge(a, NodeId(7));
-    }
-
-    #[test]
-    fn weight_mut() {
-        let mut g: DiGraph<u32> = DiGraph::new();
-        let a = g.add_node(0);
-        *g.weight_mut(a) += 5;
-        assert_eq!(*g.weight(a), 5);
     }
 }

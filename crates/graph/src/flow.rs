@@ -84,30 +84,23 @@ impl FlowNetwork {
         self.head.len()
     }
 
-    /// Adds a directed edge with capacity `cap`; returns its edge id.
+    /// Adds a directed edge with capacity `cap` (and its zero-capacity
+    /// residual twin).
     ///
     /// # Panics
     ///
     /// Panics if either endpoint is out of range.
-    pub fn add_edge(&mut self, from: usize, to: usize, cap: u64) -> usize {
+    pub fn add_edge(&mut self, from: usize, to: usize, cap: u64) {
         assert!(
             from < self.head.len() && to < self.head.len(),
             "endpoint out of range"
         );
-        let id = self.to.len();
         for (tail, target, cap) in [(from, to, cap), (to, from, 0)] {
             self.next.push(self.head[tail]);
             self.head[tail] = self.to.len() as u32;
             self.to.push(target as u32);
             self.cap.push(cap);
         }
-        id
-    }
-
-    /// Flow currently pushed through forward edge `id` (its reverse
-    /// residual capacity).
-    pub fn edge_flow(&self, id: usize) -> u64 {
-        self.cap[id ^ 1]
     }
 
     /// Runs Dinic from `source` to `sink`, returning the max-flow value.
@@ -306,8 +299,6 @@ mod tests {
         net.add_edge(a, b, 3);
         net.add_edge(b, t, 10);
         assert_eq!(net.max_flow(s, t), 3);
-        // The saturated edge a→b carries all flow.
-        assert_eq!(net.edge_flow(2), 3);
     }
 
     #[test]

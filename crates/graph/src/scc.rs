@@ -4,7 +4,7 @@
 //! nameservers (the paper's Figure 1 shows cornell ↔ rochester ↔ wisc
 //! interdependencies). SCCs identify such mutual-trust clusters, and
 //! their reverse-topological numbering lets closure and depth passes
-//! walk the condensation in id order without building it. The pass is
+//! walk the condensation in id order, with no topological sort. The pass is
 //! serial, so the numbering is a pure function of the adjacency order —
 //! the same on every machine and at every thread count.
 
@@ -40,8 +40,9 @@ pub fn tarjan_scc<N>(graph: &DiGraph<N>) -> SccResult {
 
 /// The iterative-Tarjan core over any adjacency representation: `degree(u)`
 /// is node `u`'s out-degree and `neighbor(u, k)` its `k`-th out-neighbor.
-/// [`tarjan_scc`] (arena graphs) and [`crate::csr::Csr::scc`] (CSR) both
-/// delegate here.
+/// [`tarjan_scc`] (arena graphs) delegates here, and the survey's
+/// dependency index runs it over per-home-zone rows without building a
+/// graph.
 pub fn tarjan_scc_with(
     n: usize,
     degree: impl Fn(usize) -> usize,

@@ -1,4 +1,4 @@
-//! Traversals: BFS/DFS, reachability, topological sort, transitive closure.
+//! Traversals: reachability, shortest paths and transitive closure.
 
 use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};
@@ -28,70 +28,6 @@ pub fn reachable_from_all<N>(
         }
     }
     seen
-}
-
-/// BFS distances (edge counts) from `start`; unreachable nodes get `None`.
-pub fn bfs_distances<N>(graph: &DiGraph<N>, start: NodeId) -> Vec<Option<u32>> {
-    let mut dist: Vec<Option<u32>> = vec![None; graph.node_count()];
-    dist[start.index()] = Some(0);
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(start);
-    while let Some(node) = queue.pop_front() {
-        let d = dist[node.index()].expect("queued nodes have distances");
-        for &next in graph.out_neighbors(node) {
-            if dist[next.index()].is_none() {
-                dist[next.index()] = Some(d + 1);
-                queue.push_back(next);
-            }
-        }
-    }
-    dist
-}
-
-/// DFS postorder from `start` (each node once, children before parents).
-pub fn dfs_postorder<N>(graph: &DiGraph<N>, start: NodeId) -> Vec<NodeId> {
-    let mut seen = BitSet::new(graph.node_count());
-    let mut order = Vec::new();
-    // Iterative DFS with an explicit (node, child-cursor) stack.
-    let mut stack: Vec<(NodeId, usize)> = Vec::new();
-    if seen.insert(start.index()) {
-        stack.push((start, 0));
-    }
-    while let Some(&mut (node, ref mut cursor)) = stack.last_mut() {
-        let neighbors = graph.out_neighbors(node);
-        if *cursor < neighbors.len() {
-            let next = neighbors[*cursor];
-            *cursor += 1;
-            if seen.insert(next.index()) {
-                stack.push((next, 0));
-            }
-        } else {
-            order.push(node);
-            stack.pop();
-        }
-    }
-    order
-}
-
-/// Kahn topological sort. Returns `None` when the graph has a cycle.
-pub fn topo_sort<N>(graph: &DiGraph<N>) -> Option<Vec<NodeId>> {
-    let n = graph.node_count();
-    let mut in_deg: Vec<usize> = (0..n).map(|i| graph.in_degree(NodeId(i as u32))).collect();
-    let mut ready: Vec<NodeId> = (0..n as u32)
-        .map(NodeId)
-        .filter(|&v| in_deg[v.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(node) = ready.pop() {
-        order.push(node);
-        for &next in graph.out_neighbors(node) {
-            in_deg[next.index()] -= 1;
-            if in_deg[next.index()] == 0 {
-                ready.push(next);
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
 }
 
 /// A shortest (fewest-edges) path from `from` to `to`, both inclusive,
@@ -135,9 +71,9 @@ pub fn shortest_path<N>(graph: &DiGraph<N>, from: NodeId, to: NodeId) -> Option<
 /// from `v` (including `v`).
 ///
 /// Implemented with one BFS per node over bitsets; suitable for the
-/// per-name delegation graphs (tens to hundreds of nodes). For whole-survey
-/// closures collapse cycles with [`crate::scc`] first (as
-/// [`crate::csr::Csr`] does).
+/// per-name delegation graphs (tens to hundreds of nodes). Whole-survey
+/// closures collapse cycles with [`crate::scc`] first and memoize one set
+/// per component (the survey's dependency index does).
 pub fn transitive_closure<N>(graph: &DiGraph<N>) -> Vec<BitSet> {
     graph.nodes().map(|v| reachable_from(graph, v)).collect()
 }
@@ -169,43 +105,6 @@ mod tests {
         assert!(!r.contains(a.index()) && !r.contains(c.index()));
         let r = reachable_from_all(&g, [b, c]);
         assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn distances() {
-        let (g, [a, b, c, d]) = diamond();
-        let dist = bfs_distances(&g, a);
-        assert_eq!(dist[a.index()], Some(0));
-        assert_eq!(dist[b.index()], Some(1));
-        assert_eq!(dist[c.index()], Some(1));
-        assert_eq!(dist[d.index()], Some(2));
-        let dist_from_d = bfs_distances(&g, d);
-        assert_eq!(dist_from_d[a.index()], None);
-    }
-
-    #[test]
-    fn postorder_parents_last() {
-        let (g, [a, _, _, d]) = diamond();
-        let order = dfs_postorder(&g, a);
-        assert_eq!(order.len(), 4);
-        assert_eq!(*order.last().unwrap(), a);
-        assert_eq!(order[0], d, "deepest node first");
-    }
-
-    #[test]
-    fn topo_sort_dag_and_cycle() {
-        let (g, [a, b, c, d]) = diamond();
-        let order = topo_sort(&g).expect("diamond is a DAG");
-        let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
-        assert!(pos(a) < pos(b) && pos(a) < pos(c));
-        assert!(pos(b) < pos(d) && pos(c) < pos(d));
-
-        let mut cyclic = DiGraph::<()>::new();
-        let x = cyclic.add_node(());
-        let y = cyclic.add_node(());
-        cyclic.add_edge(x, y);
-        cyclic.add_edge(y, x);
-        assert!(topo_sort(&cyclic).is_none());
     }
 
     #[test]
@@ -241,7 +140,11 @@ mod tests {
         g.add_edge(b, c);
         let r = reachable_from(&g, a);
         assert_eq!(r.len(), 3);
-        let order = dfs_postorder(&g, a);
-        assert_eq!(order.len(), 3, "cycle must not loop forever");
+        assert_eq!(
+            reachable_from(&g, b).len(),
+            3,
+            "cycle must not loop forever"
+        );
+        assert_eq!(reachable_from(&g, c).len(), 1);
     }
 }

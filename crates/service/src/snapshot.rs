@@ -10,7 +10,7 @@
 //! swaps in the next one — queries never observe a torn snapshot, only
 //! epoch N or epoch N+1.
 
-use perils_core::closure::{DependencyIndex, IndexBuildStats};
+use perils_core::closure::DependencyIndex;
 use perils_core::lint::LintIndex;
 use perils_core::universe::Universe;
 use perils_survey::engine::Engine;
@@ -66,9 +66,6 @@ pub struct SnapshotStats {
     /// Wall-clock of the whole build (stream + index + lint + figures +
     /// archive round trip), or of the archive load for loaded snapshots.
     pub build: Duration,
-    /// Dependency-index phase timings (zeroed for loaded snapshots — the
-    /// index is read, not rebuilt).
-    pub index: IndexBuildStats,
     /// Universe shape.
     pub zones: usize,
     /// Universe shape.
@@ -122,7 +119,7 @@ impl WorldSnapshot {
     pub fn build(spec: &WorldSpec, epoch: u64, threads: usize, figures: bool) -> WorldSnapshot {
         let start = Instant::now();
         let world = spec.stream().collect();
-        let (index, index_stats) = DependencyIndex::build_with_stats(&world.universe, threads);
+        let index = DependencyIndex::build(&world.universe);
         let lint = LintIndex::build(&world.universe);
         let (world, figures) = if figures {
             let engine = Engine::with_extended_metrics().threads(NonZeroUsize::new(threads));
@@ -142,13 +139,7 @@ impl WorldSnapshot {
         );
         drop((world, index, lint, figures));
         let loaded = load_world_bytes(bytes).expect("a freshly built world archive loads");
-        WorldSnapshot::from_loaded(
-            loaded,
-            epoch,
-            start.elapsed(),
-            index_stats,
-            SnapshotSource::Built,
-        )
+        WorldSnapshot::from_loaded(loaded, epoch, start.elapsed(), SnapshotSource::Built)
     }
 
     /// The tail every world shares once its archive bytes exist: the
@@ -157,7 +148,6 @@ impl WorldSnapshot {
         world: LoadedWorld,
         epoch: u64,
         build: Duration,
-        index: IndexBuildStats,
         source: SnapshotSource,
     ) -> WorldSnapshot {
         let figures_json = world
@@ -165,7 +155,6 @@ impl WorldSnapshot {
             .map(|json| restamp_figures_epoch(&json, epoch));
         let stats = SnapshotStats {
             build,
-            index,
             zones: world.universe.zone_count(),
             servers: world.universe.server_count(),
             names: world.names.len(),
@@ -218,13 +207,7 @@ impl WorldSnapshot {
             archive_bytes: world.archive_bytes,
             load,
         };
-        Ok(WorldSnapshot::from_loaded(
-            world,
-            epoch,
-            load,
-            IndexBuildStats::default(),
-            source,
-        ))
+        Ok(WorldSnapshot::from_loaded(world, epoch, load, source))
     }
 
     /// Time since this snapshot finished building.

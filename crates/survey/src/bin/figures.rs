@@ -230,8 +230,7 @@ fn main() {
                 WorldSource::describe(&source),
                 args.scale,
             );
-            // One index serves the run and any saved archive; `build`
-            // keeps the archive's bytes independent of the engine's threads.
+            // One index serves the run and any saved archive.
             let world = source.load();
             let index = DependencyIndex::build(&world.universe);
             (engine.run_world_indexed(world, &index), index)

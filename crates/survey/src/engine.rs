@@ -599,7 +599,7 @@ impl Engine {
         let mut stream = source.stream();
         let threads = par::threads(self.threads);
         let universe = stream.build_universe();
-        let index = DependencyIndex::build_with_threads(&universe, threads);
+        let index = DependencyIndex::build(&universe);
         let prepared: Vec<PreparedState> =
             self.metrics.iter().map(|m| m.prepare(&universe)).collect();
         let batch = batch_size.get();
@@ -636,8 +636,7 @@ impl Engine {
 
     /// Runs every registered metric over an already-built world.
     pub fn run_world(&self, world: AnalysisWorld) -> SurveyReport {
-        let threads = par::threads(self.threads);
-        let index = DependencyIndex::build_with_threads(&world.universe, threads);
+        let index = DependencyIndex::build(&world.universe);
         self.run_world_indexed(world, &index)
     }
 

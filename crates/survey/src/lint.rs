@@ -108,7 +108,7 @@ pub fn run_lint<'u>(
     overrides: &SeverityOverrides,
     threads: Option<NonZeroUsize>,
 ) -> LintReport<'u> {
-    let index = DependencyIndex::build_with_threads(universe, par::threads(threads));
+    let index = DependencyIndex::build(universe);
     let facts = LintIndex::build(universe);
     run_lint_with(
         universe, names, registry, overrides, threads, &index, &facts,

@@ -245,22 +245,17 @@ proptest! {
         let from_shards = build(dealt.into_iter().flatten(), true);
         prop_assert_eq!(&from_shards, &baseline, "sharded feed diverged");
 
-        // Equal universes ⇒ equal dependency indexes at every thread
-        // count: the `DEPINDEX` bytes match the one-thread build's, and so
-        // do the dependency rows and every surveyed name's closure
-        // (tree-parallel zone rows ≡ the serial recurrence, level-parallel
-        // memoization ≡ one worker).
-        let serial = DependencyIndex::build_with_threads(&baseline, 1);
-        let serial_obs = index_observations(&serial, &baseline, &names);
-        for threads in [1usize, 2, 8] {
-            let index = DependencyIndex::build_with_threads(&from_permuted, threads);
-            prop_assert!(index == serial, "DEPINDEX bytes diverged at {} threads", threads);
-            prop_assert_eq!(
-                &index_observations(&index, &from_permuted, &names),
-                &serial_obs,
-                "index diverged at {} threads", threads
-            );
-        }
+        // Equal universes ⇒ equal dependency indexes: the `DEPINDEX`
+        // bytes match, and so do the dependency rows and every surveyed
+        // name's closure.
+        let expected = DependencyIndex::build(&baseline);
+        let index = DependencyIndex::build(&from_permuted);
+        prop_assert!(index == expected, "DEPINDEX bytes diverged");
+        prop_assert_eq!(
+            &index_observations(&index, &from_permuted, &names),
+            &index_observations(&expected, &baseline, &names),
+            "index diverged"
+        );
 
         // ... and byte-identical lint diagnostics in every serialization,
         // regardless of worker count on either side.
