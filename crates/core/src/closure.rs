@@ -47,10 +47,9 @@
 //! The view is the only closure type: every consumer — the survey's
 //! metrics, lint, the attack and DNSSEC simulations, the hijack searches
 //! — reads one, and a caller that needs the closure past the workspace's
-//! next use collects the iterators it needs. Two independent oracles stay
-//! for the property tests: [`DependencyIndex::closure_for_bfs`], the
-//! legacy per-name BFS, and [`extract_universe`], which pushes a closure
-//! back through the universe builder by name.
+//! next use collects the iterators it needs. The tests check views
+//! against the dev-only `perils-oracle` crate's per-name BFS and its
+//! closure pushed back through the universe builder by name.
 //!
 //! A closure is a pure function of the target's delegation chain: the view
 //! derives everything from [`ClosureView::target_chain`], so two names with
@@ -65,7 +64,6 @@ use perils_graph::bitset::{BitSet, BitSetInterner, SetId, SetTable};
 use perils_graph::scc::SccResult;
 use perils_util::snapshot::{self, Section, SnapshotError};
 use perils_util::U32View;
-use std::collections::BTreeSet;
 
 /// Precomputed dependency structure over a universe.
 ///
@@ -320,7 +318,7 @@ impl MemoResult {
     fn component_sets(
         &self,
         universe: &Universe,
-        members: &[perils_graph::NodeId],
+        members: &[u32],
         successors: &[u32],
         scratch: &mut MemoScratch,
     ) {
@@ -342,17 +340,13 @@ impl MemoResult {
             });
         if mergeable {
             scratch.out_servers.clear();
-            scratch
-                .out_servers
-                .extend(members.iter().map(|m| m.index() as u32));
+            scratch.out_servers.extend_from_slice(members);
             scratch.out_servers.sort_unstable();
             scratch.out_zones.clear();
-            for member in members {
-                scratch.out_zones.extend(
-                    universe
-                        .server_chain_up(ServerId(member.index() as u32))
-                        .map(|zid| zid.0),
-                );
+            for &member in members {
+                scratch
+                    .out_zones
+                    .extend(universe.server_chain_up(ServerId(member)).map(|zid| zid.0));
             }
             scratch.out_zones.sort_unstable();
             scratch.out_zones.dedup();
@@ -374,8 +368,8 @@ impl MemoResult {
         // Bitset path: dense successors or wide fan-out.
         scratch.out_servers.clear();
         scratch.out_zones.clear();
-        for member in members {
-            let s = member.index();
+        for &member in members {
+            let s = member as usize;
             if scratch.seen_servers.insert(s) {
                 scratch.out_servers.push(s as u32);
             }
@@ -423,8 +417,8 @@ fn condense<'r>(scc: &SccResult, dep_row: impl Fn(usize) -> &'r [ServerId]) -> C
     // `stamps[d] == c` ⇔ component `d` is already among `c`'s successors.
     let mut stamps = vec![u32::MAX; scc.count()];
     for (c, members) in (0u32..).zip(&scc.components) {
-        for member in members {
-            for s in dep_row(member.index()) {
+        for &member in members {
+            for s in dep_row(member as usize) {
                 let d = scc.component_of[s.index()] as u32;
                 if d != c && stamps[d as usize] != c {
                     debug_assert!(d < c, "Tarjan numbers components reverse topologically");
@@ -851,36 +845,6 @@ impl DependencyIndex {
             zones: &ws.zones,
         }
     }
-
-    /// The legacy per-name BFS over the dependency adjacency — the
-    /// reference implementation [`DependencyIndex::closure_view`] is tested
-    /// against. Returns the closure's servers and zones, ascending.
-    pub fn closure_for_bfs(
-        &self,
-        universe: &Universe,
-        target: &DnsName,
-    ) -> (Vec<ServerId>, Vec<ZoneId>) {
-        let target_chain = universe.chain_zones(target);
-        let mut servers: BTreeSet<ServerId> = BTreeSet::new();
-        let mut zones: BTreeSet<ZoneId> = target_chain.iter().copied().collect();
-        let mut queue: Vec<ServerId> = Vec::new();
-        for &zid in &target_chain {
-            for &ns in &universe.zone(zid).ns {
-                if servers.insert(ns) {
-                    queue.push(ns);
-                }
-            }
-        }
-        while let Some(sid) = queue.pop() {
-            zones.extend(universe.chain_zones(&universe.server(sid).name));
-            for dep in self.deps_of(sid) {
-                if servers.insert(dep) {
-                    queue.push(dep);
-                }
-            }
-        }
-        (servers.into_iter().collect(), zones.into_iter().collect())
-    }
 }
 
 /// The dependency closure of one name as **borrowed sorted slices** — no
@@ -954,82 +918,20 @@ impl<'a> ClosureView<'a> {
     }
 }
 
-/// Extracts a self-contained sub-universe holding exactly `zones` and
-/// `servers` (a closure's, as [`crate::usable::Frame::restricted`] takes
-/// them), rebuilt by name through the universe builder.
-///
-/// A closure is NS-complete (every NS of every closure zone is a closure
-/// server), so analyses over the sub-universe — reachability fixed points,
-/// hijack searches — agree with the full universe while being orders of
-/// magnitude smaller. Zones whose parent falls outside `zones` are treated
-/// as delegated straight from the trusted hints, which matches their role
-/// in the name's resolution.
-///
-/// Nothing on a hot path calls this: the exact hijack search solves on
-/// [`crate::usable::Frame::restricted`] instead, and this stays as the
-/// independent oracle the property tests check that frame against.
-pub fn extract_universe(
-    universe: &Universe,
-    zones: impl IntoIterator<Item = ZoneId>,
-    servers: impl IntoIterator<Item = ServerId>,
-) -> Universe {
-    let mut builder = Universe::builder();
-    for sid in servers {
-        let s = universe.server(sid);
-        builder.raw_server(&s.name, s.vulnerable, s.is_root);
-    }
-    for zid in zones {
-        let zone = universe.zone(zid);
-        let ns_names: Vec<DnsName> = zone
-            .ns
-            .iter()
-            .map(|&s| universe.server(s).name.clone())
-            .collect();
-        builder.add_zone(&zone.origin, &ns_names);
-    }
-    builder.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::universe::Universe;
     use perils_dns::name::name;
     use perils_dns::name::DnsName;
+    use std::collections::BTreeSet;
 
-    /// The paper's Figure 1 structure in miniature:
-    /// cornell → rochester → wisc → umich transitive chain.
+    /// The paper's Figure 1 web: cornell → rochester → wisc → umich, with
+    /// cornell ↔ rochester mutual secondaries.
     fn figure1_universe() -> Universe {
-        let mut b = Universe::builder();
-        b.raw_server(&name("a.root-servers.net"), false, true);
-        b.add_zone(&DnsName::root(), &[name("a.root-servers.net")]);
-        b.add_zone(&name("edu"), &[name("a.edu-servers.net")]);
-        b.add_zone(&name("net"), &[name("a.gtld-servers.net")]);
-        b.add_zone(&name("edu-servers.net"), &[name("a.edu-servers.net")]);
-        b.add_zone(&name("gtld-servers.net"), &[name("a.gtld-servers.net")]);
-        b.add_zone(&name("cornell.edu"), &[name("cudns.cit.cornell.edu")]);
-        b.add_zone(
-            &name("cs.cornell.edu"),
-            &[
-                name("simon.cs.cornell.edu"),
-                name("cayuga.cs.rochester.edu"),
-            ],
-        );
-        b.add_zone(
-            &name("rochester.edu"),
-            &[name("ns1.rochester.edu"), name("simon.cs.cornell.edu")],
-        );
-        b.add_zone(
-            &name("cs.rochester.edu"),
-            &[name("cayuga.cs.rochester.edu"), name("dns.cs.wisc.edu")],
-        );
-        b.add_zone(
-            &name("wisc.edu"),
-            &[name("dns.wisc.edu"), name("dns2.itd.umich.edu")],
-        );
-        b.add_zone(&name("cs.wisc.edu"), &[name("dns.cs.wisc.edu")]);
-        b.add_zone(&name("umich.edu"), &[name("dns.itd.umich.edu")]);
-        b.finish()
+        let scenario = perils_authserver::scenarios::cornell_figure1();
+        let db = perils_vulndb::VulnDb::isc_feb_2004();
+        Universe::from_registry(&scenario.registry, &db, |_| None)
     }
 
     /// The host names of the servers in `target`'s closure, ascending by id.
@@ -1100,64 +1002,6 @@ mod tests {
             let names = server_names(&u, &index, target);
             assert!(names.contains(&"simon.cs.cornell.edu".to_string()));
             assert!(names.contains(&"cayuga.cs.rochester.edu".to_string()));
-        }
-    }
-
-    #[test]
-    fn memoized_closure_matches_bfs_on_cyclic_universe() {
-        // The cornell ↔ rochester web collapses into one SCC; the memoized
-        // union must agree with the legacy BFS set-for-set for every
-        // plausible target, including names inside the cycle.
-        let u = figure1_universe();
-        let index = DependencyIndex::build(&u);
-        let mut ws = index.workspace();
-        for target in [
-            "www.cs.cornell.edu",
-            "www.cs.rochester.edu",
-            "www.rochester.edu",
-            "www.cs.wisc.edu",
-            "www.umich.edu",
-            "host.edu-servers.net",
-            "nowhere.test",
-        ] {
-            let target = name(target);
-            let (servers, zones) = index.closure_for_bfs(&u, &target);
-            let memo = index.closure_view(&u, &target, &mut ws);
-            assert!(memo.servers().eq(servers), "{target} servers");
-            assert!(memo.zones().eq(zones), "{target} zones");
-            assert_eq!(
-                memo.target_chain(),
-                u.chain_zones(&target),
-                "{target} chain"
-            );
-        }
-    }
-
-    #[test]
-    fn view_matches_bfs_and_answers_membership() {
-        let u = figure1_universe();
-        let index = DependencyIndex::build(&u);
-        let mut ws = index.workspace();
-        for target in ["www.cs.cornell.edu", "www.umich.edu", "nowhere.test"] {
-            let target = name(target);
-            let (servers, zones) = index.closure_for_bfs(&u, &target);
-            let view = index.closure_view(&u, &target, &mut ws);
-            assert_eq!(view.server_count(), servers.len(), "{target}");
-            assert_eq!(view.zone_count(), zones.len(), "{target}");
-            assert_eq!(
-                view.tcb_size(&u),
-                servers.iter().filter(|&&s| !u.server(s).is_root).count()
-            );
-            for sid in u.server_ids() {
-                assert_eq!(
-                    view.contains_server(sid),
-                    servers.contains(&sid),
-                    "{target} {sid:?}"
-                );
-            }
-            for zid in u.zone_ids() {
-                assert_eq!(view.contains_zone(zid), zones.contains(&zid));
-            }
         }
     }
 
@@ -1290,7 +1134,7 @@ mod tests {
                 // every one numbered lower (Tarjan is reverse topological).
                 let expected: BTreeSet<u32> = members
                     .iter()
-                    .flat_map(|m| dep_row(m.index()))
+                    .flat_map(|&m| dep_row(m as usize))
                     .map(|s| scc.component_of[s.index()] as u32)
                     .filter(|&d| d as usize != c)
                     .collect();

@@ -8,24 +8,37 @@
 //! Two computations are provided:
 //!
 //! * [`min_cut_flattened_view`] — the paper's method: a minimum vertex cut of
-//!   the flattened [`crate::delegation::DelegationGraph`], weighted
-//!   lexicographically by (cut size, number of *safe* members) so the
-//!   most attacker-friendly minimum cut is reported;
+//!   the flattened delegation graph, weighted lexicographically by (cut
+//!   size, number of *safe* members) so the most attacker-friendly minimum
+//!   cut is reported; [`choke_witness`] reads a resolution path through a
+//!   one-server cut off the same network;
 //! * [`min_hijack_exact`] — an exact branch-and-bound over the glue-aware
 //!   AND/OR resolution semantics ([`crate::usable`]), branching on
 //!   resolution witnesses. The `ablation_mincut` bench compares the two.
 //!
 //! # The flattened cut
 //!
-//! The cut is that of [`perils_graph::flow::min_vertex_cut`] over the
-//! `DelegationGraph`, computed without the graph: the layer walk of
-//! [`crate::delegation`] fills a per-thread [`FlowNetwork`] in which every
-//! server is an in/out pair joined by an edge of its removal cost, and
-//! every `NS(parent) × NS(zone)` product is replaced by one *hub* per
-//! zone — each server of a layer drains into its zone's hub, and the hub
-//! feeds the servers of every layer below and the endpoint of every chain
-//! that ends there (`|parent| + |zone|` edges where the product has
-//! `|parent| · |zone|`).
+//! The delegation graph of a name joins a trusted source (the root
+//! hints), the closure's servers and a sink (the name): along the chain of
+//! every name in the closure, the source, each zone's NS set and the
+//! name's own node are joined pairwise in full. A vertex cut blocks every
+//! root→sink path. The dev-only `perils-oracle` crate builds that graph as
+//! an object; tests hold this kernel to that graph's minimum vertex cut.
+//!
+//! The product builds no graph. One walk, `wire_hub_network`, fills a
+//! per-thread [`FlowNetwork`] in which every server is an in/out pair
+//! joined by an edge of its removal cost, and every `NS(parent) × NS(zone)`
+//! product is replaced by one *hub* per zone — each server of a layer
+//! drains into its zone's hub, and the hub feeds the servers of every
+//! layer below and the endpoint of every chain that ends there
+//! (`|parent| + |zone|` edges where the product has `|parent| · |zone|`).
+//! The zones above a zone `z` on a chain are the registered ancestors of
+//! `z`'s origin whichever name the chain belongs to, so the hub a chain
+//! holds once past `z` is a function of `z` alone: the walk wires each
+//! closure zone once and every later visit is a lookup. A server's chain
+//! is read off the universe's parent links
+//! ([`Universe::server_chain_into`]), which are heap tables on every
+//! snapshot backend, so the walk reads nothing from the dependency index.
 //!
 //! Why the reported set is the same. Hubs preserve the set of source→sink
 //! server paths — `u → hub → v` exists exactly where `u → v` did, save for
@@ -42,6 +55,15 @@
 //! (closures hold far fewer than `INF / 2 / SIZE_WEIGHT` servers); below
 //! that flow no `INF` edge is full and the network is the uncapacitated
 //! one, at or above it the answer is `None` whatever the exact value.
+//!
+//! # The choke-point witness
+//!
+//! [`choke_witness`] proves a one-server cut with a root→target path
+//! through it, read off the same wiring by breadth-first search over the
+//! added edges, with no max-flow run. Hubs preserve the delegation graph's
+//! edges, so its shortest paths are the graph's; of those, the witness is
+//! the least by server id (the least path to the choke, then the least on
+//! to the target), so it depends on no adjacency order.
 //!
 //! # The exact search
 //!
@@ -68,8 +90,7 @@
 //! minimum, since children only grow the objective.
 
 use crate::closure::{ClosureView, DependencyIndex};
-use crate::delegation::{walk_layers, Endpoint, LayerSink, WalkScratch};
-use crate::universe::{ServerId, Universe};
+use crate::universe::{ServerId, Universe, ZoneId};
 use crate::usable::{Frame, Scratch};
 use perils_graph::flow::{FlowNetwork, INF};
 use std::cell::RefCell;
@@ -125,36 +146,53 @@ pub fn min_cut_flattened_view(
     _index: &DependencyIndex,
     view: &ClosureView<'_>,
 ) -> Option<HijackSet> {
-    let (servers, zones) = view.id_lists();
     CUT_SCRATCH.with(|scratch| {
-        let CutScratch { net, walk } = &mut *scratch.borrow_mut();
-        net.clear();
-        net.add_nodes(2 + 2 * servers.len());
-        for (rank, &sid) in servers.iter().enumerate() {
-            let server = universe.server(ServerId(sid));
-            let cost = if server.is_root {
-                // Root servers are out of the threat model.
-                INF / 2
-            } else if server.vulnerable {
-                SIZE_WEIGHT
-            } else {
-                SIZE_WEIGHT + 1
-            };
-            net.add_edge(node_in(rank), node_out(rank), cost);
-        }
-        walk_layers(universe, view.target_chain(), servers, zones, walk, net);
+        let scratch = &mut *scratch.borrow_mut();
+        wire_hub_network(universe, view, scratch);
+        let net = &mut scratch.net;
         if net.max_flow(SOURCE, SINK) >= INF / 2 {
             return None; // only cuttable through out-of-model nodes
         }
         // The split edge crosses the cut: in-node on the source side,
         // out-node on the sink side.
-        let cut = servers
-            .iter()
+        let cut = view
+            .servers()
             .enumerate()
             .filter(|&(rank, _)| net.source_side(node_in(rank)) && !net.source_side(node_out(rank)))
-            .map(|(_, &sid)| ServerId(sid))
+            .map(|(_, sid)| sid)
             .collect();
         Some(HijackSet::of(universe, cut))
+    })
+}
+
+/// The witness of a one-server cut (module docs, "The choke-point
+/// witness"): the least shortest root→target path through `choke`, as its
+/// servers in resolution order, `choke` included. Empty when `choke` is
+/// not a closure server or no root→target path runs through it.
+pub fn choke_witness(
+    universe: &Universe,
+    view: &ClosureView<'_>,
+    choke: ServerId,
+) -> Vec<ServerId> {
+    let (servers, _) = view.id_lists();
+    let Ok(rank) = servers.binary_search(&choke.0) else {
+        return Vec::new();
+    };
+    CUT_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        wire_hub_network(universe, view, scratch);
+        let net = &scratch.net;
+        let (Some(head), Some(tail)) = (
+            least_shortest_path(net, SOURCE, node_in(rank)),
+            least_shortest_path(net, node_in(rank), SINK),
+        ) else {
+            return Vec::new();
+        };
+        head.into_iter()
+            .chain(tail.into_iter().skip(1))
+            .filter(|&stop| stop != SOURCE && stop != SINK)
+            .map(|stop| ServerId(servers[(stop - 2) / 2]))
+            .collect()
     })
 }
 
@@ -177,38 +215,111 @@ fn node_out(rank: usize) -> usize {
 #[derive(Default)]
 struct CutScratch {
     net: FlowNetwork,
-    walk: WalkScratch<usize>,
+    /// Per closure zone (by rank in the closure's ascending zone list):
+    /// the hub a chain holds after passing it, once known — the zone's own
+    /// hub, or its predecessor's when none of its NS is a closure server.
+    after: Vec<Option<usize>>,
+    /// The chain of the closure server being wired.
+    chain: Vec<ZoneId>,
 }
 
 thread_local! {
     static CUT_SCRATCH: RefCell<CutScratch> = RefCell::default();
 }
 
-/// The cut kernel's side of the layer walk: a layer is the hub its
-/// servers drain into (module docs), the source is its own hub.
-impl LayerSink for FlowNetwork {
-    type Layer = usize;
-
-    fn source(&self) -> usize {
-        SOURCE
-    }
-
-    fn wire(&mut self, prev: usize, members: &[u32]) -> usize {
-        let hub = self.add_node();
-        for &rank in members {
-            self.add_edge(prev, node_in(rank as usize), INF);
-            self.add_edge(node_out(rank as usize), hub, INF);
-        }
-        hub
-    }
-
-    fn finish(&mut self, prev: usize, endpoint: Endpoint) {
-        let to = match endpoint {
-            Endpoint::Target => SINK,
-            Endpoint::Server(rank) => node_in(rank as usize),
+/// Wires `scratch.net` as the hub network of `view` (module docs, "The
+/// flattened cut"): the split edge of every closure server with its
+/// removal cost, then the target's chain and the chain of every closure
+/// server in ascending id order. Closure ranks are the local ids, found
+/// by binary search so that nothing here is sized by the universe.
+fn wire_hub_network(universe: &Universe, view: &ClosureView<'_>, scratch: &mut CutScratch) {
+    let (servers, zones) = view.id_lists();
+    let CutScratch { net, after, chain } = scratch;
+    net.clear();
+    net.add_nodes(2 + 2 * servers.len());
+    for (rank, &sid) in servers.iter().enumerate() {
+        let server = universe.server(ServerId(sid));
+        let cost = if server.is_root {
+            // Root servers are out of the threat model.
+            INF / 2
+        } else if server.vulnerable {
+            SIZE_WEIGHT
+        } else {
+            SIZE_WEIGHT + 1
         };
-        self.add_edge(prev, to, INF);
+        net.add_edge(node_in(rank), node_out(rank), cost);
     }
+    after.clear();
+    after.resize(zones.len(), None);
+    let mut wire_chain = |chain_zones: &[ZoneId], end: usize| {
+        let mut prev = SOURCE;
+        for &zid in chain_zones {
+            // A built index puts every chain zone in the closure's
+            // `zones`, but a loaded archive's zone sets are checked for
+            // bounds, not content: a forged one can leave a chain zone
+            // out. Such a zone is wired on every visit — the network
+            // tolerates repeated edges — rather than panic.
+            let slot = zones.binary_search(&zid.0).ok();
+            if let Some(known) = slot.and_then(|z| after[z]) {
+                prev = known;
+                continue;
+            }
+            let mut hub = None;
+            let members = universe.zone(zid).ns.iter();
+            for rank in members.filter_map(|ns| servers.binary_search(&ns.0).ok()) {
+                let hub = *hub.get_or_insert_with(|| net.add_node());
+                net.add_edge(prev, node_in(rank), INF);
+                net.add_edge(node_out(rank), hub, INF);
+            }
+            prev = hub.unwrap_or(prev);
+            if let Some(z) = slot {
+                after[z] = Some(prev);
+            }
+        }
+        net.add_edge(prev, end, INF);
+    };
+    wire_chain(view.target_chain(), SINK);
+    for (rank, &sid) in servers.iter().enumerate() {
+        universe.server_chain_into(ServerId(sid), chain);
+        wire_chain(chain, node_in(rank));
+    }
+}
+
+/// The least shortest path of *stops* (the source, the sink, server
+/// in-nodes) from `from` to `to`, both included; `None` when unreachable.
+/// A step is one delegation graph edge: from a stop, through its split
+/// edge and hubs, to every stop they feed. Each stop's next stops are
+/// queued in ascending id (ids ascend with server ids), so first
+/// discovery yields the least path.
+fn least_shortest_path(net: &FlowNetwork, from: usize, to: usize) -> Option<Vec<usize>> {
+    let mut parent = vec![usize::MAX; net.node_count()];
+    parent[from] = from;
+    let mut queue = vec![from];
+    let (mut next, mut at) = (Vec::new(), 0);
+    while parent[to] == usize::MAX {
+        let stop = *queue.get(at)?;
+        at += 1;
+        next.clear();
+        if stop == SOURCE {
+            next.extend(net.successors(SOURCE));
+        } else {
+            let hubs = net.successors(stop).flat_map(|out| net.successors(out));
+            next.extend(hubs.flat_map(|hub| net.successors(hub)));
+        }
+        next.sort_unstable();
+        for &stop_next in &next {
+            if parent[stop_next] == usize::MAX {
+                parent[stop_next] = stop;
+                queue.push(stop_next);
+            }
+        }
+    }
+    let mut path = vec![to];
+    while path[path.len() - 1] != from {
+        path.push(parent[path[path.len() - 1]]);
+    }
+    path.reverse();
+    Some(path)
 }
 
 /// Exact minimum complete-hijack set under the glue-aware resolution
@@ -330,7 +441,7 @@ impl ExactSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::{extract_universe, DependencyIndex};
+    use crate::closure::DependencyIndex;
     use crate::universe::Universe;
     use crate::usable::Reachability;
     use perils_dns::name::{name, DnsName};
@@ -623,7 +734,8 @@ mod tests {
         // these small cases the exact minimum is never larger than a valid
         // flattened cut that also satisfies the semantics. We check the
         // weaker, always-true property: both methods' cuts actually hijack
-        // under the exact semantics.
+        // under the exact semantics, solved over the whole universe (a
+        // closure is NS-complete, so nothing outside it matters).
         for u in [simple()] {
             let index = DependencyIndex::build(&u);
             let target = name("www.example.com");
@@ -636,15 +748,10 @@ mod tests {
             .into_iter()
             .flatten()
             {
-                let sub = extract_universe(&u, closure.zones(), closure.servers());
-                let blocked: BTreeSet<ServerId> = set
-                    .servers
-                    .iter()
-                    .map(|&s| sub.server_id(&u.server(s).name).unwrap())
-                    .collect();
-                let r = Reachability::compute(&sub, &blocked);
+                let blocked: BTreeSet<ServerId> = set.servers.iter().copied().collect();
+                let r = Reachability::compute(&u, &blocked);
                 assert!(
-                    !r.name_resolves(&sub, &name("www.example.com")),
+                    !r.name_resolves(&u, &name("www.example.com")),
                     "cut {set:?} fails to hijack"
                 );
             }

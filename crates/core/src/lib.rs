@@ -12,13 +12,12 @@
 //!   node set, i.e. the **trusted computing base** (§2);
 //! * [`tcb`] — TCB statistics per name: size, nameowner-administered
 //!   servers, vulnerable servers, %-safe (Figures 2, 3, 4, 5, 6);
-//! * [`delegation`] — the flattened delegation graph (the structure the
-//!   paper computes min-cuts of);
 //! * [`usable`] — the glue-aware reachability fixed point: which zones
 //!   remain cleanly resolvable once a server set is compromised/DoS'd;
-//! * [`hijack`] — complete-hijack analysis: the paper's graph min-cut and
-//!   an exact AND/OR branch-and-bound, with the safe-bottleneck counts of
-//!   Figure 7;
+//! * [`hijack`] — complete-hijack analysis: the paper's min-cut of the
+//!   flattened delegation graph (wired as a flow network, no graph object)
+//!   and an exact AND/OR branch-and-bound, with the safe-bottleneck counts
+//!   of Figure 7;
 //! * [`value`] — names-controlled-per-server ranking (Figures 8, 9);
 //! * [`metric`] — the pluggable per-name measurement API ([`NameMetric`]):
 //!   the survey engine's extension point, with the paper's measurements as
@@ -38,7 +37,6 @@
 
 pub mod attack;
 pub mod closure;
-pub mod delegation;
 pub mod dnssec;
 pub mod hijack;
 pub mod lint;
@@ -56,8 +54,8 @@ pub use closure::{ClosureView, ClosureWorkspace, DependencyIndex};
 pub use dnssec::{DeploymentPolicy, DnssecCoverageMetric};
 pub use hijack::HijackSet;
 pub use lint::{
-    check_universe, At, Diagnostic, EvidenceStep, LintCtx, LintError, LintIndex, LintRule,
-    RuleRegistry, Severity, SeverityOverrides, Subject,
+    At, Diagnostic, EvidenceStep, LintCtx, LintError, LintIndex, LintRule, RuleRegistry, Severity,
+    SeverityOverrides, Subject,
 };
 pub use metric::{
     ColumnKind, MeasureCtx, MetricColumn, MetricShard, MinCutMetric, NameMetric, PreparedState,

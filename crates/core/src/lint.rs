@@ -40,8 +40,7 @@
 //! cannot drift.
 
 use crate::closure::{ClosureView, DependencyIndex};
-use crate::delegation::DelegationGraph;
-use crate::hijack::min_cut_flattened_view;
+use crate::hijack::{choke_witness, min_cut_flattened_view};
 use crate::misconfig::{
     single_operator, unresolvable_ns, DepthIndex, FLAG_SINGLE_OPERATOR, FLAG_SINGLE_SERVER,
     FLAG_UNRESOLVABLE_NS,
@@ -456,34 +455,6 @@ impl SeverityOverrides {
             .copied()
             .unwrap_or_else(|| rule.default_severity())
     }
-}
-
-/// Runs every registered rule serially over the full universe — the
-/// semantic reference the sharded survey runner must agree with, and the
-/// convenient entry point for tests and examples. Diagnostics carry the
-/// rules' default severities; apply [`SeverityOverrides`] downstream.
-pub fn check_universe(
-    universe: &Universe,
-    index: &DependencyIndex,
-    facts: &LintIndex,
-    registry: &RuleRegistry,
-    names: &[DnsName],
-) -> Vec<Diagnostic> {
-    let zones: Vec<ZoneId> = universe.zone_ids().collect();
-    let servers: Vec<ServerId> = universe.server_ids().collect();
-    let ctx = LintCtx {
-        universe,
-        index,
-        facts,
-        zones: &zones,
-        servers: &servers,
-        names,
-    };
-    let mut out = Vec::new();
-    for rule in registry.iter() {
-        out.extend(rule.check(&ctx));
-    }
-    out
 }
 
 /// The per-zone structural flag bits of [`crate::misconfig`], derived
@@ -945,7 +916,10 @@ impl LintRule for OrphanedGlueRule {
 
 /// `choke-point`: the name's flattened delegation graph has a minimum
 /// vertex cut of exactly one server — a single machine sits on every
-/// resolution path.
+/// resolution path. The evidence is that server, then the other servers
+/// of one root→target path through it: of the shortest such paths, the
+/// least by server id ([`choke_witness`]), so it names the same hops
+/// whatever order the delegation data came in.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChokePointRule;
 
@@ -978,25 +952,14 @@ impl LintRule for ChokePointRule {
                     "the minimum vertex cut, alone"
                 },
             )];
-            // Witness: one concrete root→target path through the cut,
-            // spliced from shortest paths into and out of the choke node.
-            let dg = DelegationGraph::build(ctx.universe, view);
-            if let Some(node) = dg.node_of(choke) {
-                let head = perils_graph::traversal::shortest_path(&dg.graph, dg.source, node);
-                let tail = perils_graph::traversal::shortest_path(&dg.graph, node, dg.sink);
-                if let (Some(head), Some(tail)) = (head, tail) {
-                    for hop in head.iter().chain(tail.iter().skip(1)) {
-                        let Some(sid) = dg.server_of(*hop) else {
-                            continue; // source/sink pseudo-nodes
-                        };
-                        if sid == choke {
-                            continue; // already the headline step
-                        }
-                        evidence.push(EvidenceStep::server(
-                            sid,
-                            "on the witness resolution path through the choke point",
-                        ));
-                    }
+            // Witness: the least shortest root→target path through the
+            // cut, its servers in resolution order.
+            for sid in choke_witness(ctx.universe, view, choke) {
+                if sid != choke {
+                    evidence.push(EvidenceStep::server(
+                        sid,
+                        "on the witness resolution path through the choke point",
+                    ));
                 }
             }
             out.push(Diagnostic {
@@ -1142,10 +1105,22 @@ mod tests {
         b.finish()
     }
 
+    /// Every built-in rule over one ctx spanning the whole universe.
     fn lint_all(universe: &Universe, names: &[DnsName]) -> Vec<Diagnostic> {
         let index = DependencyIndex::build(universe);
         let facts = LintIndex::build(universe);
-        check_universe(universe, &index, &facts, &RuleRegistry::builtin(), names)
+        let zones: Vec<ZoneId> = universe.zone_ids().collect();
+        let servers: Vec<ServerId> = universe.server_ids().collect();
+        let ctx = LintCtx {
+            universe,
+            index: &index,
+            facts: &facts,
+            zones: &zones,
+            servers: &servers,
+            names,
+        };
+        let registry = RuleRegistry::builtin();
+        registry.iter().flat_map(|rule| rule.check(&ctx)).collect()
     }
 
     fn rules_fired(diags: &[Diagnostic]) -> BTreeSet<&'static str> {

@@ -324,8 +324,8 @@ impl DepthIndex {
         let mut component_depth = vec![0usize; scc.count()];
         for (c, members) in scc.components.iter().enumerate() {
             let mut best = 0usize;
-            for member in members {
-                for &target in edges.of(member.index()) {
+            for &member in members {
+                for &target in edges.of(member as usize) {
                     let d = scc.component_of[target as usize];
                     if d != c {
                         best = best.max(1 + component_depth[d]);
@@ -340,7 +340,7 @@ impl DepthIndex {
         let mut cycle_index = vec![None; scc.count()];
         for (c, members) in scc.components.iter().enumerate() {
             if members.len() >= 2 {
-                let mut cycle: Vec<ServerId> = members.iter().map(|m| ServerId(m.0)).collect();
+                let mut cycle: Vec<ServerId> = members.iter().map(|&m| ServerId(m)).collect();
                 cycle.sort_unstable();
                 cycle_index[c] = Some(cycles.len() as u32);
                 cycles.push(cycle);
@@ -675,17 +675,13 @@ mod tests {
 
     /// The server-graph form of [`DepthIndex::build`], the reference the
     /// edge-list build must equal field for field: every server's chain
-    /// looked up by name, each glueless edge inserted into a `DiGraph`
-    /// with dedup, Tarjan over that graph, and longest paths over its
-    /// condensation DAG.
+    /// looked up by name, each glueless edge inserted into a per-server
+    /// adjacency list with dedup, Tarjan over those lists, and longest
+    /// paths over the deduplicated component edges.
     fn reference_build(universe: &Universe) -> DepthIndex {
-        use perils_graph::digraph::{DiGraph, NodeId};
-        use perils_graph::scc::tarjan_scc;
+        use perils_graph::scc::tarjan_scc_with;
         let n = universe.server_count();
-        let mut graph: DiGraph<()> = DiGraph::new();
-        for _ in 0..n {
-            graph.add_node(());
-        }
+        let mut graph: Vec<Vec<usize>> = vec![Vec::new(); n];
         for sid in universe.server_ids() {
             let entry = universe.server(sid);
             if entry.is_root {
@@ -695,30 +691,31 @@ mod tests {
                 let zone = universe.zone(zid);
                 for &dep in &zone.ns {
                     let dep_server = universe.server(dep);
-                    if !dep_server.is_root && !dep_server.name.is_subdomain_of(&zone.origin) {
-                        graph
-                            .add_edge_dedup(NodeId(sid.index() as u32), NodeId(dep.index() as u32));
+                    let out = &mut graph[sid.index()];
+                    if !dep_server.is_root
+                        && !dep_server.name.is_subdomain_of(&zone.origin)
+                        && !out.contains(&dep.index())
+                    {
+                        out.push(dep.index());
                     }
                 }
             }
         }
-        let scc = tarjan_scc(&graph);
-        let mut dag: DiGraph<()> = DiGraph::new();
-        for _ in 0..scc.count() {
-            dag.add_node(());
-        }
-        let mut seen = std::collections::HashSet::new();
-        for (from, to) in graph.edges() {
-            let (cf, ct) = (scc.component_of[from.index()], scc.component_of[to.index()]);
-            if cf != ct && seen.insert((cf, ct)) {
-                dag.add_edge(NodeId(cf as u32), NodeId(ct as u32));
+        let scc = tarjan_scc_with(n, |u| graph[u].len(), |u, k| graph[u][k]);
+        let mut dag: Vec<Vec<usize>> = vec![Vec::new(); scc.count()];
+        for (from, outs) in graph.iter().enumerate() {
+            for &to in outs {
+                let (cf, ct) = (scc.component_of[from], scc.component_of[to]);
+                if cf != ct && !dag[cf].contains(&ct) {
+                    dag[cf].push(ct);
+                }
             }
         }
         let mut component_depth = vec![0usize; scc.count()];
         for c in 0..scc.count() {
             let mut best = 0usize;
-            for &d in dag.out_neighbors(NodeId(c as u32)) {
-                best = best.max(1 + component_depth[d.index()]);
+            for &d in &dag[c] {
+                best = best.max(1 + component_depth[d]);
             }
             component_depth[c] = best;
         }

@@ -48,9 +48,9 @@
 //! Every NS of a frame zone must be a frame server; closures are
 //! NS-complete by construction. Because local ids ascend with universe ids
 //! and NS order is kept, a restricted frame sweeps zones and prefers
-//! certificates in the order the closure's extracted sub-universe
-//! ([`crate::closure::extract_universe`]) would, so both yield
-//! the same reachable set and the same witnesses.
+//! certificates in the order the closure rebuilt by name as a universe of
+//! its own (the dev-only `perils-oracle` crate's reference) would, so both
+//! yield the same reachable set and the same witnesses.
 //! [`Reachability::compute`] is a whole-universe frame plus one solve:
 //! there is one fixed-point implementation.
 

@@ -1,18 +1,26 @@
 //! Property-based tests of the transitive-trust analyses over random
 //! universes: closure monotonicity, hijack-set validity and minimality
-//! against brute force, reachability monotonicity, and the restricted
-//! reachability frame against the closure's extracted sub-universe.
+//! against brute force, reachability monotonicity, the restricted
+//! reachability frame against the closure's extracted sub-universe, and
+//! the flattened cut and its choke-point witness against the delegation
+//! graph the `perils-oracle` crate builds as an object.
 
 use proptest::prelude::*;
 
-use perils_core::closure::{extract_universe, DependencyIndex};
-use perils_core::delegation::DelegationGraph;
+use perils_core::closure::DependencyIndex;
 use perils_core::hijack::{min_cut_flattened_view, min_hijack_exact, HijackSet};
+use perils_core::lint::{At, ChokePointRule, LintIndex, RuleRegistry, Subject};
 use perils_core::universe::{ServerId, Universe, ZoneId};
 use perils_core::usable::{Frame, Reachability, Scratch};
 use perils_dns::name::{name, DnsName};
-use perils_graph::flow::{min_vertex_cut, INF};
-use std::collections::BTreeSet;
+use perils_graph::flow::INF;
+use perils_oracle::closure::{closure_for_bfs, extract_universe};
+use perils_oracle::flow::min_vertex_cut;
+use perils_oracle::lint::check_universe;
+use perils_oracle::traversal::shortest_path;
+use perils_oracle::DelegationGraph;
+
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A random small universe: root + a few TLDs + `n_domains` zones whose
 /// NS sets draw from a shared pool of server names (self-hosted, provider,
@@ -189,6 +197,44 @@ fn vertex_cut_of_delegation_graph(universe: &Universe, dg: &DelegationGraph) -> 
     })
 }
 
+/// Checks the `choke-point` findings over `targets` against the oracle
+/// delegation graph: one per name whose flattened cut is one server,
+/// headed by that server, then the other servers of the graph's least
+/// shortest source→target path (the choke is on every path). Returns the
+/// number of findings.
+fn check_choke_witnesses(universe: &Universe, targets: &[DnsName]) -> Result<usize, String> {
+    let index = DependencyIndex::build(universe);
+    let facts = LintIndex::build(universe);
+    let registry = RuleRegistry::new().register(ChokePointRule);
+    let found: Vec<(Subject, Vec<At>)> =
+        check_universe(universe, &index, &facts, &registry, targets)
+            .into_iter()
+            .map(|d| (d.subject, d.evidence.iter().map(|step| step.at).collect()))
+            .collect();
+    let mut expected = Vec::new();
+    let mut ws = index.workspace();
+    for target in targets {
+        let view = index.closure_view(universe, target, &mut ws);
+        let cut = min_cut_flattened_view(universe, &index, &view);
+        let Some(choke) = cut.filter(|cut| cut.size() == 1).map(|cut| cut.servers[0]) else {
+            continue;
+        };
+        let dg = DelegationGraph::build(universe, &view);
+        let path = shortest_path(&dg.graph, dg.source, dg.sink).expect("a cut name resolves");
+        let others = path
+            .into_iter()
+            .filter_map(|n| dg.server_of(n))
+            .filter(|&s| s != choke);
+        let evidence = std::iter::once(choke)
+            .chain(others)
+            .map(At::Server)
+            .collect();
+        expected.push((Subject::Name(target.clone()), evidence));
+    }
+    prop_assert_eq!(&found, &expected);
+    Ok(found.len())
+}
+
 /// Brute force: the true lexicographic minimum of (hijack size, safe
 /// members) by subset enumeration over the closure's non-root servers.
 fn brute_min_hijack(universe: &Universe, target: &DnsName, cap: usize) -> Option<(usize, usize)> {
@@ -319,6 +365,15 @@ proptest! {
         let arpa = name("x.arpa");
         let arpa = index.closure_view(&universe, &arpa, &mut ws);
         prop_assert_eq!(min_cut_flattened_view(&universe, &index, &arpa), None);
+    }
+
+    /// The `choke-point` witness is the oracle delegation graph's least
+    /// shortest source→target path, whatever order the hub network was
+    /// wired in.
+    #[test]
+    fn choke_witness_is_the_least_shortest_delegation_path(spec in arb_web()) {
+        let (universe, targets) = build_web(&spec);
+        check_choke_witnesses(&universe, &targets)?;
     }
 
     /// The chain the cut walks for each server — its home zone's parent
@@ -486,7 +541,7 @@ proptest! {
         let index = DependencyIndex::build(&universe);
         let mut ws = index.workspace();
         for target in &targets {
-            let (servers, zones) = index.closure_for_bfs(&universe, target);
+            let (servers, zones) = closure_for_bfs(&index, &universe, target);
             let memo = index.closure_view(&universe, target, &mut ws);
             prop_assert_eq!(memo.servers().collect::<Vec<_>>(), servers, "servers of {}", target);
             prop_assert_eq!(memo.zones().collect::<Vec<_>>(), zones, "zones of {}", target);
@@ -505,7 +560,7 @@ proptest! {
         let index = DependencyIndex::build(&universe);
         let mut ws = index.workspace();
         for target in &targets {
-            let (servers, zones) = index.closure_for_bfs(&universe, target);
+            let (servers, zones) = closure_for_bfs(&index, &universe, target);
             let view = index.closure_view(&universe, target, &mut ws);
             prop_assert_eq!(view.servers().collect::<Vec<_>>(), servers, "servers of {}", target);
             prop_assert_eq!(view.zones().collect::<Vec<_>>(), zones, "zones of {}", target);
@@ -543,4 +598,26 @@ proptest! {
             prop_assert!(a.zones().eq(b.zones()), "zones of {}", target);
         }
     }
+}
+
+/// The witness property on the worlds `lint --world` builds whose lint
+/// goldens carry every `choke-point` finding: two names in fbi, two in
+/// cornell, five in the tripwire.
+#[test]
+fn scenario_choke_witnesses_are_the_least_shortest_delegation_paths() {
+    let mut chokes = BTreeMap::new();
+    for world in ["fbi", "cornell", "tripwire"] {
+        let built = perils_survey::WorldSpec::parse(world, 0)
+            .expect("a named world")
+            .stream()
+            .collect();
+        let targets: Vec<DnsName> = built.names.into_iter().map(|n| n.name).collect();
+        let found = check_choke_witnesses(&built.universe, &targets)
+            .unwrap_or_else(|e| panic!("{world}: {e}"));
+        chokes.insert(world, found);
+    }
+    assert_eq!(
+        chokes,
+        BTreeMap::from([("cornell", 2), ("fbi", 2), ("tripwire", 5)])
+    );
 }

@@ -1,27 +1,26 @@
-//! Directed-graph substrate for delegation-graph analysis.
+//! Graph primitives for delegation-graph analysis, over implicit
+//! adjacency: the product builds no graph object.
 //!
-//! This crate is a small, self-contained graph library (in place of
-//! `petgraph`) providing exactly what the transitive-trust analysis needs:
+//! This crate is a small, self-contained library (in place of `petgraph`)
+//! providing exactly what the transitive-trust analysis needs:
 //!
-//! * [`digraph`] — an arena-based directed graph with dense [`NodeId`]s;
 //! * [`bitset`] — a fixed-capacity bitset used for reachability sets, plus
 //!   a deduplicating set interner for memoized sub-closures;
-//! * [`traversal`] — reachability, shortest paths and transitive closure;
 //! * [`scc`] — Tarjan strongly-connected components, numbered reverse
 //!   topologically (delegation graphs contain cycles: zones serving each
-//!   other), over an arena graph or any implicit adjacency;
-//! * [`flow`] — Dinic max-flow and **minimum s–t vertex cuts** via node
-//!   splitting, the primitive behind the paper's "bottleneck nameserver"
-//!   analysis (Figure 7).
+//!   other), over any implicit adjacency;
+//! * [`flow`] — a flat Dinic max-flow network whose residual source side
+//!   yields the **minimum s–t vertex cuts** behind the paper's
+//!   "bottleneck nameserver" analysis (Figure 7).
+//!
+//! The arena graph, its traversals and the graph-object vertex cut that
+//! tests compare these against live in the dev-only `perils-oracle` crate.
 
 #![forbid(unsafe_code)]
 
 pub mod bitset;
-pub mod digraph;
 pub mod flow;
 pub mod scc;
-pub mod traversal;
 
 pub use bitset::{BitSet, BitSetInterner, SetId, SetTable};
-pub use digraph::{DiGraph, NodeId};
-pub use flow::{FlowNetwork, VertexCut};
+pub use flow::FlowNetwork;

@@ -8,8 +8,6 @@
 //! serial, so the numbering is a pure function of the adjacency order —
 //! the same on every machine and at every thread count.
 
-use crate::digraph::{DiGraph, NodeId};
-
 /// The SCC decomposition of a graph.
 #[derive(Debug, Clone)]
 pub struct SccResult {
@@ -19,7 +17,7 @@ pub struct SccResult {
     /// out-of-component successor finished first).
     pub component_of: Vec<usize>,
     /// Members of each component.
-    pub components: Vec<Vec<NodeId>>,
+    pub components: Vec<Vec<u32>>,
 }
 
 impl SccResult {
@@ -29,20 +27,11 @@ impl SccResult {
     }
 }
 
-/// Computes strongly connected components with an iterative Tarjan.
-pub fn tarjan_scc<N>(graph: &DiGraph<N>) -> SccResult {
-    tarjan_scc_with(
-        graph.node_count(),
-        |u| graph.out_degree(NodeId(u as u32)),
-        |u, k| graph.out_neighbors(NodeId(u as u32))[k].index(),
-    )
-}
-
-/// The iterative-Tarjan core over any adjacency representation: `degree(u)`
-/// is node `u`'s out-degree and `neighbor(u, k)` its `k`-th out-neighbor.
-/// [`tarjan_scc`] (arena graphs) delegates here, and the survey's
-/// dependency index runs it over per-home-zone rows without building a
-/// graph.
+/// Computes strongly connected components with an iterative Tarjan over
+/// any adjacency representation: `degree(u)` is node `u`'s out-degree and
+/// `neighbor(u, k)` its `k`-th out-neighbor. The survey's dependency index
+/// and glueless-depth index run it over per-home-zone rows without
+/// building a graph.
 pub fn tarjan_scc_with(
     n: usize,
     degree: impl Fn(usize) -> usize,
@@ -52,53 +41,54 @@ pub fn tarjan_scc_with(
     let mut index_of = vec![UNSET; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
-    let mut stack: Vec<NodeId> = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
     let mut component_of = vec![UNSET; n];
-    let mut components: Vec<Vec<NodeId>> = Vec::new();
+    let mut components: Vec<Vec<u32>> = Vec::new();
     let mut next_index = 0usize;
 
     // Explicit DFS frames: (node, neighbor cursor).
-    let mut frames: Vec<(NodeId, usize)> = Vec::new();
-    for root in (0..n as u32).map(NodeId) {
-        if index_of[root.index()] != UNSET {
+    let mut frames: Vec<(u32, usize)> = Vec::new();
+    for root in 0..n {
+        if index_of[root] != UNSET {
             continue;
         }
-        frames.push((root, 0));
-        index_of[root.index()] = next_index;
-        low[root.index()] = next_index;
+        frames.push((root as u32, 0));
+        index_of[root] = next_index;
+        low[root] = next_index;
         next_index += 1;
-        stack.push(root);
-        on_stack[root.index()] = true;
+        stack.push(root as u32);
+        on_stack[root] = true;
 
         while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-            if *cursor < degree(v.index()) {
-                let w = NodeId(neighbor(v.index(), *cursor) as u32);
+            let v = v as usize;
+            if *cursor < degree(v) {
+                let w = neighbor(v, *cursor);
                 *cursor += 1;
-                if index_of[w.index()] == UNSET {
-                    index_of[w.index()] = next_index;
-                    low[w.index()] = next_index;
+                if index_of[w] == UNSET {
+                    index_of[w] = next_index;
+                    low[w] = next_index;
                     next_index += 1;
-                    stack.push(w);
-                    on_stack[w.index()] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w.index()] {
-                    low[v.index()] = low[v.index()].min(index_of[w.index()]);
+                    stack.push(w as u32);
+                    on_stack[w] = true;
+                    frames.push((w as u32, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index_of[w]);
                 }
             } else {
                 frames.pop();
                 if let Some(&mut (parent, _)) = frames.last_mut() {
-                    low[parent.index()] = low[parent.index()].min(low[v.index()]);
+                    low[parent as usize] = low[parent as usize].min(low[v]);
                 }
-                if low[v.index()] == index_of[v.index()] {
+                if low[v] == index_of[v] {
                     // v roots a component; pop it off the stack.
                     let id = components.len();
                     let mut members = Vec::new();
                     loop {
                         let w = stack.pop().expect("stack holds the component");
-                        on_stack[w.index()] = false;
-                        component_of[w.index()] = id;
+                        on_stack[w as usize] = false;
+                        component_of[w as usize] = id;
                         members.push(w);
-                        if w == v {
+                        if w as usize == v {
                             break;
                         }
                     }
@@ -117,27 +107,25 @@ pub fn tarjan_scc_with(
 mod tests {
     use super::*;
 
+    /// Tarjan over an adjacency list.
+    fn scc_of(adjacency: &[&[usize]]) -> SccResult {
+        tarjan_scc_with(
+            adjacency.len(),
+            |u| adjacency[u].len(),
+            |u, k| adjacency[u][k],
+        )
+    }
+
     #[test]
     fn single_cycle_is_one_component() {
-        let mut g = DiGraph::<()>::new();
-        let nodes: Vec<NodeId> = (0..5).map(|_| g.add_node(())).collect();
-        for i in 0..5 {
-            g.add_edge(nodes[i], nodes[(i + 1) % 5]);
-        }
-        let scc = tarjan_scc(&g);
+        let scc = scc_of(&[&[1], &[2], &[3], &[4], &[0]]);
         assert_eq!(scc.count(), 1);
         assert_eq!(scc.components[0].len(), 5);
     }
 
     #[test]
     fn dag_has_singleton_components() {
-        let mut g = DiGraph::<()>::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        g.add_edge(a, b);
-        g.add_edge(b, c);
-        let scc = tarjan_scc(&g);
+        let scc = scc_of(&[&[1], &[2], &[]]);
         assert_eq!(scc.count(), 3);
         assert!(scc.components.iter().all(|m| m.len() == 1));
     }
@@ -146,48 +134,33 @@ mod tests {
     fn mixed_graph_mirrors_paper_interdependency() {
         // cornell ↔ rochester form a mutual-trust pair; wisc depends on
         // umich; rochester depends on wisc.
-        let mut g = DiGraph::<&str>::new();
-        let cornell = g.add_node("cornell");
-        let rochester = g.add_node("rochester");
-        let wisc = g.add_node("wisc");
-        let umich = g.add_node("umich");
-        g.add_edge(cornell, rochester);
-        g.add_edge(rochester, cornell);
-        g.add_edge(rochester, wisc);
-        g.add_edge(wisc, umich);
-        let scc = tarjan_scc(&g);
+        let (cornell, rochester, wisc, umich) = (0, 1, 2, 3);
+        let adjacency: [&[usize]; 4] = [&[rochester], &[cornell, wisc], &[umich], &[]];
+        let scc = scc_of(&adjacency);
         assert_eq!(scc.count(), 3);
-        assert_eq!(
-            scc.component_of[cornell.index()],
-            scc.component_of[rochester.index()]
-        );
-        assert_ne!(
-            scc.component_of[wisc.index()],
-            scc.component_of[umich.index()]
-        );
+        assert_eq!(scc.component_of[cornell], scc.component_of[rochester]);
+        assert_ne!(scc.component_of[wisc], scc.component_of[umich]);
         // Ids are reverse topological: umich, then wisc, then the pair.
-        assert_eq!(scc.component_of[umich.index()], 0);
-        assert_eq!(scc.component_of[wisc.index()], 1);
+        assert_eq!(scc.component_of[umich], 0);
+        assert_eq!(scc.component_of[wisc], 1);
         assert_eq!(scc.components[2].len(), 2);
-        for (from, to) in g.edges() {
-            assert!(scc.component_of[from.index()] >= scc.component_of[to.index()]);
+        for (from, outs) in adjacency.iter().enumerate() {
+            for &to in *outs {
+                assert!(scc.component_of[from] >= scc.component_of[to]);
+            }
         }
     }
 
     #[test]
     fn self_loop_is_singleton_component() {
-        let mut g = DiGraph::<()>::new();
-        let a = g.add_node(());
-        g.add_edge(a, a);
-        let scc = tarjan_scc(&g);
+        let scc = scc_of(&[&[0]]);
         assert_eq!(scc.count(), 1);
-        assert_eq!(scc.components[0], vec![a]);
+        assert_eq!(scc.components[0], vec![0]);
     }
 
     #[test]
     fn empty_graph() {
-        let g = DiGraph::<()>::new();
-        let scc = tarjan_scc(&g);
+        let scc = scc_of(&[]);
         assert_eq!(scc.count(), 0);
     }
 }

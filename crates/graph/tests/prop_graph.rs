@@ -1,13 +1,15 @@
 //! Property-based tests for the graph substrate, centered on the min vertex
 //! cut — the primitive the paper's hijack analysis rests on. On random small
-//! graphs we verify the cut against an exhaustive search.
+//! graphs (the oracle crate's arena graphs) we verify the cut read off the
+//! Dinic network against an exhaustive search, and Tarjan against mutual
+//! reachability.
 
 use proptest::prelude::*;
 
-use perils_graph::digraph::{DiGraph, NodeId};
-use perils_graph::flow::min_vertex_cut;
-use perils_graph::scc::tarjan_scc;
-use perils_graph::traversal::{reachable_from, transitive_closure};
+use perils_graph::scc::{tarjan_scc_with, SccResult};
+use perils_oracle::flow::min_vertex_cut;
+use perils_oracle::traversal::{reachable_from, transitive_closure};
+use perils_oracle::{DiGraph, NodeId};
 
 /// A random directed graph on `n` nodes given an edge bitmap.
 fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> DiGraph<()> {
@@ -17,6 +19,15 @@ fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> DiGraph<()> {
         g.add_edge(ids[u % n], ids[v % n]);
     }
     g
+}
+
+/// Tarjan over the arena graph's adjacency.
+fn tarjan_scc(g: &DiGraph<()>) -> SccResult {
+    tarjan_scc_with(
+        g.node_count(),
+        |u| g.out_degree(NodeId(u as u32)),
+        |u, k| g.out_neighbors(NodeId(u as u32))[k].index(),
+    )
 }
 
 fn arb_graph(max_n: usize, max_e: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {

@@ -1,25 +1,13 @@
 //! Traversals: reachability, shortest paths and transitive closure.
 
-use crate::bitset::BitSet;
 use crate::digraph::{DiGraph, NodeId};
+use perils_graph::BitSet;
 
 /// The set of nodes reachable from `start` (including `start`), via BFS.
 pub fn reachable_from<N>(graph: &DiGraph<N>, start: NodeId) -> BitSet {
-    reachable_from_all(graph, std::iter::once(start))
-}
-
-/// The set of nodes reachable from any of `starts` (including them).
-pub fn reachable_from_all<N>(
-    graph: &DiGraph<N>,
-    starts: impl IntoIterator<Item = NodeId>,
-) -> BitSet {
     let mut seen = BitSet::new(graph.node_count());
-    let mut queue: Vec<NodeId> = Vec::new();
-    for start in starts {
-        if seen.insert(start.index()) {
-            queue.push(start);
-        }
-    }
+    seen.insert(start.index());
+    let mut queue = vec![start];
     while let Some(node) = queue.pop() {
         for &next in graph.out_neighbors(node) {
             if seen.insert(next.index()) {
@@ -30,41 +18,43 @@ pub fn reachable_from_all<N>(
     seen
 }
 
-/// A shortest (fewest-edges) path from `from` to `to`, both inclusive,
-/// via BFS with parent reconstruction. `None` when `to` is unreachable
-/// from `from`.
+/// The least shortest path from `from` to `to`, both inclusive: of the
+/// paths with the fewest edges, the one whose node ids are
+/// lexicographically least. `None` when `to` is unreachable from `from`.
 ///
-/// Used by the lint engine to extract cut-witness paths from delegation
-/// graphs: the evidence for a `choke-point` finding is a concrete
-/// source → cut-server → target path, which is exactly two of these.
+/// Computed without regard to adjacency order: every node's distance to
+/// `to`, one edge-list sweep per distance, then a walk from `from` that
+/// always steps to the least-id successor one edge closer. The
+/// `choke-point` lint rule's witness is this path through the delegation
+/// graph (property-tested in `perils_core`).
 pub fn shortest_path<N>(graph: &DiGraph<N>, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-    if from == to {
-        return Some(vec![from]);
-    }
-    let mut parent: Vec<Option<NodeId>> = vec![None; graph.node_count()];
-    let mut seen = BitSet::new(graph.node_count());
-    seen.insert(from.index());
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(from);
-    while let Some(node) = queue.pop_front() {
-        for &next in graph.out_neighbors(node) {
-            if seen.insert(next.index()) {
-                parent[next.index()] = Some(node);
-                if next == to {
-                    let mut path = vec![to];
-                    let mut cursor = to;
-                    while let Some(p) = parent[cursor.index()] {
-                        path.push(p);
-                        cursor = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(next);
+    let mut distance = vec![usize::MAX; graph.node_count()];
+    distance[to.index()] = 0;
+    for d in 0..graph.node_count() {
+        for (u, v) in graph.edges() {
+            if distance[v.index()] == d && distance[u.index()] == usize::MAX {
+                distance[u.index()] = d + 1;
             }
         }
     }
-    None
+    let total = distance[from.index()];
+    if total == usize::MAX {
+        return None;
+    }
+    let mut path = vec![from];
+    for left in (0..total).rev() {
+        let at = path[path.len() - 1];
+        let next = graph
+            .out_neighbors(at)
+            .iter()
+            .filter(|v| distance[v.index()] == left);
+        path.push(
+            *next
+                .min()
+                .expect("a node at distance d + 1 has a successor at d"),
+        );
+    }
+    Some(path)
 }
 
 /// Per-node transitive closure: `closure[v]` contains every node reachable
@@ -72,7 +62,7 @@ pub fn shortest_path<N>(graph: &DiGraph<N>, from: NodeId, to: NodeId) -> Option<
 ///
 /// Implemented with one BFS per node over bitsets; suitable for the
 /// per-name delegation graphs (tens to hundreds of nodes). Whole-survey
-/// closures collapse cycles with [`crate::scc`] first and memoize one set
+/// closures collapse cycles with [`perils_graph::scc`] first and memoize one set
 /// per component (the survey's dependency index does).
 pub fn transitive_closure<N>(graph: &DiGraph<N>) -> Vec<BitSet> {
     graph.nodes().map(|v| reachable_from(graph, v)).collect()
@@ -103,8 +93,6 @@ mod tests {
         let r = reachable_from(&g, b);
         assert!(r.contains(b.index()) && r.contains(d.index()));
         assert!(!r.contains(a.index()) && !r.contains(c.index()));
-        let r = reachable_from_all(&g, [b, c]);
-        assert_eq!(r.len(), 3);
     }
 
     #[test]
@@ -119,14 +107,25 @@ mod tests {
 
     #[test]
     fn shortest_path_finds_a_minimal_route() {
-        let (g, [a, b, c, d]) = diamond();
+        let (g, [a, b, _, d]) = diamond();
         let path = shortest_path(&g, a, d).expect("reachable");
         assert_eq!(path.len(), 3, "two hops through either arm");
         assert_eq!(path[0], a);
         assert_eq!(*path.last().unwrap(), d);
-        assert!(path[1] == b || path[1] == c);
+        assert_eq!(path[1], b, "the least-id of the two arms");
         assert_eq!(shortest_path(&g, a, a), Some(vec![a]));
         assert_eq!(shortest_path(&g, d, a), None, "edges are directed");
+        // The same diamond with every edge inserted in reverse order.
+        let mut reversed = DiGraph::<()>::new();
+        for _ in 0..4 {
+            reversed.add_node(());
+        }
+        let mut edges: Vec<_> = g.edges().collect();
+        edges.reverse();
+        for (u, v) in edges {
+            reversed.add_edge(u, v);
+        }
+        assert_eq!(shortest_path(&reversed, a, d), Some(path));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! workers through [`perils_util::par`], as the metric engine does. Each
 //! worker runs every registered rule over its contiguous sub-ranges;
 //! shards are merged rule-major in range order, so the diagnostic
-//! stream — and every rendered byte — equals the serial
-//! [`perils_core::lint::check_universe`] at every thread count (the `stream_equivalence`
-//! suite pins this).
+//! stream — and every rendered byte — equals one serial run of every rule
+//! over the whole universe at every thread count (the `stream_equivalence`
+//! suite pins this against the oracle crate's serial run).
 //!
 //! Three sinks serialize a [`LintReport`]: rustc-style text for humans,
 //! a findings/rules/summary JSON document, and SARIF 2.1.0 for code

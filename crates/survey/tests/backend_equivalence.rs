@@ -153,15 +153,16 @@ proptest! {
 }
 
 /// The flattened min-cut — the answer's and the `choke-point` rule's —
-/// and the delegation graph read nothing from the byte store: server
+/// and the choke-point witness read nothing from the byte store: server
 /// chains come from the universe's parent links, which live on the heap
 /// on every backend. Closures are computed outside the measured window
 /// (they do read the index's paged tables), so any store read the cut
-/// kernel gains shows up as a moved page counter.
+/// kernel gains shows up as a moved page counter. Every cut's first
+/// server stands in for a choke, so the witness runs on every name with
+/// a non-empty cut.
 #[test]
 fn the_min_cut_touches_no_page() {
-    use perils_core::delegation::DelegationGraph;
-    use perils_core::hijack::min_cut_flattened_view;
+    use perils_core::hijack::{choke_witness, min_cut_flattened_view};
 
     let bytes = archive_bytes(11);
     let archive = TempArchive::new(&bytes, "cut_pages");
@@ -180,14 +181,15 @@ fn the_min_cut_touches_no_page() {
     };
     let (universe, index) = (&world.universe, &world.index);
     let mut ws = index.workspace();
-    let (mut cuts, mut view_touches) = (0usize, 0u64);
+    let (mut cuts, mut witnesses, mut view_touches) = (0usize, 0usize, 0u64);
     for survey_name in world.names.iter() {
         let before_view = touches();
         let view = index.closure_view(universe, &survey_name.name, &mut ws);
         let before = touches();
         view_touches += before - before_view;
         let cut = min_cut_flattened_view(universe, index, &view);
-        let graph = DelegationGraph::build(universe, &view);
+        let first = cut.as_ref().and_then(|cut| cut.servers.first().copied());
+        let witness = first.map(|server| (server, choke_witness(universe, &view, server)));
         assert_eq!(
             touches(),
             before,
@@ -195,9 +197,13 @@ fn the_min_cut_touches_no_page() {
             survey_name.name
         );
         cuts += usize::from(cut.is_some());
-        assert!(graph.server_count() == view.server_count());
+        if let Some((server, witness)) = witness {
+            witnesses += 1;
+            assert!(witness.contains(&server), "{}", survey_name.name);
+        }
     }
     assert!(cuts > 0, "no name had a cut");
+    assert!(witnesses > 0, "no witness ran");
     assert!(view_touches > 0, "the page counters never moved");
 }
 

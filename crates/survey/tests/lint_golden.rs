@@ -1,8 +1,9 @@
 //! Golden-file and acceptance coverage for the lint engine.
 //!
 //! Pins all three sinks byte-for-byte on the hand-built `lint_tripwire`
-//! fixture (which trips every rule), the fbi.gov case study, and the
-//! tiny synthetic survey at seed 20040722. Also checks the structural
+//! fixture (which trips every rule), the fbi.gov case study, the cornell
+//! Figure 1 web (two `choke-point` witnesses), and the tiny synthetic
+//! survey at seed 20040722. Also checks the structural
 //! acceptance criteria: every built-in rule fires on the tripwire, the
 //! fbi world's deny finding names the actual stale server, SARIF parses
 //! as valid JSON with `runs[0].tool.driver.rules` matching the registry,
@@ -102,6 +103,13 @@ fn fbi_output_matches_goldens() {
     let report = fixture.report();
     check_golden("lint_fbi.txt", &report.emit(LintFormat::Text));
     check_golden("lint_fbi.sarif", &report.emit(LintFormat::Sarif));
+}
+
+#[test]
+fn cornell_output_matches_golden() {
+    let fixture = Fixture::new("cornell");
+    let report = fixture.report();
+    check_golden("lint_cornell.txt", &report.emit(LintFormat::Text));
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //!    `DependencyIndex` (observed through dependencies and
 //!    per-name closures) and a byte-identical full figure set.
 //! 2. **Thread-count invariance of lint**: sharded lint at any worker
-//!    count returns exactly the serial reference `check_universe`'s
-//!    diagnostics and renders the same bytes.
+//!    count returns exactly the serial reference's diagnostics (the
+//!    oracle crate's `check_universe`) and renders the same bytes.
 //!
 //! `Engine::run_batched` (the streamed, bounded-memory pass) equals
 //! `Engine::run` column for column at every batch size; `prop_engine.rs`
@@ -155,7 +155,8 @@ fn lint_output_is_thread_count_invariant() {
 /// exactly the serial reference's diagnostics at every worker count.
 #[test]
 fn sharded_lint_equals_the_serial_reference() {
-    use perils_core::lint::{check_universe, LintIndex, RuleRegistry, SeverityOverrides};
+    use perils_core::lint::{LintIndex, RuleRegistry, SeverityOverrides};
+    use perils_oracle::lint::check_universe;
     use perils_survey::lint::run_lint_with;
     use perils_survey::WorldSpec;
 

@@ -12,13 +12,13 @@
 use perils::authserver::deploy::deploy;
 use perils::authserver::scenarios::cornell_figure1;
 use perils::core::closure::DependencyIndex;
-use perils::core::delegation::DelegationGraph;
 use perils::core::usable::Reachability;
 use perils::dns::name::name;
 use perils::dns::rr::RrType;
 use perils::netsim::{FaultPlan, Region, SimNet};
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
 use perils::survey::scenario::universe_from_scenario;
+use perils_oracle::DelegationGraph;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
