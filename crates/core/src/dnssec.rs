@@ -17,11 +17,10 @@
 //!   denial, but the name still goes dark.
 
 use crate::closure::DependencyIndex;
-use crate::metric::{columns, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState};
+use crate::metric::{columns, ColumnKind, Measure, NameMetric};
 use crate::universe::{ServerId, Universe, ZoneId};
 use crate::usable::Reachability;
 use perils_dns::name::DnsName;
-use std::any::Any;
 use std::collections::BTreeSet;
 
 /// A DNSSEC deployment state: which zones are signed.
@@ -210,94 +209,36 @@ impl DnssecCoverageMetric {
     }
 }
 
-struct DnssecShard {
-    deployment: std::sync::Arc<DnssecDeployment>,
-    fraction: Vec<f64>,
-    protected: Vec<usize>,
-}
-
-impl MetricShard for DnssecShard {
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-        let total = ctx.closure.zone_count();
-        let signed = ctx
-            .closure
-            .zones()
-            .filter(|&z| self.deployment.is_signed(z))
-            .count();
-        self.fraction[slot] = if total == 0 {
-            0.0
-        } else {
-            signed as f64 / total as f64
-        };
-        self.protected[slot] = usize::from(
-            self.deployment
-                .chain_protected_for(ctx.closure.target_chain()),
-        );
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 impl NameMetric for DnssecCoverageMetric {
     fn id(&self) -> &str {
         "dnssec_coverage"
     }
 
-    fn columns(&self) -> Vec<String> {
+    fn columns(&self) -> Vec<(&str, ColumnKind)> {
         vec![
-            columns::DNSSEC_SIGNED_FRACTION.into(),
-            columns::DNSSEC_CHAIN_PROTECTED.into(),
+            (columns::DNSSEC_SIGNED_FRACTION, ColumnKind::Floats),
+            (columns::DNSSEC_CHAIN_PROTECTED, ColumnKind::Counts),
         ]
     }
 
-    fn prepare(&self, universe: &Universe) -> PreparedState {
-        Some(std::sync::Arc::new(self.policy.build(universe)))
-    }
-
-    fn shard(
-        &self,
-        _universe: &Universe,
-        shard_len: usize,
-        prepared: &PreparedState,
-    ) -> Box<dyn MetricShard> {
-        let deployment = prepared
-            .as_ref()
-            .and_then(|p| std::sync::Arc::clone(p).downcast::<DnssecDeployment>().ok())
-            .expect("dnssec_coverage shard needs this run's `prepare` output");
-        Box::new(DnssecShard {
-            deployment,
-            fraction: vec![0.0; shard_len],
-            protected: vec![0; shard_len],
+    fn prepare<'a>(&'a self, universe: &'a Universe) -> Measure<'a> {
+        let deployment = self.policy.build(universe);
+        Box::new(move |ctx, row| {
+            let total = ctx.closure.zone_count();
+            let signed = ctx
+                .closure
+                .zones()
+                .filter(|&z| deployment.is_signed(z))
+                .count();
+            row.float(if total == 0 {
+                0.0
+            } else {
+                signed as f64 / total as f64
+            });
+            row.count(usize::from(
+                deployment.chain_protected_for(ctx.closure.target_chain()),
+            ));
         })
-    }
-
-    fn merge(
-        &self,
-        _universe: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)> {
-        let mut fraction = Vec::new();
-        let mut protected = Vec::new();
-        for shard in shards {
-            let shard = shard
-                .into_any()
-                .downcast::<DnssecShard>()
-                .unwrap_or_else(|_| panic!("metric dnssec_coverage: foreign shard type"));
-            fraction.extend(shard.fraction);
-            protected.extend(shard.protected);
-        }
-        vec![
-            (
-                columns::DNSSEC_SIGNED_FRACTION.into(),
-                MetricColumn::Floats(fraction),
-            ),
-            (
-                columns::DNSSEC_CHAIN_PROTECTED.into(),
-                MetricColumn::Counts(protected),
-            ),
-        ]
     }
 }
 
@@ -446,37 +387,22 @@ mod tests {
     #[test]
     fn coverage_metric_fraction_and_protection() {
         let u = universe();
-        let index = DependencyIndex::build(&u);
-        let target = name("www.victim.com");
+        let target = [name("www.victim.com")];
         let run = |metric: DnssecCoverageMetric| {
-            let prepared = metric.prepare(&u);
-            let mut shard = metric.shard(&u, 1, &prepared);
-            let mut ws = index.workspace();
-            let ctx = MeasureCtx {
-                universe: &u,
-                index: &index,
-                names: 1,
-                closure: index.closure_view(&u, &target, &mut ws),
-            };
-            shard.measure(&ctx, 0);
-            metric.merge(&u, vec![shard])
+            crate::metric::tests::measure_targets(&metric, &u, &target)
         };
         let universal = run(DnssecCoverageMetric {
             policy: DeploymentPolicy::Universal,
         });
-        assert_eq!(universal[0].1.as_floats().unwrap()[0], 1.0);
-        assert_eq!(universal[1].1.as_counts().unwrap()[0], 1);
+        assert_eq!(universal[0].as_floats().unwrap()[0], 1.0);
+        assert_eq!(universal[1].as_counts().unwrap()[0], 1);
         let top = run(DnssecCoverageMetric::top_level());
-        let frac = top[0].1.as_floats().unwrap()[0];
+        let frac = top[0].as_floats().unwrap()[0];
         assert!(frac > 0.0 && frac < 1.0, "partial coverage, got {frac}");
-        assert_eq!(
-            top[1].1.as_counts().unwrap()[0],
-            0,
-            "chain broken below TLD"
-        );
+        assert_eq!(top[1].as_counts().unwrap()[0], 0, "chain broken below TLD");
         let none = run(DnssecCoverageMetric {
             policy: DeploymentPolicy::None,
         });
-        assert_eq!(none[0].1.as_floats().unwrap()[0], 0.0);
+        assert_eq!(none[0].as_floats().unwrap()[0], 0.0);
     }
 }

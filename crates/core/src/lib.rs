@@ -58,8 +58,8 @@ pub use lint::{
     SeverityOverrides, Subject,
 };
 pub use metric::{
-    ColumnKind, MeasureCtx, MetricColumn, MetricShard, MinCutMetric, NameMetric, PreparedState,
-    TcbMetric, ValueMetric,
+    ColumnKind, Measure, MeasureCtx, MetricColumn, MinCutMetric, NameMetric, Row, TcbMetric,
+    ValueMetric,
 };
 pub use misconfig::{DepthIndex, MisconfigIndex, MisconfigMetric};
 pub use tcb::TcbTally;

@@ -3,38 +3,41 @@
 //! The paper's contribution is a *family* of per-name measurements over a
 //! delegation universe — TCB size, nameowner/vulnerable members, min-cuts,
 //! value ranking — and follow-on workloads (misconfiguration audits, DNSSEC
-//! deployment sweeps) have the same shape: walk every surveyed name's
-//! dependency closure once, record numbers, aggregate. This module is that
-//! shape as a trait, so the survey engine can run any set of measurements
-//! in one sharded pass without being rewritten per workload:
+//! deployment sweeps, zombie delegations) have the same shape: walk every
+//! surveyed name's dependency closure once, record numbers, aggregate.
+//! This module is that shape as one trait, so the survey engine can run
+//! any set of measurements in one sharded pass without being rewritten per
+//! workload:
 //!
-//! * [`NameMetric`] — a measurement family: declares its output columns,
-//!   creates shard-local accumulators, and deterministically merges them;
-//! * [`MetricShard`] — the accumulator one worker thread owns; `measure` is
-//!   called once per *deepest zone* with the precomputed [`MeasureCtx`]:
-//!   every name under one zone has the same chain and therefore the same
-//!   closure, so the engine computes that closure **once** per zone,
-//!   shares it with every registered metric, and gathers the zone's row
-//!   back to each of its names;
-//! * [`MetricColumn`] — the merged, columnar output: per-name counts or
-//!   floats, or a universe-wide aggregate like [`ValueIndex`];
+//! * [`NameMetric`] — a measurement family: declares its typed output
+//!   columns and, once per run, [`NameMetric::prepare`]s a [`Measure`]
+//!   that owns whatever universe-wide state it precomputed;
+//! * [`Measure`] — called once per *deepest zone* with the precomputed
+//!   [`MeasureCtx`]: every name under one zone has the same chain and
+//!   therefore the same closure, so the engine computes that closure
+//!   **once** per zone, shares it with every registered metric, and
+//!   gathers the zone's row back to each of its names;
+//! * [`Row`] — the engine-owned writer a measurement fills with exactly
+//!   one cell per declared column, in declaration order;
+//! * [`MetricColumn`] — the output: per-name counts or floats, or a
+//!   universe-wide aggregate like [`ValueIndex`];
 //! * built-ins [`TcbMetric`], [`MinCutMetric`] and [`ValueMetric`] re-derive
-//!   the six seed measurements; [`crate::misconfig::MisconfigMetric`] and
-//!   [`crate::dnssec::DnssecCoverageMetric`] extend the family.
+//!   the six seed measurements; [`crate::misconfig::MisconfigMetric`],
+//!   [`crate::dnssec::DnssecCoverageMetric`] and
+//!   [`crate::zombie::ZombieDelegationMetric`] extend the family.
 //!
-//! Determinism contract: shards receive contiguous ranges of the batch's
-//! zone groups (in first-occurrence survey order) and `merge` sees them in
-//! that same order, so per-group columns concatenate to exactly the
-//! sequential result regardless of thread count. Aggregate metrics must
-//! make their own merge order-insensitive (as `ValueIndex`'s commutative
-//! sum is) and weigh each measurement by [`MeasureCtx::names`].
+//! Determinism is the engine's: it owns every column, hands each worker a
+//! contiguous range of zone groups, and concatenates the workers' columns
+//! in range order ([`MetricColumn::append`]), so a measurement that is a
+//! function of its [`MeasureCtx`] yields the serial result at every
+//! thread count. The one aggregate kind, [`ValueIndex`], sums
+//! commutatively and weighs each measurement by [`MeasureCtx::names`].
 
 use crate::closure::{ClosureView, DependencyIndex};
 use crate::hijack::min_cut_flattened_view;
 use crate::tcb::TcbTally;
 use crate::universe::Universe;
 use crate::value::ValueIndex;
-use std::any::Any;
 
 /// Canonical column ids of the built-in metrics.
 pub mod columns {
@@ -79,9 +82,9 @@ pub struct MeasureCtx<'a> {
     pub universe: &'a Universe,
     /// The precomputed dependency index.
     pub index: &'a DependencyIndex,
-    /// How many surveyed names of the batch the group holds (≥ 1):
-    /// aggregate metrics weigh the measurement by it, per-name columns
-    /// are gathered back to every one of them.
+    /// How many surveyed names the group holds (≥ 1): aggregate metrics
+    /// weigh the measurement by it, per-name columns are gathered back to
+    /// every one of them.
     pub names: u64,
     /// The group's dependency closure (borrowed sorted slices; collect
     /// what the measurement must retain past this call).
@@ -91,11 +94,10 @@ pub struct MeasureCtx<'a> {
 /// The shape of a [`MetricColumn`] — the queryable column schema.
 ///
 /// Every column id a [`NameMetric`] declares maps to exactly one kind,
-/// and the kind is stable for the lifetime of a report (batches of a
-/// streamed run must produce the same kind every time; see
-/// [`MetricColumn::append`]). Consumers — figure renderers, exporters —
-/// match on the kind instead of guessing an accessor, so a mismatch is a
-/// typed error rather than a panic.
+/// and the engine allocates and checks the column by that kind (see
+/// [`Row`]). Consumers — figure renderers, exporters — match on the kind
+/// instead of guessing an accessor, so a mismatch is a typed error rather
+/// than a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnKind {
     /// Per-name integer counts, one entry per surveyed name.
@@ -116,14 +118,14 @@ impl std::fmt::Display for ColumnKind {
     }
 }
 
-/// One merged output column of a metric.
+/// One output column of a metric.
 ///
 /// # Column-schema contract
 ///
 /// A metric's [`NameMetric::columns`] list is its public schema: every id
-/// in that list appears exactly once in the [`NameMetric::merge`] output,
-/// always with the same [`ColumnKind`]. Ids are globally unique per engine
-/// (registration enforces this), so a column id is a stable, queryable
+/// in that list appears exactly once in the report, with the declared
+/// [`ColumnKind`]. Ids are globally unique per engine (registration
+/// enforces this), so a column id is a stable, queryable
 /// address — figure renderers declare the ids they need and the registry
 /// checks availability before building, making "metric not registered" a
 /// typed skip instead of a panic.
@@ -176,26 +178,29 @@ impl MetricColumn {
         self.len() == Some(0)
     }
 
-    /// Appends a later batch's column of the same kind: per-name columns
-    /// concatenate (batches are contiguous name ranges in survey order),
-    /// value aggregates merge commutatively. This is what lets the
-    /// streaming engine pass merge per batch without ever holding all
-    /// shards in memory.
+    /// An empty column of `kind` with room for `rows` per-name entries;
+    /// an aggregate starts at zero over `universe`.
+    pub fn with_capacity(kind: ColumnKind, universe: &Universe, rows: usize) -> MetricColumn {
+        match kind {
+            ColumnKind::Counts => MetricColumn::Counts(Vec::with_capacity(rows)),
+            ColumnKind::Floats => MetricColumn::Floats(Vec::with_capacity(rows)),
+            ColumnKind::Value => MetricColumn::Value(ValueIndex::new(universe)),
+        }
+    }
+
+    /// Appends the same column of the next worker range: per-name
+    /// columns concatenate (ranges are contiguous and joined in order),
+    /// value aggregates merge commutatively.
     ///
     /// # Panics
     ///
-    /// Panics when the column kinds differ (a metric changed its output
-    /// kind between batches).
+    /// Panics when the column kinds differ.
     pub fn append(&mut self, other: MetricColumn) {
         match (self, other) {
             (MetricColumn::Counts(a), MetricColumn::Counts(b)) => a.extend(b),
             (MetricColumn::Floats(a), MetricColumn::Floats(b)) => a.extend(b),
             (MetricColumn::Value(a), MetricColumn::Value(b)) => a.merge(&b),
-            (a, b) => panic!(
-                "column kind mismatch between batches: {} vs {}",
-                a.kind(),
-                b.kind()
-            ),
+            (a, b) => panic!("column kind mismatch: {} vs {}", a.kind(), b.kind()),
         }
     }
 
@@ -209,64 +214,101 @@ impl MetricColumn {
     }
 }
 
-/// The shard-local accumulator of one metric on one worker thread.
-pub trait MetricShard: Send {
-    /// Records the measurement of one zone group into local `slot`
-    /// (`0..shard_len`, increasing, each exactly once).
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize);
-
-    /// Downcast support for [`NameMetric::merge`].
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
-}
-
-/// Per-run state a metric precomputes once and shares across its shards
-/// (see [`NameMetric::prepare`]). `None` when the metric needs none.
-pub type PreparedState = Option<std::sync::Arc<dyn Any + Send + Sync>>;
+/// A metric's measurement of one zone group, built once per run by
+/// [`NameMetric::prepare`]: precomputed state is moved into the closure,
+/// which workers call concurrently, once per zone group.
+pub type Measure<'a> = Box<dyn Fn(&MeasureCtx<'_>, &mut Row<'_>) + Sync + 'a>;
 
 /// A pluggable per-name measurement family.
 pub trait NameMetric: Send + Sync {
     /// Stable identifier (diagnostics; must be unique per engine).
     fn id(&self) -> &str;
 
-    /// The column ids this metric produces, in output order.
-    fn columns(&self) -> Vec<String>;
+    /// The columns this metric writes, with their kinds, in write order.
+    fn columns(&self) -> Vec<(&str, ColumnKind)>;
 
-    /// Called once per engine run before any shard is created; the result
-    /// is handed to every [`NameMetric::shard`] call, so universe-wide
-    /// precomputation (indexes, deployments) happens once instead of once
-    /// per worker thread.
-    fn prepare(&self, _universe: &Universe) -> PreparedState {
-        None
-    }
-
-    /// Creates a shard accumulator for a contiguous range of `shard_len`
-    /// zone groups. `prepared` is this run's [`NameMetric::prepare`] result.
-    fn shard(
-        &self,
-        universe: &Universe,
-        shard_len: usize,
-        prepared: &PreparedState,
-    ) -> Box<dyn MetricShard>;
-
-    /// Merges shard accumulators — given in ascending group-range order —
-    /// into the final columns, per-name columns one entry per group. Must
-    /// be deterministic in that order.
-    fn merge(
-        &self,
-        universe: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)>;
+    /// Called once per engine run: precomputes universe-wide state
+    /// (indexes, deployments) and returns the measurement that owns it.
+    fn prepare<'a>(&'a self, universe: &'a Universe) -> Measure<'a>;
 }
 
-fn downcast_shards<T: 'static>(shards: Vec<Box<dyn MetricShard>>, metric: &str) -> Vec<T> {
-    shards
-        .into_iter()
-        .map(|s| {
-            *s.into_any()
-                .downcast::<T>()
-                .unwrap_or_else(|_| panic!("metric {metric}: foreign shard type in merge"))
-        })
-        .collect()
+/// The engine-owned writer for one metric's row of one zone group: a
+/// [`Measure`] writes exactly one cell per declared column, in
+/// declaration order and of the declared kind.
+pub struct Row<'a> {
+    metric: &'a str,
+    schema: &'a [(&'a str, ColumnKind)],
+    cells: &'a mut [MetricColumn],
+    written: usize,
+}
+
+impl Row<'_> {
+    /// Runs `measure` over `ctx`, appending its row to `cells` — one
+    /// column per `schema` entry, allocated by kind
+    /// ([`MetricColumn::with_capacity`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the metric and the column, when the measurement
+    /// writes a cell of the wrong kind or past its last column, or leaves
+    /// a column unwritten: a wiring bug, like a duplicate metric id.
+    pub fn record(
+        metric: &str,
+        schema: &[(&str, ColumnKind)],
+        cells: &mut [MetricColumn],
+        measure: &Measure<'_>,
+        ctx: &MeasureCtx<'_>,
+    ) {
+        let mut row = Row {
+            metric,
+            schema,
+            cells,
+            written: 0,
+        };
+        measure(ctx, &mut row);
+        if let Some((column, _)) = schema.get(row.written) {
+            panic!("metric {metric:?} left column {column:?} unwritten");
+        }
+    }
+
+    /// Writes the next column's per-name count.
+    pub fn count(&mut self, count: usize) {
+        let MetricColumn::Counts(cells) = self.next(ColumnKind::Counts) else {
+            unreachable!("kind checked by next")
+        };
+        cells.push(count);
+    }
+
+    /// Writes the next column's per-name float.
+    pub fn float(&mut self, value: f64) {
+        let MetricColumn::Floats(cells) = self.next(ColumnKind::Floats) else {
+            unreachable!("kind checked by next")
+        };
+        cells.push(value);
+    }
+
+    /// The next column's aggregate, for the group to record itself into.
+    pub fn value(&mut self) -> &mut ValueIndex {
+        let MetricColumn::Value(index) = self.next(ColumnKind::Value) else {
+            unreachable!("kind checked by next")
+        };
+        index
+    }
+
+    fn next(&mut self, kind: ColumnKind) -> &mut MetricColumn {
+        let metric = self.metric;
+        let i = self.written;
+        let (Some((column, _)), Some(cell)) = (self.schema.get(i), self.cells.get_mut(i)) else {
+            panic!("metric {metric:?} wrote a {kind} cell past its last column");
+        };
+        assert!(
+            cell.kind() == kind,
+            "metric {metric:?} wrote a {kind} cell into {} column {column:?}",
+            cell.kind()
+        );
+        self.written += 1;
+        cell
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -277,79 +319,28 @@ fn downcast_shards<T: 'static>(shards: Vec<Box<dyn MetricShard>>, metric: &str) 
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcbMetric;
 
-struct TcbShard {
-    tcb_size: Vec<usize>,
-    nameowner: Vec<usize>,
-    vulnerable: Vec<usize>,
-    safety: Vec<f64>,
-}
-
-impl MetricShard for TcbShard {
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-        let tally = TcbTally::compute(ctx.universe, &ctx.closure);
-        self.tcb_size[slot] = tally.tcb_size;
-        self.nameowner[slot] = tally.nameowner_administered;
-        self.vulnerable[slot] = tally.vulnerable;
-        self.safety[slot] = tally.safety_percent();
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 impl NameMetric for TcbMetric {
     fn id(&self) -> &str {
         "tcb"
     }
 
-    fn columns(&self) -> Vec<String> {
+    fn columns(&self) -> Vec<(&str, ColumnKind)> {
         vec![
-            columns::TCB_SIZE.into(),
-            columns::NAMEOWNER.into(),
-            columns::VULNERABLE_IN_TCB.into(),
-            columns::SAFETY_PERCENT.into(),
+            (columns::TCB_SIZE, ColumnKind::Counts),
+            (columns::NAMEOWNER, ColumnKind::Counts),
+            (columns::VULNERABLE_IN_TCB, ColumnKind::Counts),
+            (columns::SAFETY_PERCENT, ColumnKind::Floats),
         ]
     }
 
-    fn shard(
-        &self,
-        _universe: &Universe,
-        shard_len: usize,
-        _prepared: &PreparedState,
-    ) -> Box<dyn MetricShard> {
-        Box::new(TcbShard {
-            tcb_size: vec![0; shard_len],
-            nameowner: vec![0; shard_len],
-            vulnerable: vec![0; shard_len],
-            safety: vec![0.0; shard_len],
+    fn prepare<'a>(&'a self, _universe: &'a Universe) -> Measure<'a> {
+        Box::new(|ctx, row| {
+            let tally = TcbTally::compute(ctx.universe, &ctx.closure);
+            row.count(tally.tcb_size);
+            row.count(tally.nameowner_administered);
+            row.count(tally.vulnerable);
+            row.float(tally.safety_percent());
         })
-    }
-
-    fn merge(
-        &self,
-        _universe: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)> {
-        let mut tcb_size = Vec::new();
-        let mut nameowner = Vec::new();
-        let mut vulnerable = Vec::new();
-        let mut safety = Vec::new();
-        for shard in downcast_shards::<TcbShard>(shards, self.id()) {
-            tcb_size.extend(shard.tcb_size);
-            nameowner.extend(shard.nameowner);
-            vulnerable.extend(shard.vulnerable);
-            safety.extend(shard.safety);
-        }
-        vec![
-            (columns::TCB_SIZE.into(), MetricColumn::Counts(tcb_size)),
-            (columns::NAMEOWNER.into(), MetricColumn::Counts(nameowner)),
-            (
-                columns::VULNERABLE_IN_TCB.into(),
-                MetricColumn::Counts(vulnerable),
-            ),
-            (columns::SAFETY_PERCENT.into(), MetricColumn::Floats(safety)),
-        ]
     }
 }
 
@@ -361,66 +352,28 @@ impl NameMetric for TcbMetric {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinCutMetric;
 
-struct MinCutShard {
-    cut_size: Vec<usize>,
-    safe_in_cut: Vec<usize>,
-}
-
-impl MetricShard for MinCutShard {
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-        let (cut_size, safe_in_cut) =
-            match min_cut_flattened_view(ctx.universe, ctx.index, &ctx.closure) {
-                Some(cut) => (cut.size(), cut.safe_members),
-                None => (0, 0),
-            };
-        self.cut_size[slot] = cut_size;
-        self.safe_in_cut[slot] = safe_in_cut;
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 impl NameMetric for MinCutMetric {
     fn id(&self) -> &str {
         "min_cut"
     }
 
-    fn columns(&self) -> Vec<String> {
-        vec![columns::CUT_SIZE.into(), columns::SAFE_IN_CUT.into()]
-    }
-
-    fn shard(
-        &self,
-        _universe: &Universe,
-        shard_len: usize,
-        _prepared: &PreparedState,
-    ) -> Box<dyn MetricShard> {
-        Box::new(MinCutShard {
-            cut_size: vec![0; shard_len],
-            safe_in_cut: vec![0; shard_len],
-        })
-    }
-
-    fn merge(
-        &self,
-        _universe: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)> {
-        let mut cut_size = Vec::new();
-        let mut safe_in_cut = Vec::new();
-        for shard in downcast_shards::<MinCutShard>(shards, self.id()) {
-            cut_size.extend(shard.cut_size);
-            safe_in_cut.extend(shard.safe_in_cut);
-        }
+    fn columns(&self) -> Vec<(&str, ColumnKind)> {
         vec![
-            (columns::CUT_SIZE.into(), MetricColumn::Counts(cut_size)),
-            (
-                columns::SAFE_IN_CUT.into(),
-                MetricColumn::Counts(safe_in_cut),
-            ),
+            (columns::CUT_SIZE, ColumnKind::Counts),
+            (columns::SAFE_IN_CUT, ColumnKind::Counts),
         ]
+    }
+
+    fn prepare<'a>(&'a self, _universe: &'a Universe) -> Measure<'a> {
+        Box::new(|ctx, row| {
+            let (cut_size, safe_in_cut) =
+                match min_cut_flattened_view(ctx.universe, ctx.index, &ctx.closure) {
+                    Some(cut) => (cut.size(), cut.safe_members),
+                    None => (0, 0),
+                };
+            row.count(cut_size);
+            row.count(safe_in_cut);
+        })
     }
 }
 
@@ -432,52 +385,22 @@ impl NameMetric for MinCutMetric {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ValueMetric;
 
-struct ValueShard(ValueIndex);
-
-impl MetricShard for ValueShard {
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, _slot: usize) {
-        self.0.record(ctx.universe, &ctx.closure, ctx.names);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 impl NameMetric for ValueMetric {
     fn id(&self) -> &str {
         "value"
     }
 
-    fn columns(&self) -> Vec<String> {
-        vec![columns::VALUE.into()]
+    fn columns(&self) -> Vec<(&str, ColumnKind)> {
+        vec![(columns::VALUE, ColumnKind::Value)]
     }
 
-    fn shard(
-        &self,
-        universe: &Universe,
-        _shard_len: usize,
-        _prepared: &PreparedState,
-    ) -> Box<dyn MetricShard> {
-        Box::new(ValueShard(ValueIndex::new(universe)))
-    }
-
-    fn merge(
-        &self,
-        universe: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)> {
-        let shards = downcast_shards::<ValueShard>(shards, self.id());
-        let mut merged = ValueIndex::new(universe);
-        for shard in &shards {
-            merged.merge(&shard.0);
-        }
-        vec![(columns::VALUE.into(), MetricColumn::Value(merged))]
+    fn prepare<'a>(&'a self, _universe: &'a Universe) -> Measure<'a> {
+        Box::new(|ctx, row| row.value().record(ctx.universe, &ctx.closure, ctx.names))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::universe::Universe;
     use perils_dns::name::{name, DnsName};
@@ -497,28 +420,46 @@ mod tests {
         b.finish()
     }
 
-    fn run_metric(metric: &dyn NameMetric, targets: &[DnsName]) -> Vec<(String, MetricColumn)> {
-        let u = universe();
-        let index = DependencyIndex::build(&u);
-        let prepared = metric.prepare(&u);
+    /// Measures every target alone (`names: 1`) in two worker ranges
+    /// joined with [`MetricColumn::append`], as the engine joins them;
+    /// returns the columns in declaration order.
+    pub(crate) fn measure_targets(
+        metric: &dyn NameMetric,
+        u: &Universe,
+        targets: &[DnsName],
+    ) -> Vec<MetricColumn> {
+        let index = DependencyIndex::build(u);
+        let schema = metric.columns();
+        let measure = metric.prepare(u);
+        let empty = |rows| -> Vec<MetricColumn> {
+            schema
+                .iter()
+                .map(|&(_, kind)| MetricColumn::with_capacity(kind, u, rows))
+                .collect()
+        };
         let mut ws = index.workspace();
-        // Two shards to exercise merge order.
+        let mut columns = empty(targets.len());
         let mid = targets.len() / 2;
-        let mut shards = Vec::new();
-        for (start, end) in [(0, mid), (mid, targets.len())] {
-            let mut shard = metric.shard(&u, end - start, &prepared);
-            for (slot, target) in targets[start..end].iter().enumerate() {
+        for range in [0..mid, mid..targets.len()] {
+            let mut cells = empty(range.len());
+            for target in &targets[range] {
                 let ctx = MeasureCtx {
-                    universe: &u,
+                    universe: u,
                     index: &index,
                     names: 1,
-                    closure: index.closure_view(&u, target, &mut ws),
+                    closure: index.closure_view(u, target, &mut ws),
                 };
-                shard.measure(&ctx, slot);
+                Row::record(metric.id(), &schema, &mut cells, &measure, &ctx);
             }
-            shards.push(shard);
+            for (column, part) in columns.iter_mut().zip(cells) {
+                column.append(part);
+            }
         }
-        metric.merge(&u, shards)
+        columns
+    }
+
+    fn run_metric(metric: &dyn NameMetric, targets: &[DnsName]) -> Vec<MetricColumn> {
+        measure_targets(metric, &universe(), targets)
     }
 
     #[test]
@@ -526,7 +467,7 @@ mod tests {
         let targets = vec![name("www.site.com"), name("www.provider.net")];
         let cols = run_metric(&TcbMetric, &targets);
         assert_eq!(cols.len(), 4);
-        let sizes = cols[0].1.as_counts().expect("counts");
+        let sizes = cols[0].as_counts().expect("counts");
         let u = universe();
         let index = DependencyIndex::build(&u);
         let mut ws = index.workspace();
@@ -544,8 +485,8 @@ mod tests {
             name("x.com"),
         ];
         let cols = run_metric(&MinCutMetric, &targets);
-        let cut = cols[0].1.as_counts().expect("counts");
-        let safe = cols[1].1.as_counts().expect("counts");
+        let cut = cols[0].as_counts().expect("counts");
+        let safe = cols[1].as_counts().expect("counts");
         assert_eq!(cut.len(), targets.len());
         for i in 0..targets.len() {
             assert!(safe[i] <= cut[i]);
@@ -556,7 +497,7 @@ mod tests {
     fn value_metric_merges_shards() {
         let targets = vec![name("www.site.com"), name("www.site.com"), name("x.com")];
         let cols = run_metric(&ValueMetric, &targets);
-        let value = cols[0].1.as_value().expect("value");
+        let value = cols[0].as_value().expect("value");
         assert_eq!(value.names_seen(), 3);
         let u = universe();
         let provider = u.server_id(&name("ns.provider.net")).unwrap();

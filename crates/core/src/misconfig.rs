@@ -15,10 +15,9 @@
 //!   nests more than a threshold of levels (each level is another place
 //!   to be hijacked, and another RTT).
 
-use crate::metric::{columns, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState};
+use crate::metric::{columns, ColumnKind, Measure, NameMetric};
 use crate::universe::{ServerId, Universe, ZoneId};
 use perils_dns::name::{DnsName, Label};
-use std::any::Any;
 
 /// The registered operator domain of a server name: its last two labels
 /// (`ns1.dns7.net` → `dns7.net`), borrowed.
@@ -426,7 +425,7 @@ impl Default for MisconfigMetric {
 
 /// Per-universe precomputation behind [`MisconfigMetric`]: every zone's
 /// structural flag bits plus the cycle-collapsed [`DepthIndex`]. Built once
-/// per engine run (via [`NameMetric::prepare`]) and shared by all shards.
+/// per engine run (via [`NameMetric::prepare`]) and shared by all workers.
 #[derive(Debug, Clone)]
 pub struct MisconfigIndex {
     zone_flags: Vec<usize>,
@@ -462,94 +461,37 @@ impl MisconfigIndex {
     }
 }
 
-struct MisconfigShard {
-    threshold: usize,
-    index: std::sync::Arc<MisconfigIndex>,
-    flags: Vec<usize>,
-    depth: Vec<usize>,
-}
-
-impl MetricShard for MisconfigShard {
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-        // The name's own zone is the deepest zone on its chain; an empty
-        // chain means only the root encloses it, whose flags are zero —
-        // exactly what the `zone_of`-based lookup produced.
-        let chain = ctx.closure.target_chain();
-        let mut flags = chain
-            .last()
-            .map(|&zid| self.index.zone_flags(zid))
-            .unwrap_or(0);
-        let depth = self.index.depths().depth_of_chain(ctx.universe, chain);
-        // Same threshold predicate as the `deep-chain` lint rule.
-        if (crate::lint::DeepChainRule {
-            threshold: self.threshold,
-        })
-        .exceeds(depth)
-        {
-            flags |= FLAG_DEEP_DEPENDENCY;
-        }
-        self.flags[slot] = flags;
-        self.depth[slot] = depth;
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 impl NameMetric for MisconfigMetric {
     fn id(&self) -> &str {
         "misconfig"
     }
 
-    fn columns(&self) -> Vec<String> {
+    fn columns(&self) -> Vec<(&str, ColumnKind)> {
         vec![
-            columns::MISCONFIG_FLAGS.into(),
-            columns::MISCONFIG_DEPTH.into(),
+            (columns::MISCONFIG_FLAGS, ColumnKind::Counts),
+            (columns::MISCONFIG_DEPTH, ColumnKind::Counts),
         ]
     }
 
-    fn prepare(&self, universe: &Universe) -> PreparedState {
-        Some(std::sync::Arc::new(MisconfigIndex::build(universe)))
-    }
-
-    fn shard(
-        &self,
-        _universe: &Universe,
-        shard_len: usize,
-        prepared: &PreparedState,
-    ) -> Box<dyn MetricShard> {
-        let index = prepared
-            .as_ref()
-            .and_then(|p| std::sync::Arc::clone(p).downcast::<MisconfigIndex>().ok())
-            .expect("misconfig shard needs this run's `prepare` output");
-        Box::new(MisconfigShard {
+    fn prepare<'a>(&'a self, universe: &'a Universe) -> Measure<'a> {
+        let index = MisconfigIndex::build(universe);
+        // Same threshold predicate as the `deep-chain` lint rule.
+        let deep = crate::lint::DeepChainRule {
             threshold: self.depth_threshold,
-            index,
-            flags: vec![0; shard_len],
-            depth: vec![0; shard_len],
+        };
+        Box::new(move |ctx, row| {
+            // The name's own zone is the deepest zone on its chain; an
+            // empty chain means only the root encloses it, whose flags
+            // are zero.
+            let chain = ctx.closure.target_chain();
+            let mut flags = chain.last().map(|&zid| index.zone_flags(zid)).unwrap_or(0);
+            let depth = index.depths().depth_of_chain(ctx.universe, chain);
+            if deep.exceeds(depth) {
+                flags |= FLAG_DEEP_DEPENDENCY;
+            }
+            row.count(flags);
+            row.count(depth);
         })
-    }
-
-    fn merge(
-        &self,
-        _universe: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)> {
-        let mut flags = Vec::new();
-        let mut depth = Vec::new();
-        for shard in shards {
-            let shard = shard
-                .into_any()
-                .downcast::<MisconfigShard>()
-                .unwrap_or_else(|_| panic!("metric misconfig: foreign shard type"));
-            flags.extend(shard.flags);
-            depth.extend(shard.depth);
-        }
-        vec![
-            (columns::MISCONFIG_FLAGS.into(), MetricColumn::Counts(flags)),
-            (columns::MISCONFIG_DEPTH.into(), MetricColumn::Counts(depth)),
-        ]
     }
 }
 
@@ -647,26 +589,12 @@ mod tests {
 
     #[test]
     fn misconfig_metric_flags_and_depth() {
-        use crate::closure::DependencyIndex;
         let u = metric_world();
-        let index = DependencyIndex::build(&u);
         let metric = MisconfigMetric { depth_threshold: 1 };
         let targets = [name("www.solo.com"), name("www.victim.com")];
-        let prepared = metric.prepare(&u);
-        let mut shard = metric.shard(&u, targets.len(), &prepared);
-        let mut ws = index.workspace();
-        for (slot, target) in targets.iter().enumerate() {
-            let ctx = MeasureCtx {
-                universe: &u,
-                index: &index,
-                names: 1,
-                closure: index.closure_view(&u, target, &mut ws),
-            };
-            shard.measure(&ctx, slot);
-        }
-        let cols = metric.merge(&u, vec![shard]);
-        let flags = cols[0].1.as_counts().expect("counts");
-        let depth = cols[1].1.as_counts().expect("counts");
+        let cols = crate::metric::tests::measure_targets(&metric, &u, &targets);
+        let flags = cols[0].as_counts().expect("counts");
+        let depth = cols[1].as_counts().expect("counts");
         assert_ne!(flags[0] & FLAG_SINGLE_SERVER, 0, "solo.com has one NS");
         assert_eq!(depth[0], 0, "glued self-hosting nests nothing");
         assert_ne!(flags[1] & FLAG_DEEP_DEPENDENCY, 0, "victim nests past 1");

@@ -23,11 +23,10 @@
 //! engine as three per-name columns ([`columns::ZOMBIE_DEAD_IN_TCB`],
 //! [`columns::ZOMBIE_ZONES`], [`columns::ZOMBIE_ORPHANED`]); the
 //! universe-wide [`ZombieIndex`] is built once per run via
-//! [`NameMetric::prepare`] and shared by every shard.
+//! [`NameMetric::prepare`] and shared by every worker.
 
-use crate::metric::{columns, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState};
+use crate::metric::{columns, ColumnKind, Measure, NameMetric};
 use crate::universe::{ServerId, Universe, ZoneId};
-use std::any::Any;
 
 /// Universe-wide liveness classification behind [`ZombieDelegationMetric`].
 #[derive(Debug, Clone, PartialEq)]
@@ -125,111 +124,42 @@ impl ZombieIndex {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ZombieDelegationMetric;
 
-struct ZombieShard {
-    index: std::sync::Arc<ZombieIndex>,
-    dead_in_tcb: Vec<usize>,
-    zombie_zones: Vec<usize>,
-    orphaned: Vec<usize>,
-}
-
-impl MetricShard for ZombieShard {
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-        self.dead_in_tcb[slot] = ctx
-            .closure
-            .servers()
-            .filter(|&s| !ctx.universe.server(s).is_root && self.index.is_dead(s))
-            .count();
-        self.zombie_zones[slot] = ctx
-            .closure
-            .zones()
-            .filter(|&z| self.index.is_zombie(z))
-            .count();
-        self.orphaned[slot] = usize::from(
-            ctx.closure
-                .target_chain()
-                .iter()
-                .any(|&z| self.index.is_zombie(z)),
-        );
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
 impl NameMetric for ZombieDelegationMetric {
     fn id(&self) -> &str {
         "zombie"
     }
 
-    fn columns(&self) -> Vec<String> {
+    fn columns(&self) -> Vec<(&str, ColumnKind)> {
         vec![
-            columns::ZOMBIE_DEAD_IN_TCB.into(),
-            columns::ZOMBIE_ZONES.into(),
-            columns::ZOMBIE_ORPHANED.into(),
+            (columns::ZOMBIE_DEAD_IN_TCB, ColumnKind::Counts),
+            (columns::ZOMBIE_ZONES, ColumnKind::Counts),
+            (columns::ZOMBIE_ORPHANED, ColumnKind::Counts),
         ]
     }
 
-    fn prepare(&self, universe: &Universe) -> PreparedState {
-        Some(std::sync::Arc::new(ZombieIndex::build(universe)))
-    }
-
-    fn shard(
-        &self,
-        _universe: &Universe,
-        shard_len: usize,
-        prepared: &PreparedState,
-    ) -> Box<dyn MetricShard> {
-        let index = prepared
-            .as_ref()
-            .and_then(|p| std::sync::Arc::clone(p).downcast::<ZombieIndex>().ok())
-            .expect("zombie shard needs this run's `prepare` output");
-        Box::new(ZombieShard {
-            index,
-            dead_in_tcb: vec![0; shard_len],
-            zombie_zones: vec![0; shard_len],
-            orphaned: vec![0; shard_len],
+    fn prepare<'a>(&'a self, universe: &'a Universe) -> Measure<'a> {
+        let index = ZombieIndex::build(universe);
+        Box::new(move |ctx, row| {
+            row.count(
+                ctx.closure
+                    .servers()
+                    .filter(|&s| !ctx.universe.server(s).is_root && index.is_dead(s))
+                    .count(),
+            );
+            row.count(ctx.closure.zones().filter(|&z| index.is_zombie(z)).count());
+            row.count(usize::from(
+                ctx.closure
+                    .target_chain()
+                    .iter()
+                    .any(|&z| index.is_zombie(z)),
+            ));
         })
-    }
-
-    fn merge(
-        &self,
-        _universe: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)> {
-        let mut dead_in_tcb = Vec::new();
-        let mut zombie_zones = Vec::new();
-        let mut orphaned = Vec::new();
-        for shard in shards {
-            let shard = shard
-                .into_any()
-                .downcast::<ZombieShard>()
-                .unwrap_or_else(|_| panic!("metric zombie: foreign shard type"));
-            dead_in_tcb.extend(shard.dead_in_tcb);
-            zombie_zones.extend(shard.zombie_zones);
-            orphaned.extend(shard.orphaned);
-        }
-        vec![
-            (
-                columns::ZOMBIE_DEAD_IN_TCB.into(),
-                MetricColumn::Counts(dead_in_tcb),
-            ),
-            (
-                columns::ZOMBIE_ZONES.into(),
-                MetricColumn::Counts(zombie_zones),
-            ),
-            (
-                columns::ZOMBIE_ORPHANED.into(),
-                MetricColumn::Counts(orphaned),
-            ),
-        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::DependencyIndex;
     use crate::universe::Universe;
     use perils_dns::name::{name, DnsName};
 
@@ -282,30 +212,17 @@ mod tests {
     #[test]
     fn metric_columns_align_with_classification() {
         let u = decayed_universe();
-        let dep = DependencyIndex::build(&u);
         let metric = ZombieDelegationMetric;
         let targets = [
             name("www.stale.com"),
             name("www.half.com"),
             name("www.alive.net"),
         ];
-        let prepared = metric.prepare(&u);
-        let mut shard = metric.shard(&u, targets.len(), &prepared);
-        let mut ws = dep.workspace();
-        for (slot, target) in targets.iter().enumerate() {
-            let ctx = MeasureCtx {
-                universe: &u,
-                index: &dep,
-                names: 1,
-                closure: dep.closure_view(&u, target, &mut ws),
-            };
-            shard.measure(&ctx, slot);
-        }
-        let cols = metric.merge(&u, vec![shard]);
+        let cols = crate::metric::tests::measure_targets(&metric, &u, &targets);
         assert_eq!(cols.len(), 3);
-        let dead = cols[0].1.as_counts().expect("counts");
-        let zones = cols[1].1.as_counts().expect("counts");
-        let orphaned = cols[2].1.as_counts().expect("counts");
+        let dead = cols[0].as_counts().expect("counts");
+        let zones = cols[1].as_counts().expect("counts");
+        let orphaned = cols[2].as_counts().expect("counts");
         assert_eq!(dead[0], 2, "both of stale.com's NS are dead");
         assert_eq!(zones[0], 1);
         assert_eq!(orphaned[0], 1, "stale.com names are orphaned");

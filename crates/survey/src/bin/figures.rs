@@ -24,6 +24,7 @@
 //! and CSV directory exports (`--out DIR --format csv`) go through the
 //! row-at-a-time `StreamingCsvSink`.
 
+use perils_core::metric::columns;
 use perils_core::{DependencyIndex, ZombieDelegationMetric};
 use perils_survey::engine::{Engine, SurveyReport, SyntheticSource, WorldSource};
 use perils_survey::figures::ZombieFigure;
@@ -144,17 +145,23 @@ fn print_figure_list(registry: &FigureRegistry) {
 /// Extra diagnostics that are not figures (printed only on the text
 /// stdout stream): value concentration and the exact-hijack ablation.
 fn print_extras(report: &SurveyReport) {
+    let (Ok(value), Ok(cut_size)) = (
+        report.try_value_column(columns::VALUE),
+        report.try_counts(columns::CUT_SIZE),
+    ) else {
+        return;
+    };
     println!(
         "Name-control concentration (Gini over non-zero servers): {:.3}  (§3.3: \"disproportionate\")\n",
-        report.value().gini()
+        value.gini()
     );
     if !report.exact_sample.is_empty() {
         let mut agree = 0usize;
         let mut exact_smaller = 0usize;
         for &(i, exact_size, _) in &report.exact_sample {
-            if report.cut_size()[i] == exact_size {
+            if cut_size[i] == exact_size {
                 agree += 1;
-            } else if exact_size < report.cut_size()[i] {
+            } else if exact_size < cut_size[i] {
                 exact_smaller += 1;
             }
         }

@@ -13,19 +13,14 @@
 //! each worker computes every zone's dependency closure **once** — as a
 //! borrowed [`perils_core::ClosureView`] over the memoized sub-closure
 //! index, with per-worker scratch, so the pass allocates no closure
-//! sets — and feeds it to every metric's shard accumulator. The merge
-//! concatenates shards in range order and gathers each zone's row back to
-//! its names, so results are per name, deterministic and invariant in
+//! sets — and feeds it to every metric's [`perils_core::Measure`], which
+//! writes one row into columns the engine owns. The engine concatenates
+//! the workers' columns in range order and gathers each zone's row back
+//! to its names, so results are per name, deterministic and invariant in
 //! the thread count.
 //!
-//! [`Engine::run_batched`] is the same pass streamed in bounded batches:
-//! shards live only for one batch, each batch merges immediately, and the
-//! merged columns append across batches, so peak accumulator memory is set
-//! by the batch size rather than the name count. `run` is the
-//! single-batch special case and produces byte-identical reports.
-//!
 //! The output is a columnar [`SurveyReport`] keyed by metric column id,
-//! with typed accessors for the classic figures' columns.
+//! with typed (`try_*`) accessors.
 
 use crate::params::TopologyParams;
 use crate::scenario::{report_events, scenario_events};
@@ -33,9 +28,7 @@ use crate::topology::{plan_world, SurveyName};
 use perils_authserver::scenarios::Scenario;
 use perils_core::closure::DependencyIndex;
 use perils_core::hijack::min_hijack_exact;
-use perils_core::metric::{
-    columns, ColumnKind, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState,
-};
+use perils_core::metric::{ColumnKind, MeasureCtx, MetricColumn, NameMetric, Row};
 use perils_core::universe::{Universe, UniverseEvent, ZoneId};
 use perils_core::value::ValueIndex;
 use perils_core::{DnssecCoverageMetric, MinCutMetric, MisconfigMetric, TcbMetric, ValueMetric};
@@ -82,9 +75,8 @@ fn survey_names_of(targets: Vec<DnsName>) -> impl Iterator<Item = SurveyName> + 
 /// A world as a stream: incremental [`UniverseEvent`]s first, surveyed
 /// names second. This is what every [`WorldSource`] produces and what
 /// the engine ingests — the universe is built event by event through
-/// `perils_core`'s incremental [`perils_core::UniverseBuilder`] and the
-/// names are pulled in bounded batches, so no stage of ingestion ever
-/// requires the whole feed in memory at once.
+/// `perils_core`'s incremental [`perils_core::UniverseBuilder`], so the
+/// event feed is never held in memory whole.
 ///
 /// The two phases are ordered: drain [`WorldStream::events`] (or call
 /// [`WorldStream::build_universe`]) before pulling
@@ -94,10 +86,6 @@ pub struct WorldStream {
     events: Box<dyn Iterator<Item = UniverseEvent> + Send>,
     names: Box<dyn Iterator<Item = SurveyName> + Send>,
     top500: Vec<usize>,
-    /// An already-built universe ([`WorldStream::of_world`]): the event
-    /// phase is skipped instead of decomposing and re-interning a
-    /// structure that already exists.
-    prebuilt: Option<Universe>,
 }
 
 impl WorldStream {
@@ -111,7 +99,6 @@ impl WorldStream {
             events: Box::new(events),
             names: Box::new(names),
             top500,
-            prebuilt: None,
         }
     }
 
@@ -136,11 +123,7 @@ impl WorldStream {
     /// banners against the paper's ISC Feb-2004 matrix, and returns the
     /// finished universe. Peak memory is the universe itself plus the
     /// builder's indexes — independent of feed length and order.
-    /// Streams wrapped around a prebuilt world return it directly.
     pub fn build_universe(&mut self) -> Universe {
-        if let Some(universe) = self.prebuilt.take() {
-            return universe;
-        }
         let db = VulnDb::isc_feb_2004();
         let mut builder = Universe::builder();
         for event in self.events.by_ref() {
@@ -159,22 +142,6 @@ impl WorldStream {
             top500: self.top500,
         }
     }
-
-    /// Wraps a prebuilt world as a stream. The universe is carried
-    /// whole — [`WorldStream::build_universe`] returns it directly
-    /// rather than decomposing and re-interning an existing structure
-    /// (use [`Universe::into_events`] when the event *stream* itself is
-    /// wanted; it round-trips verbatim, ids included).
-    fn of_world(world: AnalysisWorld) -> WorldStream {
-        let AnalysisWorld {
-            universe,
-            names,
-            top500,
-        } = world;
-        let mut stream = WorldStream::new(std::iter::empty(), names.into_iter(), top500);
-        stream.prebuilt = Some(universe);
-        stream
-    }
 }
 
 /// Supplies a world to the engine. Implemented by the synthetic
@@ -183,9 +150,9 @@ impl WorldStream {
 ///
 /// The primitive is **streaming**: [`WorldSource::stream`] emits the
 /// world as incremental universe events plus a name stream, and the
-/// provided [`WorldSource::load`] is a thin collector over it — so the
-/// streamed path is the default implementation, and a source only
-/// overrides `load` when it already holds a materialized world.
+/// provided [`WorldSource::load`] is a thin collector over it. A world
+/// that is already built skips the trait and goes to
+/// [`Engine::run_world`].
 pub trait WorldSource {
     /// Human-readable description for diagnostics.
     fn describe(&self) -> String;
@@ -202,20 +169,6 @@ pub trait WorldSource {
         Self: Sized,
     {
         self.stream().collect()
-    }
-}
-
-impl WorldSource for AnalysisWorld {
-    fn describe(&self) -> String {
-        format!("prebuilt world ({} names)", self.names.len())
-    }
-
-    fn stream(self) -> WorldStream {
-        WorldStream::of_world(self)
-    }
-
-    fn load(self) -> AnalysisWorld {
-        self
     }
 }
 
@@ -415,70 +368,6 @@ impl SurveyReport {
         })
     }
 
-    /// Per-name counts column `id`.
-    ///
-    /// Thin convenience over [`SurveyReport::try_counts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the column is missing or not a counts column.
-    pub fn counts(&self, id: &str) -> &[usize] {
-        self.try_counts(id).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Per-name floats column `id`.
-    ///
-    /// Thin convenience over [`SurveyReport::try_floats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the column is missing or not a floats column.
-    pub fn floats(&self, id: &str) -> &[f64] {
-        self.try_floats(id).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// TCB size per name (root servers excluded).
-    pub fn tcb_sizes(&self) -> &[usize] {
-        self.counts(columns::TCB_SIZE)
-    }
-
-    /// Nameowner-administered TCB members per name.
-    pub fn nameowner(&self) -> &[usize] {
-        self.counts(columns::NAMEOWNER)
-    }
-
-    /// Vulnerable TCB members per name.
-    pub fn vulnerable_in_tcb(&self) -> &[usize] {
-        self.counts(columns::VULNERABLE_IN_TCB)
-    }
-
-    /// Percent of TCB with no known vulnerability, per name.
-    pub fn safety_percent(&self) -> &[f64] {
-        self.floats(columns::SAFETY_PERCENT)
-    }
-
-    /// Flattened min-cut size per name (0: uncuttable / root-served).
-    pub fn cut_size(&self) -> &[usize] {
-        self.counts(columns::CUT_SIZE)
-    }
-
-    /// Non-vulnerable members of the min-cut per name.
-    pub fn safe_in_cut(&self) -> &[usize] {
-        self.counts(columns::SAFE_IN_CUT)
-    }
-
-    /// Names-controlled aggregate over all surveyed names.
-    ///
-    /// Thin convenience over [`SurveyReport::try_value_column`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when no value metric was registered.
-    pub fn value(&self) -> &ValueIndex {
-        self.try_value_column(columns::VALUE)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Indices of the top-500 popular names (forwarded from the world).
     pub fn top500(&self) -> &[usize] {
         &self.world.top500
@@ -544,9 +433,9 @@ impl Engine {
                 "duplicate metric id {:?}",
                 metric.id()
             );
-            for column in existing.columns() {
+            for (column, _) in existing.columns() {
                 assert!(
-                    !metric.columns().contains(&column),
+                    metric.columns().iter().all(|&(id, _)| id != column),
                     "metric {:?} re-declares column {column:?} of {:?}",
                     metric.id(),
                     existing.id()
@@ -574,64 +463,11 @@ impl Engine {
         self.metrics.iter().map(|m| m.id()).collect()
     }
 
-    /// Loads `source` and runs every registered metric over it in one
-    /// batch (peak accumulator memory proportional to the name count;
-    /// see [`Engine::run_batched`] for the bounded-memory pass). The
-    /// universe itself is still ingested through the source's event
-    /// stream — [`WorldSource::load`] is a collector over
-    /// [`WorldSource::stream`] unless the source holds a prebuilt world.
+    /// Loads `source` and runs every registered metric over it. The
+    /// universe is ingested through the source's event stream
+    /// ([`WorldSource::load`] is a collector over [`WorldSource::stream`]).
     pub fn run(&self, source: impl WorldSource) -> SurveyReport {
         self.run_world(source.load())
-    }
-
-    /// Streams `source` end to end in bounded batches: the universe is
-    /// built incrementally from the source's event stream, then names
-    /// are pulled through the sharded loop `batch_size` at a time, each
-    /// batch's shards merged immediately and the merged columns appended
-    /// across batches. Peak accumulator memory is therefore proportional
-    /// to `batch_size × threads`, not to the name count — the knob that
-    /// keeps 593k-name paper-scale runs memory-bounded.
-    ///
-    /// The result is identical to [`Engine::run`] for every batch size:
-    /// per-name columns concatenate in survey order and aggregate columns
-    /// merge commutatively ([`MetricColumn::append`]).
-    pub fn run_batched(&self, source: impl WorldSource, batch_size: NonZeroUsize) -> SurveyReport {
-        let mut stream = source.stream();
-        let threads = par::threads(self.threads);
-        let universe = stream.build_universe();
-        let index = DependencyIndex::build(&universe);
-        let prepared: Vec<PreparedState> =
-            self.metrics.iter().map(|m| m.prepare(&universe)).collect();
-        let batch = batch_size.get();
-        let mut merged: BTreeMap<String, MetricColumn> = BTreeMap::new();
-        let mut names: Vec<SurveyName> = Vec::new();
-        loop {
-            let start = names.len();
-            let batch_names: Vec<SurveyName> = stream.names.by_ref().take(batch).collect();
-            if batch_names.is_empty() && start > 0 {
-                break;
-            }
-            self.run_batch(
-                &universe,
-                &index,
-                &prepared,
-                &batch_names,
-                start,
-                threads,
-                &mut merged,
-            );
-            let got = batch_names.len();
-            names.extend(batch_names);
-            if got < batch {
-                break;
-            }
-        }
-        let world = AnalysisWorld {
-            universe,
-            names,
-            top500: stream.top500,
-        };
-        self.finish_report(world, &index, merged)
     }
 
     /// Runs every registered metric over an already-built world.
@@ -647,52 +483,52 @@ impl Engine {
     /// `world.universe`; the snapshot decoder guarantees this for loaded
     /// archives.
     pub fn run_world_indexed(&self, world: AnalysisWorld, index: &DependencyIndex) -> SurveyReport {
-        let threads = par::threads(self.threads);
-        let prepared: Vec<PreparedState> = self
-            .metrics
-            .iter()
-            .map(|m| m.prepare(&world.universe))
-            .collect();
-        let mut merged: BTreeMap<String, MetricColumn> = BTreeMap::new();
-        self.run_batch(
-            &world.universe,
-            index,
-            &prepared,
-            &world.names,
-            0,
-            threads,
-            &mut merged,
-        );
-        self.finish_report(world, index, merged)
+        let columns = self.measure(&world.universe, &world.names, index);
+
+        // Exact hijack sample (sequential; used by the ablation analysis).
+        let mut exact_sample = Vec::new();
+        let mut ws = index.workspace();
+        for i in 0..self.exact_hijack_sample.min(world.names.len()) {
+            let closure = index.closure_view(&world.universe, &world.names[i].name, &mut ws);
+            if let Some(exact) = min_hijack_exact(&world.universe, &closure) {
+                exact_sample.push((i, exact.size(), exact.safe_members));
+            }
+        }
+
+        SurveyReport {
+            world,
+            columns,
+            exact_sample,
+        }
     }
 
-    /// One sharded pass over a contiguous batch of names
-    /// (`batch_start..batch_start + batch.len()` in survey order).
+    /// The sharded pass: every column of every registered metric, one
+    /// entry per name.
     ///
     /// Every name under one deepest zone ([`Universe::zone_of`]) has the
-    /// same delegation chain and therefore the same closure, so the batch
-    /// is grouped by that zone first — keys computed on the workers, a
-    /// name with no enclosing zone in a group of its own — and the
-    /// distinct zones, in first-occurrence order, are what the workers
-    /// shard: each opens one closure view per zone and hands it to every
-    /// metric once. The merged per-group columns are gathered back per
-    /// name and land in `merged` (inserted on the first batch, appended
-    /// afterwards).
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch(
+    /// same delegation chain and therefore the same closure, so the names
+    /// are grouped by that zone first — keys computed on the workers —
+    /// and the distinct zones, in first-occurrence order, are what the
+    /// workers shard: each opens one closure view per zone and hands it
+    /// to every metric's [`perils_core::Measure`] once, which writes the
+    /// zone's row into the worker's columns. All names no zone encloses
+    /// share one `None` group. That is sound only because a closure is a
+    /// function of the deepest zone alone (the view reads nothing else of
+    /// the name), so every zone-less name has the same, empty, closure.
+    fn measure(
         &self,
         universe: &Universe,
+        names: &[SurveyName],
         index: &DependencyIndex,
-        prepared: &[PreparedState],
-        batch: &[SurveyName],
-        batch_start: usize,
-        threads: usize,
-        merged: &mut BTreeMap<String, MetricColumn>,
-    ) {
-        let metrics = &self.metrics;
-
-        let keys = par::map_ranges(batch.len(), threads, |range| {
-            batch[range]
+    ) -> BTreeMap<String, MetricColumn> {
+        let metrics: Vec<_> = self
+            .metrics
+            .iter()
+            .map(|m| (m.id(), m.columns(), m.prepare(universe)))
+            .collect();
+        let threads = par::threads(self.threads);
+        let keys = par::map_ranges(names.len(), threads, |range| {
+            names[range]
                 .iter()
                 .map(|entry| universe.zone_of(&entry.name))
                 .collect::<Vec<_>>()
@@ -716,98 +552,51 @@ impl Engine {
             .collect();
         drop(group_of);
 
-        let groups = &groups;
-        let worker_shards = par::map_ranges(groups.len(), threads, |range| {
-            let mut shards: Vec<Box<dyn MetricShard>> = metrics
+        let empty = |schema: &[(&str, ColumnKind)], rows| -> Vec<MetricColumn> {
+            schema
                 .iter()
-                .zip(prepared)
-                .map(|(m, p)| m.shard(universe, range.len(), p))
+                .map(|&(_, kind)| MetricColumn::with_capacity(kind, universe, rows))
+                .collect()
+        };
+        let groups = &groups;
+        let workers = par::map_ranges(groups.len(), threads, |range| {
+            let mut cells: Vec<_> = metrics
+                .iter()
+                .map(|(_, schema, _)| empty(schema, range.len()))
                 .collect();
             let mut ws = index.workspace();
-            for (slot, &(zone, first, names)) in groups[range].iter().enumerate() {
+            for &(zone, first, count) in &groups[range] {
                 let ctx = MeasureCtx {
                     universe,
                     index,
-                    names,
-                    closure: index.closure_view_in(universe, &batch[first].name, zone, &mut ws),
+                    names: count,
+                    closure: index.closure_view_in(universe, &names[first].name, zone, &mut ws),
                 };
-                for shard in &mut shards {
-                    shard.measure(&ctx, slot);
+                for ((id, schema, measure), cells) in metrics.iter().zip(&mut cells) {
+                    Row::record(id, schema, cells, measure, &ctx);
                 }
             }
-            shards
+            cells
         });
 
-        // Transpose worker-major into metric-major, preserving range
-        // order, and merge this batch.
-        let mut per_metric: Vec<Vec<Box<dyn MetricShard>>> =
-            (0..self.metrics.len()).map(|_| Vec::new()).collect();
-        for worker in worker_shards {
-            for (k, shard) in worker.into_iter().enumerate() {
-                per_metric[k].push(shard);
-            }
-        }
-        for (metric, shards) in self.metrics.iter().zip(per_metric) {
-            for (id, column) in metric.merge(universe, shards) {
-                if let Some(len) = column.len() {
-                    assert_eq!(
-                        len,
-                        groups.len(),
-                        "metric {:?} column {id:?} has wrong zone-group count",
-                        metric.id()
-                    );
-                }
-                let column = gather(column, &name_group);
-                match merged.entry(id) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        if batch_start > 0 {
-                            panic!(
-                                "metric {:?} produced column {:?} only after the first batch",
-                                metric.id(),
-                                slot.key()
-                            );
-                        }
-                        slot.insert(column);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut slot) => {
-                        assert!(batch_start > 0, "duplicate metric column {:?}", slot.key());
-                        slot.get_mut().append(column);
-                    }
+        // Metric by metric, join the ranges' columns in range order and
+        // gather them per name, so each range's columns are freed before
+        // the next metric's per-name columns are allocated.
+        let mut workers: Vec<_> = workers.into_iter().map(Vec::into_iter).collect();
+        let mut columns = BTreeMap::new();
+        for (_, schema, _) in &metrics {
+            let mut parts = workers.iter_mut().flat_map(|worker| worker.next());
+            let mut joined = parts.next().unwrap_or_else(|| empty(schema, 0));
+            for part in parts {
+                for (column, cells) in joined.iter_mut().zip(part) {
+                    column.append(cells);
                 }
             }
-        }
-    }
-
-    /// Verifies column lengths, runs the exact hijack sample and wraps
-    /// the report.
-    fn finish_report(
-        &self,
-        world: AnalysisWorld,
-        index: &DependencyIndex,
-        merged: BTreeMap<String, MetricColumn>,
-    ) -> SurveyReport {
-        let n = world.names.len();
-        for (id, column) in &merged {
-            if let Some(len) = column.len() {
-                assert_eq!(len, n, "column {id:?} has wrong total length");
+            for (&(id, _), column) in schema.iter().zip(joined) {
+                columns.insert(id.to_string(), gather(column, &name_group));
             }
         }
-
-        // Exact hijack sample (sequential; used by the ablation analysis).
-        let mut exact_sample = Vec::new();
-        let mut ws = index.workspace();
-        for i in 0..self.exact_hijack_sample.min(n) {
-            let closure = index.closure_view(&world.universe, &world.names[i].name, &mut ws);
-            if let Some(exact) = min_hijack_exact(&world.universe, &closure) {
-                exact_sample.push((i, exact.size(), exact.safe_members));
-            }
-        }
-
-        SurveyReport {
-            world,
-            columns: merged,
-            exact_sample,
-        }
+        columns
     }
 }
 
@@ -828,7 +617,8 @@ fn gather(column: MetricColumn, name_group: &[u32]) -> MetricColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perils_core::metric::columns;
+    use perils_core::metric::{columns, Measure};
+    use perils_dns::name::name;
 
     fn tiny_engine() -> Engine {
         Engine::with_extended_metrics()
@@ -851,21 +641,21 @@ mod tests {
             columns::MISCONFIG_DEPTH,
             columns::DNSSEC_CHAIN_PROTECTED,
         ] {
-            assert_eq!(report.counts(id).len(), n, "{id}");
+            assert_eq!(report.try_counts(id).unwrap().len(), n, "{id}");
         }
-        assert_eq!(report.floats(columns::SAFETY_PERCENT).len(), n);
-        assert_eq!(report.floats(columns::DNSSEC_SIGNED_FRACTION).len(), n);
-        assert_eq!(report.value().names_seen() as usize, n);
+        for id in [columns::SAFETY_PERCENT, columns::DNSSEC_SIGNED_FRACTION] {
+            assert_eq!(report.try_floats(id).unwrap().len(), n, "{id}");
+        }
+        let value = report.try_value_column(columns::VALUE).unwrap();
+        assert_eq!(value.names_seen() as usize, n);
         // Sanity: TCB members and cut members bound their subsets.
-        for i in 0..n {
-            assert!(report.vulnerable_in_tcb()[i] <= report.tcb_sizes()[i]);
-            assert!(report.nameowner()[i] <= report.tcb_sizes()[i]);
-            assert!(report.safe_in_cut()[i] <= report.cut_size()[i]);
-        }
-        assert_eq!(
-            report.top500_of(report.tcb_sizes()).len(),
-            report.top500().len()
-        );
+        let counts = |id| report.try_counts(id).unwrap();
+        let tcb = counts(columns::TCB_SIZE);
+        let within = |part, whole: &[usize]| counts(part).iter().zip(whole).all(|(p, w)| p <= w);
+        assert!(within(columns::VULNERABLE_IN_TCB, tcb));
+        assert!(within(columns::NAMEOWNER, tcb));
+        assert!(within(columns::SAFE_IN_CUT, counts(columns::CUT_SIZE)));
+        assert_eq!(report.top500_of(tcb).len(), report.top500().len());
     }
 
     #[test]
@@ -875,8 +665,8 @@ mod tests {
         }
         .load();
         let names = world.names.len();
-        let report = Engine::with_builtin_metrics().run(world);
-        assert_eq!(report.tcb_sizes().len(), names);
+        let report = Engine::with_builtin_metrics().run_world(world);
+        assert_eq!(report.try_counts(columns::TCB_SIZE).unwrap().len(), names);
     }
 
     #[test]
@@ -885,13 +675,45 @@ mod tests {
         let _ = Engine::with_builtin_metrics().register(perils_core::TcbMetric);
     }
 
+    /// Declares two counts columns and writes whatever its function
+    /// writes: a deliberately miswired metric.
+    struct MiswiredMetric(fn(&mut Row<'_>));
+
+    impl NameMetric for MiswiredMetric {
+        fn id(&self) -> &str {
+            "miswired"
+        }
+        fn columns(&self) -> Vec<(&str, ColumnKind)> {
+            vec![
+                ("first", ColumnKind::Counts),
+                ("second", ColumnKind::Counts),
+            ]
+        }
+        fn prepare<'a>(&'a self, _: &'a Universe) -> Measure<'a> {
+            Box::new(|_, row| (self.0)(row))
+        }
+    }
+
+    fn run_miswired(write: fn(&mut Row<'_>)) {
+        let world = AnalysisWorld::from_targets(Universe::default(), vec![name("www.x.com")]);
+        Engine::new()
+            .register(MiswiredMetric(write))
+            .threads(NonZeroUsize::new(1))
+            .run_world(world);
+    }
+
     #[test]
-    #[should_panic(expected = "no metric produced column")]
-    fn missing_column_panics_with_listing() {
-        let report = Engine::new().run(SyntheticSource {
-            params: TopologyParams::tiny(47),
-        });
-        let _ = report.tcb_sizes();
+    #[should_panic(expected = r#"metric "miswired" left column "second" unwritten"#)]
+    fn short_row_panics_naming_metric_and_column() {
+        run_miswired(|row| row.count(1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = r#"metric "miswired" wrote a floats cell into counts column "first""#
+    )]
+    fn float_in_counts_column_panics_naming_metric_and_column() {
+        run_miswired(|row| row.float(1.0));
     }
 
     #[test]
@@ -938,42 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_run_matches_unbatched() {
-        let params = TopologyParams::tiny(53);
-        let engine = tiny_engine();
-        let baseline = engine.run(SyntheticSource {
-            params: params.clone(),
-        });
-        let n = baseline.world.names.len();
-        assert!(n > 0);
-        for batch in [1usize, 7, 64, n] {
-            let batched = engine.run_batched(
-                SyntheticSource {
-                    params: params.clone(),
-                },
-                NonZeroUsize::new(batch).unwrap(),
-            );
-            for id in baseline.column_ids() {
-                let a = baseline.column(id).expect("baseline column");
-                let b = batched.column(id).expect("batched column");
-                match (a, b) {
-                    (MetricColumn::Counts(x), MetricColumn::Counts(y)) => {
-                        assert_eq!(x, y, "{id} at batch {batch}")
-                    }
-                    (MetricColumn::Floats(x), MetricColumn::Floats(y)) => {
-                        assert_eq!(x, y, "{id} at batch {batch}")
-                    }
-                    (MetricColumn::Value(x), MetricColumn::Value(y)) => {
-                        assert_eq!(x.ranking(), y.ranking(), "{id} at batch {batch}");
-                        assert_eq!(x.names_seen(), y.names_seen());
-                    }
-                    _ => panic!("{id} changed kind at batch {batch}"),
-                }
-            }
-        }
-    }
-
-    #[test]
     fn world_stream_phases_compose_manually() {
         // The events()/names() API drives ingestion by hand: drain the
         // event phase into a builder, then pull names.
@@ -995,32 +781,24 @@ mod tests {
     #[test]
     fn scenario_source_streams_and_batches_identically() {
         use perils_authserver::scenarios::fbi_case;
-        use perils_dns::name::name;
         let scenario = fbi_case();
-        let targets = vec![name("www.fbi.gov")];
-        let full = Engine::with_builtin_metrics().run(ScenarioSource {
+        let report = Engine::with_builtin_metrics().run(ScenarioSource {
             scenario: &scenario,
-            targets: targets.clone(),
+            targets: vec![name("www.fbi.gov")],
         });
-        let batched = Engine::with_builtin_metrics().run_batched(
-            ScenarioSource {
-                scenario: &scenario,
-                targets,
-            },
-            NonZeroUsize::new(1).unwrap(),
-        );
-        assert_eq!(full.tcb_sizes(), batched.tcb_sizes());
-        assert_eq!(full.cut_size(), batched.cut_size());
-        assert_eq!(full.world.universe, batched.world.universe);
+        // The streamed scenario world reproduces §3.2: a TCB of at least
+        // five servers and a two-machine cut.
+        assert!(report.try_counts(columns::TCB_SIZE).unwrap()[0] >= 5);
+        assert_eq!(report.try_counts(columns::CUT_SIZE).unwrap(), [2]);
     }
 
     #[test]
     fn batched_run_handles_empty_world() {
-        let world = AnalysisWorld::from_targets(perils_core::universe::Universe::default(), vec![]);
-        let report =
-            Engine::with_builtin_metrics().run_batched(world, NonZeroUsize::new(16).unwrap());
-        assert!(report.tcb_sizes().is_empty());
-        assert_eq!(report.value().names_seen(), 0);
+        let world = AnalysisWorld::from_targets(Universe::default(), vec![]);
+        let report = Engine::with_builtin_metrics().run_world(world);
+        assert!(report.try_counts(columns::TCB_SIZE).unwrap().is_empty());
+        let value = report.try_value_column(columns::VALUE).unwrap();
+        assert_eq!(value.names_seen(), 0);
     }
 
     #[test]

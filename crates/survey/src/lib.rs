@@ -30,9 +30,8 @@
 //! Ingestion is **streaming**: every [`engine::WorldSource`] emits an
 //! [`engine::WorldStream`] — incremental [`perils_core::UniverseEvent`]s
 //! followed by a name stream — which the engine feeds through
-//! `perils_core`'s incremental universe builder and, via
-//! [`engine::Engine::run_batched`], through bounded name batches, so no
-//! stage ever needs the whole feed in memory. Materialized loading
+//! `perils_core`'s incremental universe builder, so the event feed is
+//! never held in memory whole. Materialized loading
 //! ([`engine::WorldSource::load`]) is a thin collector over the stream,
 //! and a synthetic world exists only as a plan until it is streamed (or,
 //! for the wire cross-check, built as packets by

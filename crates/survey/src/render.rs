@@ -697,7 +697,8 @@ mod tests {
     }
 
     fn empty_report() -> SurveyReport {
-        Engine::with_builtin_metrics().run(AnalysisWorld::from_targets(Universe::default(), vec![]))
+        Engine::with_builtin_metrics()
+            .run_world(AnalysisWorld::from_targets(Universe::default(), vec![]))
     }
 
     #[test]

@@ -282,7 +282,9 @@ fn zombie_workload_end_to_end_via_public_apis() {
         ],
     );
 
-    let report = Engine::new().register(ZombieDelegationMetric).run(world);
+    let report = Engine::new()
+        .register(ZombieDelegationMetric)
+        .run_world(world);
     let registry = FigureRegistry::new().register(ZombieFigure);
     let outcomes = registry.build_all(&report);
     assert_eq!(outcomes.len(), 1);

@@ -1,23 +1,20 @@
-//! Property tests of the streaming engine pass: for random synthetic
-//! seeds, `Engine::run_batched` must produce a `SurveyReport` identical to
-//! `Engine::run` at every tested batch size — per-name columns
-//! element-for-element, the value aggregate ranking-for-ranking — and the
-//! report must be invariant in the worker thread count at the same time.
-//! The engine measures each deepest zone once and gathers per name; that
-//! pass must equal measuring every name alone.
+//! Property tests of the engine pass: the engine measures each deepest
+//! zone once and gathers per name, and for random synthetic seeds that
+//! pass must equal measuring every name alone — per-name columns
+//! element-for-element, the value aggregate ranking-for-ranking — at
+//! every worker thread count.
 
 use proptest::prelude::*;
 
-use perils_core::metric::{MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState};
+use perils_core::metric::{ColumnKind, Measure, MeasureCtx, MetricColumn, NameMetric, Row};
 use perils_core::universe::Universe;
 use perils_core::{
     DependencyIndex, DnssecCoverageMetric, MinCutMetric, MisconfigMetric, TcbMetric, ValueMetric,
     ZombieDelegationMetric,
 };
 use perils_dns::name::{name, DnsName};
-use perils_survey::engine::{AnalysisWorld, Engine, SurveyReport, SyntheticSource, WorldSource};
+use perils_survey::engine::{AnalysisWorld, Engine, SyntheticSource, WorldSource};
 use perils_survey::params::TopologyParams;
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,17 +48,6 @@ fn assert_columns_equal(
     Ok(())
 }
 
-fn assert_reports_equal(a: &SurveyReport, b: &SurveyReport, what: &str) -> Result<(), String> {
-    let ids_a: Vec<&str> = a.column_ids().collect();
-    let ids_b: Vec<&str> = b.column_ids().collect();
-    prop_assert_eq!(&ids_a, &ids_b, "column sets differ ({})", what);
-    for id in ids_a {
-        assert_columns_equal(a.column(id).unwrap(), b.column(id).unwrap(), id, what)?;
-    }
-    prop_assert_eq!(&a.exact_sample, &b.exact_sample, "exact sample ({})", what);
-    Ok(())
-}
-
 /// The extended metric set plus the zombie metric, as fresh instances.
 fn extended_and_zombie() -> Vec<Box<dyn NameMetric>> {
     vec![
@@ -74,83 +60,44 @@ fn extended_and_zombie() -> Vec<Box<dyn NameMetric>> {
     ]
 }
 
-/// Measures every name of `world` alone (`names: 1`) into one shard per
-/// metric: the per-name pass the per-zone engine must reproduce.
+/// Measures every name of `world` alone (`names: 1`) on one worker: the
+/// per-name pass the per-zone engine must reproduce.
 fn per_name_reference(world: &AnalysisWorld) -> BTreeMap<String, MetricColumn> {
     let universe = &world.universe;
     let index = DependencyIndex::build(universe);
     let mut ws = index.workspace();
     let mut columns = BTreeMap::new();
     for metric in extended_and_zombie() {
-        let prepared = metric.prepare(universe);
-        let mut shard = metric.shard(universe, world.names.len(), &prepared);
-        for (slot, entry) in world.names.iter().enumerate() {
+        let schema = metric.columns();
+        let measure = metric.prepare(universe);
+        let mut cells: Vec<MetricColumn> = schema
+            .iter()
+            .map(|&(_, kind)| MetricColumn::with_capacity(kind, universe, world.names.len()))
+            .collect();
+        for entry in &world.names {
             let ctx = MeasureCtx {
                 universe,
                 index: &index,
                 names: 1,
                 closure: index.closure_view(universe, &entry.name, &mut ws),
             };
-            shard.measure(&ctx, slot);
+            Row::record(metric.id(), &schema, &mut cells, &measure, &ctx);
         }
-        columns.extend(metric.merge(universe, vec![shard]));
+        columns.extend(schema.iter().map(|&(id, _)| id.to_string()).zip(cells));
     }
     columns
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// `run_batched` ≡ `run` for batch sizes {1, 7, 64, all}, re-pinned on
-    /// the view-based closure representation over the full metric set
-    /// (built-ins + misconfig + DNSSEC + zombie), so every view-path
-    /// measurement — including the zone grouping, which dedupes only
-    /// within one batch — is covered.
-    #[test]
-    fn batched_report_identical_to_unbatched(seed in 0u64..10_000) {
-        let engine = Engine::with_extended_metrics()
-            .register(perils_core::ZombieDelegationMetric)
-            .exact_hijack_sample(5);
-        let baseline = engine.run(SyntheticSource { params: params(seed) });
-        let n = baseline.world.names.len();
-        prop_assert!(n > 0);
-        for batch in [1usize, 7, 64, n] {
-            let batched = engine.run_batched(
-                SyntheticSource { params: params(seed) },
-                NonZeroUsize::new(batch).expect("non-zero batch"),
-            );
-            assert_reports_equal(&baseline, &batched, &format!("batch {batch}"))?;
-        }
-    }
-
-    /// Batching composes with thread-count invariance: a single-threaded
-    /// unbatched run equals a multi-threaded batched run.
-    #[test]
-    fn batching_and_threading_commute(seed in 0u64..10_000, batch in 1usize..96) {
-        let one = Engine::with_builtin_metrics()
-            .threads(NonZeroUsize::new(1))
-            .run(SyntheticSource { params: params(seed) });
-        let many = Engine::with_builtin_metrics()
-            .threads(NonZeroUsize::new(8))
-            .run_batched(
-                SyntheticSource { params: params(seed) },
-                NonZeroUsize::new(batch).expect("non-zero batch"),
-            );
-        assert_reports_equal(&one, &many, &format!("1-thread vs 8-thread batch {batch}"))?;
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The per-zone engine pass equals measuring every name alone, for
-    /// threads {1, 8} × batch {1, 7, all}; and names under one deepest
-    /// zone get identical per-name columns.
+    /// threads {1, 8}; and names under one deepest zone get identical
+    /// per-name columns.
     #[test]
     fn per_zone_pass_equals_per_name_reference(seed in 0u64..10_000) {
         let world = SyntheticSource { params: params(seed) }.load();
         let reference = per_name_reference(&world);
-        let n = world.names.len();
         let mut first_under: HashMap<_, usize> = HashMap::new();
         let mut shared = Vec::new();
         for (i, entry) in world.names.iter().enumerate() {
@@ -161,29 +108,27 @@ proptest! {
         }
         prop_assert!(!shared.is_empty(), "no two names share a deepest zone");
         for threads in [1usize, 8] {
-            for batch in [1usize, 7, n] {
-                let what = format!("{threads} threads, batch {batch}");
-                let copy = AnalysisWorld {
-                    universe: world.universe.clone(),
-                    names: world.names.clone(),
-                    top500: Vec::new(),
-                };
-                let report = Engine::with_extended_metrics()
-                    .register(ZombieDelegationMetric)
-                    .threads(NonZeroUsize::new(threads))
-                    .run_batched(copy, NonZeroUsize::new(batch).expect("non-zero batch"));
-                let ids: Vec<&str> = report.column_ids().collect();
-                let reference_ids: Vec<&str> = reference.keys().map(String::as_str).collect();
-                prop_assert_eq!(&ids, &reference_ids, "column sets differ ({})", what);
-                for id in ids {
-                    let column = report.column(id).unwrap();
-                    assert_columns_equal(column, &reference[id], id, &what)?;
-                    for &(a, b) in &shared {
-                        match column {
-                            MetricColumn::Counts(v) => prop_assert_eq!(v[a], v[b], "{} ({})", id, what),
-                            MetricColumn::Floats(v) => prop_assert_eq!(v[a], v[b], "{} ({})", id, what),
-                            MetricColumn::Value(_) => {}
-                        }
+            let what = format!("{threads} threads");
+            let copy = AnalysisWorld {
+                universe: world.universe.clone(),
+                names: world.names.clone(),
+                top500: Vec::new(),
+            };
+            let report = Engine::with_extended_metrics()
+                .register(ZombieDelegationMetric)
+                .threads(NonZeroUsize::new(threads))
+                .run_world(copy);
+            let ids: Vec<&str> = report.column_ids().collect();
+            let reference_ids: Vec<&str> = reference.keys().map(String::as_str).collect();
+            prop_assert_eq!(&ids, &reference_ids, "column sets differ ({})", what);
+            for id in ids {
+                let column = report.column(id).unwrap();
+                assert_columns_equal(column, &reference[id], id, &what)?;
+                for &(a, b) in &shared {
+                    match column {
+                        MetricColumn::Counts(v) => prop_assert_eq!(v[a], v[b], "{} ({})", id, what),
+                        MetricColumn::Floats(v) => prop_assert_eq!(v[a], v[b], "{} ({})", id, what),
+                        MetricColumn::Value(_) => {}
                     }
                 }
             }
@@ -192,47 +137,21 @@ proptest! {
 }
 
 /// Records each group's multiplicity per name and counts `measure` calls,
-/// so a test can see how the engine grouped a batch.
+/// so a test can see how the engine grouped the names.
 struct GroupProbe(Arc<AtomicUsize>);
-
-struct GroupProbeShard(Arc<AtomicUsize>, Vec<usize>);
-
-impl MetricShard for GroupProbeShard {
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-        self.1[slot] = usize::try_from(ctx.names).expect("group fits usize");
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
 
 impl NameMetric for GroupProbe {
     fn id(&self) -> &str {
         "group_probe"
     }
-    fn columns(&self) -> Vec<String> {
-        vec!["group_names".into()]
+    fn columns(&self) -> Vec<(&str, ColumnKind)> {
+        vec![("group_names", ColumnKind::Counts)]
     }
-    fn shard(&self, _: &Universe, len: usize, _: &PreparedState) -> Box<dyn MetricShard> {
-        Box::new(GroupProbeShard(self.0.clone(), vec![0; len]))
-    }
-    fn merge(
-        &self,
-        _: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)> {
-        let mut all = Vec::new();
-        for shard in shards {
-            all.extend(
-                shard
-                    .into_any()
-                    .downcast::<GroupProbeShard>()
-                    .expect("own shard")
-                    .1,
-            );
-        }
-        vec![("group_names".into(), MetricColumn::Counts(all))]
+    fn prepare<'a>(&'a self, _: &'a Universe) -> Measure<'a> {
+        Box::new(|ctx, row| {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            row.count(usize::try_from(ctx.names).expect("group fits usize"));
+        })
     }
 }
 
@@ -246,11 +165,15 @@ fn probe_groups(universe: &Universe, targets: &[&str], threads: usize) -> (usize
         .register(ValueMetric)
         .register(GroupProbe(calls.clone()))
         .threads(NonZeroUsize::new(threads))
-        .run(world);
-    assert_eq!(report.value().names_seen(), targets.len() as u64);
+        .run_world(world);
+    let value = report.try_value_column("value").expect("value column");
+    assert_eq!(value.names_seen(), targets.len() as u64);
     (
         calls.load(Ordering::Relaxed),
-        report.counts("group_names").to_vec(),
+        report
+            .try_counts("group_names")
+            .expect("probe column")
+            .to_vec(),
     )
 }
 

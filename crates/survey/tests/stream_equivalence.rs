@@ -12,10 +12,6 @@
 //! 2. **Thread-count invariance of lint**: sharded lint at any worker
 //!    count returns exactly the serial reference's diagnostics (the
 //!    oracle crate's `check_universe`) and renders the same bytes.
-//!
-//! `Engine::run_batched` (the streamed, bounded-memory pass) equals
-//! `Engine::run` column for column at every batch size; `prop_engine.rs`
-//! pins that.
 
 use proptest::prelude::*;
 
@@ -196,10 +192,7 @@ fn sharded_lint_equals_the_serial_reference() {
 #[test]
 fn decomposed_world_round_trips_through_the_stream() {
     // An explicit decomposition (`Universe::into_events`) fed back
-    // through a WorldStream rebuilds the universe verbatim. (Prebuilt
-    // worlds wrapped via `stream()` skip decomposition entirely — the
-    // universe is carried whole — so this exercises the event path on
-    // purpose.)
+    // through a WorldStream rebuilds the universe verbatim.
     let world = source(11).load();
     let reference = world.universe.clone();
     let rebuilt = perils_survey::WorldStream::new(
@@ -209,11 +202,6 @@ fn decomposed_world_round_trips_through_the_stream() {
     )
     .collect();
     assert_eq!(rebuilt.universe, reference);
-
-    // And the prebuilt fast path returns the same universe without a
-    // rebuild.
-    let world2 = source(11).load();
-    assert_eq!(world2.stream().collect().universe, reference);
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //! the decayed domains lose their whole NS set to hosts under a vanished
 //! branch (a zombie delegation — their names become orphaned), the rest
 //! gain one dead secondary. This example sweeps the knob over a grid and
-//! runs the full streamed survey at each point, printing the fractions
+//! runs the full survey at each point, printing the fractions
 //! the decay moves: completely-hijackable names (min-cut fully
 //! vulnerable), names with a dead server in their TCB, and orphaned
 //! names, plus the universe-wide zombie-zone count.
@@ -24,7 +24,6 @@ use perils::core::metric::columns;
 use perils::core::ZombieDelegationMetric;
 use perils::survey::{Engine, SurveyReport, SyntheticSource, TopologyParams};
 use perils::util::table::{Align, Table};
-use std::num::NonZeroUsize;
 
 const GRID: [f64; 6] = [0.0, 0.05, 0.1, 0.2, 0.3, 0.5];
 
@@ -35,38 +34,38 @@ fn fraction(count: usize, total: usize) -> String {
     format!("{:.1}%", 100.0 * count as f64 / total.max(1) as f64)
 }
 
+/// Per-name counts column `id`; the sweep's engine registers every
+/// column it reads.
+fn counts<'r>(report: &'r SurveyReport, id: &str) -> &'r [usize] {
+    report
+        .try_counts(id)
+        .unwrap_or_else(|e| panic!("sweep engine misses a column: {e}"))
+}
+
+/// Names whose min-cut is non-empty and entirely vulnerable.
+fn hijackable(report: &SurveyReport) -> usize {
+    counts(report, columns::CUT_SIZE)
+        .iter()
+        .zip(counts(report, columns::SAFE_IN_CUT))
+        .filter(|&(&size, &safe)| size > 0 && safe == 0)
+        .count()
+}
+
+/// Names with a non-zero entry in counts column `id`.
+fn nonzero(report: &SurveyReport, id: &str) -> usize {
+    counts(report, id).iter().filter(|&&c| c > 0).count()
+}
+
 fn measure(report: &SurveyReport) -> Vec<String> {
     let n = report.world.names.len();
-    let cut_size = report.counts(columns::CUT_SIZE);
-    let safe_in_cut = report.counts(columns::SAFE_IN_CUT);
-    let hijackable = cut_size
-        .iter()
-        .zip(safe_in_cut)
-        .filter(|&(&size, &safe)| size > 0 && safe == 0)
-        .count();
-    let dead_in_tcb = report
-        .counts(columns::ZOMBIE_DEAD_IN_TCB)
-        .iter()
-        .filter(|&&d| d > 0)
-        .count();
-    let orphaned = report
-        .counts(columns::ZOMBIE_ORPHANED)
-        .iter()
-        .filter(|&&o| o > 0)
-        .count();
     // zombie_zones is a per-name count of zombie zones in the closure;
     // the universe-wide zone count comes from the max over chains only
     // when decay hits a chain, so report names-seeing-zombies instead.
-    let sees_zombie = report
-        .counts(columns::ZOMBIE_ZONES)
-        .iter()
-        .filter(|&&z| z > 0)
-        .count();
     vec![
-        fraction(hijackable, n),
-        fraction(dead_in_tcb, n),
-        fraction(sees_zombie, n),
-        fraction(orphaned, n),
+        fraction(hijackable(report), n),
+        fraction(nonzero(report, columns::ZOMBIE_DEAD_IN_TCB), n),
+        fraction(nonzero(report, columns::ZOMBIE_ZONES), n),
+        fraction(nonzero(report, columns::ZOMBIE_ORPHANED), n),
     ]
 }
 
@@ -76,21 +75,13 @@ fn measure(report: &SurveyReport) -> Vec<String> {
 fn measure_vulnerable(report: &SurveyReport) -> Vec<String> {
     let n = report.world.names.len();
     let vulnerable_servers = report.world.universe.vulnerable_fraction();
-    let in_tcb = report.counts(columns::VULNERABLE_IN_TCB);
-    let with_dep = in_tcb.iter().filter(|&&v| v > 0).count();
+    let in_tcb = counts(report, columns::VULNERABLE_IN_TCB);
     let mean = in_tcb.iter().sum::<usize>() as f64 / n.max(1) as f64;
-    let cut_size = report.counts(columns::CUT_SIZE);
-    let safe_in_cut = report.counts(columns::SAFE_IN_CUT);
-    let hijackable = cut_size
-        .iter()
-        .zip(safe_in_cut)
-        .filter(|&(&size, &safe)| size > 0 && safe == 0)
-        .count();
     vec![
         format!("{:.1}%", 100.0 * vulnerable_servers),
-        fraction(with_dep, n),
+        fraction(nonzero(report, columns::VULNERABLE_IN_TCB), n),
         format!("{mean:.2}"),
-        fraction(hijackable, n),
+        fraction(hijackable(report), n),
     ]
 }
 
@@ -106,10 +97,7 @@ fn sweep_vulnerable(engine: &Engine, base: &TopologyParams) {
     for vuln in VULN_GRID {
         let mut params = base.clone();
         params.vulnerable_operator_fraction = vuln;
-        let report = engine.run_batched(
-            SyntheticSource { params },
-            NonZeroUsize::new(4096).expect("non-zero"),
-        );
+        let report = engine.run(SyntheticSource { params });
         let mut row = vec![format!("{vuln:.3}")];
         row.extend(measure_vulnerable(&report));
         table.row(row);
@@ -166,12 +154,7 @@ fn main() {
     for stale in GRID {
         let mut params = base.clone();
         params.stale_delegation_fraction = stale;
-        // The streamed bounded-memory pass end to end: the generator
-        // hands the engine events, names flow through in batches.
-        let report = engine.run_batched(
-            SyntheticSource { params },
-            NonZeroUsize::new(4096).expect("non-zero"),
-        );
+        let report = engine.run(SyntheticSource { params });
         let mut row = vec![format!("{stale:.2}")];
         row.extend(measure(&report));
         table.row(row);

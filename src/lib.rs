@@ -5,7 +5,8 @@
 //! integration tests and downstream users can depend on a single crate:
 //!
 //! * [`dns`] — names, records, RFC1035 wire format, zones, zone registry.
-//! * [`graph`] — digraph algorithms: closure, SCC, Dinic min vertex cut.
+//! * [`graph`] — the algorithms the index and the min-cut run on: bitsets,
+//!   Tarjan SCC over implicit adjacency, and Dinic max-flow networks.
 //! * [`vulndb`] — BIND versions and the ISC advisory matrix.
 //! * [`netsim`] — deterministic simulated internet with fault injection.
 //! * [`authserver`] — authoritative nameserver behaviour.
@@ -31,14 +32,17 @@
 //! adds the misconfiguration-audit and DNSSEC-coverage columns:
 //!
 //! ```
+//! use perils::core::metric::columns;
 //! use perils::survey::{Engine, SyntheticSource, TopologyParams};
 //!
 //! let engine = Engine::with_extended_metrics();
 //! let report = engine.run(SyntheticSource { params: TopologyParams::tiny(1) });
-//! // Columnar access, typed:
-//! assert_eq!(report.tcb_sizes().len(), report.world.names.len());
-//! assert!(report.value().names_seen() > 0);
-//! assert!(report.floats("dnssec_signed_fraction").iter().all(|f| (0.0..=1.0).contains(f)));
+//! // Columnar access, typed: a missing or mistyped column is an error.
+//! let tcb = report.try_counts(columns::TCB_SIZE).unwrap();
+//! assert_eq!(tcb.len(), report.world.names.len());
+//! assert!(report.try_value_column(columns::VALUE).unwrap().names_seen() > 0);
+//! let signed = report.try_floats(columns::DNSSEC_SIGNED_FRACTION).unwrap();
+//! assert!(signed.iter().all(|f| (0.0..=1.0).contains(f)));
 //! ```
 //!
 //! The paper's six measurements alone are `with_builtin_metrics`, and
@@ -50,7 +54,6 @@
 //!
 //! let report =
 //!     Engine::with_builtin_metrics().run(SyntheticSource { params: TopologyParams::tiny(1) });
-//! assert!(!report.tcb_sizes().is_empty());
 //! let fig2 = Fig2::from_report(&report).expect("TCB column present");
 //! assert!(fig2.render().contains("Figure 2"));
 //! ```
@@ -60,8 +63,10 @@
 //! Any per-name measurement plugs into the same sharded pass — the
 //! dependency closure is computed once per deepest zone, shared with every
 //! registered metric as a borrowed [`core::ClosureView`], the one closure
-//! type, and each zone's measurement is gathered back to every name under
-//! it. A measurement's *renderer* plugs in the same way:
+//! type, and each zone's row is gathered back to every name under it. A
+//! metric is one `impl`: it declares typed columns, and its
+//! [`core::NameMetric::prepare`] returns the closure that writes one
+//! [`core::Row`] per zone into columns the engine owns. A measurement's *renderer* plugs in the same way:
 //! a [`survey::Figure`] declares the column ids it needs (the
 //! column-schema contract on [`core::MetricColumn`]: every id a metric
 //! declares maps to exactly one column of a stable
@@ -70,7 +75,7 @@
 //! typed skip — never a panic:
 //!
 //! ```
-//! use perils::core::metric::{MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState};
+//! use perils::core::metric::{ColumnKind, Measure, NameMetric};
 //! use perils::core::universe::Universe;
 //! use perils::survey::render::{Figure, FigureError, FigureRegistry, RenderedFigure};
 //! use perils::survey::{Engine, SurveyReport, SyntheticSource, TopologyParams};
@@ -78,36 +83,12 @@
 //!
 //! /// Counts how many *zones* each name's resolution can touch.
 //! struct ZoneCountMetric;
-//! struct ZoneCountShard(Vec<usize>);
-//!
-//! impl MetricShard for ZoneCountShard {
-//!     fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-//!         self.0[slot] = ctx.closure.zone_count();
-//!     }
-//!     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> { self }
-//! }
 //!
 //! impl NameMetric for ZoneCountMetric {
 //!     fn id(&self) -> &str { "zone_count" }
-//!     fn columns(&self) -> Vec<String> { vec!["zone_count".into()] }
-//!     fn shard(
-//!         &self,
-//!         _u: &Universe,
-//!         len: usize,
-//!         _prepared: &PreparedState,
-//!     ) -> Box<dyn MetricShard> {
-//!         Box::new(ZoneCountShard(vec![0; len]))
-//!     }
-//!     fn merge(
-//!         &self,
-//!         _u: &Universe,
-//!         shards: Vec<Box<dyn MetricShard>>,
-//!     ) -> Vec<(String, MetricColumn)> {
-//!         let mut all = Vec::new();
-//!         for s in shards {
-//!             all.extend(s.into_any().downcast::<ZoneCountShard>().unwrap().0);
-//!         }
-//!         vec![("zone_count".into(), MetricColumn::Counts(all))]
+//!     fn columns(&self) -> Vec<(&str, ColumnKind)> { vec![("zone_count", ColumnKind::Counts)] }
+//!     fn prepare<'a>(&'a self, _u: &'a Universe) -> Measure<'a> {
+//!         Box::new(|ctx, row| row.count(ctx.closure.zone_count()))
 //!     }
 //! }
 //!
@@ -167,7 +148,7 @@
 //!     targets: vec![name("www.fbi.gov")],
 //! });
 //! // Two machines suffice to take fbi.gov offline (§3.2).
-//! assert_eq!(report.cut_size()[0], 2);
+//! assert_eq!(report.try_counts("cut_size").unwrap(), [2]);
 //! ```
 //!
 //! ## Streaming ingestion: bounded-memory universe building
@@ -203,16 +184,6 @@
 //! assert_eq!(builder.glue_of(&name("ns1.example.com")).len(), 1);
 //! let universe = builder.finish();
 //! assert_eq!(universe.zone_count(), 2); // example.com + sub.example.com
-//!
-//! // The engine consumes the same shape through WorldSource::stream():
-//! // run_batched builds the universe from events, then pulls names in
-//! // bounded batches — byte-identical to run() at every batch size.
-//! use perils::survey::{Engine, SyntheticSource, TopologyParams};
-//! use std::num::NonZeroUsize;
-//! let source = SyntheticSource { params: TopologyParams::tiny(1) };
-//! let streamed = Engine::with_builtin_metrics()
-//!     .run_batched(source, NonZeroUsize::new(64).unwrap());
-//! assert!(!streamed.tcb_sizes().is_empty());
 //! ```
 //!
 //! ## Linting a universe: custom rules, evidence chains, SARIF

@@ -8,9 +8,7 @@ use perils::authserver::deploy::deploy;
 use perils::authserver::scenarios::fbi_case;
 use perils::core::closure::DependencyIndex;
 use perils::core::hijack::min_cut_flattened_view;
-use perils::core::metric::{
-    columns, MeasureCtx, MetricColumn, MetricShard, NameMetric, PreparedState,
-};
+use perils::core::metric::{columns, ColumnKind, Measure, MetricColumn, NameMetric};
 use perils::core::tcb::TcbTally;
 use perils::core::universe::Universe;
 use perils::dns::name::name;
@@ -100,18 +98,18 @@ fn scenario_and_probed_fbi_worlds_agree_through_engine() {
         columns::DNSSEC_CHAIN_PROTECTED,
     ] {
         assert_eq!(
-            structural.counts(id),
-            probed.counts(id),
+            structural.try_counts(id),
+            probed.try_counts(id),
             "column {id} disagrees between structural and probed worlds"
         );
     }
     assert_eq!(
-        structural.floats(columns::SAFETY_PERCENT),
-        probed.floats(columns::SAFETY_PERCENT)
+        structural.try_floats(columns::SAFETY_PERCENT),
+        probed.try_floats(columns::SAFETY_PERCENT)
     );
     // Ground truth from the paper: the fbi.gov TCB and its 2-machine cut.
-    assert!(structural.tcb_sizes()[0] >= 5);
-    assert_eq!(structural.cut_size()[0], 2);
+    assert!(structural.try_counts(columns::TCB_SIZE).unwrap()[0] >= 5);
+    assert_eq!(structural.try_counts(columns::CUT_SIZE).unwrap()[0], 2);
 }
 
 /// The built-in engine pass must produce byte-identical results to a
@@ -147,57 +145,32 @@ fn builtin_engine_is_byte_identical_to_sequential_reference() {
                 }
             }
         }
-        assert_eq!(report.tcb_sizes(), tcb_sizes, "seed {seed}");
-        assert_eq!(report.cut_size(), cut_size, "seed {seed}");
-        assert_eq!(report.safe_in_cut(), safe_in_cut, "seed {seed}");
+        for (id, expected) in [
+            (columns::TCB_SIZE, tcb_sizes),
+            (columns::CUT_SIZE, cut_size),
+            (columns::SAFE_IN_CUT, safe_in_cut),
+        ] {
+            assert_eq!(
+                report.try_counts(id),
+                Ok(&expected[..]),
+                "{id}, seed {seed}"
+            );
+        }
     }
 }
 
 /// A user-defined metric: number of zones in each name's closure.
 struct ZoneCountMetric;
 
-struct ZoneCountShard(Vec<usize>);
-
-impl MetricShard for ZoneCountShard {
-    fn measure(&mut self, ctx: &MeasureCtx<'_>, slot: usize) {
-        self.0[slot] = ctx.closure.zone_count();
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
-
 impl NameMetric for ZoneCountMetric {
     fn id(&self) -> &str {
         "zone_count"
     }
-    fn columns(&self) -> Vec<String> {
-        vec!["zone_count".into()]
+    fn columns(&self) -> Vec<(&str, ColumnKind)> {
+        vec![("zone_count", ColumnKind::Counts)]
     }
-    fn shard(
-        &self,
-        _universe: &Universe,
-        shard_len: usize,
-        _prepared: &PreparedState,
-    ) -> Box<dyn MetricShard> {
-        Box::new(ZoneCountShard(vec![0; shard_len]))
-    }
-    fn merge(
-        &self,
-        _universe: &Universe,
-        shards: Vec<Box<dyn MetricShard>>,
-    ) -> Vec<(String, MetricColumn)> {
-        let mut all = Vec::new();
-        for shard in shards {
-            all.extend(
-                shard
-                    .into_any()
-                    .downcast::<ZoneCountShard>()
-                    .expect("own shard")
-                    .0,
-            );
-        }
-        vec![("zone_count".into(), MetricColumn::Counts(all))]
+    fn prepare<'a>(&'a self, _universe: &'a Universe) -> Measure<'a> {
+        Box::new(|ctx, row| row.count(ctx.closure.zone_count()))
     }
 }
 
@@ -216,14 +189,14 @@ fn custom_metric_registers_and_runs() {
     };
     let a = run(1);
     let b = run(8);
-    let zones = a.counts("zone_count");
+    let zones = a.try_counts("zone_count").unwrap();
     assert_eq!(zones.len(), a.world.names.len());
-    assert_eq!(zones, b.counts("zone_count"));
+    assert_eq!(b.try_counts("zone_count"), Ok(zones));
     // Every name's closure spans at least its own chain (TLD + zone).
     assert!(zones.iter().all(|&z| z >= 2));
     // And the closure's zone count is never smaller than implied by the
     // TCB being non-empty.
-    for (i, &tcb) in a.tcb_sizes().iter().enumerate() {
+    for (i, &tcb) in a.try_counts(columns::TCB_SIZE).unwrap().iter().enumerate() {
         if tcb > 0 {
             assert!(zones[i] >= 1);
         }

@@ -5,6 +5,7 @@
 //! discovered by actually probing the simulated network name by name.
 
 use perils::core::closure::DependencyIndex;
+use perils::core::metric::columns;
 use perils::dns::name::DnsName;
 use perils::netsim::{FaultPlan, Region, SimNet};
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
@@ -100,9 +101,10 @@ fn survey_summary_shapes_hold_at_tiny_scale() {
     );
     // Figure 8: rank curve is heavy-tailed — the top server controls far
     // more names than the median server.
-    let ranking = report.value().ranking();
+    let value = report.try_value_column(columns::VALUE).unwrap();
+    let ranking = value.ranking();
     let top = ranking.first().map(|&(_, c)| c).unwrap_or(0);
-    let (_, median) = report.value().mean_median();
+    let (_, median) = value.mean_median();
     assert!(top as f64 > median * 10.0, "top {top} vs median {median}");
 }
 
@@ -110,9 +112,13 @@ fn survey_summary_shapes_hold_at_tiny_scale() {
 fn survey_determinism_across_runs() {
     let a = tiny_survey(555);
     let b = tiny_survey(555);
-    assert_eq!(a.tcb_sizes(), b.tcb_sizes());
-    assert_eq!(a.vulnerable_in_tcb(), b.vulnerable_in_tcb());
-    assert_eq!(a.cut_size(), b.cut_size());
+    for id in [
+        columns::TCB_SIZE,
+        columns::VULNERABLE_IN_TCB,
+        columns::CUT_SIZE,
+    ] {
+        assert_eq!(a.try_counts(id), b.try_counts(id), "{id}");
+    }
     let ha = Headline::from_report(&a).expect("headline");
     let hb = Headline::from_report(&b).expect("headline");
     assert_eq!(ha.critical_servers, hb.critical_servers);
@@ -125,9 +131,10 @@ fn exact_hijack_validates_flattened_cut_direction() {
     // flattened min-cut (the exact attacker is at least as strong).
     let report = tiny_survey(31);
     assert!(!report.exact_sample.is_empty());
+    let cut_size = report.try_counts(columns::CUT_SIZE).unwrap();
     for &(i, exact_size, _) in &report.exact_sample {
-        if report.cut_size()[i] > 0 {
-            assert!(exact_size <= report.cut_size()[i]);
+        if cut_size[i] > 0 {
+            assert!(exact_size <= cut_size[i]);
         }
     }
 }
