@@ -64,6 +64,7 @@ use perils_graph::bitset::{BitSet, BitSetInterner, SetId, SetTable};
 use perils_graph::scc::SccResult;
 use perils_util::snapshot::{self, Section, SnapshotError};
 use perils_util::U32View;
+use std::borrow::Cow;
 
 /// Precomputed dependency structure over a universe.
 ///
@@ -115,7 +116,7 @@ pub struct DependencyIndex {
 /// wrote it.
 impl PartialEq for DependencyIndex {
     fn eq(&self, other: &DependencyIndex) -> bool {
-        self.section_bytes() == other.section_bytes()
+        self.payload() == other.payload()
     }
 }
 
@@ -466,11 +467,12 @@ fn memoize(universe: &Universe, scc: &SccResult, condensed: &Condensed) -> MemoR
 }
 
 impl DependencyIndex {
-    /// The `DEPINDEX` payload this index reads from, copied out — what a
-    /// snapshot archive stores for it.
-    pub(crate) fn section_bytes(&self) -> Vec<u8> {
+    /// The `DEPINDEX` payload this index reads from — what a snapshot
+    /// archive stores for it. Borrowed from a heap-backed index (every
+    /// built one), so an archive writer appends it with no copy between.
+    pub(crate) fn payload(&self) -> Cow<'_, [u8]> {
         self.section
-            .to_vec()
+            .bytes()
             .expect("DEPINDEX validated at decode no longer reads (file changed on disk?)")
     }
 

@@ -86,45 +86,41 @@ pub fn validate_name(dec: &mut Dec<'_>) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Encodes the universe's flat state as the `UNIVERSE` section payload.
-pub fn encode_universe(universe: &Universe) -> Vec<u8> {
+/// Appends the universe's flat state to `out` as the `UNIVERSE` section
+/// payload.
+pub fn encode_universe(out: &mut Vec<u8>, universe: &Universe) {
     let (zones, servers, server_home, zone_parent) = universe.snapshot_parts();
-    let mut out = Vec::new();
     snapshot::put_u32(
-        &mut out,
+        out,
         u32::try_from(zones.len()).expect("zone count fits u32"),
     );
     snapshot::put_u32(
-        &mut out,
+        out,
         u32::try_from(servers.len()).expect("server count fits u32"),
     );
     for zone in zones {
-        encode_name(&mut out, &zone.origin);
-        snapshot::put_u32(
-            &mut out,
-            u32::try_from(zone.ns.len()).expect("ns set fits u32"),
-        );
+        encode_name(out, &zone.origin);
+        snapshot::put_u32(out, u32::try_from(zone.ns.len()).expect("ns set fits u32"));
         for s in &zone.ns {
-            snapshot::put_u32(&mut out, s.0);
+            snapshot::put_u32(out, s.0);
         }
     }
     for server in servers {
-        encode_name(&mut out, &server.name);
+        encode_name(out, &server.name);
         match &server.banner {
             Some(banner) => {
-                snapshot::put_u8(&mut out, 1);
-                snapshot::put_bytes(&mut out, banner.as_bytes());
+                snapshot::put_u8(out, 1);
+                snapshot::put_bytes(out, banner.as_bytes());
             }
-            None => snapshot::put_u8(&mut out, 0),
+            None => snapshot::put_u8(out, 0),
         }
         let flags = u8::from(server.vulnerable)
             | u8::from(server.scripted_exploit) << 1
             | u8::from(server.is_root) << 2;
-        snapshot::put_u8(&mut out, flags);
+        snapshot::put_u8(out, flags);
     }
-    snapshot::put_u32_slice(&mut out, server_home);
-    snapshot::put_u32_slice(&mut out, zone_parent);
-    out
+    snapshot::put_u32_slice(out, server_home);
+    snapshot::put_u32_slice(out, zone_parent);
 }
 
 /// Decodes a `UNIVERSE` section back into a [`Universe`].
@@ -187,15 +183,17 @@ pub fn decode_universe(section: &Section) -> Result<Universe, SnapshotError> {
         .map_err(|e| Dec::new_at(payload, "UNIVERSE", section.base()).malformed(e))
 }
 
-/// Encodes the dependency index as the `DEPINDEX` section payload.
+/// Appends the dependency index to `out` as the `DEPINDEX` section
+/// payload.
 ///
 /// Every index — built or loaded — was decoded from such a payload (the
 /// serial build writes its tables into a heap store and decodes them, see
-/// [`DependencyIndex::build`]), so encoding copies those bytes out:
+/// [`DependencyIndex::build`]), so encoding appends those bytes as they
+/// are — straight from a built index's heap store, with no copy between:
 /// byte-identical to what was validated, and a pure function of the
 /// universe.
-pub fn encode_dep_index(index: &DependencyIndex) -> Vec<u8> {
-    index.section_bytes()
+pub fn encode_dep_index(out: &mut Vec<u8>, index: &DependencyIndex) {
+    out.extend_from_slice(&index.payload());
 }
 
 /// Decodes a `DEPINDEX` section, validating it against `universe`.
@@ -233,32 +231,28 @@ pub fn decode_dep_index(
     .map_err(|e| StoreDec::new(section, "DEPINDEX").malformed(e))
 }
 
-/// Encodes the shared lint facts as the `LINTIDX` section payload.
-pub fn encode_lint(lint: &LintIndex) -> Vec<u8> {
+/// Appends the shared lint facts to `out` as the `LINTIDX` section
+/// payload.
+pub fn encode_lint(out: &mut Vec<u8>, lint: &LintIndex) {
     let (depths, zombies, zone_reachable, referenced) = lint.snapshot_parts();
-    let mut out = Vec::new();
     let d = depths.snapshot_parts();
-    put_usize_slice(&mut out, d.depth);
-    put_usize_slice(&mut out, d.component_of);
+    put_usize_slice(out, d.depth);
+    put_usize_slice(out, d.component_of);
     snapshot::put_u32(
-        &mut out,
+        out,
         u32::try_from(d.cycles.len()).expect("cycle count fits u32"),
     );
     for cycle in d.cycles {
-        put_ids(&mut out, cycle.iter().map(|s| s.0));
+        put_ids(out, cycle.iter().map(|s| s.0));
     }
     // Option<u32> with u32::MAX as the None sentinel (cycle indexes are
     // bounded by the cycle count, far below MAX).
-    put_ids(
-        &mut out,
-        d.cycle_index.iter().map(|c| c.unwrap_or(u32::MAX)),
-    );
+    put_ids(out, d.cycle_index.iter().map(|c| c.unwrap_or(u32::MAX)));
     let (dead_server, zombie_zone) = zombies.snapshot_parts();
-    snapshot::put_bool_slice(&mut out, dead_server);
-    snapshot::put_bool_slice(&mut out, zombie_zone);
-    snapshot::put_bool_slice(&mut out, zone_reachable);
-    snapshot::put_bool_slice(&mut out, referenced);
-    out
+    snapshot::put_bool_slice(out, dead_server);
+    snapshot::put_bool_slice(out, zombie_zone);
+    snapshot::put_bool_slice(out, zone_reachable);
+    snapshot::put_bool_slice(out, referenced);
 }
 
 /// Decodes a `LINTIDX` section, validating it against `universe`.
@@ -333,6 +327,13 @@ mod tests {
     use perils_dns::name::name;
     use perils_vulndb::VulnDb;
 
+    /// One encoder's payload as its own buffer.
+    fn payload(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode(&mut out);
+        out
+    }
+
     /// Wraps a loose payload as a standalone section.
     fn sec(bytes: &[u8]) -> Section {
         Section::from_vec(bytes.to_vec())
@@ -374,10 +375,14 @@ mod tests {
     #[test]
     fn universe_round_trips_byte_identically() {
         let universe = tiny_universe();
-        let bytes = encode_universe(&universe);
+        let bytes = payload(|out| encode_universe(out, &universe));
         let loaded = decode_universe(&sec(&bytes)).expect("decodes");
         assert_eq!(loaded, universe);
-        assert_eq!(encode_universe(&loaded), bytes, "re-encode is byte-stable");
+        assert_eq!(
+            payload(|out| encode_universe(out, &loaded)),
+            bytes,
+            "re-encode is byte-stable"
+        );
     }
 
     #[test]
@@ -386,11 +391,11 @@ mod tests {
         // index and re-encode to the exact source bytes.
         let universe = tiny_universe();
         let index = DependencyIndex::build(&universe);
-        let bytes = encode_dep_index(&index);
+        let bytes = payload(|out| encode_dep_index(out, &index));
         let viewed = decode_dep_index(&sec(&bytes), &universe).expect("decodes");
         assert_eq!(viewed, index);
         assert_eq!(
-            encode_dep_index(&viewed),
+            payload(|out| encode_dep_index(out, &viewed)),
             bytes,
             "view re-encode is byte-stable"
         );
@@ -412,23 +417,27 @@ mod tests {
     fn lint_index_round_trips_and_compares_equal() {
         let universe = tiny_universe();
         let lint = LintIndex::build(&universe);
-        let bytes = encode_lint(&lint);
+        let bytes = payload(|out| encode_lint(out, &lint));
         let loaded = decode_lint(&sec(&bytes), &universe).expect("decodes");
         assert_eq!(loaded, lint);
-        assert_eq!(encode_lint(&loaded), bytes, "re-encode is byte-stable");
+        assert_eq!(
+            payload(|out| encode_lint(out, &loaded)),
+            bytes,
+            "re-encode is byte-stable"
+        );
     }
 
     #[test]
     fn decoders_reject_mismatched_universe() {
         let universe = tiny_universe();
         let index = DependencyIndex::build(&universe);
-        let bytes = encode_dep_index(&index);
+        let bytes = payload(|out| encode_dep_index(out, &index));
         let other = Universe::builder().finish();
         assert!(matches!(
             decode_dep_index(&sec(&bytes), &other),
             Err(SnapshotError::Malformed { .. })
         ));
-        let lint_bytes = encode_lint(&LintIndex::build(&universe));
+        let lint_bytes = payload(|out| encode_lint(out, &LintIndex::build(&universe)));
         assert!(matches!(
             decode_lint(&sec(&lint_bytes), &other),
             Err(SnapshotError::Malformed { .. })
@@ -441,9 +450,9 @@ mod tests {
         let index = DependencyIndex::build(&universe);
         let lint = LintIndex::build(&universe);
         let sections = [
-            encode_universe(&universe),
-            encode_dep_index(&index),
-            encode_lint(&lint),
+            payload(|out| encode_universe(out, &universe)),
+            payload(|out| encode_dep_index(out, &index)),
+            payload(|out| encode_lint(out, &lint)),
         ];
         for (which, bytes) in sections.iter().enumerate() {
             for len in 0..bytes.len() {

@@ -154,16 +154,16 @@ fn main() {
         snap.epoch,
         snap.stats.source.kind(),
         snap.stats.build.as_secs_f64(),
-        snap.stats.names,
-        snap.stats.zones,
-        snap.stats.servers,
-        snap.stats.figures,
+        snap.names.len(),
+        snap.universe.zone_count(),
+        snap.universe.server_count(),
+        snap.figures_rendered,
         perils_util::peak_rss_mb()
             .map(|mb| format!(", peak RSS {mb:.0} MiB"))
             .unwrap_or_default(),
     );
     if let Some(path) = &args.save_snapshot {
-        match snap.save_archive(path) {
+        match snap.save(path) {
             Ok(bytes) => eprintln!("perilsd: snapshot saved to {path} ({bytes} bytes)"),
             Err(e) => {
                 eprintln!("perilsd: cannot save snapshot to {path}: {e}");

@@ -480,7 +480,7 @@ impl Daemon {
                     self.reloading.load(Ordering::SeqCst),
                     self.config.threads,
                     snap.stats.source.kind(),
-                    snap.stats.source.load_ms(),
+                    snap.stats.load_ms(),
                     snap.store.kind(),
                     snap.store.resident_bytes(),
                     snap.store.cache_counters(),

@@ -301,6 +301,7 @@ mod tests {
     fn name_answer_escapes_quote_and_backslash_labels() {
         use perils_core::{DependencyIndex, LintIndex};
         use perils_dns::name::name;
+        use perils_survey::snapshot::{load_world_bytes, world_archive_bytes};
         let host = name("ns\"q\\x.quote.com");
         let roots = [name("a.root-servers.net"), name("b.root-servers.net")];
         let mut b = Universe::builder();
@@ -311,10 +312,16 @@ mod tests {
         b.add_zone(&name("com"), &roots);
         b.add_zone(&name("quote.com"), std::slice::from_ref(&host));
         let universe = b.finish();
+        let bytes = world_archive_bytes(
+            &universe,
+            &DependencyIndex::build(&universe),
+            &LintIndex::build(&universe),
+            &[],
+            &[],
+            None,
+        );
         let mut snap = fbi_snapshot();
-        snap.index = DependencyIndex::build(&universe);
-        snap.lint = LintIndex::build(&universe);
-        snap.universe = universe;
+        snap.world = load_world_bytes(bytes).expect("the archive loads");
 
         let rules = RuleRegistry::builtin();
         let mut ws = snap.index.workspace();

@@ -1,25 +1,23 @@
 //! The swappable world: what the daemon holds warm and what a reload
 //! replaces.
 //!
-//! A [`WorldSnapshot`] is everything a query needs, built once:
-//! universe, dependency index, lint facts and the cached figure sweep,
-//! stamped with a monotonically increasing epoch. The [`SnapshotStore`]
+//! A [`WorldSnapshot`] is the archive-backed [`World`] `figures` and
+//! `lint` hold too — built by [`WorldSpec::build`] with the figure sweep
+//! as its optional step, or opened by [`load_world_with`] — plus the
+//! sweep's JSON stamped with a monotonically increasing epoch; it derefs
+//! to its world. The [`SnapshotStore`]
 //! holds the current snapshot behind `RwLock<Arc<..>>`: readers clone
 //! the `Arc` (a refcount bump under a read lock held for nanoseconds)
 //! and keep answering from the old world while a reload builds and
 //! swaps in the next one — queries never observe a torn snapshot, only
 //! epoch N or epoch N+1.
 
-use perils_core::closure::DependencyIndex;
-use perils_core::lint::LintIndex;
-use perils_core::universe::Universe;
-use perils_survey::engine::Engine;
+use perils_survey::engine::{Engine, SurveyReport};
 use perils_survey::render::{FigureOutcome, FigureRegistry};
-use perils_survey::snapshot::{load_world_bytes, world_archive_bytes, LoadedWorld};
-use perils_survey::{NameTable, SnapshotBackend, WorldSpec};
+use perils_survey::{load_world_with, FigureSweep, SnapshotBackend, World, WorldSpec};
 use perils_util::snapshot::SnapshotError;
-use perils_util::ByteStore;
 use std::num::NonZeroUsize;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,17 +27,12 @@ use parking_lot::RwLock;
 /// Where the active snapshot came from — `/metrics` surfaces this as
 /// `perilsd_snapshot_source{kind="built|loaded"}` so operators can tell
 /// a from-scratch build from a `.psa` archive boot at a glance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotSource {
     /// Built from scratch through the streamed ingestion path.
     Built,
     /// Reconstituted from a `.psa` snapshot archive.
-    Loaded {
-        /// Archive size on disk.
-        archive_bytes: u64,
-        /// Wall-clock of the read + decode.
-        load: Duration,
-    },
+    Loaded,
 }
 
 impl SnapshotSource {
@@ -47,35 +40,31 @@ impl SnapshotSource {
     pub fn kind(&self) -> &'static str {
         match self {
             SnapshotSource::Built => "built",
-            SnapshotSource::Loaded { .. } => "loaded",
-        }
-    }
-
-    /// Archive load wall-time in milliseconds (0 for built snapshots).
-    pub fn load_ms(&self) -> f64 {
-        match self {
-            SnapshotSource::Built => 0.0,
-            SnapshotSource::Loaded { load, .. } => load.as_secs_f64() * 1e3,
+            SnapshotSource::Loaded => "loaded",
         }
     }
 }
 
-/// Build cost breakdown, surfaced by `/healthz` logging and `/metrics`.
+/// Build cost and provenance, surfaced by boot logging and `/metrics`.
+/// The world's shape is read off the world itself.
 #[derive(Debug, Clone)]
 pub struct SnapshotStats {
-    /// Wall-clock of the whole build (stream + index + lint + figures +
-    /// archive round trip), or of the archive load for loaded snapshots.
+    /// Wall-clock of the whole build (stream + index + figures + archive
+    /// write + lint facts + archive load), or of the archive load for
+    /// loaded snapshots.
     pub build: Duration,
-    /// Universe shape.
-    pub zones: usize,
-    /// Universe shape.
-    pub servers: usize,
-    /// Surveyed names.
-    pub names: usize,
-    /// Figures rendered into the cached sweep (0 with `--no-figures`).
-    pub figures: usize,
     /// Whether this world was built or loaded from an archive.
     pub source: SnapshotSource,
+}
+
+impl SnapshotStats {
+    /// Archive load wall-time in milliseconds (0 for built snapshots).
+    pub fn load_ms(&self) -> f64 {
+        match self.source {
+            SnapshotSource::Built => 0.0,
+            SnapshotSource::Loaded => self.build.as_secs_f64() * 1e3,
+        }
+    }
 }
 
 /// One immutable world generation: everything a query touches.
@@ -83,108 +72,52 @@ pub struct SnapshotStats {
 pub struct WorldSnapshot {
     /// Strictly increasing generation counter (starts at 1).
     pub epoch: u64,
-    /// The delegation universe.
-    pub universe: Universe,
-    /// Universe-wide dependency index (closures, SCCs, memoized sets).
-    pub index: DependencyIndex,
-    /// Shared lint facts (depths, zombies, reachability).
-    pub lint: LintIndex,
-    /// The surveyed names, in survey order: a lazy view into the archive
-    /// store (so `/names` responses decode only what they return).
-    pub names: NameTable,
-    /// Indices into `names` of the most popular subset (what the
-    /// top-500 figures slice on; archived so a loaded world can re-run
-    /// the figure sweep).
-    pub top500: Vec<usize>,
-    /// The cached full-figure sweep as one JSON document, or `None`
-    /// when the daemon was started with figures disabled.
+    /// The world this generation serves; the snapshot derefs to it.
+    pub world: World,
+    /// The cached full-figure sweep as one JSON document, stamped with
+    /// this generation's epoch, or `None` when the daemon was started
+    /// with figures disabled.
     pub figures_json: Option<String>,
-    /// Build cost and shape.
+    /// Build cost and provenance.
     pub stats: SnapshotStats,
-    /// The archive byte store the world reads from — for a built world,
-    /// its in-memory archive. `/metrics` reads the backend kind (`"heap"`
-    /// or `"paged"`), resident bytes and page-cache counters off it.
-    pub store: Arc<ByteStore>,
     /// When the build finished (drives `/metrics` snapshot age).
     pub built: Instant,
 }
 
+impl Deref for WorldSnapshot {
+    type Target = World;
+
+    fn deref(&self) -> &World {
+        &self.world
+    }
+}
+
 impl WorldSnapshot {
-    /// Builds generation `epoch` of `spec` from scratch through the
-    /// streamed ingestion path — universe, dependency index, lint facts
-    /// and, unless disabled, the full figure sweep over that one index —
-    /// then serializes the world to an in-memory archive and loads it
-    /// back, so a built world serves from exactly what a `.psa` boot of
-    /// its own archive would.
+    /// Builds generation `epoch` of `spec` from scratch through
+    /// [`WorldSpec::build`] — the world's archive, with the full figure
+    /// sweep over its index unless disabled — so a built world serves
+    /// from exactly what a `.psa` boot of its own archive would.
     pub fn build(spec: &WorldSpec, epoch: u64, threads: usize, figures: bool) -> WorldSnapshot {
         let start = Instant::now();
-        let world = spec.stream().collect();
-        let index = DependencyIndex::build(&world.universe);
-        let lint = LintIndex::build(&world.universe);
-        let (world, figures) = if figures {
-            let engine = Engine::with_extended_metrics().threads(NonZeroUsize::new(threads));
-            let report = engine.run_world_indexed(world, &index);
-            let figures = render_figures(&report, epoch);
-            (report.world, Some(figures))
-        } else {
-            (world, None)
-        };
-        let bytes = world_archive_bytes(
-            &world.universe,
-            &index,
-            &lint,
-            &world.names,
-            &world.top500,
-            figures.as_ref().map(|(json, n)| (json.as_str(), *n)),
-        );
-        drop((world, index, lint, figures));
-        let loaded = load_world_bytes(bytes).expect("a freshly built world archive loads");
-        WorldSnapshot::from_loaded(loaded, epoch, start.elapsed(), SnapshotSource::Built)
+        let engine = Engine::with_extended_metrics().threads(NonZeroUsize::new(threads));
+        let render = |report: &SurveyReport| render_figures(report, epoch);
+        let sweep: FigureSweep<'_> = (&engine, &render);
+        let world = spec.build(figures.then_some(sweep));
+        WorldSnapshot::new(world, epoch, start.elapsed(), SnapshotSource::Built)
     }
 
-    /// The tail every world shares once its archive bytes exist: the
-    /// figure JSON re-stamped with `epoch`, stats, and the store.
-    fn from_loaded(
-        world: LoadedWorld,
-        epoch: u64,
-        build: Duration,
-        source: SnapshotSource,
-    ) -> WorldSnapshot {
-        let figures_json = world
-            .figures_json
-            .map(|json| restamp_figures_epoch(&json, epoch));
-        let stats = SnapshotStats {
-            build,
-            zones: world.universe.zone_count(),
-            servers: world.universe.server_count(),
-            names: world.names.len(),
-            figures: world.figures_rendered,
-            source,
-        };
+    /// Wraps `world` as generation `epoch`, its archived figure JSON
+    /// re-stamped with `epoch`.
+    fn new(world: World, epoch: u64, build: Duration, source: SnapshotSource) -> WorldSnapshot {
         WorldSnapshot {
             epoch,
-            universe: world.universe,
-            index: world.index,
-            lint: world.lint,
-            names: world.names,
-            top500: world.top500,
-            figures_json,
-            stats,
-            store: world.store,
+            figures_json: world
+                .figures_json()
+                .map(|json| restamp_figures_epoch(&json, epoch)),
+            world,
+            stats: SnapshotStats { build, source },
             built: Instant::now(),
         }
-    }
-
-    /// Persists this snapshot as a `.psa` archive; returns the bytes
-    /// written. Every world serves from an archive store, so this writes
-    /// the store's bytes as they are: a built world's are what
-    /// `save_world` would encode, and a loaded world's are the file it
-    /// was booted from — its cached figure sweep keeps the epoch stamp it
-    /// was saved with, which every loader rewrites to its own epoch.
-    pub fn save_archive(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-        let bytes = self.store.read_range(0..self.store.len(), "archive")?;
-        std::fs::write(path, &bytes)?;
-        Ok(bytes.len() as u64)
     }
 
     /// Boots generation `epoch` from a `.psa` archive: one bulk read and
@@ -201,13 +134,13 @@ impl WorldSnapshot {
         backend: SnapshotBackend,
     ) -> Result<WorldSnapshot, SnapshotError> {
         let start = Instant::now();
-        let world = perils_survey::snapshot::load_world_with(path, backend)?;
-        let load = start.elapsed();
-        let source = SnapshotSource::Loaded {
-            archive_bytes: world.archive_bytes,
-            load,
-        };
-        Ok(WorldSnapshot::from_loaded(world, epoch, load, source))
+        let world = load_world_with(path, backend)?;
+        Ok(WorldSnapshot::new(
+            world,
+            epoch,
+            start.elapsed(),
+            SnapshotSource::Loaded,
+        ))
     }
 
     /// Time since this snapshot finished building.
@@ -234,7 +167,7 @@ fn restamp_figures_epoch(json: &str, epoch: u64) -> String {
 /// Renders the extended figure registry into one JSON document:
 /// `{"epoch":N,"figures":[..],"skipped":[{"id","missing"}]}`. Missing
 /// columns are skips, not errors — mirroring the figures CLI.
-fn render_figures(report: &perils_survey::engine::SurveyReport, epoch: u64) -> (String, usize) {
+fn render_figures(report: &SurveyReport, epoch: u64) -> (String, usize) {
     let registry = FigureRegistry::extended();
     let outcomes = registry.build_all(report);
     let mut figures = String::new();
@@ -343,8 +276,8 @@ mod tests {
     fn builds_tiny_snapshot_with_figures() {
         let snap = WorldSnapshot::build(&tiny_spec(), 1, 2, true);
         assert_eq!(snap.epoch, 1);
-        assert!(snap.stats.names > 0);
-        assert!(snap.stats.figures > 0);
+        assert!(!snap.names.is_empty());
+        assert!(snap.figures_rendered > 0);
         let json = snap.figures_json.as_deref().expect("figures cached");
         let value = perils_util::json::parse(json).expect("figures JSON parses");
         assert_eq!(value.get("epoch").and_then(|v| v.as_u64()), Some(1));
@@ -353,7 +286,7 @@ mod tests {
                 .get("figures")
                 .and_then(|v| v.as_array())
                 .map(|a| a.len())
-                == Some(snap.stats.figures)
+                == Some(snap.figures_rendered)
         );
     }
 
@@ -361,7 +294,7 @@ mod tests {
     fn no_figures_skips_the_sweep_but_keeps_names() {
         let snap = WorldSnapshot::build(&tiny_spec(), 1, 1, false);
         assert!(snap.figures_json.is_none());
-        assert_eq!(snap.stats.figures, 0);
+        assert_eq!(snap.figures_rendered, 0);
         assert!(!snap.names.is_empty());
     }
 
@@ -400,7 +333,7 @@ mod tests {
     fn archive_round_trip_is_identical_with_restamped_epoch() {
         let built = WorldSnapshot::build(&tiny_spec(), 1, 2, true);
         let path = temp_psa("roundtrip");
-        let bytes = built.save_archive(&path).expect("saves");
+        let bytes = built.save(&path).expect("saves");
         assert!(bytes > 0);
         let loaded = WorldSnapshot::load_archive(&path, 5, SnapshotBackend::Heap).expect("loads");
         // A paged boot over the same archive answers identically from a
@@ -409,7 +342,7 @@ mod tests {
             WorldSnapshot::load_archive(&path, 5, SnapshotBackend::paged(8192)).expect("loads");
         // A loaded world saves the file it was booted from, verbatim.
         let resaved = temp_psa("resaved");
-        assert_eq!(paged.save_archive(&resaved).expect("saves"), bytes);
+        assert_eq!(paged.save(&resaved).expect("saves"), bytes);
         let same = std::fs::read(&resaved).ok() == std::fs::read(&path).ok();
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&resaved).ok();
@@ -431,7 +364,7 @@ mod tests {
         assert_eq!(loaded.lint, built.lint);
         assert_eq!(loaded.names, built.names);
         assert_eq!(loaded.top500, built.top500);
-        assert_eq!(loaded.stats.figures, built.stats.figures);
+        assert_eq!(loaded.figures_rendered, built.figures_rendered);
         assert_eq!(loaded.stats.source.kind(), "loaded");
         // The figure document is byte-identical except the epoch stamp.
         let built_json = built.figures_json.as_deref().expect("built figures");

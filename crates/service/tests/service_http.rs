@@ -365,7 +365,7 @@ fn snapshot_reload_and_cold_boot_serve_identical_answers() {
     daemon
         .store()
         .current()
-        .save_archive(&archive)
+        .save(&archive)
         .expect("save archive");
 
     let ((before, after), summary) = with_daemon(&daemon, |addr| {
@@ -460,7 +460,7 @@ fn truncated_paged_archive_fails_requests_not_the_worker() {
     tiny_daemon(1, false)
         .store()
         .current()
-        .save_archive(&archive)
+        .save(&archive)
         .expect("save archive");
     let paged = Daemon::boot_from_archive(
         WorldSpec::parse("tiny", 20040722).expect("tiny parses"),
@@ -515,7 +515,7 @@ fn built_daemon_serves_from_its_own_heap_archive() {
     let saved = daemon
         .store()
         .current()
-        .save_archive(&archive)
+        .save(&archive)
         .expect("save archive");
     let on_disk = std::fs::metadata(&archive).expect("archive written").len();
     std::fs::remove_file(&archive).ok();

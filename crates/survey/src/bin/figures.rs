@@ -18,21 +18,22 @@
 //! `fig2.csv`, `headline.csv`, …). Without `--out`, figures stream to
 //! stdout; the aligned-text stream is the EXPERIMENTS.md data source.
 //!
-//! Ingestion is streaming end to end: the synthetic source plans the
-//! world and feeds it to the engine as incremental universe events (the
-//! default `WorldSource` path since the streaming-ingestion refactor),
-//! and CSV directory exports (`--out DIR --format csv`) go through the
-//! row-at-a-time `StreamingCsvSink`.
+//! The world is the archive-backed `perils_survey::World` every binary
+//! holds, built by `WorldSpec::build` or opened by `--load-snapshot`;
+//! `--save-snapshot` writes it before the survey, which runs over the
+//! world's own index. CSV directory exports (`--out DIR --format csv`)
+//! go through the row-at-a-time `StreamingCsvSink`.
 
 use perils_core::metric::columns;
-use perils_core::{DependencyIndex, ZombieDelegationMetric};
-use perils_survey::engine::{Engine, SurveyReport, SyntheticSource, WorldSource};
+use perils_core::ZombieDelegationMetric;
+use perils_survey::engine::{AnalysisWorld, Engine, SurveyReport};
 use perils_survey::figures::ZombieFigure;
 use perils_survey::params::TopologyParams;
 use perils_survey::render::{
     DirectorySink, FigureOutcome, FigureRegistry, ReportSink, SinkFormat, StreamingCsvSink,
     WriterSink,
 };
+use perils_survey::{load_world_with, SnapshotBackend, WorldSpec};
 use perils_util::cli::{usage_exit, Argv};
 
 const USAGE: &str = "usage: figures [--scale tiny|default|paper] [--seed N] [--list]
@@ -45,8 +46,9 @@ const USAGE: &str = "usage: figures [--scale tiny|default|paper] [--seed N] [--l
                         generating one (conflicts with --scale/--seed:
                         giving both is a usage error, exit 2; figures are
                         recomputed, not replayed)
-  --save-snapshot PATH  after the run, write the world to a .psa archive
-                        for later --load-snapshot / perilsd --snapshot";
+  --save-snapshot PATH  write the world to a .psa archive before the
+                        survey, for later --load-snapshot / perilsd
+                        --snapshot (an unwritable PATH exits 1 at once)";
 
 struct Args {
     scale: String,
@@ -211,37 +213,47 @@ fn main() {
         _ => 500,
     });
     let started = std::time::Instant::now();
-    let (report, index) = match &args.load_snapshot {
-        Some(path) => {
-            eprintln!(
-                "running metrics {:?} over snapshot {path} ...",
-                engine.metric_ids()
-            );
-            let loaded = perils_survey::load_world_with(path, perils_survey::SnapshotBackend::Heap)
-                .unwrap_or_else(|e| {
+    let report = {
+        let world = match &args.load_snapshot {
+            Some(path) => {
+                eprintln!(
+                    "running metrics {:?} over snapshot {path} ...",
+                    engine.metric_ids()
+                );
+                load_world_with(path, SnapshotBackend::Heap).unwrap_or_else(|e| {
                     eprintln!("error: cannot load snapshot {path}: {e}");
                     std::process::exit(1);
-                });
-            let world = perils_survey::AnalysisWorld {
-                universe: loaded.universe,
-                names: loaded.names.to_vec(),
-                top500: loaded.top500,
-            };
-            (engine.run_world_indexed(world, &loaded.index), loaded.index)
+                })
+            }
+            None => {
+                let spec = WorldSpec::Synthetic(params);
+                eprintln!(
+                    "running metrics {:?} over {} (scale={})...",
+                    engine.metric_ids(),
+                    spec.describe(),
+                    args.scale,
+                );
+                spec.build(None)
+            }
+        };
+        // Save before the survey: an unwritable path fails fast.
+        if let Some(path) = &args.save_snapshot {
+            match world.save(path) {
+                Ok(bytes) => eprintln!("snapshot saved to {path} ({bytes} bytes)"),
+                Err(e) => {
+                    eprintln!("error: cannot save snapshot to {path}: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
-        None => {
-            let source = SyntheticSource { params };
-            eprintln!(
-                "running metrics {:?} over {} (scale={})...",
-                engine.metric_ids(),
-                WorldSource::describe(&source),
-                args.scale,
-            );
-            // One index serves the run and any saved archive.
-            let world = source.load();
-            let index = DependencyIndex::build(&world.universe);
-            (engine.run_world_indexed(world, &index), index)
-        }
+        let surveyed = AnalysisWorld {
+            universe: world.universe,
+            names: world.names.to_vec(),
+            top500: world.top500,
+        };
+        engine.run_world_indexed(surveyed, &world.index)
+        // Figures read the report alone: the index, the lint facts and
+        // the archive they view are released here, before rendering.
     };
     eprintln!(
         "survey complete in {:.1}s: {} names, {} zones, {} servers{}",
@@ -253,28 +265,6 @@ fn main() {
             .map(|mb| format!(", peak RSS {mb:.0} MiB"))
             .unwrap_or_default(),
     );
-
-    if let Some(path) = &args.save_snapshot {
-        let lint = perils_core::LintIndex::build(&report.world.universe);
-        match perils_survey::save_world(
-            path,
-            &report.world.universe,
-            &index,
-            &lint,
-            &report.world.names,
-            &report.world.top500,
-            None,
-        ) {
-            Ok(bytes) => eprintln!("snapshot saved to {path} ({bytes} bytes)"),
-            Err(e) => {
-                eprintln!("error: cannot save snapshot to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // Figures read the report alone; release the index (and the archive
-    // a loaded one views) before rendering them.
-    drop(index);
 
     // Build every selected figure through the registry. Missing columns are
     // skips (reported on stderr), not panics.

@@ -9,7 +9,11 @@
 //! ```
 //!
 //! `--world` names resolve through [`perils_survey::WorldSpec`], the same
-//! names `perilsd --world` serves.
+//! names `perilsd --world` serves, and `WorldSpec::build` makes the
+//! world: the one `perils_survey::World` value, archive-backed, that
+//! `--load-snapshot` opens from disk instead and `--save-snapshot` writes
+//! before the lint pass. The pass runs over the world's own dependency
+//! index and lint facts.
 //!
 //! Severity overrides are repeatable and validated against the registry:
 //! `--allow RULE` suppresses a rule's findings, `--warn`/`--deny` re-level
@@ -21,10 +25,8 @@
 //! malformed value, unknown rule id).
 
 use perils_core::lint::{RuleRegistry, Severity, SeverityOverrides};
-use perils_core::{DependencyIndex, LintIndex};
-use perils_dns::name::DnsName;
-use perils_survey::lint::{run_lint, run_lint_with, LintFormat, LintReport};
-use perils_survey::WorldSpec;
+use perils_survey::lint::{run_lint, LintFormat, LintReport};
+use perils_survey::{load_world_with, SnapshotBackend, WorldSpec};
 use perils_util::cli::{usage_exit, Argv};
 use std::io::{self, BufWriter, Write};
 use std::num::NonZeroUsize;
@@ -52,8 +54,9 @@ const USAGE: &str = "usage: lint [--world fbi|cornell|tripwire|tiny|default|pape
   --load-snapshot PATH  lint the world in a .psa archive (its stored
                         index and facts are reused, no rebuild);
                         conflicts with --world/--seed (usage error)
-  --save-snapshot PATH  write the linted world (with its index and
-                        facts) to a .psa archive after the run
+  --save-snapshot PATH  write the world (with its index and facts) to a
+                        .psa archive before the lint pass; a loaded
+                        archive is re-saved byte for byte
 
 exit codes: 0 = clean or warnings only; 1 = deny-level findings present;
             2 = usage error (unknown flag, value, or rule id)";
@@ -160,69 +163,18 @@ fn main() {
         }
     }
 
-    let (universe, names, top500, prebuilt) = match &args.load_snapshot {
-        Some(path) => {
-            let loaded = perils_survey::load_world_with(path, perils_survey::SnapshotBackend::Heap)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: cannot load snapshot {path}: {e}");
-                    std::process::exit(1);
-                });
-            (
-                loaded.universe,
-                loaded.names.to_vec(),
-                loaded.top500,
-                Some((loaded.index, loaded.lint)),
-            )
-        }
-        None => {
-            let world = WorldSpec::parse(&args.world, args.seed)
-                .unwrap_or_else(|message| usage_exit(USAGE, &message))
-                .stream()
-                .collect();
-            // A saved archive needs the index and facts: build them once
-            // (with `build`'s thread choice) and lint over them too.
-            let prebuilt = args.save_snapshot.is_some().then(|| {
-                (
-                    DependencyIndex::build(&world.universe),
-                    LintIndex::build(&world.universe),
-                )
-            });
-            (world.universe, world.names, world.top500, prebuilt)
-        }
+    let world = match &args.load_snapshot {
+        Some(path) => load_world_with(path, SnapshotBackend::Heap).unwrap_or_else(|e| {
+            eprintln!("error: cannot load snapshot {path}: {e}");
+            std::process::exit(1);
+        }),
+        None => WorldSpec::parse(&args.world, args.seed)
+            .unwrap_or_else(|message| usage_exit(USAGE, &message))
+            .build(None),
     };
-    let targets: Vec<DnsName> = names.iter().map(|n| n.name.clone()).collect();
-    let described = args
-        .load_snapshot
-        .as_deref()
-        .map(|path| format!("snapshot {path}"))
-        .unwrap_or_else(|| format!("{:?}", args.world));
-    eprintln!(
-        "linting world {described}: {} zones, {} servers, {} target names...",
-        universe.zone_count(),
-        universe.server_count(),
-        targets.len(),
-    );
-    let report = match &prebuilt {
-        Some((index, facts)) => run_lint_with(
-            &universe,
-            &targets,
-            &registry,
-            &overrides,
-            args.threads,
-            index,
-            facts,
-        ),
-        None => run_lint(&universe, &targets, &registry, &overrides, args.threads),
-    };
-    eprintln!(
-        "{} finding(s): {} deny, {} warn",
-        report.diagnostics.len(),
-        report.count(Severity::Deny),
-        report.count(Severity::Warn),
-    );
-
-    if let Some((path, (index, facts))) = args.save_snapshot.as_ref().zip(prebuilt.as_ref()) {
-        match perils_survey::save_world(path, &universe, index, facts, &names, &top500, None) {
+    // Save before the lint pass: an unwritable path fails fast.
+    if let Some(path) = &args.save_snapshot {
+        match world.save(path) {
             Ok(bytes) => eprintln!("snapshot saved to {path} ({bytes} bytes)"),
             Err(e) => {
                 eprintln!("error: cannot save snapshot to {path}: {e}");
@@ -230,6 +182,24 @@ fn main() {
             }
         }
     }
+    let described = args
+        .load_snapshot
+        .as_deref()
+        .map(|path| format!("snapshot {path}"))
+        .unwrap_or_else(|| format!("{:?}", args.world));
+    eprintln!(
+        "linting world {described}: {} zones, {} servers, {} target names...",
+        world.universe.zone_count(),
+        world.universe.server_count(),
+        world.names.len(),
+    );
+    let report = run_lint(&world, &registry, &overrides, args.threads);
+    eprintln!(
+        "{} finding(s): {} deny, {} warn",
+        report.diagnostics.len(),
+        report.count(Severity::Deny),
+        report.count(Severity::Warn),
+    );
 
     // Stream the report: it is never rendered whole in memory.
     let written = match &args.out {

@@ -59,5 +59,5 @@ pub use render::{
     DirectorySink, Figure, FigureError, FigureOutcome, FigureRegistry, RenderedFigure, ReportSink,
     SinkFormat, StreamingCsvSink, WriterSink,
 };
-pub use snapshot::{load_world_with, save_world, LoadedWorld, NameTable, SnapshotBackend};
-pub use world::WorldSpec;
+pub use snapshot::{load_world_with, save_world, NameTable, SnapshotBackend, World};
+pub use world::{FigureSweep, WorldSpec};

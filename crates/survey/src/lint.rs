@@ -1,7 +1,7 @@
 //! The sharded lint runner and its output sinks.
 //!
-//! [`run_lint`] is the survey-side driver for [`perils_core::lint`]: it
-//! builds the dependency index and shared [`LintIndex`] facts once, then
+//! [`run_lint`] is the survey-side runner for [`perils_core::lint`]: over
+//! a [`World`]'s dependency index and shared [`LintIndex`] facts, it
 //! shards the three subject axes (zones, servers, surveyed names) over
 //! workers through [`perils_util::par`], as the metric engine does. Each
 //! worker runs every registered rule over its contiguous sub-ranges;
@@ -16,6 +16,7 @@
 //! finding at a time, resolving evidence ids to names as it goes; the
 //! report itself holds ids, never copies of names.
 
+use crate::snapshot::World;
 use perils_core::lint::{
     Diagnostic, LintCtx, LintIndex, RuleRegistry, Severity, SeverityOverrides,
 };
@@ -93,33 +94,35 @@ impl LintReport<'_> {
     }
 }
 
-/// Runs every rule in `registry` over `universe` and the surveyed
-/// `names`, sharded over `threads` workers (engine default when `None`),
+/// Lints `world`: every rule in `registry` over its universe and its
+/// surveyed names, through the dependency index and lint facts the world
+/// carries, sharded over `threads` workers (engine default when `None`),
 /// then applies `overrides`.
 ///
 /// Output is deterministic and thread-count-invariant: workers own
 /// contiguous sub-ranges of each subject axis and their per-rule shards
 /// are concatenated in range order, exactly the metric engine's merge
 /// discipline.
-pub fn run_lint<'u>(
-    universe: &'u Universe,
-    names: &[DnsName],
+pub fn run_lint<'w>(
+    world: &'w World,
     registry: &RuleRegistry,
     overrides: &SeverityOverrides,
     threads: Option<NonZeroUsize>,
-) -> LintReport<'u> {
-    let index = DependencyIndex::build(universe);
-    let facts = LintIndex::build(universe);
+) -> LintReport<'w> {
+    let targets: Vec<DnsName> = world.names.to_vec().into_iter().map(|n| n.name).collect();
     run_lint_with(
-        universe, names, registry, overrides, threads, &index, &facts,
+        &world.universe,
+        &targets,
+        registry,
+        overrides,
+        threads,
+        &world.index,
+        &world.lint,
     )
 }
 
-/// [`run_lint`] over a **prebuilt** dependency index and lint facts —
-/// the snapshot-loading path: a world reconstituted from a `.psa`
-/// archive already carries both, so linting skips the two builds. The
-/// index and facts must belong to `universe` (the snapshot decoder
-/// validates this for loaded archives).
+/// [`run_lint`] over a universe, its target names and its **prebuilt**
+/// dependency index and lint facts, which must belong to `universe`.
 pub fn run_lint_with<'u>(
     universe: &'u Universe,
     names: &[DnsName],

@@ -1,8 +1,16 @@
-//! Whole-world `.psa` archives: one file holding everything a query
-//! daemon or figure run needs — the canonical [`Universe`], its
-//! [`DependencyIndex`], the shared [`LintIndex`] facts, the surveyed
-//! names with their popularity structure, and (optionally) the rendered
-//! figure JSON — so a restart is a bulk read instead of a rebuild.
+//! Whole-world `.psa` archives and the [`World`] they decode to: one file
+//! holding everything a query daemon, figure run or lint run needs — the
+//! canonical [`Universe`], its [`DependencyIndex`], the shared
+//! [`LintIndex`] facts, the surveyed names with their popularity
+//! structure, and (optionally) the rendered figure JSON — so a restart is
+//! a bulk read instead of a rebuild.
+//!
+//! A world is its archive. [`WorldSpec::build`](crate::WorldSpec::build)
+//! writes the sections below in order into one buffer (the writer is
+//! `write_world`; [`world_archive_bytes`] runs it over prebuilt parts),
+//! and every world — built or opened by [`load_world_with`] — comes out
+//! of the one decoder here as a [`World`] over the archive's bytes, which
+//! [`World::save`] writes back verbatim.
 //!
 //! Layout (all sections little-endian, checksummed by the container):
 //!
@@ -28,6 +36,7 @@ use perils_core::universe::Universe;
 use perils_core::{DependencyIndex, LintIndex};
 use perils_util::bytestore::ByteStore;
 use perils_util::snapshot::{self, Archive, ArchiveWriter, Dec, Section, SnapshotError};
+use std::borrow::Borrow;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -102,7 +111,7 @@ pub struct NameTable {
     bounds: Arc<Vec<u32>>,
 }
 
-/// Decodes one name/tld/rank record (see [`world_archive_bytes`]).
+/// Decodes one name/tld/rank record (see [`write_world`]).
 fn decode_record(dec: &mut Dec<'_>) -> Result<SurveyName, SnapshotError> {
     Ok(SurveyName {
         name: decode_name(dec)?,
@@ -194,12 +203,14 @@ impl PartialEq<Vec<SurveyName>> for NameTable {
     }
 }
 
-/// A world reconstituted from a `.psa` archive — ready to serve queries
-/// or run figure/lint passes without any rebuild. The dependency
-/// index's flat tables and the name table are views into
-/// [`LoadedWorld::store`].
+/// A world: universe, dependency index, lint facts and surveyed names,
+/// decoded from the `.psa` archive in [`World::store`] (the index's flat
+/// tables and the name table are views into it). Built by
+/// [`WorldSpec::build`](crate::WorldSpec::build) or opened by
+/// [`load_world_with`], it is the same value, and [`World::save`] writes
+/// it back as the archive it is.
 #[derive(Debug)]
-pub struct LoadedWorld {
+pub struct World {
     /// The canonical universe.
     pub universe: Universe,
     /// Its dependency index, validated against the universe.
@@ -210,22 +221,102 @@ pub struct LoadedWorld {
     pub names: NameTable,
     /// Indices into `names` of the most popular subset.
     pub top500: Vec<usize>,
-    /// The rendered figure JSON stored at save time, verbatim.
-    pub figures_json: Option<String>,
-    /// How many figures that JSON holds (from the header, so consumers
-    /// need not parse the JSON to report the count).
+    /// How many figures the archived figure JSON holds (0 without one).
     pub figures_rendered: usize,
-    /// Total archive size in bytes.
-    pub archive_bytes: u64,
-    /// The byte store the view-backed structures borrow. Exposes
-    /// backend kind (`"heap"`/`"paged"`), resident bytes and page-cache
-    /// counters for metrics.
+    /// The archive byte store the view-backed structures borrow. Exposes
+    /// backend kind (`"heap"`/`"paged"`), size, resident bytes and
+    /// page-cache counters for metrics.
     pub store: Arc<ByteStore>,
+    /// The `FIGURES` section, checked to be UTF-8 at load.
+    figures: Option<Section>,
 }
 
-/// Serializes a built world to `bytes` (see the module table for the
-/// layout). `figures` carries the rendered figure JSON plus its figure
-/// count, when the saver has one.
+impl World {
+    /// The rendered figure JSON stored at save time, verbatim.
+    pub fn figures_json(&self) -> Option<String> {
+        self.figures.as_ref().map(|section| {
+            let bytes = section
+                .to_vec()
+                .expect("FIGURES validated at load no longer reads (file changed on disk?)");
+            String::from_utf8(bytes).expect("FIGURES validated as UTF-8 at load")
+        })
+    }
+
+    /// Writes this world as a `.psa` archive; returns the bytes written.
+    /// A world is its archive, so this writes the store's bytes as they
+    /// are: a built world's are what [`world_archive_bytes`] encodes, and
+    /// a loaded world's are the file it was opened from (a daemon's
+    /// figure JSON keeps the epoch stamp it was saved with; the daemon
+    /// re-stamps it on every load).
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
+        let bytes = self.store.read_range(0..self.store.len(), "archive")?;
+        std::fs::write(path, &bytes)?;
+        Ok(bytes.len() as u64)
+    }
+}
+
+/// Writes a world's sections into one archive buffer in their fixed
+/// order. The index (owned or borrowed) is dropped once `DEPINDEX` is
+/// written; only then does `lint` produce the lint facts, dropped once
+/// `LINTIDX` is written. `figures` is the figure JSON and its count.
+pub(crate) fn write_world<L: Borrow<LintIndex>>(
+    universe: &Universe,
+    index: impl Borrow<DependencyIndex>,
+    lint: impl FnOnce() -> L,
+    names: &[SurveyName],
+    top500: &[usize],
+    figures: Option<(&str, usize)>,
+) -> Vec<u8> {
+    let count =
+        |n: usize, what: &str| u32::try_from(n).unwrap_or_else(|_| panic!("{what} count fits u32"));
+    let mut archive = ArchiveWriter::new(5 + usize::from(figures.is_some()));
+    archive.section(SECTION_HEADER, |out| {
+        snapshot::put_u32(out, count(universe.zone_count(), "zone"));
+        snapshot::put_u32(out, count(universe.server_count(), "server"));
+        snapshot::put_u32(out, count(names.len(), "name"));
+        snapshot::put_u32(out, count(figures.map_or(0, |(_, n)| n), "figure"));
+        snapshot::put_u8(out, u8::from(figures.is_some()));
+    });
+    archive.section(SECTION_UNIVERSE, |out| encode_universe(out, universe));
+    archive.section(SECTION_DEP_INDEX, |out| {
+        encode_dep_index(out, index.borrow())
+    });
+    drop(index);
+    let lint = lint();
+    archive.section(SECTION_LINT, |out| encode_lint(out, lint.borrow()));
+    drop(lint);
+    archive.section(SECTION_NAMES, |out| {
+        let start = out.len();
+        snapshot::put_u32(out, count(names.len(), "name"));
+        for entry in names {
+            encode_name(out, &entry.name);
+            encode_name(out, &entry.tld);
+            snapshot::put_u32(
+                out,
+                u32::try_from(entry.popularity_rank).expect("rank fits u32"),
+            );
+        }
+        let top500: Vec<u32> = top500
+            .iter()
+            .map(|&i| u32::try_from(i).expect("top500 index fits u32"))
+            .collect();
+        snapshot::put_u32_slice(out, &top500);
+        assert!(
+            u32::try_from(out.len() - start).is_ok(),
+            "SURVNAME section exceeds the 4 GiB record-offset range"
+        );
+    });
+    if let Some((json, _)) = figures {
+        archive.section(SECTION_FIGURES, |out| {
+            out.extend_from_slice(json.as_bytes())
+        });
+    }
+    archive.finish()
+}
+
+/// Serializes a world from separately built parts (see the module table
+/// for the layout) — the same bytes [`WorldSpec::build`](crate::WorldSpec::build)
+/// writes for that world.
 pub fn world_archive_bytes(
     universe: &Universe,
     index: &DependencyIndex,
@@ -234,58 +325,7 @@ pub fn world_archive_bytes(
     top500: &[usize],
     figures: Option<(&str, usize)>,
 ) -> Vec<u8> {
-    let mut header = Vec::new();
-    snapshot::put_u32(
-        &mut header,
-        u32::try_from(universe.zone_count()).expect("zone count fits u32"),
-    );
-    snapshot::put_u32(
-        &mut header,
-        u32::try_from(universe.server_count()).expect("server count fits u32"),
-    );
-    snapshot::put_u32(
-        &mut header,
-        u32::try_from(names.len()).expect("name count fits u32"),
-    );
-    snapshot::put_u32(
-        &mut header,
-        u32::try_from(figures.map_or(0, |(_, n)| n)).expect("figure count fits u32"),
-    );
-    snapshot::put_u8(&mut header, u8::from(figures.is_some()));
-
-    let mut name_section = Vec::new();
-    snapshot::put_u32(
-        &mut name_section,
-        u32::try_from(names.len()).expect("name count fits u32"),
-    );
-    for entry in names {
-        encode_name(&mut name_section, &entry.name);
-        encode_name(&mut name_section, &entry.tld);
-        snapshot::put_u32(
-            &mut name_section,
-            u32::try_from(entry.popularity_rank).expect("rank fits u32"),
-        );
-    }
-    let top500_u32: Vec<u32> = top500
-        .iter()
-        .map(|&i| u32::try_from(i).expect("top500 index fits u32"))
-        .collect();
-    snapshot::put_u32_slice(&mut name_section, &top500_u32);
-    assert!(
-        u32::try_from(name_section.len()).is_ok(),
-        "SURVNAME section exceeds the 4 GiB record-offset range"
-    );
-
-    let mut writer = ArchiveWriter::new();
-    writer.add_section(SECTION_HEADER, header);
-    writer.add_section(SECTION_UNIVERSE, encode_universe(universe));
-    writer.add_section(SECTION_DEP_INDEX, encode_dep_index(index));
-    writer.add_section(SECTION_LINT, encode_lint(lint));
-    writer.add_section(SECTION_NAMES, name_section);
-    if let Some((json, _)) = figures {
-        writer.add_section(SECTION_FIGURES, json.as_bytes().to_vec());
-    }
-    writer.to_bytes()
+    write_world(universe, index, || lint, names, top500, figures)
 }
 
 /// [`world_archive_bytes`] written to `path`; returns the bytes written.
@@ -305,15 +345,15 @@ pub fn save_world(
 
 /// Loads a world from in-memory archive bytes: they stay resident once
 /// and the big flat tables become views borrowing them.
-pub fn load_world_bytes(bytes: Vec<u8>) -> Result<LoadedWorld, SnapshotError> {
+pub fn load_world_bytes(bytes: Vec<u8>) -> Result<World, SnapshotError> {
     load_world_archive(&Archive::from_bytes(bytes)?)
 }
 
-/// Loads a world from a `.psa` file through the chosen backend.
+/// Opens a world from a `.psa` file through the chosen backend.
 pub fn load_world_with(
     path: impl AsRef<Path>,
     backend: SnapshotBackend,
-) -> Result<LoadedWorld, SnapshotError> {
+) -> Result<World, SnapshotError> {
     let archive = match backend {
         SnapshotBackend::Heap => Archive::read_from_path(path)?,
         SnapshotBackend::Paged {
@@ -324,7 +364,7 @@ pub fn load_world_with(
     load_world_archive(&archive)
 }
 
-fn load_world_archive(archive: &Archive) -> Result<LoadedWorld, SnapshotError> {
+fn load_world_archive(archive: &Archive) -> Result<World, SnapshotError> {
     let header_sec = archive.section(SECTION_HEADER)?;
     let header_bytes = header_sec.bytes()?;
     let mut header = Dec::new_at(&header_bytes, "WORLDHDR", header_sec.base());
@@ -352,28 +392,25 @@ fn load_world_archive(archive: &Archive) -> Result<LoadedWorld, SnapshotError> {
 
     let (names, top500) = decode_names(&archive.section(SECTION_NAMES)?, name_count)?;
 
-    let figures_json = match archive.optional_section(SECTION_FIGURES) {
-        Some(sec) => Some(
-            String::from_utf8(sec.to_vec()?)
-                .map_err(|e| Dec::new(&[], "FIGURES").malformed(format!("not UTF-8: {e}")))?,
-        ),
-        None => None,
-    };
-    if figures_json.is_some() != has_figures {
+    let figures = archive.optional_section(SECTION_FIGURES);
+    if let Some(section) = &figures {
+        std::str::from_utf8(&section.bytes()?)
+            .map_err(|e| Dec::new(&[], "FIGURES").malformed(format!("not UTF-8: {e}")))?;
+    }
+    if figures.is_some() != has_figures {
         return Err(Dec::new(&[], "WORLDHDR")
             .malformed("figure flag disagrees with FIGURES section presence".to_string()));
     }
 
-    Ok(LoadedWorld {
+    Ok(World {
         universe,
         index,
         lint,
         names,
         top500,
-        figures_json,
         figures_rendered,
-        archive_bytes: archive.len_bytes(),
         store: archive.store().clone(),
+        figures,
     })
 }
 

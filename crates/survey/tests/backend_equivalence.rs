@@ -15,7 +15,7 @@ use perils_core::{DependencyIndex, LintIndex};
 use perils_survey::engine::WorldSource;
 use perils_survey::params::TopologyParams;
 use perils_survey::snapshot::world_archive_bytes;
-use perils_survey::{LoadedWorld, SnapshotBackend, SyntheticSource};
+use perils_survey::{SnapshotBackend, SyntheticSource, World};
 
 /// Page sizes under test: well below, at, and well above the OS page.
 const PAGE_SIZES: [usize; 3] = [512, 4096, 65536];
@@ -45,17 +45,15 @@ impl Drop for TempArchive {
 /// fingerprint two backends must agree on. (The encoder is
 /// deterministic, so equal fingerprints mean equal worlds down to every
 /// label byte and rank.)
-fn fingerprint(loaded: &LoadedWorld) -> Vec<u8> {
+fn fingerprint(loaded: &World) -> Vec<u8> {
+    let figures = loaded.figures_json();
     world_archive_bytes(
         &loaded.universe,
         &loaded.index,
         &loaded.lint,
         &loaded.names.to_vec(),
         &loaded.top500,
-        loaded
-            .figures_json
-            .as_deref()
-            .map(|j| (j, loaded.figures_rendered)),
+        figures.as_deref().map(|j| (j, loaded.figures_rendered)),
     )
 }
 

@@ -1,10 +1,15 @@
 //! The `figures` and `lint` binaries around a `.psa` archive: a world
 //! saved by one run and read back with `--load-snapshot` yields the same
-//! figure files and the same lint report as the run that built it, a
-//! damaged archive is a clean exit 1, and an unknown scale, the retired
-//! `--csv` flag, a missing value or a malformed integer is a usage error.
+//! figure files and the same lint report as the run that built it, both
+//! binaries save the same world as the same bytes and re-save a loaded
+//! archive verbatim, a damaged archive or an unwritable save path is a
+//! clean exit 1, and an unknown scale, the retired `--csv` flag, a
+//! missing value or a malformed integer is a usage error.
 
+use perils_core::{DependencyIndex, LintIndex};
 use perils_survey::params::TopologyParams;
+use perils_survey::snapshot::world_archive_bytes;
+use perils_survey::WorldSpec;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -107,6 +112,101 @@ fn loaded_snapshot_reproduces_the_built_run() {
         assert!(stderr.contains("truncated"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `figures` and `lint` hold the same world value, so they save the same
+/// bytes; a loaded world saves the file it was opened from, sections the
+/// CLI never writes (a daemon's `FIGURES`) included.
+#[test]
+fn both_binaries_save_one_world_and_resave_loaded_archives_verbatim() {
+    let dir = scratch("one-world");
+    let (from_figures, from_lint) = (dir.join("figures.psa"), dir.join("lint.psa"));
+    let out = figures(&[
+        "--scale",
+        "tiny",
+        "--seed",
+        SEED,
+        "--save-snapshot",
+        path_str(&from_figures),
+    ]);
+    assert!(out.status.success(), "figures save: {out:?}");
+    let out = lint(&[
+        "--world",
+        "tiny",
+        "--seed",
+        SEED,
+        "--save-snapshot",
+        path_str(&from_lint),
+    ]);
+    assert!(out.status.code() != Some(2), "lint save: {out:?}");
+    let saved = std::fs::read(&from_figures).expect("figures archive");
+    assert_eq!(saved, std::fs::read(&from_lint).expect("lint archive"));
+
+    let world = WorldSpec::parse("tiny", 7)
+        .expect("tiny parses")
+        .stream()
+        .collect();
+    let with_figures = world_archive_bytes(
+        &world.universe,
+        &DependencyIndex::build(&world.universe),
+        &LintIndex::build(&world.universe),
+        &world.names,
+        &world.top500,
+        Some(("{\"epoch\":3,\"figures\":[],\"skipped\":[]}", 0)),
+    );
+    let (original, resaved) = (dir.join("daemon.psa"), dir.join("resaved.psa"));
+    std::fs::write(&original, &with_figures).expect("write archive");
+    let out = lint(&[
+        "--load-snapshot",
+        path_str(&original),
+        "--save-snapshot",
+        path_str(&resaved),
+    ]);
+    assert!(out.status.code() != Some(2), "lint re-save: {out:?}");
+    assert_eq!(
+        std::fs::read(&resaved).expect("re-saved archive"),
+        with_figures
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The archive is written before the survey or lint pass: a save path in
+/// a missing directory fails with exit 1 and nothing else is written.
+#[test]
+fn an_unwritable_save_path_fails_before_the_pass() {
+    let dir = scratch("unwritable");
+    let psa = dir.join("missing").join("w.psa");
+    let (figure_dir, report) = (dir.join("figures"), dir.join("lint.json"));
+    let out = figures(&[
+        "--scale",
+        "tiny",
+        "--format",
+        "json",
+        "--out",
+        path_str(&figure_dir),
+        "--save-snapshot",
+        path_str(&psa),
+    ]);
+    let lint_out = lint(&[
+        "--world",
+        "tiny",
+        "--out",
+        path_str(&report),
+        "--save-snapshot",
+        path_str(&psa),
+    ]);
+    // Neither pass ran: no survey summary, no finding count.
+    for (out, pass_line) in [(out, "survey complete"), (lint_out, "finding(s)")] {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("cannot save snapshot"), "{stderr}");
+        assert!(!stderr.contains(pass_line), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    assert!(!figure_dir.exists(), "no figure files were written");
+    assert!(!report.exists(), "no lint report was written");
+    assert!(!psa.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -12,12 +12,13 @@
 //! `GOLDEN_REGEN=1 cargo test -p perils-survey --test lint_golden`.
 
 use perils_authserver::scenarios::fbi_case;
-use perils_core::lint::{RuleRegistry, Severity, SeverityOverrides};
+use perils_core::lint::{LintIndex, RuleRegistry, Severity, SeverityOverrides};
 use perils_core::universe::Universe;
+use perils_core::DependencyIndex;
 use perils_dns::name::{name, DnsName};
-use perils_survey::lint::{run_lint, LintFormat, LintReport};
+use perils_survey::lint::{run_lint, run_lint_with, LintFormat, LintReport};
 use perils_survey::scenario::universe_from_scenario;
-use perils_survey::WorldSpec;
+use perils_survey::{World, WorldSpec};
 use perils_util::json::{parse, Value};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -48,23 +49,20 @@ fn check_golden(file: &str, actual: &str) {
     );
 }
 
-/// A named world and its surveyed names. A report borrows the universe
-/// its evidence points into, so the fixture outlives it.
+/// A named world, built as `lint --world NAME` builds it. A report
+/// borrows the world its evidence points into, so the fixture outlives
+/// it.
 struct Fixture {
-    universe: Universe,
-    targets: Vec<DnsName>,
+    world: World,
 }
 
 impl Fixture {
     /// The world `lint --world NAME` lints.
     fn new(world: &str) -> Fixture {
-        let world = WorldSpec::parse(world, SEED)
-            .expect("a named world")
-            .stream()
-            .collect();
         Fixture {
-            universe: world.universe,
-            targets: world.names.into_iter().map(|n| n.name).collect(),
+            world: WorldSpec::parse(world, SEED)
+                .expect("a named world")
+                .build(None),
         }
     }
 
@@ -79,13 +77,30 @@ impl Fixture {
     /// The serial run with default severities.
     fn report(&self) -> LintReport<'_> {
         run_lint(
-            &self.universe,
-            &self.targets,
+            &self.world,
             &RuleRegistry::builtin(),
             &SeverityOverrides::new(),
             NonZeroUsize::new(1),
         )
     }
+}
+
+/// A serial run of the built-in rules over a hand-built universe and
+/// targets, through an index and facts built for it.
+fn lint_universe<'u>(
+    universe: &'u Universe,
+    targets: &[DnsName],
+    overrides: &SeverityOverrides,
+) -> LintReport<'u> {
+    run_lint_with(
+        universe,
+        targets,
+        &RuleRegistry::builtin(),
+        overrides,
+        NonZeroUsize::new(1),
+        &DependencyIndex::build(universe),
+        &LintIndex::build(universe),
+    )
 }
 
 #[test]
@@ -133,7 +148,7 @@ fn every_builtin_rule_fires_on_the_tripwire() {
 fn fbi_findings_name_the_actual_servers() {
     let fixture = Fixture::fbi();
     let report = fixture.report();
-    let at = |e: &perils_core::lint::EvidenceStep| e.at.name(&fixture.universe).clone();
+    let at = |e: &perils_core::lint::EvidenceStep| e.at.name(&fixture.world.universe).clone();
     assert!(report.has_deny(), "the stale usdoj.gov NS is deny-level");
 
     let lame = report
@@ -210,13 +225,7 @@ fn severity_overrides_relevel_and_suppress() {
     overrides
         .set(&registry, "lame-delegation", Severity::Warn)
         .unwrap();
-    let demoted = run_lint(
-        &universe,
-        &targets,
-        &registry,
-        &overrides,
-        NonZeroUsize::new(1),
-    );
+    let demoted = lint_universe(&universe, &targets, &overrides);
     assert!(!demoted.has_deny());
     assert!(demoted
         .diagnostics
@@ -228,13 +237,7 @@ fn severity_overrides_relevel_and_suppress() {
     overrides
         .set(&registry, "lame-delegation", Severity::Allow)
         .unwrap();
-    let suppressed = run_lint(
-        &universe,
-        &targets,
-        &registry,
-        &overrides,
-        NonZeroUsize::new(1),
-    );
+    let suppressed = lint_universe(&universe, &targets, &overrides);
     assert!(suppressed
         .diagnostics
         .iter()
@@ -249,13 +252,7 @@ fn severity_overrides_relevel_and_suppress() {
     overrides
         .set(&registry, "single-operator", Severity::Deny)
         .unwrap();
-    let promoted = run_lint(
-        &universe,
-        &targets,
-        &registry,
-        &overrides,
-        NonZeroUsize::new(1),
-    );
+    let promoted = lint_universe(&universe, &targets, &overrides);
     assert!(promoted
         .diagnostics
         .iter()
@@ -272,7 +269,7 @@ fn lint_rules_agree_with_misconfig_flags() {
     };
 
     let fixture = Fixture::tripwire();
-    let universe = &fixture.universe;
+    let universe = &fixture.world.universe;
     let report = fixture.report();
     let index = MisconfigIndex::build(universe);
 
@@ -342,12 +339,10 @@ fn names_with_quote_and_backslash_labels_survive_every_sink() {
     b.add_zone(&name("com"), &roots);
     b.add_zone(&name("quote.com"), std::slice::from_ref(&host));
     let universe = b.finish();
-    let report = run_lint(
+    let report = lint_universe(
         &universe,
         &[name("www.quote.com")],
-        &RuleRegistry::builtin(),
         &SeverityOverrides::new(),
-        NonZeroUsize::new(1),
     );
     let shown = host.to_string();
     assert_eq!(shown, "ns\"q\\x.quote.com");

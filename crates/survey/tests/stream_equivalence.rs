@@ -99,15 +99,17 @@ fn figure_bytes(universe: Universe, names: Vec<SurveyName>, top500: Vec<usize>) 
 /// All three rendered lint serializations over a universe with the given
 /// name sample, at a given thread count.
 fn lint_bytes(universe: &Universe, names: &[SurveyName], threads: usize) -> Vec<String> {
-    use perils_core::lint::{RuleRegistry, SeverityOverrides};
-    use perils_survey::lint::{run_lint, LintFormat};
+    use perils_core::lint::{LintIndex, RuleRegistry, SeverityOverrides};
+    use perils_survey::lint::{run_lint_with, LintFormat};
     let names: Vec<_> = names.iter().map(|n| n.name.clone()).collect();
-    let report = run_lint(
+    let report = run_lint_with(
         universe,
         &names,
         &RuleRegistry::builtin(),
         &SeverityOverrides::new(),
         std::num::NonZeroUsize::new(threads),
+        &DependencyIndex::build(universe),
+        &LintIndex::build(universe),
     );
     vec![
         report.emit(LintFormat::Text),

@@ -256,64 +256,78 @@ impl ChecksumFold {
     }
 }
 
-/// Assembles an archive in memory: sections are appended in call order
-/// and serialized behind the header + TOC by [`ArchiveWriter::to_bytes`].
-#[derive(Debug, Default)]
+/// Writes an archive straight into its final buffer: the header and a
+/// zeroed table of contents for a fixed section count first, then each
+/// section's payload appended in call order and its TOC entry patched in
+/// place, so no payload is ever held twice.
+#[derive(Debug)]
 pub struct ArchiveWriter {
-    sections: Vec<([u8; 8], Vec<u8>)>,
+    out: Vec<u8>,
+    tags: Vec<[u8; 8]>,
+    sections: usize,
 }
 
 impl ArchiveWriter {
-    /// An empty archive.
-    pub fn new() -> ArchiveWriter {
-        ArchiveWriter::default()
+    /// An archive of exactly `sections` sections, none written yet.
+    pub fn new(sections: usize) -> ArchiveWriter {
+        let count = u32::try_from(sections).expect("section count fits u32");
+        let mut out = [
+            MAGIC.as_slice(),
+            &VERSION.to_le_bytes(),
+            &ENDIAN_TAG.to_le_bytes(),
+            &count.to_le_bytes(),
+        ]
+        .concat();
+        out.resize(HEADER as usize + TOC_ENTRY as usize * sections, 0);
+        ArchiveWriter {
+            out,
+            tags: Vec::with_capacity(sections),
+            sections,
+        }
     }
 
-    /// Adds a section. Tags must be unique per archive.
+    /// Appends section `tag`, whose payload `encode` writes onto the end
+    /// of the archive buffer.
     ///
     /// # Panics
     ///
-    /// Panics when `tag` was already added — that is a writer bug, not
-    /// an input condition.
-    pub fn add_section(&mut self, tag: [u8; 8], payload: Vec<u8>) {
+    /// Panics when `tag` was already written or the archive holds no
+    /// further section — writer bugs, not input conditions.
+    pub fn section(&mut self, tag: [u8; 8], encode: impl FnOnce(&mut Vec<u8>)) {
         assert!(
-            self.sections.iter().all(|(t, _)| *t != tag),
+            !self.tags.contains(&tag),
             "duplicate snapshot section {:?}",
             tag_text(tag)
         );
-        self.sections.push((tag, payload));
-    }
-
-    /// Serializes header, TOC and payloads into one buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let payload_len: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let mut out = Vec::with_capacity(
-            HEADER as usize + TOC_ENTRY as usize * self.sections.len() + payload_len,
+        assert!(
+            self.tags.len() < self.sections,
+            "surplus snapshot section {:?}",
+            tag_text(tag)
         );
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&ENDIAN_TAG.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let mut offset = 0u64;
-        for (tag, payload) in &self.sections {
-            out.extend_from_slice(tag);
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&checksum(payload).to_le_bytes());
-            offset += payload.len() as u64;
-        }
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
-        out
+        let start = self.out.len();
+        encode(&mut self.out);
+        let offset = start - (HEADER as usize + TOC_ENTRY as usize * self.sections);
+        let len = self.out.len() - start;
+        let sum = checksum(&self.out[start..]);
+        let at = HEADER as usize + TOC_ENTRY as usize * self.tags.len();
+        let entry = [
+            tag,
+            (offset as u64).to_le_bytes(),
+            (len as u64).to_le_bytes(),
+            sum.to_le_bytes(),
+        ];
+        self.out[at..at + TOC_ENTRY as usize].copy_from_slice(entry.as_flattened());
+        self.tags.push(tag);
     }
 
-    /// Serializes and writes the archive to `path`; returns the byte
-    /// count written.
-    pub fn write_to_path(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
-        let bytes = self.to_bytes();
-        std::fs::write(path, &bytes)?;
-        Ok(bytes.len() as u64)
+    /// The finished archive.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every section the writer was opened for is written.
+    pub fn finish(self) -> Vec<u8> {
+        assert_eq!(self.tags.len(), self.sections, "snapshot sections missing");
+        self.out
     }
 }
 
@@ -832,16 +846,23 @@ mod tests {
     use super::*;
 
     fn sample_archive() -> Vec<u8> {
-        let mut w = ArchiveWriter::new();
-        let mut a = Vec::new();
-        put_u32_slice(&mut a, &[1, 2, 3, 0xFFFF_FFFF]);
-        put_bool_slice(&mut a, &[true, false, true]);
-        w.add_section(*b"ALPHA\0\0\0", a);
-        let mut b = Vec::new();
-        put_u64_slice(&mut b, &[u64::MAX, 0, 42]);
-        put_bytes(&mut b, b"hello");
-        w.add_section(*b"BETA\0\0\0\0", b);
-        w.to_bytes()
+        let mut w = ArchiveWriter::new(2);
+        w.section(*b"ALPHA\0\0\0", |a| {
+            put_u32_slice(a, &[1, 2, 3, 0xFFFF_FFFF]);
+            put_bool_slice(a, &[true, false, true]);
+        });
+        w.section(*b"BETA\0\0\0\0", |b| {
+            put_u64_slice(b, &[u64::MAX, 0, 42]);
+            put_bytes(b, b"hello");
+        });
+        w.finish()
+    }
+
+    /// One section whose length prefix promises 4 billion `u32`s.
+    fn huge_archive() -> Vec<u8> {
+        let mut w = ArchiveWriter::new(1);
+        w.section(*b"HUGE\0\0\0\0", |payload| put_u32(payload, u32::MAX));
+        w.finish()
     }
 
     fn temp_archive(name: &str, bytes: &[u8]) -> std::path::PathBuf {
@@ -902,13 +923,13 @@ mod tests {
 
     #[test]
     fn store_dec_views_match_the_encoded_values() {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 77);
-        put_u32_slice(&mut payload, &[10, 20, 30, 40, 50]);
-        put_u64_slice(&mut payload, &[1, u64::MAX]);
-        let mut w = ArchiveWriter::new();
-        w.add_section(*b"ARR\0\0\0\0\0", payload);
-        let bytes = w.to_bytes();
+        let mut w = ArchiveWriter::new(1);
+        w.section(*b"ARR\0\0\0\0\0", |payload| {
+            put_u64(payload, 77);
+            put_u32_slice(payload, &[10, 20, 30, 40, 50]);
+            put_u64_slice(payload, &[1, u64::MAX]);
+        });
+        let bytes = w.finish();
 
         let view_archive = Archive::from_bytes(bytes).expect("view parses");
         let mut view_dec = StoreDec::new(&view_archive.section(*b"ARR\0\0\0\0\0").unwrap(), "ARR");
@@ -924,11 +945,7 @@ mod tests {
 
     #[test]
     fn store_dec_errors_carry_absolute_offsets() {
-        let mut payload = Vec::new();
-        put_u32(&mut payload, u32::MAX); // promises 4 billion u32s
-        let mut w = ArchiveWriter::new();
-        w.add_section(*b"HUGE\0\0\0\0", payload);
-        let archive = Archive::from_bytes(w.to_bytes()).expect("container valid");
+        let archive = Archive::from_bytes(huge_archive()).expect("container valid");
         let sec = archive.section(*b"HUGE\0\0\0\0").expect("huge");
         assert!(sec.base() > 0, "payload sits after header + TOC");
         let mut dec = StoreDec::new(&sec, "HUGE");
@@ -1061,11 +1078,7 @@ mod tests {
     fn corrupt_lengths_do_not_balloon_or_panic() {
         // A section whose internal length prefix promises more data than
         // exists must produce Malformed, not an allocation explosion.
-        let mut payload = Vec::new();
-        put_u32(&mut payload, u32::MAX); // "4 billion u32s follow"
-        let mut w = ArchiveWriter::new();
-        w.add_section(*b"HUGE\0\0\0\0", payload);
-        let archive = Archive::from_bytes(w.to_bytes()).expect("container is valid");
+        let archive = Archive::from_bytes(huge_archive()).expect("container is valid");
         let sec = archive.section(*b"HUGE\0\0\0\0").expect("huge");
         let bytes = sec.bytes().expect("payload");
         let mut dec = Dec::new_at(&bytes, "HUGE", sec.base());
@@ -1085,8 +1098,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate snapshot section")]
     fn writer_rejects_duplicate_tags() {
-        let mut w = ArchiveWriter::new();
-        w.add_section(*b"DUP\0\0\0\0\0", Vec::new());
-        w.add_section(*b"DUP\0\0\0\0\0", Vec::new());
+        let mut w = ArchiveWriter::new(2);
+        w.section(*b"DUP\0\0\0\0\0", |_| {});
+        w.section(*b"DUP\0\0\0\0\0", |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "sections missing")]
+    fn writer_rejects_an_unfinished_archive() {
+        let mut w = ArchiveWriter::new(2);
+        w.section(*b"ONE\0\0\0\0\0", |_| {});
+        let _ = w.finish();
     }
 }

@@ -191,18 +191,18 @@
 //! The lint engine ([`core::lint`]) turns the paper's misconfiguration
 //! taxonomy into per-subject diagnostics with evidence chains. A custom
 //! [`core::LintRule`] registers next to the nine built-ins and flows
-//! through the sharded runner and every sink (text/JSON/SARIF)
-//! unchanged — all through public APIs:
+//! through the sharded runner — over a built [`survey::World`], the value
+//! the `lint` binary holds — and every sink (text/JSON/SARIF) unchanged,
+//! all through public APIs:
 //!
 //! ```
-//! use perils::authserver::scenarios::fbi_case;
 //! use perils::core::lint::{
 //!     At, Diagnostic, EvidenceStep, LintCtx, LintRule, RuleRegistry, Severity,
 //!     SeverityOverrides, Subject,
 //! };
 //! use perils::dns::name::name;
 //! use perils::survey::lint::{run_lint, LintFormat};
-//! use perils::survey::scenario::universe_from_scenario;
+//! use perils::survey::WorldSpec;
 //!
 //! /// Flags zones served by software with known exploits (§3.1).
 //! struct VulnerableNsRule;
@@ -242,19 +242,13 @@
 //! }
 //!
 //! let registry = RuleRegistry::builtin().register(VulnerableNsRule);
-//! let universe = universe_from_scenario(&fbi_case());
-//! let report = run_lint(
-//!     &universe,
-//!     &[name("www.fbi.gov")],
-//!     &registry,
-//!     &SeverityOverrides::new(),
-//!     None,
-//! );
+//! let world = WorldSpec::Fbi.build(None);
+//! let report = run_lint(&world, &registry, &SeverityOverrides::new(), None);
 //! // The custom rule names the paper's BIND 8.2.4 box...
 //! let finding = report.diagnostics.iter()
 //!     .find(|d| d.rule == "vulnerable-ns").unwrap();
 //! assert!(finding.evidence.iter()
-//!     .any(|e| e.at.name(&universe) == &name("reston-ns2.telemail.net")));
+//!     .any(|e| e.at.name(&world.universe) == &name("reston-ns2.telemail.net")));
 //! // ...and serializes through every sink like any built-in, including
 //! // the SARIF rule listing.
 //! assert!(report.emit(LintFormat::Sarif).contains("\"vulnerable-ns\""));
