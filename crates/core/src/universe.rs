@@ -8,12 +8,9 @@
 //! or from wire-probed dependency reports.
 
 use crate::namemap::NameIdMap;
-use perils_dns::name::DnsName;
+use perils_dns::name::{DnsName, Label};
 use perils_dns::zone::{ZoneEvent, ZoneRegistry};
 use perils_vulndb::{BindVersion, VulnDb};
-use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
-use std::ops::Bound::{Excluded, Included, Unbounded};
 
 /// Dense zone identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,16 +73,16 @@ pub struct Universe {
     servers: Vec<ServerEntry>,
     server_by_name: NameIdMap,
     /// Per server: the deepest zone enclosing its name (`u32::MAX` when
-    /// none). Computed once by [`UniverseBuilder::finish`] so every
-    /// consumer — the dependency index, the zombie classification, the
-    /// misconfiguration audit — shares one ancestor-walk pass instead of
-    /// re-resolving per build.
+    /// none). Derived once from the final zone set when the builder
+    /// finishes ([`Universe::derive_links`]), so every consumer — the
+    /// dependency index, the zombie classification, the misconfiguration
+    /// audit — shares one ancestor-walk pass instead of re-resolving per
+    /// build.
     server_home: Vec<u32>,
     /// Per zone: the deepest zone **strictly** enclosing its origin
-    /// (`u32::MAX` when none). Also computed by
-    /// [`UniverseBuilder::finish`]; this is what lets delegation chains be
-    /// derived by recurrence (`chain(z) = chain(parent(z)) + z`) instead
-    /// of one ancestor walk per zone.
+    /// (`u32::MAX` when none). Derived in the same pass; this is what
+    /// lets delegation chains be derived by recurrence (`chain(z) =
+    /// chain(parent(z)) + z`) instead of one ancestor walk per zone.
     zone_parent: Vec<u32>,
 }
 
@@ -105,13 +102,13 @@ impl Universe {
     /// Resolves a zone id back to its origin labels — the probe
     /// callback [`NameIdMap`] needs.
     #[inline]
-    fn zone_labels(&self, id: u32) -> &[perils_dns::name::Label] {
+    fn zone_labels(&self, id: u32) -> &[Label] {
         self.zones[id as usize].origin.labels()
     }
 
     /// Resolves a server id back to its name labels.
     #[inline]
-    fn server_labels(&self, id: u32) -> &[perils_dns::name::Label] {
+    fn server_labels(&self, id: u32) -> &[Label] {
         self.servers[id as usize].name.labels()
     }
 
@@ -151,8 +148,8 @@ impl Universe {
     }
 
     /// Reassembles a universe from its [`Universe::snapshot_parts`]
-    /// state, rebuilding the name→id lookup maps (the same derivation
-    /// [`UniverseBuilder::finish_canonical`] performs). Validates every
+    /// state, rebuilding the name→id lookup maps through the derivation
+    /// [`UniverseBuilder::finish_canonical`] also uses. Validates every
     /// cross-table id and rejects duplicate names, so a corrupt archive
     /// yields an error instead of a structurally inconsistent universe.
     pub(crate) fn from_snapshot_parts(
@@ -208,24 +205,7 @@ impl Universe {
                 ));
             }
         }
-        let mut zone_by_origin = NameIdMap::with_capacity(zones.len());
-        for i in 0..zones.len() as u32 {
-            if zone_by_origin
-                .insert(i, |j| zones[j as usize].origin.labels())
-                .is_some()
-            {
-                return Err("duplicate zone origins".to_string());
-            }
-        }
-        let mut server_by_name = NameIdMap::with_capacity(servers.len());
-        for i in 0..servers.len() as u32 {
-            if server_by_name
-                .insert(i, |j| servers[j as usize].name.labels())
-                .is_some()
-            {
-                return Err("duplicate server names".to_string());
-            }
-        }
+        let (zone_by_origin, server_by_name) = name_maps(&zones, &servers)?;
         Ok(Universe {
             zones,
             zone_by_origin,
@@ -314,13 +294,38 @@ impl Universe {
     /// The deepest zone enclosing `name` (including the root zone if
     /// registered and nothing deeper matches).
     pub fn zone_of(&self, name: &DnsName) -> Option<ZoneId> {
-        let labels = name.labels();
-        (0..=labels.len())
-            .find_map(|skip| {
-                self.zone_by_origin
-                    .get(&labels[skip..], |i| self.zone_labels(i))
-            })
-            .map(ZoneId)
+        self.deepest_zone(name.labels(), 0).map(ZoneId)
+    }
+
+    /// The deepest registered zone whose origin is a suffix of `labels`
+    /// with at least `skip` labels dropped: `skip = 0` is
+    /// [`Universe::zone_of`], `skip = 1` a zone's strict parent.
+    fn deepest_zone(&self, labels: &[Label], skip: usize) -> Option<u32> {
+        (skip..=labels.len()).find_map(|from| {
+            self.zone_by_origin
+                .get(&labels[from..], |i| self.zone_labels(i))
+        })
+    }
+
+    /// Writes every zone's parent link and every server's home zone,
+    /// derived from the final zone set by one ancestor walk per entry
+    /// through the origin map. Links are a pure function of that set, so
+    /// the arrival order of the events that built it cannot move them.
+    /// This is the only writer of `zone_parent` and `server_home` outside
+    /// a snapshot load.
+    fn derive_links(&mut self) {
+        let zone_parent = self
+            .zones
+            .iter()
+            .map(|z| self.deepest_zone(z.origin.labels(), 1).unwrap_or(u32::MAX))
+            .collect();
+        let server_home = self
+            .servers
+            .iter()
+            .map(|s| self.deepest_zone(s.name.labels(), 0).unwrap_or(u32::MAX))
+            .collect();
+        self.zone_parent = zone_parent;
+        self.server_home = server_home;
     }
 
     /// The home zone of `server` — [`Universe::zone_of`] of its name,
@@ -404,29 +409,36 @@ impl Universe {
         server_events.chain(zone_events)
     }
 
-    /// Whether the fraction of vulnerable (non-root) servers.
+    /// The fraction of non-root servers that are vulnerable (0 when
+    /// every server is a root).
     pub fn vulnerable_fraction(&self) -> f64 {
-        let eligible: Vec<&ServerEntry> = self.servers.iter().filter(|s| !s.is_root).collect();
-        if eligible.is_empty() {
+        let (eligible, vulnerable) = self
+            .servers
+            .iter()
+            .filter(|s| !s.is_root)
+            .fold((0usize, 0usize), |(n, v), s| {
+                (n + 1, v + usize::from(s.vulnerable))
+            });
+        if eligible == 0 {
             return 0.0;
         }
-        eligible.iter().filter(|s| s.vulnerable).count() as f64 / eligible.len() as f64
+        vulnerable as f64 / eligible as f64
     }
 }
 
-/// One incremental observation the incremental [`UniverseBuilder`]
-/// consumes. This is the core-layer event vocabulary of the streaming
-/// ingestion pipeline: sources (the synthetic generator, packet
-/// scenarios, wire probes, zone files via [`ZoneEvent`]) emit events,
-/// the builder interns zones and servers as they arrive, and the engine
-/// never needs the whole world materialized up front.
+/// One observation the [`UniverseBuilder`] consumes. This is the
+/// core-layer event vocabulary of the streaming ingestion pipeline:
+/// sources (the synthetic generator, packet scenarios, wire probes, zone
+/// files via [`ZoneEvent`]) emit events, the builder interns zones and
+/// servers as they arrive, and the engine never needs the whole world
+/// materialized up front.
 ///
-/// Events are order-insensitive: the builder merges NS-set fragments,
+/// Events are order-insensitive: the builder merges NS-set fragments and
 /// fixes up servers first seen as bare NS references once their facts
-/// arrive, and repoints parent/home-zone links when a deeper enclosing
-/// zone shows up late. Only *id assignment* depends on arrival order
-/// (first mention wins); [`UniverseBuilder::finish_canonical`] renumbers
-/// to an order-independent labeling when that matters.
+/// arrive, and the parent/home-zone links are derived from the final
+/// zone set when the feed ends. Only *id assignment* depends on arrival
+/// order (first mention wins); [`UniverseBuilder::finish_canonical`]
+/// renumbers to an order-independent labeling when that matters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UniverseEvent {
     /// A nameserver with its `version.bind` banner, to be assessed
@@ -526,53 +538,58 @@ pub fn registry_events(
     events
 }
 
-/// Incremental universe construction.
+/// Universe construction from an event feed.
 ///
-/// The builder is the single ingestion point of the streaming pipeline:
-/// it interns zones and servers in first-mention order (stable ids — an
-/// id never changes once assigned, merges never renumber) and maintains
-/// every derived link **as events arrive** rather than in a final pass:
+/// The builder is the single ingestion point of the streaming pipeline.
+/// While events arrive it only *interns*: zones and servers in
+/// first-mention order (stable ids — an id never changes once assigned,
+/// merges never renumber), NS-set fragments merged per origin, servers
+/// upgraded to root status by the root zone's NS set, and servers first
+/// seen as bare NS references kept as unknown-safe placeholders until
+/// their banner or facts arrive. No derived link is kept while the feed
+/// runs, because nothing can read one before it ends:
+/// [`UniverseBuilder::finish`] and [`UniverseBuilder::finish_canonical`]
+/// derive every zone's parent and every server's home zone once, from
+/// the final zone set.
 ///
-/// * parent/home-zone links: each insertion resolves its own links
-///   immediately, and a zone arriving *after* its descendants repoints
-///   exactly the affected subtree (found through a reversed-label suffix
-///   index, so the fixup never scans the whole universe);
-/// * deferred server facts: a server first seen as a bare NS reference
-///   is interned as an unknown-safe placeholder and fixed up in place
-///   when its banner or facts arrive later;
-/// * deferred glue: addresses observed before (or without) their
-///   server's own zone queue in a fixup buffer readable by
-///   address-aware consumers ([`UniverseBuilder::glue_of`]).
-///
-/// Peak memory is therefore bounded by the *universe* being built plus
-/// the builder's indexes — never by the feed, which can be arbitrarily
-/// long and arbitrarily reordered.
+/// Peak memory is therefore bounded by the *universe* being built —
+/// never by the feed, which can be arbitrarily long and arbitrarily
+/// reordered.
 #[derive(Debug, Default)]
 pub struct UniverseBuilder {
+    /// The universe under construction; its link tables stay empty
+    /// until finish.
     universe: Universe,
-    /// Reversed-label suffix keys of every zone origin / server name,
-    /// for subtree-scoped link fixups. Builder-only; dropped at finish.
-    zones_by_path: BTreeMap<Vec<u8>, u32>,
-    servers_by_path: BTreeMap<Vec<u8>, u32>,
     /// Per server: interned from a bare NS reference, facts pending.
     placeholder: Vec<bool>,
-    /// Glue addresses awaiting an address-aware consumer, keyed by host.
-    deferred_glue: BTreeMap<DnsName, Vec<Ipv4Addr>>,
 }
 
-/// The reversed-label key of `name` (labels from the TLD inward, each
-/// terminated by `0x00`), under which a subtree is a contiguous
-/// [`BTreeMap`] range. Names are already lowercased when interned, so
-/// byte comparison is case-correct; candidates from a range scan are
-/// re-verified with real ancestry checks, so label bytes that collide
-/// with the separator cannot corrupt links.
-fn suffix_key(name: &DnsName) -> Vec<u8> {
-    let mut key = Vec::with_capacity(name.wire_len());
-    for label in name.labels().iter().rev() {
-        key.extend_from_slice(label.as_bytes());
-        key.push(0);
+/// Builds the origin and host-name maps of two entry tables — the one
+/// derivation behind [`UniverseBuilder::finish_canonical`] and
+/// [`Universe::from_snapshot_parts`]. Fails on a duplicate name.
+fn name_maps(
+    zones: &[ZoneEntry],
+    servers: &[ServerEntry],
+) -> Result<(NameIdMap, NameIdMap), String> {
+    let mut zone_by_origin = NameIdMap::with_capacity(zones.len());
+    for i in 0..zones.len() as u32 {
+        if zone_by_origin
+            .insert(i, |j| zones[j as usize].origin.labels())
+            .is_some()
+        {
+            return Err("duplicate zone origins".to_string());
+        }
     }
-    key
+    let mut server_by_name = NameIdMap::with_capacity(servers.len());
+    for i in 0..servers.len() as u32 {
+        if server_by_name
+            .insert(i, |j| servers[j as usize].name.labels())
+            .is_some()
+        {
+            return Err("duplicate server names".to_string());
+        }
+    }
+    Ok((zone_by_origin, server_by_name))
 }
 
 impl UniverseBuilder {
@@ -586,17 +603,11 @@ impl UniverseBuilder {
         }
     }
 
-    /// Interns a new server (the caller has checked it is absent),
-    /// resolving its home zone against the zones seen so far. The name
-    /// map is keyed by the freshly pushed entry, so no name is cloned.
+    /// Interns a new server (the caller has checked it is absent and
+    /// lowercased its name). The name map is keyed by the freshly pushed
+    /// entry, so no name is cloned.
     fn intern_server(&mut self, entry: ServerEntry, placeholder: bool) -> ServerId {
         let id = ServerId(self.universe.servers.len() as u32);
-        let home = self
-            .universe
-            .zone_of(&entry.name)
-            .map(|z| z.0)
-            .unwrap_or(u32::MAX);
-        self.servers_by_path.insert(suffix_key(&entry.name), id.0);
         self.universe.servers.push(entry);
         let Universe {
             servers,
@@ -605,65 +616,8 @@ impl UniverseBuilder {
         } = &mut self.universe;
         let servers: &[ServerEntry] = servers;
         server_by_name.insert(id.0, |i| servers[i as usize].name.labels());
-        self.universe.server_home.push(home);
         self.placeholder.push(placeholder);
         id
-    }
-
-    /// Resolves the new zone's own parent link and repoints any
-    /// previously seen zone/server whose deepest enclosing zone this
-    /// insertion just became. Subtree candidates come from the suffix
-    /// indexes (a contiguous key range), and each is re-verified with a
-    /// real ancestry check before repointing.
-    fn link_new_zone(&mut self, id: ZoneId, origin: &DnsName) {
-        let labels = origin.labels();
-        let parent = {
-            let u = &self.universe;
-            (1..=labels.len())
-                .find_map(|skip| u.zone_by_origin.get(&labels[skip..], |i| u.zone_labels(i)))
-                .unwrap_or(u32::MAX)
-        };
-        debug_assert_eq!(self.universe.zone_parent.len(), id.index());
-        self.universe.zone_parent.push(parent);
-
-        let depth = labels.len();
-        let key = suffix_key(origin);
-        let deeper_than = |current: u32, universe: &Universe| {
-            current == u32::MAX || universe.zones[current as usize].origin.label_count() < depth
-        };
-        // Zones strictly below the new origin whose parent was shallower.
-        let descendants: Vec<u32> = self
-            .zones_by_path
-            .range::<[u8], _>((Excluded(&key[..]), Unbounded))
-            .take_while(|(k, _)| k.starts_with(&key))
-            .map(|(_, &z)| z)
-            .collect();
-        for z in descendants {
-            if deeper_than(self.universe.zone_parent[z as usize], &self.universe)
-                && self.universe.zones[z as usize]
-                    .origin
-                    .is_proper_subdomain_of(origin)
-            {
-                self.universe.zone_parent[z as usize] = id.0;
-            }
-        }
-        // Servers at or below the new origin whose home was shallower.
-        let tenants: Vec<u32> = self
-            .servers_by_path
-            .range::<[u8], _>((Included(&key[..]), Unbounded))
-            .take_while(|(k, _)| k.starts_with(&key))
-            .map(|(_, &s)| s)
-            .collect();
-        for s in tenants {
-            if deeper_than(self.universe.server_home[s as usize], &self.universe)
-                && self.universe.servers[s as usize]
-                    .name
-                    .is_subdomain_of(origin)
-            {
-                self.universe.server_home[s as usize] = id.0;
-            }
-        }
-        self.zones_by_path.insert(key, id.0);
     }
 
     /// Adds (or finds) a server, assessing its banner against `db`.
@@ -680,8 +634,7 @@ impl UniverseBuilder {
         db: &VulnDb,
         is_root: bool,
     ) -> ServerId {
-        let key = name.to_lowercase();
-        if let Some(id) = self.universe.server_id(&key) {
+        if let Some(id) = self.universe.server_id(name) {
             let entry = &mut self.universe.servers[id.index()];
             if self.placeholder[id.index()] {
                 let (vulnerable, scripted_exploit) = Self::assess(banner.as_deref(), db);
@@ -697,7 +650,7 @@ impl UniverseBuilder {
         let (vulnerable, scripted_exploit) = Self::assess(banner.as_deref(), db);
         self.intern_server(
             ServerEntry {
-                name: key,
+                name: name.to_lowercase(),
                 banner,
                 vulnerable,
                 scripted_exploit,
@@ -710,8 +663,7 @@ impl UniverseBuilder {
     /// Adds a server with explicit vulnerability facts (bypassing banner
     /// assessment) — used by tests and synthetic generators.
     pub fn raw_server(&mut self, name: &DnsName, vulnerable: bool, is_root: bool) -> ServerId {
-        let key = name.to_lowercase();
-        if let Some(id) = self.universe.server_id(&key) {
+        if let Some(id) = self.universe.server_id(name) {
             let entry = &mut self.universe.servers[id.index()];
             entry.vulnerable |= vulnerable;
             entry.scripted_exploit |= vulnerable;
@@ -721,7 +673,7 @@ impl UniverseBuilder {
         }
         self.intern_server(
             ServerEntry {
-                name: key,
+                name: name.to_lowercase(),
                 banner: None,
                 vulnerable,
                 scripted_exploit: vulnerable,
@@ -742,8 +694,7 @@ impl UniverseBuilder {
         scripted_exploit: bool,
         is_root: bool,
     ) -> ServerId {
-        let key = name.to_lowercase();
-        if let Some(id) = self.universe.server_id(&key) {
+        if let Some(id) = self.universe.server_id(name) {
             let entry = &mut self.universe.servers[id.index()];
             if self.placeholder[id.index()] {
                 entry.banner = banner;
@@ -756,7 +707,7 @@ impl UniverseBuilder {
         }
         self.intern_server(
             ServerEntry {
-                name: key,
+                name: name.to_lowercase(),
                 banner,
                 vulnerable,
                 scripted_exploit,
@@ -769,21 +720,19 @@ impl UniverseBuilder {
     /// Adds a zone with NS host names. Servers not yet seen are created
     /// as unknown-safe placeholders and fixed up when their facts arrive
     /// ([`UniverseBuilder::ensure_server`]); a duplicate origin merges
-    /// NS sets. Parent and home-zone links update incrementally, and the
-    /// **root** zone's NS set upgrades its servers to root status — so a
-    /// pure [`ZoneEvent`] feed (which has no server events) classifies
-    /// roots identically to [`Universe::from_registry`].
+    /// NS sets. The **root** zone's NS set upgrades its servers to root
+    /// status — so a pure [`ZoneEvent`] feed (which has no server events)
+    /// classifies roots identically to [`Universe::from_registry`].
     pub fn add_zone(&mut self, origin: &DnsName, ns_names: &[DnsName]) -> ZoneId {
         let at_root = origin.is_root();
         let ns: Vec<ServerId> = ns_names
             .iter()
             .map(|n| {
-                let lower = n.to_lowercase();
-                let id = match self.universe.server_id(&lower) {
+                let id = match self.universe.server_id(n) {
                     Some(id) => id,
                     None => self.intern_server(
                         ServerEntry {
-                            name: lower,
+                            name: n.to_lowercase(),
                             banner: None,
                             vulnerable: false,
                             scripted_exploit: false,
@@ -798,8 +747,7 @@ impl UniverseBuilder {
                 id
             })
             .collect();
-        let key = origin.to_lowercase();
-        if let Some(existing) = self.universe.zone_id(&key) {
+        if let Some(existing) = self.universe.zone_id(origin) {
             // Merge NS sets on duplicate insertion.
             let entry = &mut self.universe.zones[existing.index()];
             for id in ns {
@@ -811,7 +759,7 @@ impl UniverseBuilder {
         }
         let id = ZoneId(self.universe.zones.len() as u32);
         self.universe.zones.push(ZoneEntry {
-            origin: key.clone(),
+            origin: origin.to_lowercase(),
             ns,
         });
         let Universe {
@@ -821,7 +769,6 @@ impl UniverseBuilder {
         } = &mut self.universe;
         let zones: &[ZoneEntry] = zones;
         zone_by_origin.insert(id.0, |i| zones[i as usize].origin.labels());
-        self.link_new_zone(id, &key);
         id
     }
 
@@ -850,51 +797,25 @@ impl UniverseBuilder {
         }
     }
 
-    /// Applies one dns-layer event ([`ZoneEvent`]): cuts intern zones,
-    /// glue queues in the deferred-glue buffer (the universe models
-    /// structure, not addresses, but ingestion must not lose the
-    /// observation — address-aware consumers read it back through
-    /// [`UniverseBuilder::glue_of`]).
+    /// Applies one dns-layer event ([`ZoneEvent`]): a cut interns its
+    /// zone and NS servers, and glue is dropped — the universe models
+    /// delegation structure, not addresses, so a glue record interns no
+    /// zone and no server.
     pub fn apply_zone_event(&mut self, event: ZoneEvent) {
         match event {
             ZoneEvent::Cut { zone, ns } => {
                 self.add_zone(&zone, &ns);
             }
-            ZoneEvent::Glue { host, addr } => {
-                let queued = self.deferred_glue.entry(host.to_lowercase()).or_default();
-                if !queued.contains(&addr) {
-                    queued.push(addr);
-                }
-            }
+            ZoneEvent::Glue { .. } => {}
         }
     }
 
-    /// Addresses queued for `host` by [`ZoneEvent::Glue`] events, in
-    /// arrival order.
-    pub fn glue_of(&self, host: &DnsName) -> &[Ipv4Addr] {
-        self.deferred_glue
-            .get(&host.to_lowercase())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Number of hosts with queued glue.
-    pub fn deferred_glue_len(&self) -> usize {
-        self.deferred_glue.len()
-    }
-
-    /// Number of servers still awaiting facts (interned from bare NS
-    /// references, no banner or facts event seen yet).
-    pub fn pending_server_fixups(&self) -> usize {
-        self.placeholder.iter().filter(|&&p| p).count()
-    }
-
-    /// Finalizes the universe. Links are maintained incrementally, so
-    /// this only drops the builder's indexes and fixup queues.
+    /// Finalizes the universe with first-mention ids, deriving every
+    /// parent and home-zone link from the final zone set.
     pub fn finish(self) -> Universe {
-        debug_assert_eq!(self.universe.server_home.len(), self.universe.servers.len());
-        debug_assert_eq!(self.universe.zone_parent.len(), self.universe.zones.len());
-        self.universe
+        let mut universe = self.universe;
+        universe.derive_links();
+        universe
     }
 
     /// Finalizes into the **canonical** labeling: servers renumbered in
@@ -904,80 +825,39 @@ impl UniverseBuilder {
     /// streamed-vs-materialized equivalence tests pin. The default
     /// [`UniverseBuilder::finish`] keeps first-mention ids instead, so
     /// the classic generator path stays bit-compatible with its goldens.
+    ///
+    /// Entries are moved into their sorted places, and links are derived
+    /// only after sorting, so no link needs renumbering.
     pub fn finish_canonical(self) -> Universe {
-        let old = self.finish();
-        let mut server_order: Vec<u32> = (0..old.servers.len() as u32).collect();
-        server_order.sort_by(|&a, &b| {
-            old.servers[a as usize]
-                .name
-                .cmp(&old.servers[b as usize].name)
-        });
-        let mut new_server = vec![0u32; server_order.len()];
-        for (new, &oldid) in server_order.iter().enumerate() {
-            new_server[oldid as usize] = new as u32;
+        let Universe {
+            mut zones, servers, ..
+        } = self.universe;
+        let mut servers: Vec<(u32, ServerEntry)> = (0..).zip(servers).collect();
+        servers.sort_unstable_by(|a, b| a.1.name.cmp(&b.1.name));
+        let mut new_server = vec![0u32; servers.len()];
+        for (new, (old, _)) in servers.iter().enumerate() {
+            new_server[*old as usize] = new as u32;
         }
-        let mut zone_order: Vec<u32> = (0..old.zones.len() as u32).collect();
-        zone_order.sort_by(|&a, &b| {
-            old.zones[a as usize]
-                .origin
-                .cmp(&old.zones[b as usize].origin)
-        });
-        let mut new_zone = vec![0u32; zone_order.len()];
-        for (new, &oldid) in zone_order.iter().enumerate() {
-            new_zone[oldid as usize] = new as u32;
-        }
-        let remap_zone = |z: u32| {
-            if z == u32::MAX {
-                u32::MAX
-            } else {
-                new_zone[z as usize]
+        let servers: Vec<ServerEntry> = servers.into_iter().map(|(_, s)| s).collect();
+        for zone in &mut zones {
+            for s in &mut zone.ns {
+                *s = ServerId(new_server[s.index()]);
             }
-        };
-
-        let servers: Vec<ServerEntry> = server_order
-            .iter()
-            .map(|&oldid| old.servers[oldid as usize].clone())
-            .collect();
-        let server_home: Vec<u32> = server_order
-            .iter()
-            .map(|&oldid| remap_zone(old.server_home[oldid as usize]))
-            .collect();
-        let zones: Vec<ZoneEntry> = zone_order
-            .iter()
-            .map(|&oldid| {
-                let entry = &old.zones[oldid as usize];
-                let mut ns: Vec<ServerId> = entry
-                    .ns
-                    .iter()
-                    .map(|s| ServerId(new_server[s.index()]))
-                    .collect();
-                ns.sort_unstable();
-                ZoneEntry {
-                    origin: entry.origin.clone(),
-                    ns,
-                }
-            })
-            .collect();
-        let zone_parent: Vec<u32> = zone_order
-            .iter()
-            .map(|&oldid| remap_zone(old.zone_parent[oldid as usize]))
-            .collect();
-        let mut zone_by_origin = NameIdMap::with_capacity(zones.len());
-        for i in 0..zones.len() as u32 {
-            zone_by_origin.insert(i, |j| zones[j as usize].origin.labels());
+            zone.ns.sort_unstable();
         }
-        let mut server_by_name = NameIdMap::with_capacity(servers.len());
-        for i in 0..servers.len() as u32 {
-            server_by_name.insert(i, |j| servers[j as usize].name.labels());
-        }
-        Universe {
+        zones.sort_unstable_by(|a, b| a.origin.cmp(&b.origin));
+        let (zone_by_origin, server_by_name) =
+            name_maps(&zones, &servers).expect("the builder interns each name once");
+        let mut universe = Universe {
             zones,
             zone_by_origin,
             servers,
             server_by_name,
-            server_home,
-            zone_parent,
-        }
+            server_home: Vec::new(),
+            zone_parent: Vec::new(),
+        };
+        universe.derive_links();
+        universe
     }
 }
 
@@ -1080,49 +960,72 @@ mod tests {
 
     #[test]
     fn duplicate_zone_merges_ns() {
+        // Mentions differ in case only: one zone and one ns1, interned
+        // lowercase.
         let mut b = Universe::builder();
-        b.add_zone(&name("x.test"), &[name("ns1.x.test")]);
-        b.add_zone(&name("x.test"), &[name("ns1.x.test"), name("ns2.x.test")]);
+        b.add_zone(&name("x.test"), &[name("NS1.X.test")]);
+        b.add_zone(&name("X.Test"), &[name("ns1.x.test"), name("ns2.x.test")]);
         let u = b.finish();
         assert_eq!(u.zone_count(), 1);
+        assert_eq!(u.server_count(), 2);
         let z = u.zone(u.zone_id(&name("x.test")).unwrap());
+        assert_eq!(z.origin.to_string(), "x.test");
         assert_eq!(z.ns.len(), 2);
+        assert_eq!(u.server(z.ns[0]).name.to_string(), "ns1.x.test");
+    }
+
+    /// The deepest zone whose origin is one of `name`'s ancestors past the
+    /// first `skip`, found by comparing owned ancestor names against every
+    /// origin — no origin map, no precomputed link.
+    fn ancestor_walk(u: &Universe, name: &DnsName, skip: usize) -> Option<ZoneId> {
+        name.ancestors()
+            .skip(skip)
+            .find_map(|a| u.zone_ids().find(|&z| u.zone(z).origin == a))
     }
 
     #[test]
-    fn links_resolve_incrementally_under_any_insertion_order() {
+    fn links_match_an_ancestor_walk_under_any_insertion_order() {
         // Adversarial order: deep zones and servers first, ancestors
-        // later — every later insertion must repoint exactly the
-        // affected subtree.
-        let mut b = Universe::builder();
-        b.add_zone(&name("a.b.c.test"), &[name("ns.a.b.c.test")]);
-        b.raw_server(&name("ns.mid.c.test"), false, false);
-        b.add_zone(&name("test"), &[name("ns.test")]);
-        b.add_zone(&name("c.test"), &[name("ns.c.test")]);
-        b.add_zone(&name("b.c.test"), &[name("ns.b.c.test")]);
-        b.add_zone(&DnsName::root(), &[name("ns.test")]);
-        let u = b.finish();
-
-        let zid = |n: &str| u.zone_id(&name(n)).expect(n);
-        assert_eq!(u.parent_zone_of(zid("a.b.c.test")), Some(zid("b.c.test")));
-        assert_eq!(u.parent_zone_of(zid("b.c.test")), Some(zid("c.test")));
-        assert_eq!(u.parent_zone_of(zid("c.test")), Some(zid("test")));
-        assert_eq!(u.parent_zone_of(zid("test")), u.zone_id(&DnsName::root()));
-        assert_eq!(u.parent_zone_of(u.zone_id(&DnsName::root()).unwrap()), None);
-        // Home zones match a from-scratch resolution for every server.
-        for sid in u.server_ids() {
+        // later, so a link resolved at arrival would be stale at finish.
+        let feed = || {
+            let mut b = Universe::builder();
+            b.add_zone(&name("a.b.c.test"), &[name("ns.a.b.c.test")]);
+            b.raw_server(&name("ns.mid.c.test"), false, false);
+            b.add_zone(&name("test"), &[name("ns.test")]);
+            b.add_zone(&name("c.test"), &[name("ns.c.test")]);
+            b.add_zone(&name("b.c.test"), &[name("ns.b.c.test")]);
+            b.add_zone(&DnsName::root(), &[name("ns.test")]);
+            // No `example` zone: this parent link skips to the root.
+            b.add_zone(&name("x.example"), &[name("ns.x.example")]);
+            b
+        };
+        for u in [feed().finish(), feed().finish_canonical()] {
+            for zid in u.zone_ids() {
+                assert_eq!(
+                    u.parent_zone_of(zid),
+                    ancestor_walk(&u, &u.zone(zid).origin, 1),
+                    "parent of {}",
+                    u.zone(zid).origin
+                );
+            }
+            for sid in u.server_ids() {
+                assert_eq!(
+                    u.home_zone_of(sid),
+                    ancestor_walk(&u, &u.server(sid).name, 0),
+                    "home of {}",
+                    u.server(sid).name
+                );
+            }
+            let zid = |n: &str| u.zone_id(&name(n)).expect(n);
+            assert_eq!(u.parent_zone_of(zid("a.b.c.test")), Some(zid("b.c.test")));
+            assert_eq!(u.parent_zone_of(zid("test")), u.zone_id(&DnsName::root()));
+            assert_eq!(u.parent_zone_of(u.zone_id(&DnsName::root()).unwrap()), None);
             assert_eq!(
-                u.home_zone_of(sid),
-                u.zone_of(&u.server(sid).name),
-                "home of {}",
-                u.server(sid).name
+                u.home_zone_of(u.server_id(&name("ns.mid.c.test")).unwrap()),
+                Some(zid("c.test")),
+                "server seen before its home zone"
             );
         }
-        assert_eq!(
-            u.home_zone_of(u.server_id(&name("ns.mid.c.test")).unwrap()),
-            Some(zid("c.test")),
-            "server seen before its home zone is repointed"
-        );
     }
 
     #[test]
@@ -1131,10 +1034,8 @@ mod tests {
         // NS reference first: unknown-safe placeholder.
         let mut b = Universe::builder();
         b.add_zone(&name("x.test"), &[name("ns1.x.test")]);
-        assert_eq!(b.pending_server_fixups(), 1);
         // Facts arrive later and are applied as if they came first.
         b.ensure_server(&name("ns1.x.test"), Some("8.2.4".into()), &db, false);
-        assert_eq!(b.pending_server_fixups(), 0);
         let late = b.finish();
 
         let mut b = Universe::builder();
@@ -1155,16 +1056,17 @@ mod tests {
     }
 
     #[test]
-    fn zone_events_ingest_with_deferred_glue() {
+    fn zone_events_ingest_and_glue_interns_nothing() {
         use perils_dns::zone::ZoneEvent;
         let mut b = Universe::builder();
-        // Glue arrives before anything references the host: queued, not
-        // lost, and no phantom server or zone is interned.
-        b.apply_zone_event(ZoneEvent::Glue {
-            host: name("ns1.x.test"),
-            addr: "10.0.0.1".parse().unwrap(),
-        });
-        assert_eq!(b.deferred_glue_len(), 1);
+        // Glue before anything references its host, and glue for a host
+        // nothing ever references: neither interns a server or a zone.
+        for host in ["ns1.x.test", "stray.y.test"] {
+            b.apply_zone_event(ZoneEvent::Glue {
+                host: name(host),
+                addr: "10.0.0.1".parse().unwrap(),
+            });
+        }
         b.apply_zone_event(ZoneEvent::Cut {
             zone: name("x.test"),
             ns: vec![name("ns1.x.test")],
@@ -1173,13 +1075,10 @@ mod tests {
             zone: name("x.test"),
             ns: vec![name("ns2.x.test")],
         });
-        assert_eq!(
-            b.glue_of(&name("NS1.x.test")),
-            &["10.0.0.1".parse::<std::net::Ipv4Addr>().unwrap()]
-        );
         let u = b.finish();
         assert_eq!(u.zone_count(), 1, "glue interns no zone");
-        assert_eq!(u.server_count(), 2);
+        assert_eq!(u.server_count(), 2, "glue interns no server");
+        assert_eq!(u.server_id(&name("stray.y.test")), None);
         let z = u.zone(u.zone_id(&name("x.test")).unwrap());
         assert_eq!(z.ns.len(), 2, "NS fragments merge");
     }

@@ -96,9 +96,9 @@ pub enum ZoneLookup {
 /// structure one observation at a time. Events are designed to be
 /// order-insensitive under merging: NS sets may arrive fragmented across
 /// many [`ZoneEvent::Cut`]s for the same zone (consumers union them), and
-/// glue may precede or follow the cut that references it (consumers queue
-/// it). `perils_core`'s incremental universe builder is the canonical
-/// consumer.
+/// glue may precede or follow the cut that references it.
+/// `perils_core`'s universe builder is the canonical consumer; it models
+/// structure, not addresses, so it interns cuts and drops glue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ZoneEvent {
     /// `zone` is served by the `ns` hosts — an apex NS set or a

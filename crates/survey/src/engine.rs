@@ -75,8 +75,8 @@ fn survey_names_of(targets: Vec<DnsName>) -> impl Iterator<Item = SurveyName> + 
 /// A world as a stream: incremental [`UniverseEvent`]s first, surveyed
 /// names second. This is what every [`WorldSource`] produces and what
 /// the engine ingests — the universe is built event by event through
-/// `perils_core`'s incremental [`perils_core::UniverseBuilder`], so the
-/// event feed is never held in memory whole.
+/// `perils_core`'s [`perils_core::UniverseBuilder`], so the event feed
+/// is never held in memory whole.
 ///
 /// The two phases are ordered: drain [`WorldStream::events`] (or call
 /// [`WorldStream::build_universe`]) before pulling

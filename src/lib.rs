@@ -156,11 +156,13 @@
 //! Worlds enter the engine as **streams**, not materialized blobs: every
 //! [`survey::WorldSource`] emits a [`survey::WorldStream`] — incremental
 //! [`core::UniverseEvent`]s followed by the surveyed names — and
-//! `perils_core`'s incremental [`core::UniverseBuilder`] interns zones
-//! and servers as events arrive, resolving parent/home-zone links on the
-//! fly, fixing up servers first seen as bare NS references, and queueing
-//! glue that outruns its zone. Peak memory is set by the *universe*, not
-//! the feed, and real zone-file data plugs straight in through
+//! `perils_core`'s [`core::UniverseBuilder`] interns zones and servers
+//! as events arrive, merging NS-set fragments and fixing up servers
+//! first seen as bare NS references. Parent and home-zone links are
+//! derived once, from the final zone set, when the builder finishes;
+//! glue records carry addresses, which the universe does not model, so
+//! they intern nothing. Peak memory is set by the *universe*, not the
+//! feed, and real zone-file data plugs straight in through
 //! [`dns::master::ZoneFileEvents`]:
 //!
 //! ```
@@ -172,7 +174,8 @@
 //! // no registry, no SOA requirement — one event per NS/A record)...
 //! let file = "\
 //! $ORIGIN example.com.
-//! ns1  IN A 10.0.0.1      ; glue may precede its NS set: it queues
+//! ns1  IN A 10.0.0.1      ; glue: an address, not structure
+//! www  IN A 10.0.0.2      ; an address no NS record names
 //! @    IN NS ns1.example.com.
 //! @    IN NS ns2.example.com.
 //! sub  IN NS ns.sub.example.com.
@@ -181,9 +184,12 @@
 //! for event in ZoneFileEvents::new(file, &name(".")) {
 //!     builder.apply_zone_event(event.unwrap());
 //! }
-//! assert_eq!(builder.glue_of(&name("ns1.example.com")).len(), 1);
 //! let universe = builder.finish();
 //! assert_eq!(universe.zone_count(), 2); // example.com + sub.example.com
+//! // Glue interns no zone and no server: the servers are the three NS
+//! // targets, and www.example.com is not among them.
+//! assert_eq!(universe.server_count(), 3);
+//! assert_eq!(universe.server_id(&name("www.example.com")), None);
 //! ```
 //!
 //! ## Linting a universe: custom rules, evidence chains, SARIF
