@@ -72,21 +72,18 @@ use std::borrow::Cow;
 /// function of its **home zone** (the deepest zone enclosing its name):
 /// every ancestor zone of the server's name is an ancestor zone of that
 /// origin. The index therefore stores dependency rows once per *zone* and
-/// maps each server to its home zone, instead of duplicating rows per
-/// server: sibling nameservers (`ns1`/`ns2`/`ns3` of one domain)
-/// share one row, the edge array shrinks accordingly, and the SCC pass
-/// runs over the implicit per-server graph without materializing a
-/// per-server edge copy.
+/// reads each server's home zone off the universe
+/// ([`Universe::home_zone_of`]), instead of duplicating rows per server:
+/// sibling nameservers (`ns1`/`ns2`/`ns3` of one domain) share one row,
+/// the edge array shrinks accordingly, and the SCC pass runs over the
+/// implicit per-server graph without materializing a per-server edge
+/// copy. Chains are not stored either: a server's chain is its home zone
+/// and that zone's parent links ([`Universe::server_chain_up`]), which
+/// the memoization and the min-cut walk read off the universe.
 /// Every flat table is a [`U32View`] into the `DEPINDEX` section it was
 /// decoded from — a fresh build's heap store or a loaded archive's.
 #[derive(Debug, Clone)]
 pub struct DependencyIndex {
-    /// Per server: index of its home zone, or `u32::MAX` when no zone
-    /// encloses the server's name (its row is empty). Chains are not
-    /// stored: a server's chain is its home zone and that zone's parent
-    /// links ([`Universe::server_chain_up`]), which the memoization and
-    /// the min-cut walk read off the universe.
-    home_zone: U32View,
     /// CSR rows per zone: the servers an address resolution under this
     /// zone could involve — the NS sets of every chain zone, deduplicated
     /// in first-occurrence order. Targets are raw [`ServerId`] values.
@@ -148,7 +145,7 @@ impl From<CheckError> for String {
 /// pass, the condensation and the per-component memoization.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IndexBuildStats {
-    /// Phase 1a: dependency rows by recurrence over the zone tree.
+    /// Phase 1: dependency rows by recurrence over the zone tree.
     pub zone_rows: std::time::Duration,
     /// Phase 2: strongly connected components of the dependency graph.
     pub scc: std::time::Duration,
@@ -490,7 +487,6 @@ impl DependencyIndex {
     pub(crate) fn from_snapshot_parts(
         universe: &Universe,
         section: Section,
-        home_zone: U32View,
         zone_dep_offsets: U32View,
         zone_dep_targets: U32View,
         component_of: U32View,
@@ -513,22 +509,6 @@ impl DependencyIndex {
             })
             .map_err(String::from)
         };
-        if home_zone.len() != n {
-            return Err(format!(
-                "home_zone has {} entries for {n} servers",
-                home_zone.len()
-            ));
-        }
-        home_zone
-            .try_for_each(|z| {
-                if z != u32::MAX && z as usize >= zn {
-                    return Err(CheckError::Msg(format!(
-                        "home_zone references zone {z} of {zn}"
-                    )));
-                }
-                Ok(())
-            })
-            .map_err(String::from)?;
         let check_csr = |offsets: &U32View, targets: usize, what: &str| -> Result<(), String> {
             if offsets.len() != zn + 1 {
                 return Err(format!(
@@ -579,18 +559,6 @@ impl DependencyIndex {
         bounded(&component_of, components, &|bad| {
             format!("component_of references component {bad} of {components}")
         })?;
-        if server_sets.capacity() != n {
-            return Err(format!(
-                "server interner capacity {} for {n} servers",
-                server_sets.capacity()
-            ));
-        }
-        if zone_sets.capacity() != zn {
-            return Err(format!(
-                "zone interner capacity {} for {zn} zones",
-                zone_sets.capacity()
-            ));
-        }
         bounded(&component_servers, server_sets.len(), &|bad| {
             format!(
                 "component server set {bad} of {} interned",
@@ -601,7 +569,6 @@ impl DependencyIndex {
             format!("component zone set {bad} of {} interned", zone_sets.len())
         })?;
         Ok(DependencyIndex {
-            home_zone,
             zone_dep_offsets,
             zone_dep_targets,
             component_of,
@@ -616,8 +583,8 @@ impl DependencyIndex {
     /// Builds the index in one serial pass.
     ///
     /// Phase 1 derives per-**zone** dependency rows by a recurrence over
-    /// the zone tree (see `ZoneRows::build`) and maps every server to its
-    /// home zone. Phase 2 splits the implicit per-server dependency graph
+    /// the zone tree (see `ZoneRows::build`); a server's row is its home
+    /// zone's. Phase 2 splits the implicit per-server dependency graph
     /// into strongly connected components with Tarjan
     /// ([`perils_graph::scc::tarjan_scc_with`]), lists each component's
     /// successor components, and memoizes each component's reachable
@@ -641,29 +608,18 @@ impl DependencyIndex {
         let mut stats = IndexBuildStats::default();
         let t0 = std::time::Instant::now();
 
-        // Phase 1a: per-zone rows by recurrence over the zone tree
+        // Phase 1: per-zone rows by recurrence over the zone tree
         // (memcpy-bound; see `ZoneRows::build`).
         let zone_rows = ZoneRows::build(universe);
         stats.zone_rows = t0.elapsed();
-
-        // Phase 1b: home zone per server (precomputed by the universe
-        // builder; this is a plain copy).
-        let home_zone: Vec<u32> = (0..n)
-            .map(|i| {
-                universe
-                    .home_zone_of(ServerId(i as u32))
-                    .map(|z| z.0)
-                    .unwrap_or(u32::MAX)
-            })
-            .collect();
 
         // Phase 2: SCC over the implicit per-server graph (a server's
         // dependency row is its home zone's row — no per-server edge copy
         // is ever materialized), the condensation's edges, then
         // per-component memoization.
-        let dep_row = |s: usize| match home_zone[s] {
-            u32::MAX => &[],
-            z => zone_rows.row(z as usize),
+        let dep_row = |s: usize| match universe.home_zone_of(ServerId(s as u32)) {
+            None => &[],
+            Some(z) => zone_rows.row(z.index()),
         };
         let t1 = std::time::Instant::now();
         let scc = perils_graph::scc::tarjan_scc_with(
@@ -684,8 +640,6 @@ impl DependencyIndex {
         // `DEPINDEX` layout into a heap store — each dropped once written,
         // so no second full copy is alive — and read the store back.
         let mut bytes = Vec::new();
-        snapshot::put_u32_slice(&mut bytes, &home_zone);
-        drop(home_zone);
         snapshot::put_u32_slice(&mut bytes, &zone_rows.offsets);
         put_ids(&mut bytes, zone_rows.targets.iter().map(|s| s.0));
         drop(zone_rows);
@@ -709,19 +663,20 @@ impl DependencyIndex {
     }
 
     /// The servers that could be involved in resolving `server`'s address
-    /// (its home zone's dependency row; sibling servers share one row).
-    /// Yields ids in row order, decoded straight out of the index's byte
-    /// store.
+    /// (the dependency row of its home zone in `universe`, the universe
+    /// this index was built over; sibling servers share one row). Yields
+    /// ids in row order, decoded straight out of the index's byte store.
     pub fn deps_of(
         &self,
+        universe: &Universe,
         server: ServerId,
     ) -> impl ExactSizeIterator<Item = ServerId> + Clone + '_ {
-        let z = self.home_zone.get(server.index());
-        let row = if z == u32::MAX {
-            0..0
-        } else {
-            let offsets = &self.zone_dep_offsets;
-            offsets.get(z as usize) as usize..offsets.get(z as usize + 1) as usize
+        let row = match universe.home_zone_of(server) {
+            None => 0..0,
+            Some(z) => {
+                let offsets = &self.zone_dep_offsets;
+                offsets.get(z.index()) as usize..offsets.get(z.index() + 1) as usize
+            }
         };
         self.zone_dep_targets.iter_range(row).map(ServerId)
     }
@@ -1034,7 +989,10 @@ mod tests {
         // `DEPINDEX` bytes match, and so does everything read off them.
         assert_eq!(first, second);
         for sid in u.server_ids() {
-            assert!(first.deps_of(sid).eq(second.deps_of(sid)), "{sid:?}");
+            assert!(
+                first.deps_of(&u, sid).eq(second.deps_of(&u, sid)),
+                "{sid:?}"
+            );
         }
         assert_eq!(first.memo_stats(), second.memo_stats());
         let target = name("www.cs.cornell.edu");
@@ -1154,7 +1112,7 @@ mod tests {
         let u = figure1_universe();
         let index = DependencyIndex::build(&u);
         for sid in u.server_ids() {
-            let deps: Vec<ServerId> = index.deps_of(sid).collect();
+            let deps: Vec<ServerId> = index.deps_of(&u, sid).collect();
             let unique: BTreeSet<ServerId> = deps.iter().copied().collect();
             assert_eq!(unique.len(), deps.len(), "duplicate dep in row {sid:?}");
         }

@@ -220,43 +220,55 @@ impl GluelessEdges {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DepthIndex {
     depth: Vec<usize>,
-    component_of: Vec<usize>,
     /// Multi-member SCCs of the glueless graph — the mutual-secondary
     /// cycles — each member list ascending by server id.
     cycles: Vec<Vec<ServerId>>,
-    /// Per component: its index into `cycles` when it is one.
-    cycle_index: Vec<Option<u32>>,
-}
-
-/// The borrowed flat state a snapshot archive persists for a
-/// [`DepthIndex`].
-pub(crate) struct DepthIndexParts<'a> {
-    pub depth: &'a [usize],
-    pub component_of: &'a [usize],
-    pub cycles: &'a [Vec<ServerId>],
-    pub cycle_index: &'a [Option<u32>],
+    /// Per server: its index into `cycles`, or `u32::MAX` when it is on
+    /// none. Derived from `cycles`, never stored.
+    cycle_id: Vec<u32>,
 }
 
 impl DepthIndex {
-    /// Borrows the flat state a snapshot archive persists.
-    pub(crate) fn snapshot_parts(&self) -> DepthIndexParts<'_> {
-        DepthIndexParts {
-            depth: &self.depth,
-            component_of: &self.component_of,
-            cycles: &self.cycles,
-            cycle_index: &self.cycle_index,
+    /// Assembles the index from per-server depths and the cycle lists,
+    /// deriving each server's cycle id. Rejects a member id out of range
+    /// and a server listed in two cycles (Tarjan's components are
+    /// disjoint, so only a corrupt archive has one).
+    fn with_cycles(depth: Vec<usize>, cycles: Vec<Vec<ServerId>>) -> Result<DepthIndex, String> {
+        let n = depth.len();
+        let mut cycle_id = vec![u32::MAX; n];
+        for (i, cycle) in cycles.iter().enumerate() {
+            for member in cycle {
+                let slot = cycle_id
+                    .get_mut(member.index())
+                    .ok_or_else(|| format!("cycle references server {} of {n}", member.0))?;
+                if *slot != u32::MAX {
+                    return Err(format!(
+                        "server {} sits on cycles {} and {i}",
+                        member.0, *slot
+                    ));
+                }
+                *slot = i as u32;
+            }
         }
+        Ok(DepthIndex {
+            depth,
+            cycles,
+            cycle_id,
+        })
     }
 
-    /// Reassembles the index from archived flat state, validating the
-    /// cross-table ids so corrupt archives cannot cause out-of-bounds
-    /// lookups later.
+    /// Borrows the flat state a snapshot archive persists: the depths and
+    /// the cycle lists.
+    pub(crate) fn snapshot_parts(&self) -> (&[usize], &[Vec<ServerId>]) {
+        (&self.depth, &self.cycles)
+    }
+
+    /// Reassembles the index from archived flat state, validating every
+    /// id so corrupt archives cannot cause out-of-bounds lookups later.
     pub(crate) fn from_snapshot_parts(
         server_count: usize,
         depth: Vec<usize>,
-        component_of: Vec<usize>,
         cycles: Vec<Vec<ServerId>>,
-        cycle_index: Vec<Option<u32>>,
     ) -> Result<DepthIndex, String> {
         if depth.len() != server_count {
             return Err(format!(
@@ -264,40 +276,7 @@ impl DepthIndex {
                 depth.len()
             ));
         }
-        if component_of.len() != server_count {
-            return Err(format!(
-                "component_of has {} entries for {server_count} servers",
-                component_of.len()
-            ));
-        }
-        let components = cycle_index.len();
-        if let Some(&bad) = component_of.iter().find(|&&c| c >= components) {
-            return Err(format!(
-                "component_of references component {bad} of {components}"
-            ));
-        }
-        if let Some(bad) = cycle_index
-            .iter()
-            .flatten()
-            .find(|&&c| c as usize >= cycles.len())
-        {
-            return Err(format!(
-                "cycle_index references cycle {bad} of {}",
-                cycles.len()
-            ));
-        }
-        if let Some(bad) = cycles.iter().flatten().find(|s| s.index() >= server_count) {
-            return Err(format!(
-                "cycle references server {} of {server_count}",
-                bad.0
-            ));
-        }
-        Ok(DepthIndex {
-            depth,
-            component_of,
-            cycles,
-            cycle_index,
-        })
+        DepthIndex::with_cycles(depth, cycles)
     }
 
     /// Builds the index without materializing a server graph, in time
@@ -336,25 +315,19 @@ impl DepthIndex {
         // Record the multi-member components: those are the glueless
         // dependency cycles the lint engine reports as evidence.
         let mut cycles = Vec::new();
-        let mut cycle_index = vec![None; scc.count()];
-        for (c, members) in scc.components.iter().enumerate() {
+        for members in &scc.components {
             if members.len() >= 2 {
                 let mut cycle: Vec<ServerId> = members.iter().map(|&m| ServerId(m)).collect();
                 cycle.sort_unstable();
-                cycle_index[c] = Some(cycles.len() as u32);
                 cycles.push(cycle);
             }
         }
-        DepthIndex {
-            depth: scc
-                .component_of
-                .iter()
-                .map(|&c| component_depth[c])
-                .collect(),
-            component_of: scc.component_of,
-            cycles,
-            cycle_index,
-        }
+        let depth = scc
+            .component_of
+            .iter()
+            .map(|&c| component_depth[c])
+            .collect();
+        DepthIndex::with_cycles(depth, cycles).expect("Tarjan components are disjoint")
     }
 
     /// Glueless nesting depth of `server`'s own address resolution.
@@ -365,8 +338,10 @@ impl DepthIndex {
     /// The glueless dependency cycle `server` belongs to, when it sits on
     /// a multi-member SCC of the glueless graph (members ascending by id).
     pub fn cycle_of(&self, server: ServerId) -> Option<&[ServerId]> {
-        self.cycle_index[self.component_of[server.index()]]
-            .map(|i| self.cycles[i as usize].as_slice())
+        match self.cycle_id[server.index()] {
+            u32::MAX => None,
+            i => Some(&self.cycles[i as usize]),
+        }
     }
 
     /// Every glueless dependency cycle in the universe.
@@ -651,22 +626,11 @@ mod tests {
         for i in 0..n {
             members[scc.component_of[i]].push(ServerId(i as u32));
         }
-        let mut cycles = Vec::new();
-        let mut cycle_index = vec![None; scc.count()];
-        for (c, m) in members.into_iter().enumerate() {
-            if m.len() >= 2 {
-                cycle_index[c] = Some(cycles.len() as u32);
-                cycles.push(m);
-            }
-        }
-        DepthIndex {
-            depth: (0..n)
-                .map(|i| component_depth[scc.component_of[i]])
-                .collect(),
-            component_of: scc.component_of,
-            cycles,
-            cycle_index,
-        }
+        let cycles = members.into_iter().filter(|m| m.len() >= 2).collect();
+        let depth = (0..n)
+            .map(|i| component_depth[scc.component_of[i]])
+            .collect();
+        DepthIndex::with_cycles(depth, cycles).expect("components are disjoint")
     }
 
     /// A seeded random universe of 20–60 zones besides the root: nested

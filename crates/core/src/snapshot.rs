@@ -201,25 +201,24 @@ pub fn encode_dep_index(out: &mut Vec<u8>, index: &DependencyIndex) {
 /// This is how every index comes into memory: each flat table — CSR
 /// rows, SCC map, memo tables, both set arenas — stays a typed view into
 /// the section's byte store, and validation streams the words without
-/// materializing them.
+/// materializing them. The set arenas range over the universe's servers
+/// and zones, so their capacities come from `universe`, not the bytes.
 pub fn decode_dep_index(
     section: &Section,
     universe: &Universe,
 ) -> Result<DependencyIndex, SnapshotError> {
     let mut dec = StoreDec::new(section, "DEPINDEX");
-    let home_zone = dec.u32_arr()?;
     let zone_dep_offsets = dec.u32_arr()?;
     let zone_dep_targets = dec.u32_arr()?;
     let component_of = dec.u32_arr()?;
     let component_servers = dec.u32_arr()?;
     let component_zones = dec.u32_arr()?;
-    let server_sets = SetTable::decode_from(&mut dec)?;
-    let zone_sets = SetTable::decode_from(&mut dec)?;
+    let server_sets = SetTable::decode_from(&mut dec, universe.server_count())?;
+    let zone_sets = SetTable::decode_from(&mut dec, universe.zone_count())?;
     dec.finish()?;
     DependencyIndex::from_snapshot_parts(
         universe,
         section.clone(),
-        home_zone,
         zone_dep_offsets,
         zone_dep_targets,
         component_of,
@@ -235,19 +234,15 @@ pub fn decode_dep_index(
 /// payload.
 pub fn encode_lint(out: &mut Vec<u8>, lint: &LintIndex) {
     let (depths, zombies, zone_reachable, referenced) = lint.snapshot_parts();
-    let d = depths.snapshot_parts();
-    put_usize_slice(out, d.depth);
-    put_usize_slice(out, d.component_of);
+    let (depth, cycles) = depths.snapshot_parts();
+    put_usize_slice(out, depth);
     snapshot::put_u32(
         out,
-        u32::try_from(d.cycles.len()).expect("cycle count fits u32"),
+        u32::try_from(cycles.len()).expect("cycle count fits u32"),
     );
-    for cycle in d.cycles {
+    for cycle in cycles {
         put_ids(out, cycle.iter().map(|s| s.0));
     }
-    // Option<u32> with u32::MAX as the None sentinel (cycle indexes are
-    // bounded by the cycle count, far below MAX).
-    put_ids(out, d.cycle_index.iter().map(|c| c.unwrap_or(u32::MAX)));
     let (dead_server, zombie_zone) = zombies.snapshot_parts();
     snapshot::put_bool_slice(out, dead_server);
     snapshot::put_bool_slice(out, zombie_zone);
@@ -264,25 +259,13 @@ pub fn decode_lint(section: &Section, universe: &Universe) -> Result<LintIndex, 
     let payload = &payload[..];
     let mut dec = Dec::new_at(payload, "LINTIDX", section.base());
     let depth = take_usize_vec(&mut dec)?;
-    let component_of = take_usize_vec(&mut dec)?;
     let cycle_count = dec.u32()? as usize;
     let mut cycles = Vec::with_capacity(cycle_count.min(payload.len()));
     for _ in 0..cycle_count {
         cycles.push(dec.u32_vec()?.into_iter().map(ServerId).collect::<Vec<_>>());
     }
-    let cycle_index: Vec<Option<u32>> = dec
-        .u32_vec()?
-        .into_iter()
-        .map(|c| if c == u32::MAX { None } else { Some(c) })
-        .collect();
-    let depths = DepthIndex::from_snapshot_parts(
-        universe.server_count(),
-        depth,
-        component_of,
-        cycles,
-        cycle_index,
-    )
-    .map_err(|e| dec.malformed(e))?;
+    let depths = DepthIndex::from_snapshot_parts(universe.server_count(), depth, cycles)
+        .map_err(|e| dec.malformed(e))?;
     let dead_server = dec.bool_vec()?;
     let zombie_zone = dec.bool_vec()?;
     let zombies = ZombieIndex::from_snapshot_parts(universe, dead_server, zombie_zone)
@@ -401,7 +384,12 @@ mod tests {
         );
         // Accessors agree across representations.
         for sid in universe.server_ids() {
-            assert!(viewed.deps_of(sid).eq(index.deps_of(sid)), "{sid:?} deps");
+            assert!(
+                viewed
+                    .deps_of(&universe, sid)
+                    .eq(index.deps_of(&universe, sid)),
+                "{sid:?} deps"
+            );
         }
         let (mut ws_a, mut ws_b) = (viewed.workspace(), index.workspace());
         for target in ["ns1.example.com", "www.example.com", "nowhere.test"] {

@@ -150,8 +150,12 @@ impl Universe {
     /// Reassembles a universe from its [`Universe::snapshot_parts`]
     /// state, rebuilding the name→id lookup maps through the derivation
     /// [`UniverseBuilder::finish_canonical`] also uses. Validates every
-    /// cross-table id and rejects duplicate names, so a corrupt archive
-    /// yields an error instead of a structurally inconsistent universe.
+    /// cross-table id, that each zone parent is a proper ancestor of its
+    /// zone and each home zone encloses its server (label compares, no
+    /// lookups), and rejects duplicate names, so a corrupt archive yields
+    /// an error instead of a structurally inconsistent universe. The links
+    /// stay stored rather than re-derived: deriving them costs an ancestor
+    /// walk through the origin map per entry.
     pub(crate) fn from_snapshot_parts(
         zones: Vec<ZoneEntry>,
         servers: Vec<ServerEntry>,
@@ -194,14 +198,25 @@ impl Universe {
         {
             return Err(format!("zone_parent references zone {bad} of {zone_count}"));
         }
-        // A parent strictly encloses its child, so it has fewer labels:
-        // parent walks (`Universe::server_chain_up`) always terminate.
+        // A parent's origin is a proper suffix of its child's, so parent
+        // walks (`Universe::server_chain_up`) always terminate and stay on
+        // the child's ancestors; a home zone's origin encloses its
+        // server's name.
         for (z, &p) in zone_parent.iter().enumerate() {
             if p != u32::MAX
-                && zones[p as usize].origin.label_count() >= zones[z].origin.label_count()
+                && !zones[z]
+                    .origin
+                    .is_proper_subdomain_of(&zones[p as usize].origin)
             {
                 return Err(format!(
                     "zone_parent of zone {z} is zone {p}, not an ancestor"
+                ));
+            }
+        }
+        for (s, &h) in server_home.iter().enumerate() {
+            if h != u32::MAX && !servers[s].name.is_subdomain_of(&zones[h as usize].origin) {
+                return Err(format!(
+                    "server_home of server {s} is zone {h}, which does not enclose it"
                 ));
             }
         }
@@ -938,6 +953,48 @@ mod tests {
         )
         .expect_err("cycle rejected");
         assert!(err.contains("not an ancestor"), "{err}");
+
+        // Shorter than its child but not a suffix of it: example.com
+        // hung under org would pass a label-count check.
+        let mut b = Universe::builder();
+        b.raw_server(&name("ns1.example.com"), false, false);
+        b.add_zone(&name("com"), &[name("ns.tld.test")]);
+        b.add_zone(&name("org"), &[name("ns.tld.test")]);
+        b.add_zone(&name("example.com"), &[name("ns1.example.com")]);
+        let u = b.finish();
+        let (zones, servers, server_home, zone_parent) = u.snapshot_parts();
+        let org = u.zone_id(&name("org")).unwrap();
+        let mut forged = zone_parent.to_vec();
+        forged[u.zone_id(&name("example.com")).unwrap().index()] = org.0;
+        let err = Universe::from_snapshot_parts(
+            zones.to_vec(),
+            servers.to_vec(),
+            server_home.to_vec(),
+            forged,
+        )
+        .expect_err("cousin parent rejected");
+        assert!(err.contains("not an ancestor"), "{err}");
+
+        // A home zone must enclose its server's name.
+        let mut forged = server_home.to_vec();
+        forged[u.server_id(&name("ns1.example.com")).unwrap().index()] = org.0;
+        let err = Universe::from_snapshot_parts(
+            zones.to_vec(),
+            servers.to_vec(),
+            forged,
+            zone_parent.to_vec(),
+        )
+        .expect_err("foreign home rejected");
+        assert!(err.contains("does not enclose"), "{err}");
+
+        // The unforged parts still load.
+        Universe::from_snapshot_parts(
+            zones.to_vec(),
+            servers.to_vec(),
+            server_home.to_vec(),
+            zone_parent.to_vec(),
+        )
+        .expect("genuine links load");
     }
 
     #[test]

@@ -586,7 +586,7 @@ proptest! {
         });
         prop_assert!(parallel == serial && other == serial, "DEPINDEX bytes diverged");
         for sid in universe.server_ids() {
-            prop_assert!(serial.deps_of(sid).eq(parallel.deps_of(sid)), "deps of {:?}", sid);
+            prop_assert!(serial.deps_of(&universe, sid).eq(parallel.deps_of(&universe, sid)), "deps of {:?}", sid);
         }
         prop_assert_eq!(serial.component_count(), parallel.component_count());
         prop_assert_eq!(serial.memo_stats(), parallel.memo_stats());

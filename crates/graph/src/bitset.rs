@@ -199,9 +199,6 @@ pub struct BitSetInterner {
     by_hash: HashMap<u64, SetId>,
     /// Rare same-hash-different-content candidates, scanned linearly.
     overflow: Vec<(u64, SetId)>,
-    /// Total elements across interned sets, counting each set once
-    /// (dedup-aware size accounting for diagnostics).
-    stored_elements: usize,
 }
 
 impl BitSetInterner {
@@ -213,7 +210,6 @@ impl BitSetInterner {
             arena: Vec::new(),
             by_hash: HashMap::new(),
             overflow: Vec::new(),
-            stored_elements: 0,
         }
     }
 
@@ -230,11 +226,6 @@ impl BitSetInterner {
     /// True when no set has been interned.
     pub fn is_empty(&self) -> bool {
         self.sets.is_empty()
-    }
-
-    /// Total elements across distinct sets (each set counted once).
-    pub fn stored_elements(&self) -> usize {
-        self.stored_elements
     }
 
     /// Interns `ids`, which **must** be sorted ascending and
@@ -276,7 +267,6 @@ impl BitSetInterner {
                     SetId(u32::try_from(self.sets.len()).expect("interner set count fits u32"));
                 let packed = self.pack(ids);
                 self.sets.push(packed);
-                self.stored_elements += ids.len();
                 self.overflow.push((hash, id));
                 id
             }
@@ -286,7 +276,6 @@ impl BitSetInterner {
                 slot.insert(id);
                 let packed = self.pack(ids);
                 self.sets.push(packed);
-                self.stored_elements += ids.len();
                 id
             }
         }
@@ -361,14 +350,14 @@ impl BitSetInterner {
         }
     }
 
-    /// Appends this interner's exact internal layout — capacity, shared
-    /// sparse arena, and every set's representation (sparse range or
-    /// dense blocks) — as flat little-endian fields. Pair with
-    /// [`SetTable::decode_from`]; the table answers every query with the
-    /// same ids, elements and packing choices as this interner.
+    /// Appends this interner's exact internal layout — the shared sparse
+    /// arena and every set's representation (sparse range or dense
+    /// blocks) — as flat little-endian fields. The capacity is not
+    /// written: the reader knows its element universe. Pair with
+    /// [`SetTable::decode_from`] at the same capacity; the table answers
+    /// every query with the same ids, elements and packing choices as
+    /// this interner.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        snapshot::put_u64(out, self.capacity as u64);
-        snapshot::put_u64(out, self.stored_elements as u64);
         snapshot::put_u32_slice(out, &self.arena);
         snapshot::put_u32(
             out,
@@ -417,23 +406,18 @@ pub struct SetTable {
 }
 
 impl SetTable {
-    /// Reads a table from [`BitSetInterner::encode_into`] bytes.
+    /// Reads a table over `[0, capacity)` from
+    /// [`BitSetInterner::encode_into`] bytes written at that capacity.
     ///
-    /// Every structural claim is validated before use —
-    /// sparse ranges against the arena, element order/bounds against the
-    /// capacity, dense block counts and popcounts, and the stored-element
-    /// total — so a corrupt section yields a typed error, never a panic
-    /// or a silently wrong set.
-    pub fn decode_from(dec: &mut StoreDec) -> Result<SetTable, SnapshotError> {
-        let capacity = usize::try_from(dec.u64()?)
-            .map_err(|_| dec.malformed("interner capacity exceeds usize"))?;
-        let stored_elements = usize::try_from(dec.u64()?)
-            .map_err(|_| dec.malformed("interner stored_elements exceeds usize"))?;
+    /// Every structural claim is validated before use — sparse ranges
+    /// against the arena, element order/bounds against the capacity,
+    /// dense block counts and popcounts — so a corrupt section yields a
+    /// typed error, never a panic or a silently wrong set.
+    pub fn decode_from(dec: &mut StoreDec, capacity: usize) -> Result<SetTable, SnapshotError> {
         let arena = dec.u32_arr()?;
         let set_count = dec.u32()? as usize;
         let block_count = capacity.div_ceil(64);
         let mut sets = Vec::with_capacity(set_count.min(dec.remaining() as usize));
-        let mut element_total = 0usize;
         for i in 0..set_count {
             let set = match dec.u8()? {
                 0 => {
@@ -503,13 +487,7 @@ impl SetTable {
                     );
                 }
             };
-            element_total += set.len();
             sets.push(set);
-        }
-        if element_total != stored_elements {
-            return Err(dec.malformed(format!(
-                "stored_elements {stored_elements} disagrees with set contents {element_total}"
-            )));
         }
         Ok(SetTable {
             capacity,
@@ -626,7 +604,6 @@ mod tests {
         assert_eq!(a, b, "identical sets share one id");
         assert_ne!(a, c);
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.stored_elements(), 5);
         assert_eq!(pool.set_len(a), 3);
         let mut got = Vec::new();
         pool.for_each(a, |v| got.push(v));
@@ -678,7 +655,6 @@ mod tests {
         let b = pool.intern(&[]);
         assert_eq!(a, b);
         assert_eq!(pool.set_len(a), 0);
-        assert_eq!(pool.stored_elements(), 0);
     }
 
     /// The order check is a `debug_assert` (interning is a hot path), so
@@ -696,10 +672,10 @@ mod tests {
         BitSetInterner::new(10).intern(&[10]);
     }
 
-    fn decode(bytes: Vec<u8>) -> Result<SetTable, SnapshotError> {
+    fn decode(bytes: Vec<u8>, capacity: usize) -> Result<SetTable, SnapshotError> {
         let section = perils_util::snapshot::Section::from_vec(bytes);
         let mut dec = StoreDec::new(&section, "POOL");
-        let table = SetTable::decode_from(&mut dec)?;
+        let table = SetTable::decode_from(&mut dec, capacity)?;
         dec.finish()?;
         Ok(table)
     }
@@ -716,7 +692,7 @@ mod tests {
         ];
         let mut bytes = Vec::new();
         pool.encode_into(&mut bytes);
-        let table = decode(bytes).expect("table decodes");
+        let table = decode(bytes, pool.capacity()).expect("table decodes");
         assert_eq!(table.capacity(), pool.capacity());
         assert_eq!(table.len(), pool.len());
         assert!(
@@ -753,7 +729,7 @@ mod tests {
                 // (but different) table are both acceptable — in
                 // the full archive the section checksum rejects the
                 // latter.
-                if let Ok(table) = decode(bad) {
+                if let Ok(table) = decode(bad, pool.capacity()) {
                     let _ = table.len();
                 }
             }

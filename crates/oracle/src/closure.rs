@@ -28,7 +28,7 @@ pub fn closure_for_bfs(
     }
     while let Some(sid) = queue.pop() {
         zones.extend(universe.chain_zones(&universe.server(sid).name));
-        for dep in index.deps_of(sid) {
+        for dep in index.deps_of(universe, sid) {
             if servers.insert(dep) {
                 queue.push(dep);
             }

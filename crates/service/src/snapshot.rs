@@ -5,7 +5,9 @@
 //! `lint` hold too — built by [`WorldSpec::build`] with the figure sweep
 //! as its optional step, or opened by [`load_world_with`] — plus the
 //! sweep's JSON stamped with a monotonically increasing epoch; it derefs
-//! to its world. The [`SnapshotStore`]
+//! to its world. The epoch lives only in the snapshot: the archive holds
+//! the epoch-free sweep, so every generation of one world saves the same
+//! bytes. The [`SnapshotStore`]
 //! holds the current snapshot behind `RwLock<Arc<..>>`: readers clone
 //! the `Arc` (a refcount bump under a read lock held for nanoseconds)
 //! and keep answering from the old world while a reload builds and
@@ -75,8 +77,8 @@ pub struct WorldSnapshot {
     /// The world this generation serves; the snapshot derefs to it.
     pub world: World,
     /// The cached full-figure sweep as one JSON document, stamped with
-    /// this generation's epoch, or `None` when the daemon was started
-    /// with figures disabled.
+    /// this generation's epoch as its first member, or `None` when the
+    /// daemon was started with figures disabled.
     pub figures_json: Option<String>,
     /// Build cost and provenance.
     pub stats: SnapshotStats,
@@ -100,20 +102,17 @@ impl WorldSnapshot {
     pub fn build(spec: &WorldSpec, epoch: u64, threads: usize, figures: bool) -> WorldSnapshot {
         let start = Instant::now();
         let engine = Engine::with_extended_metrics().threads(NonZeroUsize::new(threads));
-        let render = |report: &SurveyReport| render_figures(report, epoch);
-        let sweep: FigureSweep<'_> = (&engine, &render);
+        let sweep: FigureSweep<'_> = (&engine, &render_figures);
         let world = spec.build(figures.then_some(sweep));
         WorldSnapshot::new(world, epoch, start.elapsed(), SnapshotSource::Built)
     }
 
     /// Wraps `world` as generation `epoch`, its archived figure JSON
-    /// re-stamped with `epoch`.
+    /// stamped with `epoch`.
     fn new(world: World, epoch: u64, build: Duration, source: SnapshotSource) -> WorldSnapshot {
         WorldSnapshot {
             epoch,
-            figures_json: world
-                .figures_json()
-                .map(|json| restamp_figures_epoch(&json, epoch)),
+            figures_json: world.figures_json().map(|json| stamp_epoch(&json, epoch)),
             world,
             stats: SnapshotStats { build, source },
             built: Instant::now(),
@@ -122,7 +121,7 @@ impl WorldSnapshot {
 
     /// Boots generation `epoch` from a `.psa` archive: one bulk read and
     /// per-section chunk decoding instead of a world rebuild. The cached
-    /// figure JSON is re-stamped with this generation's epoch; everything
+    /// figure JSON is stamped with this generation's epoch; everything
     /// else is byte-identical to the snapshot that was saved.
     ///
     /// `backend` picks the byte-store behind the big flat sections:
@@ -149,25 +148,23 @@ impl WorldSnapshot {
     }
 }
 
-/// Rewrites the leading `{"epoch":N,` stamp of a cached figure document
-/// (the exact prefix `render_figures` emits) to `epoch`. A document
-/// without that prefix is returned unchanged — better to serve figures
-/// with a stale stamp than to reject an otherwise valid archive.
-fn restamp_figures_epoch(json: &str, epoch: u64) -> String {
-    if let Some(rest) = json.strip_prefix("{\"epoch\":") {
-        if let Some(comma) = rest.find(',') {
-            if !rest[..comma].is_empty() && rest[..comma].bytes().all(|b| b.is_ascii_digit()) {
-                return format!("{{\"epoch\":{epoch},{}", &rest[comma + 1..]);
-            }
-        }
+/// Stamps an archived figure document (`{"figures":..}`, as
+/// [`render_figures`] writes it) with `epoch` as its first member:
+/// `{"epoch":N,"figures":..}`. A document that is not an object is
+/// served as stored — better to serve figures without a stamp than to
+/// reject an otherwise valid archive.
+fn stamp_epoch(json: &str, epoch: u64) -> String {
+    match json.strip_prefix('{') {
+        Some(members) => format!("{{\"epoch\":{epoch},{members}"),
+        None => json.to_string(),
     }
-    json.to_string()
 }
 
-/// Renders the extended figure registry into one JSON document:
-/// `{"epoch":N,"figures":[..],"skipped":[{"id","missing"}]}`. Missing
-/// columns are skips, not errors — mirroring the figures CLI.
-fn render_figures(report: &SurveyReport, epoch: u64) -> (String, usize) {
+/// Renders the extended figure registry into one epoch-free JSON
+/// document, `{"figures":[..],"skipped":[{"id","missing"}]}`, and its
+/// figure count. Missing columns are skips, not errors — mirroring the
+/// figures CLI.
+fn render_figures(report: &SurveyReport) -> (String, usize) {
     let registry = FigureRegistry::extended();
     let outcomes = registry.build_all(report);
     let mut figures = String::new();
@@ -210,7 +207,7 @@ fn render_figures(report: &SurveyReport, epoch: u64) -> (String, usize) {
         }
     }
     (
-        format!("{{\"epoch\":{epoch},\"figures\":[{figures}],\"skipped\":[{skipped}]}}"),
+        format!("{{\"figures\":[{figures}],\"skipped\":[{skipped}]}}"),
         rendered,
     )
 }
@@ -330,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn archive_round_trip_is_identical_with_restamped_epoch() {
+    fn archive_round_trip_is_identical_and_stamps_the_loaded_epoch() {
         let built = WorldSnapshot::build(&tiny_spec(), 1, 2, true);
         let path = temp_psa("roundtrip");
         let bytes = built.save(&path).expect("saves");
@@ -366,11 +363,38 @@ mod tests {
         assert_eq!(loaded.top500, built.top500);
         assert_eq!(loaded.figures_rendered, built.figures_rendered);
         assert_eq!(loaded.stats.source.kind(), "loaded");
-        // The figure document is byte-identical except the epoch stamp.
+        // Both serve the archived epoch-free document, each stamped with
+        // its own epoch.
+        let archived = built.world.figures_json().expect("archived figures");
+        assert_eq!(loaded.world.figures_json().as_deref(), Some(&*archived));
+        assert!(archived.starts_with("{\"figures\":["), "{archived}");
         let built_json = built.figures_json.as_deref().expect("built figures");
         let loaded_json = loaded.figures_json.as_deref().expect("loaded figures");
-        assert_eq!(loaded_json, restamp_figures_epoch(built_json, 5));
-        assert_eq!(restamp_figures_epoch(loaded_json, 1), built_json);
+        assert_eq!(built_json, format!("{{\"epoch\":1,{}", &archived[1..]));
+        assert_eq!(loaded_json, format!("{{\"epoch\":5,{}", &archived[1..]));
+    }
+
+    #[test]
+    fn every_epoch_of_one_spec_saves_the_same_archive() {
+        let first = WorldSnapshot::build(&tiny_spec(), 1, 1, true);
+        let seventh = WorldSnapshot::build(&tiny_spec(), 7, 1, true);
+        let (a, b) = (temp_psa("epoch1"), temp_psa("epoch7"));
+        first.save(&a).expect("saves");
+        seventh.save(&b).expect("saves");
+        let (bytes_a, bytes_b) = (std::fs::read(&a).ok(), std::fs::read(&b).ok());
+        std::fs::remove_file(&a).ok();
+        std::fs::remove_file(&b).ok();
+        assert!(
+            bytes_a.is_some() && bytes_a == bytes_b,
+            "archives differ by epoch"
+        );
+        // `/figures` still reports each generation's epoch.
+        for (snap, epoch) in [(&first, 1), (&seventh, 7)] {
+            let response = crate::query::figures_response(snap);
+            assert_eq!(response.status, 200);
+            let value = perils_util::json::parse(&response.body).expect("figures JSON parses");
+            assert_eq!(value.get("epoch").and_then(|v| v.as_u64()), Some(epoch));
+        }
     }
 
     #[test]
@@ -384,12 +408,12 @@ mod tests {
     }
 
     #[test]
-    fn restamp_rewrites_only_the_epoch_prefix() {
+    fn stamp_epoch_leads_the_document_with_the_epoch() {
         assert_eq!(
-            restamp_figures_epoch("{\"epoch\":12,\"figures\":[]}", 3),
-            "{\"epoch\":3,\"figures\":[]}"
+            stamp_epoch("{\"figures\":[],\"skipped\":[]}", 3),
+            "{\"epoch\":3,\"figures\":[],\"skipped\":[]}"
         );
-        let unstamped = "{\"figures\":[]}";
-        assert_eq!(restamp_figures_epoch(unstamped, 3), unstamped);
+        let not_an_object = "[]";
+        assert_eq!(stamp_epoch(not_an_object, 3), not_an_object);
     }
 }

@@ -272,19 +272,7 @@ fn main() {
         None => registry.build_all(&report),
         Some(only) => only
             .iter()
-            .map(|id| match registry.build(id, &report) {
-                Ok(rendered) => FigureOutcome::Rendered(rendered),
-                Err(perils_survey::render::FigureError::MissingColumns { figure, missing }) => {
-                    FigureOutcome::Skipped {
-                        id: figure,
-                        missing,
-                    }
-                }
-                Err(error) => FigureOutcome::Failed {
-                    id: id.clone(),
-                    error,
-                },
-            })
+            .map(|id| registry.outcome(id, &report))
             .collect(),
     };
 

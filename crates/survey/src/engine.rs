@@ -66,9 +66,8 @@ impl AnalysisWorld {
 /// Plain target names as [`SurveyName`]s (rank = survey order).
 fn survey_names_of(targets: Vec<DnsName>) -> impl Iterator<Item = SurveyName> + Send {
     targets.into_iter().enumerate().map(|(i, name)| SurveyName {
-        tld: name.tld().unwrap_or_else(DnsName::root),
-        popularity_rank: i,
         name,
+        popularity_rank: i,
     })
 }
 

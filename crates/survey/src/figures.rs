@@ -126,7 +126,7 @@ fn tld_means(
     use std::collections::BTreeMap;
     let mut sums: BTreeMap<String, (usize, u64)> = BTreeMap::new();
     for (i, survey_name) in report.world.names.iter().enumerate() {
-        let tld = survey_name.tld.to_string();
+        let tld = survey_name.tld().to_string();
         if keep(&tld) {
             let entry = sums.entry(tld).or_insert((0, 0));
             entry.0 += 1;
@@ -600,7 +600,7 @@ impl Headline {
             .world
             .names
             .iter()
-            .map(|n| n.tld.to_string())
+            .map(|n| n.tld().to_string())
             .collect();
         let vulnerable_servers = universe
             .server_ids()

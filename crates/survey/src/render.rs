@@ -617,10 +617,7 @@ impl FigureRegistry {
 
     /// Builds one figure by id, checking its required columns first.
     pub fn build(&self, id: &str, report: &SurveyReport) -> Result<RenderedFigure, FigureError> {
-        let figure = self.get(id).ok_or_else(|| FigureError::UnknownFigure {
-            figure: id.to_string(),
-            known: self.ids().iter().map(|s| s.to_string()).collect(),
-        })?;
+        let figure = self.get(id).ok_or_else(|| self.unknown(id))?;
         let missing = FigureRegistry::missing_columns(figure, report);
         if !missing.is_empty() {
             return Err(FigureError::MissingColumns {
@@ -629,6 +626,26 @@ impl FigureRegistry {
             });
         }
         figure.build(report)
+    }
+
+    /// Builds one figure by id as an outcome, like one entry of
+    /// [`FigureRegistry::build_all`]: missing columns are a skip, and a
+    /// failed build or an unknown id is a failure.
+    pub fn outcome(&self, id: &str, report: &SurveyReport) -> FigureOutcome {
+        match self.get(id) {
+            Some(figure) => FigureRegistry::outcome_of(figure, report),
+            None => FigureOutcome::Failed {
+                id: id.to_string(),
+                error: self.unknown(id),
+            },
+        }
+    }
+
+    fn unknown(&self, id: &str) -> FigureError {
+        FigureError::UnknownFigure {
+            figure: id.to_string(),
+            known: self.ids().iter().map(|s| s.to_string()).collect(),
+        }
     }
 
     fn outcome_of(figure: &dyn Figure, report: &SurveyReport) -> FigureOutcome {
@@ -729,6 +746,15 @@ mod tests {
         assert!(matches!(
             registry.build("ghost", &report),
             Err(FigureError::MissingColumns { .. })
+        ));
+        // By-id outcomes map the same way `build_all` does.
+        assert!(matches!(
+            registry.outcome("ghost", &report),
+            FigureOutcome::Skipped { id, .. } if id == "ghost"
+        ));
+        assert!(matches!(
+            registry.outcome("nope", &report),
+            FigureOutcome::Failed { id, error: FigureError::UnknownFigure { .. } } if id == "nope"
         ));
     }
 

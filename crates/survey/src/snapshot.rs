@@ -14,18 +14,21 @@
 //!
 //! Layout (all sections little-endian, checksummed by the container):
 //!
-//! | tag        | contents                                             |
-//! |------------|------------------------------------------------------|
-//! | `WORLDHDR` | dimensions + figure count, cross-checked on load     |
-//! | `UNIVERSE` | zones, servers, ancestor tables                      |
-//! | `DEPINDEX` | home zones, dependency rows, SCC map, interner arenas|
-//! | `LINTIDX`  | depth/cycle index, liveness, reachability, referenced|
-//! | `SURVNAME` | surveyed names, ranks, top-500 indices               |
-//! | `FIGURES`  | rendered figure JSON (optional, stored verbatim)     |
+//! | tag        | contents                                                |
+//! |------------|---------------------------------------------------------|
+//! | `UNIVERSE` | zones, servers, zone-parent and server-home links       |
+//! | `DEPINDEX` | per-zone dependency rows, SCC map, memo sets, arenas    |
+//! | `LINTIDX`  | glueless depths and cycles, liveness, reachability      |
+//! | `SURVNAME` | name count, then name + rank records, top-500 indices   |
+//! | `FIGURES`  | figure count, then the epoch-free figure JSON (optional)|
 //!
-//! Loading validates each section against the universe's dimensions (see
-//! [`perils_core::snapshot`]) and cross-checks the header, so corrupt or
-//! mismatched archives produce a typed [`SnapshotError`], never a panic.
+//! Each fact is stored once: the dimensions live in `UNIVERSE`, a name's
+//! TLD is its last label, a server's home zone is the universe's link,
+//! set capacities are the universe's dimensions, and nothing records when
+//! the archive was written — so the bytes are a pure function of the
+//! world. Loading validates each section against the universe (see
+//! [`perils_core::snapshot`]), so corrupt or mismatched archives produce
+//! a typed [`SnapshotError`], never a panic.
 
 use crate::topology::SurveyName;
 use perils_core::snapshot::{
@@ -41,11 +44,9 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Section tag for the world header (dimension cross-checks).
-pub const SECTION_HEADER: [u8; 8] = *b"WORLDHDR";
 /// Section tag for the surveyed-name list.
 pub const SECTION_NAMES: [u8; 8] = *b"SURVNAME";
-/// Section tag for the rendered figure JSON (optional).
+/// Section tag for the figure count and rendered figure JSON (optional).
 pub const SECTION_FIGURES: [u8; 8] = *b"FIGURES\0";
 
 /// Default page size for [`SnapshotBackend::paged`]: one typical OS page
@@ -88,11 +89,11 @@ impl SnapshotBackend {
     }
 }
 
-/// Upper bound on one encoded `SURVNAME` record: two names (a name's
-/// encoding — count byte plus per-label length and content bytes — is
-/// exactly its wire length, capped at
-/// [`perils_dns::name::MAX_NAME_LEN`]) plus the `u32` rank.
-const MAX_NAME_RECORD_BYTES: usize = 2 * perils_dns::name::MAX_NAME_LEN + 4;
+/// Upper bound on one encoded `SURVNAME` record: a name (its encoding —
+/// count byte plus per-label length and content bytes — is exactly its
+/// wire length, capped at [`perils_dns::name::MAX_NAME_LEN`]) plus the
+/// `u32` rank.
+const MAX_NAME_RECORD_BYTES: usize = perils_dns::name::MAX_NAME_LEN + 4;
 
 /// The surveyed-name list of a world: record boundaries into the
 /// `SURVNAME` section of its archive, established by a full validation
@@ -111,11 +112,10 @@ pub struct NameTable {
     bounds: Arc<Vec<u32>>,
 }
 
-/// Decodes one name/tld/rank record (see [`write_world`]).
+/// Decodes one name/rank record (see [`write_world`]).
 fn decode_record(dec: &mut Dec<'_>) -> Result<SurveyName, SnapshotError> {
     Ok(SurveyName {
         name: decode_name(dec)?,
-        tld: decode_name(dec)?,
         popularity_rank: dec.u32()? as usize,
     })
 }
@@ -227,17 +227,21 @@ pub struct World {
     /// backend kind (`"heap"`/`"paged"`), size, resident bytes and
     /// page-cache counters for metrics.
     pub store: Arc<ByteStore>,
-    /// The `FIGURES` section, checked to be UTF-8 at load.
+    /// The `FIGURES` section, its JSON checked to be UTF-8 at load.
     figures: Option<Section>,
 }
+
+/// Bytes of the figure count that leads the `FIGURES` payload.
+const FIGURE_COUNT_BYTES: usize = 4;
 
 impl World {
     /// The rendered figure JSON stored at save time, verbatim.
     pub fn figures_json(&self) -> Option<String> {
         self.figures.as_ref().map(|section| {
-            let bytes = section
+            let mut bytes = section
                 .to_vec()
                 .expect("FIGURES validated at load no longer reads (file changed on disk?)");
+            bytes.drain(..FIGURE_COUNT_BYTES);
             String::from_utf8(bytes).expect("FIGURES validated as UTF-8 at load")
         })
     }
@@ -245,9 +249,10 @@ impl World {
     /// Writes this world as a `.psa` archive; returns the bytes written.
     /// A world is its archive, so this writes the store's bytes as they
     /// are: a built world's are what [`world_archive_bytes`] encodes, and
-    /// a loaded world's are the file it was opened from (a daemon's
-    /// figure JSON keeps the epoch stamp it was saved with; the daemon
-    /// re-stamps it on every load).
+    /// a loaded world's are the file it was opened from. No epoch or
+    /// other save-time fact is stored (a daemon stamps its epoch onto
+    /// the figure JSON when it serves it), so every save of one world
+    /// writes the same bytes.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
         let bytes = self.store.read_range(0..self.store.len(), "archive")?;
         std::fs::write(path, &bytes)?;
@@ -269,14 +274,7 @@ pub(crate) fn write_world<L: Borrow<LintIndex>>(
 ) -> Vec<u8> {
     let count =
         |n: usize, what: &str| u32::try_from(n).unwrap_or_else(|_| panic!("{what} count fits u32"));
-    let mut archive = ArchiveWriter::new(5 + usize::from(figures.is_some()));
-    archive.section(SECTION_HEADER, |out| {
-        snapshot::put_u32(out, count(universe.zone_count(), "zone"));
-        snapshot::put_u32(out, count(universe.server_count(), "server"));
-        snapshot::put_u32(out, count(names.len(), "name"));
-        snapshot::put_u32(out, count(figures.map_or(0, |(_, n)| n), "figure"));
-        snapshot::put_u8(out, u8::from(figures.is_some()));
-    });
+    let mut archive = ArchiveWriter::new(4 + usize::from(figures.is_some()));
     archive.section(SECTION_UNIVERSE, |out| encode_universe(out, universe));
     archive.section(SECTION_DEP_INDEX, |out| {
         encode_dep_index(out, index.borrow())
@@ -290,7 +288,6 @@ pub(crate) fn write_world<L: Borrow<LintIndex>>(
         snapshot::put_u32(out, count(names.len(), "name"));
         for entry in names {
             encode_name(out, &entry.name);
-            encode_name(out, &entry.tld);
             snapshot::put_u32(
                 out,
                 u32::try_from(entry.popularity_rank).expect("rank fits u32"),
@@ -306,8 +303,9 @@ pub(crate) fn write_world<L: Borrow<LintIndex>>(
             "SURVNAME section exceeds the 4 GiB record-offset range"
         );
     });
-    if let Some((json, _)) = figures {
+    if let Some((json, rendered)) = figures {
         archive.section(SECTION_FIGURES, |out| {
+            snapshot::put_u32(out, count(rendered, "figure"));
             out.extend_from_slice(json.as_bytes())
         });
     }
@@ -365,42 +363,23 @@ pub fn load_world_with(
 }
 
 fn load_world_archive(archive: &Archive) -> Result<World, SnapshotError> {
-    let header_sec = archive.section(SECTION_HEADER)?;
-    let header_bytes = header_sec.bytes()?;
-    let mut header = Dec::new_at(&header_bytes, "WORLDHDR", header_sec.base());
-    let zone_count = header.u32()? as usize;
-    let server_count = header.u32()? as usize;
-    let name_count = header.u32()? as usize;
-    let figures_rendered = header.u32()? as usize;
-    let has_figures = match header.u8()? {
-        0 => false,
-        1 => true,
-        other => return Err(header.malformed(format!("figure flag {other} is not 0/1"))),
-    };
-    header.finish()?;
-
     let universe = decode_universe(&archive.section(SECTION_UNIVERSE)?)?;
-    if universe.zone_count() != zone_count || universe.server_count() != server_count {
-        return Err(Dec::new(&[], "WORLDHDR").malformed(format!(
-            "header declares {zone_count} zones / {server_count} servers, universe holds {} / {}",
-            universe.zone_count(),
-            universe.server_count()
-        )));
-    }
     let index = decode_dep_index(&archive.section(SECTION_DEP_INDEX)?, &universe)?;
     let lint = decode_lint(&archive.section(SECTION_LINT)?, &universe)?;
-
-    let (names, top500) = decode_names(&archive.section(SECTION_NAMES)?, name_count)?;
+    let (names, top500) = decode_names(&archive.section(SECTION_NAMES)?)?;
 
     let figures = archive.optional_section(SECTION_FIGURES);
-    if let Some(section) = &figures {
-        std::str::from_utf8(&section.bytes()?)
-            .map_err(|e| Dec::new(&[], "FIGURES").malformed(format!("not UTF-8: {e}")))?;
-    }
-    if figures.is_some() != has_figures {
-        return Err(Dec::new(&[], "WORLDHDR")
-            .malformed("figure flag disagrees with FIGURES section presence".to_string()));
-    }
+    let figures_rendered = match &figures {
+        Some(section) => {
+            let bytes = section.bytes()?;
+            let mut dec = Dec::new_at(&bytes, "FIGURES", section.base());
+            let rendered = dec.u32()? as usize;
+            std::str::from_utf8(dec.raw(dec.remaining())?)
+                .map_err(|e| dec.malformed(format!("not UTF-8: {e}")))?;
+            rendered
+        }
+        None => 0,
+    };
 
     Ok(World {
         universe,
@@ -421,19 +400,11 @@ fn load_world_archive(archive: &Archive) -> Result<World, SnapshotError> {
 /// record boundaries are kept, so names decode lazily from the store.
 /// Boundaries are `u32`, so a section past 4 GiB is rejected (no real
 /// archive is close; [`world_archive_bytes`] never writes one).
-fn decode_names(
-    section: &Section,
-    name_count: usize,
-) -> Result<(NameTable, Vec<usize>), SnapshotError> {
+fn decode_names(section: &Section) -> Result<(NameTable, Vec<usize>), SnapshotError> {
     let payload = section.bytes()?;
     let payload = &payload[..];
     let mut dec = Dec::new_at(payload, "SURVNAME", section.base());
     let count = dec.u32()? as usize;
-    if count != name_count {
-        return Err(dec.malformed(format!(
-            "header declares {name_count} names, section holds {count}"
-        )));
-    }
     if payload.len() > u32::MAX as usize {
         return Err(dec.malformed(format!(
             "section of {} bytes exceeds the 4 GiB record-offset range",
@@ -443,7 +414,6 @@ fn decode_names(
     let mut bounds = Vec::with_capacity(count.min(dec.remaining()) + 1);
     for _ in 0..count {
         bounds.push((payload.len() - dec.remaining()) as u32);
-        validate_name(&mut dec)?;
         validate_name(&mut dec)?;
         dec.u32()?;
     }

@@ -59,10 +59,16 @@ pub(crate) const CRAWL_HOSTS: [&str; 10] = [
 pub struct SurveyName {
     /// The web-server name (e.g. `www.site123.com`).
     pub name: DnsName,
-    /// Its TLD label.
-    pub tld: DnsName,
     /// Popularity rank of its domain (0 = most popular).
     pub popularity_rank: usize,
+}
+
+impl SurveyName {
+    /// The name's TLD: its last label as a one-label name (the root for
+    /// the root name).
+    pub fn tld(&self) -> DnsName {
+        self.name.tld().unwrap_or_else(DnsName::root)
+    }
 }
 
 /// A zone in the world plan.
@@ -317,8 +323,8 @@ impl<'p> Generator<'p> {
         self.build_providers();
         self.build_universities();
         self.wire_cctld_slaves(&cctld_labels);
-        let (domain_zones, domain_tlds) = self.build_domains(&cctld_labels);
-        let names = self.crawl_names(&domain_zones, &domain_tlds);
+        let domain_zones = self.build_domains(&cctld_labels);
+        let names = self.crawl_names(&domain_zones);
         self.decay_delegations(domain_zones.len());
 
         // Top-500 by popularity rank.
@@ -674,8 +680,8 @@ impl<'p> Generator<'p> {
     }
 
     /// Second-level domains with their hosting styles. Returns the zone
-    /// origins and TLD of each domain.
-    fn build_domains(&mut self, cctld_labels: &[String]) -> (Vec<DnsName>, Vec<DnsName>) {
+    /// origin of each domain.
+    fn build_domains(&mut self, cctld_labels: &[String]) -> Vec<DnsName> {
         // TLD mix: com-heavy, as in the DMOZ/Yahoo crawl.
         let gtld_weights: Vec<(DnsName, f64)> = vec![
             (name("com"), 0.46),
@@ -733,7 +739,6 @@ impl<'p> Generator<'p> {
         let mut provider_pick = ZipfTable::new(self.params.providers, self.params.provider_zipf);
 
         let mut domain_zones = Vec::with_capacity(self.params.domains);
-        let mut domain_tlds = Vec::with_capacity(self.params.domains);
         for j in 0..self.params.domains {
             let tld_idx = tld_table.sample(&mut self.rng);
             let tld = tld_names[tld_idx].clone();
@@ -850,9 +855,8 @@ impl<'p> Generator<'p> {
             hosts.push(origin.prepend("www").expect("short label"));
             self.add_zone(origin.clone(), ns, hosts);
             domain_zones.push(origin);
-            domain_tlds.push(tld);
         }
-        (domain_zones, domain_tlds)
+        domain_zones
     }
 
     /// Applies the stale-delegation knob
@@ -903,11 +907,7 @@ impl<'p> Generator<'p> {
     /// bit per `(rank, slot)` is the whole dedup set and only an accepted
     /// name is ever built. Every attempt still draws its rank and start
     /// slot, so the RNG stream does not depend on which slots are taken.
-    fn crawl_names(
-        &mut self,
-        domain_zones: &[DnsName],
-        domain_tlds: &[DnsName],
-    ) -> Vec<SurveyName> {
+    fn crawl_names(&mut self, domain_zones: &[DnsName]) -> Vec<SurveyName> {
         let mut zipf = ZipfTable::new(domain_zones.len(), self.params.popularity_zipf);
         let mut taken = vec![0u16; domain_zones.len()];
         // With every slot taken no further attempt can add a name.
@@ -938,7 +938,6 @@ impl<'p> Generator<'p> {
                     name: domain_zones[rank]
                         .prepend(CRAWL_HOSTS[slot])
                         .expect("short label"),
-                    tld: domain_tlds[rank].clone(),
                     popularity_rank: rank,
                 });
             }
@@ -950,11 +949,7 @@ impl<'p> Generator<'p> {
     /// the differential tests: it dedups on the names themselves, builds
     /// one per probe, and never notices that every slot is taken.
     #[cfg(test)]
-    fn crawl_names_by_name_set(
-        &mut self,
-        domain_zones: &[DnsName],
-        domain_tlds: &[DnsName],
-    ) -> Vec<SurveyName> {
+    fn crawl_names_by_name_set(&mut self, domain_zones: &[DnsName]) -> Vec<SurveyName> {
         let mut zipf = ZipfTable::new(domain_zones.len(), self.params.popularity_zipf);
         let mut seen: BTreeSet<DnsName> = BTreeSet::new();
         let mut names: Vec<SurveyName> = Vec::new();
@@ -976,7 +971,6 @@ impl<'p> Generator<'p> {
                 if seen.insert(full.clone()) {
                     names.push(SurveyName {
                         name: full,
-                        tld: domain_tlds[rank].clone(),
                         popularity_rank: rank,
                     });
                     break;
@@ -1014,16 +1008,17 @@ mod tests {
         Vec<SurveyName>,
     ) {
         let tlds = [name("com"), name("org"), name("ua")];
-        let domain_tlds: Vec<DnsName> = (0..params.domains).map(|j| tlds[j % 3].clone()).collect();
-        let domain_zones: Vec<DnsName> = domain_tlds
-            .iter()
-            .enumerate()
-            .map(|(j, tld)| tld.prepend(&format!("site{j}")).expect("short label"))
+        let domain_zones: Vec<DnsName> = (0..params.domains)
+            .map(|j| {
+                tlds[j % 3]
+                    .prepend(&format!("site{j}"))
+                    .expect("short label")
+            })
             .collect();
         let mut by_slot = Generator::new(params);
         let mut by_name = Generator::new(params);
-        let sample = by_slot.crawl_names(&domain_zones, &domain_tlds);
-        let oracle = by_name.crawl_names_by_name_set(&domain_zones, &domain_tlds);
+        let sample = by_slot.crawl_names(&domain_zones);
+        let oracle = by_name.crawl_names_by_name_set(&domain_zones);
         (by_slot, sample, by_name, oracle)
     }
 

@@ -174,7 +174,7 @@ mod tests {
     }
 
     /// A sweep runs over the built world and lands as the `FIGURES`
-    /// section, counted in the header.
+    /// section, its figure count leading the JSON.
     #[test]
     fn a_sweep_writes_its_figures_section() {
         let spec = WorldSpec::parse("tiny", 7).expect("tiny parses");

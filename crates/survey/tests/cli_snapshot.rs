@@ -153,7 +153,7 @@ fn both_binaries_save_one_world_and_resave_loaded_archives_verbatim() {
         &LintIndex::build(&world.universe),
         &world.names,
         &world.top500,
-        Some(("{\"epoch\":3,\"figures\":[],\"skipped\":[]}", 0)),
+        Some(("{\"figures\":[],\"skipped\":[]}", 0)),
     );
     let (original, resaved) = (dir.join("daemon.psa"), dir.join("resaved.psa"));
     std::fs::write(&original, &with_figures).expect("write archive");

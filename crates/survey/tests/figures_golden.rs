@@ -135,7 +135,7 @@ fn crawl_sample_matches_golden() {
         let (names, top500) = sample(TopologyParams::tiny(seed));
         actual.push_str(&format!("tiny {seed}: {} names\n", names.len()));
         for n in &names {
-            actual.push_str(&format!("{} {} {}\n", n.name, n.tld, n.popularity_rank));
+            actual.push_str(&format!("{} {} {}\n", n.name, n.tld(), n.popularity_rank));
         }
         let top: Vec<String> = top500.iter().map(usize::to_string).collect();
         actual.push_str(&format!("top500 {}\n", top.join(" ")));
@@ -146,7 +146,7 @@ fn crawl_sample_matches_golden() {
         for n in &names {
             fold.update(n.name.to_string().as_bytes());
             fold.update(&[0]);
-            fold.update(n.tld.to_string().as_bytes());
+            fold.update(n.tld().to_string().as_bytes());
             fold.update(&[0]);
             fold.update(&(n.popularity_rank as u64).to_le_bytes());
         }

@@ -115,7 +115,7 @@ fn every_truncation_is_a_typed_error() {
         &lint,
         &original.names,
         &original.top500,
-        Some(("{\"epoch\":1,\"figures\":[]}", 0)),
+        Some(("{\"figures\":[]}", 0)),
     );
     load_world_bytes(bytes.clone()).expect("intact archive loads");
 

@@ -64,7 +64,7 @@ fn index_observations(
 ) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
     for sid in universe.server_ids() {
-        out.push(index.deps_of(sid).map(|s| s.0).collect());
+        out.push(index.deps_of(universe, sid).map(|s| s.0).collect());
     }
     let mut ws = index.workspace();
     for name in names {

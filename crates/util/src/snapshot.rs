@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// Archive magic: identifies a `.psa` file regardless of version.
 pub const MAGIC: [u8; 8] = *b"PSNAPARC";
 /// Current format version. Readers reject anything else.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Endianness sentinel, written as a little-endian `u32`. A reader that
 /// finds these bytes reversed is looking at a big-endian writer's
 /// output (or garbage) and rejects it with a clear message.
@@ -1001,6 +1001,17 @@ mod tests {
             Archive::from_bytes(bad_version),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         ));
+        // Version 2 archives carried restated counts and copied tables
+        // that version 3 dropped: they are refused by version, before any
+        // section is read.
+        let mut v2 = good.clone();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = Archive::from_bytes(v2).expect_err("v2 rejected");
+        assert!(matches!(
+            err,
+            SnapshotError::UnsupportedVersion { found: 2 }
+        ));
+        assert!(err.to_string().contains("reads version 3"), "{err}");
         let mut swapped = good.clone();
         swapped[12..16].copy_from_slice(&ENDIAN_TAG.to_be_bytes());
         let err = Archive::from_bytes(swapped).expect_err("swapped tag rejected");
