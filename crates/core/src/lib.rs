@@ -54,8 +54,8 @@ pub use closure::{ClosureView, ClosureWorkspace, DependencyIndex};
 pub use dnssec::{DeploymentPolicy, DnssecCoverageMetric};
 pub use hijack::HijackSet;
 pub use lint::{
-    At, Diagnostic, EvidenceStep, LintCtx, LintError, LintIndex, LintRule, RuleRegistry, Severity,
-    SeverityOverrides, Subject,
+    Arg, At, Diagnostic, EvidenceStep, LintCtx, LintError, LintIndex, LintRule, Message, Note,
+    RuleRegistry, Severity, SeverityOverrides, Subject, Text,
 };
 pub use metric::{
     ColumnKind, Measure, MeasureCtx, MetricColumn, MinCutMetric, NameMetric, Row, TcbMetric,

@@ -42,14 +42,13 @@
 use crate::closure::{ClosureView, DependencyIndex};
 use crate::hijack::{choke_witness, min_cut_flattened_view};
 use crate::misconfig::{
-    single_operator, unresolvable_ns, DepthIndex, FLAG_SINGLE_OPERATOR, FLAG_SINGLE_SERVER,
-    FLAG_UNRESOLVABLE_NS,
+    operator_labels, single_operator, unresolvable_ns, DepthIndex, FLAG_SINGLE_OPERATOR,
+    FLAG_SINGLE_SERVER, FLAG_UNRESOLVABLE_NS,
 };
 use crate::universe::{ServerId, Universe, ZoneId};
 use crate::usable::Reachability;
 use crate::zombie::ZombieIndex;
-use perils_dns::name::DnsName;
-use std::borrow::Cow;
+use perils_dns::name::{DnsName, Label};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -92,13 +91,14 @@ impl fmt::Display for Severity {
     }
 }
 
-/// What a diagnostic is about.
+/// What a diagnostic is about. Zones and servers are ids of the linted
+/// universe; sinks resolve them with [`Subject::name`] when they write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Subject {
-    /// A zone (by origin).
-    Zone(DnsName),
-    /// A nameserver (by host name).
-    Server(DnsName),
+    /// A zone, shown by origin.
+    Zone(ZoneId),
+    /// A nameserver, shown by host name.
+    Server(ServerId),
     /// A surveyed name.
     Name(DnsName),
 }
@@ -113,17 +113,13 @@ impl Subject {
         }
     }
 
-    /// The subject's DNS name.
-    pub fn name(&self) -> &DnsName {
+    /// The subject's DNS name in `universe`, the one its ids index.
+    pub fn name<'a>(&'a self, universe: &'a Universe) -> &'a DnsName {
         match self {
-            Subject::Zone(n) | Subject::Server(n) | Subject::Name(n) => n,
+            Subject::Zone(zid) => &universe.zone(*zid).origin,
+            Subject::Server(sid) => &universe.server(*sid).name,
+            Subject::Name(name) => name,
         }
-    }
-}
-
-impl fmt::Display for Subject {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.kind(), self.name())
     }
 }
 
@@ -148,27 +144,180 @@ impl At {
     }
 }
 
+/// A value a [`Text`] placeholder is filled with: an id or a number,
+/// resolved to words only when a sink writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    /// A zone, shown by origin.
+    Zone(ZoneId),
+    /// A nameserver, shown by host name.
+    Server(ServerId),
+    /// A number.
+    Count(u32),
+    /// The operator domain of the zone's first NS, spelled as that NS
+    /// spells it: for a zone [`SingleOperatorRule::shared_operator`]
+    /// holds for, the domain every NS sits under.
+    Operator(ZoneId),
+}
+
+impl Arg {
+    fn write(self, universe: &Universe, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Arg::Zone(zid) => write_name(out, &universe.zone(zid).origin),
+            Arg::Server(sid) => write_name(out, &universe.server(sid).name),
+            Arg::Count(n) => write!(out, "{n}"),
+            Arg::Operator(zid) => match universe.zone(zid).ns.first() {
+                Some(&sid) => write_labels(out, operator_labels(&universe.server(sid).name)),
+                None => Ok(()),
+            },
+        }
+    }
+
+    /// A count of servers, zones or nesting levels. Each is bounded by
+    /// the universe's server count, which 32-bit ids keep below 2^32
+    /// (archived glueless depths are checked against it on load).
+    pub fn count(n: usize) -> Arg {
+        Arg::Count(u32::try_from(n).expect("a lint count exceeds the 32-bit id space"))
+    }
+}
+
+/// Writes `name` as its `Display` does, label by label.
+fn write_name(out: &mut impl fmt::Write, name: &DnsName) -> fmt::Result {
+    if name.is_root() {
+        return out.write_char('.');
+    }
+    write_labels(out, name.labels())
+}
+
+/// Writes labels joined by dots.
+fn write_labels(out: &mut impl fmt::Write, labels: &[Label]) -> fmt::Result {
+    for (i, label) in labels.iter().enumerate() {
+        if i > 0 {
+            out.write_char('.')?;
+        }
+        out.write_str(label.as_str())?;
+    }
+    Ok(())
+}
+
+/// Words kept as a template and ids rather than as text. The template's
+/// `{}` placeholders take `args` in order; `{subject}` names the
+/// finding's subject (in a message) and `{levels}` is one more than the
+/// glueless depth of the step's server (in a note). Every sink writes
+/// the words through [`Diagnostic::write_message`] and
+/// [`EvidenceStep::write_note`], so a finding holds no text of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Text<const N: usize> {
+    /// The words, with a placeholder per argument.
+    pub template: &'static str,
+    /// The arguments in placeholder order; unused slots are `None`.
+    pub args: [Option<Arg>; N],
+}
+
+/// A finding's one-line message: a template and up to three arguments.
+pub type Message = Text<3>;
+
+/// Why an evidence step proves the finding: a template and at most one
+/// argument.
+pub type Note = Text<1>;
+
+impl<const N: usize> Text<N> {
+    /// Words with no argument yet.
+    pub const fn new(template: &'static str) -> Text<N> {
+        Text {
+            template,
+            args: [None; N],
+        }
+    }
+
+    /// Fills the next placeholder with `arg`. Panics when every slot is
+    /// taken (a rule wiring bug).
+    pub fn arg(mut self, arg: Arg) -> Text<N> {
+        let slot = self
+            .args
+            .iter_mut()
+            .find(|slot| slot.is_none())
+            .unwrap_or_else(|| panic!("{:?} takes at most {N} argument(s)", self.template));
+        *slot = Some(arg);
+        self
+    }
+
+    /// Writes the words, resolving ids in `universe`. `subject` fills
+    /// `{subject}` and `levels` fills `{levels}`; a placeholder with
+    /// nothing to fill it is written as it stands.
+    fn write(
+        &self,
+        universe: &Universe,
+        subject: Option<&Subject>,
+        levels: Option<usize>,
+        out: &mut impl fmt::Write,
+    ) -> fmt::Result {
+        let mut args = self.args.iter().flatten().peekable();
+        let mut rest = self.template;
+        while let Some(open) = rest.find('{') {
+            out.write_str(&rest[..open])?;
+            rest = &rest[open..];
+            if let (Some(tail), Some(&&arg)) = (rest.strip_prefix("{}"), args.peek()) {
+                args.next();
+                rest = tail;
+                arg.write(universe, out)?;
+            } else if let (Some(tail), Some(subject)) = (rest.strip_prefix("{subject}"), subject) {
+                rest = tail;
+                write_name(out, subject.name(universe))?;
+            } else if let (Some(tail), Some(levels)) = (rest.strip_prefix("{levels}"), levels) {
+                rest = tail;
+                write!(out, "{levels}")?;
+            } else {
+                out.write_char('{')?;
+                rest = &rest[1..];
+            }
+        }
+        out.write_str(rest)
+    }
+}
+
+impl<const N: usize> From<&'static str> for Text<N> {
+    fn from(template: &'static str) -> Text<N> {
+        Text::new(template)
+    }
+}
+
 /// One hop of an evidence chain: a concrete host or zone plus why it
 /// matters for the finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvidenceStep {
     /// The server or zone this step points at.
     pub at: At,
-    /// Why it proves (part of) the finding. Fixed phrases are borrowed;
-    /// only notes that name something are allocated.
-    pub note: Cow<'static, str>,
+    /// Why it proves (part of) the finding.
+    pub note: Note,
 }
 
 impl EvidenceStep {
-    fn server(sid: ServerId, note: impl Into<Cow<'static, str>>) -> EvidenceStep {
+    fn server(sid: ServerId, note: impl Into<Note>) -> EvidenceStep {
         EvidenceStep {
             at: At::Server(sid),
             note: note.into(),
         }
     }
+
+    /// Writes the note's words, resolving ids in `universe` and a
+    /// server step's `{levels}` through `facts`.
+    pub fn write_note(
+        &self,
+        universe: &Universe,
+        facts: &LintIndex,
+        out: &mut impl fmt::Write,
+    ) -> fmt::Result {
+        let levels = match self.at {
+            At::Server(sid) => Some(1 + facts.depths().depth_of_server(sid)),
+            At::Zone(_) => None,
+        };
+        self.note.write(universe, None, levels, out)
+    }
 }
 
-/// One lint finding.
+/// One lint finding: ids, numbers and `'static` words only, apart from a
+/// surveyed name's subject.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// The stable machine-readable rule id (`lame-delegation`, ...).
@@ -177,10 +326,17 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// What the finding is about.
     pub subject: Subject,
-    /// Human-readable one-line message.
-    pub message: String,
+    /// The one-line message.
+    pub message: Message,
     /// The delegation/dependency path proving the finding.
     pub evidence: Vec<EvidenceStep>,
+}
+
+impl Diagnostic {
+    /// Writes the message's words, resolving ids in `universe`.
+    pub fn write_message(&self, universe: &Universe, out: &mut impl fmt::Write) -> fmt::Result {
+        self.message.write(universe, Some(&self.subject), None, out)
+    }
 }
 
 /// Universe-wide facts shared by every rule, built once per lint run
@@ -305,6 +461,11 @@ impl LintCtx<'_> {
     /// Runs `f` over every surveyed name in this shard with its borrowed
     /// closure view — the allocation-light path name-scoped rules use.
     pub fn for_each_closure(&self, mut f: impl FnMut(&DnsName, &ClosureView<'_>)) {
+        // A shard with no names (every `/zone` request) allocates no
+        // workspace.
+        if self.names.is_empty() {
+            return;
+        }
         let mut ws = self.index.workspace();
         for name in self.names {
             let view = self.index.closure_view(self.universe, name, &mut ws);
@@ -513,8 +674,8 @@ impl LintRule for SingleServerRule {
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Zone(zone.origin.clone()),
-                message: format!("zone {} is served by a single nameserver", zone.origin),
+                subject: Subject::Zone(zid),
+                message: Message::new("zone {subject} is served by a single nameserver"),
                 evidence: vec![EvidenceStep::server(
                     zone.ns[0],
                     "the only NS of the delegation",
@@ -554,25 +715,22 @@ impl LintRule for SingleOperatorRule {
             if zone.origin.is_root() {
                 continue;
             }
-            let Some(operator) = SingleOperatorRule::shared_operator(ctx.universe, zid) else {
+            if SingleOperatorRule::shared_operator(ctx.universe, zid).is_none() {
                 continue;
-            };
-            let note = format!("operated under {operator}");
+            }
+            let note = Note::new("operated under {}").arg(Arg::Operator(zid));
             let evidence = zone
                 .ns
                 .iter()
-                .map(|&sid| EvidenceStep::server(sid, note.clone()))
+                .map(|&sid| EvidenceStep::server(sid, note))
                 .collect();
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Zone(zone.origin.clone()),
-                message: format!(
-                    "all {} nameservers of zone {} sit under operator {}",
-                    zone.ns.len(),
-                    zone.origin,
-                    operator
-                ),
+                subject: Subject::Zone(zid),
+                message: Message::new("all {} nameservers of zone {subject} sit under operator {}")
+                    .arg(Arg::count(zone.ns.len()))
+                    .arg(Arg::Operator(zid)),
                 evidence,
             });
         }
@@ -625,12 +783,9 @@ impl LintRule for LameDelegationRule {
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Zone(zone.origin.clone()),
-                message: format!(
-                    "zone {} delegates to {} unresolvable nameserver(s)",
-                    zone.origin,
-                    dangling.len()
-                ),
+                subject: Subject::Zone(zid),
+                message: Message::new("zone {subject} delegates to {} unresolvable nameserver(s)")
+                    .arg(Arg::count(dangling.len())),
                 evidence,
             });
         }
@@ -681,10 +836,9 @@ impl LintRule for GluelessCycleRule {
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Zone(zone.origin.clone()),
-                message: format!(
-                    "zone {} cannot be bootstrapped: its nameservers form a glueless cycle",
-                    zone.origin
+                subject: Subject::Zone(zid),
+                message: Message::new(
+                    "zone {subject} cannot be bootstrapped: its nameservers form a glueless cycle",
                 ),
                 evidence,
             });
@@ -709,6 +863,10 @@ impl Default for DeepChainRule {
         }
     }
 }
+
+/// A `deep-chain` hop: the zone the glueless NS serves, and how many
+/// nesting levels resolving it can still force.
+const GLUELESS_HOP: Note = Note::new("glueless NS of {} ({levels} levels below)");
 
 impl DeepChainRule {
     /// The rule's predicate, shared with the `misconfig` metric's
@@ -739,10 +897,7 @@ impl DeepChainRule {
                     continue;
                 }
                 if 1 + depths.depth_of_server(sid) == total {
-                    steps.push(EvidenceStep::server(
-                        sid,
-                        format!("glueless NS of {} ({} levels below)", zone.origin, total),
-                    ));
+                    steps.push(EvidenceStep::server(sid, GLUELESS_HOP.arg(Arg::Zone(zid))));
                     cursor = Some(sid);
                     break 'first;
                 }
@@ -767,10 +922,7 @@ impl DeepChainRule {
                             continue;
                         }
                         if 1 + depths.depth_of_server(dep) == want {
-                            steps.push(EvidenceStep::server(
-                                dep,
-                                format!("glueless NS of {} ({} levels below)", zone.origin, want),
-                            ));
+                            steps.push(EvidenceStep::server(dep, GLUELESS_HOP.arg(Arg::Zone(zid))));
                             cursor = Some(dep);
                             break 'next;
                         }
@@ -807,10 +959,11 @@ impl LintRule for DeepChainRule {
                 rule: self.id(),
                 severity: self.default_severity(),
                 subject: Subject::Name(name.clone()),
-                message: format!(
-                    "resolving {name} can force {depth} nested glueless sub-resolutions (threshold {})",
-                    self.threshold
-                ),
+                message: Message::new(
+                    "resolving {subject} can force {} nested glueless sub-resolutions (threshold {})",
+                )
+                .arg(Arg::count(depth))
+                .arg(Arg::count(self.threshold)),
                 evidence: DeepChainRule::worst_path(
                     ctx.universe,
                     ctx.facts.depths(),
@@ -856,12 +1009,11 @@ impl LintRule for ZombieNsRule {
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Zone(zone.origin.clone()),
-                message: format!(
-                    "zone {} is a zombie delegation: all {} NS hosts are dead",
-                    zone.origin,
-                    zone.ns.len()
-                ),
+                subject: Subject::Zone(zid),
+                message: Message::new(
+                    "zone {subject} is a zombie delegation: all {} NS hosts are dead",
+                )
+                .arg(Arg::count(zone.ns.len())),
                 evidence,
             });
         }
@@ -895,17 +1047,16 @@ impl LintRule for OrphanedGlueRule {
             let evidence = match ctx.universe.home_zone_of(sid) {
                 Some(home) => vec![EvidenceStep {
                     at: At::Zone(home),
-                    note: Cow::Borrowed("deepest zone enclosing the orphan"),
+                    note: Note::new("deepest zone enclosing the orphan"),
                 }],
                 None => Vec::new(),
             };
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Server(server.name.clone()),
-                message: format!(
-                    "server {} was seen in delegation records but no zone's NS set references it",
-                    server.name
+                subject: Subject::Server(sid),
+                message: Message::new(
+                    "server {subject} was seen in delegation records but no zone's NS set references it",
                 ),
                 evidence,
             });
@@ -966,10 +1117,8 @@ impl LintRule for ChokePointRule {
                 rule: self.id(),
                 severity: self.default_severity(),
                 subject: Subject::Name(name.clone()),
-                message: format!(
-                    "every resolution path for {name} passes through {}",
-                    server.name
-                ),
+                message: Message::new("every resolution path for {subject} passes through {}")
+                    .arg(Arg::Server(choke)),
                 evidence,
             });
         });
@@ -1026,10 +1175,10 @@ impl LintRule for TcbInflationRule {
             if tcb < (self.factor * k).max(k + self.slack) {
                 return;
             }
-            let note = format!("delegated NS of {}", ctx.universe.zone(own_zone).origin);
+            let note = Note::new("delegated NS of {}").arg(Arg::Zone(own_zone));
             let mut evidence: Vec<EvidenceStep> = own_ns
                 .iter()
-                .map(|&sid| EvidenceStep::server(sid, note.clone()))
+                .map(|&sid| EvidenceStep::server(sid, note))
                 .collect();
             let mut listed = 0usize;
             for sid in view.servers() {
@@ -1048,10 +1197,12 @@ impl LintRule for TcbInflationRule {
                 rule: self.id(),
                 severity: self.default_severity(),
                 subject: Subject::Name(name.clone()),
-                message: format!(
-                    "{name} trusts {tcb} servers but delegates to only {k} ({} transitive)",
-                    tcb.saturating_sub(k)
-                ),
+                message: Message::new(
+                    "{subject} trusts {} servers but delegates to only {} ({} transitive)",
+                )
+                .arg(Arg::count(tcb))
+                .arg(Arg::count(k))
+                .arg(Arg::count(tcb.saturating_sub(k))),
                 evidence,
             });
         });
@@ -1157,7 +1308,7 @@ mod tests {
 
         let lame = diags
             .iter()
-            .find(|d| d.rule == "lame-delegation" && d.subject.name() == &name("dangling.com"))
+            .find(|d| d.rule == "lame-delegation" && d.subject.name(&u) == &name("dangling.com"))
             .expect("lame diagnostic");
         assert_eq!(lame.evidence.len(), 1);
         assert_eq!(lame.evidence[0].at.name(&u), &name("ns.ghost.zz"));
@@ -1175,8 +1326,9 @@ mod tests {
             .iter()
             .find(|d| d.rule == "orphaned-glue")
             .expect("orphan diagnostic");
-        assert_eq!(orphan.subject, Subject::Server(name("ns.fedworld.zz")));
-        let home = u.home_zone_of(u.server_id(&name("ns.fedworld.zz")).unwrap());
+        let fedworld = u.server_id(&name("ns.fedworld.zz")).unwrap();
+        assert_eq!(orphan.subject, Subject::Server(fedworld));
+        let home = u.home_zone_of(fedworld);
         let at: Vec<At> = orphan.evidence.iter().map(|e| e.at).collect();
         assert_eq!(at, home.map(At::Zone).into_iter().collect::<Vec<_>>());
     }
@@ -1250,7 +1402,7 @@ mod tests {
         let u = b.finish();
         let diags = lint_all(&u, &[name("www.ok.com")]);
         assert!(
-            diags.iter().all(|d| d.subject.name() != &name("ok.com")
+            diags.iter().all(|d| d.subject.name(&u) != &name("ok.com")
                 || d.rule == "choke-point"
                 || d.rule == "tcb-inflation"),
             "no structural finding against ok.com: {diags:#?}"

@@ -21,7 +21,7 @@ use perils_dns::name::{DnsName, Label};
 
 /// The registered operator domain of a server name: its last two labels
 /// (`ns1.dns7.net` → `dns7.net`), borrowed.
-fn operator_labels(name: &DnsName) -> &[Label] {
+pub(crate) fn operator_labels(name: &DnsName) -> &[Label] {
     let labels = name.labels();
     &labels[labels.len().saturating_sub(2)..]
 }
@@ -264,7 +264,10 @@ impl DepthIndex {
     }
 
     /// Reassembles the index from archived flat state, validating every
-    /// id so corrupt archives cannot cause out-of-bounds lookups later.
+    /// id so corrupt archives cannot cause out-of-bounds lookups later,
+    /// and every depth: a path through the glueless components visits
+    /// each at most once, so a built depth stays below the server count
+    /// (the bound lint findings' counts rely on).
     pub(crate) fn from_snapshot_parts(
         server_count: usize,
         depth: Vec<usize>,
@@ -274,6 +277,11 @@ impl DepthIndex {
             return Err(format!(
                 "depth has {} entries for {server_count} servers",
                 depth.len()
+            ));
+        }
+        if let Some(&deepest) = depth.iter().find(|&&d| d >= server_count) {
+            return Err(format!(
+                "glueless depth {deepest} for {server_count} servers"
             ));
         }
         DepthIndex::with_cycles(depth, cycles)
@@ -514,6 +522,24 @@ mod tests {
         b.add_zone(&name("b.net"), &[name("ns.b.net")]);
         b.add_zone(&name("self.com"), &[name("ns1.self.com")]);
         b.finish()
+    }
+
+    /// An archived depth at or past the server count cannot come from a
+    /// build (each glueless component is visited once per path), so the
+    /// loader refuses it rather than hand lint an out-of-range count.
+    #[test]
+    fn archived_depths_stay_below_the_server_count() {
+        let u = acyclic_web();
+        let built = DepthIndex::build(&u);
+        let (depth, cycles) = built.snapshot_parts();
+        let (depth, cycles) = (depth.to_vec(), cycles.to_vec());
+        let n = u.server_count();
+        assert!(depth.iter().all(|&d| d < n));
+        assert!(DepthIndex::from_snapshot_parts(n, depth.clone(), cycles.clone()).is_ok());
+        let mut deep = depth;
+        deep[0] = n;
+        let err = DepthIndex::from_snapshot_parts(n, deep, cycles).expect_err("out of range");
+        assert!(err.contains("glueless depth"), "{err}");
     }
 
     /// Mutual glueless secondaries: x.com ↔ y.com.

@@ -16,11 +16,11 @@ use crate::http::Response;
 use crate::snapshot::WorldSnapshot;
 use perils_core::closure::ClosureWorkspace;
 use perils_core::hijack::min_cut_flattened_view;
-use perils_core::lint::{Diagnostic, LintCtx, RuleRegistry};
+use perils_core::lint::{Diagnostic, LintCtx, LintIndex, RuleRegistry};
 use perils_core::tcb::TcbTally;
 use perils_core::universe::{ServerId, Universe, ZoneId};
 use perils_dns::name::DnsName;
-use perils_survey::lint::push_json_name;
+use perils_survey::lint::{push_json_message, push_json_name, push_json_note};
 use perils_util::json::push_json_string;
 
 /// Cap on `GET /names?limit=`.
@@ -37,9 +37,15 @@ fn push_name_field(out: &mut String, key: &str, name: &DnsName) {
 }
 
 /// Serializes lint diagnostics (rule, severity, subject, message,
-/// evidence chain) as a JSON array, resolving evidence through the
-/// `universe` they were computed over.
-fn push_diagnostics(out: &mut String, universe: &Universe, diagnostics: &[Diagnostic]) {
+/// evidence chain) as a JSON array, resolving their ids and writing
+/// their words through the `universe` and `facts` they were computed
+/// over — the lint sinks' renderer.
+fn push_diagnostics(
+    out: &mut String,
+    universe: &Universe,
+    facts: &LintIndex,
+    diagnostics: &[Diagnostic],
+) {
     out.push('[');
     for (i, d) in diagnostics.iter().enumerate() {
         if i > 0 {
@@ -52,9 +58,9 @@ fn push_diagnostics(out: &mut String, universe: &Universe, diagnostics: &[Diagno
         out.push_str(",\"subject\":{\"kind\":");
         push_json_string(out, d.subject.kind());
         out.push(',');
-        push_name_field(out, "name", d.subject.name());
+        push_name_field(out, "name", d.subject.name(universe));
         out.push_str("},\"message\":");
-        push_json_string(out, &d.message);
+        push_json_message(out, d, universe);
         out.push_str(",\"evidence\":[");
         for (j, step) in d.evidence.iter().enumerate() {
             if j > 0 {
@@ -63,7 +69,7 @@ fn push_diagnostics(out: &mut String, universe: &Universe, diagnostics: &[Diagno
             out.push('{');
             push_name_field(out, "at", step.at.name(universe));
             out.push_str(",\"note\":");
-            push_json_string(out, &step.note);
+            push_json_note(out, step, universe, facts);
             out.push('}');
         }
         out.push_str("]}");
@@ -168,7 +174,7 @@ pub fn name_response(
         .map(|set| set.size() > 0 && set.fully_vulnerable())
         .unwrap_or(false);
     body.push_str(&format!(",\"hijackable\":{hijackable},\"lint\":"));
-    push_diagnostics(&mut body, &snap.universe, &diagnostics);
+    push_diagnostics(&mut body, &snap.universe, &snap.lint, &diagnostics);
     body.push('}');
     Response::json(200, body)
 }
@@ -216,7 +222,7 @@ pub fn zone_response(snap: &WorldSnapshot, rules: &RuleRegistry, raw: &str) -> R
         ));
     }
     body.push_str("],\"lint\":");
-    push_diagnostics(&mut body, &snap.universe, &diagnostics);
+    push_diagnostics(&mut body, &snap.universe, &snap.lint, &diagnostics);
     body.push('}');
     Response::json(200, body)
 }

@@ -13,18 +13,21 @@
 //! Three sinks serialize a [`LintReport`]: rustc-style text for humans,
 //! a findings/rules/summary JSON document, and SARIF 2.1.0 for code
 //! scanning UIs and CI annotation. Each writes into any `io::Write`, one
-//! finding at a time, resolving evidence ids to names as it goes; the
-//! report itself holds ids, never copies of names.
+//! finding at a time, writing every message and note through
+//! [`Diagnostic::write_message`] and [`EvidenceStep::write_note`] as it
+//! goes; the report itself holds ids, never copies of names or words
+//! (a surveyed name's subject is the one name a finding carries).
 
 use crate::snapshot::World;
 use perils_core::lint::{
-    Diagnostic, LintCtx, LintIndex, RuleRegistry, Severity, SeverityOverrides,
+    Diagnostic, EvidenceStep, LintCtx, LintIndex, RuleRegistry, Severity, SeverityOverrides,
 };
 use perils_core::universe::{ServerId, Universe, ZoneId};
 use perils_core::DependencyIndex;
 use perils_dns::name::DnsName;
-use perils_util::json::{push_json_escaped, push_json_string};
+use perils_util::json::{escape_json_from, push_json_escaped, push_json_string};
 use perils_util::par;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::num::NonZeroUsize;
 
@@ -45,9 +48,12 @@ pub struct RuleMeta {
 /// rule listing and subject counts the sinks summarize.
 #[derive(Debug, Clone)]
 pub struct LintReport<'u> {
-    /// The linted universe: every evidence step's
-    /// [`At`](perils_core::lint::At) resolves through it.
+    /// The linted universe: every subject, evidence step and argument id
+    /// resolves through it.
     pub universe: &'u Universe,
+    /// The lint facts the findings were computed from (a `deep-chain`
+    /// note's nesting levels are read from them).
+    pub facts: &'u LintIndex,
     /// Every reported diagnostic, in rule-major, subject-range order.
     pub diagnostics: Vec<Diagnostic>,
     /// Every registered rule with its effective severity.
@@ -109,7 +115,7 @@ pub fn run_lint<'w>(
     overrides: &SeverityOverrides,
     threads: Option<NonZeroUsize>,
 ) -> LintReport<'w> {
-    let targets: Vec<DnsName> = world.names.to_vec().into_iter().map(|n| n.name).collect();
+    let targets: Vec<DnsName> = world.names.iter().map(|n| n.name).collect();
     run_lint_with(
         &world.universe,
         &targets,
@@ -130,7 +136,7 @@ pub fn run_lint_with<'u>(
     overrides: &SeverityOverrides,
     threads: Option<NonZeroUsize>,
     index: &DependencyIndex,
-    facts: &LintIndex,
+    facts: &'u LintIndex,
 ) -> LintReport<'u> {
     let workers = par::threads(threads);
     let zones: Vec<ZoneId> = universe.zone_ids().collect();
@@ -168,26 +174,25 @@ pub fn run_lint_with<'u>(
         }
     }
 
-    finish_report(
+    let (rules, diagnostics) = apply_overrides(diagnostics, registry, overrides);
+    LintReport {
         universe,
+        facts,
         diagnostics,
-        registry,
-        overrides,
-        zones.len(),
-        servers.len(),
-        names.len(),
-    )
+        rules,
+        zones: zones.len(),
+        servers: servers.len(),
+        names: names.len(),
+    }
 }
 
-fn finish_report<'u>(
-    universe: &'u Universe,
+/// Lists every rule with its effective severity, re-stamps each finding
+/// with its rule's, and drops `allow`-level findings.
+fn apply_overrides(
     diagnostics: Vec<Diagnostic>,
     registry: &RuleRegistry,
     overrides: &SeverityOverrides,
-    zones: usize,
-    servers: usize,
-    names: usize,
-) -> LintReport<'u> {
+) -> (Vec<RuleMeta>, Vec<Diagnostic>) {
     let rules: Vec<RuleMeta> = registry
         .iter()
         .map(|rule| RuleMeta {
@@ -214,14 +219,7 @@ fn finish_report<'u>(
             Some(d)
         })
         .collect();
-    LintReport {
-        universe,
-        diagnostics,
-        rules,
-        zones,
-        servers,
-        names,
-    }
+    (rules, diagnostics)
 }
 
 /// The serialization a lint sink writes.
@@ -286,27 +284,66 @@ pub fn push_json_name(out: &mut String, name: &DnsName) {
     out.push('"');
 }
 
+/// Appends a finding's message as a JSON string literal, its words
+/// written straight into the body and escaped in place.
+pub fn push_json_message(out: &mut String, d: &Diagnostic, universe: &Universe) {
+    out.push('"');
+    let start = out.len();
+    d.write_message(universe, out)
+        .expect("writing into a String cannot fail");
+    escape_json_from(out, start);
+    out.push('"');
+}
+
+/// Appends an evidence step's note as a JSON string literal.
+pub fn push_json_note(
+    out: &mut String,
+    step: &EvidenceStep,
+    universe: &Universe,
+    facts: &LintIndex,
+) {
+    out.push('"');
+    let start = out.len();
+    step.write_note(universe, facts, out)
+        .expect("writing into a String cannot fail");
+    escape_json_from(out, start);
+    out.push('"');
+}
+
+/// Appends one finding in the text sink's form: headline, subject arrow,
+/// one line per evidence note, then a blank line.
+fn push_text_finding(
+    out: &mut String,
+    d: &Diagnostic,
+    report: &LintReport<'_>,
+) -> std::fmt::Result {
+    let universe = report.universe;
+    write!(out, "{}[{}]: ", text_label(d.severity), d.rule)?;
+    d.write_message(universe, out)?;
+    writeln!(
+        out,
+        "\n  --> {} {}",
+        d.subject.kind(),
+        d.subject.name(universe)
+    )?;
+    for step in &d.evidence {
+        write!(out, "  = note: {}: ", step.at.name(universe))?;
+        step.write_note(universe, report.facts, out)?;
+        out.push('\n');
+    }
+    out.push('\n');
+    Ok(())
+}
+
 /// rustc-style text: one headline + subject arrow + evidence notes per
-/// finding, then a summary line.
+/// finding, then a summary line. Each finding is assembled in one reused
+/// buffer and written out whole.
 pub fn write_text(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<()> {
+    let mut buf = String::new();
     for d in &report.diagnostics {
-        writeln!(
-            out,
-            "{}[{}]: {}\n  --> {}",
-            text_label(d.severity),
-            d.rule,
-            d.message,
-            d.subject
-        )?;
-        for step in &d.evidence {
-            writeln!(
-                out,
-                "  = note: {}: {}",
-                step.at.name(report.universe),
-                step.note
-            )?;
-        }
-        writeln!(out)?;
+        push_text_finding(&mut buf, d, report).expect("writing into a String cannot fail");
+        out.write_all(buf.as_bytes())?;
+        buf.clear();
     }
     writeln!(
         out,
@@ -333,9 +370,9 @@ pub fn write_json(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<(
         buf.push_str(", \"subject\": {\"kind\": ");
         push_json_string(&mut buf, d.subject.kind());
         buf.push_str(", \"name\": ");
-        push_json_name(&mut buf, d.subject.name());
+        push_json_name(&mut buf, d.subject.name(report.universe));
         buf.push_str("}, \"message\": ");
-        push_json_string(&mut buf, &d.message);
+        push_json_message(&mut buf, d, report.universe);
         buf.push_str(", \"evidence\": [");
         for (j, step) in d.evidence.iter().enumerate() {
             if j > 0 {
@@ -344,7 +381,7 @@ pub fn write_json(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<(
             buf.push_str("{\"at\": ");
             push_json_name(&mut buf, step.at.name(report.universe));
             buf.push_str(", \"note\": ");
-            push_json_string(&mut buf, &step.note);
+            push_json_note(&mut buf, step, report.universe, report.facts);
             buf.push('}');
         }
         buf.push_str("]}");
@@ -409,11 +446,11 @@ pub fn write_sarif(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<
         buf.push_str(", \"level\": ");
         push_json_string(&mut buf, sarif_level(d.severity));
         buf.push_str(", \"message\": {\"text\": ");
-        push_json_string(&mut buf, &d.message);
+        push_json_message(&mut buf, d, report.universe);
         buf.push_str("}, \"locations\": [{\"logicalLocations\": [{\"fullyQualifiedName\": \"");
         buf.push_str(d.subject.kind());
         buf.push(' ');
-        push_name_escaped(&mut buf, d.subject.name());
+        push_name_escaped(&mut buf, d.subject.name(report.universe));
         buf.push_str("\", \"kind\": ");
         push_json_string(&mut buf, d.subject.kind());
         buf.push_str("}]}]");
@@ -426,7 +463,7 @@ pub fn write_sarif(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<
                 buf.push_str("{\"logicalLocations\": [{\"fullyQualifiedName\": ");
                 push_json_name(&mut buf, step.at.name(report.universe));
                 buf.push_str("}], \"message\": {\"text\": ");
-                push_json_string(&mut buf, &step.note);
+                push_json_note(&mut buf, step, report.universe, report.facts);
                 buf.push_str("}}");
             }
             buf.push(']');

@@ -12,7 +12,7 @@
 //! `GOLDEN_REGEN=1 cargo test -p perils-survey --test lint_golden`.
 
 use perils_authserver::scenarios::fbi_case;
-use perils_core::lint::{LintIndex, RuleRegistry, Severity, SeverityOverrides};
+use perils_core::lint::{LintIndex, Note, RuleRegistry, Severity, SeverityOverrides};
 use perils_core::universe::Universe;
 use perils_core::DependencyIndex;
 use perils_dns::name::{name, DnsName};
@@ -20,7 +20,6 @@ use perils_survey::lint::{run_lint, run_lint_with, LintFormat, LintReport};
 use perils_survey::scenario::universe_from_scenario;
 use perils_survey::{World, WorldSpec};
 use perils_util::json::{parse, Value};
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -86,9 +85,11 @@ impl Fixture {
 }
 
 /// A serial run of the built-in rules over a hand-built universe and
-/// targets, through an index and facts built for it.
+/// targets, through an index built for it and the universe's `facts`
+/// (the report reads notes' nesting levels from them).
 fn lint_universe<'u>(
     universe: &'u Universe,
+    facts: &'u LintIndex,
     targets: &[DnsName],
     overrides: &SeverityOverrides,
 ) -> LintReport<'u> {
@@ -99,7 +100,7 @@ fn lint_universe<'u>(
         overrides,
         NonZeroUsize::new(1),
         &DependencyIndex::build(universe),
-        &LintIndex::build(universe),
+        facts,
     )
 }
 
@@ -156,7 +157,8 @@ fn fbi_findings_name_the_actual_servers() {
         .iter()
         .find(|d| d.rule == "lame-delegation")
         .expect("lame-delegation fires on the fbi world");
-    assert_eq!(lame.subject.name(), &name("usdoj.gov"));
+    let universe = &fixture.world.universe;
+    assert_eq!(lame.subject.name(universe), &name("usdoj.gov"));
     assert!(
         lame.evidence
             .iter()
@@ -182,7 +184,7 @@ fn fbi_findings_name_the_actual_servers() {
         .iter()
         .find(|d| d.rule == "orphaned-glue")
         .expect("fedworld's stale glue is orphaned");
-    assert_eq!(orphan.subject.name(), &name("ns.fedworld.zz"));
+    assert_eq!(orphan.subject.name(universe), &name("ns.fedworld.zz"));
 }
 
 #[test]
@@ -218,6 +220,7 @@ fn sarif_is_valid_json_and_lists_the_registry_rules() {
 fn severity_overrides_relevel_and_suppress() {
     let registry = RuleRegistry::builtin();
     let universe = universe_from_scenario(&fbi_case());
+    let facts = LintIndex::build(&universe);
     let targets = vec![name("www.fbi.gov")];
 
     // Demote the lame delegation: no deny findings remain.
@@ -225,7 +228,7 @@ fn severity_overrides_relevel_and_suppress() {
     overrides
         .set(&registry, "lame-delegation", Severity::Warn)
         .unwrap();
-    let demoted = lint_universe(&universe, &targets, &overrides);
+    let demoted = lint_universe(&universe, &facts, &targets, &overrides);
     assert!(!demoted.has_deny());
     assert!(demoted
         .diagnostics
@@ -237,7 +240,7 @@ fn severity_overrides_relevel_and_suppress() {
     overrides
         .set(&registry, "lame-delegation", Severity::Allow)
         .unwrap();
-    let suppressed = lint_universe(&universe, &targets, &overrides);
+    let suppressed = lint_universe(&universe, &facts, &targets, &overrides);
     assert!(suppressed
         .diagnostics
         .iter()
@@ -252,7 +255,7 @@ fn severity_overrides_relevel_and_suppress() {
     overrides
         .set(&registry, "single-operator", Severity::Deny)
         .unwrap();
-    let promoted = lint_universe(&universe, &targets, &overrides);
+    let promoted = lint_universe(&universe, &facts, &targets, &overrides);
     assert!(promoted
         .diagnostics
         .iter()
@@ -277,10 +280,9 @@ fn lint_rules_agree_with_misconfig_flags() {
         let origin = &universe.zone(zid).origin;
         let flags = index.zone_flags(zid);
         let has = |rule: &str| {
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == rule && d.subject.kind() == "zone" && d.subject.name() == origin)
+            report.diagnostics.iter().any(|d| {
+                d.rule == rule && d.subject.kind() == "zone" && d.subject.name(universe) == origin
+            })
         };
         assert_eq!(
             flags & FLAG_SINGLE_SERVER != 0,
@@ -301,25 +303,22 @@ fn lint_rules_agree_with_misconfig_flags() {
 }
 
 /// The tripwire trips every rule, so it exercises every note: the three
-/// that name something are allocated, every fixed phrase is borrowed.
+/// that name something carry what they name as one id argument, every
+/// fixed phrase is its borrowed template alone.
 #[test]
 fn tripwire_fixed_notes_are_borrowed() {
     let fixture = Fixture::tripwire();
     let report = fixture.report();
     let parameterised = ["operated under ", "delegated NS of ", "glueless NS of "];
-    let notes: Vec<&Cow<'static, str>> = report
+    let notes: Vec<&Note> = report
         .diagnostics
         .iter()
         .flat_map(|d| d.evidence.iter().map(|e| &e.note))
         .collect();
     assert!(!notes.is_empty());
     for note in notes {
-        let names_something = parameterised.iter().any(|p| note.starts_with(p));
-        assert_eq!(
-            matches!(note, Cow::Owned(_)),
-            names_something,
-            "note {note:?}"
-        );
+        let names_something = parameterised.iter().any(|p| note.template.starts_with(p));
+        assert_eq!(note.args[0].is_some(), names_something, "note {note:?}");
     }
 }
 
@@ -339,8 +338,10 @@ fn names_with_quote_and_backslash_labels_survive_every_sink() {
     b.add_zone(&name("com"), &roots);
     b.add_zone(&name("quote.com"), std::slice::from_ref(&host));
     let universe = b.finish();
+    let facts = LintIndex::build(&universe);
     let report = lint_universe(
         &universe,
+        &facts,
         &[name("www.quote.com")],
         &SeverityOverrides::new(),
     );

@@ -102,6 +102,7 @@ fn lint_bytes(universe: &Universe, names: &[SurveyName], threads: usize) -> Vec<
     use perils_core::lint::{LintIndex, RuleRegistry, SeverityOverrides};
     use perils_survey::lint::{run_lint_with, LintFormat};
     let names: Vec<_> = names.iter().map(|n| n.name.clone()).collect();
+    let facts = LintIndex::build(universe);
     let report = run_lint_with(
         universe,
         &names,
@@ -109,7 +110,7 @@ fn lint_bytes(universe: &Universe, names: &[SurveyName], threads: usize) -> Vec<
         &SeverityOverrides::new(),
         std::num::NonZeroUsize::new(threads),
         &DependencyIndex::build(universe),
-        &LintIndex::build(universe),
+        &facts,
     );
     vec![
         report.emit(LintFormat::Text),

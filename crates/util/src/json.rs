@@ -48,6 +48,20 @@ pub fn push_json_escaped(out: &mut String, s: &str) {
     out.push_str(&s[start..]);
 }
 
+/// JSON-escapes, in place, what was appended to `out` since byte
+/// `start`: for callers that write a value's words straight into the
+/// body of a string literal. When nothing needs escaping, the common
+/// case, nothing is copied.
+pub fn escape_json_from(out: &mut String, start: usize) {
+    if out.as_bytes()[start..]
+        .iter()
+        .any(|&b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        let raw = out.split_off(start);
+        push_json_escaped(out, &raw);
+    }
+}
+
 /// A parsed JSON document node.
 ///
 /// Objects keep their members in **document order** (duplicate keys are
@@ -514,7 +528,15 @@ mod tests {
             let mut oracle = String::from("prefix");
             push_json_string_oracle(&mut oracle, &s);
             prop_assert_eq!(&fast, &oracle);
-            prop_assert_eq!(parse(&fast["prefix".len()..]), Ok(Value::String(s)));
+            prop_assert_eq!(parse(&fast["prefix".len()..]), Ok(Value::String(s.clone())));
+
+            // Escaping in place what was appended writes the same body.
+            let mut in_place = String::from("prefix\"");
+            let start = in_place.len();
+            in_place.push_str(&s);
+            escape_json_from(&mut in_place, start);
+            in_place.push('"');
+            prop_assert_eq!(&in_place, &oracle);
         }
     }
 

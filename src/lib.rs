@@ -199,11 +199,12 @@
 //! [`core::LintRule`] registers next to the nine built-ins and flows
 //! through the sharded runner — over a built [`survey::World`], the value
 //! the `lint` binary holds — and every sink (text/JSON/SARIF) unchanged,
-//! all through public APIs:
+//! all through public APIs. A finding holds ids and `'static` templates,
+//! never text: sinks write the words as they write the finding:
 //!
 //! ```
 //! use perils::core::lint::{
-//!     At, Diagnostic, EvidenceStep, LintCtx, LintRule, RuleRegistry, Severity,
+//!     Arg, At, Diagnostic, EvidenceStep, LintCtx, LintRule, Message, RuleRegistry, Severity,
 //!     SeverityOverrides, Subject,
 //! };
 //! use perils::dns::name::name;
@@ -230,11 +231,11 @@
 //!             out.push(Diagnostic {
 //!                 rule: self.id(),
 //!                 severity: self.default_severity(),
-//!                 subject: Subject::Zone(zone.origin.clone()),
-//!                 message: format!(
-//!                     "zone {} is served by {} exploitable nameserver(s)",
-//!                     zone.origin, exploitable.len(),
-//!                 ),
+//!                 subject: Subject::Zone(zid),
+//!                 message: Message::new(
+//!                     "zone {subject} is served by {} exploitable nameserver(s)",
+//!                 )
+//!                 .arg(Arg::count(exploitable.len())),
 //!                 // Evidence points at servers by id; sinks resolve
 //!                 // the names when they write them.
 //!                 evidence: exploitable.iter().map(|&sid| EvidenceStep {
@@ -258,6 +259,8 @@
 //! // ...and serializes through every sink like any built-in, including
 //! // the SARIF rule listing.
 //! assert!(report.emit(LintFormat::Sarif).contains("\"vulnerable-ns\""));
+//! assert!(report.emit(LintFormat::Text)
+//!     .contains("zone telemail.net is served by 1 exploitable nameserver(s)"));
 //!
 //! // Severity overrides are validated: unknown ids are typed errors,
 //! // the figures-CLI error contract (`bin/lint` exits 2 on them).
