@@ -92,18 +92,27 @@ impl fmt::Display for Severity {
 }
 
 /// What a diagnostic is about. Zones and servers are ids of the linted
-/// universe; sinks resolve them with [`Subject::name`] when they write.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// universe and a surveyed name is its position among the run's names;
+/// sinks resolve them with [`Subject::name`] when they write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Subject {
     /// A zone, shown by origin.
     Zone(ZoneId),
     /// A nameserver, shown by host name.
     Server(ServerId),
-    /// A surveyed name.
-    Name(DnsName),
+    /// A surveyed name: its index in the names the run linted. A rule
+    /// emits the index into its ctx's `names`; a sharded runner rebases
+    /// it onto the whole run's names.
+    Name(u32),
 }
 
 impl Subject {
+    /// The subject for the `i`-th of the ctx's names. Names are counted
+    /// in 32 bits, as ids are.
+    pub fn name_at(i: usize) -> Subject {
+        Subject::Name(u32::try_from(i).expect("a lint run exceeds 2^32 names"))
+    }
+
     /// The subject kind as a stable lowercase word.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -113,12 +122,21 @@ impl Subject {
         }
     }
 
-    /// The subject's DNS name in `universe`, the one its ids index.
-    pub fn name<'a>(&'a self, universe: &'a Universe) -> &'a DnsName {
-        match self {
-            Subject::Zone(zid) => &universe.zone(*zid).origin,
-            Subject::Server(sid) => &universe.server(*sid).name,
-            Subject::Name(name) => name,
+    /// The subject's DNS name: ids resolve in `universe`, a name index
+    /// in `names`, the names the run linted.
+    pub fn name<'a>(&self, universe: &'a Universe, names: &'a [DnsName]) -> &'a DnsName {
+        match *self {
+            Subject::Zone(zid) => &universe.zone(zid).origin,
+            Subject::Server(sid) => &universe.server(sid).name,
+            Subject::Name(i) => &names[i as usize],
+        }
+    }
+
+    /// Moves a name index from a shard's names to the whole run's, where
+    /// the shard's names start at `start`. Ids are left as they are.
+    pub fn rebase(&mut self, start: usize) {
+        if let Subject::Name(i) = *self {
+            *self = Subject::name_at(start + i as usize);
         }
     }
 }
@@ -248,7 +266,7 @@ impl<const N: usize> Text<N> {
     fn write(
         &self,
         universe: &Universe,
-        subject: Option<&Subject>,
+        subject: Option<&DnsName>,
         levels: Option<usize>,
         out: &mut impl fmt::Write,
     ) -> fmt::Result {
@@ -263,7 +281,7 @@ impl<const N: usize> Text<N> {
                 arg.write(universe, out)?;
             } else if let (Some(tail), Some(subject)) = (rest.strip_prefix("{subject}"), subject) {
                 rest = tail;
-                write_name(out, subject.name(universe))?;
+                write_name(out, subject)?;
             } else if let (Some(tail), Some(levels)) = (rest.strip_prefix("{levels}"), levels) {
                 rest = tail;
                 write!(out, "{levels}")?;
@@ -316,8 +334,7 @@ impl EvidenceStep {
     }
 }
 
-/// One lint finding: ids, numbers and `'static` words only, apart from a
-/// surveyed name's subject.
+/// One lint finding: ids, numbers and `'static` words only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// The stable machine-readable rule id (`lame-delegation`, ...).
@@ -328,14 +345,22 @@ pub struct Diagnostic {
     pub subject: Subject,
     /// The one-line message.
     pub message: Message,
-    /// The delegation/dependency path proving the finding.
-    pub evidence: Vec<EvidenceStep>,
+    /// The delegation/dependency path proving the finding, exactly as
+    /// long as it is.
+    pub evidence: Box<[EvidenceStep]>,
 }
 
 impl Diagnostic {
-    /// Writes the message's words, resolving ids in `universe`.
-    pub fn write_message(&self, universe: &Universe, out: &mut impl fmt::Write) -> fmt::Result {
-        self.message.write(universe, Some(&self.subject), None, out)
+    /// Writes the message's words, resolving ids in `universe` and a
+    /// name subject in `names`, the names the run linted.
+    pub fn write_message(
+        &self,
+        universe: &Universe,
+        names: &[DnsName],
+        out: &mut impl fmt::Write,
+    ) -> fmt::Result {
+        let subject = self.subject.name(universe, names);
+        self.message.write(universe, Some(subject), None, out)
     }
 }
 
@@ -458,18 +483,19 @@ pub struct LintCtx<'a> {
 }
 
 impl LintCtx<'_> {
-    /// Runs `f` over every surveyed name in this shard with its borrowed
-    /// closure view — the allocation-light path name-scoped rules use.
-    pub fn for_each_closure(&self, mut f: impl FnMut(&DnsName, &ClosureView<'_>)) {
+    /// Runs `f` over every surveyed name in this shard, as its subject,
+    /// with its borrowed closure view — the allocation-light path
+    /// name-scoped rules use.
+    pub fn for_each_closure(&self, mut f: impl FnMut(Subject, &ClosureView<'_>)) {
         // A shard with no names (every `/zone` request) allocates no
         // workspace.
         if self.names.is_empty() {
             return;
         }
         let mut ws = self.index.workspace();
-        for name in self.names {
+        for (i, name) in self.names.iter().enumerate() {
             let view = self.index.closure_view(self.universe, name, &mut ws);
-            f(name, &view);
+            f(Subject::name_at(i), &view);
         }
     }
 }
@@ -676,10 +702,10 @@ impl LintRule for SingleServerRule {
                 severity: self.default_severity(),
                 subject: Subject::Zone(zid),
                 message: Message::new("zone {subject} is served by a single nameserver"),
-                evidence: vec![EvidenceStep::server(
+                evidence: Box::new([EvidenceStep::server(
                     zone.ns[0],
                     "the only NS of the delegation",
-                )],
+                )]),
             });
         }
         out
@@ -878,16 +904,18 @@ impl DeepChainRule {
     /// Reconstructs one worst-case nesting path: a chain of glueless NS
     /// hops, each strictly decreasing the remaining depth. The successor
     /// always exists because the component depths were computed as
-    /// `1 + max(successor depth)` over exactly these edges. `hop_chain`
-    /// is scratch space for each hop's delegation chain.
+    /// `1 + max(successor depth)` over exactly these edges. The path is
+    /// written into `steps`, which is cleared first; `hop_chain` is
+    /// scratch space for each hop's delegation chain.
     fn worst_path(
         universe: &Universe,
         depths: &DepthIndex,
         chain: &[ZoneId],
         total: usize,
+        steps: &mut Vec<EvidenceStep>,
         hop_chain: &mut Vec<ZoneId>,
-    ) -> Vec<EvidenceStep> {
-        let mut steps = Vec::new();
+    ) {
+        steps.clear();
         let mut cursor: Option<ServerId> = None;
         'first: for &zid in chain {
             let zone = universe.zone(zid);
@@ -930,7 +958,6 @@ impl DeepChainRule {
                 }
             }
         }
-        steps
     }
 }
 
@@ -949,28 +976,31 @@ impl LintRule for DeepChainRule {
         let mut out = Vec::new();
         let mut chain = Vec::new();
         let mut hop_chain = Vec::new();
-        for name in ctx.names {
+        let mut steps = Vec::new();
+        for (i, name) in ctx.names.iter().enumerate() {
             ctx.universe.chain_zones_into(name, &mut chain);
             let depth = ctx.facts.depths().depth_of_chain(ctx.universe, &chain);
             if !self.exceeds(depth) {
                 continue;
             }
+            DeepChainRule::worst_path(
+                ctx.universe,
+                ctx.facts.depths(),
+                &chain,
+                depth,
+                &mut steps,
+                &mut hop_chain,
+            );
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Name(name.clone()),
+                subject: Subject::name_at(i),
                 message: Message::new(
                     "resolving {subject} can force {} nested glueless sub-resolutions (threshold {})",
                 )
                 .arg(Arg::count(depth))
                 .arg(Arg::count(self.threshold)),
-                evidence: DeepChainRule::worst_path(
-                    ctx.universe,
-                    ctx.facts.depths(),
-                    &chain,
-                    depth,
-                    &mut hop_chain,
-                ),
+                evidence: steps.as_slice().into(),
             });
         }
         out
@@ -1044,13 +1074,15 @@ impl LintRule for OrphanedGlueRule {
             if server.is_root || ctx.facts.is_referenced(sid) {
                 continue;
             }
-            let evidence = match ctx.universe.home_zone_of(sid) {
-                Some(home) => vec![EvidenceStep {
+            let evidence = ctx
+                .universe
+                .home_zone_of(sid)
+                .map(|home| EvidenceStep {
                     at: At::Zone(home),
                     note: Note::new("deepest zone enclosing the orphan"),
-                }],
-                None => Vec::new(),
-            };
+                })
+                .into_iter()
+                .collect();
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
@@ -1086,7 +1118,8 @@ impl LintRule for ChokePointRule {
     }
     fn check(&self, ctx: &LintCtx<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        ctx.for_each_closure(|name, view| {
+        let mut steps = Vec::new();
+        ctx.for_each_closure(|subject, view| {
             let Some(cut) = min_cut_flattened_view(ctx.universe, ctx.index, view) else {
                 return;
             };
@@ -1095,19 +1128,20 @@ impl LintRule for ChokePointRule {
             }
             let choke = cut.servers[0];
             let server = ctx.universe.server(choke);
-            let mut evidence = vec![EvidenceStep::server(
+            steps.clear();
+            steps.push(EvidenceStep::server(
                 choke,
                 if server.vulnerable {
                     "the minimum vertex cut, alone — and it is vulnerable"
                 } else {
                     "the minimum vertex cut, alone"
                 },
-            )];
+            ));
             // Witness: the least shortest root→target path through the
             // cut, its servers in resolution order.
             for sid in choke_witness(ctx.universe, view, choke) {
                 if sid != choke {
-                    evidence.push(EvidenceStep::server(
+                    steps.push(EvidenceStep::server(
                         sid,
                         "on the witness resolution path through the choke point",
                     ));
@@ -1116,10 +1150,10 @@ impl LintRule for ChokePointRule {
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Name(name.clone()),
+                subject,
                 message: Message::new("every resolution path for {subject} passes through {}")
                     .arg(Arg::Server(choke)),
-                evidence,
+                evidence: steps.as_slice().into(),
             });
         });
         out
@@ -1162,7 +1196,8 @@ impl LintRule for TcbInflationRule {
     }
     fn check(&self, ctx: &LintCtx<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        ctx.for_each_closure(|name, view| {
+        let mut steps = Vec::new();
+        ctx.for_each_closure(|subject, view| {
             let Some(&own_zone) = view.target_chain().last() else {
                 return;
             };
@@ -1176,17 +1211,15 @@ impl LintRule for TcbInflationRule {
                 return;
             }
             let note = Note::new("delegated NS of {}").arg(Arg::Zone(own_zone));
-            let mut evidence: Vec<EvidenceStep> = own_ns
-                .iter()
-                .map(|&sid| EvidenceStep::server(sid, note))
-                .collect();
+            steps.clear();
+            steps.extend(own_ns.iter().map(|&sid| EvidenceStep::server(sid, note)));
             let mut listed = 0usize;
             for sid in view.servers() {
                 if ctx.universe.server(sid).is_root || own_ns.contains(&sid) {
                     continue;
                 }
                 if listed < TCB_EVIDENCE_CAP {
-                    evidence.push(EvidenceStep::server(
+                    steps.push(EvidenceStep::server(
                         sid,
                         "transitively trusted for some NS address",
                     ));
@@ -1196,14 +1229,14 @@ impl LintRule for TcbInflationRule {
             out.push(Diagnostic {
                 rule: self.id(),
                 severity: self.default_severity(),
-                subject: Subject::Name(name.clone()),
+                subject,
                 message: Message::new(
                     "{subject} trusts {} servers but delegates to only {} ({} transitive)",
                 )
                 .arg(Arg::count(tcb))
                 .arg(Arg::count(k))
                 .arg(Arg::count(tcb.saturating_sub(k))),
-                evidence,
+                evidence: steps.as_slice().into(),
             });
         });
         out
@@ -1308,7 +1341,9 @@ mod tests {
 
         let lame = diags
             .iter()
-            .find(|d| d.rule == "lame-delegation" && d.subject.name(&u) == &name("dangling.com"))
+            .find(|d| {
+                d.rule == "lame-delegation" && d.subject.name(&u, &[]) == &name("dangling.com")
+            })
             .expect("lame diagnostic");
         assert_eq!(lame.evidence.len(), 1);
         assert_eq!(lame.evidence[0].at.name(&u), &name("ns.ghost.zz"));
@@ -1317,7 +1352,7 @@ mod tests {
             .iter()
             .find(|d| d.rule == "deep-chain")
             .expect("deep diagnostic");
-        assert_eq!(deep.subject, Subject::Name(name("www.victim.com")));
+        assert_eq!(deep.subject, Subject::Name(0));
         // The worst path walks the actual nesting: a.net's NS then b.net's.
         let hops: Vec<String> = deep.evidence.iter().map(at).collect();
         assert_eq!(hops, vec!["ns.a.net", "ns.b.net", "ns.c.net"]);
@@ -1334,11 +1369,15 @@ mod tests {
     }
 
     /// Evidence is the bulk of a world-scale report: a step stays an id
-    /// plus a note. (That fixed notes stay borrowed is pinned on the
-    /// tripwire world, which trips every rule, in `lint_golden.rs`.)
+    /// plus a note, a subject an id or a name index, and a finding ids,
+    /// a typed message and an exact-length evidence slice. (That fixed
+    /// notes stay borrowed is pinned on the tripwire world, which trips
+    /// every rule, in `lint_golden.rs`.)
     #[test]
     fn evidence_steps_stay_small() {
         assert!(std::mem::size_of::<EvidenceStep>() <= 32);
+        assert!(std::mem::size_of::<Subject>() <= 8);
+        assert!(std::mem::size_of::<Diagnostic>() <= 88);
     }
 
     #[test]
@@ -1377,7 +1416,7 @@ mod tests {
             .iter()
             .find(|d| d.rule == "tcb-inflation")
             .expect("inflation fires: tcb 5 vs 1 NS meets max(3*1, 1+4)");
-        assert_eq!(inflation.subject, Subject::Name(name("www.fat.com")));
+        assert_eq!(inflation.subject, Subject::Name(0));
         assert!(inflation
             .evidence
             .iter()
@@ -1400,11 +1439,14 @@ mod tests {
             &[name("ns1.other.net"), name("ns2.other.net")],
         );
         let u = b.finish();
-        let diags = lint_all(&u, &[name("www.ok.com")]);
+        let names = [name("www.ok.com")];
+        let diags = lint_all(&u, &names);
         assert!(
-            diags.iter().all(|d| d.subject.name(&u) != &name("ok.com")
-                || d.rule == "choke-point"
-                || d.rule == "tcb-inflation"),
+            diags
+                .iter()
+                .all(|d| d.subject.name(&u, &names) != &name("ok.com")
+                    || d.rule == "choke-point"
+                    || d.rule == "tcb-inflation"),
             "no structural finding against ok.com: {diags:#?}"
         );
         assert!(!rules_fired(&diags).contains("lame-delegation"));

@@ -38,12 +38,13 @@ fn push_name_field(out: &mut String, key: &str, name: &DnsName) {
 
 /// Serializes lint diagnostics (rule, severity, subject, message,
 /// evidence chain) as a JSON array, resolving their ids and writing
-/// their words through the `universe` and `facts` they were computed
-/// over — the lint sinks' renderer.
+/// their words through the `universe`, `facts` and `names` they were
+/// computed over — the lint sinks' renderer.
 fn push_diagnostics(
     out: &mut String,
     universe: &Universe,
     facts: &LintIndex,
+    names: &[DnsName],
     diagnostics: &[Diagnostic],
 ) {
     out.push('[');
@@ -58,9 +59,9 @@ fn push_diagnostics(
         out.push_str(",\"subject\":{\"kind\":");
         push_json_string(out, d.subject.kind());
         out.push(',');
-        push_name_field(out, "name", d.subject.name(universe));
+        push_name_field(out, "name", d.subject.name(universe, names));
         out.push_str("},\"message\":");
-        push_json_message(out, d, universe);
+        push_json_message(out, d, universe, names);
         out.push_str(",\"evidence\":[");
         for (j, step) in d.evidence.iter().enumerate() {
             if j > 0 {
@@ -78,7 +79,8 @@ fn push_diagnostics(
 }
 
 /// Runs every registered rule over the given subject slices. Slices
-/// must be ascending by id (the lint determinism contract).
+/// must be ascending by id (the lint determinism contract); a name
+/// subject indexes `names`.
 fn lint_subjects(
     snap: &WorldSnapshot,
     rules: &RuleRegistry,
@@ -134,7 +136,8 @@ pub fn name_response(
     // by id, as the rule contract requires).
     let mut chain: Vec<ZoneId> = view.target_chain().to_vec();
     chain.sort_by_key(|z| z.index());
-    let diagnostics = lint_subjects(snap, rules, &chain, &[], std::slice::from_ref(&target));
+    let names = std::slice::from_ref(&target);
+    let diagnostics = lint_subjects(snap, rules, &chain, &[], names);
 
     let mut body = String::with_capacity(1024);
     body.push_str(&format!("{{\"epoch\":{},", snap.epoch));
@@ -174,7 +177,7 @@ pub fn name_response(
         .map(|set| set.size() > 0 && set.fully_vulnerable())
         .unwrap_or(false);
     body.push_str(&format!(",\"hijackable\":{hijackable},\"lint\":"));
-    push_diagnostics(&mut body, &snap.universe, &snap.lint, &diagnostics);
+    push_diagnostics(&mut body, &snap.universe, &snap.lint, names, &diagnostics);
     body.push('}');
     Response::json(200, body)
 }
@@ -222,7 +225,7 @@ pub fn zone_response(snap: &WorldSnapshot, rules: &RuleRegistry, raw: &str) -> R
         ));
     }
     body.push_str("],\"lint\":");
-    push_diagnostics(&mut body, &snap.universe, &snap.lint, &diagnostics);
+    push_diagnostics(&mut body, &snap.universe, &snap.lint, &[], &diagnostics);
     body.push('}');
     Response::json(200, body)
 }

@@ -1,14 +1,16 @@
-//! Lint findings by id: a finding holds ids, numbers and `'static`
-//! templates, never rendered text, and every sink writes its words
-//! through the one renderer on `Diagnostic` and `EvidenceStep` — so the
-//! daemon's `/name` answers and the `lint` text sink say the same thing
-//! about the same finding.
+//! Lint findings by id: a finding holds ids, name indices, numbers and
+//! `'static` templates, never rendered text, and every sink writes its
+//! words through the one renderer on `Diagnostic` and `EvidenceStep` — so
+//! the daemon's `/name` answers and the `lint` text sink say the same
+//! thing about the same finding. Both runs here shard over three
+//! workers, whose uneven name ranges the runner rebases.
 
 #![forbid(unsafe_code)]
 
 use perils_core::lint::{
     EvidenceStep, Message, Note, RuleRegistry, SeverityOverrides, Subject, Text,
 };
+use perils_dns::name::DnsName;
 use perils_service::query::name_response;
 use perils_service::{WorldSnapshot, WorldSpec};
 use perils_survey::lint::{run_lint, LintFormat};
@@ -19,11 +21,14 @@ use std::num::NonZeroUsize;
 const SEED: u64 = 20040722;
 
 /// The rules that scan the surveyed-name axis: the only findings whose
-/// subject is a name rather than an id.
+/// subject is a name index rather than a zone or server id.
 const NAME_RULES: [&str; 3] = ["deep-chain", "choke-point", "tcb-inflation"];
 
 /// A `Copy` type cannot own heap text.
 fn assert_copy<T: Copy>() {}
+
+/// Workers for the lint runs: 400 tiny names shard unevenly over them.
+const WORKERS: Option<NonZeroUsize> = NonZeroUsize::new(3);
 
 /// Each `{}` of the template has an argument and each argument a `{}`.
 fn args_fill_placeholders<const N: usize>(text: &Text<N>) -> bool {
@@ -35,20 +40,22 @@ fn builtin_findings_hold_no_heap_text() {
     assert_copy::<Message>();
     assert_copy::<Note>();
     assert_copy::<EvidenceStep>();
+    assert_copy::<Subject>();
     assert!(std::mem::size_of::<EvidenceStep>() <= 32);
     for name in ["tiny", "fbi", "tripwire"] {
         let world = WorldSpec::parse(name, SEED)
             .expect("a named world")
             .build(None);
+        let surveyed: Vec<DnsName> = world.names.iter().map(|n| n.name).collect();
         let report = run_lint(
             &world,
             &RuleRegistry::builtin(),
             &SeverityOverrides::new(),
-            NonZeroUsize::new(1),
+            WORKERS,
         );
         assert!(!report.diagnostics.is_empty(), "{name}: no findings");
         let mut words = String::new();
-        for d in &report.diagnostics {
+        for d in report.diagnostics.iter() {
             assert_eq!(
                 matches!(d.subject, Subject::Name(_)),
                 NAME_RULES.contains(&d.rule),
@@ -56,7 +63,22 @@ fn builtin_findings_hold_no_heap_text() {
             );
             assert!(args_fill_placeholders(&d.message), "{name}: {d:?}");
             words.clear();
-            d.write_message(&world.universe, &mut words).unwrap();
+            d.write_message(&world.universe, &report.names, &mut words)
+                .unwrap();
+            // A name subject is the surveyed name at its index, and the
+            // message names it.
+            if let Subject::Name(i) = d.subject {
+                let surveyed = &surveyed[i as usize];
+                assert_eq!(
+                    d.subject.name(&world.universe, &report.names),
+                    surveyed,
+                    "{name}: {d:?}"
+                );
+                assert!(
+                    words.contains(&surveyed.to_string()),
+                    "{name}: {words:?} does not name {surveyed}"
+                );
+            }
             for step in &d.evidence {
                 assert!(args_fill_placeholders(&step.note), "{name}: {d:?}");
                 step.write_note(&world.universe, &world.lint, &mut words)
@@ -118,12 +140,7 @@ fn name_answers_and_the_text_sink_write_the_same_words() {
     let spec = WorldSpec::parse("tiny", SEED).expect("tiny parses");
     let snap = WorldSnapshot::build(&spec, 1, 1, false);
     let rules = RuleRegistry::builtin();
-    let report = run_lint(
-        &snap.world,
-        &rules,
-        &SeverityOverrides::new(),
-        NonZeroUsize::new(1),
-    );
+    let report = run_lint(&snap.world, &rules, &SeverityOverrides::new(), WORKERS);
     let sink = text_sink_words(&report.emit(LintFormat::Text));
 
     let mut ws = snap.index.workspace();

@@ -4,19 +4,23 @@
 //! a [`World`]'s dependency index and shared [`LintIndex`] facts, it
 //! shards the three subject axes (zones, servers, surveyed names) over
 //! workers through [`perils_util::par`], as the metric engine does. Each
-//! worker runs every registered rule over its contiguous sub-ranges;
-//! shards are merged rule-major in range order, so the diagnostic
-//! stream — and every rendered byte — equals one serial run of every rule
-//! over the whole universe at every thread count (the `stream_equivalence`
-//! suite pins this against the oracle crate's serial run).
+//! worker runs every registered rule over its contiguous sub-ranges and
+//! rebases its name subjects onto the whole run's names. The report keeps
+//! each worker's per-rule `Vec` as the worker wrote it, rule-major in
+//! range order ([`Findings`]), so the diagnostic stream — and every
+//! rendered byte — equals one serial run of every rule over the whole
+//! universe at every thread count (the `stream_equivalence` suite pins
+//! this against the oracle crate's serial run), and no finding is copied
+//! after its worker wrote it.
 //!
 //! Three sinks serialize a [`LintReport`]: rustc-style text for humans,
 //! a findings/rules/summary JSON document, and SARIF 2.1.0 for code
 //! scanning UIs and CI annotation. Each writes into any `io::Write`, one
 //! finding at a time, writing every message and note through
 //! [`Diagnostic::write_message`] and [`EvidenceStep::write_note`] as it
-//! goes; the report itself holds ids, never copies of names or words
-//! (a surveyed name's subject is the one name a finding carries).
+//! goes; a finding holds ids, numbers, `'static` words and an exact-length
+//! evidence slice, and its subject names resolve through the universe and
+//! the report's one list of surveyed names.
 
 use crate::snapshot::World;
 use perils_core::lint::{
@@ -27,6 +31,7 @@ use perils_core::DependencyIndex;
 use perils_dns::name::DnsName;
 use perils_util::json::{escape_json_from, push_json_escaped, push_json_string};
 use perils_util::par;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::num::NonZeroUsize;
@@ -43,43 +48,76 @@ pub struct RuleMeta {
     pub description: &'static str,
 }
 
-/// The outcome of a lint run: the merged diagnostics (severities
-/// re-stamped by overrides, `allow`-level findings dropped) plus the
-/// rule listing and subject counts the sinks summarize.
+/// One worker's findings for one rule, as the worker wrote them.
+#[derive(Debug, Clone)]
+struct Shard {
+    /// The rule's position in the registry (and in [`LintReport::rules`]).
+    rule: usize,
+    /// Its findings, severity re-stamped by overrides.
+    diagnostics: Vec<Diagnostic>,
+}
+
+/// A lint run's reported findings in rule-major, subject-range order:
+/// the workers' non-empty per-rule `Vec`s, kept as they were written
+/// rather than copied into one. Every finding of a shard has its rule's
+/// effective severity.
+#[derive(Debug, Clone)]
+pub struct Findings {
+    shards: Vec<Shard>,
+}
+
+impl Findings {
+    /// The number of findings.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.diagnostics.len()).sum()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.shards.is_empty()
+    }
+
+    /// Every finding, in report order.
+    pub fn iter(&self) -> impl Iterator<Item = &Diagnostic> + '_ {
+        self.shards.iter().flat_map(|s| &s.diagnostics)
+    }
+}
+
+/// The outcome of a lint run: the reported diagnostics (severities
+/// re-stamped by overrides, `allow`-level rules' findings dropped), the
+/// names they were computed over, and the rule listing the sinks
+/// summarize.
 #[derive(Debug, Clone)]
 pub struct LintReport<'u> {
-    /// The linted universe: every subject, evidence step and argument id
-    /// resolves through it.
+    /// The linted universe: every zone and server subject, evidence step
+    /// and argument id resolves through it.
     pub universe: &'u Universe,
     /// The lint facts the findings were computed from (a `deep-chain`
     /// note's nesting levels are read from them).
     pub facts: &'u LintIndex,
+    /// The surveyed names linted, in survey order: a name subject is an
+    /// index into them.
+    pub names: Cow<'u, [DnsName]>,
     /// Every reported diagnostic, in rule-major, subject-range order.
-    pub diagnostics: Vec<Diagnostic>,
+    pub diagnostics: Findings,
     /// Every registered rule with its effective severity.
     pub rules: Vec<RuleMeta>,
-    /// Zones checked.
-    pub zones: usize,
-    /// Servers checked.
-    pub servers: usize,
-    /// Surveyed names checked.
-    pub names: usize,
 }
 
 impl LintReport<'_> {
     /// Whether any reported finding is deny-level (the CI/exit-1 gate).
     pub fn has_deny(&self) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Deny)
+        self.count(Severity::Deny) > 0
     }
 
     /// Findings at `severity`.
     pub fn count(&self, severity: Severity) -> usize {
         self.diagnostics
+            .shards
             .iter()
-            .filter(|d| d.severity == severity)
-            .count()
+            .filter(|s| self.rules[s.rule].severity == severity)
+            .map(|s| s.diagnostics.len())
+            .sum()
     }
 
     /// Streams the report through the chosen sink into `out`.
@@ -107,8 +145,8 @@ impl LintReport<'_> {
 ///
 /// Output is deterministic and thread-count-invariant: workers own
 /// contiguous sub-ranges of each subject axis and their per-rule shards
-/// are concatenated in range order, exactly the metric engine's merge
-/// discipline.
+/// are kept in rule-major, range order, exactly the metric engine's
+/// merge discipline.
 pub fn run_lint<'w>(
     world: &'w World,
     registry: &RuleRegistry,
@@ -118,7 +156,7 @@ pub fn run_lint<'w>(
     let targets: Vec<DnsName> = world.names.iter().map(|n| n.name).collect();
     run_lint_with(
         &world.universe,
-        &targets,
+        targets,
         registry,
         overrides,
         threads,
@@ -128,16 +166,19 @@ pub fn run_lint<'w>(
 }
 
 /// [`run_lint`] over a universe, its target names and its **prebuilt**
-/// dependency index and lint facts, which must belong to `universe`.
+/// dependency index and lint facts, which must belong to `universe`. The
+/// report borrows `names` when given a borrow, so the caller's list is
+/// not copied.
 pub fn run_lint_with<'u>(
     universe: &'u Universe,
-    names: &[DnsName],
+    names: impl Into<Cow<'u, [DnsName]>>,
     registry: &RuleRegistry,
     overrides: &SeverityOverrides,
     threads: Option<NonZeroUsize>,
     index: &DependencyIndex,
     facts: &'u LintIndex,
 ) -> LintReport<'u> {
+    let names = names.into();
     let workers = par::threads(threads);
     let zones: Vec<ZoneId> = universe.zone_ids().collect();
     let servers: Vec<ServerId> = universe.server_ids().collect();
@@ -151,48 +192,49 @@ pub fn run_lint_with<'u>(
     };
     // One single-index range per worker; worker-major results:
     // worker → rule → diagnostics.
-    let mut worker_shards = par::map_ranges(workers, workers, |w| {
+    let worker_shards = par::map_ranges(workers, workers, |w| {
         let w = w.start;
+        let own_names = slice_of(names.len(), w);
+        let start = own_names.start;
         let ctx = LintCtx {
             universe,
             index,
             facts,
             zones: &zones[slice_of(zones.len(), w)],
             servers: &servers[slice_of(servers.len(), w)],
-            names: &names[slice_of(names.len(), w)],
+            names: &names[own_names],
         };
         registry
             .iter()
-            .map(|rule| rule.check(&ctx))
+            .map(|rule| {
+                let mut diagnostics = rule.check(&ctx);
+                // A rule numbers the names it was handed from 0.
+                for d in &mut diagnostics {
+                    d.subject.rebase(start);
+                }
+                diagnostics
+            })
             .collect::<Vec<_>>()
     });
-    // Merge rule-major, workers in range order — the serial order.
-    let mut diagnostics = Vec::new();
-    for rule_idx in 0..registry.len() {
-        for worker in &mut worker_shards {
-            diagnostics.append(&mut worker[rule_idx]);
-        }
-    }
-
-    let (rules, diagnostics) = apply_overrides(diagnostics, registry, overrides);
+    let (rules, diagnostics) = apply_overrides(worker_shards, registry, overrides);
     LintReport {
         universe,
         facts,
+        names,
         diagnostics,
         rules,
-        zones: zones.len(),
-        servers: servers.len(),
-        names: names.len(),
     }
 }
 
-/// Lists every rule with its effective severity, re-stamps each finding
-/// with its rule's, and drops `allow`-level findings.
+/// Lists every rule with its effective severity and keeps the workers'
+/// shards rule-major, workers in range order — the serial order. Each
+/// shard is re-stamped in place with its rule's severity; an
+/// `allow`-level rule's shards, and empty ones, are dropped whole.
 fn apply_overrides(
-    diagnostics: Vec<Diagnostic>,
+    mut worker_shards: Vec<Vec<Vec<Diagnostic>>>,
     registry: &RuleRegistry,
     overrides: &SeverityOverrides,
-) -> (Vec<RuleMeta>, Vec<Diagnostic>) {
+) -> (Vec<RuleMeta>, Findings) {
     let rules: Vec<RuleMeta> = registry
         .iter()
         .map(|rule| RuleMeta {
@@ -201,25 +243,23 @@ fn apply_overrides(
             description: rule.describe(),
         })
         .collect();
-    let effective_of = |id: &str| {
-        rules
-            .iter()
-            .find(|m| m.id == id)
-            .map(|m| m.severity)
-            .expect("diagnostic from an unregistered rule")
-    };
-    let diagnostics = diagnostics
-        .into_iter()
-        .filter_map(|mut d| {
-            let severity = effective_of(d.rule);
-            if severity == Severity::Allow {
-                return None;
+    let mut shards = Vec::new();
+    for (rule, meta) in rules.iter().enumerate() {
+        if meta.severity == Severity::Allow {
+            continue;
+        }
+        for worker in &mut worker_shards {
+            let mut diagnostics = std::mem::take(&mut worker[rule]);
+            if diagnostics.is_empty() {
+                continue;
             }
-            d.severity = severity;
-            Some(d)
-        })
-        .collect();
-    (rules, diagnostics)
+            for d in &mut diagnostics {
+                d.severity = meta.severity;
+            }
+            shards.push(Shard { rule, diagnostics });
+        }
+    }
+    (rules, Findings { shards })
 }
 
 /// The serialization a lint sink writes.
@@ -285,11 +325,12 @@ pub fn push_json_name(out: &mut String, name: &DnsName) {
 }
 
 /// Appends a finding's message as a JSON string literal, its words
-/// written straight into the body and escaped in place.
-pub fn push_json_message(out: &mut String, d: &Diagnostic, universe: &Universe) {
+/// written straight into the body and escaped in place. A name subject
+/// resolves in `names`, the names the finding was computed over.
+pub fn push_json_message(out: &mut String, d: &Diagnostic, universe: &Universe, names: &[DnsName]) {
     out.push('"');
     let start = out.len();
-    d.write_message(universe, out)
+    d.write_message(universe, names, out)
         .expect("writing into a String cannot fail");
     escape_json_from(out, start);
     out.push('"');
@@ -319,12 +360,12 @@ fn push_text_finding(
 ) -> std::fmt::Result {
     let universe = report.universe;
     write!(out, "{}[{}]: ", text_label(d.severity), d.rule)?;
-    d.write_message(universe, out)?;
+    d.write_message(universe, &report.names, out)?;
     writeln!(
         out,
         "\n  --> {} {}",
         d.subject.kind(),
-        d.subject.name(universe)
+        d.subject.name(universe, &report.names)
     )?;
     for step in &d.evidence {
         write!(out, "  = note: {}: ", step.at.name(universe))?;
@@ -340,7 +381,7 @@ fn push_text_finding(
 /// buffer and written out whole.
 pub fn write_text(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<()> {
     let mut buf = String::new();
-    for d in &report.diagnostics {
+    for d in report.diagnostics.iter() {
         push_text_finding(&mut buf, d, report).expect("writing into a String cannot fail");
         out.write_all(buf.as_bytes())?;
         buf.clear();
@@ -351,9 +392,9 @@ pub fn write_text(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<(
         report.diagnostics.len(),
         report.count(Severity::Deny),
         report.count(Severity::Warn),
-        report.zones,
-        report.servers,
-        report.names,
+        report.universe.zone_count(),
+        report.universe.server_count(),
+        report.names.len(),
     )
 }
 
@@ -370,9 +411,9 @@ pub fn write_json(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<(
         buf.push_str(", \"subject\": {\"kind\": ");
         push_json_string(&mut buf, d.subject.kind());
         buf.push_str(", \"name\": ");
-        push_json_name(&mut buf, d.subject.name(report.universe));
+        push_json_name(&mut buf, d.subject.name(report.universe, &report.names));
         buf.push_str("}, \"message\": ");
-        push_json_message(&mut buf, d, report.universe);
+        push_json_message(&mut buf, d, report.universe, &report.names);
         buf.push_str(", \"evidence\": [");
         for (j, step) in d.evidence.iter().enumerate() {
             if j > 0 {
@@ -406,9 +447,9 @@ pub fn write_json(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<(
         report.diagnostics.len(),
         report.count(Severity::Deny),
         report.count(Severity::Warn),
-        report.zones,
-        report.servers,
-        report.names,
+        report.universe.zone_count(),
+        report.universe.server_count(),
+        report.names.len(),
     )
 }
 
@@ -432,12 +473,12 @@ pub fn write_sarif(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<
         buf.push_str("}}");
     }
     buf.push_str("\n          ]\n        }\n      },\n      \"results\": [");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        let rule_index = report
-            .rules
-            .iter()
-            .position(|m| m.id == d.rule)
-            .expect("diagnostic from an unregistered rule");
+    let results = report
+        .diagnostics
+        .shards
+        .iter()
+        .flat_map(|s| s.diagnostics.iter().map(move |d| (s.rule, d)));
+    for (i, (rule_index, d)) in results.enumerate() {
         buf.push_str(if i == 0 { "\n" } else { ",\n" });
         buf.push_str("        {\"ruleId\": ");
         push_json_string(&mut buf, d.rule);
@@ -446,11 +487,11 @@ pub fn write_sarif(report: &LintReport<'_>, out: &mut impl Write) -> io::Result<
         buf.push_str(", \"level\": ");
         push_json_string(&mut buf, sarif_level(d.severity));
         buf.push_str(", \"message\": {\"text\": ");
-        push_json_message(&mut buf, d, report.universe);
+        push_json_message(&mut buf, d, report.universe, &report.names);
         buf.push_str("}, \"locations\": [{\"logicalLocations\": [{\"fullyQualifiedName\": \"");
         buf.push_str(d.subject.kind());
         buf.push(' ');
-        push_name_escaped(&mut buf, d.subject.name(report.universe));
+        push_name_escaped(&mut buf, d.subject.name(report.universe, &report.names));
         buf.push_str("\", \"kind\": ");
         push_json_string(&mut buf, d.subject.kind());
         buf.push_str("}]}]");

@@ -12,7 +12,7 @@
 //! `GOLDEN_REGEN=1 cargo test -p perils-survey --test lint_golden`.
 
 use perils_authserver::scenarios::fbi_case;
-use perils_core::lint::{LintIndex, Note, RuleRegistry, Severity, SeverityOverrides};
+use perils_core::lint::{LintIndex, Note, RuleRegistry, Severity, SeverityOverrides, Subject};
 use perils_core::universe::Universe;
 use perils_core::DependencyIndex;
 use perils_dns::name::{name, DnsName};
@@ -90,7 +90,7 @@ impl Fixture {
 fn lint_universe<'u>(
     universe: &'u Universe,
     facts: &'u LintIndex,
-    targets: &[DnsName],
+    targets: &'u [DnsName],
     overrides: &SeverityOverrides,
 ) -> LintReport<'u> {
     run_lint_with(
@@ -158,7 +158,10 @@ fn fbi_findings_name_the_actual_servers() {
         .find(|d| d.rule == "lame-delegation")
         .expect("lame-delegation fires on the fbi world");
     let universe = &fixture.world.universe;
-    assert_eq!(lame.subject.name(universe), &name("usdoj.gov"));
+    assert_eq!(
+        lame.subject.name(universe, &report.names),
+        &name("usdoj.gov")
+    );
     assert!(
         lame.evidence
             .iter()
@@ -184,7 +187,10 @@ fn fbi_findings_name_the_actual_servers() {
         .iter()
         .find(|d| d.rule == "orphaned-glue")
         .expect("fedworld's stale glue is orphaned");
-    assert_eq!(orphan.subject.name(universe), &name("ns.fedworld.zz"));
+    assert_eq!(
+        orphan.subject.name(universe, &report.names),
+        &name("ns.fedworld.zz")
+    );
 }
 
 #[test]
@@ -280,9 +286,10 @@ fn lint_rules_agree_with_misconfig_flags() {
         let origin = &universe.zone(zid).origin;
         let flags = index.zone_flags(zid);
         let has = |rule: &str| {
-            report.diagnostics.iter().any(|d| {
-                d.rule == rule && d.subject.kind() == "zone" && d.subject.name(universe) == origin
-            })
+            report
+                .diagnostics
+                .iter()
+                .any(|d| d.rule == rule && d.subject == Subject::Zone(zid))
         };
         assert_eq!(
             flags & FLAG_SINGLE_SERVER != 0,
@@ -339,12 +346,8 @@ fn names_with_quote_and_backslash_labels_survive_every_sink() {
     b.add_zone(&name("quote.com"), std::slice::from_ref(&host));
     let universe = b.finish();
     let facts = LintIndex::build(&universe);
-    let report = lint_universe(
-        &universe,
-        &facts,
-        &[name("www.quote.com")],
-        &SeverityOverrides::new(),
-    );
+    let targets = [name("www.quote.com")];
+    let report = lint_universe(&universe, &facts, &targets, &SeverityOverrides::new());
     let shown = host.to_string();
     assert_eq!(shown, "ns\"q\\x.quote.com");
 
