@@ -61,11 +61,6 @@ impl AuthServer {
         &self.software
     }
 
-    /// Origins of hosted zones.
-    pub fn zone_origins(&self) -> impl Iterator<Item = &DnsName> {
-        self.zones.iter().map(|z| z.origin())
-    }
-
     /// The deepest hosted zone enclosing `name`.
     fn zone_for(&self, name: &DnsName) -> Option<&Arc<Zone>> {
         self.zones

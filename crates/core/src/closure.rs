@@ -21,15 +21,20 @@
 //!   without materializing per-server edges (delegation webs are cyclic —
 //!   cornell ↔ rochester in Figure 1), and every component's reachable
 //!   server/zone set is memoized once as an interned set
-//!   ([`perils_graph::bitset::BitSetInterner`]). Each component's
-//!   successors are read straight off its members' rows, and memoization
-//!   is one pass in Tarjan's component order: the numbering is reverse
-//!   topological, so every successor is interned before the component
-//!   that needs it. The build is serial and takes no thread count, so
-//!   the index bytes are a pure function of the universe;
+//!   ([`perils_graph::bitset::BitSetInterner`]): a sorted run in one
+//!   shared arena, with set `i` at `arena[offsets[i]..offsets[i + 1]]`.
+//!   Each component's successors are read straight off its members'
+//!   rows, and memoization is one pass in Tarjan's component order: the
+//!   numbering is reverse topological, so every successor is interned
+//!   before the component that needs it. A component with at most
+//!   `MERGE_MAX_FANOUT` successors folds their runs by sorted merge;
+//!   a wider one unions them through a scratch bitset. The build is
+//!   serial and takes no thread count, so the index bytes are a pure
+//!   function of the universe;
 //! * the build finishes through the archive decoder: its tables are
-//!   written in the `DEPINDEX` layout into a heap byte store and decoded
-//!   back ([`crate::snapshot::decode_dep_index`]), so a built index and one
+//!   written in the `DEPINDEX` layout (nine length-prefixed `u32`
+//!   arrays) into a heap byte store and decoded back
+//!   ([`crate::snapshot::decode_dep_index`]), so a built index and one
 //!   loaded from a `.psa` archive are the same thing — flat
 //!   [`U32View`]s and [`SetTable`]s over a store.
 //!
@@ -325,18 +330,12 @@ impl MemoResult {
             (self.component_servers[d], self.component_zones[d])
         };
 
-        // Merge fast path: the typical component has one or two sparse
-        // successor sets, so a fold of sorted merges beats the bitset
-        // bookkeeping plus a full sort. (Components partition the server
-        // set, so members are disjoint from every successor's servers;
-        // successors may still overlap each other, which merge dedups.)
-        let mergeable = successors.len() <= MERGE_MAX_FANOUT
-            && successors.iter().all(|&d| {
-                let (sv, zv) = sets(d);
-                self.server_sets.as_sorted_slice(sv).is_some()
-                    && self.zone_sets.as_sorted_slice(zv).is_some()
-            });
-        if mergeable {
+        // Merge fast path: the typical component has one or two successor
+        // sets, so a fold of sorted merges beats the bitset bookkeeping
+        // plus a full sort. (Components partition the server set, so
+        // members are disjoint from every successor's servers; successors
+        // may still overlap each other, which merge dedups.)
+        if successors.len() <= MERGE_MAX_FANOUT {
             scratch.out_servers.clear();
             scratch.out_servers.extend_from_slice(members);
             scratch.out_servers.sort_unstable();
@@ -350,20 +349,17 @@ impl MemoResult {
             scratch.out_zones.dedup();
             for &d in successors {
                 let (sv, zv) = sets(d);
-                let set = self
-                    .server_sets
-                    .as_sorted_slice(sv)
-                    .expect("checked sparse");
+                let set = self.server_sets.as_sorted_slice(sv);
                 union_merge(&scratch.out_servers, set, &mut scratch.tmp);
                 std::mem::swap(&mut scratch.out_servers, &mut scratch.tmp);
-                let set = self.zone_sets.as_sorted_slice(zv).expect("checked sparse");
+                let set = self.zone_sets.as_sorted_slice(zv);
                 union_merge(&scratch.out_zones, set, &mut scratch.tmp);
                 std::mem::swap(&mut scratch.out_zones, &mut scratch.tmp);
             }
             return;
         }
 
-        // Bitset path: dense successors or wide fan-out.
+        // Bitset path: wide fan-out.
         scratch.out_servers.clear();
         scratch.out_zones.clear();
         for &member in members {

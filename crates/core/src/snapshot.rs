@@ -7,7 +7,11 @@
 //! validation — every id is bounds-checked against the owning universe's
 //! dimensions before any accessor can index with it, so even a forged
 //! (checksum-valid) archive yields a typed [`SnapshotError`] rather
-//! than a panic or a silently inconsistent world.
+//! than a panic or a silently inconsistent world. Every id array is
+//! written in one layout — a `u32` length, then the words — by
+//! [`snapshot::put_u32_slice`] or, for an iterator, `put_ids`, and read
+//! back as a store view ([`StoreDec::u32_arr`]) or a `Vec`
+//! ([`Dec::u32_vec`]). `DEPINDEX` is nothing else: nine such arrays.
 //!
 //! Round-trip contract: `decode_universe(encode_universe(u)) == u`, and
 //! likewise for [`DependencyIndex`] and [`LintIndex`] (all three are
@@ -198,11 +202,14 @@ pub fn encode_dep_index(out: &mut Vec<u8>, index: &DependencyIndex) {
 
 /// Decodes a `DEPINDEX` section, validating it against `universe`.
 ///
-/// This is how every index comes into memory: each flat table — CSR
-/// rows, SCC map, memo tables, both set arenas — stays a typed view into
-/// the section's byte store, and validation streams the words without
-/// materializing them. The set arenas range over the universe's servers
-/// and zones, so their capacities come from `universe`, not the bytes.
+/// The section is nine length-prefixed `u32` arrays: the per-zone
+/// dependency rows (offsets, targets), the component of each server, each
+/// component's server-set and zone-set id, then each set table's run
+/// offsets and arena. This is how every index comes into memory: each
+/// array stays a typed view into the section's byte store, and
+/// validation streams the words without materializing them. The set
+/// arenas range over the universe's servers and zones, so their
+/// capacities come from `universe`, not the bytes.
 pub fn decode_dep_index(
     section: &Section,
     universe: &Universe,
@@ -235,7 +242,12 @@ pub fn decode_dep_index(
 pub fn encode_lint(out: &mut Vec<u8>, lint: &LintIndex) {
     let (depths, zombies, zone_reachable, referenced) = lint.snapshot_parts();
     let (depth, cycles) = depths.snapshot_parts();
-    put_usize_slice(out, depth);
+    put_ids(
+        out,
+        depth
+            .iter()
+            .map(|&d| u32::try_from(d).expect("archived depth fits u32")),
+    );
     snapshot::put_u32(
         out,
         u32::try_from(cycles.len()).expect("cycle count fits u32"),
@@ -258,7 +270,7 @@ pub fn decode_lint(section: &Section, universe: &Universe) -> Result<LintIndex, 
     let payload = section.bytes()?;
     let payload = &payload[..];
     let mut dec = Dec::new_at(payload, "LINTIDX", section.base());
-    let depth = take_usize_vec(&mut dec)?;
+    let depth = dec.u32_vec()?.into_iter().map(|d| d as usize).collect();
     let cycle_count = dec.u32()? as usize;
     let mut cycles = Vec::with_capacity(cycle_count.min(payload.len()));
     for _ in 0..cycle_count {
@@ -285,23 +297,6 @@ pub(crate) fn put_ids(out: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = u32>
     for id in ids {
         out.extend_from_slice(&id.to_le_bytes());
     }
-}
-
-/// Writes a `usize` slice as a `u32` array — every archived value is an
-/// index bounded by a `u32` id space (debug-asserted; `try_from` guards
-/// release builds too).
-fn put_usize_slice(out: &mut Vec<u8>, values: &[usize]) {
-    snapshot::put_u32(out, u32::try_from(values.len()).expect("slice fits u32"));
-    out.reserve(values.len() * 4);
-    for &v in values {
-        let v = u32::try_from(v).expect("archived index fits u32");
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Reads a [`put_usize_slice`] array back as `usize`s.
-fn take_usize_vec(dec: &mut Dec<'_>) -> Result<Vec<usize>, SnapshotError> {
-    Ok(dec.u32_vec()?.into_iter().map(|v| v as usize).collect())
 }
 
 #[cfg(test)]
@@ -432,6 +427,21 @@ mod tests {
         ));
     }
 
+    /// A named fault planted into a `DEPINDEX` payload's nine arrays.
+    type Plant<'a> = (&'a str, &'a dyn Fn(&mut Vec<Vec<u32>>));
+
+    /// A `DEPINDEX` payload as its nine arrays, and back.
+    fn dep_arrays(bytes: &[u8]) -> Vec<Vec<u32>> {
+        let mut dec = Dec::new(bytes, "DEPINDEX");
+        let arrays = (0..9).map(|_| dec.u32_vec().expect("array")).collect();
+        dec.finish().expect("nine arrays and nothing else");
+        arrays
+    }
+
+    fn dep_bytes(arrays: &[Vec<u32>]) -> Vec<u8> {
+        payload(|out| arrays.iter().for_each(|a| snapshot::put_u32_slice(out, a)))
+    }
+
     #[test]
     fn corrupt_sections_never_panic() {
         let universe = tiny_universe();
@@ -460,6 +470,57 @@ mod tests {
                     1 => decode_dep_index(&bad, &universe).map(|_| ()),
                     _ => decode_lint(&bad, &universe).map(|_| ()),
                 };
+            }
+        }
+        // Each planted offset, run or set-id fault in either set table is
+        // a typed `Malformed` error.
+        let good = dep_arrays(&sections[1]);
+        assert!(decode_dep_index(&sec(&dep_bytes(&good)), &universe).is_ok());
+        // (offsets, arena, component set ids, capacity) of each table.
+        for (offsets, arena, ids, capacity) in [
+            (5, 6, 3, universe.server_count()),
+            (7, 8, 4, universe.zone_count()),
+        ] {
+            let first_run = (1..good[offsets].len())
+                .find(|&i| good[offsets][i] > 0)
+                .expect("a nonempty run");
+            let long_run = good[offsets]
+                .windows(2)
+                .position(|w| w[1] - w[0] >= 2)
+                .expect("a run of two or more");
+            let plants: [Plant<'_>; 8] = [
+                ("no leading zero", &|a| a[offsets].clear()),
+                ("a nonzero first offset", &|a| a[offsets][0] = 1),
+                ("decreasing offsets", &|a| {
+                    let below = a[offsets][first_run] - 1;
+                    a[offsets].insert(first_run + 1, below);
+                }),
+                ("a last offset short of the arena", &|a| a[arena].push(0)),
+                ("an offset past the arena", &|a| {
+                    *a[offsets].last_mut().expect("offsets") += 1;
+                }),
+                ("an unsorted run", &|a| {
+                    let at = a[offsets][long_run] as usize;
+                    a[arena].swap(at, at + 1);
+                }),
+                ("an element at the capacity", &|a| {
+                    *a[arena].last_mut().expect("a nonempty arena") = capacity as u32;
+                }),
+                ("a component set id past the sets", &|a| {
+                    let sets = (a[offsets].len() - 1) as u32;
+                    a[ids][0] = sets;
+                }),
+            ];
+            for (what, plant) in plants {
+                let mut bad = good.clone();
+                plant(&mut bad);
+                assert!(
+                    matches!(
+                        decode_dep_index(&sec(&dep_bytes(&bad)), &universe),
+                        Err(SnapshotError::Malformed { .. })
+                    ),
+                    "table {offsets}: {what}"
+                );
             }
         }
     }

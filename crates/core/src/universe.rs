@@ -12,7 +12,7 @@ use perils_dns::name::{DnsName, Label};
 use perils_dns::zone::{ZoneEvent, ZoneRegistry};
 use perils_vulndb::{BindVersion, VulnDb};
 
-/// Dense zone identifier.
+/// Zone identifier: an index into the universe's zone table, numbered from 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ZoneId(pub u32);
 
@@ -24,7 +24,7 @@ impl ZoneId {
     }
 }
 
-/// Dense server identifier.
+/// Server identifier: an index into the universe's server table, numbered from 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub u32);
 

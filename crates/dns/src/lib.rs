@@ -16,16 +16,13 @@
 //!   [`zone::ZoneEvent`] stream abstraction for incremental ingestion;
 //! * [`master`] — RFC 1035 §5 master-file (zone file) parser and
 //!   serializer, plus the zone-file-backed [`master::ZoneFileEvents`]
-//!   event iterator;
-//! * [`interner`] — compact integer ids for names, used by the analysis
-//!   crates to run surveys over hundreds of thousands of names.
+//!   event iterator.
 //!
 //! The crate is IO-free: transport lives in `perils-netsim`, and server
 //! behaviour in `perils-authserver`.
 
 #![forbid(unsafe_code)]
 
-pub mod interner;
 pub mod master;
 pub mod message;
 pub mod name;
@@ -33,7 +30,6 @@ pub mod rr;
 pub mod wire;
 pub mod zone;
 
-pub use interner::{NameId, NameInterner};
 pub use master::ZoneFileEvents;
 pub use message::{Flags, Message, Opcode, Question, Rcode};
 pub use name::{DnsName, Label, NameError};

@@ -4,15 +4,16 @@
 //! Reachability and closure computations over survey-scale graphs need cheap
 //! set union and membership; [`BitSet`] is the usual packed representation.
 //! [`BitSetInterner`] stores many related sets compactly — each distinct
-//! set once, sparse (sorted ids) when small and packed (bit blocks) when
-//! dense — which is what lets the dependency index memoize one reachable
-//! set per strongly connected component without quadratic memory. The
-//! interner only builds; what it built is read back as a [`SetTable`]
-//! over an archive's byte store.
+//! set once, as a sorted run of ids in one shared arena, with set `i`
+//! spanning `arena[offsets[i]..offsets[i + 1]]` — which is what lets the
+//! dependency index memoize one reachable set per strongly connected
+//! component without quadratic memory. The interner only builds; what it
+//! built is read back as a [`SetTable`] over an archive's byte store, in
+//! the same two arrays.
 
 use std::collections::HashMap;
 
-use perils_util::bytestore::{U32View, U64View};
+use perils_util::bytestore::U32View;
 use perils_util::snapshot::{self, SnapshotError, StoreDec};
 
 /// A fixed-capacity set of `usize` values in `[0, capacity)`.
@@ -147,50 +148,21 @@ impl SetId {
     }
 }
 
-/// One stored set: sparse sorted ids when small (a range of the shared
-/// element arena — one allocation for all sparse sets, not one per set),
-/// packed blocks when the set is dense enough that blocks are the smaller
-/// representation. `Blocks` is a `Vec<u64>` while a [`BitSetInterner`]
-/// builds and a store view once a [`SetTable`] has decoded it.
-#[derive(Debug, Clone)]
-enum CompactSet<Blocks> {
-    Sparse { offset: u32, len: u32 },
-    Dense { blocks: Blocks, len: u32 },
-}
-
-impl<Blocks> CompactSet<Blocks> {
-    fn len(&self) -> usize {
-        match self {
-            CompactSet::Sparse { len, .. } | CompactSet::Dense { len, .. } => *len as usize,
-        }
-    }
-}
-
-/// Calls `f` for every set bit of dense block number `index`, ascending.
-fn for_each_bit(index: u32, block: u64, f: &mut impl FnMut(u32)) {
-    let mut bits = block;
-    while bits != 0 {
-        let tz = bits.trailing_zeros();
-        bits &= bits - 1;
-        f(index * 64 + tz);
-    }
-}
-
 /// A deduplicating arena of sets over `[0, capacity)` — the build side.
 ///
 /// `intern` stores each distinct set once and hands out a [`SetId`];
 /// identical sets (e.g. the zone closures of sibling registry servers)
-/// share storage. Sets are stored sparsely (4 bytes per element) below a
-/// density of 1/32 and as bit blocks above it, so both a survey-scale
-/// arena of ~46-element mean closures and the occasional hub component
-/// reaching thousands of servers stay memory-bounded. Once built, the
-/// arena is written out with [`BitSetInterner::encode_into`] and read back
-/// as a [`SetTable`].
+/// share storage. Every set is a sorted run of ids appended to one shared
+/// arena in intern order, so set `i` is `arena[offsets[i]..offsets[i + 1]]`
+/// and its length is implied by the offsets. Once built, the arena is
+/// written out with [`BitSetInterner::encode_into`] and read back as a
+/// [`SetTable`].
 #[derive(Debug)]
 pub struct BitSetInterner {
     capacity: usize,
-    sets: Vec<CompactSet<Vec<u64>>>,
-    /// Shared element storage of every sparse set.
+    /// Run boundaries: one entry per set plus a leading zero.
+    offsets: Vec<u32>,
+    /// Shared element storage of every set.
     arena: Vec<u32>,
     /// FNV-1a hash of the sorted ids → first set with that hash (further
     /// same-hash sets go to `overflow`; collisions of *distinct* sets are
@@ -206,7 +178,7 @@ impl BitSetInterner {
     pub fn new(capacity: usize) -> BitSetInterner {
         BitSetInterner {
             capacity,
-            sets: Vec::new(),
+            offsets: vec![0],
             arena: Vec::new(),
             by_hash: HashMap::new(),
             overflow: Vec::new(),
@@ -220,12 +192,12 @@ impl BitSetInterner {
 
     /// Number of distinct sets stored.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.offsets.len() - 1
     }
 
     /// True when no set has been interned.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.len() == 0
     }
 
     /// Interns `ids`, which **must** be sorted ascending and
@@ -255,62 +227,31 @@ impl BitSetInterner {
         match self.by_hash.entry(hash) {
             std::collections::hash_map::Entry::Occupied(first) => {
                 let first = *first.get();
-                if self.eq_ids(first, ids) {
+                if self.as_sorted_slice(first) == ids {
                     return first;
                 }
                 for &(h, id) in &self.overflow {
-                    if h == hash && self.eq_ids(id, ids) {
+                    if h == hash && self.as_sorted_slice(id) == ids {
                         return id;
                     }
                 }
-                let id =
-                    SetId(u32::try_from(self.sets.len()).expect("interner set count fits u32"));
-                let packed = self.pack(ids);
-                self.sets.push(packed);
+                let id = push_run(&mut self.offsets, &mut self.arena, ids);
                 self.overflow.push((hash, id));
                 id
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                let id =
-                    SetId(u32::try_from(self.sets.len()).expect("interner set count fits u32"));
+                let id = push_run(&mut self.offsets, &mut self.arena, ids);
                 slot.insert(id);
-                let packed = self.pack(ids);
-                self.sets.push(packed);
                 id
             }
         }
     }
 
-    /// Borrows the sorted element slice of set `id` when it is stored
-    /// sparsely (`None` for block-packed dense sets) — the merge fast
-    /// path of the memoization pass.
-    pub fn as_sorted_slice(&self, id: SetId) -> Option<&[u32]> {
-        match self.sets[id.index()] {
-            CompactSet::Sparse { offset, len } => {
-                Some(&self.arena[offset as usize..(offset + len) as usize])
-            }
-            CompactSet::Dense { .. } => None,
-        }
-    }
-
-    /// Number of elements in set `id`.
-    pub fn set_len(&self, id: SetId) -> usize {
-        self.sets[id.index()].len()
-    }
-
-    /// Calls `f` for every element of set `id`, ascending.
-    pub fn for_each(&self, id: SetId, mut f: impl FnMut(u32)) {
-        match &self.sets[id.index()] {
-            CompactSet::Sparse { offset, len } => self.arena
-                [*offset as usize..(offset + len) as usize]
-                .iter()
-                .for_each(|&v| f(v)),
-            CompactSet::Dense { blocks, .. } => {
-                for (i, &block) in blocks.iter().enumerate() {
-                    for_each_bit(i as u32, block, &mut f);
-                }
-            }
-        }
+    /// Borrows the sorted element slice of set `id` — the merge fast path
+    /// of the memoization pass.
+    pub fn as_sorted_slice(&self, id: SetId) -> &[u32] {
+        let i = id.index();
+        &self.arena[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Unions set `id` into the `seen` scratch set, appending every element
@@ -322,86 +263,33 @@ impl BitSetInterner {
     /// Panics when `seen` was not sized to this interner's capacity.
     pub fn union_into(&self, id: SetId, seen: &mut BitSet, out: &mut Vec<u32>) {
         assert_eq!(seen.capacity(), self.capacity, "scratch capacity mismatch");
-        self.for_each(id, |v| {
+        for &v in self.as_sorted_slice(id) {
             if seen.insert(v as usize) {
                 out.push(v);
             }
-        });
-    }
-
-    fn pack(&mut self, ids: &[u32]) -> CompactSet<Vec<u64>> {
-        // Dense wins once 4 bytes/element exceeds capacity/8 bytes of blocks.
-        if ids.len() * 32 >= self.capacity && self.capacity >= 64 {
-            let mut blocks = vec![0u64; self.capacity.div_ceil(64)];
-            for &v in ids {
-                blocks[v as usize / 64] |= 1u64 << (v % 64);
-            }
-            CompactSet::Dense {
-                blocks,
-                len: ids.len() as u32,
-            }
-        } else {
-            let offset = u32::try_from(self.arena.len()).expect("interner arena fits u32");
-            self.arena.extend_from_slice(ids);
-            CompactSet::Sparse {
-                offset,
-                len: ids.len() as u32,
-            }
         }
     }
 
-    /// Appends this interner's exact internal layout — the shared sparse
-    /// arena and every set's representation (sparse range or dense
-    /// blocks) — as flat little-endian fields. The capacity is not
-    /// written: the reader knows its element universe. Pair with
-    /// [`SetTable::decode_from`] at the same capacity; the table answers
-    /// every query with the same ids, elements and packing choices as
-    /// this interner.
+    /// Appends this interner's two arrays — the run offsets, then the
+    /// shared arena — as length-prefixed little-endian `u32` arrays. The
+    /// capacity is not written: the reader knows its element universe.
+    /// Pair with [`SetTable::decode_from`] at the same capacity; the table
+    /// answers every query with the same ids and elements as this
+    /// interner.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        snapshot::put_u32_slice(out, &self.offsets);
         snapshot::put_u32_slice(out, &self.arena);
-        snapshot::put_u32(
-            out,
-            u32::try_from(self.sets.len()).expect("interner set count fits u32"),
-        );
-        for set in &self.sets {
-            match set {
-                CompactSet::Sparse { offset, len } => {
-                    snapshot::put_u8(out, 0);
-                    snapshot::put_u32(out, *offset);
-                    snapshot::put_u32(out, *len);
-                }
-                CompactSet::Dense { blocks, len } => {
-                    snapshot::put_u8(out, 1);
-                    snapshot::put_u32(out, *len);
-                    snapshot::put_u64_slice(out, blocks);
-                }
-            }
-        }
-    }
-
-    fn eq_ids(&self, id: SetId, ids: &[u32]) -> bool {
-        match &self.sets[id.index()] {
-            CompactSet::Sparse { offset, len } => {
-                self.arena[*offset as usize..(offset + len) as usize] == *ids
-            }
-            CompactSet::Dense { blocks, len } => {
-                *len as usize == ids.len()
-                    && ids
-                        .iter()
-                        .all(|&v| blocks[v as usize / 64] & (1u64 << (v % 64)) != 0)
-            }
-        }
     }
 }
 
 /// The read side of a [`BitSetInterner`]: the sets it built, decoded from
-/// its [`BitSetInterner::encode_into`] bytes. Read-only — the sparse arena
-/// and every dense block run stay views into the archive's byte store,
-/// and nothing can be interned into a table.
+/// its [`BitSetInterner::encode_into`] bytes. Read-only — the offsets and
+/// the arena stay views into the archive's byte store, and nothing can be
+/// interned into a table.
 #[derive(Debug, Clone)]
 pub struct SetTable {
     capacity: usize,
-    sets: Vec<CompactSet<U64View>>,
+    offsets: U32View,
     arena: U32View,
 }
 
@@ -409,89 +297,61 @@ impl SetTable {
     /// Reads a table over `[0, capacity)` from
     /// [`BitSetInterner::encode_into`] bytes written at that capacity.
     ///
-    /// Every structural claim is validated before use — sparse ranges
-    /// against the arena, element order/bounds against the capacity,
-    /// dense block counts and popcounts — so a corrupt section yields a
-    /// typed error, never a panic or a silently wrong set.
+    /// Every structural claim is validated before use — the offsets start
+    /// at zero, never decrease and end at the arena's length, and every run
+    /// is strictly ascending below the capacity — so a corrupt section
+    /// yields a typed error, never a panic or a silently wrong set. One
+    /// streamed pass over the offsets checks each run as it closes,
+    /// without materializing either array.
     pub fn decode_from(dec: &mut StoreDec, capacity: usize) -> Result<SetTable, SnapshotError> {
+        let offsets = dec.u32_arr()?;
         let arena = dec.u32_arr()?;
-        let set_count = dec.u32()? as usize;
-        let block_count = capacity.div_ceil(64);
-        let mut sets = Vec::with_capacity(set_count.min(dec.remaining() as usize));
-        for i in 0..set_count {
-            let set = match dec.u8()? {
-                0 => {
-                    let offset = dec.u32()?;
-                    let len = dec.u32()?;
-                    let end = u64::from(offset) + u64::from(len);
-                    if end > arena.len() as u64 {
-                        return Err(dec.malformed(format!(
-                            "sparse set {i} range {offset}+{len} exceeds arena of {}",
-                            arena.len()
-                        )));
-                    }
-                    // One streamed pass: sorted-unique and bounds,
-                    // without materializing the range.
-                    let mut prev: Option<u32> = None;
-                    arena.try_for_each_in(offset as usize..end as usize, |v| {
-                        if prev.is_some_and(|p| p >= v) {
-                            return Err(
-                                dec.malformed(format!("sparse set {i} is not sorted-unique"))
-                            );
-                        }
-                        if v as usize >= capacity {
-                            return Err(dec.malformed(format!(
-                                "sparse set {i} has an element out of capacity {capacity}"
-                            )));
-                        }
-                        prev = Some(v);
-                        Ok(())
-                    })?;
-                    CompactSet::Sparse { offset, len }
+        let mut start: Option<u32> = None;
+        let mut set = 0usize;
+        offsets.try_for_each(|end| {
+            let Some(start) = start.replace(end) else {
+                if end != 0 {
+                    return Err(dec.malformed(format!("set offsets start at {end}, not 0")));
                 }
-                1 => {
-                    let len = dec.u32()?;
-                    let blocks = dec.u64_arr()?;
-                    if blocks.len() != block_count {
-                        return Err(dec.malformed(format!(
-                            "dense set {i} has {} blocks, capacity {capacity} needs {block_count}",
-                            blocks.len()
-                        )));
-                    }
-                    let tail_bits = capacity % 64;
-                    let mut popcount: u64 = 0;
-                    let mut index = 0usize;
-                    blocks.try_for_each(|b| {
-                        popcount += u64::from(b.count_ones());
-                        index += 1;
-                        if index == block_count
-                            && tail_bits != 0
-                            && b & !((1u64 << tail_bits) - 1) != 0
-                        {
-                            return Err(dec.malformed(format!(
-                                "dense set {i} has bits beyond capacity {capacity}"
-                            )));
-                        }
-                        Ok(())
-                    })?;
-                    if popcount != u64::from(len) {
-                        return Err(dec.malformed(format!(
-                            "dense set {i} declares {len} elements but blocks hold {popcount}"
-                        )));
-                    }
-                    CompactSet::Dense { blocks, len }
-                }
-                other => {
-                    return Err(
-                        dec.malformed(format!("set {i} has unknown representation tag {other}"))
-                    );
-                }
+                return Ok(());
             };
-            sets.push(set);
+            if end < start {
+                return Err(
+                    dec.malformed(format!("set {set} offsets decrease from {start} to {end}"))
+                );
+            }
+            if end as usize > arena.len() {
+                return Err(dec.malformed(format!(
+                    "set {set} ends at {end}, past the arena of {}",
+                    arena.len()
+                )));
+            }
+            let mut prev: Option<u32> = None;
+            arena.try_for_each_in(start as usize..end as usize, |v| {
+                if prev.is_some_and(|p| p >= v) {
+                    return Err(dec.malformed(format!("set {set} is not sorted-unique")));
+                }
+                if v as usize >= capacity {
+                    return Err(dec.malformed(format!(
+                        "set {set} has an element out of capacity {capacity}"
+                    )));
+                }
+                prev = Some(v);
+                Ok(())
+            })?;
+            set += 1;
+            Ok(())
+        })?;
+        let last = start.ok_or_else(|| dec.malformed("set offsets are empty: no leading 0"))?;
+        if last as usize != arena.len() {
+            return Err(dec.malformed(format!(
+                "set offsets end at {last} but the arena holds {}",
+                arena.len()
+            )));
         }
         Ok(SetTable {
             capacity,
-            sets,
+            offsets,
             arena,
         })
     }
@@ -503,33 +363,19 @@ impl SetTable {
 
     /// Number of distinct sets stored.
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.offsets.len() - 1
     }
 
     /// True when the table holds no set.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
-    }
-
-    /// Number of elements in set `id`.
-    pub fn set_len(&self, id: SetId) -> usize {
-        self.sets[id.index()].len()
+        self.len() == 0
     }
 
     /// Calls `f` for every element of set `id`, ascending.
-    pub fn for_each(&self, id: SetId, mut f: impl FnMut(u32)) {
-        match &self.sets[id.index()] {
-            CompactSet::Sparse { offset, len } => self
-                .arena
-                .for_each_in(*offset as usize..(offset + len) as usize, f),
-            CompactSet::Dense { blocks, .. } => {
-                let mut i = 0u32;
-                blocks.for_each_in(0..blocks.len(), |block| {
-                    for_each_bit(i, block, &mut f);
-                    i += 1;
-                });
-            }
-        }
+    pub fn for_each(&self, id: SetId, f: impl FnMut(u32)) {
+        let i = id.index();
+        let run = self.offsets.get(i) as usize..self.offsets.get(i + 1) as usize;
+        self.arena.for_each_in(run, f);
     }
 
     /// [`BitSetInterner::union_into`] over the table's sets.
@@ -545,6 +391,16 @@ impl SetTable {
             }
         });
     }
+}
+
+/// Appends `ids` to `arena` as a new run, closes it in `offsets` and
+/// returns its id. Takes the two fields, not the interner, so `intern`
+/// can call it while holding its hash-map entry.
+fn push_run(offsets: &mut Vec<u32>, arena: &mut Vec<u32>, ids: &[u32]) -> SetId {
+    let id = SetId(u32::try_from(offsets.len() - 1).expect("interner set count fits u32"));
+    arena.extend_from_slice(ids);
+    offsets.push(u32::try_from(arena.len()).expect("interner arena fits u32"));
+    id
 }
 
 /// FNV-1a folded one `u32` element at a time (not per byte): the hash is
@@ -604,26 +460,35 @@ mod tests {
         assert_eq!(a, b, "identical sets share one id");
         assert_ne!(a, c);
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.set_len(a), 3);
-        let mut got = Vec::new();
-        pool.for_each(a, |v| got.push(v));
-        assert_eq!(got, vec![1, 5, 900]);
+        assert_eq!(pool.as_sorted_slice(a), &[1, 5, 900]);
     }
 
+    /// A set holding half the capacity is one run like any other, and the
+    /// table decoded from it streams and unions it exactly as the
+    /// interner does.
     #[test]
-    fn interner_dense_representation_roundtrips() {
-        let mut pool = BitSetInterner::new(256);
-        // 0..128 is dense enough (128 * 32 >= 256) to be packed as blocks.
-        let big: Vec<u32> = (0..128).collect();
+    fn interner_large_set_round_trips_through_a_table() {
+        let mut pool = BitSetInterner::new(96);
+        let big: Vec<u32> = (0..96).step_by(2).collect();
+        assert!(big.len() * 32 >= pool.capacity(), "above capacity/32");
         let id = pool.intern(&big);
-        assert_eq!(pool.set_len(id), 128);
+        let small = pool.intern(&[3, 4, 95]);
+        assert_eq!(pool.intern(&big), id, "a large set dedupes");
+        assert_eq!(pool.as_sorted_slice(id), &big[..]);
+        let mut bytes = Vec::new();
+        pool.encode_into(&mut bytes);
+        let table = decode(bytes, pool.capacity()).expect("table decodes");
+        assert_eq!(table.len(), 2);
         let mut got = Vec::new();
-        pool.for_each(id, |v| got.push(v));
+        table.for_each(id, |v| got.push(v));
         assert_eq!(got, big);
-        // Dense and sparse storage dedupe against each other consistently.
-        assert_eq!(pool.intern(&big), id);
-        let small = pool.intern(&[3, 4]);
-        assert_ne!(small, id);
+        let (mut seen_pool, mut seen_table) = (BitSet::new(96), BitSet::new(96));
+        let (mut union_pool, mut union_table) = (Vec::new(), Vec::new());
+        for id in [small, id] {
+            pool.union_into(id, &mut seen_pool, &mut union_pool);
+            table.union_into(id, &mut seen_table, &mut union_table);
+            assert_eq!(union_table, union_pool, "union through {id:?}");
+        }
     }
 
     #[test]
@@ -639,13 +504,13 @@ mod tests {
     }
 
     #[test]
-    fn interner_sorted_slice_for_sparse_only() {
+    fn interner_sorted_slice_covers_every_set() {
         let mut pool = BitSetInterner::new(256);
-        let sparse = pool.intern(&[3, 9, 200]);
-        assert_eq!(pool.as_sorted_slice(sparse), Some(&[3u32, 9, 200][..]));
+        let small = pool.intern(&[3, 9, 200]);
         let big: Vec<u32> = (0..128).collect();
-        let dense = pool.intern(&big);
-        assert_eq!(pool.as_sorted_slice(dense), None, "dense sets are blocks");
+        let large = pool.intern(&big);
+        assert_eq!(pool.as_sorted_slice(small), &[3, 9, 200]);
+        assert_eq!(pool.as_sorted_slice(large), &big[..]);
     }
 
     #[test]
@@ -654,7 +519,7 @@ mod tests {
         let a = pool.intern(&[]);
         let b = pool.intern(&[]);
         assert_eq!(a, b);
-        assert_eq!(pool.set_len(a), 0);
+        assert!(pool.as_sorted_slice(a).is_empty());
     }
 
     /// The order check is a `debug_assert` (interning is a hot path), so
@@ -695,23 +560,25 @@ mod tests {
         let table = decode(bytes, pool.capacity()).expect("table decodes");
         assert_eq!(table.capacity(), pool.capacity());
         assert_eq!(table.len(), pool.len());
-        assert!(
-            pool.as_sorted_slice(ids[1]).is_none(),
-            "a dense set is covered"
-        );
         let mut seen_pool = BitSet::new(256);
         let mut seen_table = BitSet::new(256);
         let (mut union_pool, mut union_table) = (Vec::new(), Vec::new());
         for id in ids {
-            assert_eq!(table.set_len(id), pool.set_len(id), "{id:?}");
-            let (mut want, mut got) = (Vec::new(), Vec::new());
-            pool.for_each(id, |v| want.push(v));
+            let mut got = Vec::new();
             table.for_each(id, |v| got.push(v));
-            assert_eq!(got, want, "{id:?}");
+            assert_eq!(got, pool.as_sorted_slice(id), "{id:?}");
             pool.union_into(id, &mut seen_pool, &mut union_pool);
             table.union_into(id, &mut seen_table, &mut union_table);
             assert_eq!(union_table, union_pool, "union through {id:?}");
         }
+    }
+
+    /// The two arrays as bytes, each length-prefixed.
+    fn encode_arrays(offsets: &[u32], arena: &[u32]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        snapshot::put_u32_slice(&mut bytes, offsets);
+        snapshot::put_u32_slice(&mut bytes, arena);
+        bytes
     }
 
     #[test]
@@ -719,8 +586,38 @@ mod tests {
         let mut pool = BitSetInterner::new(256);
         pool.intern(&[1, 5, 200]);
         pool.intern(&(0..128).collect::<Vec<u32>>());
+        pool.intern(&[7]);
         let mut bytes = Vec::new();
         pool.encode_into(&mut bytes);
+        assert_eq!(bytes, encode_arrays(&[0, 3, 131, 132], &pool.arena));
+        // Each planted offset or run fault is a typed `Malformed` error.
+        let arena: Vec<u32> = [1, 5, 200, 7].into();
+        for (what, offsets, arena) in [
+            ("no leading zero", vec![], arena.clone()),
+            ("a nonzero first offset", vec![1, 3, 4], arena.clone()),
+            ("decreasing offsets", vec![0, 3, 2, 4], arena.clone()),
+            ("an offset past the arena", vec![0, 3, 5], arena.clone()),
+            (
+                "a last offset short of the arena",
+                vec![0, 3],
+                arena.clone(),
+            ),
+            ("an unsorted run", vec![0, 3, 4], vec![1, 200, 5, 7]),
+            ("a repeated element", vec![0, 3, 4], vec![1, 5, 5, 7]),
+            (
+                "an element at the capacity",
+                vec![0, 3, 4],
+                vec![1, 5, 256, 7],
+            ),
+        ] {
+            assert!(
+                matches!(
+                    decode(encode_arrays(&offsets, &arena), 256),
+                    Err(SnapshotError::Malformed { .. })
+                ),
+                "{what}"
+            );
+        }
         for byte in 0..bytes.len() {
             for flip in [0x01u8, 0x80] {
                 let mut bad = bytes.clone();

@@ -181,14 +181,6 @@ impl Metrics {
         self.connections.load(Ordering::Relaxed)
     }
 
-    /// Total requests across all endpoints.
-    pub fn total_requests(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Renders the Prometheus text exposition. Snapshot identity (epoch,
     /// age, provenance) and daemon state (reloading, worker count) come
     /// from the caller — they live outside the counter block.

@@ -17,16 +17,17 @@
 //! | tag        | contents                                                |
 //! |------------|---------------------------------------------------------|
 //! | `UNIVERSE` | zones, servers, zone-parent and server-home links       |
-//! | `DEPINDEX` | per-zone dependency rows, SCC map, memo sets, arenas    |
+//! | `DEPINDEX` | nine `u32` arrays: dependency rows (offsets, targets),  |
+//! |            | SCC map, memo set ids, two set tables (offsets, arena)  |
 //! | `LINTIDX`  | glueless depths and cycles, liveness, reachability      |
 //! | `SURVNAME` | name count, then name + rank records, top-500 indices   |
 //! | `FIGURES`  | figure count, then the epoch-free figure JSON (optional)|
 //!
 //! Each fact is stored once: the dimensions live in `UNIVERSE`, a name's
 //! TLD is its last label, a server's home zone is the universe's link,
-//! set capacities are the universe's dimensions, and nothing records when
-//! the archive was written — so the bytes are a pure function of the
-//! world. Loading validates each section against the universe (see
+//! set capacities are the universe's dimensions, a memoized set's length
+//! is the gap between two run offsets, and nothing records when the
+//! archive was written — so the bytes are a pure function of the world. Loading validates each section against the universe (see
 //! [`perils_core::snapshot`]), so corrupt or mismatched archives produce
 //! a typed [`SnapshotError`], never a panic.
 

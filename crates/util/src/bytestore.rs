@@ -12,10 +12,10 @@
 //!   faulting misses in with positioned reads. The resident set is the
 //!   cache, not the archive, so one box can hold worlds larger than RAM.
 //!
-//! On top sit the typed views: [`U32View`]/[`U64View`] describe a
-//! length-`n` run of little-endian words at an absolute archive offset.
-//! They are the only in-memory form of an index's flat tables — a fresh
-//! build is encoded into a heap store and decoded like any archive.
+//! On top sits the typed view: a [`U32View`] describes a length-`n` run
+//! of little-endian `u32`s at an absolute archive offset. It is the only
+//! in-memory form of an index's flat tables — a fresh build is encoded
+//! into a heap store and decoded like any archive.
 //! Words are decoded from bytes on the fly — no `mmap`, no transmute, no
 //! `unsafe` (the workspace forbids it).
 //!
@@ -409,197 +409,177 @@ pub struct U32View {
     len: usize,
 }
 
-/// `n` little-endian `u64`s at absolute byte offset `start` of a store.
-#[derive(Debug, Clone)]
-pub struct U64View {
-    store: Arc<ByteStore>,
-    start: u64,
-    len: usize,
+impl U32View {
+    /// A view over `len` words at absolute byte `start`. The byte
+    /// range must already be validated against the store.
+    pub fn new(store: Arc<ByteStore>, start: u64, len: usize) -> U32View {
+        debug_assert!(start + (len as u64) * 4 <= store.len());
+        U32View { store, start, len }
+    }
+
+    /// Number of words in the view.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the view has no words.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The backing store.
+    pub fn store(&self) -> &Arc<ByteStore> {
+        &self.store
+    }
+
+    /// Decodes word `i` (panics out of bounds, like slice indexing).
+    pub fn get(&self, i: usize) -> u32 {
+        assert!(
+            i < self.len,
+            "view index {i} out of bounds (len {})",
+            self.len
+        );
+        let mut raw = [0u8; 4];
+        self.store.read(self.start + (i as u64) * 4, &mut raw);
+        u32::from_le_bytes(raw)
+    }
+
+    /// Streams the words of `range` through `f` in storage order
+    /// without materializing the range. Words that straddle a
+    /// page boundary are reassembled through a carry buffer, so
+    /// any page size ≥ [`MIN_PAGE_BYTES`] yields identical words.
+    pub fn try_for_each_in<E: From<SnapshotError>>(
+        &self,
+        range: Range<usize>,
+        mut f: impl FnMut(u32) -> Result<(), E>,
+    ) -> Result<(), E> {
+        assert!(range.start <= range.end && range.end <= self.len);
+        let byte_start = self.start + (range.start as u64) * 4;
+        let byte_end = self.start + (range.end as u64) * 4;
+        let mut carry = [0u8; 4];
+        let mut carry_len: usize = 0;
+        self.store
+            .try_for_chunks(byte_start..byte_end, |mut chunk| {
+                if carry_len > 0 {
+                    let need = 4 - carry_len;
+                    let take = need.min(chunk.len());
+                    carry[carry_len..carry_len + take].copy_from_slice(&chunk[..take]);
+                    carry_len += take;
+                    chunk = &chunk[take..];
+                    if carry_len == 4 {
+                        f(u32::from_le_bytes(carry))?;
+                        carry_len = 0;
+                    }
+                }
+                let mut words = chunk.chunks_exact(4);
+                for word in &mut words {
+                    f(u32::from_le_bytes(word.try_into().expect("exact word")))?;
+                }
+                let rest = words.remainder();
+                carry[..rest.len()].copy_from_slice(rest);
+                carry_len = rest.len();
+                Ok(())
+            })
+    }
+
+    /// Decodes words `range` into `out` (cleared first) with one
+    /// bulk byte read.
+    pub fn read_range_into(&self, range: Range<usize>, out: &mut Vec<u32>) {
+        assert!(range.start <= range.end && range.end <= self.len);
+        out.clear();
+        out.reserve(range.len());
+        let byte_start = self.start + (range.start as u64) * 4;
+        let mut raw = vec![0u8; range.len() * 4];
+        self.store.read(byte_start, &mut raw);
+        out.extend(
+            raw.chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("exact word"))),
+        );
+    }
+
+    /// Materializes the whole view as an owned `Vec`.
+    pub fn to_vec(&self) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.read_range_into(0..self.len, &mut out);
+        out
+    }
+
+    /// Streams every word through `f`, stopping at the first
+    /// error.
+    pub fn try_for_each<E: From<SnapshotError>>(
+        &self,
+        f: impl FnMut(u32) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.try_for_each_in(0..self.len, f)
+    }
+
+    /// Visits words `range` in order (infallible variant: the
+    /// range was validated at decode time).
+    pub fn for_each_in(&self, range: Range<usize>, mut f: impl FnMut(u32)) {
+        self.try_for_each_in::<SnapshotError>(range, |w| {
+            f(w);
+            Ok(())
+        })
+        .expect("snapshot byte store read failed after validation (file changed on disk?)");
+    }
+
+    /// A buffered iterator over words `range`: it decodes
+    /// `ITER_CHUNK`-word runs at a time, so iteration costs one
+    /// bulk read per chunk, not one page lookup per word.
+    pub fn iter_range(
+        &self,
+        range: Range<usize>,
+    ) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
+        assert!(range.start <= range.end && range.end <= self.len);
+        U32Iter {
+            view: self,
+            pos: range.start,
+            end: range.end,
+            buf: Vec::new(),
+            buf_start: range.start,
+        }
+    }
+
+    /// A buffered iterator over every word.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
+        self.iter_range(0..self.len)
+    }
 }
 
-macro_rules! word_view {
-    ($view:ident, $iter:ident, $word:ty, $bytes:expr) => {
-        impl $view {
-            /// A view over `len` words at absolute byte `start`. The byte
-            /// range must already be validated against the store.
-            pub fn new(store: Arc<ByteStore>, start: u64, len: usize) -> $view {
-                debug_assert!(start + (len as u64) * $bytes <= store.len());
-                $view { store, start, len }
-            }
-
-            /// Number of words in the view.
-            pub fn len(&self) -> usize {
-                self.len
-            }
-
-            /// True when the view has no words.
-            pub fn is_empty(&self) -> bool {
-                self.len == 0
-            }
-
-            /// The backing store.
-            pub fn store(&self) -> &Arc<ByteStore> {
-                &self.store
-            }
-
-            /// The absolute byte range the words occupy.
-            pub fn byte_range(&self) -> Range<u64> {
-                self.start..self.start + (self.len as u64) * $bytes
-            }
-
-            /// Decodes word `i` (panics out of bounds, like slice indexing).
-            pub fn get(&self, i: usize) -> $word {
-                assert!(
-                    i < self.len,
-                    "view index {i} out of bounds (len {})",
-                    self.len
-                );
-                let mut raw = [0u8; $bytes as usize];
-                self.store.read(self.start + (i as u64) * $bytes, &mut raw);
-                <$word>::from_le_bytes(raw)
-            }
-
-            /// Streams the words of `range` through `f` in storage order
-            /// without materializing the range. Words that straddle a
-            /// page boundary are reassembled through a carry buffer, so
-            /// any page size ≥ [`MIN_PAGE_BYTES`] yields identical words.
-            pub fn try_for_each_in<E: From<SnapshotError>>(
-                &self,
-                range: Range<usize>,
-                mut f: impl FnMut($word) -> Result<(), E>,
-            ) -> Result<(), E> {
-                assert!(range.start <= range.end && range.end <= self.len);
-                let byte_start = self.start + (range.start as u64) * $bytes;
-                let byte_end = self.start + (range.end as u64) * $bytes;
-                let mut carry = [0u8; $bytes as usize];
-                let mut carry_len: usize = 0;
-                self.store
-                    .try_for_chunks(byte_start..byte_end, |mut chunk| {
-                        if carry_len > 0 {
-                            let need = ($bytes as usize) - carry_len;
-                            let take = need.min(chunk.len());
-                            carry[carry_len..carry_len + take].copy_from_slice(&chunk[..take]);
-                            carry_len += take;
-                            chunk = &chunk[take..];
-                            if carry_len == $bytes as usize {
-                                f(<$word>::from_le_bytes(carry))?;
-                                carry_len = 0;
-                            }
-                        }
-                        let mut words = chunk.chunks_exact($bytes as usize);
-                        for word in &mut words {
-                            f(<$word>::from_le_bytes(word.try_into().expect("exact word")))?;
-                        }
-                        let rest = words.remainder();
-                        carry[..rest.len()].copy_from_slice(rest);
-                        carry_len = rest.len();
-                        Ok(())
-                    })
-            }
-
-            /// Decodes words `range` into `out` (cleared first) with one
-            /// bulk byte read.
-            pub fn read_range_into(&self, range: Range<usize>, out: &mut Vec<$word>) {
-                assert!(range.start <= range.end && range.end <= self.len);
-                out.clear();
-                out.reserve(range.len());
-                let byte_start = self.start + (range.start as u64) * $bytes;
-                let mut raw = vec![0u8; range.len() * ($bytes as usize)];
-                self.store.read(byte_start, &mut raw);
-                out.extend(
-                    raw.chunks_exact($bytes as usize)
-                        .map(|c| <$word>::from_le_bytes(c.try_into().expect("exact word"))),
-                );
-            }
-
-            /// Materializes the whole view as an owned `Vec`.
-            pub fn to_vec(&self) -> Vec<$word> {
-                let mut out = Vec::new();
-                self.read_range_into(0..self.len, &mut out);
-                out
-            }
-
-            /// Streams every word through `f`, stopping at the first
-            /// error.
-            pub fn try_for_each<E: From<SnapshotError>>(
-                &self,
-                f: impl FnMut($word) -> Result<(), E>,
-            ) -> Result<(), E> {
-                self.try_for_each_in(0..self.len, f)
-            }
-
-            /// Visits words `range` in order (infallible variant: the
-            /// range was validated at decode time).
-            pub fn for_each_in(&self, range: Range<usize>, mut f: impl FnMut($word)) {
-                self.try_for_each_in::<SnapshotError>(range, |w| {
-                    f(w);
-                    Ok(())
-                })
-                .expect("snapshot byte store read failed after validation (file changed on disk?)");
-            }
-
-            /// A buffered iterator over words `range`: it decodes
-            /// `ITER_CHUNK`-word runs at a time, so iteration costs one
-            /// bulk read per chunk, not one page lookup per word.
-            pub fn iter_range(
-                &self,
-                range: Range<usize>,
-            ) -> impl ExactSizeIterator<Item = $word> + Clone + '_ {
-                assert!(range.start <= range.end && range.end <= self.len);
-                $iter {
-                    view: self,
-                    pos: range.start,
-                    end: range.end,
-                    buf: Vec::new(),
-                    buf_start: range.start,
-                }
-            }
-
-            /// A buffered iterator over every word.
-            pub fn iter(&self) -> impl ExactSizeIterator<Item = $word> + Clone + '_ {
-                self.iter_range(0..self.len)
-            }
-        }
-
-        #[derive(Clone)]
-        struct $iter<'a> {
-            view: &'a $view,
-            pos: usize,
-            end: usize,
-            buf: Vec<$word>,
-            buf_start: usize,
-        }
-
-        impl Iterator for $iter<'_> {
-            type Item = $word;
-
-            fn next(&mut self) -> Option<$word> {
-                if self.pos >= self.end {
-                    return None;
-                }
-                if self.pos < self.buf_start || self.pos >= self.buf_start + self.buf.len() {
-                    let chunk_end = (self.pos + ITER_CHUNK).min(self.end);
-                    self.view
-                        .read_range_into(self.pos..chunk_end, &mut self.buf);
-                    self.buf_start = self.pos;
-                }
-                let word = self.buf[self.pos - self.buf_start];
-                self.pos += 1;
-                Some(word)
-            }
-
-            fn size_hint(&self) -> (usize, Option<usize>) {
-                let n = self.end - self.pos;
-                (n, Some(n))
-            }
-        }
-
-        impl ExactSizeIterator for $iter<'_> {}
-    };
+#[derive(Clone)]
+struct U32Iter<'a> {
+    view: &'a U32View,
+    pos: usize,
+    end: usize,
+    buf: Vec<u32>,
+    buf_start: usize,
 }
 
-word_view!(U32View, U32Iter, u32, 4u64);
-word_view!(U64View, U64Iter, u64, 8u64);
+impl Iterator for U32Iter<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.pos >= self.end {
+            return None;
+        }
+        if self.pos < self.buf_start || self.pos >= self.buf_start + self.buf.len() {
+            let chunk_end = (self.pos + ITER_CHUNK).min(self.end);
+            self.view
+                .read_range_into(self.pos..chunk_end, &mut self.buf);
+            self.buf_start = self.pos;
+        }
+        let word = self.buf[self.pos - self.buf_start];
+        self.pos += 1;
+        Some(word)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.end - self.pos;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for U32Iter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -788,19 +768,19 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Words at an odd offset over the smallest pages: every page
+    /// boundary splits a word, which the carry buffer reassembles.
     #[test]
-    fn u64_views_straddle_pages_correctly() {
-        let words: Vec<u64> = (0..1_000u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
+    fn u32_views_straddle_pages_correctly() {
+        let words: Vec<u32> = (0..1_000u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
         let mut bytes = vec![0x55u8; 3];
         for w in &words {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
-        let path = temp_path("u64view");
+        let path = temp_path("u32straddle");
         std::fs::write(&path, &bytes).expect("write temp");
         let store = Arc::new(ByteStore::open_paged(&path, MIN_PAGE_BYTES, 128).expect("open"));
-        let view = U64View::new(store, 3, words.len());
+        let view = U32View::new(store, 3, words.len());
         assert!(view.iter().eq(words.iter().copied()));
         let mut streamed = Vec::new();
         view.try_for_each::<SnapshotError>(|w| {

@@ -37,7 +37,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod table;
 
-pub use bytestore::{ByteStore, CacheCounters, U32View, U64View};
+pub use bytestore::{ByteStore, CacheCounters, U32View};
 pub use dist::{AliasTable, Exponential, LogNormal, Pareto, ZipfTable};
 pub use json::push_json_string;
 pub use rng::Rng;

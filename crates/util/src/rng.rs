@@ -83,12 +83,6 @@ impl Rng {
         result
     }
 
-    /// Returns the next 32 uniformly distributed bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform integer in `[0, bound)` using Lemire's unbiased
     /// multiply-shift rejection method.
     ///

@@ -27,7 +27,7 @@
 //! format-hardening tests flip and truncate bytes at every offset and
 //! assert exactly that.
 
-use crate::bytestore::{ByteStore, U32View, U64View};
+use crate::bytestore::{ByteStore, U32View};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// Archive magic: identifies a `.psa` file regardless of version.
 pub const MAGIC: [u8; 8] = *b"PSNAPARC";
 /// Current format version. Readers reject anything else.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// Endianness sentinel, written as a little-endian `u32`. A reader that
 /// finds these bytes reversed is looking at a big-endian writer's
 /// output (or garbage) and rejects it with a clear message.
@@ -564,11 +564,6 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends `u32 len` + raw bytes.
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_u32(out, u32::try_from(bytes.len()).expect("byte run fits u32"));
@@ -584,15 +579,6 @@ pub fn put_u32_slice(out: &mut Vec<u8>, values: &[u32]) {
     }
 }
 
-/// Appends `u32 len` + the elements as little-endian `u64`s.
-pub fn put_u64_slice(out: &mut Vec<u8>, values: &[u64]) {
-    put_u32(out, u32::try_from(values.len()).expect("slice fits u32"));
-    out.reserve(values.len() * 8);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
 /// Appends `u32 len` + one byte per bool.
 pub fn put_bool_slice(out: &mut Vec<u8>, values: &[bool]) {
     put_u32(out, u32::try_from(values.len()).expect("slice fits u32"));
@@ -602,7 +588,7 @@ pub fn put_bool_slice(out: &mut Vec<u8>, values: &[bool]) {
 /// A bounds-checked little-endian cursor over one section's payload.
 ///
 /// Every read returns a typed error instead of panicking, and the bulk
-/// readers ([`Dec::u32_vec`], [`Dec::u64_vec`]) verify the promised
+/// readers ([`Dec::u32_vec`], [`Dec::bool_vec`]) verify the promised
 /// length against the remaining bytes **before** allocating, so a
 /// corrupt length can neither overrun nor balloon memory. `base` is the
 /// payload's absolute archive offset, so error reports point into the
@@ -671,13 +657,6 @@ impl<'a> Dec<'a> {
         ))
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, "u64")?.try_into().expect("8 bytes"),
-        ))
-    }
-
     /// Reads `u32 len` + that many raw bytes (borrowed).
     pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let len = self.u32()? as usize;
@@ -697,16 +676,6 @@ impl<'a> Dec<'a> {
         Ok(raw
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Reads `u32 len` + `len` little-endian `u64`s.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len * 8, "u64 array")?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect())
     }
 
@@ -733,12 +702,11 @@ impl<'a> Dec<'a> {
 
 /// A bounds-checked little-endian cursor that walks a [`Section`] *in
 /// the store* — the decode path for sections whose big flat arrays stay
-/// as views. Scalars are always read eagerly; the length-prefixed array
-/// readers hand back [`U32View`]/[`U64View`]s that share the store
-/// (zero-copy for heap stores, demand-paged for paged stores). Like
-/// [`Dec`], every promised length is verified against the remaining
-/// bytes **before** any allocation, and every error carries the absolute
-/// archive offset.
+/// as views. Length prefixes are read eagerly; the array reader hands
+/// back [`U32View`]s that share the store (zero-copy for heap stores,
+/// demand-paged for paged stores). Like [`Dec`], every promised length
+/// is verified against the remaining bytes **before** any allocation,
+/// and every error carries the absolute archive offset.
 #[derive(Debug)]
 pub struct StoreDec {
     store: Arc<ByteStore>,
@@ -785,26 +753,12 @@ impl StoreDec {
         Ok(start)
     }
 
-    fn read_array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], SnapshotError> {
-        let start = self.take(N as u64, what)?;
-        let mut raw = [0u8; N];
-        self.store.try_read(start, &mut raw, what)?;
-        Ok(raw)
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.read_array::<1>("u8")?[0])
-    }
-
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.read_array::<4>("u32")?))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.read_array::<8>("u64")?))
+        let start = self.take(4, "u32")?;
+        let mut raw = [0u8; 4];
+        self.store.try_read(start, &mut raw, "u32")?;
+        Ok(u32::from_le_bytes(raw))
     }
 
     /// Reads `u32 len` + `len` little-endian `u32`s as a view into the
@@ -813,22 +767,6 @@ impl StoreDec {
         let len = self.u32()? as usize;
         let start = self.take(len as u64 * 4, "u32 array")?;
         Ok(U32View::new(self.store.clone(), start, len))
-    }
-
-    /// Reads `u32 len` + `len` little-endian `u64`s as a view into the
-    /// store.
-    pub fn u64_arr(&mut self) -> Result<U64View, SnapshotError> {
-        let len = self.u32()? as usize;
-        let start = self.take(len as u64 * 8, "u64 array")?;
-        Ok(U64View::new(self.store.clone(), start, len))
-    }
-
-    /// Reads `u32 len` + `len` little-endian `u32`s, always owned (for
-    /// small arrays where a view would cost more than it saves).
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let len = self.u32()? as usize;
-        let start = self.take(len as u64 * 4, "u32 array")?;
-        Ok(U32View::new(self.store.clone(), start, len).to_vec())
     }
 
     /// Errors unless every byte was consumed — trailing garbage in a
@@ -852,7 +790,7 @@ mod tests {
             put_bool_slice(a, &[true, false, true]);
         });
         w.section(*b"BETA\0\0\0\0", |b| {
-            put_u64_slice(b, &[u64::MAX, 0, 42]);
+            put_u32_slice(b, &[u32::MAX, 0, 42]);
             put_bytes(b, b"hello");
         });
         w.finish()
@@ -885,7 +823,7 @@ mod tests {
         let sec = archive.section(*b"BETA\0\0\0\0").expect("beta");
         let bytes = sec.bytes().expect("payload");
         let mut dec = Dec::new_at(&bytes, "BETA", sec.base());
-        assert_eq!(dec.u64_vec().expect("u64s"), vec![u64::MAX, 0, 42]);
+        assert_eq!(dec.u32_vec().expect("u32s"), vec![u32::MAX, 0, 42]);
         assert_eq!(dec.bytes().expect("bytes"), b"hello");
         dec.finish().expect("fully consumed");
         assert!(matches!(
@@ -925,19 +863,19 @@ mod tests {
     fn store_dec_views_match_the_encoded_values() {
         let mut w = ArchiveWriter::new(1);
         w.section(*b"ARR\0\0\0\0\0", |payload| {
-            put_u64(payload, 77);
+            put_u32(payload, 77);
             put_u32_slice(payload, &[10, 20, 30, 40, 50]);
-            put_u64_slice(payload, &[1, u64::MAX]);
+            put_u32_slice(payload, &[1, u32::MAX]);
         });
         let bytes = w.finish();
 
         let view_archive = Archive::from_bytes(bytes).expect("view parses");
         let mut view_dec = StoreDec::new(&view_archive.section(*b"ARR\0\0\0\0\0").unwrap(), "ARR");
-        assert_eq!(view_dec.u64().expect("scalar"), 77);
+        assert_eq!(view_dec.u32().expect("scalar"), 77);
         let v = view_dec.u32_arr().expect("view arr");
         assert_eq!(v.to_vec(), vec![10, 20, 30, 40, 50]);
-        let v64 = view_dec.u64_arr().expect("view u64 arr");
-        assert_eq!(v64.to_vec(), vec![1, u64::MAX]);
+        let w = view_dec.u32_arr().expect("second view arr");
+        assert_eq!(w.to_vec(), vec![1, u32::MAX]);
         view_dec.finish().expect("consumed");
         // The views share the archive's store rather than copying it.
         assert!(Arc::ptr_eq(v.store(), view_archive.store()));
@@ -1001,17 +939,18 @@ mod tests {
             Archive::from_bytes(bad_version),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         ));
-        // Version 2 archives carried restated counts and copied tables
-        // that version 3 dropped: they are refused by version, before any
+        // Version 3 archives stored each set table as tagged per-set
+        // records, some as dense bit blocks, where version 4 stores run
+        // offsets and one arena: they are refused by version, before any
         // section is read.
-        let mut v2 = good.clone();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let err = Archive::from_bytes(v2).expect_err("v2 rejected");
+        let mut v3 = good.clone();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = Archive::from_bytes(v3).expect_err("v3 rejected");
         assert!(matches!(
             err,
-            SnapshotError::UnsupportedVersion { found: 2 }
+            SnapshotError::UnsupportedVersion { found: 3 }
         ));
-        assert!(err.to_string().contains("reads version 3"), "{err}");
+        assert!(err.to_string().contains("reads version 4"), "{err}");
         let mut swapped = good.clone();
         swapped[12..16].copy_from_slice(&ENDIAN_TAG.to_be_bytes());
         let err = Archive::from_bytes(swapped).expect_err("swapped tag rejected");
