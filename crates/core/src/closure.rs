@@ -9,12 +9,14 @@
 //! [`DependencyIndex`] precomputes that fixed point for the whole universe
 //! so the survey can process hundreds of thousands of names:
 //!
-//! * dependency rows are stored once **per zone** (a server's row is its
-//!   home zone's row; sibling nameservers share) and built by recurrence
-//!   over the zone tree — each row is a memcpy of its parent zone's row
-//!   plus the zone's own NS set, with no name hashing on the hot path
-//!   (see `ZoneRows::build`). Chains are not stored at all: a server's
-//!   chain is read off the universe's parent links
+//! * the build derives dependency rows **per zone** (a server's row is its
+//!   home zone's row; sibling nameservers share) by recurrence over the
+//!   zone tree — each row is a memcpy of its parent zone's row plus the
+//!   zone's own NS set, with no name hashing on the hot path (see
+//!   `ZoneRows::build`). The rows are build scratch: the SCC pass and the
+//!   condensation read them, and they are dropped before memoization, so
+//!   no index stores them. Chains are not stored either: a server's chain
+//!   is read off the universe's parent links
 //!   ([`Universe::server_chain_up`]);
 //! * the implicit server→server dependency graph is split into strongly
 //!   connected components by [`perils_graph::scc::tarjan_scc_with`]
@@ -32,7 +34,7 @@
 //!   serial and takes no thread count, so the index bytes are a pure
 //!   function of the universe;
 //! * the build finishes through the archive decoder: its tables are
-//!   written in the `DEPINDEX` layout (nine length-prefixed `u32`
+//!   written in the `DEPINDEX` layout (seven length-prefixed `u32`
 //!   arrays) into a heap byte store and decoded back
 //!   ([`crate::snapshot::decode_dep_index`]), so a built index and one
 //!   loaded from a `.psa` archive are the same thing — flat
@@ -53,8 +55,10 @@
 //! metrics, lint, the attack and DNSSEC simulations, the hijack searches
 //! — reads one, and a caller that needs the closure past the workspace's
 //! next use collects the iterators it needs. The tests check views
-//! against the dev-only `perils-oracle` crate's per-name BFS and its
-//! closure pushed back through the universe builder by name.
+//! against the dev-only `perils-oracle` crate's per-name BFS, which reads
+//! each server's dependencies off the universe's chains and NS sets, not
+//! off the index, and its closure pushed back through the universe
+//! builder by name.
 //!
 //! A closure is a pure function of the target's delegation chain: the view
 //! derives everything from [`ClosureView::target_chain`], so two names with
@@ -67,7 +71,7 @@ use crate::universe::{ServerId, Universe, ZoneId};
 use perils_dns::name::DnsName;
 use perils_graph::bitset::{BitSet, BitSetInterner, SetId, SetTable};
 use perils_graph::scc::SccResult;
-use perils_util::snapshot::{self, Section, SnapshotError};
+use perils_util::snapshot::{Section, SnapshotError};
 use perils_util::U32View;
 use std::borrow::Cow;
 
@@ -76,24 +80,19 @@ use std::borrow::Cow;
 /// A server's delegation chain — and with it its dependency row — is a
 /// function of its **home zone** (the deepest zone enclosing its name):
 /// every ancestor zone of the server's name is an ancestor zone of that
-/// origin. The index therefore stores dependency rows once per *zone* and
-/// reads each server's home zone off the universe
-/// ([`Universe::home_zone_of`]), instead of duplicating rows per server:
-/// sibling nameservers (`ns1`/`ns2`/`ns3` of one domain) share one row,
-/// the edge array shrinks accordingly, and the SCC pass runs over the
-/// implicit per-server graph without materializing a per-server edge
-/// copy. Chains are not stored either: a server's chain is its home zone
-/// and that zone's parent links ([`Universe::server_chain_up`]), which
-/// the memoization and the min-cut walk read off the universe.
+/// origin. The build therefore derives dependency rows once per *zone*
+/// and reads each server's home zone off the universe
+/// ([`Universe::home_zone_of`]): sibling nameservers (`ns1`/`ns2`/`ns3`
+/// of one domain) share one row, and the SCC pass runs over the implicit
+/// per-server graph without materializing a per-server edge copy. The
+/// index keeps only what the closure reads: the component map and each
+/// component's memoized sets. A server's chain is its home zone and that
+/// zone's parent links ([`Universe::server_chain_up`]), which the
+/// memoization and the min-cut walk read off the universe.
 /// Every flat table is a [`U32View`] into the `DEPINDEX` section it was
 /// decoded from — a fresh build's heap store or a loaded archive's.
 #[derive(Debug, Clone)]
 pub struct DependencyIndex {
-    /// CSR rows per zone: the servers an address resolution under this
-    /// zone could involve — the NS sets of every chain zone, deduplicated
-    /// in first-occurrence order. Targets are raw [`ServerId`] values.
-    zone_dep_offsets: U32View,
-    zone_dep_targets: U32View,
     /// Strongly connected component of each server in the dependency
     /// graph.
     component_of: U32View,
@@ -175,7 +174,10 @@ pub struct ClosureWorkspace {
     seed_components: Vec<u32>,
 }
 
-/// Phase-1 output: every zone's dependency row, as a CSR in zone-id order.
+/// Phase-1 output: every zone's dependency row, as a CSR in zone-id order
+/// — the servers an address resolution under the zone could involve (the
+/// NS sets of every non-root chain zone, deduplicated in first-occurrence
+/// order). Build scratch only: phase 2 reads it and drops it.
 struct ZoneRows {
     offsets: Vec<u32>,
     targets: Vec<ServerId>,
@@ -191,8 +193,7 @@ impl ZoneRows {
     /// parent's row plus a stamp-deduplicated append of the zone's own NS
     /// set: no name hashing, no chain re-scans, and every probe O(1) — the
     /// whole pass is linear in the total row length. The rows are then
-    /// laid out in zone-id order, the order the SCC pass and the archive
-    /// read them in.
+    /// laid out in zone-id order, the order the SCC pass reads them in.
     fn build(universe: &Universe) -> ZoneRows {
         let zn = universe.zone_count();
         // Counting sort by origin depth: parents precede children.
@@ -470,7 +471,7 @@ impl DependencyIndex {
     }
 
     /// Reassembles an index from archived flat state, validating every
-    /// cross-table invariant (CSR monotonicity, id bounds, set-id bounds
+    /// cross-table invariant (table lengths, id bounds, set-id bounds
     /// against the interners) against the owning universe's dimensions.
     /// No graph traversal, no SCC pass — the memoized structure is taken
     /// as stored, which is safe because the caller (the snapshot loader)
@@ -479,12 +480,9 @@ impl DependencyIndex {
     /// Validation **streams** every table through
     /// [`U32View::try_for_each`], so it checks every invariant without
     /// materializing a single array.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_snapshot_parts(
         universe: &Universe,
         section: Section,
-        zone_dep_offsets: U32View,
-        zone_dep_targets: U32View,
         component_of: U32View,
         component_servers: U32View,
         component_zones: U32View,
@@ -492,7 +490,6 @@ impl DependencyIndex {
         zone_sets: SetTable,
     ) -> Result<DependencyIndex, String> {
         let n = universe.server_count();
-        let zn = universe.zone_count();
         // Streaming validators raise either a structural message or an
         // I/O-ish store error; both flatten to the String the snapshot
         // decoder wraps into its Malformed variant.
@@ -505,40 +502,6 @@ impl DependencyIndex {
             })
             .map_err(String::from)
         };
-        let check_csr = |offsets: &U32View, targets: usize, what: &str| -> Result<(), String> {
-            if offsets.len() != zn + 1 {
-                return Err(format!(
-                    "{what} offsets have {} entries for {zn} zones",
-                    offsets.len()
-                ));
-            }
-            let mut prev: Option<u32> = None;
-            offsets
-                .try_for_each(|v| {
-                    let ok = match prev {
-                        None => v == 0,
-                        Some(p) => p <= v,
-                    };
-                    if !ok {
-                        return Err(CheckError::Msg(format!(
-                            "{what} offsets are not monotonic from zero"
-                        )));
-                    }
-                    prev = Some(v);
-                    Ok(())
-                })
-                .map_err(String::from)?;
-            if prev.unwrap_or(0) as usize != targets {
-                return Err(format!(
-                    "{what} offsets end at {prev:?} but {targets} targets stored"
-                ));
-            }
-            Ok(())
-        };
-        check_csr(&zone_dep_offsets, zone_dep_targets.len(), "dep")?;
-        bounded(&zone_dep_targets, n, &|bad| {
-            format!("dep row references server {bad} of {n}")
-        })?;
         if component_of.len() != n {
             return Err(format!(
                 "component_of has {} entries for {n} servers",
@@ -565,8 +528,6 @@ impl DependencyIndex {
             format!("component zone set {bad} of {} interned", zone_sets.len())
         })?;
         Ok(DependencyIndex {
-            zone_dep_offsets,
-            zone_dep_targets,
             component_of,
             component_servers,
             component_zones,
@@ -580,7 +541,8 @@ impl DependencyIndex {
     ///
     /// Phase 1 derives per-**zone** dependency rows by a recurrence over
     /// the zone tree (see `ZoneRows::build`); a server's row is its home
-    /// zone's. Phase 2 splits the implicit per-server dependency graph
+    /// zone's, and the rows are dropped once the condensation has read
+    /// them. Phase 2 splits the implicit per-server dependency graph
     /// into strongly connected components with Tarjan
     /// ([`perils_graph::scc::tarjan_scc_with`]), lists each component's
     /// successor components, and memoizes each component's reachable
@@ -627,6 +589,7 @@ impl DependencyIndex {
         let t2 = std::time::Instant::now();
         let condensed = condense(&scc, dep_row);
         stats.condense = t2.elapsed();
+        drop(zone_rows);
         let t3 = std::time::Instant::now();
         let memo = memoize(universe, &scc, &condensed);
         stats.memoize = t3.elapsed();
@@ -636,9 +599,6 @@ impl DependencyIndex {
         // `DEPINDEX` layout into a heap store — each dropped once written,
         // so no second full copy is alive — and read the store back.
         let mut bytes = Vec::new();
-        snapshot::put_u32_slice(&mut bytes, &zone_rows.offsets);
-        put_ids(&mut bytes, zone_rows.targets.iter().map(|s| s.0));
-        drop(zone_rows);
         put_ids(&mut bytes, scc.component_of.iter().map(|&c| c as u32));
         drop(scc);
         let MemoResult {
@@ -656,25 +616,6 @@ impl DependencyIndex {
         let index = decode_dep_index(&Section::from_vec(bytes), universe)
             .expect("a freshly built dependency index decodes");
         (index, stats)
-    }
-
-    /// The servers that could be involved in resolving `server`'s address
-    /// (the dependency row of its home zone in `universe`, the universe
-    /// this index was built over; sibling servers share one row). Yields
-    /// ids in row order, decoded straight out of the index's byte store.
-    pub fn deps_of(
-        &self,
-        universe: &Universe,
-        server: ServerId,
-    ) -> impl ExactSizeIterator<Item = ServerId> + Clone + '_ {
-        let row = match universe.home_zone_of(server) {
-            None => 0..0,
-            Some(z) => {
-                let offsets = &self.zone_dep_offsets;
-                offsets.get(z.index()) as usize..offsets.get(z.index() + 1) as usize
-            }
-        };
-        self.zone_dep_targets.iter_range(row).map(ServerId)
     }
 
     /// Number of strongly connected components in the dependency graph.
@@ -984,12 +925,6 @@ mod tests {
         // The build has no thread, machine or hash-order input: the
         // `DEPINDEX` bytes match, and so does everything read off them.
         assert_eq!(first, second);
-        for sid in u.server_ids() {
-            assert!(
-                first.deps_of(&u, sid).eq(second.deps_of(&u, sid)),
-                "{sid:?}"
-            );
-        }
         assert_eq!(first.memo_stats(), second.memo_stats());
         let target = name("www.cs.cornell.edu");
         let (mut ws_a, mut ws_b) = (first.workspace(), second.workspace());
@@ -1103,14 +1038,22 @@ mod tests {
     #[test]
     fn dep_rows_are_deduplicated() {
         // simon.cs.cornell.edu sits on two chain zones that both list
-        // overlapping NS sets; its dependency row must list each server
-        // once, in first-occurrence order.
-        let u = figure1_universe();
-        let index = DependencyIndex::build(&u);
-        for sid in u.server_ids() {
-            let deps: Vec<ServerId> = index.deps_of(&u, sid).collect();
-            let unique: BTreeSet<ServerId> = deps.iter().copied().collect();
-            assert_eq!(unique.len(), deps.len(), "duplicate dep in row {sid:?}");
+        // overlapping NS sets; each zone's dependency row must list each
+        // server once, and hold exactly the NS sets of the zone's chain.
+        for u in [figure1_universe(), seeded_universe(29)] {
+            let rows = ZoneRows::build(&u);
+            assert_eq!(rows.offsets.len(), u.zone_count() + 1);
+            for zid in u.zone_ids() {
+                let row = rows.row(zid.index());
+                let unique: BTreeSet<ServerId> = row.iter().copied().collect();
+                assert_eq!(unique.len(), row.len(), "duplicate dep in row {zid:?}");
+                let chain_ns: BTreeSet<ServerId> = u
+                    .chain_zones(&u.zone(zid).origin)
+                    .into_iter()
+                    .flat_map(|z| u.zone(z).ns.iter().copied())
+                    .collect();
+                assert_eq!(unique, chain_ns, "row of {}", u.zone(zid).origin);
+            }
         }
     }
 

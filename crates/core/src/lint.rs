@@ -560,11 +560,11 @@ impl RuleRegistry {
             .register(SingleOperatorRule)
             .register(LameDelegationRule)
             .register(GluelessCycleRule)
-            .register(DeepChainRule::default())
+            .register(DeepChainRule)
             .register(ZombieNsRule)
             .register(OrphanedGlueRule)
             .register(ChokePointRule)
-            .register(TcbInflationRule::default())
+            .register(TcbInflationRule)
     }
 
     /// Registers a rule. Panics on a duplicate id (a wiring bug).
@@ -873,32 +873,24 @@ impl LintRule for GluelessCycleRule {
     }
 }
 
-/// `deep-chain`: resolving the name can force more than `threshold`
-/// nested glueless sub-resolutions.
-#[derive(Debug, Clone, Copy)]
-pub struct DeepChainRule {
-    /// Depth above which the rule fires — the same knob as
-    /// [`crate::MisconfigMetric::depth_threshold`].
-    pub threshold: usize,
-}
-
-impl Default for DeepChainRule {
-    fn default() -> DeepChainRule {
-        DeepChainRule {
-            threshold: crate::MisconfigMetric::default().depth_threshold,
-        }
-    }
-}
+/// `deep-chain`: resolving the name can force more than
+/// [`DeepChainRule::THRESHOLD`] nested glueless sub-resolutions.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DeepChainRule;
 
 /// A `deep-chain` hop: the zone the glueless NS serves, and how many
 /// nesting levels resolving it can still force.
 const GLUELESS_HOP: Note = Note::new("glueless NS of {} ({levels} levels below)");
 
 impl DeepChainRule {
+    /// Depth above which the rule fires — one policy with the `misconfig`
+    /// metric's [`crate::misconfig::FLAG_DEEP_DEPENDENCY`] bit.
+    pub const THRESHOLD: usize = 2;
+
     /// The rule's predicate, shared with the `misconfig` metric's
     /// [`crate::misconfig::FLAG_DEEP_DEPENDENCY`] bit.
-    pub fn exceeds(&self, depth: usize) -> bool {
-        depth > self.threshold
+    pub fn exceeds(depth: usize) -> bool {
+        depth > DeepChainRule::THRESHOLD
     }
 
     /// Reconstructs one worst-case nesting path: a chain of glueless NS
@@ -980,7 +972,7 @@ impl LintRule for DeepChainRule {
         for (i, name) in ctx.names.iter().enumerate() {
             ctx.universe.chain_zones_into(name, &mut chain);
             let depth = ctx.facts.depths().depth_of_chain(ctx.universe, &chain);
-            if !self.exceeds(depth) {
+            if !DeepChainRule::exceeds(depth) {
                 continue;
             }
             DeepChainRule::worst_path(
@@ -999,7 +991,7 @@ impl LintRule for DeepChainRule {
                     "resolving {subject} can force {} nested glueless sub-resolutions (threshold {})",
                 )
                 .arg(Arg::count(depth))
-                .arg(Arg::count(self.threshold)),
+                .arg(Arg::count(DeepChainRule::THRESHOLD)),
                 evidence: steps.as_slice().into(),
             });
         }
@@ -1163,21 +1155,14 @@ impl LintRule for ChokePointRule {
 /// `tcb-inflation`: the name's trusted computing base dwarfs its own
 /// delegated NS set — transitive trust has quietly multiplied the attack
 /// surface (the paper's headline phenomenon, per name).
-#[derive(Debug, Clone, Copy)]
-pub struct TcbInflationRule {
-    /// Fires when `tcb >= factor × own NS count` ...
-    pub factor: usize,
-    /// ... and `tcb >= own NS count + slack` (both must hold).
-    pub slack: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TcbInflationRule;
 
-impl Default for TcbInflationRule {
-    fn default() -> TcbInflationRule {
-        TcbInflationRule {
-            factor: 3,
-            slack: 4,
-        }
-    }
+impl TcbInflationRule {
+    /// Fires when `tcb >= FACTOR × own NS count` ...
+    pub const FACTOR: usize = 3;
+    /// ... and `tcb >= own NS count + SLACK` (both must hold).
+    pub const SLACK: usize = 4;
 }
 
 /// How many transitive evidence servers `tcb-inflation` lists before
@@ -1207,7 +1192,7 @@ impl LintRule for TcbInflationRule {
                 return;
             }
             let tcb = view.tcb_size(ctx.universe);
-            if tcb < (self.factor * k).max(k + self.slack) {
+            if tcb < (TcbInflationRule::FACTOR * k).max(k + TcbInflationRule::SLACK) {
                 return;
             }
             let note = Note::new("delegated NS of {}").arg(Arg::Zone(own_zone));

@@ -388,23 +388,16 @@ pub const FLAG_SINGLE_SERVER: usize = 1 << 0;
 pub const FLAG_SINGLE_OPERATOR: usize = 1 << 1;
 /// Bit: some NS of the zone resolves nowhere in the modeled universe.
 pub const FLAG_UNRESOLVABLE_NS: usize = 1 << 2;
-/// Bit: glueless dependency nesting exceeds the metric's threshold.
+/// Bit: glueless dependency nesting exceeds
+/// [`crate::lint::DeepChainRule::THRESHOLD`], the `deep-chain` rule's
+/// threshold.
 pub const FLAG_DEEP_DEPENDENCY: usize = 1 << 3;
 
 /// Per-name configuration-error audit as a pluggable survey metric: a flag
 /// bitmask (`misconfig_flags`) plus the cycle-collapsed glueless nesting
 /// depth (`misconfig_depth`, see [`DepthIndex`]) for every surveyed name.
-#[derive(Debug, Clone, Copy)]
-pub struct MisconfigMetric {
-    /// Depth above which [`FLAG_DEEP_DEPENDENCY`] is set.
-    pub depth_threshold: usize,
-}
-
-impl Default for MisconfigMetric {
-    fn default() -> MisconfigMetric {
-        MisconfigMetric { depth_threshold: 2 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MisconfigMetric;
 
 /// Per-universe precomputation behind [`MisconfigMetric`]: every zone's
 /// structural flag bits plus the cycle-collapsed [`DepthIndex`]. Built once
@@ -458,10 +451,6 @@ impl NameMetric for MisconfigMetric {
 
     fn prepare<'a>(&'a self, universe: &'a Universe) -> Measure<'a> {
         let index = MisconfigIndex::build(universe);
-        // Same threshold predicate as the `deep-chain` lint rule.
-        let deep = crate::lint::DeepChainRule {
-            threshold: self.depth_threshold,
-        };
         Box::new(move |ctx, row| {
             // The name's own zone is the deepest zone on its chain; an
             // empty chain means only the root encloses it, whose flags
@@ -469,7 +458,8 @@ impl NameMetric for MisconfigMetric {
             let chain = ctx.closure.target_chain();
             let mut flags = chain.last().map(|&zid| index.zone_flags(zid)).unwrap_or(0);
             let depth = index.depths().depth_of_chain(ctx.universe, chain);
-            if deep.exceeds(depth) {
+            // Same threshold predicate as the `deep-chain` lint rule.
+            if crate::lint::DeepChainRule::exceeds(depth) {
                 flags |= FLAG_DEEP_DEPENDENCY;
             }
             row.count(flags);
@@ -550,13 +540,15 @@ mod tests {
         b.finish()
     }
 
-    /// A single-server zone beside a two-level glueless chain.
+    /// A single-server zone beside a three-level glueless chain
+    /// (victim.com → a.net → b.net → c.net).
     fn metric_world() -> Universe {
         let mut b = base();
         b.add_zone(&name("solo.com"), &[name("ns1.solo.com")]);
         b.add_zone(&name("victim.com"), &[name("ns.a.net")]);
         b.add_zone(&name("a.net"), &[name("ns.b.net")]);
-        b.add_zone(&name("b.net"), &[name("ns.b.net")]);
+        b.add_zone(&name("b.net"), &[name("ns.c.net")]);
+        b.add_zone(&name("c.net"), &[name("ns.c.net")]);
         b.finish()
     }
 
@@ -591,15 +583,21 @@ mod tests {
     #[test]
     fn misconfig_metric_flags_and_depth() {
         let u = metric_world();
-        let metric = MisconfigMetric { depth_threshold: 1 };
-        let targets = [name("www.solo.com"), name("www.victim.com")];
+        let metric = MisconfigMetric;
+        let targets = [
+            name("www.solo.com"),
+            name("www.victim.com"),
+            name("www.a.net"),
+        ];
         let cols = crate::metric::tests::measure_targets(&metric, &u, &targets);
         let flags = cols[0].as_counts().expect("counts");
         let depth = cols[1].as_counts().expect("counts");
         assert_ne!(flags[0] & FLAG_SINGLE_SERVER, 0, "solo.com has one NS");
         assert_eq!(depth[0], 0, "glued self-hosting nests nothing");
-        assert_ne!(flags[1] & FLAG_DEEP_DEPENDENCY, 0, "victim nests past 1");
-        assert_eq!(depth[1], 2);
+        assert_ne!(flags[1] & FLAG_DEEP_DEPENDENCY, 0, "victim nests past 2");
+        assert_eq!(depth[1], 3);
+        assert_eq!(flags[2] & FLAG_DEEP_DEPENDENCY, 0, "a.net nests only 2");
+        assert_eq!(depth[2], 2);
     }
 
     /// The server-graph form of [`DepthIndex::build`], the reference the

@@ -11,7 +11,7 @@
 //! written in one layout — a `u32` length, then the words — by
 //! [`snapshot::put_u32_slice`] or, for an iterator, `put_ids`, and read
 //! back as a store view ([`StoreDec::u32_arr`]) or a `Vec`
-//! ([`Dec::u32_vec`]). `DEPINDEX` is nothing else: nine such arrays.
+//! ([`Dec::u32_vec`]). `DEPINDEX` is nothing else: seven such arrays.
 //!
 //! Round-trip contract: `decode_universe(encode_universe(u)) == u`, and
 //! likewise for [`DependencyIndex`] and [`LintIndex`] (all three are
@@ -30,7 +30,7 @@ use perils_util::snapshot::{self, Dec, Section, SnapshotError, StoreDec};
 
 /// Section tag for the canonical universe tables.
 pub const SECTION_UNIVERSE: [u8; 8] = *b"UNIVERSE";
-/// Section tag for the dependency index (rows, SCC map, interners).
+/// Section tag for the dependency index (SCC map, memo set ids, set tables).
 pub const SECTION_DEP_INDEX: [u8; 8] = *b"DEPINDEX";
 /// Section tag for the shared lint facts.
 pub const SECTION_LINT: [u8; 8] = *b"LINTIDX\0";
@@ -111,13 +111,6 @@ pub fn encode_universe(out: &mut Vec<u8>, universe: &Universe) {
     }
     for server in servers {
         encode_name(out, &server.name);
-        match &server.banner {
-            Some(banner) => {
-                snapshot::put_u8(out, 1);
-                snapshot::put_bytes(out, banner.as_bytes());
-            }
-            None => snapshot::put_u8(out, 0),
-        }
         let flags = u8::from(server.vulnerable)
             | u8::from(server.scripted_exploit) << 1
             | u8::from(server.is_root) << 2;
@@ -129,7 +122,7 @@ pub fn encode_universe(out: &mut Vec<u8>, universe: &Universe) {
 
 /// Decodes a `UNIVERSE` section back into a [`Universe`].
 ///
-/// The universe (names, NS sets, banners) is always materialized eagerly
+/// The universe (names, NS sets, server flags) is always materialized eagerly
 /// regardless of the section's decode mode: its payload is dominated by
 /// variable-length name records that every backend needs resident for
 /// hash lookups, and the label small-string optimization keeps the copy
@@ -156,25 +149,12 @@ pub fn decode_universe(section: &Section) -> Result<Universe, SnapshotError> {
     let mut servers = Vec::with_capacity(server_count.min(payload.len()));
     for _ in 0..server_count {
         let name = decode_name(&mut dec)?;
-        let banner = match dec.u8()? {
-            0 => None,
-            1 => {
-                let bytes = dec.bytes()?;
-                Some(
-                    std::str::from_utf8(bytes)
-                        .map_err(|e| dec.malformed(format!("banner not UTF-8: {e}")))?
-                        .to_string(),
-                )
-            }
-            other => return Err(dec.malformed(format!("banner tag {other} is not 0/1"))),
-        };
         let flags = dec.u8()?;
         if flags & !0b111 != 0 {
             return Err(dec.malformed(format!("server flag byte {flags:#04x} has unknown bits")));
         }
         servers.push(ServerEntry {
             name,
-            banner,
             vulnerable: flags & 1 != 0,
             scripted_exploit: flags & 2 != 0,
             is_root: flags & 4 != 0,
@@ -202,10 +182,9 @@ pub fn encode_dep_index(out: &mut Vec<u8>, index: &DependencyIndex) {
 
 /// Decodes a `DEPINDEX` section, validating it against `universe`.
 ///
-/// The section is nine length-prefixed `u32` arrays: the per-zone
-/// dependency rows (offsets, targets), the component of each server, each
-/// component's server-set and zone-set id, then each set table's run
-/// offsets and arena. This is how every index comes into memory: each
+/// The section is seven length-prefixed `u32` arrays: the component of
+/// each server, each component's server-set and zone-set id, then each
+/// set table's run offsets and arena. This is how every index comes into memory: each
 /// array stays a typed view into the section's byte store, and
 /// validation streams the words without materializing them. The set
 /// arenas range over the universe's servers and zones, so their
@@ -215,8 +194,6 @@ pub fn decode_dep_index(
     universe: &Universe,
 ) -> Result<DependencyIndex, SnapshotError> {
     let mut dec = StoreDec::new(section, "DEPINDEX");
-    let zone_dep_offsets = dec.u32_arr()?;
-    let zone_dep_targets = dec.u32_arr()?;
     let component_of = dec.u32_arr()?;
     let component_servers = dec.u32_arr()?;
     let component_zones = dec.u32_arr()?;
@@ -226,8 +203,6 @@ pub fn decode_dep_index(
     DependencyIndex::from_snapshot_parts(
         universe,
         section.clone(),
-        zone_dep_offsets,
-        zone_dep_targets,
         component_of,
         component_servers,
         component_zones,
@@ -321,8 +296,8 @@ mod tests {
         let db = VulnDb::isc_feb_2004();
         let mut b = Universe::builder();
         b.raw_server(&name("a.root-servers.net"), false, true);
-        // Banner-carrying servers so the Option<String> codec and the
-        // vulnerability flag bits are exercised.
+        // Banner-assessed servers so the vulnerability flag bits are
+        // exercised.
         b.ensure_server(
             &name("a.gtld.net"),
             Some("8.2.2-P5".to_string()),
@@ -377,15 +352,7 @@ mod tests {
             bytes,
             "view re-encode is byte-stable"
         );
-        // Accessors agree across representations.
-        for sid in universe.server_ids() {
-            assert!(
-                viewed
-                    .deps_of(&universe, sid)
-                    .eq(index.deps_of(&universe, sid)),
-                "{sid:?} deps"
-            );
-        }
+        // Closures agree across representations.
         let (mut ws_a, mut ws_b) = (viewed.workspace(), index.workspace());
         for target in ["ns1.example.com", "www.example.com", "nowhere.test"] {
             let t = name(target);
@@ -427,14 +394,14 @@ mod tests {
         ));
     }
 
-    /// A named fault planted into a `DEPINDEX` payload's nine arrays.
+    /// A named fault planted into a `DEPINDEX` payload's seven arrays.
     type Plant<'a> = (&'a str, &'a dyn Fn(&mut Vec<Vec<u32>>));
 
-    /// A `DEPINDEX` payload as its nine arrays, and back.
+    /// A `DEPINDEX` payload as its seven arrays, and back.
     fn dep_arrays(bytes: &[u8]) -> Vec<Vec<u32>> {
         let mut dec = Dec::new(bytes, "DEPINDEX");
-        let arrays = (0..9).map(|_| dec.u32_vec().expect("array")).collect();
-        dec.finish().expect("nine arrays and nothing else");
+        let arrays = (0..7).map(|_| dec.u32_vec().expect("array")).collect();
+        dec.finish().expect("seven arrays and nothing else");
         arrays
     }
 
@@ -478,8 +445,8 @@ mod tests {
         assert!(decode_dep_index(&sec(&dep_bytes(&good)), &universe).is_ok());
         // (offsets, arena, component set ids, capacity) of each table.
         for (offsets, arena, ids, capacity) in [
-            (5, 6, 3, universe.server_count()),
-            (7, 8, 4, universe.zone_count()),
+            (3, 4, 1, universe.server_count()),
+            (5, 6, 2, universe.zone_count()),
         ] {
             let first_run = (1..good[offsets].len())
                 .find(|&i| good[offsets][i] > 0)

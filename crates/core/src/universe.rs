@@ -2,10 +2,11 @@
 //!
 //! A [`Universe`] is the measured structure of a namespace at one point in
 //! time: every zone with its NS host names, and every nameserver with its
-//! fingerprint-derived vulnerability facts. It deliberately contains *only*
-//! what the paper's analyses consume, so it can be built equally from a
-//! ground-truth [`perils_dns::ZoneRegistry`] (the scalable structural path)
-//! or from wire-probed dependency reports.
+//! fingerprint-derived vulnerability facts (the `version.bind` banner
+//! itself is assessed as it arrives and not kept). It deliberately
+//! contains *only* what the paper's analyses consume, so it can be built
+//! equally from a ground-truth [`perils_dns::ZoneRegistry`] (the scalable
+//! structural path) or from wire-probed dependency reports.
 
 use crate::namemap::NameIdMap;
 use perils_dns::name::{DnsName, Label};
@@ -45,13 +46,13 @@ pub struct ZoneEntry {
     pub ns: Vec<ServerId>,
 }
 
-/// One nameserver in the universe.
+/// One nameserver in the universe: its name and the verdicts its
+/// `version.bind` banner was assessed to when it arrived (the banner
+/// itself is not kept — no analysis reads it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerEntry {
     /// Host name (lowercased).
     pub name: DnsName,
-    /// The `version.bind` banner, if any was obtained.
-    pub banner: Option<String>,
     /// Whether the fingerprint matched a version with known advisories.
     /// Unknown/hidden banners are `false` — the paper's optimistic rule.
     pub vulnerable: bool,
@@ -398,8 +399,9 @@ impl Universe {
 
     /// Decomposes the universe into the event stream that rebuilds it
     /// verbatim: one [`UniverseEvent::ServerFacts`] per server in id
-    /// order (facts carried explicitly, so banner re-assessment cannot
-    /// drift), then one [`UniverseEvent::Zone`] per zone in id order.
+    /// order (the assessed verdicts carried explicitly — the universe
+    /// holds no banner to re-assess), then one [`UniverseEvent::Zone`]
+    /// per zone in id order.
     /// Replaying through [`UniverseBuilder::apply`] yields an equal
     /// universe with identical ids — this is how prebuilt worlds enter
     /// the streaming ingestion pipeline.
@@ -408,7 +410,6 @@ impl Universe {
         let server_names: Vec<DnsName> = servers.iter().map(|s| s.name.clone()).collect();
         let server_events = servers.into_iter().map(|s| UniverseEvent::ServerFacts {
             name: s.name,
-            banner: s.banner,
             vulnerable: s.vulnerable,
             scripted_exploit: s.scripted_exploit,
             is_root: s.is_root,
@@ -456,8 +457,9 @@ impl Universe {
 /// renumbers to an order-independent labeling when that matters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum UniverseEvent {
-    /// A nameserver with its `version.bind` banner, to be assessed
-    /// against the run's [`VulnDb`].
+    /// A nameserver with its `version.bind` banner, assessed against the
+    /// run's [`VulnDb`] on arrival; the universe keeps the verdicts, not
+    /// the banner.
     Server {
         /// Host name.
         name: DnsName,
@@ -472,8 +474,6 @@ pub enum UniverseEvent {
     ServerFacts {
         /// Host name.
         name: DnsName,
-        /// The banner, if any was obtained.
-        banner: Option<String>,
         /// Whether the fingerprint matched a vulnerable version.
         vulnerable: bool,
         /// Whether a scripted exploit exists.
@@ -638,10 +638,10 @@ impl UniverseBuilder {
     /// Adds (or finds) a server, assessing its banner against `db`.
     ///
     /// A server first seen as a bare NS reference (an unknown-safe
-    /// placeholder) is **fixed up in place**: its banner is recorded and
-    /// assessed as if it had arrived first, so event order does not
-    /// change the built universe. A server already carrying facts only
-    /// upgrades its root flag.
+    /// placeholder) is **fixed up in place**: its banner is assessed as if
+    /// it had arrived first, so event order does not change the built
+    /// universe. A server already carrying facts only upgrades its root
+    /// flag.
     pub fn ensure_server(
         &mut self,
         name: &DnsName,
@@ -653,7 +653,6 @@ impl UniverseBuilder {
             let entry = &mut self.universe.servers[id.index()];
             if self.placeholder[id.index()] {
                 let (vulnerable, scripted_exploit) = Self::assess(banner.as_deref(), db);
-                entry.banner = banner;
                 entry.vulnerable = vulnerable;
                 entry.scripted_exploit = scripted_exploit;
                 self.placeholder[id.index()] = false;
@@ -666,7 +665,6 @@ impl UniverseBuilder {
         self.intern_server(
             ServerEntry {
                 name: name.to_lowercase(),
-                banner,
                 vulnerable,
                 scripted_exploit,
                 is_root,
@@ -689,7 +687,6 @@ impl UniverseBuilder {
         self.intern_server(
             ServerEntry {
                 name: name.to_lowercase(),
-                banner: None,
                 vulnerable,
                 scripted_exploit: vulnerable,
                 is_root,
@@ -704,17 +701,13 @@ impl UniverseBuilder {
     fn facts_server(
         &mut self,
         name: &DnsName,
-        banner: Option<String>,
         vulnerable: bool,
         scripted_exploit: bool,
         is_root: bool,
     ) -> ServerId {
         if let Some(id) = self.universe.server_id(name) {
             let entry = &mut self.universe.servers[id.index()];
-            if self.placeholder[id.index()] {
-                entry.banner = banner;
-                self.placeholder[id.index()] = false;
-            }
+            self.placeholder[id.index()] = false;
             entry.vulnerable |= vulnerable;
             entry.scripted_exploit |= scripted_exploit;
             entry.is_root |= is_root;
@@ -723,7 +716,6 @@ impl UniverseBuilder {
         self.intern_server(
             ServerEntry {
                 name: name.to_lowercase(),
-                banner,
                 vulnerable,
                 scripted_exploit,
                 is_root,
@@ -748,7 +740,6 @@ impl UniverseBuilder {
                     None => self.intern_server(
                         ServerEntry {
                             name: n.to_lowercase(),
-                            banner: None,
                             vulnerable: false,
                             scripted_exploit: false,
                             is_root: false,
@@ -799,12 +790,11 @@ impl UniverseBuilder {
             }
             UniverseEvent::ServerFacts {
                 name,
-                banner,
                 vulnerable,
                 scripted_exploit,
                 is_root,
             } => {
-                self.facts_server(&name, banner, vulnerable, scripted_exploit, is_root);
+                self.facts_server(&name, vulnerable, scripted_exploit, is_root);
             }
             UniverseEvent::Zone { origin, ns } => {
                 self.add_zone(&origin, &ns);

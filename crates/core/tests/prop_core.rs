@@ -541,7 +541,7 @@ proptest! {
         let index = DependencyIndex::build(&universe);
         let mut ws = index.workspace();
         for target in &targets {
-            let (servers, zones) = closure_for_bfs(&index, &universe, target);
+            let (servers, zones) = closure_for_bfs(&universe, target);
             let memo = index.closure_view(&universe, target, &mut ws);
             prop_assert_eq!(memo.servers().collect::<Vec<_>>(), servers, "servers of {}", target);
             prop_assert_eq!(memo.zones().collect::<Vec<_>>(), zones, "zones of {}", target);
@@ -553,28 +553,32 @@ proptest! {
     }
 
     /// The borrowed [`perils_core::ClosureView`] enumerates exactly the
-    /// BFS reference's sets — sorted slices for BTreeSets.
+    /// BFS reference's sets — sorted slices for BTreeSets — on both world
+    /// families. In the web family the TLDs are served by hosts under
+    /// `nic.net`, so a server's dependencies include NS sets of its
+    /// parent zones that no target's own chain supplies.
     #[test]
-    fn closure_view_equals_bfs(spec in arb_world()) {
-        let (universe, targets) = build(&spec);
-        let index = DependencyIndex::build(&universe);
-        let mut ws = index.workspace();
-        for target in &targets {
-            let (servers, zones) = closure_for_bfs(&index, &universe, target);
-            let view = index.closure_view(&universe, target, &mut ws);
-            prop_assert_eq!(view.servers().collect::<Vec<_>>(), servers, "servers of {}", target);
-            prop_assert_eq!(view.zones().collect::<Vec<_>>(), zones, "zones of {}", target);
-            prop_assert_eq!(
-                view.target_chain(), &universe.chain_zones(target)[..],
-                "chain of {}", target
-            );
+    fn closure_view_equals_bfs(spec in arb_world(), web in arb_web()) {
+        for (universe, targets) in [build(&spec), build_web(&web)] {
+            let index = DependencyIndex::build(&universe);
+            let mut ws = index.workspace();
+            for target in &targets {
+                let (servers, zones) = closure_for_bfs(&universe, target);
+                let view = index.closure_view(&universe, target, &mut ws);
+                prop_assert_eq!(view.servers().collect::<Vec<_>>(), servers, "servers of {}", target);
+                prop_assert_eq!(view.zones().collect::<Vec<_>>(), zones, "zones of {}", target);
+                prop_assert_eq!(
+                    view.target_chain(), &universe.chain_zones(target)[..],
+                    "chain of {}", target
+                );
+            }
         }
     }
 
     /// The index does not depend on the thread that builds it: an index
     /// built on a worker thread while another builds concurrently has the
-    /// caller's `DEPINDEX` bytes, dependency rows, interner statistics and
-    /// closures (the build is serial and shares no state between calls).
+    /// caller's `DEPINDEX` bytes, interner statistics and closures (the
+    /// build is serial and shares no state between calls).
     #[test]
     fn index_build_thread_invariant(spec in arb_world()) {
         let (universe, targets) = build(&spec);
@@ -585,9 +589,6 @@ proptest! {
             (a.join().expect("build thread"), b.join().expect("build thread"))
         });
         prop_assert!(parallel == serial && other == serial, "DEPINDEX bytes diverged");
-        for sid in universe.server_ids() {
-            prop_assert!(serial.deps_of(&universe, sid).eq(parallel.deps_of(&universe, sid)), "deps of {:?}", sid);
-        }
         prop_assert_eq!(serial.component_count(), parallel.component_count());
         prop_assert_eq!(serial.memo_stats(), parallel.memo_stats());
         let (mut ws_a, mut ws_b) = (serial.workspace(), parallel.workspace());

@@ -10,8 +10,7 @@
 //!   latency model (all adjustable mid-run, e.g. to simulate the paper's
 //!   "denial of service attack on the non-vulnerable nameserver");
 //! * [`net`] — the network itself: endpoint registry and query delivery
-//!   with per-query statistics;
-//! * [`trace`] — a bounded in-memory query trace (the pcap analogue).
+//!   with per-query statistics.
 //!
 //! Everything is synchronous and deterministic: given the same seed and the
 //! same sequence of calls, a simulation replays byte-for-byte.
@@ -21,9 +20,7 @@
 pub mod addr;
 pub mod fault;
 pub mod net;
-pub mod trace;
 
 pub use addr::{IpAllocator, Region};
 pub use fault::FaultPlan;
 pub use net::{Endpoint, FnEndpoint, NetStats, QueryOutcome, SimNet};
-pub use trace::{TraceEvent, TraceOutcome};

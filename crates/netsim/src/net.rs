@@ -1,8 +1,8 @@
 //! The simulated network: endpoint registry and query delivery.
 //!
 //! [`SimNet`] owns the address→endpoint map, the [`FaultPlan`], a
-//! deterministic RNG for loss/jitter draws, delivery statistics, and the
-//! trace log. Delivery is synchronous: `query()` returns the response (or
+//! deterministic RNG for loss/jitter draws, and delivery statistics.
+//! Delivery is synchronous: `query()` returns the response (or
 //! `None` for a timeout-equivalent loss) plus the simulated RTT.
 //!
 //! Interior mutability (`parking_lot` locks) keeps `query()` usable through
@@ -11,7 +11,6 @@
 
 use crate::addr::{IpAllocator, Region};
 use crate::fault::FaultPlan;
-use crate::trace::{TraceLog, TraceOutcome};
 use parking_lot::{Mutex, RwLock};
 use perils_dns::message::Message;
 use perils_util::Rng;
@@ -75,7 +74,6 @@ pub struct SimNet {
     faults: RwLock<FaultPlan>,
     rng: Mutex<Rng>,
     stats: Mutex<NetStats>,
-    trace: Mutex<TraceLog>,
     client_region: Region,
 }
 
@@ -88,14 +86,8 @@ impl SimNet {
             faults: RwLock::new(faults),
             rng: Mutex::new(Rng::new(seed).fork(0x6e65_7473)),
             stats: Mutex::new(NetStats::default()),
-            trace: Mutex::new(TraceLog::new(0)),
             client_region,
         }
-    }
-
-    /// Enables tracing with the given retention capacity.
-    pub fn enable_trace(&self, capacity: usize) {
-        *self.trace.lock() = TraceLog::new(capacity);
     }
 
     /// Binds `endpoint` at `addr` (replacing any previous binding).
@@ -123,20 +115,8 @@ impl SimNet {
         self.stats.lock().clone()
     }
 
-    /// Runs `f` over the trace log.
-    pub fn with_trace<R>(&self, f: impl FnOnce(&TraceLog) -> R) -> R {
-        f(&self.trace.lock())
-    }
-
     /// Delivers `query` to the server at `to`, applying the fault plan.
     pub fn query(&self, to: Ipv4Addr, query: &Message) -> QueryOutcome {
-        let (qname, qtype) = match query.question() {
-            Some(q) => (q.name.clone(), q.qtype),
-            None => (
-                perils_dns::name::DnsName::root(),
-                perils_dns::rr::RrType::Any,
-            ),
-        };
         let mut stats = self.stats.lock();
         stats.queries += 1;
 
@@ -166,10 +146,6 @@ impl SimNet {
         if dead {
             stats.to_dead += 1;
             stats.total_ms += TIMEOUT_MS as u64;
-            drop(stats);
-            self.trace
-                .lock()
-                .record(to, qname, qtype, TraceOutcome::Dead, 0);
             return QueryOutcome {
                 response: None,
                 rtt_ms: TIMEOUT_MS,
@@ -178,10 +154,6 @@ impl SimNet {
         if lost_out {
             stats.dropped += 1;
             stats.total_ms += TIMEOUT_MS as u64;
-            drop(stats);
-            self.trace
-                .lock()
-                .record(to, qname, qtype, TraceOutcome::Dropped, 0);
             return QueryOutcome {
                 response: None,
                 rtt_ms: TIMEOUT_MS,
@@ -191,10 +163,6 @@ impl SimNet {
         let Some(endpoint) = endpoint else {
             stats.to_unbound += 1;
             stats.total_ms += TIMEOUT_MS as u64;
-            drop(stats);
-            self.trace
-                .lock()
-                .record(to, qname, qtype, TraceOutcome::NoEndpoint, 0);
             return QueryOutcome {
                 response: None,
                 rtt_ms: TIMEOUT_MS,
@@ -208,10 +176,6 @@ impl SimNet {
                 let rtt = rtt_base + jitter;
                 stats.answered += 1;
                 stats.total_ms += rtt as u64;
-                drop(stats);
-                self.trace
-                    .lock()
-                    .record(to, qname, qtype, TraceOutcome::Answered, rtt);
                 QueryOutcome {
                     response: Some(response),
                     rtt_ms: rtt,
@@ -220,10 +184,6 @@ impl SimNet {
             Some(_) => {
                 stats.dropped += 1;
                 stats.total_ms += TIMEOUT_MS as u64;
-                drop(stats);
-                self.trace
-                    .lock()
-                    .record(to, qname, qtype, TraceOutcome::Dropped, 0);
                 QueryOutcome {
                     response: None,
                     rtt_ms: TIMEOUT_MS,
@@ -232,10 +192,6 @@ impl SimNet {
             None => {
                 // Server silently ignored the query.
                 stats.total_ms += TIMEOUT_MS as u64;
-                drop(stats);
-                self.trace
-                    .lock()
-                    .record(to, qname, qtype, TraceOutcome::Answered, 0);
                 QueryOutcome {
                     response: None,
                     rtt_ms: TIMEOUT_MS,
@@ -333,24 +289,6 @@ mod tests {
         let near = net.query(near_addr, &a_query()).rtt_ms;
         let far = net.query(far_addr, &a_query()).rtt_ms;
         assert!(far > near * 2, "far {far} vs near {near}");
-    }
-
-    #[test]
-    fn trace_records_outcomes() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
-        net.enable_trace(16);
-        let addr: Ipv4Addr = "10.0.0.1".parse().unwrap();
-        net.bind(addr, echo_endpoint());
-        net.query(addr, &a_query());
-        net.query("10.9.9.9".parse().unwrap(), &a_query());
-        net.with_trace(|t| {
-            assert_eq!(t.len(), 2);
-            let outcomes: Vec<TraceOutcome> = t.events().map(|e| e.outcome).collect();
-            assert_eq!(
-                outcomes,
-                vec![TraceOutcome::Answered, TraceOutcome::NoEndpoint]
-            );
-        });
     }
 
     #[test]

@@ -1,36 +1,28 @@
 //! Closure references: the per-name BFS the memoized index replaced, and
-//! a closure pushed back through the universe builder by name.
+//! a closure pushed back through the universe builder by name. Neither
+//! reads the dependency index, so a property that compares the index's
+//! closures against them checks the whole index build.
 
-use perils_core::closure::DependencyIndex;
 use perils_core::universe::{ServerId, Universe, ZoneId};
 use perils_dns::name::DnsName;
 use std::collections::BTreeSet;
 
-/// The per-name BFS over the dependency adjacency
-/// ([`DependencyIndex::deps_of`]) — the reference
-/// [`DependencyIndex::closure_view`] is tested against. Returns the
+/// The per-name BFS the memoized closures are tested against — the
+/// reference for `DependencyIndex::closure_view`. A server's dependencies
+/// are derived from the universe alone: the NS sets of every zone on its
+/// name's chain ([`Universe::chain_zones`], root excluded). Returns the
 /// closure's servers and zones, ascending.
-pub fn closure_for_bfs(
-    index: &DependencyIndex,
-    universe: &Universe,
-    target: &DnsName,
-) -> (Vec<ServerId>, Vec<ZoneId>) {
-    let target_chain = universe.chain_zones(target);
+pub fn closure_for_bfs(universe: &Universe, target: &DnsName) -> (Vec<ServerId>, Vec<ZoneId>) {
     let mut servers: BTreeSet<ServerId> = BTreeSet::new();
-    let mut zones: BTreeSet<ZoneId> = target_chain.iter().copied().collect();
-    let mut queue: Vec<ServerId> = Vec::new();
-    for &zid in &target_chain {
-        for &ns in &universe.zone(zid).ns {
-            if servers.insert(ns) {
-                queue.push(ns);
-            }
-        }
-    }
-    while let Some(sid) = queue.pop() {
-        zones.extend(universe.chain_zones(&universe.server(sid).name));
-        for dep in index.deps_of(universe, sid) {
-            if servers.insert(dep) {
-                queue.push(dep);
+    let mut zones: BTreeSet<ZoneId> = BTreeSet::new();
+    let mut queue: Vec<DnsName> = vec![target.clone()];
+    while let Some(name) = queue.pop() {
+        for zid in universe.chain_zones(&name) {
+            zones.insert(zid);
+            for &ns in &universe.zone(zid).ns {
+                if servers.insert(ns) {
+                    queue.push(universe.server(ns).name.clone());
+                }
             }
         }
     }
@@ -75,6 +67,7 @@ pub fn extract_universe(
 mod tests {
     use super::*;
     use perils_authserver::scenarios::cornell_figure1;
+    use perils_core::closure::DependencyIndex;
     use perils_dns::name::name;
 
     /// The paper's Figure 1 web: cornell → rochester → wisc → umich, with
@@ -101,7 +94,7 @@ mod tests {
             "nowhere.test",
         ] {
             let target = name(target);
-            let (servers, zones) = closure_for_bfs(&index, &u, &target);
+            let (servers, zones) = closure_for_bfs(&u, &target);
             let memo = index.closure_view(&u, &target, &mut ws);
             assert!(memo.servers().eq(servers), "{target} servers");
             assert!(memo.zones().eq(zones), "{target} zones");
@@ -120,7 +113,7 @@ mod tests {
         let mut ws = index.workspace();
         for target in ["www.cs.cornell.edu", "www.umich.edu", "nowhere.test"] {
             let target = name(target);
-            let (servers, zones) = closure_for_bfs(&index, &u, &target);
+            let (servers, zones) = closure_for_bfs(&u, &target);
             let view = index.closure_view(&u, &target, &mut ws);
             assert_eq!(view.server_count(), servers.len(), "{target}");
             assert_eq!(view.zone_count(), zones.len(), "{target}");

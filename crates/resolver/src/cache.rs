@@ -3,20 +3,20 @@
 //! The paper notes that "while DNS uses glue records, which provide cached
 //! IP addresses for nameservers, as an optimization, glue records are not
 //! authoritative" — caching changes *which* servers are contacted on a given
-//! run, but not the dependency structure. The resolver can run with or
-//! without this cache; the survey prober runs without it to enumerate the
-//! full structure.
+//! run, but not the dependency structure. The resolver always runs with
+//! this cache, and so does the survey prober: its chain walks query every
+//! zone cut's servers directly and record each full NS set, so the cache
+//! only shortens the nameserver-address lookups in between.
 
 use perils_dns::name::DnsName;
 use perils_dns::rr::{Record, RrType};
 use std::collections::HashMap;
 
 /// A cache keyed by `(name, type)` holding records with absolute expiry in
-/// simulated milliseconds, plus RFC 2308 negative entries.
+/// simulated milliseconds.
 #[derive(Debug, Default)]
 pub struct Cache {
     entries: HashMap<(DnsName, RrType), CacheEntry>,
-    negative: HashMap<(DnsName, RrType), u64>,
     hits: u64,
     misses: u64,
 }
@@ -68,37 +68,14 @@ impl Cache {
         }
     }
 
-    /// Stores a negative answer (NXDOMAIN / NoData) for `ttl` seconds —
-    /// RFC 2308 negative caching, keyed like positive entries.
-    pub fn put_negative(&mut self, name: &DnsName, rtype: RrType, ttl: u32, now_ms: u64) {
-        self.negative
-            .insert((name.to_lowercase(), rtype), now_ms + ttl as u64 * 1000);
-    }
-
-    /// Whether a live negative entry covers `(name, rtype)`.
-    pub fn get_negative(&mut self, name: &DnsName, rtype: RrType, now_ms: u64) -> bool {
-        let key = (name.to_lowercase(), rtype);
-        match self.negative.get(&key) {
-            Some(&expiry) if expiry > now_ms => {
-                self.hits += 1;
-                true
-            }
-            Some(_) => {
-                self.negative.remove(&key);
-                false
-            }
-            None => false,
-        }
-    }
-
     /// Number of live + expired entries currently held.
     pub fn len(&self) -> usize {
-        self.entries.len() + self.negative.len()
+        self.entries.len()
     }
 
     /// True when the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.negative.is_empty()
+        self.entries.is_empty()
     }
 
     /// `(hits, misses)` counters.
@@ -109,7 +86,6 @@ impl Cache {
     /// Drops everything.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.negative.clear();
     }
 }
 
@@ -171,22 +147,6 @@ mod tests {
         let mut cache = Cache::new();
         cache.put(&name("x.com"), RrType::A, vec![a_record("x.com", 60)], 0);
         assert!(cache.get(&name("x.com"), RrType::Ns, 0).is_none());
-    }
-
-    #[test]
-    fn negative_entries_expire() {
-        let mut cache = Cache::new();
-        cache.put_negative(&name("gone.x.com"), RrType::A, 60, 0);
-        assert!(cache.get_negative(&name("GONE.x.com"), RrType::A, 59_999));
-        assert!(
-            !cache.get_negative(&name("gone.x.com"), RrType::Ns, 0),
-            "type keyed"
-        );
-        assert!(!cache.get_negative(&name("gone.x.com"), RrType::A, 60_000));
-        assert!(cache.is_empty(), "expired negative entry removed");
-        cache.put_negative(&name("gone.x.com"), RrType::A, 60, 0);
-        cache.clear();
-        assert!(!cache.get_negative(&name("gone.x.com"), RrType::A, 1));
     }
 
     #[test]

@@ -25,27 +25,23 @@ pub struct ResolverConfig {
     /// Maximum queries per top-level `resolve` call (loops and pathological
     /// topologies are cut off here).
     pub query_budget: u32,
-    /// Maximum nesting of glueless sub-resolutions.
-    pub max_depth: u32,
     /// Send attempts per server before moving to the next.
     pub retries: u32,
-    /// Maximum CNAME links to follow.
-    pub max_cname_chain: u32,
-    /// Whether to use the TTL cache.
-    pub use_cache: bool,
 }
 
 impl Default for ResolverConfig {
     fn default() -> Self {
         ResolverConfig {
             query_budget: 2000,
-            max_depth: 12,
             retries: 2,
-            max_cname_chain: 8,
-            use_cache: true,
         }
     }
 }
+
+/// Maximum nesting of glueless sub-resolutions.
+const MAX_DEPTH: u32 = 12;
+/// Maximum CNAME links to follow.
+const MAX_CNAME_CHAIN: u32 = 8;
 
 /// Resolution failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,14 +181,11 @@ impl IterativeResolver {
     }
 
     fn cache_get(&self, name: &DnsName, rtype: RrType, now_ms: u64) -> Option<Vec<Record>> {
-        if !self.config.use_cache {
-            return None;
-        }
         self.cache.lock().get(name, rtype, now_ms)
     }
 
     fn cache_put(&self, name: &DnsName, rtype: RrType, records: &[Record], now_ms: u64) {
-        if self.config.use_cache && !records.is_empty() {
+        if !records.is_empty() {
             self.cache.lock().put(name, rtype, records.to_vec(), now_ms);
         }
     }
@@ -205,7 +198,7 @@ impl IterativeResolver {
         depth: u32,
         run: &mut Run,
     ) -> Result<Vec<Record>, ResolveError> {
-        if depth > self.config.max_depth {
+        if depth > MAX_DEPTH {
             return Err(ResolveError::DepthExceeded);
         }
         if let Some(records) = self.cache_get(qname, qtype, run.now_ms) {
@@ -242,7 +235,7 @@ impl IterativeResolver {
 
         // Each loop iteration consumes one referral level (strictly
         // descending, bounded by label count) or one CNAME hop (bounded by
-        // max_cname_chain); the query budget bounds the total work.
+        // MAX_CNAME_CHAIN); the query budget bounds the total work.
         'descend: loop {
             let ordered = Self::order_candidates(&candidates);
             for candidate in ordered {
@@ -303,7 +296,7 @@ impl IterativeResolver {
                             return Ok(records);
                         }
                         cnames_followed += 1;
-                        if cnames_followed > self.config.max_cname_chain {
+                        if cnames_followed > MAX_CNAME_CHAIN {
                             return Err(ResolveError::CnameChain(qname.clone()));
                         }
                         let target = match &cname_record.rdata {

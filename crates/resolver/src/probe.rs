@@ -5,8 +5,8 @@
 //! every zone cut, then recursively chart the chain of **every nameserver
 //! name** discovered, until the closure is exhausted. The result is the raw
 //! material of the delegation graph: `zone cut → NS set` plus the set of
-//! all servers encountered. Optionally each discovered server is
-//! fingerprinted with a CHAOS `version.bind` probe.
+//! all servers encountered. Each discovered server is then fingerprinted
+//! with a CHAOS `version.bind` probe.
 
 use crate::iterative::{IterativeResolver, ResolveError};
 use perils_dns::message::{Message, Question, Rcode};
@@ -47,17 +47,12 @@ impl DependencyReport {
 /// Walks delegation chains and assembles [`DependencyReport`]s.
 pub struct ChainProber<'r> {
     resolver: &'r IterativeResolver,
-    /// Fingerprint each discovered server with `version.bind`.
-    pub fingerprint: bool,
 }
 
 impl<'r> ChainProber<'r> {
-    /// Creates a prober over `resolver` (fingerprinting enabled).
+    /// Creates a prober over `resolver`.
     pub fn new(resolver: &'r IterativeResolver) -> ChainProber<'r> {
-        ChainProber {
-            resolver,
-            fingerprint: true,
-        }
+        ChainProber { resolver }
     }
 
     /// Discovers the full dependency closure of `target`.
@@ -83,9 +78,7 @@ impl<'r> ChainProber<'r> {
             }
         }
 
-        if self.fingerprint {
-            self.fingerprint_servers(&mut report);
-        }
+        self.fingerprint_servers(&mut report);
         report
     }
 

@@ -414,7 +414,7 @@ impl Engine {
     /// metrics (the extended workload set).
     pub fn with_extended_metrics() -> Engine {
         Engine::with_builtin_metrics()
-            .register(MisconfigMetric::default())
+            .register(MisconfigMetric)
             .register(DnssecCoverageMetric::top_level())
     }
 

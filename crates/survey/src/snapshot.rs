@@ -16,9 +16,10 @@
 //!
 //! | tag        | contents                                                |
 //! |------------|---------------------------------------------------------|
-//! | `UNIVERSE` | zones, servers, zone-parent and server-home links       |
-//! | `DEPINDEX` | nine `u32` arrays: dependency rows (offsets, targets),  |
-//! |            | SCC map, memo set ids, two set tables (offsets, arena)  |
+//! | `UNIVERSE` | zones, servers (name + verdict flags), zone-parent and  |
+//! |            | server-home links                                       |
+//! | `DEPINDEX` | seven `u32` arrays: SCC map, memo set ids, two set      |
+//! |            | tables (offsets, arena)                                 |
 //! | `LINTIDX`  | glueless depths and cycles, liveness, reachability      |
 //! | `SURVNAME` | name count, then name + rank records, top-500 indices   |
 //! | `FIGURES`  | figure count, then the epoch-free figure JSON (optional)|
@@ -27,7 +28,11 @@
 //! TLD is its last label, a server's home zone is the universe's link,
 //! set capacities are the universe's dimensions, a memoized set's length
 //! is the gap between two run offsets, and nothing records when the
-//! archive was written — so the bytes are a pure function of the world. Loading validates each section against the universe (see
+//! archive was written — so the bytes are a pure function of the world.
+//! What nothing reads after the build is not stored at all: a server's
+//! `version.bind` banner (only its assessed verdicts are kept) and the
+//! per-zone dependency rows the index build derives its components from.
+//! Loading validates each section against the universe (see
 //! [`perils_core::snapshot`]), so corrupt or mismatched archives produce
 //! a typed [`SnapshotError`], never a panic.
 

@@ -54,7 +54,7 @@ fn extended_and_zombie() -> Vec<Box<dyn NameMetric>> {
         Box::new(TcbMetric),
         Box::new(MinCutMetric),
         Box::new(ValueMetric),
-        Box::new(MisconfigMetric::default()),
+        Box::new(MisconfigMetric),
         Box::new(DnssecCoverageMetric::top_level()),
         Box::new(ZombieDelegationMetric),
     ]

@@ -55,17 +55,13 @@ fn build(events: impl IntoIterator<Item = UniverseEvent>, canonical: bool) -> Un
 }
 
 /// Every observable of the dependency index, for byte-comparison: the
-/// per-server dependency rows, and the full closure
-/// (server and zone sets) of every surveyed name.
+/// full closure (server and zone sets) of every surveyed name.
 fn index_observations(
     index: &DependencyIndex,
     universe: &Universe,
     names: &[SurveyName],
 ) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
-    for sid in universe.server_ids() {
-        out.push(index.deps_of(universe, sid).map(|s| s.0).collect());
-    }
     let mut ws = index.workspace();
     for name in names {
         let closure = index.closure_view(universe, &name.name, &mut ws);

@@ -523,26 +523,17 @@ impl U32View {
         .expect("snapshot byte store read failed after validation (file changed on disk?)");
     }
 
-    /// A buffered iterator over words `range`: it decodes
-    /// `ITER_CHUNK`-word runs at a time, so iteration costs one
-    /// bulk read per chunk, not one page lookup per word.
-    pub fn iter_range(
-        &self,
-        range: Range<usize>,
-    ) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
-        assert!(range.start <= range.end && range.end <= self.len);
+    /// A buffered iterator over every word: it decodes `ITER_CHUNK`-word
+    /// runs at a time, so iteration costs one bulk read per chunk, not one
+    /// page lookup per word.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
         U32Iter {
             view: self,
-            pos: range.start,
-            end: range.end,
+            pos: 0,
+            end: self.len,
             buf: Vec::new(),
-            buf_start: range.start,
+            buf_start: 0,
         }
-    }
-
-    /// A buffered iterator over every word.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
-        self.iter_range(0..self.len)
     }
 }
 
@@ -750,10 +741,6 @@ mod tests {
             assert!(view.iter().eq(words.iter().copied()), "buffered iteration");
             assert_eq!(view.get(0), words[0]);
             assert_eq!(view.get(4_999), words[4_999]);
-            assert_eq!(
-                view.iter_range(100..228).collect::<Vec<_>>(),
-                &words[100..228]
-            );
             let mut streamed = Vec::new();
             view.try_for_each::<SnapshotError>(|w| {
                 streamed.push(w);

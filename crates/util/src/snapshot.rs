@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// Archive magic: identifies a `.psa` file regardless of version.
 pub const MAGIC: [u8; 8] = *b"PSNAPARC";
 /// Current format version. Readers reject anything else.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 /// Endianness sentinel, written as a little-endian `u32`. A reader that
 /// finds these bytes reversed is looking at a big-endian writer's
 /// output (or garbage) and rejects it with a clear message.
@@ -564,12 +564,6 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends `u32 len` + raw bytes.
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, u32::try_from(bytes.len()).expect("byte run fits u32"));
-    out.extend_from_slice(bytes);
-}
-
 /// Appends `u32 len` + the elements as little-endian `u32`s.
 pub fn put_u32_slice(out: &mut Vec<u8>, values: &[u32]) {
     put_u32(out, u32::try_from(values.len()).expect("slice fits u32"));
@@ -655,12 +649,6 @@ impl<'a> Dec<'a> {
         Ok(u32::from_le_bytes(
             self.take(4, "u32")?.try_into().expect("4 bytes"),
         ))
-    }
-
-    /// Reads `u32 len` + that many raw bytes (borrowed).
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.u32()? as usize;
-        self.take(len, "byte run")
     }
 
     /// Reads exactly `n` raw bytes (borrowed).
@@ -791,7 +779,7 @@ mod tests {
         });
         w.section(*b"BETA\0\0\0\0", |b| {
             put_u32_slice(b, &[u32::MAX, 0, 42]);
-            put_bytes(b, b"hello");
+            b.extend_from_slice(b"hello");
         });
         w.finish()
     }
@@ -824,7 +812,7 @@ mod tests {
         let bytes = sec.bytes().expect("payload");
         let mut dec = Dec::new_at(&bytes, "BETA", sec.base());
         assert_eq!(dec.u32_vec().expect("u32s"), vec![u32::MAX, 0, 42]);
-        assert_eq!(dec.bytes().expect("bytes"), b"hello");
+        assert_eq!(dec.raw(5).expect("bytes"), b"hello");
         dec.finish().expect("fully consumed");
         assert!(matches!(
             archive.section(*b"GAMMA\0\0\0"),
@@ -939,18 +927,18 @@ mod tests {
             Archive::from_bytes(bad_version),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         ));
-        // Version 3 archives stored each set table as tagged per-set
-        // records, some as dense bit blocks, where version 4 stores run
-        // offsets and one arena: they are refused by version, before any
-        // section is read.
-        let mut v3 = good.clone();
-        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-        let err = Archive::from_bytes(v3).expect_err("v3 rejected");
+        // Version 4 archives stored every zone's dependency row in
+        // `DEPINDEX` and every server's banner in `UNIVERSE`, which version
+        // 5 drops: they are refused by version, before any section is
+        // read.
+        let mut v4 = good.clone();
+        v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+        let err = Archive::from_bytes(v4).expect_err("v4 rejected");
         assert!(matches!(
             err,
-            SnapshotError::UnsupportedVersion { found: 3 }
+            SnapshotError::UnsupportedVersion { found: 4 }
         ));
-        assert!(err.to_string().contains("reads version 4"), "{err}");
+        assert!(err.to_string().contains("reads version 5"), "{err}");
         let mut swapped = good.clone();
         swapped[12..16].copy_from_slice(&ENDIAN_TAG.to_be_bytes());
         let err = Archive::from_bytes(swapped).expect_err("swapped tag rejected");

@@ -26,11 +26,16 @@ fn main() {
     let db = VulnDb::isc_feb_2004();
     let target = name("www.fbi.gov");
 
-    // Step 0: what the fingerprint shows.
-    let ns2 = universe
-        .server_id(&name("reston-ns2.telemail.net"))
-        .expect("exists");
-    let banner = universe.server(ns2).banner.clone().unwrap_or_default();
+    // Step 0: what the fingerprint shows — the banner the server's spec
+    // exposes (the scenario's ground truth; the universe keeps only the
+    // verdicts assessed from it).
+    let ns2 = name("reston-ns2.telemail.net");
+    let banner = scenario
+        .specs
+        .iter()
+        .find(|spec| spec.host_name == ns2)
+        .and_then(|spec| spec.software.banner())
+        .expect("reston-ns2 exposes its banner");
     let version = BindVersion::parse(&banner).expect("banner parses");
     println!("reston-ns2.telemail.net runs BIND {version}; known exploits:");
     for advisory in db.affecting(&version) {
