@@ -99,11 +99,10 @@ pub fn deploy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perils_dns::message::{Message, Question};
+    use perils_dns::message::{Message, Question, Rcode};
     use perils_dns::name::name;
     use perils_dns::rr::{RData, RrType};
     use perils_dns::zone::Zone;
-    use perils_netsim::{FaultPlan, Region};
 
     fn registry() -> ZoneRegistry {
         let mut reg = ZoneRegistry::new();
@@ -121,7 +120,7 @@ mod tests {
 
     #[test]
     fn deploy_binds_and_serves() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let specs = [ServerSpec {
             host_name: name("a.root-servers.net"),
             addr: "1.0.0.1".parse().unwrap(),
@@ -132,12 +131,12 @@ mod tests {
         assert_eq!(net.endpoint_count(), 1);
         let q = Message::query(1, Question::new(name("a.root-servers.net"), RrType::A));
         let response = net.query("1.0.0.1".parse().unwrap(), &q).response.unwrap();
-        assert!(response.is_authoritative_answer());
+        assert!(response.flags.aa && response.rcode == Rcode::NoError);
     }
 
     #[test]
     fn unknown_zone_rejected() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let specs = [ServerSpec {
             host_name: name("ns.missing.test"),
             addr: "1.0.0.2".parse().unwrap(),
@@ -150,7 +149,7 @@ mod tests {
 
     #[test]
     fn address_collision_rejected() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let spec = ServerSpec {
             host_name: name("a.root-servers.net"),
             addr: "1.0.0.1".parse().unwrap(),

@@ -632,12 +632,12 @@ pub fn lint_tripwire_targets() -> Vec<DnsName> {
 mod tests {
     use super::*;
     use crate::deploy::deploy;
-    use perils_netsim::{FaultPlan, Region, SimNet};
+    use perils_netsim::SimNet;
 
     #[test]
     fn scenarios_deploy_cleanly() {
         for scenario in [cornell_figure1(), fbi_case()] {
-            let net = SimNet::new(1, FaultPlan::none(), Region(0));
+            let net = SimNet::new();
             deploy(&net, &scenario.registry, &scenario.specs).expect("scenario deploys");
             assert!(net.endpoint_count() >= 8);
             assert!(!scenario.roots.is_empty());

@@ -62,9 +62,10 @@
 //!
 //! A closure is a pure function of the target's delegation chain: the view
 //! derives everything from [`ClosureView::target_chain`], so two names with
-//! equal chains (`www.example.com` and `mail.example.com`) have identical
-//! closures — the invariant per-chain metric caches (e.g. the min-cut
-//! metric's) rely on.
+//! one deepest zone (`www.example.com` and `mail.example.com`) have
+//! identical closures — the invariant the survey engine relies on when it
+//! opens one closure per deepest zone and measures every metric there
+//! once.
 
 use crate::snapshot::{decode_dep_index, put_ids};
 use crate::universe::{ServerId, Universe, ZoneId};
@@ -623,13 +624,6 @@ impl DependencyIndex {
         self.component_servers.len()
     }
 
-    /// `(distinct server sets, distinct zone sets)` in the memo arenas —
-    /// interning statistics for diagnostics (sibling registry servers share
-    /// identical zone closures).
-    pub fn memo_stats(&self) -> (usize, usize) {
-        (self.server_sets.len(), self.zone_sets.len())
-    }
-
     /// A scratch workspace sized for this index; reuse it across
     /// [`DependencyIndex::closure_view`] calls to keep the per-name cost
     /// allocation-free.
@@ -799,11 +793,6 @@ impl<'a> ClosureView<'a> {
         self.servers.binary_search(&server.0).is_ok()
     }
 
-    /// Membership test by binary search over the sorted zone slice.
-    pub fn contains_zone(&self, zone: ZoneId) -> bool {
-        self.zones.binary_search(&zone.0).is_ok()
-    }
-
     /// TCB size (paper convention: root servers excluded).
     pub fn tcb_size(&self, universe: &Universe) -> usize {
         self.servers()
@@ -912,9 +901,8 @@ mod tests {
             index.component_of.get(cayuga.index())
         );
         assert!(index.component_count() < u.server_count());
-        let (server_sets, zone_sets) = index.memo_stats();
-        assert!(server_sets <= index.component_count());
-        assert!(zone_sets <= index.component_count());
+        assert!(index.server_sets.len() <= index.component_count());
+        assert!(index.zone_sets.len() <= index.component_count());
     }
 
     #[test]
@@ -925,7 +913,6 @@ mod tests {
         // The build has no thread, machine or hash-order input: the
         // `DEPINDEX` bytes match, and so does everything read off them.
         assert_eq!(first, second);
-        assert_eq!(first.memo_stats(), second.memo_stats());
         let target = name("www.cs.cornell.edu");
         let (mut ws_a, mut ws_b) = (first.workspace(), second.workspace());
         let a = first.closure_view(&u, &target, &mut ws_a);
@@ -991,9 +978,8 @@ mod tests {
         ];
         for (what, u) in &worlds {
             let index = DependencyIndex::build(u);
-            let (server_sets, zone_sets) = index.memo_stats();
-            assert_first_occurrence_order(&index.component_servers, server_sets, what);
-            assert_first_occurrence_order(&index.component_zones, zone_sets, what);
+            assert_first_occurrence_order(&index.component_servers, index.server_sets.len(), what);
+            assert_first_occurrence_order(&index.component_zones, index.zone_sets.len(), what);
         }
     }
 

@@ -156,56 +156,32 @@ pub fn dnssec_impact(
     impact
 }
 
-/// Which zones a modeled DNSSEC rollout signs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeploymentPolicy {
-    /// Nothing signed (the 2004 state of the world).
-    None,
-    /// Root anchor plus every TLD zone signed — the "islands of security"
-    /// transition state where chains of trust stop at the second level.
-    TopLevel,
-    /// Every zone signed, root included.
-    Universal,
-}
-
-impl DeploymentPolicy {
-    /// Materializes the deployment for `universe`.
-    pub fn build(self, universe: &Universe) -> DnssecDeployment {
-        match self {
-            DeploymentPolicy::None => DnssecDeployment::none(),
-            DeploymentPolicy::Universal => DnssecDeployment::universal(universe),
-            DeploymentPolicy::TopLevel => {
-                let mut deployment = DnssecDeployment::none();
-                deployment.sign_root();
-                for zid in universe.zone_ids() {
-                    if universe.zone(zid).origin.label_count() <= 1 {
-                        deployment.sign(zid);
-                    }
-                }
-                deployment
-            }
+/// The root+TLD "islands of security" rollout: the root anchor plus every
+/// TLD zone signed, so chains of trust stop at the second level.
+fn top_level_deployment(universe: &Universe) -> DnssecDeployment {
+    let mut deployment = DnssecDeployment::none();
+    deployment.sign_root();
+    for zid in universe.zone_ids() {
+        if universe.zone(zid).origin.label_count() <= 1 {
+            deployment.sign(zid);
         }
     }
+    deployment
 }
 
-/// DNSSEC coverage of each name's TCB as a pluggable survey metric: the
-/// fraction of the name's closure zones that are signed
-/// (`dnssec_signed_fraction`) and whether its own chain of trust is
-/// unbroken (`dnssec_chain_protected`, 0/1). Under any partial deployment
-/// the fraction quantifies §5's point: signing shrinks the forgeable
+/// DNSSEC coverage of each name's TCB as a pluggable survey metric, under
+/// the root+TLD "islands of security" rollout: the fraction of the name's
+/// closure zones that are signed (`dnssec_signed_fraction`) and whether
+/// its own chain of trust is unbroken (`dnssec_chain_protected`, 0/1).
+/// The fraction quantifies §5's point: signing shrinks the forgeable
 /// surface, yet the closure — the deniable surface — is unchanged.
 #[derive(Debug, Clone, Copy)]
-pub struct DnssecCoverageMetric {
-    /// The modeled rollout.
-    pub policy: DeploymentPolicy,
-}
+pub struct DnssecCoverageMetric;
 
 impl DnssecCoverageMetric {
     /// Coverage under the root+TLD "islands of security" rollout.
     pub fn top_level() -> DnssecCoverageMetric {
-        DnssecCoverageMetric {
-            policy: DeploymentPolicy::TopLevel,
-        }
+        DnssecCoverageMetric
     }
 }
 
@@ -222,7 +198,7 @@ impl NameMetric for DnssecCoverageMetric {
     }
 
     fn prepare<'a>(&'a self, universe: &'a Universe) -> Measure<'a> {
-        let deployment = self.policy.build(universe);
+        let deployment = top_level_deployment(universe);
         Box::new(move |ctx, row| {
             let total = ctx.closure.zone_count();
             let signed = ctx
@@ -376,7 +352,7 @@ mod tests {
     #[test]
     fn top_level_policy_signs_root_and_tlds_only() {
         let u = universe();
-        let deployment = DeploymentPolicy::TopLevel.build(&u);
+        let deployment = top_level_deployment(&u);
         assert!(deployment.root_signed());
         assert!(deployment.is_signed(u.zone_id(&name("com")).unwrap()));
         assert!(!deployment.is_signed(u.zone_id(&name("victim.com")).unwrap()));
@@ -388,21 +364,10 @@ mod tests {
     fn coverage_metric_fraction_and_protection() {
         let u = universe();
         let target = [name("www.victim.com")];
-        let run = |metric: DnssecCoverageMetric| {
-            crate::metric::tests::measure_targets(&metric, &u, &target)
-        };
-        let universal = run(DnssecCoverageMetric {
-            policy: DeploymentPolicy::Universal,
-        });
-        assert_eq!(universal[0].as_floats().unwrap()[0], 1.0);
-        assert_eq!(universal[1].as_counts().unwrap()[0], 1);
-        let top = run(DnssecCoverageMetric::top_level());
+        let top =
+            crate::metric::tests::measure_targets(&DnssecCoverageMetric::top_level(), &u, &target);
         let frac = top[0].as_floats().unwrap()[0];
         assert!(frac > 0.0 && frac < 1.0, "partial coverage, got {frac}");
         assert_eq!(top[1].as_counts().unwrap()[0], 0, "chain broken below TLD");
-        let none = run(DnssecCoverageMetric {
-            policy: DeploymentPolicy::None,
-        });
-        assert_eq!(none[0].as_floats().unwrap()[0], 0.0);
     }
 }

@@ -14,7 +14,8 @@
 //!   one-server cut off the same network;
 //! * [`min_hijack_exact`] — an exact branch-and-bound over the glue-aware
 //!   AND/OR resolution semantics ([`crate::usable`]), branching on
-//!   resolution witnesses. The `ablation_mincut` bench compares the two.
+//!   resolution witnesses. The tests `shared_provider_collapses_cut_to_one`
+//!   and `exact_never_exceeds_flattened` compare the two.
 //!
 //! # The flattened cut
 //!
@@ -135,11 +136,11 @@ impl HijackSet {
 
 /// The paper's method: minimum vertex cut of the flattened delegation
 /// graph, lexicographically minimizing (size, #safe members), computed as
-/// the module docs' "The flattened cut" describes. Since the view (and with
-/// it the delegation graph) is a pure function of the target's chain,
-/// results may be cached per chain, which is exactly what
-/// [`crate::MinCutMetric`] does. `_index` is unused (server chains come
-/// from the universe's parent links); it stays until its callers, the
+/// the module docs' "The flattened cut" describes. The view (and with it
+/// the delegation graph) is a pure function of the target's deepest zone,
+/// so the survey engine runs [`crate::MinCutMetric`] once per deepest
+/// zone, not once per name. `_index` is unused (server chains come from
+/// the universe's parent links); it stays until its callers, the
 /// benchmark's replay among them, drop it.
 pub fn min_cut_flattened_view(
     universe: &Universe,
@@ -517,8 +518,8 @@ mod tests {
         assert_eq!(u.server(exact.servers[0]).name, name("ns.provider.net"));
         // The flattened referral-path graph cannot see the shared-provider
         // collapse: it reports the name's own NS pair (size 2). This is
-        // exactly the approximation gap the `ablation_mincut` bench
-        // quantifies — the exact AND/OR minimum is never larger.
+        // exactly the approximation gap between the two methods — the
+        // exact AND/OR minimum is never larger.
         let flat = min_cut_flattened_view(&u, &index, &closure).expect("cuttable");
         assert_eq!(flat.size(), 2);
         assert!(exact.size() <= flat.size());

@@ -51,7 +51,7 @@ pub mod value;
 pub mod zombie;
 
 pub use closure::{ClosureView, ClosureWorkspace, DependencyIndex};
-pub use dnssec::{DeploymentPolicy, DnssecCoverageMetric};
+pub use dnssec::DnssecCoverageMetric;
 pub use hijack::HijackSet;
 pub use lint::{
     Arg, At, Diagnostic, EvidenceStep, LintCtx, LintError, LintIndex, LintRule, Message, Note,

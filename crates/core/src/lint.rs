@@ -173,8 +173,8 @@ pub enum Arg {
     /// A number.
     Count(u32),
     /// The operator domain of the zone's first NS, spelled as that NS
-    /// spells it: for a zone [`SingleOperatorRule::shared_operator`]
-    /// holds for, the domain every NS sits under.
+    /// spells it: for a zone [`single_operator`] holds for, the domain
+    /// every NS sits under.
     Operator(ZoneId),
 }
 
@@ -656,10 +656,10 @@ pub fn zone_structural_flags(universe: &Universe, zone: ZoneId) -> usize {
     if SingleServerRule::applies(universe, zone) {
         flags |= FLAG_SINGLE_SERVER;
     }
-    if SingleOperatorRule::shared_operator(universe, zone).is_some() {
+    if single_operator(universe, zone).is_some() {
         flags |= FLAG_SINGLE_OPERATOR;
     }
-    if !LameDelegationRule::dangling_ns(universe, zone).is_empty() {
+    if !unresolvable_ns(universe, zone).is_empty() {
         flags |= FLAG_UNRESOLVABLE_NS;
     }
     flags
@@ -717,13 +717,6 @@ impl LintRule for SingleServerRule {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SingleOperatorRule;
 
-impl SingleOperatorRule {
-    /// The shared operator domain, when there is one (two or more NS).
-    pub fn shared_operator(universe: &Universe, zone: ZoneId) -> Option<DnsName> {
-        single_operator(universe, zone)
-    }
-}
-
 impl LintRule for SingleOperatorRule {
     fn id(&self) -> &'static str {
         "single-operator"
@@ -741,7 +734,7 @@ impl LintRule for SingleOperatorRule {
             if zone.origin.is_root() {
                 continue;
             }
-            if SingleOperatorRule::shared_operator(ctx.universe, zid).is_none() {
+            if single_operator(ctx.universe, zid).is_none() {
                 continue;
             }
             let note = Note::new("operated under {}").arg(Arg::Operator(zid));
@@ -769,13 +762,6 @@ impl LintRule for SingleOperatorRule {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LameDelegationRule;
 
-impl LameDelegationRule {
-    /// The dangling NS hosts, shared with [`zone_structural_flags`].
-    pub fn dangling_ns(universe: &Universe, zone: ZoneId) -> Vec<ServerId> {
-        unresolvable_ns(universe, zone)
-    }
-}
-
 impl LintRule for LameDelegationRule {
     fn id(&self) -> &'static str {
         "lame-delegation"
@@ -793,7 +779,7 @@ impl LintRule for LameDelegationRule {
             if zone.origin.is_root() {
                 continue;
             }
-            let dangling = LameDelegationRule::dangling_ns(ctx.universe, zid);
+            let dangling = unresolvable_ns(ctx.universe, zid);
             if dangling.is_empty() {
                 continue;
             }

@@ -17,6 +17,7 @@
 
 use crate::metric::{columns, ColumnKind, Measure, NameMetric};
 use crate::universe::{ServerId, Universe, ZoneId};
+use crate::zombie::server_is_dead;
 use perils_dns::name::{DnsName, Label};
 
 /// The registered operator domain of a server name: its last two labels
@@ -46,23 +47,15 @@ pub fn single_operator(universe: &Universe, zone: ZoneId) -> Option<DnsName> {
 }
 
 /// The zone's NS hosts with no address anywhere in the modeled universe
-/// (lame-delegation precursors).
+/// (lame-delegation precursors): the dead servers of
+/// [`crate::ZombieIndex`] among its NS set.
 pub fn unresolvable_ns(universe: &Universe, zone: ZoneId) -> Vec<ServerId> {
-    let zone = universe.zone(zone);
-    zone.ns
+    universe
+        .zone(zone)
+        .ns
         .iter()
         .copied()
-        .filter(|&sid| {
-            let server = universe.server(sid);
-            let in_bailiwick = server.name.is_subdomain_of(&zone.origin);
-            // A usable home zone must be more specific than the root:
-            // "the deepest zone enclosing this host is the root" means the
-            // branch is simply not delegated anywhere we know of.
-            let has_home = universe
-                .home_zone_of(sid)
-                .is_some_and(|z| !universe.zone(z).origin.is_root());
-            !server.is_root && !in_bailiwick && !has_home
-        })
+        .filter(|&sid| server_is_dead(universe, sid))
         .collect()
 }
 

@@ -676,23 +676,7 @@ impl UniverseBuilder {
     /// Adds a server with explicit vulnerability facts (bypassing banner
     /// assessment) — used by tests and synthetic generators.
     pub fn raw_server(&mut self, name: &DnsName, vulnerable: bool, is_root: bool) -> ServerId {
-        if let Some(id) = self.universe.server_id(name) {
-            let entry = &mut self.universe.servers[id.index()];
-            entry.vulnerable |= vulnerable;
-            entry.scripted_exploit |= vulnerable;
-            entry.is_root |= is_root;
-            self.placeholder[id.index()] = false;
-            return id;
-        }
-        self.intern_server(
-            ServerEntry {
-                name: name.to_lowercase(),
-                vulnerable,
-                scripted_exploit: vulnerable,
-                is_root,
-            },
-            false,
-        )
+        self.facts_server(name, vulnerable, vulnerable, is_root)
     }
 
     /// Adds a server with fully explicit facts (what

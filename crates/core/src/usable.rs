@@ -266,11 +266,6 @@ impl Frame {
         ServerId(self.servers.global(server))
     }
 
-    /// The local id of `zone`, when the frame holds it.
-    pub fn local_zone(&self, zone: ZoneId) -> Option<usize> {
-        self.zones.local(zone.0).map(|z| z as usize)
-    }
-
     /// The local id of the deepest frame zone enclosing `name`.
     pub fn enclosing_zone(&self, universe: &Universe, name: &DnsName) -> Option<usize> {
         let local = self.zones.lift(universe, universe.zone_of(name));
@@ -443,12 +438,6 @@ impl Reachability {
             Some(z) => self.solved.reachable[z.index()],
             None => false,
         }
-    }
-
-    /// The nearest registered ancestor of `z`.
-    pub fn parent_of(&self, z: ZoneId) -> Option<ZoneId> {
-        let parent = self.frame.parent[z.index()];
-        (parent != NONE).then_some(ZoneId(parent))
     }
 
     /// The deepest zone containing `server`'s name.

@@ -28,6 +28,19 @@
 use crate::metric::{columns, ColumnKind, Measure, NameMetric};
 use crate::universe::{ServerId, Universe, ZoneId};
 
+/// True when no modeled path can produce an address for `server`: it is
+/// not a root server, and its name has no home zone more specific than
+/// the root that could supply (or delegate toward) the address. This
+/// also covers in-bailiwick glue: a zone listing a server inside its own
+/// cut *is* a home zone for that server, so glued servers are alive by
+/// construction.
+pub(crate) fn server_is_dead(universe: &Universe, server: ServerId) -> bool {
+    !universe.server(server).is_root
+        && universe
+            .home_zone_of(server)
+            .is_none_or(|z| universe.zone(z).origin.is_root())
+}
+
 /// Universe-wide liveness classification behind [`ZombieDelegationMetric`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZombieIndex {
@@ -69,22 +82,10 @@ impl ZombieIndex {
 
     /// Classifies every server and zone (O(servers + zones × NS)).
     pub fn build(universe: &Universe) -> ZombieIndex {
-        let mut dead_server = vec![false; universe.server_count()];
-        for sid in universe.server_ids() {
-            let server = universe.server(sid);
-            if server.is_root {
-                continue;
-            }
-            // A home zone more specific than the root can supply (or
-            // delegate toward) the server's address. This also covers
-            // in-bailiwick glue: a zone listing a server inside its own
-            // cut *is* a home zone for that server, so glued servers are
-            // alive by construction.
-            let has_home = universe
-                .home_zone_of(sid)
-                .is_some_and(|z| !universe.zone(z).origin.is_root());
-            dead_server[sid.index()] = !has_home;
-        }
+        let dead_server: Vec<bool> = universe
+            .server_ids()
+            .map(|sid| server_is_dead(universe, sid))
+            .collect();
         let mut zombie_zone = vec![false; universe.zone_count()];
         for zid in universe.zone_ids() {
             let zone = universe.zone(zid);
@@ -106,11 +107,6 @@ impl ZombieIndex {
     /// True when `zone`'s delegation points only at dead servers.
     pub fn is_zombie(&self, zone: ZoneId) -> bool {
         self.zombie_zone[zone.index()]
-    }
-
-    /// Number of dead servers in the universe.
-    pub fn dead_servers(&self) -> usize {
-        self.dead_server.iter().filter(|&&d| d).count()
     }
 
     /// Number of zombie delegations in the universe.
@@ -198,7 +194,7 @@ mod tests {
             "one live NS keeps the delegation followable"
         );
         assert!(!index.is_zombie(u.zone_id(&name("com")).unwrap()));
-        assert_eq!(index.dead_servers(), 3);
+        assert_eq!(u.server_ids().filter(|&s| index.is_dead(s)).count(), 3);
         assert_eq!(index.zombie_zones(), 1);
     }
 

@@ -14,9 +14,8 @@
 //! * [`zone`] — authoritative zones with delegation cuts, glue, wildcards,
 //!   the [`zone::ZoneRegistry`] that models an entire namespace, and the
 //!   [`zone::ZoneEvent`] stream abstraction for incremental ingestion;
-//! * [`master`] — RFC 1035 §5 master-file (zone file) parser and
-//!   serializer, plus the zone-file-backed [`master::ZoneFileEvents`]
-//!   event iterator.
+//! * [`master`] — RFC 1035 §5 master-file (zone file) parser, plus the
+//!   zone-file-backed [`master::ZoneFileEvents`] event iterator.
 //!
 //! The crate is IO-free: transport lives in `perils-netsim`, and server
 //! behaviour in `perils-authserver`.

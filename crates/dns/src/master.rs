@@ -1,4 +1,4 @@
-//! RFC 1035 §5 master-file (zone file) parsing and serialization.
+//! RFC 1035 §5 master-file (zone file) parsing.
 //!
 //! Supports the constructs real zone files of the BIND era used:
 //! `$ORIGIN`, `$TTL`, `@` for the origin, relative names, omitted
@@ -607,29 +607,6 @@ impl Iterator for ZoneFileEvents<'_> {
     }
 }
 
-/// Serializes a zone to master-file text (absolute names, explicit fields).
-pub fn serialize_zone(zone: &Zone) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("$ORIGIN {}.\n", zone.origin()));
-    for record in zone.iter() {
-        out.push_str(&format!("{}.", record.name));
-        out.push_str(&format!(
-            " {} {} {} ",
-            record.ttl, record.class, record.rtype
-        ));
-        let display = record.to_string();
-        // Reuse Record's Display for the RDATA portion: it is everything
-        // after "<name> <ttl> <class> <type> ".
-        let prefix = format!(
-            "{} {} {} {} ",
-            record.name, record.ttl, record.class, record.rtype
-        );
-        out.push_str(&display[prefix.len()..]);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,16 +703,6 @@ info IN TXT "hello world" "second \"string\""
             }
             other => panic!("expected TXT answer, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let zone = parse_zone(CORNELL, &DnsName::root()).unwrap();
-        let text = serialize_zone(&zone);
-        let reparsed = parse_zone(&text, &DnsName::root()).unwrap();
-        assert_eq!(reparsed.record_count(), zone.record_count());
-        assert_eq!(reparsed.apex_ns_names(), zone.apex_ns_names());
-        assert_eq!(reparsed.soa().serial, zone.soa().serial);
     }
 
     #[test]

@@ -222,12 +222,6 @@ impl Message {
         self.questions.first()
     }
 
-    /// True when this is a response carrying an authoritative answer for its
-    /// question (`aa` set and rcode NOERROR).
-    pub fn is_authoritative_answer(&self) -> bool {
-        self.flags.qr && self.flags.aa && self.rcode == Rcode::NoError
-    }
-
     /// True when this response is a referral: no answers, NS records in the
     /// authority section, and not authoritative.
     pub fn is_referral(&self) -> bool {
@@ -235,15 +229,6 @@ impl Message {
             && self.rcode == Rcode::NoError
             && self.answers.is_empty()
             && self.authority.iter().any(|r| r.rtype == RrType::Ns)
-    }
-
-    /// Iterates over all records in answer, authority and additional
-    /// sections.
-    pub fn all_records(&self) -> impl Iterator<Item = &Record> {
-        self.answers
-            .iter()
-            .chain(self.authority.iter())
-            .chain(self.additional.iter())
     }
 }
 
@@ -289,7 +274,6 @@ mod tests {
             RData::Ns(name("ns1.example.com")),
         ));
         assert!(referral.is_referral());
-        assert!(!referral.is_authoritative_answer());
 
         let mut answer = Message::response_to(&q);
         answer.flags.aa = true;
@@ -298,24 +282,7 @@ mod tests {
             3600,
             RData::A(Ipv4Addr::new(1, 2, 3, 4)),
         ));
-        assert!(answer.is_authoritative_answer());
         assert!(!answer.is_referral());
-    }
-
-    #[test]
-    fn all_records_spans_sections() {
-        let q = Message::query(1, Question::new(name("a.b"), RrType::A));
-        let mut m = Message::response_to(&q);
-        m.answers
-            .push(Record::new(name("a.b"), 1, RData::A(Ipv4Addr::LOCALHOST)));
-        m.authority
-            .push(Record::new(name("b"), 1, RData::Ns(name("ns.b"))));
-        m.additional.push(Record::new(
-            name("ns.b"),
-            1,
-            RData::A(Ipv4Addr::new(10, 0, 0, 1)),
-        ));
-        assert_eq!(m.all_records().count(), 3);
     }
 
     #[test]

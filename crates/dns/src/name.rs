@@ -339,16 +339,6 @@ impl DnsName {
         }
     }
 
-    /// Longest common suffix (in labels) with `other`.
-    pub fn common_suffix_len(&self, other: &DnsName) -> usize {
-        self.labels
-            .iter()
-            .rev()
-            .zip(other.labels.iter().rev())
-            .take_while(|(a, b)| a == b)
-            .count()
-    }
-
     /// Canonical all-lowercase form (used for map keys and wire
     /// compression).
     pub fn to_lowercase(&self) -> DnsName {
@@ -503,16 +493,6 @@ mod tests {
         assert_eq!(n.suffix(2), name("lviv.ua"));
         assert_eq!(n.suffix(99), n);
         assert!(DnsName::root().tld().is_none());
-    }
-
-    #[test]
-    fn common_suffix() {
-        assert_eq!(
-            name("a.b.example.com").common_suffix_len(&name("x.example.com")),
-            2
-        );
-        assert_eq!(name("a.com").common_suffix_len(&name("a.org")), 0);
-        assert_eq!(name("Same.Com").common_suffix_len(&name("same.com")), 2);
     }
 
     #[test]

@@ -234,19 +234,6 @@ impl RData {
             RData::Opaque(_) => None,
         }
     }
-
-    /// The name embedded in the RDATA, when the type carries one
-    /// (NS/CNAME/PTR/MX/SRV/SOA-mname). Used when walking delegation
-    /// dependencies.
-    pub fn embedded_name(&self) -> Option<&DnsName> {
-        match self {
-            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => Some(n),
-            RData::Mx { exchange, .. } => Some(exchange),
-            RData::Srv { target, .. } => Some(target),
-            RData::Soa(soa) => Some(&soa.mname),
-            _ => None,
-        }
-    }
 }
 
 /// A resource record.
@@ -396,24 +383,6 @@ mod tests {
     #[should_panic(expected = "typed RDATA")]
     fn record_new_rejects_opaque() {
         Record::new(name("x.com"), 0, RData::Opaque(vec![1, 2]));
-    }
-
-    #[test]
-    fn embedded_names() {
-        assert_eq!(
-            RData::Ns(name("ns.example.com")).embedded_name(),
-            Some(&name("ns.example.com"))
-        );
-        assert_eq!(
-            RData::Mx {
-                preference: 10,
-                exchange: name("mx.example.com")
-            }
-            .embedded_name(),
-            Some(&name("mx.example.com"))
-        );
-        assert_eq!(RData::A(Ipv4Addr::LOCALHOST).embedded_name(), None);
-        assert_eq!(RData::Txt(vec!["x".into()]).embedded_name(), None);
     }
 
     #[test]

@@ -526,7 +526,13 @@ mod tests {
             .questions
             .iter()
             .map(|q| q.name.wire_len() + 4)
-            .chain(m.all_records().map(|r| r.name.wire_len() + 10 + 64))
+            .chain(
+                m.answers
+                    .iter()
+                    .chain(&m.authority)
+                    .chain(&m.additional)
+                    .map(|r| r.name.wire_len() + 10 + 64),
+            )
             .sum::<usize>()
             + 12;
         assert!(with < naive, "compressed {with} >= naive bound {naive}");

@@ -375,23 +375,6 @@ impl Zone {
         self.cuts.keys()
     }
 
-    /// IPv4 addresses this zone holds for `host` (authoritative or glue).
-    pub fn v4_addresses_of(&self, host: &DnsName) -> Vec<Ipv4Addr> {
-        self.records
-            .get(host)
-            .and_then(|node| node.get(&RrType::A))
-            .map(|records| {
-                records
-                    .iter()
-                    .filter_map(|r| match r.rdata {
-                        RData::A(ip) => Some(ip),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Streams this zone's delegation-relevant content as [`ZoneEvent`]s:
     /// the apex NS set first, then each cut's NS set (sorted cut order),
     /// then every A record as glue (sorted owner order). Together with
@@ -428,14 +411,6 @@ impl Zone {
         self.records
             .values()
             .flat_map(|node| node.values().flatten())
-    }
-
-    /// Total record count.
-    pub fn record_count(&self) -> usize {
-        self.records
-            .values()
-            .map(|n| n.values().map(Vec::len).sum::<usize>())
-            .sum()
     }
 }
 
@@ -484,20 +459,6 @@ impl ZoneRegistry {
         name.ancestors().find_map(|a| self.zones.get(&a))
     }
 
-    /// All registry zones on the ancestor path of `name`, root-first.
-    ///
-    /// This is the delegation chain the resolver walks and the unit the
-    /// trust analysis consumes: resolving `name` requires one server from
-    /// each zone in this chain.
-    pub fn zone_chain(&self, name: &DnsName) -> Vec<&Zone> {
-        let mut chain: Vec<&Zone> = name
-            .ancestors()
-            .filter_map(|a| self.zones.get(&a))
-            .collect();
-        chain.reverse();
-        chain
-    }
-
     /// Number of zones.
     pub fn len(&self) -> usize {
         self.zones.len()
@@ -520,28 +481,6 @@ impl ZoneRegistry {
     /// or a live feed through the same interface.
     pub fn events(&self) -> impl Iterator<Item = ZoneEvent> + '_ {
         self.iter().flat_map(Zone::events)
-    }
-
-    /// Collects every IPv4 address registered anywhere for `host`.
-    ///
-    /// Looks in the zone authoritative for `host` first, then falls back to
-    /// glue in ancestor zones (mirroring what a resolver could learn).
-    pub fn addresses_of(&self, host: &DnsName) -> Vec<Ipv4Addr> {
-        if let Some(zone) = self.find_zone(host) {
-            let addrs = zone.v4_addresses_of(host);
-            if !addrs.is_empty() {
-                return addrs;
-            }
-        }
-        for ancestor in host.ancestors().skip(1) {
-            if let Some(zone) = self.zones.get(&ancestor) {
-                let addrs = zone.v4_addresses_of(host);
-                if !addrs.is_empty() {
-                    return addrs;
-                }
-            }
-        }
-        Vec::new()
     }
 }
 
@@ -780,29 +719,6 @@ mod tests {
             reg.find_zone(&name("www.other.org")).unwrap().origin(),
             &DnsName::root()
         );
-
-        let chain: Vec<String> = reg
-            .zone_chain(&name("www.example.com"))
-            .iter()
-            .map(|z| z.origin().to_string())
-            .collect();
-        assert_eq!(chain, vec![".", "com", "example.com"]);
-    }
-
-    #[test]
-    fn registry_addresses_fall_back_to_glue() {
-        let mut reg = ZoneRegistry::new();
-        reg.insert(example_zone());
-        // ns.sub.example.com has glue in example.com but no own zone.
-        assert_eq!(
-            reg.addresses_of(&name("ns.sub.example.com")),
-            vec!["10.0.1.1".parse::<Ipv4Addr>().unwrap()]
-        );
-        assert_eq!(
-            reg.addresses_of(&name("ns1.example.com")),
-            vec!["10.0.0.1".parse::<Ipv4Addr>().unwrap()]
-        );
-        assert!(reg.addresses_of(&name("nowhere.test")).is_empty());
     }
 
     #[test]
@@ -861,12 +777,5 @@ mod tests {
                 name("sub.example.com"),
             ]
         );
-    }
-
-    #[test]
-    fn zone_record_count_and_iter() {
-        let z = example_zone();
-        assert_eq!(z.iter().count(), z.record_count());
-        assert!(z.record_count() >= 8);
     }
 }

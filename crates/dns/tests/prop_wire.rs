@@ -187,13 +187,4 @@ proptest! {
         }
         prop_assert_eq!(name.ancestors().count(), name.label_count() + 1);
     }
-
-    /// common_suffix_len is symmetric and bounded.
-    #[test]
-    fn common_suffix_symmetric(a in arb_name(), b in arb_name()) {
-        let ab = a.common_suffix_len(&b);
-        prop_assert_eq!(ab, b.common_suffix_len(&a));
-        prop_assert!(ab <= a.label_count().min(b.label_count()));
-        prop_assert_eq!(a.common_suffix_len(&a), a.label_count());
-    }
 }

@@ -78,11 +78,6 @@ impl IpAllocator {
         let value = u32::from(addr);
         Region(((value >> 16).saturating_sub(1)) as u16)
     }
-
-    /// Number of addresses handed out in `region`.
-    pub fn allocated_in(&self, region: Region) -> u32 {
-        self.next_host.get(&region.0).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +97,6 @@ mod tests {
         assert_eq!(IpAllocator::region_of(ip1), r0);
         assert_eq!(IpAllocator::region_of(ip2), r0);
         assert_eq!(IpAllocator::region_of(ip3), r1);
-        assert_eq!(a.allocated_in(r0), 2);
-        assert_eq!(a.allocated_in(r1), 1);
     }
 
     #[test]

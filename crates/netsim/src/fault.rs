@@ -1,82 +1,43 @@
-//! Fault injection: the adjustable failure model of the simulated internet.
+//! Fault injection: which servers are down, and the latency model.
 //!
-//! The paper's threat analysis turns on availability events — "the
-//! severance of the wrong set of cables or a targeted link saturation
-//! attack" (§3.1) and "a denial of service attack on the non-vulnerable
-//! nameserver" (§3.2). The fault plan models exactly those: uniform packet
-//! loss, per-server outages, and a distance-based latency model.
+//! The paper's threat analysis turns on availability events — "a denial
+//! of service attack on the non-vulnerable nameserver" (§3.2). The fault
+//! plan models exactly that: a set of dead servers, adjustable mid-run,
+//! that receive nothing and answer nothing. Latency is a fixed function
+//! of region distance.
 
 use crate::addr::Region;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-/// The mutable failure model consulted on every delivery.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    /// Probability in [0, 1] that any given query or response is lost.
-    pub drop_probability: f64,
-    /// Servers that are down (DoS'd, crashed, or unplugged): they receive
-    /// nothing and answer nothing.
-    dead: HashSet<Ipv4Addr>,
-    /// Base one-way latency in milliseconds between adjacent hosts.
-    pub base_latency_ms: u32,
-    /// Additional latency per unit of region distance.
-    pub distance_latency_ms: u32,
-    /// Uniform random jitter bound (milliseconds).
-    pub jitter_ms: u32,
-}
+/// One-way latency in milliseconds between hosts in one region.
+const BASE_LATENCY_MS: u32 = 5;
+/// Additional one-way latency per unit of region distance.
+const DISTANCE_LATENCY_MS: u32 = 120;
 
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            drop_probability: 0.0,
-            dead: HashSet::new(),
-            base_latency_ms: 5,
-            distance_latency_ms: 120,
-            jitter_ms: 3,
-        }
-    }
+/// The failure model consulted on every delivery: the servers that are
+/// down (DoS'd, crashed, or unplugged).
+#[derive(Debug, Clone, Default)]
+pub struct FaultPlan {
+    dead: HashSet<Ipv4Addr>,
 }
 
 impl FaultPlan {
-    /// A fault-free plan (the default).
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// A plan with uniform packet loss.
-    pub fn with_drop_probability(p: f64) -> FaultPlan {
-        FaultPlan {
-            drop_probability: p.clamp(0.0, 1.0),
-            ..FaultPlan::default()
-        }
-    }
-
     /// Marks `addr` as down.
     pub fn kill(&mut self, addr: Ipv4Addr) {
         self.dead.insert(addr);
-    }
-
-    /// Brings `addr` back up.
-    pub fn revive(&mut self, addr: Ipv4Addr) {
-        self.dead.remove(&addr);
     }
 
     /// Whether `addr` is currently down.
     pub fn is_dead(&self, addr: Ipv4Addr) -> bool {
         self.dead.contains(&addr)
     }
+}
 
-    /// Number of dead servers.
-    pub fn dead_count(&self) -> usize {
-        self.dead.len()
-    }
-
-    /// Round-trip latency between two regions, before jitter.
-    pub fn rtt_ms(&self, from: Region, to: Region) -> u32 {
-        let distance = from.distance(to);
-        2 * (self.base_latency_ms + (distance * self.distance_latency_ms as f64) as u32)
-    }
+/// Round-trip latency between two regions.
+pub(crate) fn rtt_ms(from: Region, to: Region) -> u32 {
+    let distance = from.distance(to);
+    2 * (BASE_LATENCY_MS + (distance * DISTANCE_LATENCY_MS as f64) as u32)
 }
 
 #[cfg(test)]
@@ -84,32 +45,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kill_and_revive() {
-        let mut plan = FaultPlan::none();
-        let ip: Ipv4Addr = "10.0.0.1".parse().unwrap();
-        assert!(!plan.is_dead(ip));
-        plan.kill(ip);
-        assert!(plan.is_dead(ip));
-        assert_eq!(plan.dead_count(), 1);
-        plan.revive(ip);
-        assert!(!plan.is_dead(ip));
-        assert_eq!(plan.dead_count(), 0);
-    }
-
-    #[test]
-    fn drop_probability_clamped() {
-        assert_eq!(FaultPlan::with_drop_probability(2.0).drop_probability, 1.0);
-        assert_eq!(FaultPlan::with_drop_probability(-0.5).drop_probability, 0.0);
-    }
-
-    #[test]
     fn latency_grows_with_distance() {
-        let plan = FaultPlan::none();
-        let near = plan.rtt_ms(Region(1), Region(1));
-        let mid = plan.rtt_ms(Region(1), Region(2));
-        let far = plan.rtt_ms(Region(1), Region(40));
+        let near = rtt_ms(Region(1), Region(1));
+        let mid = rtt_ms(Region(1), Region(2));
+        let far = rtt_ms(Region(1), Region(40));
         assert!(near < mid);
         assert!(mid < far);
-        assert_eq!(near, 2 * plan.base_latency_ms);
+        assert_eq!(near, 2 * BASE_LATENCY_MS);
     }
 }

@@ -1,19 +1,19 @@
 //! The simulated network: endpoint registry and query delivery.
 //!
-//! [`SimNet`] owns the address→endpoint map, the [`FaultPlan`], a
-//! deterministic RNG for loss/jitter draws, and delivery statistics.
-//! Delivery is synchronous: `query()` returns the response (or
-//! `None` for a timeout-equivalent loss) plus the simulated RTT.
+//! [`SimNet`] owns the address→endpoint map, the [`FaultPlan`] and
+//! delivery statistics. Delivery is synchronous and lossless: `query()`
+//! returns the response (or `None` when the server is dead, unbound or
+//! silent) plus the simulated RTT, a fixed function of the server's
+//! region.
 //!
 //! Interior mutability (`parking_lot` locks) keeps `query()` usable through
 //! a shared reference, so a parallel survey driver can fan out across
 //! threads while fault state remains centrally adjustable.
 
 use crate::addr::{IpAllocator, Region};
-use crate::fault::FaultPlan;
+use crate::fault::{rtt_ms, FaultPlan};
 use parking_lot::{Mutex, RwLock};
 use perils_dns::message::Message;
-use perils_util::Rng;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -40,7 +40,7 @@ where
 /// The result of one delivery attempt.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// The response, or `None` when the query timed out (loss, dead server,
+    /// The response, or `None` when the query timed out (dead server,
     /// unbound address, or a silent server).
     pub response: Option<Message>,
     /// Simulated round-trip time. When nothing came back this is the
@@ -55,8 +55,6 @@ pub struct NetStats {
     pub queries: u64,
     /// Answered queries.
     pub answered: u64,
-    /// Queries lost to packet loss (either direction).
-    pub dropped: u64,
     /// Queries to dead servers.
     pub to_dead: u64,
     /// Queries to unbound addresses.
@@ -65,39 +63,49 @@ pub struct NetStats {
     pub total_ms: u64,
 }
 
+impl NetStats {
+    /// Charges one timeout and returns its outcome.
+    fn timeout(&mut self) -> QueryOutcome {
+        self.total_ms += TIMEOUT_MS as u64;
+        QueryOutcome {
+            response: None,
+            rtt_ms: TIMEOUT_MS,
+        }
+    }
+}
+
 /// Timeout charged when no response arrives (classic resolver RTO).
 pub const TIMEOUT_MS: u32 = 3000;
+
+/// The region the probe client sits in.
+const CLIENT_REGION: Region = Region(0);
 
 /// The simulated internet.
 pub struct SimNet {
     endpoints: RwLock<HashMap<Ipv4Addr, Arc<dyn Endpoint>>>,
     faults: RwLock<FaultPlan>,
-    rng: Mutex<Rng>,
     stats: Mutex<NetStats>,
-    client_region: Region,
+}
+
+impl Default for SimNet {
+    fn default() -> Self {
+        SimNet::new()
+    }
 }
 
 impl SimNet {
-    /// Creates a network with the given fault plan and RNG seed. The probe
-    /// client sits in `client_region`.
-    pub fn new(seed: u64, faults: FaultPlan, client_region: Region) -> SimNet {
+    /// Creates an empty network with every server up.
+    pub fn new() -> SimNet {
         SimNet {
             endpoints: RwLock::new(HashMap::new()),
-            faults: RwLock::new(faults),
-            rng: Mutex::new(Rng::new(seed).fork(0x6e65_7473)),
+            faults: RwLock::new(FaultPlan::default()),
             stats: Mutex::new(NetStats::default()),
-            client_region,
         }
     }
 
     /// Binds `endpoint` at `addr` (replacing any previous binding).
     pub fn bind(&self, addr: Ipv4Addr, endpoint: Arc<dyn Endpoint>) {
         self.endpoints.write().insert(addr, endpoint);
-    }
-
-    /// Removes the binding at `addr`.
-    pub fn unbind(&self, addr: Ipv4Addr) {
-        self.endpoints.write().remove(&addr);
     }
 
     /// Number of bound endpoints.
@@ -119,84 +127,28 @@ impl SimNet {
     pub fn query(&self, to: Ipv4Addr, query: &Message) -> QueryOutcome {
         let mut stats = self.stats.lock();
         stats.queries += 1;
-
-        let server_region = IpAllocator::region_of(to);
-        let (drop_p, dead, rtt_base) = {
-            let faults = self.faults.read();
-            (
-                faults.drop_probability,
-                faults.is_dead(to),
-                faults.rtt_ms(self.client_region, server_region),
-            )
-        };
-        let (lost_out, lost_back, jitter) = {
-            let mut rng = self.rng.lock();
-            let jitter_bound = self.faults.read().jitter_ms;
-            (
-                rng.chance(drop_p),
-                rng.chance(drop_p),
-                if jitter_bound == 0 {
-                    0
-                } else {
-                    rng.below(jitter_bound as u64 + 1) as u32
-                },
-            )
-        };
-
-        if dead {
+        if self.faults.read().is_dead(to) {
             stats.to_dead += 1;
-            stats.total_ms += TIMEOUT_MS as u64;
-            return QueryOutcome {
-                response: None,
-                rtt_ms: TIMEOUT_MS,
-            };
-        }
-        if lost_out {
-            stats.dropped += 1;
-            stats.total_ms += TIMEOUT_MS as u64;
-            return QueryOutcome {
-                response: None,
-                rtt_ms: TIMEOUT_MS,
-            };
+            return stats.timeout();
         }
         let endpoint = self.endpoints.read().get(&to).cloned();
         let Some(endpoint) = endpoint else {
             stats.to_unbound += 1;
-            stats.total_ms += TIMEOUT_MS as u64;
-            return QueryOutcome {
-                response: None,
-                rtt_ms: TIMEOUT_MS,
-            };
+            return stats.timeout();
         };
         drop(stats);
         let response = endpoint.handle(query);
         let mut stats = self.stats.lock();
-        match response {
-            Some(response) if !lost_back => {
-                let rtt = rtt_base + jitter;
-                stats.answered += 1;
-                stats.total_ms += rtt as u64;
-                QueryOutcome {
-                    response: Some(response),
-                    rtt_ms: rtt,
-                }
-            }
-            Some(_) => {
-                stats.dropped += 1;
-                stats.total_ms += TIMEOUT_MS as u64;
-                QueryOutcome {
-                    response: None,
-                    rtt_ms: TIMEOUT_MS,
-                }
-            }
-            None => {
-                // Server silently ignored the query.
-                stats.total_ms += TIMEOUT_MS as u64;
-                QueryOutcome {
-                    response: None,
-                    rtt_ms: TIMEOUT_MS,
-                }
-            }
+        let Some(response) = response else {
+            // Server silently ignored the query.
+            return stats.timeout();
+        };
+        let rtt = rtt_ms(CLIENT_REGION, IpAllocator::region_of(to));
+        stats.answered += 1;
+        stats.total_ms += rtt as u64;
+        QueryOutcome {
+            response: Some(response),
+            rtt_ms: rtt,
         }
     }
 }
@@ -228,7 +180,7 @@ mod tests {
 
     #[test]
     fn delivers_to_bound_endpoint() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let addr: Ipv4Addr = "10.0.0.1".parse().unwrap();
         net.bind(addr, echo_endpoint());
         let outcome = net.query(addr, &a_query());
@@ -241,7 +193,7 @@ mod tests {
 
     #[test]
     fn unbound_address_times_out() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let outcome = net.query("10.9.9.9".parse().unwrap(), &a_query());
         assert!(outcome.response.is_none());
         assert_eq!(outcome.rtt_ms, TIMEOUT_MS);
@@ -250,37 +202,17 @@ mod tests {
 
     #[test]
     fn dead_server_times_out() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let addr: Ipv4Addr = "10.0.0.1".parse().unwrap();
         net.bind(addr, echo_endpoint());
         net.with_faults(|f| f.kill(addr));
         assert!(net.query(addr, &a_query()).response.is_none());
         assert_eq!(net.stats().to_dead, 1);
-        net.with_faults(|f| f.revive(addr));
-        assert!(net.query(addr, &a_query()).response.is_some());
-    }
-
-    #[test]
-    fn packet_loss_is_probabilistic_and_deterministic() {
-        let run = |seed: u64| -> u64 {
-            let net = SimNet::new(seed, FaultPlan::with_drop_probability(0.3), Region(0));
-            let addr: Ipv4Addr = "10.0.0.1".parse().unwrap();
-            net.bind(addr, echo_endpoint());
-            for _ in 0..500 {
-                net.query(addr, &a_query());
-            }
-            net.stats().dropped
-        };
-        let d1 = run(7);
-        let d2 = run(7);
-        assert_eq!(d1, d2, "same seed, same drops");
-        // ~0.51 of queries lose at least one direction at p=0.3.
-        assert!((150..=360).contains(&d1), "drops {d1} outside tolerance");
     }
 
     #[test]
     fn latency_reflects_region_distance() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let mut alloc = IpAllocator::new();
         let near_addr = alloc.alloc(Region(0));
         let far_addr = alloc.alloc(Region(50));
@@ -293,7 +225,7 @@ mod tests {
 
     #[test]
     fn silent_endpoint_counts_as_timeout() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let addr: Ipv4Addr = "10.0.0.1".parse().unwrap();
         net.bind(addr, Arc::new(FnEndpoint(|_: &Message| None)));
         let outcome = net.query(addr, &a_query());
@@ -303,13 +235,11 @@ mod tests {
 
     #[test]
     fn rebinding_replaces_endpoint() {
-        let net = SimNet::new(1, FaultPlan::none(), Region(0));
+        let net = SimNet::new();
         let addr: Ipv4Addr = "10.0.0.1".parse().unwrap();
         net.bind(addr, echo_endpoint());
         net.bind(addr, Arc::new(FnEndpoint(|_: &Message| None)));
         assert_eq!(net.endpoint_count(), 1);
         assert!(net.query(addr, &a_query()).response.is_none());
-        net.unbind(addr);
-        assert_eq!(net.endpoint_count(), 0);
     }
 }

@@ -128,9 +128,6 @@ mod tests {
                     "{target} {sid:?}"
                 );
             }
-            for zid in u.zone_ids() {
-                assert_eq!(view.contains_zone(zid), zones.contains(&zid));
-            }
         }
     }
 }

@@ -19,22 +19,19 @@ use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// Resolver tunables.
+/// Resolver tunables. The network is lossless, so each server gets one
+/// query: a second try at a dead, silent or unbound server times out the
+/// same way.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
     /// Maximum queries per top-level `resolve` call (loops and pathological
     /// topologies are cut off here).
     pub query_budget: u32,
-    /// Send attempts per server before moving to the next.
-    pub retries: u32,
 }
 
 impl Default for ResolverConfig {
     fn default() -> Self {
-        ResolverConfig {
-            query_budget: 2000,
-            retries: 2,
-        }
+        ResolverConfig { query_budget: 2000 }
     }
 }
 
@@ -247,11 +244,10 @@ impl IterativeResolver {
                         None => continue,
                     },
                 };
-                // Query with retries.
                 let response =
                     match self.exchange(addr, &candidate.ns_name, &current_name, qtype, run)? {
                         Some(response) => response,
-                        None => continue, // timeouts exhausted; next server
+                        None => continue, // timed out; next server
                     };
                 // Classify the response.
                 if response.rcode == Rcode::NxDomain {
@@ -431,8 +427,8 @@ impl IterativeResolver {
         addr
     }
 
-    /// Sends one query with retries; `Ok(None)` means all attempts timed
-    /// out. Errors only on budget exhaustion.
+    /// Sends one query; `Ok(None)` means it timed out. Errors only on
+    /// budget exhaustion.
     fn exchange(
         &self,
         addr: Ipv4Addr,
@@ -441,30 +437,25 @@ impl IterativeResolver {
         qtype: RrType,
         run: &mut Run,
     ) -> Result<Option<Message>, ResolveError> {
-        for _ in 0..self.config.retries.max(1) {
-            if run.budget == 0 {
-                return Err(ResolveError::BudgetExhausted);
-            }
-            run.budget -= 1;
-            run.queries += 1;
-            let id = run.next_id;
-            run.next_id = run.next_id.wrapping_add(1);
-            let query = Message::query(id, Question::new(qname.clone(), qtype));
-            let outcome = self.net.query(addr, &query);
-            run.now_ms += outcome.rtt_ms as u64;
-            match outcome.response {
-                Some(response) => return Ok(Some(response)),
-                None => {
-                    run.trace.steps.push(TraceStep::Query {
-                        server: server.clone(),
-                        addr,
-                        qname: qname.clone(),
-                        event: QueryEvent::Timeout,
-                    });
-                }
-            }
+        if run.budget == 0 {
+            return Err(ResolveError::BudgetExhausted);
         }
-        Ok(None)
+        run.budget -= 1;
+        run.queries += 1;
+        let id = run.next_id;
+        run.next_id = run.next_id.wrapping_add(1);
+        let query = Message::query(id, Question::new(qname.clone(), qtype));
+        let outcome = self.net.query(addr, &query);
+        run.now_ms += outcome.rtt_ms as u64;
+        if outcome.response.is_none() {
+            run.trace.steps.push(TraceStep::Query {
+                server: server.clone(),
+                addr,
+                qname: qname.clone(),
+                event: QueryEvent::Timeout,
+            });
+        }
+        Ok(outcome.response)
     }
 
     fn trace_query(

@@ -43,7 +43,7 @@ pub enum QueryEvent {
     NxDomain,
     /// Authoritative empty answer.
     NoData,
-    /// No response (loss, dead server, unbound address).
+    /// No response (dead, silent or unbound server).
     Timeout,
     /// Server not authoritative / refused: a lame delegation.
     Lame,
@@ -73,46 +73,6 @@ impl ResolutionTrace {
             }
         }
         out
-    }
-
-    /// Number of queries sent.
-    pub fn query_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, TraceStep::Query { .. }))
-            .count()
-    }
-
-    /// Number of timeouts observed.
-    pub fn timeout_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    TraceStep::Query {
-                        event: QueryEvent::Timeout,
-                        ..
-                    }
-                )
-            })
-            .count()
-    }
-
-    /// Number of lame responses observed.
-    pub fn lame_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    TraceStep::Query {
-                        event: QueryEvent::Lame,
-                        ..
-                    }
-                )
-            })
-            .count()
     }
 
     /// Depth of nested sub-resolutions reached.
@@ -194,9 +154,6 @@ mod tests {
                 q("a.root", "www.x.com", QueryEvent::Lame),
             ],
         };
-        assert_eq!(trace.query_count(), 4);
-        assert_eq!(trace.timeout_count(), 1);
-        assert_eq!(trace.lame_count(), 1);
         assert_eq!(
             trace.servers_contacted(),
             vec![name("a.root"), name("b.gtld")]

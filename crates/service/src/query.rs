@@ -300,7 +300,7 @@ mod tests {
         assert_eq!(value.get("epoch").and_then(|v| v.as_u64()), Some(1));
         let tcb = value.get("tcb").expect("tcb object");
         assert!(tcb.get("size").and_then(|v| v.as_u64()).unwrap_or(0) > 0);
-        assert!(value.get("hijackable").and_then(|v| v.as_bool()).is_some());
+        assert!(matches!(value.get("hijackable"), Some(Value::Bool(_))));
         assert!(value.get("lint").and_then(|v| v.as_array()).is_some());
     }
 

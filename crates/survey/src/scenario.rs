@@ -77,21 +77,6 @@ pub fn report_events(reports: &[DependencyReport], root_names: &[DnsName]) -> Ve
     events
 }
 
-/// Builds a universe from wire-probed dependency reports, merging their
-/// zone→NS views and banners — the materialized collector over
-/// [`report_events`].
-///
-/// `root_names` marks which servers are root servers (the prober cannot
-/// see past the hints).
-pub fn universe_from_reports(reports: &[DependencyReport], root_names: &[DnsName]) -> Universe {
-    let db = VulnDb::isc_feb_2004();
-    let mut builder = Universe::builder();
-    for event in report_events(reports, root_names) {
-        builder.apply(event, &db);
-    }
-    builder.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

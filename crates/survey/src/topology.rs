@@ -1179,8 +1179,13 @@ mod tests {
             decayed_index.zombie_zones() > 0,
             "full decay plants zombies"
         );
+        let dead_servers = decayed
+            .universe
+            .server_ids()
+            .filter(|&s| decayed_index.is_dead(s))
+            .count();
         assert!(
-            decayed_index.dead_servers() > decayed_index.zombie_zones(),
+            dead_servers > decayed_index.zombie_zones(),
             "partial decay plants extra dead secondaries"
         );
         // Decay perturbs delegations only — the crawl sample is unchanged.

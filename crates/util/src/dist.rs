@@ -62,12 +62,6 @@ impl ZipfTable {
             Err(i) => i.min(self.cumulative.len() - 1),
         }
     }
-
-    /// Probability mass of 0-based rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        let prev = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
-        self.cumulative[k] - prev
-    }
 }
 
 /// Pareto distribution with scale `x_m > 0` and shape `alpha > 0`,
@@ -243,9 +237,6 @@ mod tests {
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[0] > counts[100]);
-        // PMF ratios follow 1/k for s=1.
-        let ratio = z.pmf(0) / z.pmf(9);
-        assert!((ratio - 10.0).abs() < 1e-9, "ratio {ratio}");
     }
 
     #[test]
@@ -255,14 +246,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(z.sample(&mut rng), 0);
         }
-        assert!((z.pmf(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = ZipfTable::new(50, 0.8);
-        let total: f64 = (0..50).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -124,14 +124,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -619,7 +611,7 @@ mod tests {
         assert_eq!(value.get("tcb").and_then(Value::as_u64), Some(14));
         assert_eq!(value.get("safe").and_then(Value::as_f64), Some(92.5));
         assert_eq!(value.get("cut"), Some(&Value::Null));
-        assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
+        assert_eq!(value.get("ok"), Some(&Value::Bool(true)));
         let tags = value.get("tags").and_then(Value::as_array).expect("array");
         assert_eq!(tags.len(), 2);
         assert_eq!(tags[0].as_str(), Some("a"));

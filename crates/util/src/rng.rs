@@ -153,26 +153,6 @@ impl Rng {
             items.swap(i, j);
         }
     }
-
-    /// Draws `k` distinct indices from `[0, n)` (floyd's algorithm order is
-    /// not needed; we shuffle a partial reservoir for small `k`).
-    ///
-    /// Returns fewer than `k` indices when `k > n`.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let k = k.min(n);
-        if k == 0 {
-            return Vec::new();
-        }
-        // Reservoir sampling keeps memory at O(k) even for large n.
-        let mut reservoir: Vec<usize> = (0..k).collect();
-        for i in k..n {
-            let j = self.below_usize(i + 1);
-            if j < k {
-                reservoir[j] = i;
-            }
-        }
-        reservoir
-    }
 }
 
 #[cfg(test)]
@@ -285,19 +265,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, original, "shuffle must preserve multiset");
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_bounded() {
-        let mut rng = Rng::new(11);
-        let sample = rng.sample_indices(50, 10);
-        assert_eq!(sample.len(), 10);
-        let mut dedup = sample.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 10, "indices must be distinct");
-        assert!(sample.iter().all(|&i| i < 50));
-        assert_eq!(rng.sample_indices(3, 10).len(), 3);
-        assert!(rng.sample_indices(0, 5).is_empty());
     }
 }

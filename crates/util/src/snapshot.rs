@@ -534,11 +534,6 @@ impl Archive {
             })
     }
 
-    /// Total archive size in bytes.
-    pub fn len_bytes(&self) -> u64 {
-        self.store.len()
-    }
-
     /// The section tags present, in TOC order.
     pub fn tags(&self) -> impl Iterator<Item = [u8; 8]> + '_ {
         self.toc.iter().map(|(t, _)| *t)
@@ -829,7 +824,7 @@ mod tests {
         // still assemble the same payload bytes.
         let paged = Archive::open_paged(&path, 64, 128).expect("paged parses");
         assert_eq!(paged.store().kind(), "paged");
-        assert_eq!(heap.len_bytes(), paged.len_bytes());
+        assert_eq!(heap.store().len(), paged.store().len());
         for tag in [*b"ALPHA\0\0\0", *b"BETA\0\0\0\0"] {
             let a = heap.section(tag).expect("heap section");
             let b = paged.section(tag).expect("paged section");

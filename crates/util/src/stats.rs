@@ -185,19 +185,6 @@ impl RankCurve {
         self.descending.is_empty()
     }
 
-    /// Value at 1-based `rank`, or `None` past the end.
-    pub fn at_rank(&self, rank: usize) -> Option<f64> {
-        if rank == 0 {
-            return None;
-        }
-        self.descending.get(rank - 1).copied()
-    }
-
-    /// Number of entities with value at least `threshold`.
-    pub fn count_at_least(&self, threshold: f64) -> usize {
-        self.descending.partition_point(|&v| v >= threshold)
-    }
-
     /// Emits `(rank, value)` points sampled log-uniformly in rank, suitable
     /// for a log–log plot. Always includes rank 1 and the final rank.
     pub fn log_points(&self, points_per_decade: usize) -> Vec<(usize, f64)> {
@@ -341,12 +328,11 @@ mod tests {
     #[test]
     fn rank_curve_ordering_and_queries() {
         let r = RankCurve::of_counts(&[5, 100, 1, 7]);
-        assert_eq!(r.at_rank(1), Some(100.0));
-        assert_eq!(r.at_rank(4), Some(1.0));
-        assert_eq!(r.at_rank(5), None);
-        assert_eq!(r.at_rank(0), None);
-        assert_eq!(r.count_at_least(7.0), 2);
-        assert_eq!(r.count_at_least(0.5), 4);
+        assert_eq!(r.len(), 4);
+        assert_eq!(
+            r.log_points(100),
+            vec![(1, 100.0), (2, 7.0), (3, 5.0), (4, 1.0)]
+        );
     }
 
     #[test]

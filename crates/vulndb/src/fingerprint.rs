@@ -87,12 +87,6 @@ pub fn banner_from_response(response: &Message) -> Option<String> {
     })
 }
 
-/// Assesses a server straight from its `version.bind` response.
-pub fn assess_response<'db>(db: &'db VulnDb, response: &Message) -> Assessment<'db> {
-    let banner = banner_from_response(response);
-    assess_banner(db, banner.as_deref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,14 +131,10 @@ mod tests {
             Some("BIND 8.2.4".to_string())
         );
 
-        let db = VulnDb::isc_feb_2004();
-        assert!(assess_response(&db, &response).is_vulnerable());
-
         // Refused responses yield no banner.
         let mut refused = Message::response_to(&query);
         refused.rcode = Rcode::Refused;
         assert_eq!(banner_from_response(&refused), None);
-        assert!(!assess_response(&db, &refused).is_vulnerable());
     }
 
     #[test]

@@ -32,16 +32,6 @@ impl BindVersion {
         }
     }
 
-    /// Constructs a version with a `-P<n>` patch level.
-    pub fn with_patchlevel(major: u32, minor: u32, patch: u32, pl: u32) -> BindVersion {
-        BindVersion {
-            major,
-            minor,
-            patch,
-            patchlevel: Some(pl),
-        }
-    }
-
     /// Parses a version out of a banner fragment.
     ///
     /// Accepts `"8.2.4"`, `"BIND 8.2.4"`, `"9.2.3-P1"`, `"8.4.7-REL"`,
@@ -137,7 +127,10 @@ mod tests {
         );
         assert_eq!(
             BindVersion::parse("named 9.2.3-P1"),
-            Some(BindVersion::with_patchlevel(9, 2, 3, 1))
+            Some(BindVersion {
+                patchlevel: Some(1),
+                ..BindVersion::new(9, 2, 3)
+            })
         );
         assert_eq!(
             BindVersion::parse("\"8.4.7-REL\""),
@@ -145,7 +138,10 @@ mod tests {
         );
         assert_eq!(
             BindVersion::parse("8.2.2-P7"),
-            Some(BindVersion::with_patchlevel(8, 2, 2, 7))
+            Some(BindVersion {
+                patchlevel: Some(7),
+                ..BindVersion::new(8, 2, 2)
+            })
         );
     }
 

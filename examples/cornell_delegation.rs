@@ -15,7 +15,7 @@ use perils::core::closure::DependencyIndex;
 use perils::core::usable::Reachability;
 use perils::dns::name::name;
 use perils::dns::rr::RrType;
-use perils::netsim::{FaultPlan, Region, SimNet};
+use perils::netsim::SimNet;
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
 use perils::survey::scenario::universe_from_scenario;
 use perils_oracle::DelegationGraph;
@@ -27,7 +27,7 @@ fn main() {
     let target = name("www.cs.cornell.edu");
 
     // Wire-probed view (what the paper's measurement harness saw).
-    let net = Arc::new(SimNet::new(7, FaultPlan::none(), Region(0)));
+    let net = Arc::new(SimNet::new());
     deploy(&net, &scenario.registry, &scenario.specs).expect("deploy");
     let resolver = IterativeResolver::new(
         net.clone(),

@@ -12,7 +12,7 @@ use perils::core::hijack::{min_cut_flattened_view, min_hijack_exact};
 use perils::core::tcb::TcbTally;
 use perils::dns::name::name;
 use perils::dns::rr::RrType;
-use perils::netsim::{FaultPlan, Region, SimNet};
+use perils::netsim::SimNet;
 use perils::resolver::{IterativeResolver, ResolverConfig};
 use perils::survey::scenario::universe_from_scenario;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ fn main() {
     // 1. A packet-level universe: Figure 1's Cornell/Rochester/Wisconsin/
     //    Michigan delegation web, served by real (simulated) nameservers.
     let scenario = cornell_figure1();
-    let net = Arc::new(SimNet::new(42, FaultPlan::none(), Region(0)));
+    let net = Arc::new(SimNet::new());
     deploy(&net, &scenario.registry, &scenario.specs).expect("deploy scenario");
     println!("deployed {} authoritative servers\n", net.endpoint_count());
 

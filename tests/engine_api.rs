@@ -12,7 +12,7 @@ use perils::core::metric::{columns, ColumnKind, Measure, MetricColumn, NameMetri
 use perils::core::tcb::TcbTally;
 use perils::core::universe::Universe;
 use perils::dns::name::name;
-use perils::netsim::{FaultPlan, Region, SimNet};
+use perils::netsim::SimNet;
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
 use perils::survey::engine::{Engine, ProbedSource, ScenarioSource, SyntheticSource, WorldSource};
 use perils::survey::params::TopologyParams;
@@ -70,7 +70,7 @@ fn scenario_and_probed_fbi_worlds_agree_through_engine() {
     let target = name("www.fbi.gov");
 
     // Wire-probe the simulated network to discover the dependency chain.
-    let net = Arc::new(SimNet::new(8, FaultPlan::none(), Region(0)));
+    let net = Arc::new(SimNet::new());
     deploy(&net, &scenario.registry, &scenario.specs).expect("deploy");
     let resolver = IterativeResolver::new(net, scenario.roots.clone(), ResolverConfig::default());
     let prober = ChainProber::new(&resolver);

@@ -9,7 +9,7 @@ use perils::core::closure::DependencyIndex;
 use perils::core::hijack::min_cut_flattened_view;
 use perils::dns::name::name;
 use perils::dns::rr::RrType;
-use perils::netsim::{FaultPlan, Region, SimNet};
+use perils::netsim::SimNet;
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
 use perils::survey::scenario::universe_from_scenario;
 use perils::vulndb::{BindVersion, VulnDb};
@@ -19,7 +19,7 @@ use std::sync::Arc;
 #[test]
 fn fingerprinting_finds_the_four_exploits() {
     let scenario = fbi_case();
-    let net = Arc::new(SimNet::new(5, FaultPlan::none(), Region(0)));
+    let net = Arc::new(SimNet::new());
     deploy(&net, &scenario.registry, &scenario.specs).expect("deploy");
     let resolver = IterativeResolver::new(net, scenario.roots.clone(), ResolverConfig::default());
     let prober = ChainProber::new(&resolver);
@@ -103,7 +103,7 @@ fn min_cut_reflects_bottleneck_structure() {
 #[test]
 fn wire_resolution_of_fbi_works() {
     let scenario = fbi_case();
-    let net = Arc::new(SimNet::new(6, FaultPlan::none(), Region(0)));
+    let net = Arc::new(SimNet::new());
     deploy(&net, &scenario.registry, &scenario.specs).expect("deploy");
     let resolver = IterativeResolver::new(net, scenario.roots.clone(), ResolverConfig::default());
     let resolution = resolver

@@ -8,9 +8,10 @@ use perils::core::closure::{ClosureView, DependencyIndex};
 use perils::core::tcb::TcbTally;
 use perils::core::universe::Universe;
 use perils::dns::name::name;
-use perils::netsim::{FaultPlan, Region, SimNet};
+use perils::netsim::SimNet;
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
-use perils::survey::scenario::{universe_from_reports, universe_from_scenario};
+use perils::survey::engine::{ProbedSource, WorldSource};
+use perils::survey::scenario::universe_from_scenario;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -37,7 +38,7 @@ fn structural_and_wire_probed_views_agree() {
     let structural_tcb = tcb_names(&structural, &closure);
 
     // Wire-probed view.
-    let net = Arc::new(SimNet::new(3, FaultPlan::none(), Region(0)));
+    let net = Arc::new(SimNet::new());
     deploy(&net, &scenario.registry, &scenario.specs).expect("deploy");
     let resolver = IterativeResolver::new(net, scenario.roots.clone(), ResolverConfig::default());
     let prober = ChainProber::new(&resolver);
@@ -53,14 +54,13 @@ fn structural_and_wire_probed_views_agree() {
 
     // And a universe built from the wire reports yields identical TCB
     // statistics.
-    let probed_universe = universe_from_reports(
-        &[report],
-        &scenario
-            .roots
-            .iter()
-            .map(|(n, _)| n.clone())
-            .collect::<Vec<_>>(),
-    );
+    let probed_universe = ProbedSource {
+        reports: &[report],
+        roots: scenario.roots.iter().map(|(n, _)| n.clone()).collect(),
+        targets: Vec::new(),
+    }
+    .stream()
+    .build_universe();
     let probed_index = DependencyIndex::build(&probed_universe);
     let mut probed_ws = probed_index.workspace();
     let probed_closure = probed_index.closure_view(&probed_universe, &target, &mut probed_ws);

@@ -7,7 +7,7 @@
 use perils::core::closure::DependencyIndex;
 use perils::core::metric::columns;
 use perils::dns::name::DnsName;
-use perils::netsim::{FaultPlan, Region, SimNet};
+use perils::netsim::SimNet;
 use perils::resolver::{ChainProber, IterativeResolver, ResolverConfig};
 use perils::survey::engine::{Engine, SurveyReport, SyntheticSource, WorldSource};
 use perils::survey::figures::{Fig2, Headline};
@@ -32,7 +32,7 @@ fn structural_closure_matches_wire_probe_on_generated_world() {
     };
     let scenario = source.scenario();
     let world = source.load();
-    let net = Arc::new(SimNet::new(99, FaultPlan::none(), Region(0)));
+    let net = Arc::new(SimNet::new());
     perils::authserver::deploy::deploy(&net, &scenario.registry, &scenario.specs)
         .expect("generated world deploys");
     let resolver = IterativeResolver::new(
@@ -40,7 +40,6 @@ fn structural_closure_matches_wire_probe_on_generated_world() {
         scenario.roots.clone(),
         ResolverConfig {
             query_budget: 20_000,
-            ..ResolverConfig::default()
         },
     );
     let prober = ChainProber::new(&resolver);
