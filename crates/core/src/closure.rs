@@ -814,7 +814,11 @@ mod tests {
     fn figure1_universe() -> Universe {
         let scenario = perils_authserver::scenarios::cornell_figure1();
         let db = perils_vulndb::VulnDb::isc_feb_2004();
-        Universe::from_registry(&scenario.registry, &db, |_| None)
+        let mut builder = Universe::builder();
+        for event in crate::registry_events(&scenario.registry, |_| None) {
+            builder.apply(event, &db);
+        }
+        builder.finish()
     }
 
     /// The host names of the servers in `target`'s closure, ascending by id.

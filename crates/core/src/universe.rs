@@ -119,23 +119,6 @@ impl Universe {
         UniverseBuilder::default()
     }
 
-    /// Builds the universe structurally from a ground-truth registry —
-    /// the materialized collector over [`registry_events`].
-    ///
-    /// `banner_of` supplies each server's `version.bind` banner (`None` =
-    /// hidden/unreachable); `db` maps banners to vulnerability facts.
-    pub fn from_registry(
-        registry: &ZoneRegistry,
-        db: &VulnDb,
-        banner_of: impl FnMut(&DnsName) -> Option<String>,
-    ) -> Universe {
-        let mut builder = Universe::builder();
-        for event in registry_events(registry, banner_of) {
-            builder.apply(event, db);
-        }
-        builder.finish()
-    }
-
     /// Borrows the flat state a snapshot archive persists: zones,
     /// servers, and the two ancestor tables. The name→id maps are pure
     /// derivations and are rebuilt on load.
@@ -497,9 +480,9 @@ pub enum UniverseEvent {
 /// per zone in registry order, roots flagged from the root zone's
 /// apex), then one zone event per zone with its apex ∪ parent-view NS
 /// set (covering parent/child NS-set drift). This is the **single**
-/// definition of the registry walk: [`Universe::from_registry`] is a
-/// collector over it, and scenario sources reuse it with their own
-/// banner lookups.
+/// registry walk: a registry enters a universe only by applying these
+/// events to a [`UniverseBuilder`], and scenario sources call it with
+/// their own banner lookups.
 pub fn registry_events(
     registry: &ZoneRegistry,
     mut banner_of: impl FnMut(&DnsName) -> Option<String>,
@@ -713,7 +696,7 @@ impl UniverseBuilder {
     /// ([`UniverseBuilder::ensure_server`]); a duplicate origin merges
     /// NS sets. The **root** zone's NS set upgrades its servers to root
     /// status — so a pure [`ZoneEvent`] feed (which has no server events)
-    /// classifies roots identically to [`Universe::from_registry`].
+    /// classifies roots identically to a [`registry_events`] feed.
     pub fn add_zone(&mut self, origin: &DnsName, ns_names: &[DnsName]) -> ZoneId {
         let at_root = origin.is_root();
         let ns: Vec<ServerId> = ns_names
@@ -1171,7 +1154,7 @@ mod tests {
     }
 
     #[test]
-    fn from_registry_builds_with_banners() {
+    fn registry_events_build_with_banners() {
         use perils_dns::rr::RData;
         use perils_dns::zone::Zone;
         let mut reg = ZoneRegistry::new();
@@ -1194,13 +1177,17 @@ mod tests {
         reg.insert(example);
 
         let db = VulnDb::isc_feb_2004();
-        let u = Universe::from_registry(&reg, &db, |server| {
+        let mut b = Universe::builder();
+        for event in registry_events(&reg, |server| {
             if server == &name("ns1.example.com") {
                 Some("8.2.4".to_string())
             } else {
                 Some("9.2.3".to_string())
             }
-        });
+        }) {
+            b.apply(event, &db);
+        }
+        let u = b.finish();
         assert_eq!(u.zone_count(), 3);
         let ns1 = u.server_id(&name("ns1.example.com")).unwrap();
         assert!(u.server(ns1).vulnerable);
@@ -1208,5 +1195,40 @@ mod tests {
         let root_server = u.server_id(&name("a.root-servers.net")).unwrap();
         assert!(u.server(root_server).is_root);
         assert!(!u.server(root_server).vulnerable);
+    }
+
+    /// The `(vulnerable, scripted_exploit)` verdicts the builder reaches
+    /// for one server event carrying `banner`.
+    fn assessed(banner: Option<&str>) -> (bool, bool) {
+        let host = name("ns.example.com");
+        let mut b = Universe::builder();
+        b.apply(
+            UniverseEvent::Server {
+                name: host.clone(),
+                banner: banner.map(str::to_string),
+                is_root: false,
+            },
+            &VulnDb::isc_feb_2004(),
+        );
+        let u = b.finish();
+        let server = u.server(u.server_id(&host).unwrap());
+        (server.vulnerable, server.scripted_exploit)
+    }
+
+    #[test]
+    fn vulnerable_banner() {
+        assert_eq!(assessed(Some("BIND 8.2.4")), (true, true));
+    }
+
+    #[test]
+    fn clean_banner() {
+        assert_eq!(assessed(Some("9.2.3")), (false, false));
+    }
+
+    #[test]
+    fn optimistic_rule_for_hidden_and_unknown() {
+        // Servers whose version is hidden or unknown are assumed safe.
+        assert_eq!(assessed(Some("none of your business")), (false, false));
+        assert_eq!(assessed(None), (false, false));
     }
 }

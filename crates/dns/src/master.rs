@@ -1,18 +1,18 @@
-//! RFC 1035 §5 master-file (zone file) parsing.
+//! RFC 1035 §5 master-file (zone file) reading.
 //!
 //! Supports the constructs real zone files of the BIND era used:
 //! `$ORIGIN`, `$TTL`, `@` for the origin, relative names, omitted
 //! owner/TTL/class fields (inherited from the previous record), comments
 //! (`;`), quoted TXT strings, and parenthesized multi-line SOA records.
 //!
-//! The examples and tests use this to express the hand-built scenarios from
-//! the paper (Figure 1's Cornell web, the fbi.gov case study) in a readable
-//! form.
+//! A zone file enters through one reader, [`ZoneFileEvents`], which
+//! streams it record by record as [`ZoneEvent`]s.
 
 use crate::name::{DnsName, NameError};
-use crate::rr::{RData, Record, RrClass, RrType, Soa};
-use crate::zone::{Zone, ZoneError, ZoneEvent};
+use crate::rr::{RData, Record, RrClass, Soa};
+use crate::zone::ZoneEvent;
 use std::fmt;
+use std::str::FromStr;
 
 /// Errors produced by the master-file parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,15 +31,6 @@ pub enum MasterError {
         /// Underlying error.
         source: NameError,
     },
-    /// The zone rejected a record.
-    Zone {
-        /// 1-based line number.
-        line: usize,
-        /// Underlying error.
-        source: ZoneError,
-    },
-    /// The file had no SOA record.
-    MissingSoa,
     /// Reading from the underlying source failed (reader-backed
     /// [`ZoneFileEvents`] streams only).
     Io {
@@ -55,8 +46,6 @@ impl fmt::Display for MasterError {
         match self {
             MasterError::Syntax { line, message } => write!(f, "line {line}: {message}"),
             MasterError::Name { line, source } => write!(f, "line {line}: bad name: {source}"),
-            MasterError::Zone { line, source } => write!(f, "line {line}: {source}"),
-            MasterError::MissingSoa => write!(f, "zone file contains no SOA record"),
             MasterError::Io { line, message } => write!(f, "line {line}: read failed: {message}"),
         }
     }
@@ -189,23 +178,6 @@ impl LineTokenizer {
     }
 }
 
-/// Splits file content into logical lines (joining parenthesized
-/// continuations), then into tokens. Comments run from `;` to end of
-/// line. The whole-file collector over [`LineTokenizer`].
-fn tokenize(content: &str) -> Result<Vec<LogicalLine>, MasterError> {
-    let mut tokenizer = LineTokenizer::default();
-    let mut logical: Vec<LogicalLine> = Vec::new();
-    for (idx, raw_line) in content.lines().enumerate() {
-        if let Some(line) = tokenizer.push_line(idx + 1, raw_line)? {
-            logical.push(line);
-        }
-    }
-    if let Some(line) = tokenizer.finish()? {
-        logical.push(line);
-    }
-    Ok(logical)
-}
-
 fn parse_name(text: &str, origin: &DnsName, line: usize) -> Result<DnsName, MasterError> {
     let to_err = |source| MasterError::Name { line, source };
     if text == "@" {
@@ -221,8 +193,10 @@ fn parse_name(text: &str, origin: &DnsName, line: usize) -> Result<DnsName, Mast
     DnsName::from_labels(labels).map_err(to_err)
 }
 
-fn parse_u32(text: &str, line: usize, what: &str) -> Result<u32, MasterError> {
-    text.parse::<u32>().map_err(|_| MasterError::Syntax {
+/// Parses a numeric field at the width of its type, so a value out of
+/// that range is an error naming the field, not a silent wrap.
+fn parse_number<T: FromStr>(text: &str, line: usize, what: &str) -> Result<T, MasterError> {
+    text.parse::<T>().map_err(|_| MasterError::Syntax {
         line,
         message: format!("expected {what}, found {text:?}"),
     })
@@ -230,9 +204,7 @@ fn parse_u32(text: &str, line: usize, what: &str) -> Result<u32, MasterError> {
 
 /// Incremental state for parsing one master file record-by-record: the
 /// current `$ORIGIN`, `$TTL` and previous-owner context that later lines
-/// inherit. Shared by the whole-zone parser ([`parse_zone`]) and the
-/// streaming event reader ([`ZoneFileEvents`]), so both accept exactly the
-/// same files.
+/// inherit.
 #[derive(Debug, Clone)]
 struct LineParser {
     origin: DnsName,
@@ -271,7 +243,7 @@ impl LineParser {
                 line,
                 message: "$TTL needs an argument".into(),
             })?;
-            self.default_ttl = parse_u32(&target.text, line, "TTL")?;
+            self.default_ttl = parse_number(&target.text, line, "TTL")?;
             return Ok(None);
         }
 
@@ -373,7 +345,7 @@ impl LineParser {
             "MX" => {
                 need(2)?;
                 RData::Mx {
-                    preference: parse_u32(&rest[0].text, line, "MX preference")? as u16,
+                    preference: parse_number(&rest[0].text, line, "MX preference")?,
                     exchange: parse_name(&rest[1].text, origin, line)?,
                 }
             }
@@ -384,9 +356,9 @@ impl LineParser {
             "SRV" => {
                 need(4)?;
                 RData::Srv {
-                    priority: parse_u32(&rest[0].text, line, "SRV priority")? as u16,
-                    weight: parse_u32(&rest[1].text, line, "SRV weight")? as u16,
-                    port: parse_u32(&rest[2].text, line, "SRV port")? as u16,
+                    priority: parse_number(&rest[0].text, line, "SRV priority")?,
+                    weight: parse_number(&rest[1].text, line, "SRV weight")?,
+                    port: parse_number(&rest[2].text, line, "SRV port")?,
                     target: parse_name(&rest[3].text, origin, line)?,
                 }
             }
@@ -395,11 +367,11 @@ impl LineParser {
                 RData::Soa(Soa {
                     mname: parse_name(&rest[0].text, origin, line)?,
                     rname: parse_name(&rest[1].text, origin, line)?,
-                    serial: parse_u32(&rest[2].text, line, "serial")?,
-                    refresh: parse_u32(&rest[3].text, line, "refresh")?,
-                    retry: parse_u32(&rest[4].text, line, "retry")?,
-                    expire: parse_u32(&rest[5].text, line, "expire")?,
-                    minimum: parse_u32(&rest[6].text, line, "minimum")?,
+                    serial: parse_number(&rest[2].text, line, "serial")?,
+                    refresh: parse_number(&rest[3].text, line, "refresh")?,
+                    retry: parse_number(&rest[4].text, line, "retry")?,
+                    expire: parse_number(&rest[5].text, line, "expire")?,
+                    minimum: parse_number(&rest[6].text, line, "minimum")?,
                 })
             }
             other => {
@@ -409,47 +381,13 @@ impl LineParser {
                 })
             }
         };
-        let rtype = rdata.rr_type().expect("typed rdata");
         Ok(Some(Record {
             name: owner,
-            rtype,
             class,
             ttl,
             rdata,
         }))
     }
-}
-
-/// Parses a full zone file into a [`Zone`].
-///
-/// `default_origin` supplies the origin when the file has no `$ORIGIN`
-/// directive before its first record.
-pub fn parse_zone(content: &str, default_origin: &DnsName) -> Result<Zone, MasterError> {
-    let lines = tokenize(content)?;
-    let mut parser = LineParser::new(default_origin);
-    let mut records: Vec<(usize, Record)> = Vec::new();
-    for (line, tokens, leading_ws) in lines {
-        if let Some(record) = parser.parse(line, &tokens, leading_ws)? {
-            records.push((line, record));
-        }
-    }
-
-    // The SOA defines the zone; it must be present.
-    let soa_idx = records
-        .iter()
-        .position(|(_, r)| r.rtype == RrType::Soa)
-        .ok_or(MasterError::MissingSoa)?;
-    let (_, soa_record) = records.remove(soa_idx);
-    let soa = match &soa_record.rdata {
-        RData::Soa(soa) => soa.clone(),
-        _ => unreachable!("filtered on type"),
-    };
-    let mut zone = Zone::new(soa_record.name.clone(), soa);
-    for (line, record) in records {
-        zone.add(record)
-            .map_err(|source| MasterError::Zone { line, source })?;
-    }
-    Ok(zone)
 }
 
 /// Where a [`ZoneFileEvents`] stream pulls its raw lines from: borrowed
@@ -483,7 +421,7 @@ impl LineSource<'_> {
 /// A zone-file-backed [`ZoneEvent`] iterator: reads master-file text
 /// record by record and yields the delegation-relevant observations —
 /// every NS record as a (single-server) [`ZoneEvent::Cut`], every A
-/// record as [`ZoneEvent::Glue`] — without ever materializing a [`Zone`]
+/// record as [`ZoneEvent::Glue`] — without ever materializing a zone
 /// (no owner/type maps, no cut index, no SOA requirement).
 ///
 /// This is the ingestion end of the streaming pipeline, and it is
@@ -611,7 +549,6 @@ impl Iterator for ZoneFileEvents<'_> {
 mod tests {
     use super::*;
     use crate::name::name;
-    use crate::zone::ZoneLookup;
 
     const CORNELL: &str = r#"
 $ORIGIN cornell.edu.
@@ -632,77 +569,115 @@ ftp     IN CNAME www
 mail    IN MX 10 smtp
 "#;
 
+    /// Every record the stream parses, including the ones it discards
+    /// (SOA, CNAME, MX, TXT): the stream's own tokenizer and
+    /// [`LineParser`], without the event mapping.
+    fn records(content: &str, origin: &DnsName) -> Result<Vec<Record>, MasterError> {
+        let mut stream = ZoneFileEvents::new(content, origin);
+        let mut records = Vec::new();
+        while let Some((line, tokens, leading_ws)) = stream.next_logical()? {
+            records.extend(stream.parser.parse(line, &tokens, leading_ws)?);
+        }
+        Ok(records)
+    }
+
+    fn cuts(content: &str, origin: &DnsName) -> Vec<(DnsName, DnsName)> {
+        ZoneFileEvents::new(content, origin)
+            .filter_map(|e| match e.unwrap() {
+                ZoneEvent::Cut { zone, ns } => Some((zone, ns[0].clone())),
+                ZoneEvent::Glue { .. } => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn parses_realistic_zone() {
-        let zone = parse_zone(CORNELL, &DnsName::root()).unwrap();
-        assert_eq!(zone.origin(), &name("cornell.edu"));
-        assert_eq!(zone.soa().serial, 2004072200);
-        assert_eq!(
-            zone.apex_ns_names(),
-            vec![
-                name("bigred.cit.cornell.edu"),
-                name("cudns.cit.cornell.edu")
-            ]
-        );
-        // Delegation to cs.cornell.edu with an off-site secondary.
-        assert_eq!(
-            zone.ns_names_at(&name("cs.cornell.edu")),
-            vec![
-                name("simon.cs.cornell.edu"),
-                name("cayuga.cs.rochester.edu")
-            ]
-        );
-        // Relative + absolute owners, TTL override.
-        match zone.lookup(&name("www.cornell.edu"), RrType::A) {
-            ZoneLookup::Answer(records) => assert_eq!(records[0].ttl, 300),
-            other => panic!("expected answer, got {other:?}"),
+        let records = records(CORNELL, &DnsName::root()).unwrap();
+        // The parenthesized, commented SOA spans six lines.
+        let soa = &records[0];
+        assert_eq!(soa.name, name("cornell.edu"));
+        match &soa.rdata {
+            RData::Soa(soa) => {
+                assert_eq!(soa.mname, name("cudns.cit.cornell.edu"));
+                assert_eq!((soa.serial, soa.minimum), (2004072200, 3600));
+            }
+            other => panic!("expected SOA, got {other:?}"),
         }
-        match zone.lookup(&name("ftp.cornell.edu"), RrType::A) {
-            ZoneLookup::Cname { target, .. } => assert_eq!(target, name("www.cornell.edu")),
-            other => panic!("expected cname, got {other:?}"),
-        }
+        // `$TTL` sets the default, an explicit TTL overrides it, and
+        // relative targets take the origin.
+        let at = |owner: &str| records.iter().find(|r| r.name == name(owner)).unwrap();
+        assert_eq!(at("simon.cs.cornell.edu").ttl, 7200);
+        assert_eq!(at("www.cornell.edu").ttl, 300);
+        assert_eq!(
+            at("ftp.cornell.edu").rdata,
+            RData::Cname(name("www.cornell.edu"))
+        );
+        assert_eq!(
+            at("mail.cornell.edu").rdata,
+            RData::Mx {
+                preference: 10,
+                exchange: name("smtp.cornell.edu")
+            }
+        );
+        assert_eq!(records.len(), 9);
     }
 
     #[test]
     fn owner_inheritance_requires_prior_record() {
-        let err = parse_zone("   IN A 1.2.3.4\n", &name("x.test")).unwrap_err();
-        assert!(matches!(err, MasterError::Syntax { .. }));
-    }
-
-    #[test]
-    fn missing_soa_rejected() {
-        let err = parse_zone("www IN A 1.2.3.4\n", &name("x.test")).unwrap_err();
-        assert_eq!(err, MasterError::MissingSoa);
+        let mut events = ZoneFileEvents::new("   IN A 1.2.3.4\n", &name("x.test"));
+        assert!(matches!(
+            events.next(),
+            Some(Err(MasterError::Syntax { .. }))
+        ));
+        // A blank owner inherits the previous record's.
+        assert_eq!(
+            cuts("sub IN NS a\n    IN NS b\n", &name("x.test")),
+            vec![
+                (name("sub.x.test"), name("a.x.test")),
+                (name("sub.x.test"), name("b.x.test")),
+            ]
+        );
     }
 
     #[test]
     fn unbalanced_parens_rejected() {
         let bad = "@ IN SOA a. b. (1 2 3 4 5\n";
+        let mut events = ZoneFileEvents::new(bad, &name("x.test"));
         assert!(matches!(
-            parse_zone(bad, &name("x.test")),
-            Err(MasterError::Syntax { .. })
+            events.next(),
+            Some(Err(MasterError::Syntax { .. }))
         ));
+        assert!(events.next().is_none());
     }
 
     #[test]
     fn quoted_txt_keeps_spaces() {
-        let content = r#"
-$ORIGIN t.test.
-@ IN SOA ns.t.test. h.t.test. 1 2 3 4 5
-@ IN NS ns.t.test.
-ns IN A 10.0.0.1
-info IN TXT "hello world" "second \"string\""
-"#;
-        let zone = parse_zone(content, &DnsName::root()).unwrap();
-        match zone.lookup(&name("info.t.test"), RrType::Txt) {
-            ZoneLookup::Answer(records) => {
-                assert_eq!(
-                    records[0].rdata,
-                    RData::Txt(vec!["hello world".into(), "second \"string\"".into()])
-                );
+        let content = r#"info IN TXT "hello world" "second \"string\"""#;
+        assert_eq!(
+            records(content, &name("t.test")).unwrap()[0].rdata,
+            RData::Txt(vec!["hello world".into(), "second \"string\"".into()])
+        );
+    }
+
+    #[test]
+    fn out_of_range_16_bit_fields_rejected() {
+        // MX preference and SRV priority/weight/port are 16-bit: a larger
+        // value is an error naming the field, not a wrapped number.
+        for (line, field) in [
+            ("@ IN MX 70000 mail", "MX preference"),
+            ("_sip._tcp IN SRV 65536 0 5060 sip", "SRV priority"),
+            ("_sip._tcp IN SRV 0 65536 5060 sip", "SRV weight"),
+            ("_sip._tcp IN SRV 0 0 65536 sip", "SRV port"),
+        ] {
+            match ZoneFileEvents::new(line, &name("x.test")).next() {
+                Some(Err(MasterError::Syntax { line: 1, message })) => {
+                    assert!(message.contains(field), "{message:?} names {field}")
+                }
+                other => panic!("{line:?}: expected a syntax error, got {other:?}"),
             }
-            other => panic!("expected TXT answer, got {other:?}"),
         }
+        let max = "@ IN MX 65535 mail\n_sip._tcp IN SRV 65535 65535 65535 sip\n";
+        assert!(ZoneFileEvents::new(max, &name("x.test")).all(|e| e.is_ok()));
     }
 
     #[test]
@@ -711,15 +686,8 @@ info IN TXT "hello world" "second \"string\""
             .collect::<Result<_, _>>()
             .unwrap();
         // One Cut per NS record, in file order, with single-host fragments.
-        let cuts: Vec<(DnsName, DnsName)> = events
-            .iter()
-            .filter_map(|e| match e {
-                ZoneEvent::Cut { zone, ns } => Some((zone.clone(), ns[0].clone())),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            cuts,
+            cuts(CORNELL, &DnsName::root()),
             vec![
                 (name("cornell.edu"), name("bigred.cit.cornell.edu")),
                 (name("cornell.edu"), name("cudns.cit.cornell.edu")),
@@ -769,36 +737,19 @@ info IN TXT "hello world" "second \"string\""
     }
 
     #[test]
-    fn zone_file_events_agree_with_parse_zone() {
-        // The streaming reader and the whole-zone parser accept the same
-        // files and see the same delegation structure.
-        let zone = parse_zone(CORNELL, &DnsName::root()).unwrap();
-        let streamed_cut_hosts: Vec<DnsName> = ZoneFileEvents::new(CORNELL, &DnsName::root())
-            .filter_map(|e| match e.unwrap() {
-                ZoneEvent::Cut { zone, ns } if zone == name("cornell.edu") => {
-                    Some(ns.into_iter().next().unwrap())
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(streamed_cut_hosts, zone.apex_ns_names());
-    }
-
-    #[test]
     fn dollar_origin_switches_context() {
         let content = r#"
 $ORIGIN example.com.
-@ IN SOA ns.example.com. h.example.com. 1 2 3 4 5
 @ IN NS ns
-ns IN A 10.0.0.1
 $ORIGIN sub.example.com.
 @ IN NS ns2
-ns2 IN A 10.0.0.2
 "#;
-        let zone = parse_zone(content, &DnsName::root()).unwrap();
         assert_eq!(
-            zone.ns_names_at(&name("sub.example.com")),
-            vec![name("ns2.sub.example.com")]
+            cuts(content, &DnsName::root()),
+            vec![
+                (name("example.com"), name("ns.example.com")),
+                (name("sub.example.com"), name("ns2.sub.example.com")),
+            ]
         );
     }
 }

@@ -1,44 +1,13 @@
 //! DNS messages: header, flags, questions, and the four record sections
 //! (RFC 1035 §4.1).
+//!
+//! A [`Message`] is a value that simulated hosts pass to each other
+//! (`perils_netsim::SimNet::query`); it is never encoded to bytes, so
+//! this crate has no wire codec.
 
 use crate::name::DnsName;
 use crate::rr::{Record, RrClass, RrType};
 use std::fmt;
-
-/// Header opcodes (RFC 1035 §4.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Opcode {
-    /// Standard query.
-    Query,
-    /// Inverse query (obsolete, kept for wire fidelity).
-    IQuery,
-    /// Server status request.
-    Status,
-    /// A code outside the ones above.
-    Unknown(u8),
-}
-
-impl Opcode {
-    /// Numeric code (4 bits).
-    pub fn code(self) -> u8 {
-        match self {
-            Opcode::Query => 0,
-            Opcode::IQuery => 1,
-            Opcode::Status => 2,
-            Opcode::Unknown(code) => code & 0x0F,
-        }
-    }
-
-    /// Decodes a 4-bit value.
-    pub fn from_code(code: u8) -> Opcode {
-        match code & 0x0F {
-            0 => Opcode::Query,
-            1 => Opcode::IQuery,
-            2 => Opcode::Status,
-            other => Opcode::Unknown(other),
-        }
-    }
-}
 
 /// Response codes (RFC 1035 §4.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,36 +24,6 @@ pub enum Rcode {
     NotImp,
     /// Policy refusal.
     Refused,
-    /// A code outside the ones above.
-    Unknown(u8),
-}
-
-impl Rcode {
-    /// Numeric code (4 bits).
-    pub fn code(self) -> u8 {
-        match self {
-            Rcode::NoError => 0,
-            Rcode::FormErr => 1,
-            Rcode::ServFail => 2,
-            Rcode::NxDomain => 3,
-            Rcode::NotImp => 4,
-            Rcode::Refused => 5,
-            Rcode::Unknown(code) => code & 0x0F,
-        }
-    }
-
-    /// Decodes a 4-bit value.
-    pub fn from_code(code: u8) -> Rcode {
-        match code & 0x0F {
-            0 => Rcode::NoError,
-            1 => Rcode::FormErr,
-            2 => Rcode::ServFail,
-            3 => Rcode::NxDomain,
-            4 => Rcode::NotImp,
-            5 => Rcode::Refused,
-            other => Rcode::Unknown(other),
-        }
-    }
 }
 
 impl fmt::Display for Rcode {
@@ -96,12 +35,11 @@ impl fmt::Display for Rcode {
             Rcode::NxDomain => write!(f, "NXDOMAIN"),
             Rcode::NotImp => write!(f, "NOTIMP"),
             Rcode::Refused => write!(f, "REFUSED"),
-            Rcode::Unknown(code) => write!(f, "RCODE{code}"),
         }
     }
 }
 
-/// Header flag bits (RFC 1035 §4.1.1), excluding opcode and rcode which are
+/// Header flag bits (RFC 1035 §4.1.1), excluding the rcode, which is
 /// carried separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flags {
@@ -161,8 +99,6 @@ pub struct Message {
     pub id: u16,
     /// Header flag bits.
     pub flags: Flags,
-    /// Operation code.
-    pub opcode: Opcode,
     /// Response code.
     pub rcode: Rcode,
     /// Question section (usually exactly one entry).
@@ -188,7 +124,6 @@ impl Message {
                 rd: false,
                 ra: false,
             },
-            opcode: Opcode::Query,
             rcode: Rcode::NoError,
             questions: vec![question],
             answers: Vec::new(),
@@ -208,7 +143,6 @@ impl Message {
                 rd: query.flags.rd,
                 ra: false,
             },
-            opcode: query.opcode,
             rcode: Rcode::NoError,
             questions: query.questions.clone(),
             answers: Vec::new(),
@@ -228,7 +162,7 @@ impl Message {
         self.flags.qr
             && self.rcode == Rcode::NoError
             && self.answers.is_empty()
-            && self.authority.iter().any(|r| r.rtype == RrType::Ns)
+            && self.authority.iter().any(|r| r.rtype() == RrType::Ns)
     }
 }
 
@@ -238,14 +172,6 @@ mod tests {
     use crate::name::name;
     use crate::rr::RData;
     use std::net::Ipv4Addr;
-
-    #[test]
-    fn opcode_rcode_round_trip() {
-        for code in 0..16u8 {
-            assert_eq!(Opcode::from_code(code).code(), code);
-            assert_eq!(Rcode::from_code(code).code(), code);
-        }
-    }
 
     #[test]
     fn query_skeleton() {

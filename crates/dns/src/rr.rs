@@ -8,8 +8,8 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 ///
 /// The set covers what the survey methodology needs (A/NS/SOA/CNAME for
 /// delegation walking, TXT for CHAOS `version.bind` fingerprinting) plus the
-/// common types a general-purpose library is expected to carry. Unknown
-/// types round-trip through [`RrType::Unknown`].
+/// common types a general-purpose library is expected to carry. Every
+/// type but [`RrType::Any`] has typed RDATA ([`RData::rr_type`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RrType {
     /// IPv4 host address.
@@ -30,50 +30,8 @@ pub enum RrType {
     Aaaa,
     /// Service locator.
     Srv,
-    /// EDNS(0) pseudo-record.
-    Opt,
     /// Query-only: any type.
     Any,
-    /// A type this library has no structured decoding for.
-    Unknown(u16),
-}
-
-impl RrType {
-    /// The IANA numeric code.
-    pub fn code(self) -> u16 {
-        match self {
-            RrType::A => 1,
-            RrType::Ns => 2,
-            RrType::Cname => 5,
-            RrType::Soa => 6,
-            RrType::Ptr => 12,
-            RrType::Mx => 15,
-            RrType::Txt => 16,
-            RrType::Aaaa => 28,
-            RrType::Srv => 33,
-            RrType::Opt => 41,
-            RrType::Any => 255,
-            RrType::Unknown(code) => code,
-        }
-    }
-
-    /// Decodes an IANA numeric code.
-    pub fn from_code(code: u16) -> RrType {
-        match code {
-            1 => RrType::A,
-            2 => RrType::Ns,
-            5 => RrType::Cname,
-            6 => RrType::Soa,
-            12 => RrType::Ptr,
-            15 => RrType::Mx,
-            16 => RrType::Txt,
-            28 => RrType::Aaaa,
-            33 => RrType::Srv,
-            41 => RrType::Opt,
-            255 => RrType::Any,
-            other => RrType::Unknown(other),
-        }
-    }
 }
 
 impl fmt::Display for RrType {
@@ -88,9 +46,7 @@ impl fmt::Display for RrType {
             RrType::Txt => write!(f, "TXT"),
             RrType::Aaaa => write!(f, "AAAA"),
             RrType::Srv => write!(f, "SRV"),
-            RrType::Opt => write!(f, "OPT"),
             RrType::Any => write!(f, "ANY"),
-            RrType::Unknown(code) => write!(f, "TYPE{code}"),
         }
     }
 }
@@ -105,30 +61,6 @@ pub enum RrClass {
     Ch,
     /// Query-only: any class.
     Any,
-    /// A class this library has no name for.
-    Unknown(u16),
-}
-
-impl RrClass {
-    /// The IANA numeric code.
-    pub fn code(self) -> u16 {
-        match self {
-            RrClass::In => 1,
-            RrClass::Ch => 3,
-            RrClass::Any => 255,
-            RrClass::Unknown(code) => code,
-        }
-    }
-
-    /// Decodes an IANA numeric code.
-    pub fn from_code(code: u16) -> RrClass {
-        match code {
-            1 => RrClass::In,
-            3 => RrClass::Ch,
-            255 => RrClass::Any,
-            other => RrClass::Unknown(other),
-        }
-    }
 }
 
 impl fmt::Display for RrClass {
@@ -137,7 +69,6 @@ impl fmt::Display for RrClass {
             RrClass::In => write!(f, "IN"),
             RrClass::Ch => write!(f, "CH"),
             RrClass::Any => write!(f, "ANY"),
-            RrClass::Unknown(code) => write!(f, "CLASS{code}"),
         }
     }
 }
@@ -213,36 +144,30 @@ pub enum RData {
         /// Target host name.
         target: DnsName,
     },
-    /// RDATA of a type we do not decode; raw bytes preserved.
-    Opaque(Vec<u8>),
 }
 
 impl RData {
-    /// The record type this RDATA belongs to (`Opaque` has no intrinsic
-    /// type; callers carry it on the [`Record`]).
-    pub fn rr_type(&self) -> Option<RrType> {
+    /// The record type this RDATA belongs to.
+    pub fn rr_type(&self) -> RrType {
         match self {
-            RData::A(_) => Some(RrType::A),
-            RData::Aaaa(_) => Some(RrType::Aaaa),
-            RData::Ns(_) => Some(RrType::Ns),
-            RData::Cname(_) => Some(RrType::Cname),
-            RData::Ptr(_) => Some(RrType::Ptr),
-            RData::Soa(_) => Some(RrType::Soa),
-            RData::Mx { .. } => Some(RrType::Mx),
-            RData::Txt(_) => Some(RrType::Txt),
-            RData::Srv { .. } => Some(RrType::Srv),
-            RData::Opaque(_) => None,
+            RData::A(_) => RrType::A,
+            RData::Aaaa(_) => RrType::Aaaa,
+            RData::Ns(_) => RrType::Ns,
+            RData::Cname(_) => RrType::Cname,
+            RData::Ptr(_) => RrType::Ptr,
+            RData::Soa(_) => RrType::Soa,
+            RData::Mx { .. } => RrType::Mx,
+            RData::Txt(_) => RrType::Txt,
+            RData::Srv { .. } => RrType::Srv,
         }
     }
 }
 
-/// A resource record.
+/// A resource record. Its type is its RDATA's ([`Record::rtype`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Record {
     /// Owner name.
     pub name: DnsName,
-    /// Record type (kept explicit so `Opaque` RDATA keeps its type).
-    pub rtype: RrType,
     /// Record class.
     pub class: RrClass,
     /// Time to live, seconds.
@@ -252,41 +177,25 @@ pub struct Record {
 }
 
 impl Record {
-    /// Builds an IN-class record, deriving the type from the RDATA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rdata` is [`RData::Opaque`]; use [`Record::opaque`] for
-    /// those.
+    /// Builds an IN-class record.
     pub fn new(name: DnsName, ttl: u32, rdata: RData) -> Record {
-        let rtype = rdata
-            .rr_type()
-            .expect("Record::new requires typed RDATA; use Record::opaque");
         Record {
             name,
-            rtype,
             class: RrClass::In,
             ttl,
             rdata,
         }
     }
 
-    /// Builds a record with explicit type and class around raw RDATA bytes.
-    pub fn opaque(name: DnsName, rtype: RrType, class: RrClass, ttl: u32, data: Vec<u8>) -> Record {
-        Record {
-            name,
-            rtype,
-            class,
-            ttl,
-            rdata: RData::Opaque(data),
-        }
+    /// The record type, which its RDATA determines.
+    pub fn rtype(&self) -> RrType {
+        self.rdata.rr_type()
     }
 
     /// Builds the CHAOS-class TXT record answering `version.bind.`.
     pub fn version_banner(banner: &str) -> Record {
         Record {
             name: DnsName::from_ascii("version.bind").expect("static name"),
-            rtype: RrType::Txt,
             class: RrClass::Ch,
             ttl: 0,
             rdata: RData::Txt(vec![banner.to_string()]),
@@ -299,7 +208,10 @@ impl fmt::Display for Record {
         write!(
             f,
             "{} {} {} {} ",
-            self.name, self.ttl, self.class, self.rtype
+            self.name,
+            self.ttl,
+            self.class,
+            self.rtype()
         )?;
         match &self.rdata {
             RData::A(ip) => write!(f, "{ip}"),
@@ -331,7 +243,6 @@ impl fmt::Display for Record {
             } => {
                 write!(f, "{priority} {weight} {port} {target}.")
             }
-            RData::Opaque(bytes) => write!(f, "\\# {} (opaque)", bytes.len()),
         }
     }
 }
@@ -342,54 +253,21 @@ mod tests {
     use crate::name::name;
 
     #[test]
-    fn type_codes_round_trip() {
-        for t in [
-            RrType::A,
-            RrType::Ns,
-            RrType::Cname,
-            RrType::Soa,
-            RrType::Ptr,
-            RrType::Mx,
-            RrType::Txt,
-            RrType::Aaaa,
-            RrType::Srv,
-            RrType::Opt,
-            RrType::Any,
-            RrType::Unknown(4242),
-        ] {
-            assert_eq!(RrType::from_code(t.code()), t);
-        }
-    }
-
-    #[test]
-    fn class_codes_round_trip() {
-        for c in [RrClass::In, RrClass::Ch, RrClass::Any, RrClass::Unknown(9)] {
-            assert_eq!(RrClass::from_code(c.code()), c);
-        }
-    }
-
-    #[test]
     fn record_new_derives_type() {
         let r = Record::new(
             name("ns1.example.com"),
             3600,
             RData::A(Ipv4Addr::new(10, 0, 0, 1)),
         );
-        assert_eq!(r.rtype, RrType::A);
+        assert_eq!(r.rtype(), RrType::A);
         assert_eq!(r.class, RrClass::In);
-    }
-
-    #[test]
-    #[should_panic(expected = "typed RDATA")]
-    fn record_new_rejects_opaque() {
-        Record::new(name("x.com"), 0, RData::Opaque(vec![1, 2]));
     }
 
     #[test]
     fn version_banner_is_chaos_txt() {
         let r = Record::version_banner("BIND 8.2.4");
         assert_eq!(r.class, RrClass::Ch);
-        assert_eq!(r.rtype, RrType::Txt);
+        assert_eq!(r.rtype(), RrType::Txt);
         assert_eq!(r.name, name("version.bind"));
         assert_eq!(r.rdata, RData::Txt(vec!["BIND 8.2.4".to_string()]));
     }

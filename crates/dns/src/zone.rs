@@ -89,11 +89,11 @@ pub enum ZoneLookup {
 /// One incremental observation from a zone-data feed.
 ///
 /// A `ZoneEvent` is the unit of **streaming ingestion**: instead of
-/// materializing whole [`Zone`]s (or a whole [`ZoneRegistry`]) before any
-/// analysis can start, a feed — a parsed zone file
-/// ([`crate::master::ZoneFileEvents`]), a registry walk
-/// ([`ZoneRegistry::events`]), or a live probe — emits delegation
-/// structure one observation at a time. Events are designed to be
+/// materializing whole [`Zone`]s before any analysis can start, a zone
+/// file is read by [`crate::master::ZoneFileEvents`], which emits its
+/// delegation structure one record at a time. (A materialized
+/// [`ZoneRegistry`] enters the universe through `perils_core`'s
+/// `registry_events`, not through this type.) Events are designed to be
 /// order-insensitive under merging: NS sets may arrive fragmented across
 /// many [`ZoneEvent::Cut`]s for the same zone (consumers union them), and
 /// glue may precede or follow the cut that references it.
@@ -180,9 +180,10 @@ impl Zone {
                 origin: self.origin.clone(),
             });
         }
+        let rtype = record.rtype();
         if let Some(cut) = self.covering_cut(&record.name) {
-            let is_glue = matches!(record.rtype, RrType::A | RrType::Aaaa);
-            let is_cut_ns = record.rtype == RrType::Ns && record.name == cut;
+            let is_glue = matches!(rtype, RrType::A | RrType::Aaaa);
+            let is_cut_ns = rtype == RrType::Ns && record.name == cut;
             if !is_glue && !is_cut_ns {
                 return Err(ZoneError::BelowZoneCut {
                     name: record.name,
@@ -193,16 +194,16 @@ impl Zone {
         let node = self.records.entry(record.name.clone()).or_default();
         let has_cname = node.contains_key(&RrType::Cname);
         let has_other = node.keys().any(|t| *t != RrType::Cname);
-        if record.rtype == RrType::Cname && has_other {
+        if rtype == RrType::Cname && has_other {
             return Err(ZoneError::CnameConflict(record.name));
         }
-        if record.rtype != RrType::Cname && has_cname {
+        if rtype != RrType::Cname && has_cname {
             return Err(ZoneError::CnameConflict(record.name));
         }
-        if record.rtype == RrType::Ns && record.name != self.origin {
+        if rtype == RrType::Ns && record.name != self.origin {
             self.cuts.insert(record.name.clone(), ());
         }
-        node.entry(record.rtype).or_default().push(record);
+        node.entry(rtype).or_default().push(record);
         Ok(())
     }
 
@@ -375,37 +376,6 @@ impl Zone {
         self.cuts.keys()
     }
 
-    /// Streams this zone's delegation-relevant content as [`ZoneEvent`]s:
-    /// the apex NS set first, then each cut's NS set (sorted cut order),
-    /// then every A record as glue (sorted owner order). Together with
-    /// [`ZoneRegistry::events`] this is the bridge from materialized
-    /// zones into the streaming ingestion pipeline.
-    pub fn events(&self) -> impl Iterator<Item = ZoneEvent> + '_ {
-        let apex = std::iter::once(self.origin.clone())
-            .chain(self.cut_names().cloned())
-            .filter_map(|owner| {
-                let ns = self.ns_names_at(&owner);
-                if ns.is_empty() {
-                    None
-                } else {
-                    Some(ZoneEvent::Cut { zone: owner, ns })
-                }
-            });
-        let glue = self.records.iter().flat_map(|(owner, node)| {
-            node.get(&RrType::A)
-                .into_iter()
-                .flatten()
-                .filter_map(move |record| match record.rdata {
-                    RData::A(addr) => Some(ZoneEvent::Glue {
-                        host: owner.clone(),
-                        addr,
-                    }),
-                    _ => None,
-                })
-        });
-        apex.chain(glue)
-    }
-
     /// Iterates every record in the zone in sorted owner order.
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
         self.records
@@ -426,7 +396,7 @@ impl Zone {
 /// let mut root = Zone::synthetic(name("."), name("a.root-servers.net"));
 /// root.add_rdata(name("."), RData::Ns(name("a.root-servers.net"))).unwrap();
 /// registry.insert(root);
-/// assert!(registry.find_zone(&name("www.example.com")).unwrap().origin().is_root());
+/// assert!(registry.get(&name(".")).unwrap().origin().is_root());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ZoneRegistry {
@@ -454,11 +424,6 @@ impl ZoneRegistry {
         self.zones.get_mut(origin)
     }
 
-    /// The deepest zone whose origin encloses `name`.
-    pub fn find_zone(&self, name: &DnsName) -> Option<&Zone> {
-        name.ancestors().find_map(|a| self.zones.get(&a))
-    }
-
     /// Number of zones.
     pub fn len(&self) -> usize {
         self.zones.len()
@@ -472,15 +437,6 @@ impl ZoneRegistry {
     /// Iterates zones in sorted origin order.
     pub fn iter(&self) -> impl Iterator<Item = &Zone> {
         self.zones.values()
-    }
-
-    /// Streams the whole namespace as [`ZoneEvent`]s, zone by zone in
-    /// sorted origin order ([`Zone::events`] per zone). This is the
-    /// materialized-registry end of the streaming ingestion pipeline: a
-    /// consumer that accepts events can ingest a registry, a zone file,
-    /// or a live feed through the same interface.
-    pub fn events(&self) -> impl Iterator<Item = ZoneEvent> + '_ {
-        self.iter().flat_map(Zone::events)
     }
 }
 
@@ -674,8 +630,8 @@ mod tests {
         let z = example_zone();
         match z.lookup(&name("example.com"), RrType::Any) {
             ZoneLookup::Answer(records) => {
-                assert!(records.iter().any(|r| r.rtype == RrType::Soa));
-                assert!(records.iter().any(|r| r.rtype == RrType::Ns));
+                assert!(records.iter().any(|r| r.rtype() == RrType::Soa));
+                assert!(records.iter().any(|r| r.rtype() == RrType::Ns));
             }
             other => panic!("expected ANY answer, got {other:?}"),
         }
@@ -691,91 +647,6 @@ mod tests {
         assert_eq!(
             z.cut_names().cloned().collect::<Vec<_>>(),
             vec![name("sub.example.com")]
-        );
-    }
-
-    #[test]
-    fn registry_find_and_chain() {
-        let mut reg = ZoneRegistry::new();
-        let mut root = Zone::synthetic(DnsName::root(), name("a.root-servers.net"));
-        root.add_rdata(DnsName::root(), RData::Ns(name("a.root-servers.net")))
-            .unwrap();
-        reg.insert(root);
-        let mut com = Zone::synthetic(name("com"), name("a.gtld-servers.net"));
-        com.add_rdata(name("com"), RData::Ns(name("a.gtld-servers.net")))
-            .unwrap();
-        reg.insert(com);
-        reg.insert(example_zone());
-
-        assert_eq!(
-            reg.find_zone(&name("www.example.com")).unwrap().origin(),
-            &name("example.com")
-        );
-        assert_eq!(
-            reg.find_zone(&name("www.other.com")).unwrap().origin(),
-            &name("com")
-        );
-        assert_eq!(
-            reg.find_zone(&name("www.other.org")).unwrap().origin(),
-            &DnsName::root()
-        );
-    }
-
-    #[test]
-    fn zone_events_cover_apex_cuts_and_glue() {
-        let z = example_zone();
-        let events: Vec<ZoneEvent> = z.events().collect();
-        // Apex NS set first.
-        assert_eq!(
-            events[0],
-            ZoneEvent::Cut {
-                zone: name("example.com"),
-                ns: vec![name("ns1.example.com"), name("ns2.example.com")],
-            }
-        );
-        // The sub.example.com cut with its NS set.
-        assert!(events.contains(&ZoneEvent::Cut {
-            zone: name("sub.example.com"),
-            ns: vec![name("ns.sub.example.com")],
-        }));
-        // Every A record appears as glue, including the cut's glue host.
-        let glue_hosts: Vec<&DnsName> = events
-            .iter()
-            .filter_map(|e| match e {
-                ZoneEvent::Glue { host, .. } => Some(host),
-                _ => None,
-            })
-            .collect();
-        assert!(glue_hosts.contains(&&name("ns.sub.example.com")));
-        assert!(glue_hosts.contains(&&name("ns1.example.com")));
-        assert_eq!(glue_hosts.len(), 4, "one glue event per A record");
-    }
-
-    #[test]
-    fn registry_events_walk_every_zone() {
-        let mut reg = ZoneRegistry::new();
-        let mut root = Zone::synthetic(DnsName::root(), name("a.root-servers.net"));
-        root.add_rdata(DnsName::root(), RData::Ns(name("a.root-servers.net")))
-            .unwrap();
-        root.add_rdata(name("com"), RData::Ns(name("a.gtld-servers.net")))
-            .unwrap();
-        reg.insert(root);
-        reg.insert(example_zone());
-        let cuts: Vec<DnsName> = reg
-            .events()
-            .filter_map(|e| match e {
-                ZoneEvent::Cut { zone, .. } => Some(zone),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            cuts,
-            vec![
-                DnsName::root(),
-                name("com"),
-                name("example.com"),
-                name("sub.example.com"),
-            ]
         );
     }
 }

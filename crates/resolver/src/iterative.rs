@@ -265,7 +265,7 @@ impl IterativeResolver {
                         .answers
                         .iter()
                         .filter(|r| {
-                            (r.rtype == qtype || qtype == RrType::Any) && r.name == current_name
+                            (r.rtype() == qtype || qtype == RrType::Any) && r.name == current_name
                         })
                         .cloned()
                         .collect();
@@ -280,11 +280,11 @@ impl IterativeResolver {
                         records.extend(direct);
                         return Ok(records);
                     }
-                    let cname = response
-                        .answers
-                        .iter()
-                        .find(|r| r.rtype == RrType::Cname && r.name == current_name);
-                    if let Some(cname_record) = cname {
+                    let cname = response.answers.iter().find_map(|r| match &r.rdata {
+                        RData::Cname(target) if r.name == current_name => Some((r, target.clone())),
+                        _ => None,
+                    });
+                    if let Some((cname_record, target)) = cname {
                         self.trace_query(run, &candidate, addr, &current_name, QueryEvent::Answer);
                         if qtype == RrType::Cname {
                             let mut records = cname_chain;
@@ -295,10 +295,6 @@ impl IterativeResolver {
                         if cnames_followed > MAX_CNAME_CHAIN {
                             return Err(ResolveError::CnameChain(qname.clone()));
                         }
-                        let target = match &cname_record.rdata {
-                            RData::Cname(t) => t.clone(),
-                            _ => unreachable!("CNAME rtype carries CNAME rdata"),
-                        };
                         if cname_chain.iter().any(|r| r.name == target) || target == current_name {
                             return Err(ResolveError::CnameChain(qname.clone()));
                         }
@@ -308,7 +304,7 @@ impl IterativeResolver {
                         let chased: Vec<Record> = response
                             .answers
                             .iter()
-                            .filter(|r| r.rtype == qtype && r.name == target)
+                            .filter(|r| r.rtype() == qtype && r.name == target)
                             .cloned()
                             .collect();
                         if !chased.is_empty() {
@@ -339,7 +335,7 @@ impl IterativeResolver {
                     let cut = response
                         .authority
                         .iter()
-                        .find(|r| r.rtype == RrType::Ns)
+                        .find(|r| r.rtype() == RrType::Ns)
                         .map(|r| r.name.clone())
                         .expect("is_referral guarantees an NS record");
                     let descends = cut.is_proper_subdomain_of(&current_cut)
@@ -350,7 +346,7 @@ impl IterativeResolver {
                     }
                     self.trace_query(run, &candidate, addr, &current_name, QueryEvent::Referral);
                     let mut next: Vec<Candidate> = Vec::new();
-                    for ns in response.authority.iter().filter(|r| r.rtype == RrType::Ns) {
+                    for ns in &response.authority {
                         if let RData::Ns(host) = &ns.rdata {
                             let glue = response.additional.iter().find_map(|g| {
                                 if g.name == *host {
@@ -367,7 +363,7 @@ impl IterativeResolver {
                                 let glue_records: Vec<Record> = response
                                     .additional
                                     .iter()
-                                    .filter(|g| g.name == *host && g.rtype == RrType::A)
+                                    .filter(|g| g.name == *host && g.rtype() == RrType::A)
                                     .cloned()
                                     .collect();
                                 self.cache_put(host, RrType::A, &glue_records, run.now_ms);

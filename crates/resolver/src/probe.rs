@@ -121,7 +121,7 @@ impl<'r> ChainProber<'r> {
                     let Some(cut) = response
                         .authority
                         .iter()
-                        .find(|r| r.rtype == RrType::Ns)
+                        .find(|r| r.rtype() == RrType::Ns)
                         .map(|r| r.name.to_lowercase())
                     else {
                         continue;
@@ -132,7 +132,7 @@ impl<'r> ChainProber<'r> {
                     // Record the FULL NS set at this cut.
                     let entry = report.zone_ns.entry(cut.clone()).or_default();
                     let mut next: Vec<(DnsName, Option<Ipv4Addr>)> = Vec::new();
-                    for ns in response.authority.iter().filter(|r| r.rtype == RrType::Ns) {
+                    for ns in &response.authority {
                         if let RData::Ns(host) = &ns.rdata {
                             let host = host.to_lowercase();
                             entry.insert(host.clone());

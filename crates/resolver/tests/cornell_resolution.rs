@@ -102,7 +102,7 @@ fn cname_chase() {
         .resolve(&name("web.cs.cornell.edu"), RrType::A)
         .expect("resolves");
     assert_eq!(resolution.records.len(), 2, "CNAME + A");
-    assert_eq!(resolution.records[0].rtype, RrType::Cname);
+    assert_eq!(resolution.records[0].rtype(), RrType::Cname);
     assert_eq!(
         resolution.v4_addresses(),
         vec!["3.0.0.88".parse::<Ipv4Addr>().unwrap()]

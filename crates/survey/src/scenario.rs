@@ -17,9 +17,9 @@ use std::collections::BTreeMap;
 /// Streams a scenario's registry as incremental [`UniverseEvent`]s, with
 /// banners taken from the server specs (ground truth). The walk itself —
 /// server events per NS mention, then zone events with the apex ∪
-/// parent-view NS set — is [`perils_core::registry_events`], the same
-/// single definition [`Universe::from_registry`] collects over; this
-/// wrapper only supplies the spec-backed banner lookup.
+/// parent-view NS set — is [`perils_core::registry_events`], the single
+/// registry walk; this wrapper only supplies the spec-backed banner
+/// lookup.
 pub fn scenario_events(scenario: &Scenario) -> Vec<UniverseEvent> {
     let banners: BTreeMap<DnsName, String> = scenario
         .specs

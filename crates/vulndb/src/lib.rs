@@ -13,9 +13,10 @@
 //!   matrix reproduces the ISC table of the era, including the four
 //!   exploits the paper names against BIND 8.2.4 (`libbind`, `negcache`,
 //!   `sigrec`, `DoS multi`);
-//! * [`fingerprint`] — turn a banner string into an assessment, applying
-//!   the paper's optimistic rule: servers whose version is hidden or
-//!   unparseable are assumed **non-vulnerable**.
+//! * [`fingerprint`] — read the banner out of a `version.bind` response.
+//!   A banner is assessed under the paper's optimistic rule: servers
+//!   whose version is hidden or unparseable are assumed
+//!   **non-vulnerable**.
 
 #![forbid(unsafe_code)]
 
@@ -24,5 +25,4 @@ pub mod fingerprint;
 pub mod version;
 
 pub use advisory::{Advisory, Severity, VersionRange, VulnDb};
-pub use fingerprint::{Assessment, Fingerprint};
 pub use version::BindVersion;

@@ -4,7 +4,8 @@
 //! paper. It re-exports every workspace crate under one roof so examples,
 //! integration tests and downstream users can depend on a single crate:
 //!
-//! * [`dns`] — names, records, RFC1035 wire format, zones, zone registry.
+//! * [`dns`] — names, records, messages (values, never bytes), zones, the
+//!   zone registry and the streaming zone-file reader.
 //! * [`graph`] — the algorithms the index and the min-cut run on: bitsets,
 //!   Tarjan SCC over implicit adjacency, and Dinic max-flow networks.
 //! * [`vulndb`] — BIND versions and the ISC advisory matrix.
