@@ -66,6 +66,17 @@
 //! the least by server id (the least path to the choke, then the least on
 //! to the target), so it depends on no adjacency order.
 //!
+//! When the `choke-point` rule cuts at all: only for a name with a
+//! single-server zone on its own chain. The target chain alone wires the
+//! source to every NS of the first zone, each hub to every NS of the next
+//! and the last hub to the target, so where every chain zone has two
+//! distinct servers one of them is always left to route around any
+//! single server; no one-server cut exists, and the rule skips the name
+//! without a closure or a max-flow. One universe-wide graph cannot stand
+//! in for the per-name network here: a universe graph feeds a server
+//! from the source wherever it serves a TLD, which a name whose chain
+//! misses that TLD never sees.
+//!
 //! # The exact search
 //!
 //! The search runs on the closure's restricted [`Frame`], built once per

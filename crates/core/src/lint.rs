@@ -26,6 +26,15 @@
 //! | `choke-point`     | warn | name   | closure min-cut = 1 |
 //! | `tcb-inflation`   | warn | name   | closure ≫ delegated NS set |
 //!
+//! **Where a one-server cut can sit.** A one-server cut of a name is
+//! always the lone NS of a `single-server` zone on the name's own chain:
+//! the source feeds every NS of the chain's first zone and each zone's
+//! hub feeds every NS of the next, so where every chain zone has two
+//! distinct servers, a path avoids any one of them. `choke-point` runs
+//! its max-flow only for a name under such a zone ([`ChokePointRule`]
+//! has the proof), and the two rules share one predicate,
+//! [`SingleServerRule::applies`].
+//!
 //! **Determinism contract**: a rule must emit diagnostics by scanning
 //! exactly one of the ctx's subject slices (`zones`, `servers` or
 //! `names`) in order, with content independent of how those slices were
@@ -486,15 +495,28 @@ impl LintCtx<'_> {
     /// Runs `f` over every surveyed name in this shard, as its subject,
     /// with its borrowed closure view — the allocation-light path
     /// name-scoped rules use.
-    pub fn for_each_closure(&self, mut f: impl FnMut(Subject, &ClosureView<'_>)) {
-        // A shard with no names (every `/zone` request) allocates no
-        // workspace.
-        if self.names.is_empty() {
-            return;
-        }
-        let mut ws = self.index.workspace();
+    pub fn for_each_closure(&self, f: impl FnMut(Subject, &ClosureView<'_>)) {
+        self.for_each_closure_under(|_| true, f);
+    }
+
+    /// [`LintCtx::for_each_closure`] over only the names whose deepest
+    /// zone (`universe.zone_of(name)`) passes `keep`: a skipped name
+    /// costs that one lookup and no closure. The workspace is allocated
+    /// at the first kept name, so a shard that keeps none (every `/zone`
+    /// request has no names) allocates nothing.
+    pub(crate) fn for_each_closure_under(
+        &self,
+        mut keep: impl FnMut(Option<ZoneId>) -> bool,
+        mut f: impl FnMut(Subject, &ClosureView<'_>),
+    ) {
+        let mut ws = None;
         for (i, name) in self.names.iter().enumerate() {
-            let view = self.index.closure_view(self.universe, name, &mut ws);
+            let zone = self.universe.zone_of(name);
+            if !keep(zone) {
+                continue;
+            }
+            let ws = ws.get_or_insert_with(|| self.index.workspace());
+            let view = self.index.closure_view_in(self.universe, name, zone, ws);
             f(Subject::name_at(i), &view);
         }
     }
@@ -674,7 +696,10 @@ pub fn zone_structural_flags(universe: &Universe, zone: ZoneId) -> usize {
 pub struct SingleServerRule;
 
 impl SingleServerRule {
-    /// The rule's predicate, shared with [`zone_structural_flags`].
+    /// The rule's predicate, shared with [`zone_structural_flags`] and
+    /// [`ChokePointRule`]'s precheck. A zone's NS list holds each server
+    /// once (the builder merges repeats, a snapshot load refuses them), so
+    /// one entry is one distinct server.
     pub fn applies(universe: &Universe, zone: ZoneId) -> bool {
         universe.zone(zone).ns.len() == 1
     }
@@ -1081,6 +1106,21 @@ impl LintRule for OrphanedGlueRule {
 /// of one root→target path through it: of the shortest such paths, the
 /// least by server id ([`choke_witness`]), so it names the same hops
 /// whatever order the delegation data came in.
+///
+/// The rule cuts only a name that can have a one-server cut. In the hub
+/// network of a name with chain `z₁…z_k` (root excluded), the source
+/// feeds every NS of `z₁`, each zone's hub feeds every NS of the next
+/// zone, and the last hub feeds the target. A zone with no NS adds no
+/// layer. So if every chain zone with servers has at least two distinct
+/// ones, a path can take a server other than any given `d` at every
+/// layer, and `{d}` cuts nothing. A one-server cut is therefore always
+/// the lone NS of a [`SingleServerRule`] zone on the name's own chain;
+/// a name with no such zone is skipped after one [`Universe::zone_of`]
+/// and a parent walk, with no closure and no max-flow. The lemma needs
+/// the index to hold every chain zone's NS in the closure, which a
+/// built index does; `one_server_cuts_sit_on_single_server_zones` in
+/// `perils-core`'s property tests checks it on every zone of every test
+/// world.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChokePointRule;
 
@@ -1097,7 +1137,13 @@ impl LintRule for ChokePointRule {
     fn check(&self, ctx: &LintCtx<'_>) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let mut steps = Vec::new();
-        ctx.for_each_closure(|subject, view| {
+        let universe = ctx.universe;
+        let may_choke = |zone| {
+            universe
+                .chain_up(zone)
+                .any(|z| SingleServerRule::applies(universe, z))
+        };
+        ctx.for_each_closure_under(may_choke, |subject, view| {
             let Some(cut) = min_cut_flattened_view(ctx.universe, ctx.index, view) else {
                 return;
             };
@@ -1365,6 +1411,37 @@ mod tests {
         assert!(!choke.evidence.is_empty());
         assert!(matches!(choke.evidence[0].at, At::Server(_)));
         assert!(u.server_id(choke.evidence[0].at.name(&u)).is_some());
+    }
+
+    #[test]
+    fn a_host_named_twice_is_one_server() {
+        // One cut names the same host in two spellings: the zone has one
+        // NS, so `single-server` speaks for it and `single-operator`,
+        // which needs two servers, does not.
+        let mut b = Universe::builder();
+        b.raw_server(&name("a.root-servers.net"), false, true);
+        b.add_zone(&DnsName::root(), &[name("a.root-servers.net")]);
+        b.add_zone(&name("com"), &[name("a.root-servers.net")]);
+        b.apply_zone_event(perils_dns::zone::ZoneEvent::Cut {
+            zone: name("d0.com"),
+            ns: vec![name("ns.d0.com"), name("NS.d0.com")],
+        });
+        let u = b.finish();
+        let d0 = u.zone_id(&name("d0.com")).unwrap();
+        assert_eq!(u.zone(d0).ns.len(), 1);
+        let names = [name("www.d0.com")];
+        let diags = lint_all(&u, &names);
+        let on_d0: BTreeSet<&str> = diags
+            .iter()
+            .filter(|d| d.subject == Subject::Zone(d0))
+            .map(|d| d.rule)
+            .collect();
+        assert_eq!(on_d0, BTreeSet::from(["single-server"]), "{diags:#?}");
+        let choke = diags
+            .iter()
+            .find(|d| d.rule == "choke-point")
+            .expect("the lone NS is the cut");
+        assert_eq!(choke.evidence[0].at, At::Server(u.zone(d0).ns[0]));
     }
 
     #[test]

@@ -339,6 +339,36 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_ns_id_fails_to_load() {
+        let universe = tiny_universe();
+        let bytes = payload(|out| encode_universe(out, &universe));
+        // example.com's NS list is the only one of length two: point its
+        // second entry at its first.
+        let ns = &universe
+            .zone(universe.zone_id(&name("example.com")).unwrap())
+            .ns;
+        let list: Vec<u8> = [2, ns[0].0, ns[1].0]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let at = bytes
+            .windows(list.len())
+            .position(|w| w == list)
+            .expect("the encoded NS list");
+        let mut forged = bytes.clone();
+        forged[at + 8..at + 12].copy_from_slice(&ns[0].0.to_le_bytes());
+        match decode_universe(&sec(&forged)) {
+            Err(SnapshotError::Malformed {
+                section, detail, ..
+            }) => {
+                assert_eq!(section, "UNIVERSE");
+                assert!(detail.contains("twice"), "{detail}");
+            }
+            other => panic!("a repeated NS id must be Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn dep_index_round_trips_equal_and_byte_stable() {
         // Decoding a saved payload again must compare equal to the built
         // index and re-encode to the exact source bytes.

@@ -42,7 +42,8 @@ impl ServerId {
 pub struct ZoneEntry {
     /// The zone origin (lowercased).
     pub origin: DnsName,
-    /// NS servers (as learned from parent referrals / apex NS sets).
+    /// NS servers (as learned from parent referrals / apex NS sets),
+    /// each once, in first-mention order.
     pub ns: Vec<ServerId>,
 }
 
@@ -136,7 +137,8 @@ impl Universe {
     /// [`UniverseBuilder::finish_canonical`] also uses. Validates every
     /// cross-table id, that each zone parent is a proper ancestor of its
     /// zone and each home zone encloses its server (label compares, no
-    /// lookups), and rejects duplicate names, so a corrupt archive yields
+    /// lookups), and rejects duplicate names and an NS list that names a
+    /// server twice (the builder never writes one), so a corrupt archive yields
     /// an error instead of a structurally inconsistent universe. The links
     /// stay stored rather than re-derived: deriving them costs an ancestor
     /// walk through the origin map per entry.
@@ -162,12 +164,20 @@ impl Universe {
                 zones.len()
             ));
         }
+        // `listed_by[s]`: the last zone whose NS list named server `s`, so
+        // a repeat within one list is one comparison, however long it is.
+        let mut listed_by = vec![u32::MAX; servers.len()];
         for (i, zone) in zones.iter().enumerate() {
-            if let Some(bad) = zone.ns.iter().find(|s| s.0 >= server_count) {
-                return Err(format!(
-                    "zone {i} references server {} of {server_count}",
-                    bad.0
-                ));
+            for s in &zone.ns {
+                if s.0 >= server_count {
+                    return Err(format!(
+                        "zone {i} references server {} of {server_count}",
+                        s.0
+                    ));
+                }
+                if std::mem::replace(&mut listed_by[s.index()], i as u32) == i as u32 {
+                    return Err(format!("zone {i} lists server {} twice", s.0));
+                }
             }
         }
         if let Some(&bad) = server_home
@@ -693,8 +703,10 @@ impl UniverseBuilder {
 
     /// Adds a zone with NS host names. Servers not yet seen are created
     /// as unknown-safe placeholders and fixed up when their facts arrive
-    /// ([`UniverseBuilder::ensure_server`]); a duplicate origin merges
-    /// NS sets. The **root** zone's NS set upgrades its servers to root
+    /// ([`UniverseBuilder::ensure_server`]). A zone's NS list holds each
+    /// server once, in first-mention order: a host named twice (in any
+    /// case mix) counts once, and a duplicate origin merges NS sets the
+    /// same way. The **root** zone's NS set upgrades its servers to root
     /// status — so a pure [`ZoneEvent`] feed (which has no server events)
     /// classifies roots identically to a [`registry_events`] feed.
     pub fn add_zone(&mut self, origin: &DnsName, ns_names: &[DnsName]) -> ZoneId {
@@ -720,28 +732,32 @@ impl UniverseBuilder {
                 id
             })
             .collect();
-        if let Some(existing) = self.universe.zone_id(origin) {
-            // Merge NS sets on duplicate insertion.
-            let entry = &mut self.universe.zones[existing.index()];
-            for id in ns {
-                if !entry.ns.contains(&id) {
-                    entry.ns.push(id);
-                }
+        let id = match self.universe.zone_id(origin) {
+            Some(existing) => existing,
+            None => {
+                let id = ZoneId(self.universe.zones.len() as u32);
+                self.universe.zones.push(ZoneEntry {
+                    origin: origin.to_lowercase(),
+                    ns: Vec::with_capacity(ns.len()),
+                });
+                let Universe {
+                    zones,
+                    zone_by_origin,
+                    ..
+                } = &mut self.universe;
+                let zones: &[ZoneEntry] = zones;
+                zone_by_origin.insert(id.0, |i| zones[i as usize].origin.labels());
+                id
             }
-            return existing;
+        };
+        // A first insertion merges into the empty set, so it drops a
+        // repeated server exactly as a duplicate origin does.
+        let entry = &mut self.universe.zones[id.index()];
+        for sid in ns {
+            if !entry.ns.contains(&sid) {
+                entry.ns.push(sid);
+            }
         }
-        let id = ZoneId(self.universe.zones.len() as u32);
-        self.universe.zones.push(ZoneEntry {
-            origin: origin.to_lowercase(),
-            ns,
-        });
-        let Universe {
-            zones,
-            zone_by_origin,
-            ..
-        } = &mut self.universe;
-        let zones: &[ZoneEntry] = zones;
-        zone_by_origin.insert(id.0, |i| zones[i as usize].origin.labels());
         id
     }
 

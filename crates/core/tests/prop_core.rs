@@ -3,7 +3,8 @@
 //! against brute force, reachability monotonicity, the restricted
 //! reachability frame against the closure's extracted sub-universe, and
 //! the flattened cut and its choke-point witness against the delegation
-//! graph the `perils-oracle` crate builds as an object.
+//! graph the `perils-oracle` crate builds as an object, and the lemma
+//! that lets `choke-point` skip names under no single-server zone.
 
 use proptest::prelude::*;
 
@@ -235,6 +236,40 @@ fn check_choke_witnesses(universe: &Universe, targets: &[DnsName]) -> Result<usi
     Ok(found.len())
 }
 
+/// The lemma behind `choke-point`'s precheck, on the name of every zone
+/// origin of `universe` (not only the zones of surveyed names): a
+/// flattened cut of one server is the lone NS of a zone on the name's
+/// own chain. Then the rule, run over the same names, must report
+/// exactly the one-server cuts with their witnesses
+/// ([`check_choke_witnesses`]). Returns the number of findings.
+fn check_one_server_cuts(universe: &Universe) -> Result<usize, String> {
+    let origins: Vec<DnsName> = universe
+        .zone_ids()
+        .map(|z| universe.zone(z).origin.clone())
+        .collect();
+    let index = DependencyIndex::build(universe);
+    let mut ws = index.workspace();
+    for origin in &origins {
+        let view = index.closure_view(universe, origin, &mut ws);
+        let Some(cut) = min_cut_flattened_view(universe, &index, &view) else {
+            continue;
+        };
+        if cut.size() != 1 {
+            continue;
+        }
+        let choke = cut.servers[0];
+        prop_assert!(
+            view.target_chain()
+                .iter()
+                .any(|&z| universe.zone(z).ns == [choke]),
+            "{}: the cut {:?} is the lone NS of no chain zone",
+            origin,
+            choke
+        );
+    }
+    check_choke_witnesses(universe, &origins)
+}
+
 /// Brute force: the true lexicographic minimum of (hijack size, safe
 /// members) by subset enumeration over the closure's non-root servers.
 fn brute_min_hijack(universe: &Universe, target: &DnsName, cap: usize) -> Option<(usize, usize)> {
@@ -374,6 +409,15 @@ proptest! {
     fn choke_witness_is_the_least_shortest_delegation_path(spec in arb_web()) {
         let (universe, targets) = build_web(&spec);
         check_choke_witnesses(&universe, &targets)?;
+    }
+
+    /// A one-server cut sits on a single-server chain zone, for every
+    /// zone origin of the web family — whose picks repeat hosts within
+    /// one NS set, so this holds only if a zone lists each server once.
+    #[test]
+    fn one_server_cuts_sit_on_single_server_zones(spec in arb_web()) {
+        let (universe, _) = build_web(&spec);
+        check_one_server_cuts(&universe)?;
     }
 
     /// The chain the cut walks for each server — its home zone's parent
@@ -597,5 +641,41 @@ fn scenario_choke_witnesses_are_the_least_shortest_delegation_paths() {
     assert_eq!(
         chokes,
         BTreeMap::from([("cornell", 2), ("fbi", 2), ("tripwire", 5)])
+    );
+}
+
+/// [`check_one_server_cuts`] on the built worlds: the tiny world at three
+/// seeds (no zone there has one server, so no origin may be cut to one)
+/// and the three scenario worlds, where more origins are cut than the
+/// surveyed names the lint goldens cover.
+#[test]
+fn one_server_cuts_sit_on_single_server_zones_of_built_worlds() {
+    let mut chokes = BTreeMap::new();
+    for (world, seed) in [
+        ("tiny", 1),
+        ("tiny", 11),
+        ("tiny", 2005),
+        ("fbi", 0),
+        ("cornell", 0),
+        ("tripwire", 0),
+    ] {
+        let built = perils_survey::WorldSpec::parse(world, seed)
+            .expect("a named world")
+            .stream()
+            .collect();
+        let found = check_one_server_cuts(&built.universe)
+            .unwrap_or_else(|e| panic!("{world} (seed {seed}): {e}"));
+        chokes.insert((world, seed), found);
+    }
+    assert_eq!(
+        chokes,
+        BTreeMap::from([
+            (("cornell", 0), 12),
+            (("fbi", 0), 7),
+            (("tiny", 1), 0),
+            (("tiny", 11), 0),
+            (("tiny", 2005), 0),
+            (("tripwire", 0), 13),
+        ])
     );
 }

@@ -150,14 +150,15 @@ proptest! {
     }
 }
 
-/// The flattened min-cut — the answer's and the `choke-point` rule's —
-/// and the choke-point witness read nothing from the byte store: server
-/// chains come from the universe's parent links, which live on the heap
-/// on every backend. Closures are computed outside the measured window
-/// (they do read the index's paged tables), so any store read the cut
-/// kernel gains shows up as a moved page counter. Every cut's first
-/// server stands in for a choke, so the witness runs on every name with
-/// a non-empty cut.
+/// The flattened min-cut — the answer's, and the `choke-point` rule's
+/// for a name under a single-server chain zone (the only names the rule
+/// cuts, and the only ones it opens a closure for) — and the choke-point
+/// witness read nothing from the byte store: server chains come from the
+/// universe's parent links, which live on the heap on every backend.
+/// Closures are computed outside the measured window (they do read the
+/// index's paged tables), so any store read the cut kernel gains shows
+/// up as a moved page counter. Every cut's first server stands in for a
+/// choke, so the witness runs on every name with a non-empty cut.
 #[test]
 fn the_min_cut_touches_no_page() {
     use perils_core::hijack::{choke_witness, min_cut_flattened_view};
