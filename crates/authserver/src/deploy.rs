@@ -130,7 +130,7 @@ mod tests {
         deploy(&net, &registry(), &specs).unwrap();
         assert_eq!(net.endpoint_count(), 1);
         let q = Message::query(1, Question::new(name("a.root-servers.net"), RrType::A));
-        let response = net.query("1.0.0.1".parse().unwrap(), &q).response.unwrap();
+        let response = net.query("1.0.0.1".parse().unwrap(), &q).unwrap();
         assert!(response.flags.aa && response.rcode == Rcode::NoError);
     }
 

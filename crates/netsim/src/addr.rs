@@ -1,34 +1,16 @@
-//! Regions and deterministic address allocation.
+//! Address blocks and deterministic address allocation.
 //!
-//! A [`Region`] is a coarse geographic location (the survey uses it to
-//! model cross-country delegation — e.g. a Ukrainian zone slaved at a
-//! university in Australia — and to derive latency). Addressing is flat
-//! and deterministic: region `r` owns the `/16`-like block `r+1 . * . *`,
-//! and hosts are numbered sequentially within it.
+//! A [`Region`] names the address block a host is numbered in; the
+//! topology generator gives each country or area its own. Addressing is
+//! flat and deterministic: region `r` owns the 65,536 addresses
+//! `0 . r+1 . * . *`, and hosts are numbered sequentially within it.
 
 use std::fmt;
 use std::net::Ipv4Addr;
 
-/// A coarse geographic region, identified by a small integer.
-///
-/// The topology generator assigns labels (country/area names); netsim only
-/// needs identity and a distance metric.
+/// An address block, identified by a small integer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Region(pub u16);
-
-impl Region {
-    /// A crude inter-region distance in [0, 1]: 0 for same region, growing
-    /// with id distance (the generator assigns nearby ids to nearby
-    /// regions).
-    pub fn distance(self, other: Region) -> f64 {
-        if self == other {
-            0.0
-        } else {
-            let d = (self.0 as i32 - other.0 as i32).unsigned_abs() as f64;
-            (0.2 + d / 32.0).min(1.0)
-        }
-    }
-}
 
 impl fmt::Display for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -72,12 +54,6 @@ impl IpAllocator {
         let value: u32 = ((region.0 as u32 + 1) << 16) | (*host - 1);
         Ipv4Addr::from(value)
     }
-
-    /// The region that owns `addr`, per the allocation plan.
-    pub fn region_of(addr: Ipv4Addr) -> Region {
-        let value = u32::from(addr);
-        Region(((value >> 16).saturating_sub(1)) as u16)
-    }
 }
 
 #[cfg(test)]
@@ -92,11 +68,9 @@ mod tests {
         let ip1 = a.alloc(r0);
         let ip2 = a.alloc(r0);
         let ip3 = a.alloc(r1);
-        assert_ne!(ip1, ip2);
-        assert_ne!(ip1, ip3);
-        assert_eq!(IpAllocator::region_of(ip1), r0);
-        assert_eq!(IpAllocator::region_of(ip2), r0);
-        assert_eq!(IpAllocator::region_of(ip3), r1);
+        assert_eq!(ip1, Ipv4Addr::new(0, 1, 0, 0));
+        assert_eq!(ip2, Ipv4Addr::new(0, 1, 0, 1));
+        assert_eq!(ip3, Ipv4Addr::new(0, 2, 0, 0));
     }
 
     #[test]
@@ -106,17 +80,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.alloc(Region(3)), b.alloc(Region(3)));
         }
-    }
-
-    #[test]
-    fn distance_properties() {
-        let r = Region(5);
-        assert_eq!(r.distance(r), 0.0);
-        assert!(r.distance(Region(6)) > 0.0);
-        assert!(r.distance(Region(6)) <= r.distance(Region(30)));
-        assert!(r.distance(Region(200)) <= 1.0);
-        // Symmetry.
-        assert_eq!(r.distance(Region(9)), Region(9).distance(r));
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! where a server can be taken down, the one fault the paper's outage
 //! replays need.
 //!
-//! * [`addr`] — regions and deterministic IPv4 allocation;
-//! * [`fault`] — the fault plan: the dead-server set (adjustable mid-run,
+//! * [`addr`] — address blocks and deterministic IPv4 allocation;
+//! * [`fault`] — the fault plan: the dead-server set, adjustable mid-run,
 //!   e.g. to simulate the paper's "denial of service attack on the
-//!   non-vulnerable nameserver") and the fixed latency model;
-//! * [`net`] — the network itself: endpoint registry and query delivery
-//!   with per-query statistics.
+//!   non-vulnerable nameserver";
+//! * [`net`] — the network itself: endpoint registry and query delivery.
 //!
-//! Everything is synchronous and draws no randomness: the same sequence
-//! of calls replays byte-for-byte.
+//! The network models availability, not time: a query is answered or it
+//! is not, and nothing keeps a clock or counts traffic. Everything is
+//! synchronous and draws no randomness: the same sequence of calls
+//! replays byte-for-byte.
 
 #![forbid(unsafe_code)]
 
@@ -23,4 +24,4 @@ pub mod net;
 
 pub use addr::{IpAllocator, Region};
 pub use fault::FaultPlan;
-pub use net::{Endpoint, FnEndpoint, NetStats, QueryOutcome, SimNet};
+pub use net::{Endpoint, SimNet};

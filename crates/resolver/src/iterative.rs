@@ -8,16 +8,14 @@
 //! delegation chain, which is why the paper finds a typical name depending
 //! on 46 servers.
 
-use crate::cache::Cache;
 use crate::trace::{QueryEvent, ResolutionTrace, TraceStep};
-use parking_lot::Mutex;
 use perils_dns::message::{Message, Question, Rcode};
 use perils_dns::name::DnsName;
 use perils_dns::rr::{RData, Record, RrType};
 use perils_netsim::SimNet;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Resolver tunables. The network is lossless, so each server gets one
 /// query: a second try at a dead, silent or unbound server times out the
@@ -85,8 +83,6 @@ pub struct Resolution {
     pub trace: ResolutionTrace,
     /// Queries spent.
     pub queries: u32,
-    /// Simulated wall-clock milliseconds spent.
-    pub total_rtt_ms: u64,
 }
 
 impl Resolution {
@@ -113,7 +109,6 @@ struct Candidate {
 struct Run {
     budget: u32,
     queries: u32,
-    now_ms: u64,
     trace: ResolutionTrace,
     in_progress: HashSet<(DnsName, RrType)>,
     next_id: u16,
@@ -124,7 +119,17 @@ pub struct IterativeResolver {
     net: Arc<SimNet>,
     roots: Vec<(DnsName, Ipv4Addr)>,
     config: ResolverConfig,
-    cache: Mutex<Cache>,
+    /// Every non-empty record set learned, answers and referral glue
+    /// alike, for as long as the resolver lives. The paper notes that
+    /// "while DNS uses glue records, which provide cached IP addresses
+    /// for nameservers, as an optimization, glue records are not
+    /// authoritative": remembering them changes *which* servers a later
+    /// lookup contacts, not the dependency structure. The survey prober
+    /// runs on this memo too; its chain walks query every zone cut's
+    /// servers directly and record each full NS set, so the memo only
+    /// shortens the nameserver-address lookups in between. `DnsName`
+    /// compares and hashes case-insensitively, so the key is too.
+    memo: Mutex<HashMap<(DnsName, RrType), Vec<Record>>>,
 }
 
 impl IterativeResolver {
@@ -139,7 +144,7 @@ impl IterativeResolver {
             net,
             roots,
             config,
-            cache: Mutex::new(Cache::new()),
+            memo: Mutex::default(),
         }
     }
 
@@ -153,9 +158,9 @@ impl IterativeResolver {
         &self.net
     }
 
-    /// Drops all cached records.
+    /// Forgets every learned record set.
     pub fn flush_cache(&self) {
-        self.cache.lock().clear();
+        self.memo().clear();
     }
 
     /// Resolves `qname`/`qtype` iteratively from the roots.
@@ -163,7 +168,6 @@ impl IterativeResolver {
         let mut run = Run {
             budget: self.config.query_budget,
             queries: 0,
-            now_ms: 0,
             trace: ResolutionTrace::new(),
             in_progress: HashSet::new(),
             next_id: 1,
@@ -172,18 +176,23 @@ impl IterativeResolver {
         Ok(Resolution {
             records,
             queries: run.queries,
-            total_rtt_ms: run.now_ms,
             trace: run.trace,
         })
     }
 
-    fn cache_get(&self, name: &DnsName, rtype: RrType, now_ms: u64) -> Option<Vec<Record>> {
-        self.cache.lock().get(name, rtype, now_ms)
+    /// The memo, recovered if a panicking thread held it: an insert is
+    /// the only write, so the map is never left half-updated.
+    fn memo(&self) -> MutexGuard<'_, HashMap<(DnsName, RrType), Vec<Record>>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn cache_put(&self, name: &DnsName, rtype: RrType, records: &[Record], now_ms: u64) {
+    fn memo_get(&self, name: &DnsName, rtype: RrType) -> Option<Vec<Record>> {
+        self.memo().get(&(name.clone(), rtype)).cloned()
+    }
+
+    fn memo_put(&self, name: &DnsName, rtype: RrType, records: &[Record]) {
         if !records.is_empty() {
-            self.cache.lock().put(name, rtype, records.to_vec(), now_ms);
+            self.memo().insert((name.clone(), rtype), records.to_vec());
         }
     }
 
@@ -198,7 +207,7 @@ impl IterativeResolver {
         if depth > MAX_DEPTH {
             return Err(ResolveError::DepthExceeded);
         }
-        if let Some(records) = self.cache_get(qname, qtype, run.now_ms) {
+        if let Some(records) = self.memo_get(qname, qtype) {
             return Ok(records);
         }
         let key = (qname.to_lowercase(), qtype);
@@ -236,7 +245,7 @@ impl IterativeResolver {
         'descend: loop {
             let ordered = Self::order_candidates(&candidates);
             for candidate in ordered {
-                // Obtain an address: glue, cache, or sub-resolution.
+                // Obtain an address: glue, memo, or sub-resolution.
                 let addr = match candidate.addr {
                     Some(addr) => addr,
                     None => match self.resolve_glueless(&candidate.ns_name, depth, run) {
@@ -271,7 +280,7 @@ impl IterativeResolver {
                         .collect();
                     if !direct.is_empty() {
                         self.trace_query(run, &candidate, addr, &current_name, QueryEvent::Answer);
-                        self.cache_put(&current_name, qtype, &direct, run.now_ms);
+                        self.memo_put(&current_name, qtype, &direct);
                         // Some servers chase CNAMEs locally: if the answer
                         // also holds records for a CNAME target, prefer the
                         // direct match semantics (we asked for qtype at
@@ -308,7 +317,7 @@ impl IterativeResolver {
                             .cloned()
                             .collect();
                         if !chased.is_empty() {
-                            self.cache_put(&target, qtype, &chased, run.now_ms);
+                            self.memo_put(&target, qtype, &chased);
                             let mut records = cname_chain;
                             records.extend(chased);
                             return Ok(records);
@@ -358,7 +367,7 @@ impl IterativeResolver {
                                     None
                                 }
                             });
-                            // Cache glue for later sub-resolutions.
+                            // Remember glue for later sub-resolutions.
                             if glue.is_some() {
                                 let glue_records: Vec<Record> = response
                                     .additional
@@ -366,7 +375,7 @@ impl IterativeResolver {
                                     .filter(|g| g.name == *host && g.rtype() == RrType::A)
                                     .cloned()
                                     .collect();
-                                self.cache_put(host, RrType::A, &glue_records, run.now_ms);
+                                self.memo_put(host, RrType::A, &glue_records);
                             }
                             next.push(Candidate {
                                 ns_name: host.clone(),
@@ -441,9 +450,8 @@ impl IterativeResolver {
         let id = run.next_id;
         run.next_id = run.next_id.wrapping_add(1);
         let query = Message::query(id, Question::new(qname.clone(), qtype));
-        let outcome = self.net.query(addr, &query);
-        run.now_ms += outcome.rtt_ms as u64;
-        if outcome.response.is_none() {
+        let response = self.net.query(addr, &query);
+        if response.is_none() {
             run.trace.steps.push(TraceStep::Query {
                 server: server.clone(),
                 addr,
@@ -451,7 +459,7 @@ impl IterativeResolver {
                 event: QueryEvent::Timeout,
             });
         }
-        Ok(outcome.response)
+        Ok(response)
     }
 
     fn trace_query(
@@ -473,10 +481,46 @@ impl IterativeResolver {
     /// Sends a CHAOS `version.bind` probe to `addr`, returning the banner.
     pub fn probe_version(&self, addr: Ipv4Addr) -> Option<String> {
         let query = Message::query(0xBEEF, Question::version_bind());
-        let outcome = self.net.query(addr, &query);
-        outcome
-            .response
+        self.net
+            .query(addr, &query)
             .as_ref()
             .and_then(perils_vulndb::fingerprint::banner_from_response)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use perils_dns::name::name;
+
+    fn resolver() -> IterativeResolver {
+        IterativeResolver::new(
+            Arc::new(SimNet::new()),
+            vec![(name("a.root-servers.net"), "1.0.0.1".parse().unwrap())],
+            ResolverConfig::default(),
+        )
+    }
+
+    fn a_record(owner: &str) -> Record {
+        Record::new(name(owner), 60, RData::A("10.0.0.1".parse().unwrap()))
+    }
+
+    #[test]
+    fn type_is_part_of_key() {
+        let resolver = resolver();
+        resolver.memo_put(&name("x.com"), RrType::A, &[a_record("x.com")]);
+        assert!(resolver.memo_get(&name("x.com"), RrType::Ns).is_none());
+        assert_eq!(
+            resolver.memo_get(&name("X.COM"), RrType::A),
+            Some(vec![a_record("x.com")]),
+            "case-insensitive"
+        );
+    }
+
+    #[test]
+    fn empty_set_not_stored() {
+        let resolver = resolver();
+        resolver.memo_put(&name("x.com"), RrType::A, &[]);
+        assert!(resolver.memo().is_empty());
     }
 }

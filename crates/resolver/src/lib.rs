@@ -10,7 +10,6 @@
 //!   across NS sets, chasing CNAMEs, resolving **glueless** nameserver
 //!   names through recursive sub-resolutions (the mechanism that creates
 //!   transitive trust), with cycle detection and a query budget;
-//! * [`cache`] — a TTL cache driven by simulated time;
 //! * [`trace`] — the per-resolution record of every zone, server and
 //!   sub-resolution touched;
 //! * [`probe`] — the survey prober: discovers the *complete* NS closure of
@@ -20,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod iterative;
 pub mod probe;
 pub mod trace;

@@ -107,8 +107,9 @@ impl<'r> ChainProber<'r> {
                 };
                 report.queries += 1;
                 let query = Message::query(0x5eed, Question::new(name.clone(), RrType::A));
-                let outcome = self.resolver_net_query(addr, &query);
-                let Some(response) = outcome else { continue };
+                let Some(response) = self.resolver.net().query(addr, &query) else {
+                    continue;
+                };
                 if response.rcode == Rcode::NxDomain
                     || (response.flags.aa
                         && response.rcode == Rcode::NoError
@@ -180,11 +181,6 @@ impl<'r> ChainProber<'r> {
             }
             Err(ResolveError::BudgetExhausted) | Err(_) => None,
         }
-    }
-
-    /// Raw one-shot query through the resolver's network.
-    fn resolver_net_query(&self, addr: Ipv4Addr, query: &Message) -> Option<Message> {
-        self.resolver.net().query(addr, query).response
     }
 
     /// Fingerprints every discovered server.

@@ -1,7 +1,7 @@
 //! End-to-end resolution tests over the Figure 1 (Cornell) scenario:
 //! referral walking, glueless sub-resolution, failover around dead
-//! servers, transitive failure, CNAME chasing, caching, the query budget,
-//! and the survey prober.
+//! servers, transitive failure, CNAME chasing, the resolver's memo, the
+//! query budget, and the survey prober.
 
 use perils_authserver::deploy::deploy;
 use perils_authserver::scenarios::{cornell_figure1, Scenario};
@@ -42,7 +42,6 @@ fn resolves_www_cs_cornell_edu() {
     assert!(servers.contains(&name("cudns.cit.cornell.edu")));
     assert!(servers.contains(&name("simon.cs.cornell.edu")));
     assert!(resolution.queries >= 4);
-    assert!(resolution.total_rtt_ms > 0);
 }
 
 #[test]
@@ -130,11 +129,15 @@ fn cache_eliminates_repeat_queries() {
     let first = resolver
         .resolve(&name("www.cs.cornell.edu"), RrType::A)
         .unwrap();
-    let baseline = net.stats().queries;
+    // With every server down, only the resolver's memo can answer.
+    net.with_faults(|f| {
+        for spec in &scenario.specs {
+            f.kill(spec.addr);
+        }
+    });
     let second = resolver
         .resolve(&name("www.cs.cornell.edu"), RrType::A)
-        .unwrap();
-    assert_eq!(net.stats().queries, baseline, "answer served from cache");
+        .expect("answer served from the memo");
     assert_eq!(second.queries, 0);
     assert_eq!(second.v4_addresses(), first.v4_addresses());
 }
@@ -234,7 +237,7 @@ fn prober_is_deterministic() {
     let (_net, resolver) = setup(&scenario);
     let prober = ChainProber::new(&resolver);
     let a = prober.discover(&name("www.cs.cornell.edu"));
-    // Note: the resolver cache persists between discoveries, so query
+    // Note: the resolver's memo persists between discoveries, so query
     // counts may differ; structure must not.
     let b = prober.discover(&name("www.cs.cornell.edu"));
     assert_eq!(a.servers, b.servers);

@@ -37,10 +37,8 @@ use std::net::{TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex as SpecMutex;
 
 /// How long the acceptor sleeps when `accept` has nothing for it.
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
@@ -162,7 +160,7 @@ impl ConnQueue {
 /// The long-running service: one warm snapshot store, shared counters,
 /// and the serving loop.
 pub struct Daemon {
-    spec: SpecMutex<WorldSpec>,
+    spec: Mutex<WorldSpec>,
     store: SnapshotStore,
     rules: RuleRegistry,
     metrics: Metrics,
@@ -204,7 +202,7 @@ impl Daemon {
         config.threads = config.threads.clamp(1, 16);
         let snapshot = first(&spec, &config);
         Daemon {
-            spec: SpecMutex::new(spec),
+            spec: Mutex::new(spec),
             store: SnapshotStore::new(snapshot),
             rules: RuleRegistry::builtin(),
             metrics: Metrics::new(),
@@ -314,7 +312,7 @@ impl Daemon {
                 }
             } else {
                 let spec = {
-                    let mut spec = self.spec.lock();
+                    let mut spec = self.spec.lock().unwrap_or_else(PoisonError::into_inner);
                     if let Some(seed) = request.seed {
                         spec.reseed(seed);
                     }

@@ -126,7 +126,9 @@ pub fn name_response(
             &format!("name {target} is not covered below the root zone"),
         );
     }
-    let view = snap.index.closure_view(&snap.universe, &target, ws);
+    let view = snap
+        .index
+        .closure_view_in(&snap.universe, &target, Some(zone), ws);
     let tally = TcbTally::compute(&snap.universe, &view);
     let cut = min_cut_flattened_view(&snap.universe, &snap.index, &view);
     let closure_servers = view.server_count();

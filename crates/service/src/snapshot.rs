@@ -21,10 +21,8 @@ use perils_util::snapshot::SnapshotError;
 use std::num::NonZeroUsize;
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 
 /// Where the active snapshot came from — `/metrics` surfaces this as
 /// `perilsd_snapshot_source{kind="built|loaded"}` so operators can tell
@@ -217,6 +215,8 @@ fn render_figures(report: &SurveyReport) -> (String, usize) {
 /// Readers pay one `Arc` clone under a read lock; the swap replaces the
 /// `Arc` under the write lock in O(1) — an in-flight query keeps its
 /// generation alive through its own refcount until it finishes.
+/// A lock poisoned by a panicking holder is recovered: the only write
+/// replaces the `Arc` whole, after the epoch check.
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RwLock<Arc<WorldSnapshot>>,
@@ -232,12 +232,18 @@ impl SnapshotStore {
 
     /// The current generation (cheap: refcount bump).
     pub fn current(&self) -> Arc<WorldSnapshot> {
-        self.current.read().clone()
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// The current epoch without keeping the snapshot alive.
     pub fn epoch(&self) -> u64 {
-        self.current.read().epoch
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .epoch
     }
 
     /// Publishes `next`, which must advance the epoch — the per-connection
@@ -248,7 +254,7 @@ impl SnapshotStore {
     /// Panics if `next.epoch` does not exceed the current epoch.
     pub fn swap(&self, next: WorldSnapshot) -> u64 {
         let next = Arc::new(next);
-        let mut current = self.current.write();
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
         assert!(
             next.epoch > current.epoch,
             "snapshot epoch must advance: {} -> {}",

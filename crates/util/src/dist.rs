@@ -2,10 +2,9 @@
 //!
 //! The paper's survey exhibits heavy-tailed structure everywhere: TCB sizes,
 //! names-controlled-per-server (Figures 8 and 9), and web-site popularity
-//! (the Yahoo!/DMOZ crawl plus the alexa.org top-500). We provide the
-//! samplers needed to regenerate those shapes: Zipf (popularity and hosting
-//! concentration), Pareto (zone fan-out tails), exponential, and log-normal,
-//! plus an alias table for arbitrary weighted choices.
+//! (the Yahoo!/DMOZ crawl plus the alexa.org top-500). The generator draws
+//! those shapes from two samplers: Zipf (popularity and hosting
+//! concentration) and an alias table for arbitrary weighted choices.
 
 use crate::rng::Rng;
 
@@ -61,90 +60,6 @@ impl ZipfTable {
             Ok(i) => i,
             Err(i) => i.min(self.cumulative.len() - 1),
         }
-    }
-}
-
-/// Pareto distribution with scale `x_m > 0` and shape `alpha > 0`,
-/// sampled by inverse transform.
-#[derive(Debug, Clone, Copy)]
-pub struct Pareto {
-    x_m: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates the distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are finite and positive.
-    pub fn new(x_m: f64, alpha: f64) -> Self {
-        assert!(x_m.is_finite() && x_m > 0.0, "Pareto scale must be > 0");
-        assert!(alpha.is_finite() && alpha > 0.0, "Pareto shape must be > 0");
-        Pareto { x_m, alpha }
-    }
-
-    /// Draws one sample (always `>= x_m`).
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        // Inverse transform: x_m / U^(1/alpha); U in (0, 1].
-        let u = 1.0 - rng.unit_f64();
-        self.x_m / u.powf(1.0 / self.alpha)
-    }
-}
-
-/// Exponential distribution with rate `lambda > 0`.
-#[derive(Debug, Clone, Copy)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Creates the distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lambda` is finite and positive.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda.is_finite() && lambda > 0.0, "rate must be > 0");
-        Exponential { lambda }
-    }
-
-    /// Draws one sample (always `>= 0`).
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        let u = 1.0 - rng.unit_f64(); // in (0, 1]
-        -u.ln() / self.lambda
-    }
-}
-
-/// Log-normal distribution: `exp(mu + sigma * N(0,1))`, with the normal
-/// variate produced by the Box–Muller transform.
-#[derive(Debug, Clone, Copy)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates the distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `sigma` is finite and non-negative.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be >= 0");
-        LogNormal { mu, sigma }
-    }
-
-    /// Draws one standard-normal variate.
-    fn standard_normal(rng: &mut Rng) -> f64 {
-        let u1 = 1.0 - rng.unit_f64(); // (0, 1], avoids ln(0)
-        let u2 = rng.unit_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Draws one sample (always `> 0`).
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        (self.mu + self.sigma * Self::standard_normal(rng)).exp()
     }
 }
 
@@ -246,37 +161,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(z.sample(&mut rng), 0);
         }
-    }
-
-    #[test]
-    fn pareto_respects_scale_and_tail() {
-        let p = Pareto::new(2.0, 1.5);
-        let mut rng = Rng::new(3);
-        let samples: Vec<f64> = (0..20_000).map(|_| p.sample(&mut rng)).collect();
-        assert!(samples.iter().all(|&x| x >= 2.0));
-        // For alpha=1.5 the mean is x_m * alpha / (alpha - 1) = 6.
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((4.5..8.0).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let e = Exponential::new(0.5);
-        let mut rng = Rng::new(4);
-        let mean = (0..40_000).map(|_| e.sample(&mut rng)).sum::<f64>() / 40_000.0;
-        assert!((1.8..2.2).contains(&mean), "mean {mean}");
-    }
-
-    #[test]
-    fn lognormal_positive_and_median() {
-        let ln = LogNormal::new(1.0, 0.5);
-        let mut rng = Rng::new(5);
-        let mut samples: Vec<f64> = (0..20_001).map(|_| ln.sample(&mut rng)).collect();
-        assert!(samples.iter().all(|&x| x > 0.0));
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = samples[samples.len() / 2];
-        // Median of lognormal is e^mu ≈ 2.718.
-        assert!((2.4..3.1).contains(&median), "median {median}");
     }
 
     #[test]

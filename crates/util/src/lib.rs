@@ -10,10 +10,10 @@
 //!
 //! * [`rng`] — SplitMix64 seeding and the xoshiro256** generator, with
 //!   unbiased range sampling and deterministic stream forking.
-//! * [`dist`] — Zipf, Pareto, exponential, normal/log-normal samplers and an
-//!   alias table for weighted discrete choice.
-//! * [`stats`] — descriptive statistics, empirical CDFs, histograms and
-//!   log-binned rank curves used to render the paper's figures.
+//! * [`dist`] — a Zipf sampler and an alias table for weighted discrete
+//!   choice.
+//! * [`stats`] — descriptive statistics, empirical CDFs and log-binned
+//!   rank curves used to render the paper's figures.
 //! * [`table`] — ASCII table and CSV rendering (string-based, IO-free).
 //! * [`json`] — hand-rolled JSON string escaping and a minimal syntax
 //!   validator (the workspace serializes JSON without serde).
@@ -38,11 +38,11 @@ pub mod stats;
 pub mod table;
 
 pub use bytestore::{ByteStore, CacheCounters, U32View};
-pub use dist::{AliasTable, Exponential, LogNormal, Pareto, ZipfTable};
+pub use dist::{AliasTable, ZipfTable};
 pub use json::push_json_string;
 pub use rng::Rng;
 pub use snapshot::{Archive, ArchiveWriter, Dec, Section, SnapshotError, StoreDec};
-pub use stats::{Cdf, Histogram, RankCurve, Summary};
+pub use stats::{Cdf, RankCurve, Summary};
 pub use table::{Align, Table};
 
 /// The process's peak resident set (`VmHWM` from `/proc/self/status`),

@@ -105,16 +105,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Returns a uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "Rng::range requires lo < hi (got {lo}..{hi})");
-        lo + self.below(hi - lo)
-    }
-
     /// Returns a uniform `usize` in `[0, bound)`.
     pub fn below_usize(&mut self, bound: usize) -> usize {
         self.below(bound as u64) as usize
@@ -134,15 +124,6 @@ impl Rng {
             true
         } else {
             self.unit_f64() < p
-        }
-    }
-
-    /// Picks a uniformly random element of `items`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.below_usize(items.len())])
         }
     }
 
@@ -218,15 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn range_bounds_inclusive_exclusive() {
-        let mut rng = Rng::new(5);
-        for _ in 0..1000 {
-            let v = rng.range(10, 20);
-            assert!((10..20).contains(&v));
-        }
-    }
-
-    #[test]
     fn unit_f64_in_unit_interval() {
         let mut rng = Rng::new(6);
         for _ in 0..1000 {
@@ -254,10 +226,6 @@ mod tests {
     #[test]
     fn choose_and_shuffle() {
         let mut rng = Rng::new(10);
-        assert!(rng.choose::<u8>(&[]).is_none());
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
-
         let mut v: Vec<u32> = (0..100).collect();
         let original = v.clone();
         rng.shuffle(&mut v);

@@ -111,18 +111,6 @@ impl Cdf {
         1.0 - self.fraction_at_most(x)
     }
 
-    /// Value at quantile `q` in `[0, 1]` (nearest-rank).
-    ///
-    /// Returns 0 for an empty sample.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        self.sorted[rank - 1]
-    }
-
     /// Emits `(x, percent <= x)` plot points at each distinct value,
     /// downsampled to at most `max_points` points (endpoints always kept).
     pub fn plot_points(&self, max_points: usize) -> Vec<(f64, f64)> {
@@ -212,60 +200,6 @@ impl RankCurve {
     }
 }
 
-/// A histogram with explicit bin edges (`edges[i] <= x < edges[i+1]`).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    /// Bin boundaries; `counts.len() == edges.len() - 1`.
-    pub edges: Vec<f64>,
-    /// Observation counts per bin (out-of-range values are clamped into the
-    /// first/last bin).
-    pub counts: Vec<usize>,
-}
-
-impl Histogram {
-    /// Builds a histogram of `values` over the given `edges`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two edges are supplied or edges are not strictly
-    /// increasing.
-    pub fn with_edges(values: &[f64], edges: &[f64]) -> Histogram {
-        assert!(edges.len() >= 2, "histogram requires at least two edges");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must be strictly increasing"
-        );
-        let mut counts = vec![0usize; edges.len() - 1];
-        for &v in values {
-            let idx = if v < edges[0] {
-                0
-            } else if v >= edges[edges.len() - 1] {
-                counts.len() - 1
-            } else {
-                edges.partition_point(|&e| e <= v) - 1
-            };
-            counts[idx] += 1;
-        }
-        Histogram {
-            edges: edges.to_vec(),
-            counts,
-        }
-    }
-
-    /// Builds `bins` equal-width bins spanning `[lo, hi)`.
-    pub fn linear(values: &[f64], lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(bins > 0 && hi > lo, "invalid linear histogram parameters");
-        let width = (hi - lo) / bins as f64;
-        let edges: Vec<f64> = (0..=bins).map(|i| lo + width * i as f64).collect();
-        Histogram::with_edges(values, &edges)
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,15 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_quantiles() {
-        let c = Cdf::of_counts(&(1..=100).collect::<Vec<_>>());
-        assert_eq!(c.quantile(0.5), 50.0);
-        assert_eq!(c.quantile(0.0), 1.0);
-        assert_eq!(c.quantile(1.0), 100.0);
-        assert_eq!(Cdf::of(&[]).quantile(0.5), 0.0);
-    }
-
-    #[test]
     fn cdf_plot_points_monotone_and_bounded() {
         let values: Vec<usize> = (0..1000).map(|i| i % 97).collect();
         let c = Cdf::of_counts(&values);
@@ -343,18 +268,5 @@ mod tests {
         assert_eq!(pts.first().unwrap().0, 1);
         assert_eq!(pts.last().unwrap().0, 10_000);
         assert!(pts.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let h = Histogram::linear(&[0.5, 1.5, 2.5, 2.6, 99.0, -3.0], 0.0, 3.0, 3);
-        assert_eq!(h.counts, vec![2, 1, 3]); // -3 clamps into first, 99 into last
-        assert_eq!(h.total(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_bad_edges() {
-        Histogram::with_edges(&[1.0], &[0.0, 0.0]);
     }
 }

@@ -34,10 +34,9 @@ fn main() {
     let target = name("www.cs.cornell.edu");
     let resolution = resolver.resolve(&target, RrType::A).expect("resolves");
     println!(
-        "{target} -> {:?}  ({} queries, {} simulated ms)",
+        "{target} -> {:?}  ({} queries)",
         resolution.v4_addresses(),
-        resolution.queries,
-        resolution.total_rtt_ms
+        resolution.queries
     );
     println!("--- resolution trace ---\n{}", resolution.trace.render());
 
