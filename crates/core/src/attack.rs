@@ -157,9 +157,26 @@ impl<'u> AttackSim<'u> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use perils_dns::name::{name, DnsName};
+
+    /// The §5 fixture: root → com → victim.com, whose two NS hosts live
+    /// in provider.net, served by a single vulnerable provider box.
+    pub(crate) fn provider_universe() -> Universe {
+        let mut b = Universe::builder();
+        b.raw_server(&name("a.root-servers.net"), false, true);
+        b.raw_server(&name("ns.provider.net"), true, false);
+        b.add_zone(&DnsName::root(), &[name("a.root-servers.net")]);
+        b.add_zone(&name("com"), &[name("a.root-servers.net")]);
+        b.add_zone(&name("net"), &[name("a.root-servers.net")]);
+        b.add_zone(
+            &name("victim.com"),
+            &[name("ns1.provider.net"), name("ns2.provider.net")],
+        );
+        b.add_zone(&name("provider.net"), &[name("ns.provider.net")]);
+        b.finish()
+    }
 
     /// The fbi.gov structure: fbi.gov ← sprintip.com ← telemail.net, with
     /// one vulnerable telemail box.
@@ -297,5 +314,30 @@ mod tests {
         assert!(!outcome.partial && !outcome.complete);
         let owned = sim.escalate(&BTreeSet::new(), &BTreeSet::new(), true);
         assert!(owned.is_empty());
+    }
+
+    /// §5: owning a name's only provider is a complete hijack — with
+    /// nothing signed the attacker forges (`partial`), and signed or not
+    /// no clean path is left (`complete`: denial) — while a name that
+    /// never consults the provider is untouched.
+    #[test]
+    fn owning_the_only_provider_completely_hijacks() {
+        let u = provider_universe();
+        let index = DependencyIndex::build(&u);
+        let sim = AttackSim::new(&u, &index);
+        let owned = sim.all_scripted_vulnerable();
+        assert_eq!(
+            owned.len(),
+            1,
+            "only ns.provider.net is scripted-vulnerable"
+        );
+        let outcome = sim.assess(&name("www.victim.com"), &owned, &BTreeSet::new());
+        assert!(outcome.partial && outcome.complete, "{outcome:?}");
+        let targets = vec![name("www.victim.com"), name("www.unrelated.com")];
+        let summary = sim.impact(&targets, &owned, &BTreeSet::new());
+        assert_eq!(
+            (summary.names, summary.partial, summary.complete),
+            (2, 1, 1)
+        );
     }
 }

@@ -52,7 +52,7 @@
 //! metric, and answers membership queries by binary search.
 //!
 //! The view is the only closure type: every consumer — the survey's
-//! metrics, lint, the attack and DNSSEC simulations, the hijack searches
+//! metrics, lint, the attack simulation, the hijack searches
 //! — reads one, and a caller that needs the closure past the workspace's
 //! next use collects the iterators it needs. The tests check views
 //! against the dev-only `perils-oracle` crate's per-name BFS, which reads

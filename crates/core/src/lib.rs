@@ -24,8 +24,8 @@
 //!   built-in metrics;
 //! * [`attack`] — multi-stage attack simulation (the fbi.gov escalation),
 //!   including DoS-assisted hijacks;
-//! * [`dnssec`] — the §5 argument made quantitative: signing stops
-//!   forgery but not denial;
+//! * [`dnssec`] — DNSSEC coverage of each name's TCB under the
+//!   root+TLD rollout (a benchmark probe; denial is [`attack`]'s);
 //! * [`misconfig`] — configuration-error audits (single-homed zones,
 //!   unresolvable NS, glueless cycles, deep dependency nesting);
 //! * [`zombie`] — zombie-delegation analysis: names whose NS sets resolve
@@ -61,7 +61,7 @@ pub use metric::{
     ColumnKind, Measure, MeasureCtx, MetricColumn, MinCutMetric, NameMetric, Row, TcbMetric,
     ValueMetric,
 };
-pub use misconfig::{DepthIndex, MisconfigIndex, MisconfigMetric};
+pub use misconfig::{DepthIndex, MisconfigMetric};
 pub use tcb::TcbTally;
 pub use universe::{
     registry_events, ServerEntry, ServerId, Universe, UniverseBuilder, UniverseEvent, ZoneEntry,

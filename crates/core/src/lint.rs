@@ -44,8 +44,8 @@
 //! the same contract [`crate::metric::NameMetric`] shards obey.
 //!
 //! [`zone_structural_flags`] is the bridge back to the aggregate path:
-//! [`crate::misconfig::MisconfigIndex`] derives its per-zone flag bits
-//! from the very same rule predicates, so counters and diagnostics
+//! [`crate::misconfig::MisconfigMetric`] reads each measured zone's flag
+//! bits from the very same rule predicates, so counters and diagnostics
 //! cannot drift.
 
 use crate::closure::{ClosureView, DependencyIndex};

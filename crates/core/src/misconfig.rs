@@ -392,44 +392,6 @@ pub const FLAG_DEEP_DEPENDENCY: usize = 1 << 3;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MisconfigMetric;
 
-/// Per-universe precomputation behind [`MisconfigMetric`]: every zone's
-/// structural flag bits plus the cycle-collapsed [`DepthIndex`]. Built once
-/// per engine run (via [`NameMetric::prepare`]) and shared by all workers.
-#[derive(Debug, Clone)]
-pub struct MisconfigIndex {
-    zone_flags: Vec<usize>,
-    depths: DepthIndex,
-}
-
-impl MisconfigIndex {
-    /// Builds the index (O(zones × NS + servers + edges)).
-    ///
-    /// The per-zone flag bits are derived from the lint rules
-    /// ([`crate::lint::zone_structural_flags`]), so the aggregate metric
-    /// and the per-subject diagnostics cannot drift apart: both paths run
-    /// the same predicates.
-    pub fn build(universe: &Universe) -> MisconfigIndex {
-        let mut zone_flags = vec![0usize; universe.zone_count()];
-        for zid in universe.zone_ids() {
-            zone_flags[zid.index()] = crate::lint::zone_structural_flags(universe, zid);
-        }
-        MisconfigIndex {
-            zone_flags,
-            depths: DepthIndex::build(universe),
-        }
-    }
-
-    /// The structural flag bits of `zone`.
-    pub fn zone_flags(&self, zone: ZoneId) -> usize {
-        self.zone_flags[zone.index()]
-    }
-
-    /// The shared depth index.
-    pub fn depths(&self) -> &DepthIndex {
-        &self.depths
-    }
-}
-
 impl NameMetric for MisconfigMetric {
     fn id(&self) -> &str {
         "misconfig"
@@ -443,14 +405,18 @@ impl NameMetric for MisconfigMetric {
     }
 
     fn prepare<'a>(&'a self, universe: &'a Universe) -> Measure<'a> {
-        let index = MisconfigIndex::build(universe);
+        let depths = DepthIndex::build(universe);
         Box::new(move |ctx, row| {
             // The name's own zone is the deepest zone on its chain; an
             // empty chain means only the root encloses it, whose flags
-            // are zero.
+            // are zero. The engine measures each deepest zone once, and
+            // the flag bits come from the lint rules' own predicates, so
+            // the aggregate and the diagnostics cannot drift apart.
             let chain = ctx.closure.target_chain();
-            let mut flags = chain.last().map(|&zid| index.zone_flags(zid)).unwrap_or(0);
-            let depth = index.depths().depth_of_chain(ctx.universe, chain);
+            let mut flags = chain.last().map_or(0, |&zid| {
+                crate::lint::zone_structural_flags(ctx.universe, zid)
+            });
+            let depth = depths.depth_of_chain(ctx.universe, chain);
             // Same threshold predicate as the `deep-chain` lint rule.
             if crate::lint::DeepChainRule::exceeds(depth) {
                 flags |= FLAG_DEEP_DEPENDENCY;

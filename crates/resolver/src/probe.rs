@@ -58,21 +58,22 @@ impl<'r> ChainProber<'r> {
     /// Discovers the full dependency closure of `target`.
     pub fn discover(&self, target: &DnsName) -> DependencyReport {
         let mut report = DependencyReport::default();
-        let mut charted: BTreeSet<DnsName> = BTreeSet::new();
+        // Every name ever queued: each is walked once, in the order it
+        // was first queued.
+        let mut queued: BTreeSet<DnsName> = BTreeSet::new();
         let mut worklist: VecDeque<DnsName> = VecDeque::new();
+        queued.insert(target.to_lowercase());
         worklist.push_back(target.to_lowercase());
 
         while let Some(name) = worklist.pop_front() {
-            if !charted.insert(name.clone()) {
-                continue;
-            }
             let discovered = self.walk_chain(&name, &mut report);
             if !discovered {
-                report.failed_walks.insert(name.clone());
+                report.failed_walks.insert(name);
             }
-            // Enqueue every server name seen so far that is not charted.
+            // Enqueue every server name seen so far that was never queued.
             for server in report.servers.iter() {
-                if !charted.contains(server) {
+                if !queued.contains(server) {
+                    queued.insert(server.clone());
                     worklist.push_back(server.clone());
                 }
             }

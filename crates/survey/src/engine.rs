@@ -31,7 +31,7 @@ use perils_core::hijack::min_hijack_exact;
 use perils_core::metric::{ColumnKind, MeasureCtx, MetricColumn, NameMetric, Row};
 use perils_core::universe::{Universe, UniverseEvent, ZoneId};
 use perils_core::value::ValueIndex;
-use perils_core::{DnssecCoverageMetric, MinCutMetric, MisconfigMetric, TcbMetric, ValueMetric};
+use perils_core::{MinCutMetric, MisconfigMetric, TcbMetric, ValueMetric};
 use perils_dns::name::DnsName;
 use perils_resolver::DependencyReport;
 use perils_util::par;
@@ -410,12 +410,10 @@ impl Engine {
             .register(ValueMetric)
     }
 
-    /// The built-ins plus the misconfiguration audit and DNSSEC-coverage
-    /// metrics (the extended workload set).
+    /// The built-ins plus the misconfiguration audit (the extended
+    /// workload set).
     pub fn with_extended_metrics() -> Engine {
-        Engine::with_builtin_metrics()
-            .register(MisconfigMetric)
-            .register(DnssecCoverageMetric::top_level())
+        Engine::with_builtin_metrics().register(MisconfigMetric)
     }
 
     /// Registers a metric.
@@ -638,13 +636,10 @@ mod tests {
             columns::SAFE_IN_CUT,
             columns::MISCONFIG_FLAGS,
             columns::MISCONFIG_DEPTH,
-            columns::DNSSEC_CHAIN_PROTECTED,
         ] {
             assert_eq!(report.try_counts(id).unwrap().len(), n, "{id}");
         }
-        for id in [columns::SAFETY_PERCENT, columns::DNSSEC_SIGNED_FRACTION] {
-            assert_eq!(report.try_floats(id).unwrap().len(), n, "{id}");
-        }
+        assert_eq!(report.try_floats(columns::SAFETY_PERCENT).unwrap().len(), n);
         let value = report.try_value_column(columns::VALUE).unwrap();
         assert_eq!(value.names_seen() as usize, n);
         // Sanity: TCB members and cut members bound their subsets.

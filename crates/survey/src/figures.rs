@@ -9,12 +9,18 @@
 //!
 //! Every artifact is also exposed as a registered [`Figure`]
 //! ([`FigureRegistry::classic`] holds the paper's nine;
-//! [`FigureRegistry::extended`] adds the misconfiguration and DNSSEC
-//! summaries), so the figures CLI and golden tests drive them uniformly
-//! through the registry. [`ZombieFigure`] is deliberately *not* part of
-//! `extended()`: it is the demonstration that a custom metric+figure pair
-//! registers through the public APIs alone (`.register(ZombieFigure)`, as
-//! the figures CLI does).
+//! [`FigureRegistry::extended`] adds the misconfiguration summary), so
+//! the figures CLI and golden tests drive them uniformly through the
+//! registry. [`ZombieFigure`] is deliberately *not* part of `extended()`:
+//! it is the demonstration that a custom metric+figure pair registers
+//! through the public APIs alone (`.register(ZombieFigure)`, as the
+//! figures CLI does).
+//!
+//! Every figure the CLI registers must measure something: the figures
+//! golden test builds each one on several tiny seeds and the named
+//! scenario worlds, and fails when a figure, or a row of a summary
+//! figure, reads the same (or zero) on all of them, unless its exception
+//! table says why.
 
 use crate::engine::{ReportError, SurveyReport};
 use crate::render::{Figure, FigureError, FigureRegistry, RenderedFigure};
@@ -849,69 +855,6 @@ impl MisconfigSummary {
     }
 }
 
-/// Summary of the DNSSEC-coverage columns (the §5 argument quantified).
-#[derive(Debug, Clone)]
-pub struct DnssecSummary {
-    /// Surveyed names.
-    pub names: usize,
-    /// Mean signed fraction of each name's TCB zones.
-    pub mean_signed_fraction: f64,
-    /// Names whose own chain of trust is unbroken.
-    pub chain_protected: usize,
-}
-
-impl DnssecSummary {
-    /// Computes the summary from a report containing
-    /// [`columns::DNSSEC_SIGNED_FRACTION`] and
-    /// [`columns::DNSSEC_CHAIN_PROTECTED`].
-    pub fn from_report(report: &SurveyReport) -> Result<DnssecSummary, ReportError> {
-        let fraction = report.try_floats(columns::DNSSEC_SIGNED_FRACTION)?;
-        let protected = report.try_counts(columns::DNSSEC_CHAIN_PROTECTED)?;
-        Ok(DnssecSummary {
-            names: fraction.len(),
-            mean_signed_fraction: fraction.iter().sum::<f64>() / fraction.len().max(1) as f64,
-            chain_protected: protected.iter().filter(|&&p| p > 0).count(),
-        })
-    }
-
-    fn stat_rows(&self) -> Vec<[String; 2]> {
-        vec![
-            ["surveyed names".to_string(), self.names.to_string()],
-            [
-                "mean signed fraction of TCB zones".to_string(),
-                fmt_percent(self.mean_signed_fraction),
-            ],
-            [
-                "chain-protected names".to_string(),
-                self.chain_protected.to_string(),
-            ],
-        ]
-    }
-
-    /// Renders the coverage summary table (§5: signing shrinks the
-    /// forgeable surface; the closure — the deniable surface — is
-    /// unchanged).
-    pub fn render(&self) -> String {
-        let mut t = Table::new(vec!["statistic", "value"]).align(vec![Align::Left, Align::Right]);
-        for row in self.stat_rows() {
-            t.row(row.to_vec());
-        }
-        format!(
-            "DNSSEC coverage (root+TLD islands-of-security rollout)\n{}",
-            t.render()
-        )
-    }
-
-    /// The CSV-shaped data table with `statistic,value` rows.
-    pub fn data_table(&self) -> Table {
-        let mut t = Table::new(vec!["statistic", "value"]);
-        for row in self.stat_rows() {
-            t.row(row.to_vec());
-        }
-        t
-    }
-}
-
 /// Summary of the zombie-delegation columns: how much of the surveyed
 /// namespace leans on dead infrastructure
 /// ([`perils_core::ZombieDelegationMetric`]).
@@ -1149,20 +1092,6 @@ classic_figure!(
 );
 
 classic_figure!(
-    DnssecFigure,
-    "dnssec",
-    "DNSSEC coverage (root+TLD islands-of-security rollout)",
-    &[
-        columns::DNSSEC_SIGNED_FRACTION,
-        columns::DNSSEC_CHAIN_PROTECTED,
-    ],
-    |report| {
-        let s = DnssecSummary::from_report(report)?;
-        Ok::<_, FigureError>((s.render(), s.data_table()))
-    }
-);
-
-classic_figure!(
     ZombieFigure,
     "zombie",
     "Zombie delegations (dead-infrastructure dependencies)",
@@ -1193,13 +1122,10 @@ impl FigureRegistry {
             .register(Fig9Figure)
     }
 
-    /// The classic nine plus the extension-metric summaries
-    /// (misconfiguration audit and DNSSEC coverage) — the renderers
-    /// matching `Engine::with_extended_metrics`.
+    /// The classic nine plus the misconfiguration-audit summary — the
+    /// renderers matching `Engine::with_extended_metrics`.
     pub fn extended() -> FigureRegistry {
-        FigureRegistry::classic()
-            .register(MisconfigFigure)
-            .register(DnssecFigure)
+        FigureRegistry::classic().register(MisconfigFigure)
     }
 }
 

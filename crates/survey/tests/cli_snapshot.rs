@@ -88,7 +88,7 @@ fn loaded_snapshot_reproduces_the_built_run() {
     // The `--out` files, not stdout: a loaded world has no scale, so the
     // ablation line samples 500 names where tiny samples 25.
     let built_files = dir_files(&built);
-    assert_eq!(built_files.len(), 12, "twelve registered figures");
+    assert_eq!(built_files.len(), 11, "eleven registered figures");
     assert_eq!(built_files, dir_files(&loaded));
 
     let from_world = lint(&["--world", "tiny", "--seed", SEED, "--format", "json"]);

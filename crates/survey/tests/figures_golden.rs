@@ -21,19 +21,19 @@ use perils_survey::engine::{AnalysisWorld, Engine, SurveyReport, SyntheticSource
 use perils_survey::figures::{self, ZombieFigure};
 use perils_survey::params::TopologyParams;
 use perils_survey::render::{FigureOutcome, FigureRegistry};
+use perils_survey::WorldSpec;
 use perils_util::snapshot::ChecksumFold;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 const SEED: u64 = 20040722;
 
-/// The figures binary's full configuration: extended metrics plus the
-/// zombie-delegation workload.
-fn full_report() -> SurveyReport {
+/// The figures binary's full configuration, extended metrics plus the
+/// zombie-delegation workload, over `world`.
+fn full_report(world: &WorldSpec) -> SurveyReport {
     Engine::with_extended_metrics()
         .register(ZombieDelegationMetric)
-        .run(SyntheticSource {
-            params: TopologyParams::tiny(SEED),
-        })
+        .run_world(world.stream().collect())
 }
 
 fn full_registry() -> FigureRegistry {
@@ -64,9 +64,9 @@ fn check_golden(file: &str, actual: &str) {
 
 #[test]
 fn every_registered_figure_matches_golden_text_and_csv() {
-    let report = full_report();
+    let report = full_report(&WorldSpec::Synthetic(TopologyParams::tiny(SEED)));
     let outcomes = full_registry().build_all(&report);
-    assert_eq!(outcomes.len(), 12, "twelve registered figures");
+    assert_eq!(outcomes.len(), 11, "eleven registered figures");
     for outcome in &outcomes {
         let figure = outcome
             .rendered()
@@ -74,6 +74,101 @@ fn every_registered_figure_matches_golden_text_and_csv() {
         check_golden(&format!("{}.txt", figure.id()), figure.text());
         check_golden(&format!("{}.csv", figure.id()), &figure.csv());
     }
+}
+
+/// A data table whose first column is headed by one of these holds one
+/// statistic per row, keyed by that column: a summary figure (headline,
+/// misconfig and zombie today).
+const SUMMARY_KEYS: [&str; 2] = ["statistic", "finding"];
+
+/// What the figure gate lets stay constant across its worlds, each with
+/// its reason: `(figure id, summary row key or "" for a whole figure,
+/// reason)`.
+const CONSTANT_BY_DESIGN: &[(&str, &str, &str)] = &[];
+
+/// A statistic reads zero when every digit in it is 0 (`0`, `0.0%`,
+/// `0 (0.0%)`).
+fn reads_zero(value: &str) -> bool {
+    value.chars().filter(char::is_ascii_digit).all(|c| c == '0')
+}
+
+/// Every figure the `figures` CLI registers measures something: built on
+/// four tiny seeds, the three scenario worlds and the stale-delegation
+/// tiny world, every row of a summary figure, and every other figure as a
+/// whole, takes two values and is non-zero on one of them. Headline's
+/// `paper` column restates the paper, so it is ignored.
+#[test]
+fn every_registered_figure_measures_something() {
+    let mut worlds: Vec<(String, WorldSpec)> = [1, 11, 2005, SEED]
+        .into_iter()
+        .map(|seed| {
+            let spec = WorldSpec::Synthetic(TopologyParams::tiny(seed));
+            (format!("tiny {seed}"), spec)
+        })
+        .collect();
+    for scenario in ["fbi", "cornell", "tripwire"] {
+        let spec = WorldSpec::parse(scenario, SEED).expect("a named world");
+        worlds.push((scenario.to_string(), spec));
+    }
+    let mut stale = TopologyParams::tiny(SEED);
+    stale.stale_delegation_fraction = 0.12;
+    worlds.push(("tiny stale".to_string(), WorldSpec::Synthetic(stale)));
+
+    // (figure id, row key or "") → its reading on each world.
+    let mut readings: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
+    for (label, world) in &worlds {
+        for outcome in full_registry().build_all(&full_report(world)) {
+            let figure = outcome
+                .rendered()
+                .unwrap_or_else(|| panic!("{:?} on {label}: {outcome:?}", outcome.id()));
+            let id = figure.id().to_string();
+            let table = figure.data();
+            if !SUMMARY_KEYS.contains(&table.headers()[0].as_str()) {
+                let key = (id, String::new());
+                readings.entry(key).or_default().push(figure.csv());
+                continue;
+            }
+            for row in table.rows() {
+                let value: Vec<&str> = row
+                    .iter()
+                    .zip(table.headers())
+                    .skip(1)
+                    .filter(|(_, header)| header.as_str() != "paper")
+                    .map(|(cell, _)| cell.as_str())
+                    .collect();
+                let key = (id.clone(), row[0].clone());
+                readings.entry(key).or_default().push(value.join(","));
+            }
+        }
+    }
+
+    let mut constant = Vec::new();
+    for ((id, key), values) in &readings {
+        assert_eq!(
+            values.len(),
+            worlds.len(),
+            "{id} {key:?} is not on every world"
+        );
+        let varies = values.iter().any(|v| v != &values[0]);
+        let excepted = CONSTANT_BY_DESIGN
+            .iter()
+            .any(|&(fig, row, _)| fig == id && row == key);
+        if excepted {
+            assert!(!varies, "{id} {key:?} varies now: drop its exception");
+        } else if !varies || values.iter().all(|v| reads_zero(v)) {
+            constant.push(if key.is_empty() {
+                format!("{id}: the same on every world")
+            } else {
+                format!("{id} row {key:?}: {values:?}")
+            });
+        }
+    }
+    assert!(
+        constant.is_empty(),
+        "registered figures that measure nothing across the gate's worlds \
+         (fix the figure, delete it, or list it in CONSTANT_BY_DESIGN with a reason):\n{}",
+        constant.join("\n")
+    );
 }
 
 /// The stale-delegation generator knob gives the zombie figure signal on
@@ -231,8 +326,8 @@ fn figures_cli_ablation_line_matches_golden() {
 
 #[test]
 fn figures_with_unregistered_metrics_are_skipped_not_panicking() {
-    // Only the built-in metrics run: misconfig, dnssec and zombie columns
-    // are absent, so those figures must skip while the classic nine render.
+    // Only the built-in metrics run: misconfig and zombie columns are
+    // absent, so those figures must skip while the classic nine render.
     let report = Engine::with_builtin_metrics().run(SyntheticSource {
         params: TopologyParams::tiny(SEED),
     });
@@ -248,7 +343,7 @@ fn figures_with_unregistered_metrics_are_skipped_not_panicking() {
             FigureOutcome::Failed { id, error } => panic!("figure {id:?} failed: {error}"),
         }
     }
-    assert_eq!(skipped, vec!["misconfig", "dnssec", "zombie"]);
+    assert_eq!(skipped, vec!["misconfig", "zombie"]);
 }
 
 /// The zombie-delegation workload end to end through only the public

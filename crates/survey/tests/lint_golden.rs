@@ -273,18 +273,16 @@ fn severity_overrides_relevel_and_suppress() {
 /// real universe, per zone and per flag.
 #[test]
 fn lint_rules_agree_with_misconfig_flags() {
-    use perils_core::misconfig::{
-        MisconfigIndex, FLAG_SINGLE_OPERATOR, FLAG_SINGLE_SERVER, FLAG_UNRESOLVABLE_NS,
-    };
+    use perils_core::lint::zone_structural_flags;
+    use perils_core::misconfig::{FLAG_SINGLE_OPERATOR, FLAG_SINGLE_SERVER, FLAG_UNRESOLVABLE_NS};
 
     let fixture = Fixture::tripwire();
     let universe = &fixture.world.universe;
     let report = fixture.report();
-    let index = MisconfigIndex::build(universe);
 
     for zid in universe.zone_ids() {
         let origin = &universe.zone(zid).origin;
-        let flags = index.zone_flags(zid);
+        let flags = zone_structural_flags(universe, zid);
         let has = |rule: &str| {
             report
                 .diagnostics

@@ -48,7 +48,8 @@ fn assert_columns_equal(
     Ok(())
 }
 
-/// The extended metric set plus the zombie metric, as fresh instances.
+/// The extended metric set plus the DNSSEC-coverage and zombie metrics,
+/// as fresh instances.
 fn extended_and_zombie() -> Vec<Box<dyn NameMetric>> {
     vec![
         Box::new(TcbMetric),
@@ -115,6 +116,7 @@ proptest! {
                 top500: Vec::new(),
             };
             let report = Engine::with_extended_metrics()
+                .register(DnssecCoverageMetric::top_level())
                 .register(ZombieDelegationMetric)
                 .threads(NonZeroUsize::new(threads))
                 .run_world(copy);

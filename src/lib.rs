@@ -30,7 +30,7 @@
 //!
 //! The engine runs a set of per-name metrics over a world. The built-in
 //! metrics reproduce the paper's six measurements; `with_extended_metrics`
-//! adds the misconfiguration-audit and DNSSEC-coverage columns:
+//! adds the misconfiguration-audit columns:
 //!
 //! ```
 //! use perils::core::metric::columns;
@@ -42,8 +42,8 @@
 //! let tcb = report.try_counts(columns::TCB_SIZE).unwrap();
 //! assert_eq!(tcb.len(), report.world.names.len());
 //! assert!(report.try_value_column(columns::VALUE).unwrap().names_seen() > 0);
-//! let signed = report.try_floats(columns::DNSSEC_SIGNED_FRACTION).unwrap();
-//! assert!(signed.iter().all(|f| (0.0..=1.0).contains(f)));
+//! let depth = report.try_counts(columns::MISCONFIG_DEPTH).unwrap();
+//! assert_eq!(depth.len(), tcb.len());
 //! ```
 //!
 //! The paper's six measurements alone are `with_builtin_metrics`, and

@@ -95,7 +95,6 @@ fn scenario_and_probed_fbi_worlds_agree_through_engine() {
         columns::CUT_SIZE,
         columns::SAFE_IN_CUT,
         columns::MISCONFIG_DEPTH,
-        columns::DNSSEC_CHAIN_PROTECTED,
     ] {
         assert_eq!(
             structural.try_counts(id),
