@@ -10,7 +10,9 @@
 //! `crawl_sample.txt` pins the crawled name sample itself, as recorded
 //! from the name-set sampler at a5cbf9c; `synthetic_scenario.txt` pins
 //! the packet-level scenario of two tiny worlds, as recorded from the
-//! materialized generate path at ab8fd51.
+//! materialized generate path at ab8fd51; `stale_world.txt` pins the
+//! stale-delegation tiny world's scenario and archive, as recorded
+//! before the generator stopped keeping per-zone host lists.
 //! Regenerate goldens with
 //! `GOLDEN_REGEN=1 cargo test -p perils-survey --test figures_golden`.
 
@@ -257,54 +259,80 @@ fn crawl_sample_matches_golden() {
     check_golden("crawl_sample.txt", &actual);
 }
 
+/// The packet-level scenario of the synthetic world `params` as its
+/// golden fingerprint: the zone, record, spec and root counts, the root
+/// hints in full, and an FNV checksum over every registry record in zone
+/// order, every spec's host, address, software and zones, and the roots.
+fn scenario_fingerprint(label: &str, params: TopologyParams) -> String {
+    let scenario = SyntheticSource { params }.scenario();
+    let mut fold = ChecksumFold::new();
+    let mut line = |text: String| {
+        fold.update(text.as_bytes());
+        fold.update(&[0]);
+    };
+    let mut records = 0usize;
+    for zone in scenario.registry.iter() {
+        line(format!("zone {}", zone.origin()));
+        for record in zone.iter() {
+            line(record.to_string());
+            records += 1;
+        }
+    }
+    for spec in &scenario.specs {
+        let zones: Vec<String> = spec.zones.iter().map(DnsName::to_string).collect();
+        let (host, addr, software) = (&spec.host_name, spec.addr, &spec.software);
+        line(format!(
+            "spec {host} {addr} {software:?} {}",
+            zones.join(",")
+        ));
+    }
+    let mut roots = String::new();
+    for (host, addr) in &scenario.roots {
+        line(format!("root {host} {addr}"));
+        roots.push_str(&format!("root {host} {addr}\n"));
+    }
+    format!(
+        "{label}: {} zones, {records} records, {} specs, {} roots, fnv {:016x}\n{roots}",
+        scenario.registry.len(),
+        scenario.specs.len(),
+        scenario.roots.len(),
+        fold.finish()
+    )
+}
+
 /// The packet-level scenario of a synthetic world is what the wire
-/// cross-check probes, so it is pinned as a fingerprint: per tiny seed,
-/// the zone, record, spec and root counts, the root hints in full, and an
-/// FNV checksum over every registry record in zone order, every spec's
-/// host, address, software and zones, and the roots.
+/// cross-check probes, so it is pinned as a fingerprint per tiny seed.
 #[test]
 fn synthetic_scenario_matches_golden() {
     let mut actual = String::new();
     for seed in [1234, SEED] {
-        let scenario = SyntheticSource {
-            params: TopologyParams::tiny(seed),
-        }
-        .scenario();
-        let mut fold = ChecksumFold::new();
-        let mut line = |text: String| {
-            fold.update(text.as_bytes());
-            fold.update(&[0]);
-        };
-        let mut records = 0usize;
-        for zone in scenario.registry.iter() {
-            line(format!("zone {}", zone.origin()));
-            for record in zone.iter() {
-                line(record.to_string());
-                records += 1;
-            }
-        }
-        for spec in &scenario.specs {
-            let zones: Vec<String> = spec.zones.iter().map(DnsName::to_string).collect();
-            let (host, addr, software) = (&spec.host_name, spec.addr, &spec.software);
-            line(format!(
-                "spec {host} {addr} {software:?} {}",
-                zones.join(",")
-            ));
-        }
-        let mut roots = String::new();
-        for (host, addr) in &scenario.roots {
-            line(format!("root {host} {addr}"));
-            roots.push_str(&format!("root {host} {addr}\n"));
-        }
-        actual.push_str(&format!(
-            "tiny {seed}: {} zones, {records} records, {} specs, {} roots, fnv {:016x}\n{roots}",
-            scenario.registry.len(),
-            scenario.specs.len(),
-            scenario.roots.len(),
-            fold.finish()
+        actual.push_str(&scenario_fingerprint(
+            &format!("tiny {seed}"),
+            TopologyParams::tiny(seed),
         ));
     }
     check_golden("synthetic_scenario.txt", &actual);
+}
+
+/// The stale-delegation tiny world (the zombie figure's) pinned whole:
+/// its packet scenario, which holds the decayed zones' host records, and
+/// an FNV checksum over its `.psa` archive, which holds the id order of
+/// the `.zz` ghost servers interned after every real one.
+#[test]
+fn stale_world_matches_golden() {
+    let mut params = TopologyParams::tiny(SEED);
+    params.stale_delegation_fraction = 0.12;
+    let mut actual = scenario_fingerprint(&format!("tiny stale {SEED}"), params.clone());
+    let world = WorldSpec::Synthetic(params).build(None);
+    let bytes = world.store.as_heap().expect("a built world is heap-backed");
+    let mut fold = ChecksumFold::new();
+    fold.update(bytes);
+    actual.push_str(&format!(
+        "psa: {} bytes, fnv {:016x}\n",
+        bytes.len(),
+        fold.finish()
+    ));
+    check_golden("stale_world.txt", &actual);
 }
 
 /// The `figures` CLI prints the sample only as its ablation line, after
