@@ -298,14 +298,9 @@ mod tests {
         b.raw_server(&name("a.root-servers.net"), false, true);
         // Banner-assessed servers so the vulnerability flag bits are
         // exercised.
+        b.ensure_server(name("a.gtld.net"), Some("8.2.2-P5".to_string()), &db, false);
         b.ensure_server(
-            &name("a.gtld.net"),
-            Some("8.2.2-P5".to_string()),
-            &db,
-            false,
-        );
-        b.ensure_server(
-            &name("ns1.example.com"),
+            name("ns1.example.com"),
             Some("9.2.3".to_string()),
             &db,
             false,

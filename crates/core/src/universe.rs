@@ -12,6 +12,7 @@ use crate::namemap::NameIdMap;
 use perils_dns::name::{DnsName, Label};
 use perils_dns::zone::{ZoneEvent, ZoneRegistry};
 use perils_vulndb::{BindVersion, VulnDb};
+use std::collections::HashMap;
 
 /// Zone identifier: an index into the universe's zone table, numbered from 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -570,6 +571,12 @@ pub struct UniverseBuilder {
     universe: Universe,
     /// Per server: interned from a bare NS reference, facts pending.
     placeholder: Vec<bool>,
+    /// Each banner's verdicts once assessed against the db at address
+    /// `verdict_db` (a feed repeats a handful of banners across all its
+    /// servers, so each is parsed and matched once). The builder holds
+    /// no borrow of the db, so a db at another address clears them.
+    verdicts: HashMap<String, (bool, bool)>,
+    verdict_db: usize,
 }
 
 /// Builds the origin and host-name maps of two entry tables — the one
@@ -601,14 +608,29 @@ fn name_maps(
 }
 
 impl UniverseBuilder {
-    fn assess(banner: Option<&str>, db: &VulnDb) -> (bool, bool) {
-        match banner.and_then(BindVersion::parse) {
+    /// The `(vulnerable, scripted_exploit)` verdicts of `banner` against
+    /// `db`; no banner, or one naming no known version, is safe.
+    fn assess(&mut self, banner: Option<String>, db: &VulnDb) -> (bool, bool) {
+        let Some(banner) = banner else {
+            return (false, false);
+        };
+        let db_addr = std::ptr::from_ref(db) as usize;
+        if self.verdict_db != db_addr {
+            self.verdicts.clear();
+            self.verdict_db = db_addr;
+        }
+        if let Some(&verdicts) = self.verdicts.get(&banner) {
+            return verdicts;
+        }
+        let verdicts = match BindVersion::parse(&banner) {
             Some(version) => (
                 db.is_vulnerable(&version),
                 db.has_scripted_exploit(&version),
             ),
             None => (false, false),
-        }
+        };
+        self.verdicts.insert(banner, verdicts);
+        verdicts
     }
 
     /// Interns a new server (the caller has checked it is absent and
@@ -628,7 +650,8 @@ impl UniverseBuilder {
         id
     }
 
-    /// Adds (or finds) a server, assessing its banner against `db`.
+    /// Adds (or finds) a server, assessing its banner against `db`. A
+    /// new server keeps `name`, lowercased in place.
     ///
     /// A server first seen as a bare NS reference (an unknown-safe
     /// placeholder) is **fixed up in place**: its banner is assessed as if
@@ -637,27 +660,27 @@ impl UniverseBuilder {
     /// flag.
     pub fn ensure_server(
         &mut self,
-        name: &DnsName,
+        name: DnsName,
         banner: Option<String>,
         db: &VulnDb,
         is_root: bool,
     ) -> ServerId {
-        if let Some(id) = self.universe.server_id(name) {
-            let entry = &mut self.universe.servers[id.index()];
+        if let Some(id) = self.universe.server_id(&name) {
             if self.placeholder[id.index()] {
-                let (vulnerable, scripted_exploit) = Self::assess(banner.as_deref(), db);
+                let (vulnerable, scripted_exploit) = self.assess(banner, db);
+                let entry = &mut self.universe.servers[id.index()];
                 entry.vulnerable = vulnerable;
                 entry.scripted_exploit = scripted_exploit;
                 self.placeholder[id.index()] = false;
             }
             // Upgrade root status if this server also serves the root.
-            entry.is_root |= is_root;
+            self.universe.servers[id.index()].is_root |= is_root;
             return id;
         }
-        let (vulnerable, scripted_exploit) = Self::assess(banner.as_deref(), db);
+        let (vulnerable, scripted_exploit) = self.assess(banner, db);
         self.intern_server(
             ServerEntry {
-                name: name.to_lowercase(),
+                name: name.into_lowercase(),
                 vulnerable,
                 scripted_exploit,
                 is_root,
@@ -769,7 +792,7 @@ impl UniverseBuilder {
                 banner,
                 is_root,
             } => {
-                self.ensure_server(&name, banner, db, is_root);
+                self.ensure_server(name, banner, db, is_root);
             }
             UniverseEvent::ServerFacts {
                 name,
@@ -1065,11 +1088,11 @@ mod tests {
         let mut b = Universe::builder();
         b.add_zone(&name("x.test"), &[name("ns1.x.test")]);
         // Facts arrive later and are applied as if they came first.
-        b.ensure_server(&name("ns1.x.test"), Some("8.2.4".into()), &db, false);
+        b.ensure_server(name("ns1.x.test"), Some("8.2.4".into()), &db, false);
         let late = b.finish();
 
         let mut b = Universe::builder();
-        b.ensure_server(&name("ns1.x.test"), Some("8.2.4".into()), &db, false);
+        b.ensure_server(name("ns1.x.test"), Some("8.2.4".into()), &db, false);
         b.add_zone(&name("x.test"), &[name("ns1.x.test")]);
         let early = b.finish();
 
@@ -1078,8 +1101,8 @@ mod tests {
         assert!(late.server(ns1).vulnerable);
         // A server that already carries facts is not overwritten.
         let mut b = Universe::builder();
-        b.ensure_server(&name("ns1.x.test"), Some("9.2.3".into()), &db, false);
-        b.ensure_server(&name("ns1.x.test"), Some("8.2.4".into()), &db, false);
+        b.ensure_server(name("ns1.x.test"), Some("9.2.3".into()), &db, false);
+        b.ensure_server(name("ns1.x.test"), Some("8.2.4".into()), &db, false);
         let first_wins = b.finish();
         let ns1 = first_wins.server_id(&name("ns1.x.test")).unwrap();
         assert!(!first_wins.server(ns1).vulnerable);

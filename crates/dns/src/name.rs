@@ -154,11 +154,15 @@ impl Label {
     /// Returns the label lowercased (for canonical forms).
     pub fn to_lowercase(&self) -> Label {
         let mut lower = self.clone();
-        match &mut lower.repr {
+        lower.make_lowercase();
+        lower
+    }
+
+    fn make_lowercase(&mut self) {
+        match &mut self.repr {
             LabelRepr::Inline { len, buf } => buf[..usize::from(*len)].make_ascii_lowercase(),
             LabelRepr::Heap(bytes) => bytes.make_ascii_lowercase(),
         }
-        lower
     }
 }
 
@@ -346,6 +350,12 @@ impl DnsName {
             labels: self.labels.iter().map(Label::to_lowercase).collect(),
         }
     }
+
+    /// [`DnsName::to_lowercase`] in place: keeps this name's storage.
+    pub fn into_lowercase(mut self) -> DnsName {
+        self.labels.iter_mut().for_each(Label::make_lowercase);
+        self
+    }
 }
 
 /// A [`DnsName`] can stand in for its label slice in hashed collections:
@@ -450,6 +460,12 @@ mod tests {
         assert!(set.contains(&b));
         assert_eq!(a.to_string(), "WWW.Example.COM", "display preserves case");
         assert_eq!(a.to_lowercase().to_string(), "www.example.com");
+        assert_eq!(a.into_lowercase().to_string(), "www.example.com");
+        let long = format!("{}.Example.COM", "Heap".repeat(10));
+        assert_eq!(
+            name(&long).into_lowercase().to_string(),
+            long.to_lowercase()
+        );
     }
 
     #[test]

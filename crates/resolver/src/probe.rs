@@ -58,25 +58,16 @@ impl<'r> ChainProber<'r> {
     /// Discovers the full dependency closure of `target`.
     pub fn discover(&self, target: &DnsName) -> DependencyReport {
         let mut report = DependencyReport::default();
-        // Every name ever queued: each is walked once, in the order it
-        // was first queued.
-        let mut queued: BTreeSet<DnsName> = BTreeSet::new();
-        let mut worklist: VecDeque<DnsName> = VecDeque::new();
-        queued.insert(target.to_lowercase());
-        worklist.push_back(target.to_lowercase());
-
+        let target = target.to_lowercase();
+        // Each name is walked once: the target, then every server in the
+        // order walks first record it, a walk's finds in name order.
+        let mut worklist = VecDeque::from([target.clone()]);
         while let Some(name) = worklist.pop_front() {
-            let discovered = self.walk_chain(&name, &mut report);
-            if !discovered {
+            let mut found = BTreeSet::new();
+            if !self.walk_chain(&name, &mut report, &mut found) {
                 report.failed_walks.insert(name);
             }
-            // Enqueue every server name seen so far that was never queued.
-            for server in report.servers.iter() {
-                if !queued.contains(server) {
-                    queued.insert(server.clone());
-                    worklist.push_back(server.clone());
-                }
-            }
+            worklist.extend(found.into_iter().filter(|server| *server != target));
         }
 
         self.fingerprint_servers(&mut report);
@@ -84,9 +75,15 @@ impl<'r> ChainProber<'r> {
     }
 
     /// Walks the delegation chain for `name` from the root, recording every
-    /// referral's NS set. Returns false when no authoritative endpoint was
+    /// referral's NS set and adding to `found` each server the report did
+    /// not hold yet. Returns false when no authoritative endpoint was
     /// reached.
-    fn walk_chain(&self, name: &DnsName, report: &mut DependencyReport) -> bool {
+    fn walk_chain(
+        &self,
+        name: &DnsName,
+        report: &mut DependencyReport,
+        found: &mut BTreeSet<DnsName>,
+    ) -> bool {
         // The resolver already implements failover, glueless resolution and
         // budgets; we re-walk here step by step because we need every NS
         // *set*, not just the path taken. Strategy: query for the name at
@@ -138,7 +135,9 @@ impl<'r> ChainProber<'r> {
                         if let RData::Ns(host) = &ns.rdata {
                             let host = host.to_lowercase();
                             entry.insert(host.clone());
-                            report.servers.insert(host.clone());
+                            if report.servers.insert(host.clone()) {
+                                found.insert(host.clone());
+                            }
                             let glue = response.additional.iter().find_map(|g| {
                                 if g.name == host {
                                     match g.rdata {

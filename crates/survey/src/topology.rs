@@ -25,6 +25,7 @@ use perils_netsim::{IpAllocator, Region};
 use perils_util::dist::{AliasTable, ZipfTable};
 use perils_util::Rng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// The twelve gTLDs of Figure 3, in the paper's plotted order.
 pub const GTLDS: [&str; 12] = [
@@ -76,9 +77,10 @@ impl SurveyName {
 struct ZonePlan {
     origin: DnsName,
     ns: Vec<DnsName>,
-    /// Host names needing A records in this zone (in-bailiwick servers and
-    /// web hosts) when materializing a packet-level scenario.
-    hosts: Vec<DnsName>,
+    /// The zone's own boxes, as indices into the plan's servers: a
+    /// packet-level scenario gives each an A record here, whether or not
+    /// decay kept it in the NS set.
+    own: Range<usize>,
 }
 
 /// A server in the world plan.
@@ -110,6 +112,9 @@ pub(crate) struct WorldPlan {
     zones: Vec<ZonePlan>,
     servers: Vec<ServerPlan>,
     roots: Vec<DnsName>,
+    /// Index of the first second-level domain zone; every zone from here
+    /// on is one, and its surveyed web host is `www.<origin>`.
+    first_domain: usize,
     names: Vec<SurveyName>,
     top500: Vec<usize>,
 }
@@ -159,10 +164,7 @@ impl WorldPlan {
         for server in &self.servers {
             addr_of.insert(server.name.clone(), alloc.alloc(Region(server.region)));
         }
-        // Which zone is each host's home (deepest origin containing it)?
         let origins: BTreeSet<DnsName> = self.zones.iter().map(|z| z.origin.clone()).collect();
-        let home_of =
-            |host: &DnsName| -> Option<DnsName> { host.ancestors().find(|a| origins.contains(a)) };
         // Build zones.
         for plan in &self.zones {
             let primary = plan
@@ -210,17 +212,15 @@ impl WorldPlan {
                 }
             }
         }
-        // Host A records in their home zones.
-        for plan in &self.zones {
+        // Host A records: each zone's own boxes, then a domain's web host.
+        for (i, plan) in self.zones.iter().enumerate() {
             let zone = registry.get_mut(&plan.origin).expect("zone exists");
-            for host in &plan.hosts {
-                if home_of(host).as_ref() == Some(&plan.origin) {
-                    let addr = addr_of
-                        .get(host)
-                        .copied()
-                        .unwrap_or_else(|| "203.0.113.7".parse().expect("static"));
-                    let _ = zone.add_rdata(host.clone(), RData::A(addr));
-                }
+            for server in &self.servers[plan.own.clone()] {
+                let _ = zone.add_rdata(server.name.clone(), RData::A(addr_of[&server.name]));
+            }
+            if i >= self.first_domain {
+                let www = plan.origin.prepend("www").expect("short label");
+                let _ = zone.add_rdata(www, RData::A("203.0.113.7".parse().expect("static")));
             }
         }
         // Server specs: a server hosts every zone listing it at the apex.
@@ -259,12 +259,11 @@ struct Generator<'p> {
     rng: Rng,
     zones: Vec<ZonePlan>,
     servers: Vec<ServerPlan>,
-    server_names: BTreeSet<DnsName>,
     roots: Vec<DnsName>,
-    /// (server names, region) per provider.
-    provider_boxes: Vec<(Vec<DnsName>, u16)>,
-    /// (server names, region) per university operator.
-    university_boxes: Vec<(Vec<DnsName>, u16)>,
+    /// Server names per provider.
+    provider_boxes: Vec<Vec<DnsName>>,
+    /// Server names per university operator.
+    university_boxes: Vec<Vec<DnsName>>,
     /// Indices into `university_boxes` of the volunteer pool (dense
     /// community webs; hosts ccTLD and aero/int slaves).
     pool: Vec<usize>,
@@ -280,7 +279,6 @@ impl<'p> Generator<'p> {
             rng: Rng::new(params.seed).fork(0x746f_706f),
             zones: Vec::new(),
             servers: Vec::new(),
-            server_names: BTreeSet::new(),
             roots: Vec::new(),
             provider_boxes: Vec::new(),
             university_boxes: Vec::new(),
@@ -290,19 +288,22 @@ impl<'p> Generator<'p> {
         }
     }
 
+    /// Mints a server. No name is minted twice: each sits under its
+    /// operator's own zone, and no two operators share an origin.
     fn add_server(&mut self, host: &DnsName, version: &'static str, region: u16, is_root: bool) {
-        if self.server_names.insert(host.clone()) {
-            self.servers.push(ServerPlan {
-                name: host.clone(),
-                version,
-                region,
-                is_root,
-            });
-        }
+        self.servers.push(ServerPlan {
+            name: host.clone(),
+            version,
+            region,
+            is_root,
+        });
     }
 
-    fn add_zone(&mut self, origin: DnsName, ns: Vec<DnsName>, hosts: Vec<DnsName>) {
-        self.zones.push(ZonePlan { origin, ns, hosts });
+    /// Adds a zone whose own boxes are the last `own` servers minted.
+    fn add_zone(&mut self, origin: DnsName, ns: Vec<DnsName>, own: usize) {
+        let end = self.servers.len();
+        let own = end - own..end;
+        self.zones.push(ZonePlan { origin, ns, own });
     }
 
     fn pick_version(&mut self, forced_vulnerable: Option<bool>) -> &'static str {
@@ -323,6 +324,7 @@ impl<'p> Generator<'p> {
         self.build_providers();
         self.build_universities();
         self.wire_cctld_slaves(&cctld_labels);
+        let first_domain = self.zones.len();
         let domain_zones = self.build_domains(&cctld_labels);
         let names = self.crawl_names(&domain_zones);
         self.decay_delegations(domain_zones.len());
@@ -336,6 +338,7 @@ impl<'p> Generator<'p> {
             zones: self.zones,
             servers: self.servers,
             roots: self.roots,
+            first_domain,
             names,
             top500,
         }
@@ -351,8 +354,8 @@ impl<'p> Generator<'p> {
             root_ns.push(host.clone());
             self.roots.push(host);
         }
-        self.add_zone(DnsName::root(), root_ns.clone(), vec![]);
-        self.add_zone(name("root-servers.net"), root_ns.clone(), root_ns.clone());
+        self.add_zone(DnsName::root(), root_ns.clone(), 0);
+        self.add_zone(name("root-servers.net"), root_ns.clone(), root_ns.len());
 
         // com/net/org cluster: 13 servers in gtld-servers.net (glued,
         // self-contained) + a support zone nstld.com mirroring Figure 1.
@@ -368,10 +371,11 @@ impl<'p> Generator<'p> {
             self.add_server(&host, "9.2.3", 0, false);
             nstld_ns.push(host);
         }
-        self.add_zone(name("gtld-servers.net"), nstld_ns.clone(), vec![]);
-        self.add_zone(name("nstld.com"), nstld_ns.clone(), nstld_ns.clone());
+        self.add_zone(name("gtld-servers.net"), nstld_ns.clone(), 0);
+        let own = nstld_ns.len();
+        self.add_zone(name("nstld.com"), nstld_ns, own);
         for tld in ["com", "net", "org"] {
-            self.add_zone(name(tld), gtld_ns.clone(), vec![]);
+            self.add_zone(name(tld), gtld_ns.clone(), 0);
         }
 
         // Dedicated small clusters for edu/gov/mil/biz/info/name/coop and
@@ -394,8 +398,8 @@ impl<'p> Generator<'p> {
                 self.add_server(&host, "9.2.3", 0, false);
                 ns.push(host.clone());
             }
-            self.add_zone(name(&format!("{tld}-servers.net")), ns.clone(), ns.clone());
-            self.add_zone(name(tld), ns, vec![]);
+            self.add_zone(name(&format!("{tld}-servers.net")), ns.clone(), count);
+            self.add_zone(name(tld), ns, 0);
         }
     }
 
@@ -436,8 +440,8 @@ impl<'p> Generator<'p> {
                 self.add_server(&host, version, region, false);
                 ns.push(host);
             }
-            self.add_zone(name(&format!("nic.{code}")), ns.clone(), ns.clone());
-            self.add_zone(name(code), ns, vec![]);
+            self.add_zone(name(&format!("nic.{code}")), ns.clone(), ns.len());
+            self.add_zone(name(code), ns, 0);
         }
         labels
     }
@@ -470,9 +474,8 @@ impl<'p> Generator<'p> {
                 self.add_server(&host, version, region, false);
                 ns.push(host);
             }
-            self.add_zone(domain, ns.clone(), ns);
-            self.provider_boxes
-                .push((self.zones.last().expect("just added").ns.clone(), region));
+            self.provider_boxes.push(ns.clone());
+            self.add_zone(domain, ns, boxes);
         }
     }
 
@@ -529,16 +532,16 @@ impl<'p> Generator<'p> {
                 self.add_server(&host, version, region, false);
                 ns.push(host);
             }
-            self.university_boxes.push((ns, region));
-            // Zone added after cross-wiring below.
-            self.add_zone(domain, Vec::new(), Vec::new());
+            // NS set filled by the cross-wiring below.
+            self.add_zone(domain, Vec::new(), ns.len());
+            self.university_boxes.push(ns);
         }
         self.pool = (0..backbone_ops).collect();
         let communities = BACKBONE_COMMUNITIES;
         let per_community = backbone_ops.div_ceil(communities).max(1);
         let zone_base = self.zones.len() - uni_count;
         for i in 0..uni_count {
-            let mut ns = self.university_boxes[i].0.clone();
+            let mut ns = self.university_boxes[i].clone();
             if i < backbone_ops {
                 let community = i / per_community;
                 // Two secondaries from the community below (or peers, at
@@ -552,7 +555,7 @@ impl<'p> Generator<'p> {
                 for _ in 0..2 {
                     let other = lo + self.rng.below_usize(hi - lo);
                     if other != i {
-                        let boxes = &self.university_boxes[other].0;
+                        let boxes = &self.university_boxes[other];
                         let pick = boxes[self.rng.below_usize(boxes.len())].clone();
                         if !ns.contains(&pick) {
                             ns.push(pick);
@@ -561,7 +564,7 @@ impl<'p> Generator<'p> {
                 }
                 if community > 0 {
                     let hub = self.rng.below_usize(per_community.min(backbone_ops));
-                    let boxes = &self.university_boxes[hub].0;
+                    let boxes = &self.university_boxes[hub];
                     let pick = boxes[self.rng.below_usize(boxes.len())].clone();
                     if !ns.contains(&pick) {
                         ns.push(pick);
@@ -576,7 +579,7 @@ impl<'p> Generator<'p> {
                     if self.rng.chance(p_link) {
                         let other = backbone_ops + self.rng.below_usize(uni_count - backbone_ops);
                         if other != i {
-                            let boxes = &self.university_boxes[other].0;
+                            let boxes = &self.university_boxes[other];
                             let pick = boxes[self.rng.below_usize(boxes.len())].clone();
                             if !ns.contains(&pick) {
                                 ns.push(pick);
@@ -585,10 +588,7 @@ impl<'p> Generator<'p> {
                     }
                 }
             }
-            let hosts = self.university_boxes[i].0.clone();
-            let plan = &mut self.zones[zone_base + i];
-            plan.ns = ns;
-            plan.hosts = hosts;
+            self.zones[zone_base + i].ns = ns;
         }
     }
 
@@ -612,7 +612,7 @@ impl<'p> Generator<'p> {
         let lo = (depth * per_community).min(backbone_ops.saturating_sub(1));
         let hi = ((depth + 1) * per_community).min(backbone_ops);
         let idx = lo + self.rng.below_usize((hi - lo).max(1));
-        let boxes = &self.university_boxes[idx].0;
+        let boxes = &self.university_boxes[idx];
         boxes[self.rng.below_usize(boxes.len())].clone()
     }
 
@@ -755,8 +755,8 @@ impl<'p> Generator<'p> {
                 _ => style_table.sample(&mut self.rng),
             };
             let popular = j < 600; // low domain index = popular (crawl rank)
+            let first = self.servers.len();
             let mut ns: Vec<DnsName> = Vec::new();
-            let mut hosts: Vec<DnsName> = Vec::new();
             match style {
                 0 => {
                     // Self-hosted, glued.
@@ -769,23 +769,20 @@ impl<'p> Generator<'p> {
                     for k in 1..=count {
                         let host = origin.prepend(&format!("ns{k}")).expect("short label");
                         self.add_server(&host, version, 0, false);
-                        ns.push(host.clone());
-                        hosts.push(host);
+                        ns.push(host);
                     }
                 }
                 1 => {
                     // Provider-hosted; ~30% keep one in-domain box as a
                     // hidden primary.
                     let p = provider_pick.sample(&mut self.rng);
-                    let boxes = self.provider_boxes[p].0.clone();
-                    let take = boxes.len().min(if popular { 3 } else { 2 });
-                    ns.extend(boxes.into_iter().take(take));
+                    let take = if popular { 3 } else { 2 };
+                    ns.extend(self.provider_boxes[p].iter().take(take).cloned());
                     if self.rng.chance(0.15) {
                         let version = self.pick_version(None);
                         let host = origin.prepend("ns1").expect("short label");
                         self.add_server(&host, version, 0, false);
-                        ns.push(host.clone());
-                        hosts.push(host);
+                        ns.push(host);
                     }
                 }
                 2 => {
@@ -794,10 +791,9 @@ impl<'p> Generator<'p> {
                     let version = self.pick_version(None);
                     let host = origin.prepend("ns1").expect("short label");
                     self.add_server(&host, version, 0, false);
-                    ns.push(host.clone());
-                    hosts.push(host);
+                    ns.push(host);
                     let uni = self.nonpool_university();
-                    ns.extend(self.university_boxes[uni].0.iter().cloned());
+                    ns.extend(self.university_boxes[uni].iter().cloned());
                 }
                 _ => {
                     // Mixed: two own boxes plus an off-site secondary —
@@ -808,8 +804,7 @@ impl<'p> Generator<'p> {
                     for k in 1..=2 {
                         let host = origin.prepend(&format!("ns{k}")).expect("short label");
                         self.add_server(&host, version, 0, false);
-                        ns.push(host.clone());
-                        hosts.push(host);
+                        ns.push(host);
                     }
                     if self.rng.chance(0.25) {
                         let depth = self.rng.below_usize(2);
@@ -819,7 +814,7 @@ impl<'p> Generator<'p> {
                         }
                     } else {
                         let uni = self.nonpool_university();
-                        let boxes = &self.university_boxes[uni].0;
+                        let boxes = &self.university_boxes[uni];
                         ns.push(boxes[self.rng.below_usize(boxes.len())].clone());
                     }
                 }
@@ -832,10 +827,9 @@ impl<'p> Generator<'p> {
                 for extra in 0..self.params.popular_extra_secondaries {
                     if extra <= 1 {
                         let uni = self.nonpool_university();
-                        let boxes = self.university_boxes[uni].0.clone();
-                        for pick in boxes {
-                            if !ns.contains(&pick) {
-                                ns.push(pick);
+                        for pick in &self.university_boxes[uni] {
+                            if !ns.contains(pick) {
+                                ns.push(pick.clone());
                             }
                         }
                     } else {
@@ -844,16 +838,12 @@ impl<'p> Generator<'p> {
                             .prepend(&format!("ns{}", 4 + extra))
                             .expect("short label");
                         self.add_server(&host, version, 0, false);
-                        if !ns.contains(&host) {
-                            ns.push(host.clone());
-                            hosts.push(host);
-                        }
+                        ns.push(host);
                     }
                 }
             }
-            // The surveyed web host lives in this zone.
-            hosts.push(origin.prepend("www").expect("short label"));
-            self.add_zone(origin.clone(), ns, hosts);
+            let own = self.servers.len() - first;
+            self.add_zone(origin.clone(), ns, own);
             domain_zones.push(origin);
         }
         domain_zones
@@ -1078,6 +1068,76 @@ mod tests {
         let distinct: BTreeSet<&str> = CRAWL_HOSTS.iter().copied().collect();
         assert_eq!(distinct.len(), CRAWL_HOSTS.len());
         assert!(CRAWL_HOSTS.len() <= u16::BITS as usize, "one mask bit each");
+    }
+
+    /// No server name is minted twice (in any case mix), which is what
+    /// lets the plan keep its servers without a name set: a repeat would
+    /// be a second spec in a packet scenario and a banner the universe
+    /// builder ignores.
+    #[test]
+    fn plan_mints_each_server_name_once() {
+        let worlds = [1, 11, 2005, 20040722]
+            .map(TopologyParams::tiny)
+            .into_iter()
+            .chain([TopologyParams::default_scaled(2005)]);
+        for params in worlds {
+            let plan = plan_world(&params);
+            let mut seen: BTreeSet<String> = BTreeSet::new();
+            for server in &plan.servers {
+                let lower = server.name.to_string().to_ascii_lowercase();
+                assert!(seen.insert(lower), "{} minted twice", server.name);
+            }
+        }
+    }
+
+    /// The builder assesses each distinct banner once per db: every
+    /// version the generator hands out, a hidden banner and no banner get
+    /// the verdicts a fresh parse against the db gives, on first sight
+    /// and from the memo, and a second db is not answered from the
+    /// first's verdicts.
+    #[test]
+    fn memoized_banner_verdicts_equal_assessment() {
+        use perils_core::Universe;
+        use perils_vulndb::{BindVersion, VulnDb};
+        let isc = VulnDb::isc_feb_2004();
+        let none = VulnDb::from_advisories(Vec::new());
+        let banners: Vec<Option<&str>> = VULNERABLE_VERSIONS
+            .iter()
+            .chain(&CLEAN_VERSIONS)
+            .map(|v| Some(*v))
+            .chain([Some("none of your business"), None])
+            .collect();
+        let mut builder = Universe::builder();
+        let mut expected = Vec::new();
+        for (round, db) in [&isc, &isc, &none].into_iter().enumerate() {
+            for (i, banner) in banners.iter().enumerate() {
+                builder.apply(
+                    UniverseEvent::Server {
+                        name: name(&format!("ns{i}.round{round}.test")),
+                        banner: banner.map(str::to_string),
+                        is_root: false,
+                    },
+                    db,
+                );
+                let version = banner.and_then(BindVersion::parse);
+                expected.push(version.map_or((false, false), |v| {
+                    (db.is_vulnerable(&v), db.has_scripted_exploit(&v))
+                }));
+            }
+        }
+        let universe = builder.finish();
+        let verdicts: Vec<(bool, bool)> = universe
+            .server_ids()
+            .map(|s| {
+                let server = universe.server(s);
+                (server.vulnerable, server.scripted_exploit)
+            })
+            .collect();
+        assert_eq!(verdicts, expected);
+        assert!(
+            expected.contains(&(true, true)),
+            "some banner is vulnerable"
+        );
     }
 
     #[test]

@@ -9,14 +9,19 @@
 use crate::rng::Rng;
 
 /// Exact Zipf sampler over ranks `1..=n` with exponent `s`, backed by a
-/// precomputed cumulative table and binary search.
+/// precomputed cumulative table and a guide table into it.
 ///
-/// Memory is `O(n)`; sampling is `O(log n)`. For the survey sizes used here
-/// (`n` up to ~1M) the table costs a few megabytes, which is a good trade for
-/// exactness and determinism.
+/// A draw `u` maps to the first rank whose cumulative weight reaches it
+/// (the inverse CDF). The guide holds, per bucket `⌊u·n⌋`, the first rank
+/// whose own cumulative weight lands in that bucket or later; bucketing is
+/// monotone in `u`, so the answer is never before the guide's entry and a
+/// forward scan finds it, in `O(1)` expected steps. Memory is `O(n)`: for
+/// the survey sizes used here (`n` up to ~1M) a few megabytes, a good trade
+/// for exactness and determinism.
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     cumulative: Vec<f64>,
+    guide: Vec<usize>,
 }
 
 impl ZipfTable {
@@ -37,7 +42,26 @@ impl ZipfTable {
         for c in &mut cumulative {
             *c /= total;
         }
-        ZipfTable { cumulative }
+        ZipfTable::from_cumulative(cumulative)
+    }
+
+    /// Builds the guide over a non-decreasing, non-empty CDF.
+    fn from_cumulative(cumulative: Vec<f64>) -> Self {
+        let n = cumulative.len();
+        let mut guide = Vec::with_capacity(n);
+        let mut rank = 0;
+        for bucket in 0..n {
+            while rank < n - 1 && Self::bucket(cumulative[rank], n) < bucket {
+                rank += 1;
+            }
+            guide.push(rank);
+        }
+        ZipfTable { cumulative, guide }
+    }
+
+    /// The guide bucket of a probability: `⌊p·n⌋`, capped at `n - 1`.
+    fn bucket(p: f64, n: usize) -> usize {
+        ((p * n as f64) as usize).min(n - 1)
     }
 
     /// Number of ranks.
@@ -52,14 +76,18 @@ impl ZipfTable {
 
     /// Samples a 0-based rank (`0` is the most popular).
     pub fn sample(&mut self, rng: &mut Rng) -> usize {
-        let u = rng.unit_f64();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("CDF values are finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cumulative.len() - 1),
+        self.rank_of(rng.unit_f64())
+    }
+
+    /// The first rank whose cumulative weight reaches `u` (the last rank
+    /// when none does).
+    fn rank_of(&self, u: f64) -> usize {
+        let last = self.cumulative.len() - 1;
+        let mut rank = self.guide[Self::bucket(u, self.cumulative.len())];
+        while rank < last && self.cumulative[rank] < u {
+            rank += 1;
         }
+        rank
     }
 }
 
@@ -141,6 +169,86 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The binary-search inverse CDF: the first rank whose cumulative
+    /// weight reaches `u`, or the last rank.
+    fn binary_search_rank(table: &ZipfTable, u: f64) -> usize {
+        table
+            .cumulative
+            .partition_point(|&c| c < u)
+            .min(table.len() - 1)
+    }
+
+    /// Draws a guide table could get wrong: 0, every cumulative weight
+    /// exactly, one ulp either side of every bucket edge `k/n`, and the
+    /// values just below 1.
+    fn adversarial_draws(table: &ZipfTable) -> Vec<f64> {
+        let n = table.len();
+        let mut draws = vec![0.0];
+        draws.extend(&table.cumulative);
+        for k in 1..=n {
+            let edge = k as f64 / n as f64;
+            draws.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        let mut near_one = 1.0f64;
+        for _ in 0..8 {
+            near_one = near_one.next_down();
+            draws.push(near_one);
+        }
+        draws
+    }
+
+    fn assert_guide_exact(table: &ZipfTable) -> Result<(), String> {
+        for u in adversarial_draws(table) {
+            prop_assert_eq!(
+                table.rank_of(u),
+                binary_search_rank(table, u),
+                "u = {:e}",
+                u
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The guide-table search returns the binary search's rank on
+        /// every adversarial draw, over Zipf tables up to 30,000 ranks.
+        #[test]
+        fn guide_search_equals_binary_search(
+            n in 1usize..=30_000,
+            s_milli in 100u32..=3_000,
+        ) {
+            assert_guide_exact(&ZipfTable::new(n, f64::from(s_milli) / 1000.0))?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The same on CDFs with weights placed on, and one ulp either
+        /// side of, bucket edges, where `u·n` rounds across an edge.
+        #[test]
+        fn guide_search_is_exact_at_bucket_edges(seed in any::<u64>(), n in 1usize..=300) {
+            let mut rng = Rng::new(seed);
+            let mut cumulative: Vec<f64> = (1..n)
+                .map(|_| {
+                    let edge = (1 + rng.below_usize(n)) as f64 / n as f64;
+                    match rng.below_usize(4) {
+                        0 => edge.next_down(),
+                        1 => edge,
+                        2 => edge.next_up().min(1.0),
+                        _ => rng.unit_f64(),
+                    }
+                })
+                .collect();
+            cumulative.push(1.0);
+            cumulative.sort_by(f64::total_cmp);
+            assert_guide_exact(&ZipfTable::from_cumulative(cumulative))?;
+        }
+    }
 
     #[test]
     fn zipf_rank0_is_most_probable() {
